@@ -11,7 +11,8 @@ namespace {
 
 /// One ensemble-member construction unit: learn the affinity of member
 /// (`type`, subspace-or-pNN) and its Laplacian. Members are mutually
-/// independent, so they run one-per-task on the thread pool.
+/// independent, so they run in any order: one per pool task, or on the
+/// caller (see the schedule in BuildEnsemble).
 struct MemberTask {
   std::size_t type;
   bool subspace;  // false = pNN member.
@@ -104,8 +105,8 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
   out.subspace_affinity.resize(num_types);
   out.knn_affinity.resize(num_types);
 
-  // One candidate manifold per task (ROADMAP threading item): every
-  // (type, member) pair learns its affinity and Laplacian independently.
+  // One candidate manifold per member: every (type, member) pair learns
+  // its affinity and Laplacian independently.
   // Stochastic members (subspace init, NN-descent backend) draw seeds
   // from DeriveStreamSeed(seed, type), fixed before dispatch, so the
   // ensemble is reproducible for any schedule or pool size. Tasks write
@@ -134,7 +135,7 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
     }
   }
 
-  RunTasks(tasks.size(), [&](std::size_t t) {
+  auto build_member = [&](std::size_t t) {
     const MemberTask& task = tasks[t];
     const la::Matrix& features = sanitized[task.type].empty()
                                      ? data.Type(task.type).features
@@ -179,7 +180,26 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
       }
       knn_lap[task.type] = std::move(lap).value();
     }
-  });
+  };
+
+  // Schedule: nested regions run inline, so a member in the task fan-out
+  // runs its kernels on one thread. A subspace member whose SPG passes
+  // split into at least NumThreads() row chunks is big enough to use the
+  // whole pool by itself, so those run on the caller one after another;
+  // smaller subspace members and every pNN member fan out one per task.
+  // Each member is bit-identical for any pool size, so the schedule never
+  // changes the ensemble.
+  const auto pool = static_cast<std::size_t>(util::NumThreads());
+  std::vector<std::size_t> fan_out, on_caller;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const bool large =
+        tasks[t].subspace &&
+        SpgRowChunks(data.Type(tasks[t].type).features.rows()) >= pool;
+    (large ? on_caller : fan_out).push_back(t);
+  }
+  RunTasks(fan_out.size(), [&](std::size_t i) { build_member(fan_out[i]); });
+  for (std::size_t t : on_caller) build_member(t);
+
   for (const Status& status : task_status) {
     if (!status.ok()) return status;
   }

@@ -11,6 +11,11 @@
 // gradient 2γ(W·Q − Q) + 2·1·(1ᵀW) with Q = X·Xᵀ (DESIGN.md §5.1/5.2
 // documents the deviations from the paper's typo'd formulas).
 //
+// Each SPG step costs one n×n·n×n product (d·Q; W·Q is carried forward)
+// and three fused row-parallel passes over a fixed workspace, so the
+// learned W is bit-identical for any pool size under a given kernel
+// table.
+//
 // The point of this learner (Fig. 1): two objects far apart in Euclidean
 // space but on the same low-dimensional subspace obtain a nonzero
 // affinity, which a p-nearest-neighbour graph cannot deliver.
@@ -96,6 +101,12 @@ double SubspaceObjective(const la::Matrix& w, const la::Matrix& gram,
 
 /// Projection of Eq. 11: zero diagonal, negatives clamped to zero.
 void ProjectFeasible(la::Matrix* w);
+
+/// Number of row chunks the SPG passes of an n-object type split into
+/// (util::GrainForWork(n) rows each; a shape-only layout). BuildEnsemble
+/// runs a subspace member on the caller, with the whole pool, once this
+/// reaches the pool size.
+std::size_t SpgRowChunks(std::size_t n);
 
 }  // namespace core
 }  // namespace rhchme

@@ -5,7 +5,6 @@
 #include "la/simd.h"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -77,24 +76,20 @@ const KernelTable* ResolveLocked() {
   const char* forced = std::getenv("RHCHME_FORCE_ISA");
   if (forced != nullptr && forced[0] != '\0') {
     if (!IsKnownName(forced)) {
-      std::fprintf(stderr,
-                   "rhchme: invalid RHCHME_FORCE_ISA='%s' (valid: %s)\n",
-                   forced, kValidNames);
+      RHCHME_LOG(kError) << "invalid RHCHME_FORCE_ISA='" << forced
+                         << "' (valid: " << kValidNames << ")";
       std::exit(1);
     }
     const KernelTable* t = CompiledTableForName(forced);
     if (t == nullptr) {
-      std::fprintf(stderr,
-                   "rhchme: RHCHME_FORCE_ISA='%s' is not compiled into this "
-                   "binary\n",
-                   forced);
+      RHCHME_LOG(kError) << "RHCHME_FORCE_ISA='" << forced
+                         << "' is not compiled into this binary";
       std::exit(1);
     }
     if (!CpuSupports(*t, DetectCpuFeatures())) {
-      std::fprintf(stderr,
-                   "rhchme: RHCHME_FORCE_ISA='%s' is not supported by this "
-                   "CPU (detected '%s')\n",
-                   forced, DetectedIsaName());
+      RHCHME_LOG(kError) << "RHCHME_FORCE_ISA='" << forced
+                         << "' is not supported by this CPU (detected '"
+                         << DetectedIsaName() << "')";
       std::exit(1);
     }
     return Publish(t, "RHCHME_FORCE_ISA");

@@ -31,12 +31,13 @@
 // accumulators.
 //
 // Nested parallel regions run serially: a ParallelFor issued from inside
-// a worker executes inline on that worker. Coarse task fan-out (e.g. the
-// per-member ensemble build in core/ensemble.cc) therefore trades inner
-// kernel parallelism for task parallelism; dispatch through the pool
-// only when there are >= 2 tasks, otherwise run the single task on the
-// caller so its inner regions still parallelise. Chunk functions must
-// not throw.
+// a worker executes inline on that worker. Coarse task fan-out therefore
+// trades inner kernel parallelism for task parallelism, so size the
+// schedule: run a task on the caller when its own regions split into at
+// least NumThreads() chunks (they then use the whole pool), and fan out
+// only the smaller tasks, through the pool only when there are >= 2 of
+// them. The per-member ensemble build in core/ensemble.cc does this for
+// its subspace members. Chunk functions must not throw.
 
 #ifndef RHCHME_UTIL_PARALLEL_H_
 #define RHCHME_UTIL_PARALLEL_H_

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/subspace.h"
 #include "data/synthetic.h"
 #include "la/eigen_sym.h"
 #include "la/gemm.h"
@@ -211,6 +212,43 @@ TEST(Ensemble, BuildIsBitStableAcrossThreadCounts) {
               threaded.knn_affinity[k].values());
     EXPECT_EQ(serial.knn_affinity[k].col_indices(),
               threaded.knn_affinity[k].col_indices());
+  }
+}
+
+// A small type's subspace member fans out with the pNN members, while a
+// large type's member runs on the caller with the whole pool (at pool 1
+// both run on the caller). Every schedule must build the same ensemble.
+TEST(Ensemble, SizeAwareScheduleIsBitStableAcrossThreadCounts) {
+  data::BlockWorldOptions o;
+  o.objects_per_type = {40, 600};
+  o.n_classes = 3;
+  o.seed = 12;
+  const data::MultiTypeRelationalData d = data::GenerateBlockWorld(o).value();
+  const fact::BlockStructure b = fact::BuildBlockStructure(d);
+  ASSERT_LT(SpgRowChunks(40), 2u);
+  ASSERT_GE(SpgRowChunks(600), 4u);
+  EnsembleOptions opts;
+  opts.subspace.spg.max_iterations = 5;
+
+  auto build = [&](int threads) {
+    ScopedNumThreads scoped(threads);
+    Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts);
+    EXPECT_TRUE(e.ok()) << e.status().ToString();
+    return std::move(e).value();
+  };
+  const HeterogeneousEnsemble serial = build(1);
+  for (int threads : {2, 4}) {
+    const HeterogeneousEnsemble e = build(threads);
+    EXPECT_EQ(serial.laplacian.values(), e.laplacian.values())
+        << threads << " threads";
+    EXPECT_EQ(serial.laplacian.col_indices(), e.laplacian.col_indices());
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(la::MaxAbsDiff(serial.subspace_affinity[k],
+                               e.subspace_affinity[k]),
+                0.0)
+          << "type " << k << ", " << threads << " threads";
+      EXPECT_EQ(serial.knn_affinity[k].values(), e.knn_affinity[k].values());
+    }
   }
 }
 

@@ -5,15 +5,154 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "data/manifolds.h"
 #include "la/gemm.h"
+#include "scoped_num_threads.h"
 #include "util/rng.h"
 
 namespace rhchme {
 namespace core {
 namespace {
+
+// ---- Straight-line reference ----------------------------------------------
+
+/// J₂ (with the optional affine penalty) from a precomputed W·Q.
+double ReferenceObjective(const la::Matrix& w, const la::Matrix& gram,
+                          const la::Matrix& wq, double gamma, double eta) {
+  double tr_wq = 0.0;
+  for (std::size_t i = 0; i < w.rows(); ++i) tr_wq += wq(i, i);
+  double sparsity = 0.0;
+  for (double cs : w.ColSums()) sparsity += cs * cs;
+  double affine = 0.0;
+  if (eta > 0.0) {
+    for (double rs : w.RowSums()) affine += (rs - 1.0) * (rs - 1.0);
+  }
+  return gamma * (gram.Trace() - 2.0 * tr_wq + la::FrobeniusInner(wq, w)) +
+         sparsity + eta * affine;
+}
+
+/// grad = 2·gamma·(W·Q − Q) + 2·1·(1ᵀW) + 2·eta·(W·1 − 1)·1ᵀ.
+la::Matrix ReferenceGradient(const la::Matrix& w, const la::Matrix& gram,
+                             const la::Matrix& wq, double gamma, double eta) {
+  la::Matrix g = wq;
+  g.Sub(gram);
+  g.Scale(2.0 * gamma);
+  const std::vector<double> cs = w.ColSums();
+  const std::vector<double> rs = w.RowSums();
+  for (std::size_t i = 0; i < g.rows(); ++i) {
+    const double affine = eta > 0.0 ? 2.0 * eta * (rs[i] - 1.0) : 0.0;
+    for (std::size_t j = 0; j < g.cols(); ++j) {
+      g(i, j) += 2.0 * cs[j] + affine;
+    }
+  }
+  return g;
+}
+
+/// Algorithm 1 as whole-matrix operations: each step recomputes W·Q from
+/// scratch (two n×n·n×n products) and rebuilds the gradient and every
+/// sum from W. The library's fused solver must follow the same path.
+/// Covers the default post-processing (prune, symmetrise; no top-k).
+SubspaceResult ReferenceLearn(const la::Matrix& x,
+                              const SubspaceOptions& opts) {
+  const std::size_t n = x.rows();
+  la::Matrix gram = la::MultiplyNT(x, x);
+  if (opts.normalize_rows) {
+    std::vector<double> inv_norm(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = std::sqrt(gram(i, i));
+      inv_norm[i] = d > 0.0 ? 1.0 / d : 0.0;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        gram(i, j) *= inv_norm[i] * inv_norm[j];
+      }
+    }
+  }
+  Rng rng(opts.seed);
+  la::Matrix w = la::Matrix::RandomUniform(n, n, &rng, 0.0,
+                                           1.0 / static_cast<double>(n));
+  ProjectFeasible(&w);
+
+  const double gamma = opts.gamma;
+  const double eta = opts.affine_penalty;
+  SubspaceResult out;
+  la::Matrix wq = la::Multiply(w, gram);
+  la::Matrix grad = ReferenceGradient(w, gram, wq, gamma, eta);
+  double step = 1.0;
+  int it = 0;
+  for (; it < opts.spg.max_iterations; ++it) {
+    la::Matrix probe = w;
+    probe.AddScaled(grad, -1.0);
+    ProjectFeasible(&probe);
+    probe.Sub(w);
+    if (probe.MaxAbs() <= opts.spg.tolerance) {
+      out.converged = true;
+      break;
+    }
+
+    la::Matrix d = w;
+    d.AddScaled(grad, -step);
+    ProjectFeasible(&d);
+    d.Sub(w);
+
+    const la::Matrix dq = la::Multiply(d, gram);
+    const std::vector<double> cs_w = w.ColSums();
+    const std::vector<double> cs_d = d.ColSums();
+    double tr_dq = 0.0;
+    for (std::size_t i = 0; i < n; ++i) tr_dq += dq(i, i);
+    double dot_cs = 0.0, cs_d_sq = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      dot_cs += cs_w[j] * cs_d[j];
+      cs_d_sq += cs_d[j] * cs_d[j];
+    }
+    double b = -2.0 * gamma * (tr_dq - la::FrobeniusInner(dq, w)) +
+               2.0 * dot_cs;
+    double a = gamma * la::FrobeniusInner(dq, d) + cs_d_sq;
+    if (eta > 0.0) {
+      const std::vector<double> rs_w = w.RowSums();
+      const std::vector<double> rs_d = d.RowSums();
+      double uv = 0.0, vv = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        uv += (rs_w[i] - 1.0) * rs_d[i];
+        vv += rs_d[i] * rs_d[i];
+      }
+      b += 2.0 * eta * uv;
+      a += eta * vv;
+    }
+    const double t = a > 0.0 ? std::clamp(-b / (2.0 * a), 1e-6, 1.0) : 1.0;
+
+    la::Matrix s = d;
+    s.Scale(t);
+    w.Add(s);
+    wq = la::Multiply(w, gram);
+    const la::Matrix grad_new = ReferenceGradient(w, gram, wq, gamma, eta);
+    la::Matrix y = grad_new;
+    y.Sub(grad);
+    const double sy = la::FrobeniusInner(s, y);
+    const double ss = la::FrobeniusInner(s, s);
+    step = sy > 0.0 ? std::clamp(ss / sy, opts.spg.step_min,
+                                 opts.spg.step_max)
+                    : opts.spg.step_max;
+    grad = grad_new;
+    out.objective_trace.push_back(ReferenceObjective(w, gram, wq, gamma, eta));
+  }
+
+  if (opts.prune_rel_tol > 0.0) {
+    const double cut = opts.prune_rel_tol * w.MaxAbs();
+    w.Apply([cut](double v) { return v < cut ? 0.0 : v; });
+  }
+  if (opts.symmetrize) {
+    la::Matrix wt = w.Transposed();
+    w.Add(wt);
+    w.Scale(0.5);
+  }
+  out.affinity = w;
+  out.iterations = it;
+  return out;
+}
 
 TEST(ProjectFeasible, ClampsAndZeroesDiagonal) {
   la::Matrix w = la::Matrix::FromRows({{5, -1}, {2, 3}});
@@ -224,6 +363,80 @@ TEST(LearnSubspace, NegativeAffinePenaltyRejected) {
   SubspaceOptions opts;
   opts.affine_penalty = -1.0;
   EXPECT_FALSE(LearnSubspaceAffinity(la::Matrix(5, 3, 1.0), opts).ok());
+}
+
+class SubspaceOracle : public ::testing::TestWithParam<double> {};
+
+// The fused solver carries W·Q and the row/column sums forward instead of
+// recomputing them, so it rounds differently from the reference but must
+// follow the same iterates.
+TEST_P(SubspaceOracle, FusedSolverMatchesTwoGemmReference) {
+  Rng rng(21);
+  const la::Matrix x = la::Matrix::RandomUniform(150, 20, &rng);
+  SubspaceOptions opts;
+  opts.affine_penalty = GetParam();
+  Result<SubspaceResult> fused = LearnSubspaceAffinity(x, opts);
+  ASSERT_TRUE(fused.ok());
+  const SubspaceResult ref = ReferenceLearn(x, opts);
+
+  EXPECT_EQ(fused.value().iterations, ref.iterations);
+  EXPECT_EQ(fused.value().converged, ref.converged);
+  const auto& trace = fused.value().objective_trace;
+  ASSERT_EQ(trace.size(), ref.objective_trace.size());
+  ASSERT_GT(trace.size(), 10u);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_NEAR(trace[i], ref.objective_trace[i],
+                1e-9 * std::fabs(ref.objective_trace[i]))
+        << "iteration " << i;
+  }
+  EXPECT_LE(la::MaxAbsDiff(fused.value().affinity, ref.affinity),
+            1e-9 * ref.affinity.MaxAbs());
+}
+
+INSTANTIATE_TEST_SUITE_P(AffinePenalty, SubspaceOracle,
+                         ::testing::Values(0.0, 10.0));
+
+// At n = 640 the fused passes split into several row chunks (one chunk
+// per GrainForWork(n) rows), so pools of 1 and 4 really run different
+// schedules; chunk-ordered merges must keep the result bit-identical.
+TEST(LearnSubspace, BitIdenticalAcrossPoolSizesWithManyChunks) {
+  constexpr std::size_t kN = 640;
+  ASSERT_GE(SpgRowChunks(kN), 4u);
+  Rng rng(22);
+  const la::Matrix x = la::Matrix::RandomUniform(kN, 32, &rng);
+  SubspaceOptions opts;
+  opts.affine_penalty = 1.0;
+  opts.spg.max_iterations = 6;
+  auto learn = [&](int threads) {
+    ScopedNumThreads scoped(threads);
+    return LearnSubspaceAffinity(x, opts).value();
+  };
+  const SubspaceResult serial = learn(1);
+  const SubspaceResult threaded = learn(4);
+  EXPECT_EQ(serial.objective_trace, threaded.objective_trace);
+  EXPECT_EQ(la::MaxAbsDiff(serial.affinity, threaded.affinity), 0.0);
+}
+
+// The SPG workspace is allocated once: the count of n×n allocations does
+// not grow with the number of steps.
+TEST(LearnSubspace, WorkspaceDoesNotGrowWithIterations) {
+  constexpr std::size_t kN = 64;
+  Rng rng(23);
+  const la::Matrix x = la::Matrix::RandomUniform(kN, 12, &rng);
+  auto large_allocations = [&](int iterations) {
+    SubspaceOptions opts;
+    opts.spg.max_iterations = iterations;
+    opts.spg.tolerance = 1e-300;
+    la::memstats::StartTracking(kN * kN);
+    Result<SubspaceResult> r = LearnSubspaceAffinity(x, opts);
+    la::memstats::StopTracking();
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.value().iterations, iterations);
+    return la::memstats::LargeAllocations();
+  };
+  const std::size_t short_run = large_allocations(5);
+  EXPECT_GT(short_run, 0u);
+  EXPECT_EQ(large_allocations(40), short_run);
 }
 
 class SubspaceGammaSweep : public ::testing::TestWithParam<double> {};
