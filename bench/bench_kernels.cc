@@ -441,18 +441,10 @@ void BM_MultiplicativeIteration(benchmark::State& state) {
 BENCHMARK(BM_MultiplicativeIteration)->UseRealTime()->Arg(256)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-/// Which solver core a BM_SolverIteration* variant exercises.
-enum class SolverCore { kImplicit, kExplicit, kSparseR };
-
-/// Shared harness for the solver-core benchmarks: a 3-type block world
-/// with a prebuilt ensemble, timed over a fixed 6-iteration
-/// FitWithEnsemble so per-fit times are directly comparable between the
-/// implicit (memory-lean), explicit-materialisation and sparse-R cores.
-/// `dropout` controls the joint R's fill — the default 0.3 matches the
-/// original pair of benchmarks; the tf-idf variant pushes it to 0.97 so
-/// the sparse core's O(nnz) iteration cost shows.
-void RunSolverIterationBench(benchmark::State& state, SolverCore solver_core,
-                             double dropout = 0.3) {
+/// Shared harness for the solver benchmarks: a 3-type block world with a
+/// prebuilt ensemble, timed over a fixed 6-iteration FitWithEnsemble.
+/// `dropout` controls the joint R's fill.
+void RunSolverIterationBench(benchmark::State& state, double dropout) {
   const auto per_type = static_cast<std::size_t>(state.range(0));
   data::BlockWorldOptions data_opts;
   data_opts.objects_per_type = {per_type, per_type, per_type};
@@ -467,10 +459,6 @@ void RunSolverIterationBench(benchmark::State& state, SolverCore solver_core,
   opts.beta = 50.0;
   opts.max_iterations = 6;
   opts.tolerance = 0.0;  // Run all iterations.
-  opts.explicit_materialization = solver_core == SolverCore::kExplicit;
-  opts.sparse_r = solver_core == SolverCore::kSparseR
-                      ? core::SparseRMode::kAlways
-                      : core::SparseRMode::kNever;
   opts.ensemble.subspace.spg.max_iterations = 10;
   auto ensemble = core::BuildEnsemble(d, blocks, opts.ensemble);
   core::Rhchme solver(opts);
@@ -484,43 +472,28 @@ void RunSolverIterationBench(benchmark::State& state, SolverCore solver_core,
   state.counters["r_density"] = benchmark::Counter(d.JointRDensity());
 }
 
-void BM_SolverIterationImplicit(benchmark::State& state) {
-  RunSolverIterationBench(state, SolverCore::kImplicit);
+void BM_SolverIteration(benchmark::State& state) {
+  // Block-world fill (~47% of the joint R stored).
+  RunSolverIterationBench(state, /*dropout=*/0.3);
 }
-BENCHMARK(BM_SolverIterationImplicit)->UseRealTime()->Arg(64)->Arg(128)
+BENCHMARK(BM_SolverIteration)->UseRealTime()->Arg(64)->Arg(128)->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SolverIterationTfidf(benchmark::State& state) {
+  // tf-idf-like fill (~2%): the iteration cost scales with the nonzero
+  // count rather than n².
+  RunSolverIterationBench(state, /*dropout=*/0.97);
+}
+BENCHMARK(BM_SolverIterationTfidf)->UseRealTime()->Arg(64)->Arg(128)
     ->Arg(256)->Unit(benchmark::kMillisecond);
 
-void BM_SolverIterationExplicit(benchmark::State& state) {
-  RunSolverIterationBench(state, SolverCore::kExplicit);
+void BM_SolverIterationFullFill(benchmark::State& state) {
+  // Maximum fill: no dropout, so every off-diagonal type block is stored
+  // (1 − 1/3 ≈ 67% for three equal types) — the CSR core's worst case.
+  RunSolverIterationBench(state, /*dropout=*/0.0);
 }
-BENCHMARK(BM_SolverIterationExplicit)->UseRealTime()->Arg(64)->Arg(128)
-    ->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_SolverIterationSparse(benchmark::State& state) {
-  // Sparse-R core on the same data as the dense pair: the apples-to-apples
-  // comparison at the default ~45% joint-R fill (the sparse core's
-  // worst case).
-  RunSolverIterationBench(state, SolverCore::kSparseR);
-}
-BENCHMARK(BM_SolverIterationSparse)->UseRealTime()->Arg(64)->Arg(128)
-    ->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_SolverIterationSparseTfidf(benchmark::State& state) {
-  // Sparse-R core at tf-idf-like fill (~3%, below the kAuto threshold):
-  // the iteration cost is O(nnz + n·c) here, so this variant scales with
-  // the nonzero count rather than n².
-  RunSolverIterationBench(state, SolverCore::kSparseR, /*dropout=*/0.97);
-}
-BENCHMARK(BM_SolverIterationSparseTfidf)->UseRealTime()->Arg(64)->Arg(128)
-    ->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_SolverIterationImplicitTfidf(benchmark::State& state) {
-  // Dense-implicit reference at the same tf-idf-like fill — the pair
-  // quantifies the sparse core's win where it is meant to live.
-  RunSolverIterationBench(state, SolverCore::kImplicit, /*dropout=*/0.97);
-}
-BENCHMARK(BM_SolverIterationImplicitTfidf)->UseRealTime()->Arg(64)->Arg(128)
-    ->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SolverIterationFullFill)->UseRealTime()->Arg(128)->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KMeans(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

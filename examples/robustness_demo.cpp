@@ -74,8 +74,8 @@ int main() {
   core::Rhchme solver(opts);
   Result<core::RhchmeResult> fit = solver.Fit(data);
   RHCHME_CHECK(fit.ok(), fit.status().ToString().c_str());
-  // The solver keeps E_R factored; the dense view is materialised lazily.
-  const la::Matrix& e = fit.value().ErrorMatrix();
+  // The solver keeps E_R factored; the dense view is built on demand.
+  const la::Matrix e = core::ErrorMatrix(data, fit.value());
 
   // Rank document rows by ||E_R row||; count corrupted rows in the top-k.
   const std::size_t n_docs = data.Type(0).count;

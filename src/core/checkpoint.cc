@@ -13,7 +13,8 @@ namespace core {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'H', 'S', '1'};
-constexpr uint32_t kVersion = 1;
+// Version 2 dropped the solver-core id field (one core is left).
+constexpr uint32_t kVersion = 2;
 
 // Vector lengths share the matrix format's plausibility ceiling; a
 // corrupted length field must not turn into a huge allocation.
@@ -125,7 +126,6 @@ std::string Serialize(const SolverSnapshot& snap) {
   std::string out;
   out.append(kMagic, sizeof(kMagic));
   AppendPod(kVersion, &out);
-  AppendPod(static_cast<uint32_t>(snap.core_id), &out);
   AppendPod(snap.options_fingerprint, &out);
   AppendPod(static_cast<int64_t>(snap.iteration), &out);
   AppendPod(snap.prev_objective, &out);
@@ -145,7 +145,7 @@ std::string Serialize(const SolverSnapshot& snap) {
 }  // namespace
 
 uint64_t OptionsFingerprint(const RhchmeOptions& opts, std::size_t n,
-                            std::size_t c, SolverCoreId core_id) {
+                            std::size_t c) {
   std::string buf;
   AppendPod(opts.lambda, &buf);
   AppendPod(opts.beta, &buf);
@@ -157,10 +157,8 @@ uint64_t OptionsFingerprint(const RhchmeOptions& opts, std::size_t n,
   AppendPod(opts.seed, &buf);
   AppendBool(opts.normalize_rows, &buf);
   AppendBool(opts.use_error_matrix, &buf);
-  AppendBool(opts.assume_symmetric_r, &buf);
   AppendPod(static_cast<uint64_t>(n), &buf);
   AppendPod(static_cast<uint64_t>(c), &buf);
-  AppendPod(static_cast<uint32_t>(core_id), &buf);
   return Fnv1a(buf.data(), buf.size());
 }
 
@@ -231,18 +229,12 @@ Result<SolverSnapshot> LoadSolverSnapshot(const std::string& path) {
         path);
   }
   SolverSnapshot snap;
-  uint32_t core_id = 0;
   int64_t iteration = 0;
-  if (!ParsePod(buf, &pos, &core_id) ||
-      !ParsePod(buf, &pos, &snap.options_fingerprint) ||
+  if (!ParsePod(buf, &pos, &snap.options_fingerprint) ||
       !ParsePod(buf, &pos, &iteration) ||
       !ParsePod(buf, &pos, &snap.prev_objective)) {
     return Status::InvalidArgument("truncated snapshot header: " + path);
   }
-  if (core_id > static_cast<uint32_t>(SolverCoreId::kSparseR)) {
-    return Status::InvalidArgument("bad solver core id in: " + path);
-  }
-  snap.core_id = static_cast<SolverCoreId>(core_id);
   snap.iteration = static_cast<int>(iteration);
   RHCHME_RETURN_IF_ERROR(ParseBool(buf, &pos, &snap.have_error));
   for (uint64_t& s : snap.rng_state.s) {

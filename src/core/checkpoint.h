@@ -9,11 +9,12 @@
 // performs the same floating-point operations in the same order as the
 // uninterrupted fit.
 //
-// On-disk format "RHS1" (host endianness, like the RHM1 matrix format):
+// On-disk format: magic "RHS1", format version 2 (host endianness, like
+// the RHM1 matrix format):
 //
 //   magic "RHS1" | uint32 version | payload | uint64 FNV-1a checksum
 //
-// where the payload is fixed-width scalars (core id, options fingerprint,
+// where the payload is fixed-width scalars (options fingerprint,
 // iteration, previous objective, RNG state, diagnostics counters) followed
 // by the G and S matrices in the RHM1 payload layout and two
 // length-prefixed double vectors (er_scale, objective_trace). The
@@ -21,7 +22,8 @@
 // a clean non-OK Status on load — never UB, never a silently wrong
 // resume. Writes go to path + ".tmp" and land with std::rename, so the
 // snapshot file is always a complete snapshot (the previous one until the
-// rename commits).
+// rename commits). Version 1 snapshots also carried a solver-core id;
+// with one solver core left they fail to load with FailedPrecondition.
 
 #ifndef RHCHME_CORE_CHECKPOINT_H_
 #define RHCHME_CORE_CHECKPOINT_H_
@@ -38,19 +40,9 @@
 namespace rhchme {
 namespace core {
 
-/// Which solver core wrote the snapshot. Resuming under a different core
-/// is rejected (the cores' loop states are not interchangeable: the dense
-/// cores carry Q in a workspace, the sparse-R core recomputes H/K/GᵀG).
-enum class SolverCoreId : uint32_t {
-  kDenseImplicit = 0,
-  kDenseExplicit = 1,
-  kSparseR = 2,
-};
-
 /// Mid-fit solver state, captured after iteration `iteration` completed
 /// (its objective is objective_trace.back()).
 struct SolverSnapshot {
-  SolverCoreId core_id = SolverCoreId::kDenseImplicit;
   /// Fingerprint of the trajectory-affecting options + problem shape (see
   /// OptionsFingerprint). A mismatch on load is FailedPrecondition.
   uint64_t options_fingerprint = 0;
@@ -67,15 +59,15 @@ struct SolverSnapshot {
 
 /// FNV-1a over the options that determine the fit trajectory (lambda,
 /// beta, tolerance, ridge, mu_eps, l21_zeta, init, seed, normalize_rows,
-/// use_error_matrix, assume_symmetric_r) plus the problem shape (n, c)
-/// and the solver core. Deliberately EXCLUDES max_iterations and the
+/// use_error_matrix) plus the problem shape (n, c). Deliberately
+/// EXCLUDES max_iterations and the
 /// checkpoint options themselves: resuming a killed 7-iteration run with
 /// a larger budget is the intended use, and where a snapshot lands must
 /// not affect whether it can be loaded. The ensemble is not fingerprinted
 /// (FitWithEnsemble takes it as an argument); resuming against a
 /// different ensemble of the same shape is the caller's responsibility.
 uint64_t OptionsFingerprint(const RhchmeOptions& opts, std::size_t n,
-                            std::size_t c, SolverCoreId core_id);
+                            std::size_t c);
 
 /// Serialises and atomically replaces `path` (write path + ".tmp", then
 /// rename). Any failure — including the io.snapshot.* injection sites —

@@ -1,5 +1,6 @@
 #include "core/rhchme_solver.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <new>
@@ -8,7 +9,6 @@
 #include "core/checkpoint.h"
 #include "la/gemm.h"
 #include "util/fault.h"
-#include "util/logging.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
 
@@ -22,15 +22,6 @@ Status RhchmeOptions::Validate() const {
     return Status::InvalidArgument("max_iterations must be >= 1");
   }
   if (tolerance < 0.0) return Status::InvalidArgument("tolerance must be >= 0");
-  if (sparse_r_density_threshold < 0.0 || sparse_r_density_threshold > 1.0) {
-    return Status::InvalidArgument(
-        "sparse_r_density_threshold must be in [0, 1]");
-  }
-  if (sparse_r == SparseRMode::kAlways && explicit_materialization) {
-    return Status::InvalidArgument(
-        "sparse_r == kAlways conflicts with explicit_materialization; the "
-        "reference core is inherently dense");
-  }
   if (checkpoint_every < 0) {
     return Status::InvalidArgument("checkpoint_every must be >= 0");
   }
@@ -43,133 +34,7 @@ Status RhchmeOptions::Validate() const {
   return ensemble.Validate();
 }
 
-RhchmeResult::RhchmeResult(const RhchmeResult& other)
-    : hocc(other.hocc),
-      ensemble(other.ensemble),
-      error_scale(other.error_scale),
-      error_residual(other.error_residual),
-      error_sparse_r(other.error_sparse_r),
-      diagnostics(other.diagnostics) {
-  std::lock_guard<std::mutex> lock(other.error_mu_);
-  error_dense_ = other.error_dense_;
-}
-
-RhchmeResult& RhchmeResult::operator=(const RhchmeResult& other) {
-  if (this == &other) return *this;
-  la::Matrix dense;
-  {
-    std::lock_guard<std::mutex> lock(other.error_mu_);
-    dense = other.error_dense_;
-  }
-  hocc = other.hocc;
-  ensemble = other.ensemble;
-  error_scale = other.error_scale;
-  error_residual = other.error_residual;
-  error_sparse_r = other.error_sparse_r;
-  diagnostics = other.diagnostics;
-  std::lock_guard<std::mutex> lock(error_mu_);
-  error_dense_ = std::move(dense);
-  return *this;
-}
-
-// Moves assume exclusive access to `other` (standard move contract), so
-// its cache slot is read without locking.
-RhchmeResult::RhchmeResult(RhchmeResult&& other) noexcept
-    : hocc(std::move(other.hocc)),
-      ensemble(std::move(other.ensemble)),
-      error_scale(std::move(other.error_scale)),
-      error_residual(std::move(other.error_residual)),
-      error_sparse_r(std::move(other.error_sparse_r)),
-      diagnostics(other.diagnostics),
-      error_dense_(std::move(other.error_dense_)) {}
-
-RhchmeResult& RhchmeResult::operator=(RhchmeResult&& other) noexcept {
-  if (this == &other) return *this;
-  hocc = std::move(other.hocc);
-  ensemble = std::move(other.ensemble);
-  error_scale = std::move(other.error_scale);
-  error_residual = std::move(other.error_residual);
-  error_sparse_r = std::move(other.error_sparse_r);
-  diagnostics = other.diagnostics;
-  error_dense_ = std::move(other.error_dense_);
-  return *this;
-}
-
-bool RhchmeResult::HasErrorMatrix() const {
-  return !error_scale.empty() || !error_dense_.empty();
-}
-
-const la::Matrix& RhchmeResult::ErrorMatrix() const {
-  // The lazy build runs under the mutex so concurrent const readers are
-  // safe (same pattern as SparseMatrix::BuildCscMirror): at most one
-  // thread builds, the rest block and reuse the cached matrix, which is
-  // immutable afterwards.
-  std::lock_guard<std::mutex> lock(error_mu_);
-  if (!error_dense_.empty() || error_scale.empty()) return error_dense_;
-  if (!error_residual.empty()) {
-    // Implicit dense core: E_R = diag(s)·Q from the stored residual.
-    const std::size_t n = error_residual.rows();
-    const std::size_t cols = error_residual.cols();
-    error_dense_.Resize(n, cols);
-    util::ParallelFor(0, n, util::GrainForWork(2 * cols + 1),
-                      [&](std::size_t r0, std::size_t r1) {
-                        for (std::size_t i = r0; i < r1; ++i) {
-                          const double s = error_scale[i];
-                          const double* qi = error_residual.row_ptr(i);
-                          double* ei = error_dense_.row_ptr(i);
-                          for (std::size_t j = 0; j < cols; ++j) {
-                            ei[j] = s * qi[j];
-                          }
-                        }
-                      });
-  } else {
-    // Sparse-R core: the fit never formed Q, so rebuild it from the
-    // stored sparse R and the final factors (Q = R − G·S·Gᵀ), then scale
-    // rows. This is the path's only dense n x n allocation, and it
-    // happens here, on demand.
-    const la::Matrix& g = hocc.g;
-    la::Matrix q = la::MultiplyNT(la::Multiply(g, hocc.s), g);  // G S Gᵀ
-    q.Scale(-1.0);
-    const std::vector<std::size_t>& offsets = error_sparse_r.row_offsets();
-    const std::vector<std::size_t>& cols = error_sparse_r.col_indices();
-    const std::vector<double>& vals = error_sparse_r.values();
-    util::ParallelFor(0, q.rows(), util::GrainForWork(2 * q.cols() + 1),
-                      [&](std::size_t r0, std::size_t r1) {
-                        for (std::size_t i = r0; i < r1; ++i) {
-                          double* qi = q.row_ptr(i);
-                          for (std::size_t k = offsets[i]; k < offsets[i + 1];
-                               ++k) {
-                            qi[cols[k]] += vals[k];
-                          }
-                          const double s = error_scale[i];
-                          for (std::size_t j = 0; j < q.cols(); ++j) {
-                            qi[j] *= s;
-                          }
-                        }
-                      });
-    error_dense_ = std::move(q);
-  }
-  return error_dense_;
-}
-
 namespace {
-
-/// Data + ℓ2,1 terms of Eq. 15, shared by both RhchmeObjective overloads;
-/// the smoothness term is evaluated by the caller against its Laplacian
-/// representation.
-double ObjectiveDataTerms(const la::Matrix& r, const la::Matrix& g,
-                          const la::Matrix& s, const la::Matrix& error_matrix,
-                          double beta) {
-  la::Matrix residual = la::MultiplyNT(la::Multiply(g, s), g);  // G S Gᵀ
-  residual.Sub(r);
-  residual.Scale(-1.0);  // R - G S Gᵀ
-  double l21 = 0.0;
-  if (!error_matrix.empty()) {
-    residual.Sub(error_matrix);
-    l21 = error_matrix.L21Norm();
-  }
-  return residual.FrobeniusNormSquared() + beta * l21;
-}
 
 /// Objective-divergence guard: multiplicative updates descend
 /// monotonically on healthy data (Theorem 1), so an accepted objective
@@ -191,11 +56,11 @@ bool ObjectiveLooksBad(double objective, double prev) {
 /// Resume probe: loads opts.checkpoint_path and validates it against this
 /// fit's identity. OK + *loaded=false means no snapshot yet (fresh fit);
 /// OK + *loaded=true hands the snapshot back; anything else — corruption,
-/// fingerprint/core/shape mismatch — is a real error (never a silent
-/// restart).
+/// an old format version, fingerprint/shape mismatch — is a real error
+/// (never a silent restart).
 Status TryLoadResume(const std::string& path, uint64_t fingerprint,
-                     SolverCoreId core_id, std::size_t n, std::size_t c,
-                     std::size_t er_size, SolverSnapshot* snap, bool* loaded) {
+                     std::size_t n, std::size_t c, std::size_t er_size,
+                     SolverSnapshot* snap, bool* loaded) {
   *loaded = false;
   Result<SolverSnapshot> r = LoadSolverSnapshot(path);
   if (!r.ok()) {
@@ -203,10 +68,6 @@ Status TryLoadResume(const std::string& path, uint64_t fingerprint,
     return r.status();
   }
   SolverSnapshot s = std::move(r).value();
-  if (s.core_id != core_id) {
-    return Status::FailedPrecondition(
-        "snapshot was written by a different solver core: " + path);
-  }
   if (s.options_fingerprint != fingerprint) {
     return Status::FailedPrecondition(
         "snapshot options fingerprint mismatch: " + path);
@@ -229,45 +90,19 @@ Status TryLoadResume(const std::string& path, uint64_t fingerprint,
   return Status::OK();
 }
 
-}  // namespace
-
-double RhchmeObjective(const la::Matrix& r, const la::Matrix& g,
-                       const la::Matrix& s, const la::Matrix& error_matrix,
-                       const la::Matrix& laplacian, double lambda,
-                       double beta) {
-  // tr(Gᵀ L G) without materialising the n x c product L G.
-  const double smooth = lambda != 0.0 ? la::Sandwich(g, laplacian) : 0.0;
-  return ObjectiveDataTerms(r, g, s, error_matrix, beta) + lambda * smooth;
-}
-
-double RhchmeObjective(const la::Matrix& r, const la::Matrix& g,
-                       const la::Matrix& s, const la::Matrix& error_matrix,
-                       const la::SparseMatrix& laplacian, double lambda,
-                       double beta) {
-  const double smooth = lambda != 0.0 ? la::Sandwich(g, laplacian) : 0.0;
-  return ObjectiveDataTerms(r, g, s, error_matrix, beta) + lambda * smooth;
-}
-
-double RhchmeObjective(const la::SparseMatrix& r, const la::Matrix& g,
-                       const la::Matrix& s,
-                       const std::vector<double>& error_scale,
-                       const la::SparseMatrix& laplacian, double lambda,
-                       double beta) {
-  const std::size_t n = g.rows();
-  const std::size_t c = g.cols();
-  RHCHME_CHECK(r.rows() == n && r.cols() == n,
-               "RhchmeObjective: R shape mismatch");
-  RHCHME_CHECK(error_scale.empty() || error_scale.size() == n,
-               "RhchmeObjective: error_scale size mismatch");
-  // The dense n x n residual is never formed: with H = G·S, K = R·G the
-  // residual row norms are ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ,
-  // and E_R = diag(s)·Q makes the data and ℓ2,1 terms analytic —
-  // ‖Q − E_R‖²_F = Σ(1−s_i)²‖q_i‖², ‖E_R‖₂,₁ = Σ s_i‖q_i‖.
-  la::Matrix h = la::Multiply(g, s);
-  la::Matrix k = r.MultiplyDense(g);
-  la::Matrix hg = la::Multiply(h, la::Gram(g));
-  const std::vector<double> r_norm_sq = r.RowNormsSquared();
-  std::vector<double> row_norm(n, 0.0);
+/// Residual row norms ‖q_i‖ of Q = R − H·Gᵀ from the analytic identity
+/// ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ, with K = R·G and
+/// HG = H·(GᵀG). The identity cancels catastrophically when the
+/// reconstruction is near-exact and can then dip below zero by rounding,
+/// so it is clamped at zero before the square root. Rows are independent
+/// and staged row-indexed, so the norms are bit-identical for any pool
+/// size.
+void ResidualRowNorms(const std::vector<double>& r_norm_sq,
+                      const la::Matrix& h, const la::Matrix& k,
+                      const la::Matrix& hg, std::vector<double>* row_norm) {
+  const std::size_t n = h.rows();
+  const std::size_t c = h.cols();
+  row_norm->resize(n);
   util::ParallelFor(0, n, util::GrainForWork(4 * c + 1),
                     [&](std::size_t r0, std::size_t r1) {
                       for (std::size_t i = r0; i < r1; ++i) {
@@ -280,23 +115,81 @@ double RhchmeObjective(const la::SparseMatrix& r, const la::Matrix& g,
                           hh += hi[j] * hgi[j];
                         }
                         const double nsq = r_norm_sq[i] - 2.0 * hk + hh;
-                        row_norm[i] = nsq > 0.0 ? std::sqrt(nsq) : 0.0;
+                        (*row_norm)[i] = nsq > 0.0 ? std::sqrt(nsq) : 0.0;
                       }
                     });
+}
+
+/// Data and ℓ2,1 terms of Eq. 15 from the residual row norms and the
+/// factored E_R = diag(s)·Q: ‖Q − E_R‖²_F + beta·‖E_R‖₂,₁ with
+/// ‖Q − E_R‖²_F = Σ(1−s_i)²‖q_i‖² and ‖E_R‖₂,₁ = Σ s_i‖q_i‖. Empty
+/// scales mean E_R = 0. Reduced serially in row order.
+double AnalyticDataTerms(const std::vector<double>& row_norm,
+                         const std::vector<double>& scale, double beta) {
   double data_term = 0.0;
   double l21 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < row_norm.size(); ++i) {
     const double norm = row_norm[i];
-    if (error_scale.empty()) {
+    if (scale.empty()) {
       data_term += norm * norm;
     } else {
-      const double keep = 1.0 - error_scale[i];
+      const double keep = 1.0 - scale[i];
       data_term += keep * keep * norm * norm;
-      l21 += error_scale[i] * norm;
+      l21 += scale[i] * norm;
     }
   }
+  return data_term + beta * l21;
+}
+
+}  // namespace
+
+la::Matrix ErrorMatrix(const data::MultiTypeRelationalData& data,
+                       const RhchmeResult& fit) {
+  if (fit.error_scale.empty()) return la::Matrix();
+  const la::Matrix& g = fit.hocc.g;
+  la::SparseMatrix r = data.BuildJointRSparse();
+  r.ReplaceNonFinite(0.0);  // The fit's input sanitisation.
+  RHCHME_CHECK(r.rows() == g.rows() && fit.error_scale.size() == g.rows(),
+               "ErrorMatrix: data does not match the fit");
+  la::Matrix q = la::MultiplyNT(la::Multiply(g, fit.hocc.s), g);  // G S Gᵀ
+  q.Scale(-1.0);
+  const std::vector<std::size_t>& offsets = r.row_offsets();
+  const std::vector<std::size_t>& cols = r.col_indices();
+  const std::vector<double>& vals = r.values();
+  util::ParallelFor(0, q.rows(), util::GrainForWork(2 * q.cols() + 1),
+                    [&](std::size_t r0, std::size_t r1) {
+                      for (std::size_t i = r0; i < r1; ++i) {
+                        double* qi = q.row_ptr(i);
+                        for (std::size_t k = offsets[i]; k < offsets[i + 1];
+                             ++k) {
+                          qi[cols[k]] += vals[k];
+                        }
+                        const double s = fit.error_scale[i];
+                        for (std::size_t j = 0; j < q.cols(); ++j) {
+                          qi[j] *= s;
+                        }
+                      }
+                    });
+  return q;
+}
+
+double RhchmeObjective(const la::SparseMatrix& r, const la::Matrix& g,
+                       const la::Matrix& s,
+                       const std::vector<double>& error_scale,
+                       const la::SparseMatrix& laplacian, double lambda,
+                       double beta) {
+  const std::size_t n = g.rows();
+  RHCHME_CHECK(r.rows() == n && r.cols() == n,
+               "RhchmeObjective: R shape mismatch");
+  RHCHME_CHECK(error_scale.empty() || error_scale.size() == n,
+               "RhchmeObjective: error_scale size mismatch");
+  la::Matrix h = la::Multiply(g, s);
+  la::Matrix k = r.MultiplyDense(g);
+  la::Matrix hg = la::Multiply(h, la::Gram(g));
+  std::vector<double> row_norm;
+  ResidualRowNorms(r.RowNormsSquared(), h, k, hg, &row_norm);
   const double smooth = lambda != 0.0 ? la::Sandwich(g, laplacian) : 0.0;
-  return data_term + beta * l21 + lambda * smooth;
+  return AnalyticDataTerms(row_norm, error_scale, beta) + lambda * smooth;
 }
 
 Result<RhchmeResult> Rhchme::Fit(
@@ -321,46 +214,23 @@ Result<RhchmeResult> Rhchme::FitWithEnsemble(
     return Status::InvalidArgument("ensemble Laplacian size mismatch");
   }
 
-  // Core selection: sparse-R when forced, or when kAuto sees a joint R
-  // sparse enough that the O(nnz + n·c) path wins. The explicit reference
-  // core is inherently dense and takes precedence.
-  bool sparse_core = false;
-  if (!opts_.explicit_materialization) {
-    switch (opts_.sparse_r) {
-      case SparseRMode::kAlways:
-        sparse_core = true;
-        break;
-      case SparseRMode::kNever:
-        break;
-      case SparseRMode::kAuto:
-        sparse_core =
-            data.JointRDensity() <= opts_.sparse_r_density_threshold;
-        break;
-    }
-  }
-
-  // An allocation failure anywhere in a core — the O(n²) joint R, a
-  // workspace, any kernel temporary — surfaces as a clean Status instead
-  // of an abort: the fit entry point is a recovery seam, not a crash seam.
+  // An allocation failure anywhere in the fit — the joint R, the n x c
+  // state, any kernel temporary — surfaces as a clean Status instead of
+  // an abort: the fit entry point is a recovery seam, not a crash seam.
   try {
-    if (sparse_core) return FitSparseR(data, ensemble, blocks);
-    return FitDense(data, ensemble, blocks);
+    return FitCsr(data, ensemble, blocks);
   } catch (const std::bad_alloc&) {
     return Status::Internal("allocation failure during fit (out of memory)");
   }
 }
 
-Result<RhchmeResult> Rhchme::FitDense(
-    const data::MultiTypeRelationalData& data,
-    const HeterogeneousEnsemble& ensemble,
-    const fact::BlockStructure& blocks) const {
+Result<RhchmeResult> Rhchme::FitCsr(const data::MultiTypeRelationalData& data,
+                                    const HeterogeneousEnsemble& ensemble,
+                                    const fact::BlockStructure& blocks) const {
   Stopwatch watch;
   const std::size_t n = blocks.total_objects();
   const std::size_t c = blocks.total_clusters();
   const bool robust = opts_.use_error_matrix;
-  const bool explicit_core = opts_.explicit_materialization;
-  const SolverCoreId core_id = explicit_core ? SolverCoreId::kDenseExplicit
-                                             : SolverCoreId::kDenseImplicit;
 
   RhchmeResult out;
   out.ensemble = ensemble;
@@ -368,77 +238,53 @@ Result<RhchmeResult> Rhchme::FitDense(
   res.objective_trace.reserve(opts_.max_iterations);
   FitDiagnostics& diag = out.diagnostics;
 
-  // Step 1 of Algorithm 2: the joint inter-type matrix R. Non-finite
-  // entries (kNonFinite row corruption, bad upstream data) are zeroed and
-  // counted — every downstream kernel assumes finite input.
+  // Step 1 of Algorithm 2: the joint R in CSR form, symmetric by
+  // construction. Non-finite stored entries (kNonFinite row corruption,
+  // bad upstream data) are zeroed and counted before anything derives
+  // from them; the row norms ‖r_i‖² anchor the analytic residual norms
+  // all fit long.
   if (util::FaultShouldFail(util::fault_site::kAllocJointR)) {
     throw std::bad_alloc();
   }
-  la::Matrix r = data.BuildJointR();
+  la::SparseMatrix r = data.BuildJointRSparse();
   diag.nonfinite_input_entries += r.ReplaceNonFinite(0.0);
+  const std::vector<double> r_norm_sq = r.RowNormsSquared();
 
-  // ±-parts of L are fixed across iterations (Eq. 21). Sparse on the
-  // default core; the explicit reference core densifies them. Neither is
-  // needed — nor built — when lambda == 0 (no manifold term).
+  // ±-parts of L are fixed across iterations (Eq. 21); neither is needed
+  // — nor built — when lambda == 0 (no manifold term).
   la::SparseMatrix lap_pos, lap_neg;
-  la::Matrix dense_pos, dense_neg;
   if (opts_.lambda != 0.0) {
     lap_pos = la::PositivePart(ensemble.laplacian);
     lap_neg = la::NegativePart(ensemble.laplacian);
-    if (explicit_core) {
-      dense_pos = lap_pos.ToDense();
-      dense_neg = lap_neg.ToDense();
-    }
   }
 
-  // E_R state. Default core: per-row scales s with E_R = diag(s)·Q — the
-  // dense matrix is never formed. Explicit core: the dense E_R of the
-  // pre-refactor solver (starts at zero, Algorithm 2).
+  // E_R stays doubly implicit: per-row scales s_i with
+  // E_R = diag(s)·(R − H·Gᵀ) — neither the error matrix nor the residual
+  // is ever formed.
   std::vector<double> er_scale(robust ? n : 0, 0.0);
-  std::vector<double> row_norm(robust && !explicit_core ? n : 0, 0.0);
-  la::Matrix error;
-  if (robust && explicit_core) error.Resize(n, n);
+  std::vector<double> row_norm;
   bool have_error = false;  // True once the first E_R update has run.
 
   Rng rng(opts_.seed);
-  const uint64_t fingerprint = OptionsFingerprint(opts_, n, c, core_id);
+  const uint64_t fingerprint = OptionsFingerprint(opts_, n, c);
 
-  la::Matrix g, s;
-  la::Matrix gs;  // n x c staging for G·S.
-  if (util::FaultShouldFail(util::fault_site::kAllocWorkspace)) {
-    throw std::bad_alloc();
-  }
-  la::Matrix work;  // Shared n x n buffer: holds M, then the residual Q.
+  // Low-rank iteration state, all n x c or c x c. K = R·G (the one SpMM
+  // per iteration), H = G·S, GᵀG and HG = H·(GᵀG) are computed right
+  // after each G update and double as the next iteration's implicit-M
+  // product inputs.
+  la::Matrix g, s, h, k, hg, gtg;
+  la::Matrix mg, mtg, gs_scaled, rgs;
   double prev_objective = std::numeric_limits<double>::infinity();
   int start_t = 1;
 
-  // Rebuilds the dense E_R rows from the current Q in `work` and the
-  // current scales — the same arithmetic the E_R update uses, so resume
-  // and rollback reproduce the matrix bit-for-bit.
-  auto rebuild_explicit_error = [&]() {
-    util::ParallelFor(0, n, util::GrainForWork(2 * n + 1),
-                      [&](std::size_t r0, std::size_t r1) {
-                        for (std::size_t i = r0; i < r1; ++i) {
-                          const double scale = er_scale[i];
-                          const double* qi = work.row_ptr(i);
-                          double* ei = error.row_ptr(i);
-                          for (std::size_t j = 0; j < n; ++j) {
-                            ei[j] = scale * qi[j];
-                          }
-                        }
-                      });
-  };
-
-  // Rebuilds the loop-carried workspace from the current factors with
-  // the loop's own kernel sequence (Q = R − G·S·Gᵀ); the determinism
-  // contract then makes any replay or continuation bit-identical.
+  // Rebuilds the cached low-rank state from the current factors with the
+  // loop's own kernel sequence, so resume and rollback continue
+  // bit-identically with an uninterrupted fit.
   auto rebuild_derived_state = [&]() {
-    if (!(robust && have_error)) return;
-    la::MultiplyInto(g, s, &gs);
-    la::MultiplyNTInto(gs, g, &work);
-    work.Scale(-1.0);
-    work.Add(r);
-    if (explicit_core) rebuild_explicit_error();
+    if (have_error) la::MultiplyInto(g, s, &h);
+    r.MultiplyDenseInto(g, &k);
+    gtg = la::Gram(g);
+    if (have_error) la::MultiplyInto(h, gtg, &hg);
   };
 
   // ---- Resume (or fresh initialisation) ---------------------------------
@@ -446,8 +292,8 @@ Result<RhchmeResult> Rhchme::FitDense(
     SolverSnapshot snap;
     bool resumed = false;
     RHCHME_RETURN_IF_ERROR(TryLoadResume(opts_.checkpoint_path, fingerprint,
-                                         core_id, n, c, er_scale.size(),
-                                         &snap, &resumed));
+                                         n, c, er_scale.size(), &snap,
+                                         &resumed));
     if (resumed) {
       g = std::move(snap.g);
       s = std::move(snap.s);
@@ -460,7 +306,6 @@ Result<RhchmeResult> Rhchme::FitDense(
       diag.resumed_from_iteration = snap.iteration;
       res.iterations = snap.iteration;
       start_t = snap.iteration + 1;
-      rebuild_derived_state();
     }
   }
   if (start_t == 1) {
@@ -477,13 +322,16 @@ Result<RhchmeResult> Rhchme::FitDense(
       fact::NormalizeMembershipRows(blocks, &g);
     }
   }
+  if (util::FaultShouldFail(util::fault_site::kAllocWorkspace)) {
+    throw std::bad_alloc();
+  }
+  rebuild_derived_state();
 
   // Periodic snapshot after an accepted iteration t; failures count and
   // the fit keeps going (the previous snapshot file stays intact).
   auto write_checkpoint = [&](int t) {
     if (opts_.checkpoint_every <= 0 || t % opts_.checkpoint_every != 0) return;
     SolverSnapshot snap;
-    snap.core_id = core_id;
     snap.options_fingerprint = fingerprint;
     snap.iteration = t;
     snap.prev_objective = prev_objective;
@@ -503,7 +351,7 @@ Result<RhchmeResult> Rhchme::FitDense(
   };
 
   // Iteration-start state for the divergence guard's rollback; n·c + c²
-  // copies, cheap next to the n² kernels.
+  // copies.
   la::Matrix g_prev, s_prev;
   std::vector<double> er_prev;
   bool have_error_prev = false;
@@ -524,34 +372,55 @@ Result<RhchmeResult> Rhchme::FitDense(
     s_prev = s;
     if (robust) er_prev = er_scale;
     have_error_prev = have_error;
-    // ---- Step 3 prep: M = R - E_R ---------------------------------------
-    const la::Matrix* m = &r;  // E_R = 0 (first iteration, or disabled).
+    // ---- M·G and Mᵀ·G from the implicit M = R − diag(s)·(R − H·Gᵀ) ------
+    // E_R = 0 (first iteration, or robust term disabled): M = R, and since
+    // R is symmetric both products are exactly the cached K.
+    const la::Matrix* m_g = &k;
+    const la::Matrix* mt_g = &k;
     if (robust && have_error) {
-      if (explicit_core) {
-        work = r;
-        work.Sub(error);
-      } else {
-        // Implicit fold: row i of M is r_i - s_i·q_i. `work` still holds
-        // the previous residual Q, so the fold rewrites it in place —
-        // no dense E_R and no extra buffer.
-        util::ParallelFor(0, n, util::GrainForWork(3 * n + 1),
-                          [&](std::size_t r0, std::size_t r1) {
-                            for (std::size_t i = r0; i < r1; ++i) {
-                              const double si = er_scale[i];
-                              const double* ri = r.row_ptr(i);
-                              double* wi = work.row_ptr(i);
-                              for (std::size_t j = 0; j < n; ++j) {
-                                wi[j] = ri[j] - si * wi[j];
-                              }
+      // mg_i = k_i − s_i·(k_i − hg_i): the E_R fold collapses to a row
+      // recombination of cached n x c state.
+      mg.Resize(n, c);
+      util::ParallelFor(0, n, util::GrainForWork(3 * c + 1),
+                        [&](std::size_t r0, std::size_t r1) {
+                          for (std::size_t i = r0; i < r1; ++i) {
+                            const double si = er_scale[i];
+                            const double* ki = k.row_ptr(i);
+                            const double* hgi = hg.row_ptr(i);
+                            double* mi = mg.row_ptr(i);
+                            for (std::size_t j = 0; j < c; ++j) {
+                              mi[j] = ki[j] - si * (ki[j] - hgi[j]);
                             }
-                          });
-      }
-      m = &work;
+                          }
+                        });
+      // Mᵀ·G = Rᵀ·G − Rᵀ·diag(s)·G + G·(Hᵀ·diag(s)·G). With R symmetric,
+      // Rᵀ·G is the cached K and Rᵀ·diag(s)·G = R·(diag(s)·G) is a
+      // forward SpMM — no transposed product at all.
+      gs_scaled.Resize(n, c);
+      util::ParallelFor(0, n, util::GrainForWork(2 * c + 1),
+                        [&](std::size_t r0, std::size_t r1) {
+                          for (std::size_t i = r0; i < r1; ++i) {
+                            const double si = er_scale[i];
+                            const double* gi = g.row_ptr(i);
+                            double* oi = gs_scaled.row_ptr(i);
+                            for (std::size_t j = 0; j < c; ++j) {
+                              oi[j] = si * gi[j];
+                            }
+                          }
+                        });
+      r.MultiplyDenseInto(gs_scaled, &rgs);
+      mtg = k;
+      mtg.Sub(rgs);
+      la::Matrix hts = la::MultiplyTN(h, gs_scaled);  // Hᵀ·diag(s)·G, c x c
+      mtg.Add(la::Multiply(g, hts));
+      m_g = &mg;
+      mt_g = &mtg;
     }
 
-    // ---- Step 3: S update (Eq. 18) on M ---------------------------------
+    // ---- Step 3: S update (Eq. 18) from the c x c products --------------
+    la::Matrix gtmg = la::MultiplyTN(g, *m_g);
     Result<la::Matrix> s_new =
-        fact::SolveCentralS(g, *m, opts_.ridge, &solve_stats);
+        fact::SolveCentralSFromProducts(gtg, gtmg, opts_.ridge, &solve_stats);
     diag.solve_ridge_retries += solve_stats.ridge_retries;
     solve_stats.ridge_retries = 0;
     if (!s_new.ok()) {
@@ -566,16 +435,12 @@ Result<RhchmeResult> Rhchme::FitDense(
     s = std::move(s_new).value();
 
     // ---- Step 4: multiplicative G update (Eq. 21) -----------------------
-    if (explicit_core) {
-      fact::MultiplicativeGUpdate(*m, s, opts_.lambda, &dense_pos, &dense_neg,
-                                  opts_.mu_eps, &g);
-    } else {
-      fact::MultiplicativeGUpdate(*m, s, opts_.lambda, &lap_pos, &lap_neg,
-                                  opts_.mu_eps, &g);
-    }
+    RHCHME_RETURN_IF_ERROR_CTX(fact::MultiplicativeGUpdateFromProducts(
+        *m_g, *mt_g, s, gtg, opts_.lambda, &lap_pos, &lap_neg, opts_.mu_eps,
+        &g));
 
-    // NaN tripwire: a poisoned or overflowed update must not fold n²
-    // NaNs into the next iteration. Bad entries are zeroed and the rows
+    // NaN tripwire: a poisoned or overflowed update must not propagate
+    // into the next iteration. Bad entries are zeroed and the rows
     // renormalised — an all-zero row becomes uniform over its block, a
     // valid membership. Healthy fits only pay the AllFinite scan. Runs
     // BEFORE the Eq. 22 normalisation: its zero-row uniform fallback
@@ -590,79 +455,31 @@ Result<RhchmeResult> Rhchme::FitDense(
     // ---- Step 5: row ℓ1 normalisation (Eq. 22) --------------------------
     if (opts_.normalize_rows) fact::NormalizeMembershipRows(blocks, &g);
 
-    // The residual Q = R - G S Gᵀ feeds both the E_R update (Eq. 25-27)
-    // and the objective; it overwrites the shared workspace.
-    la::MultiplyInto(g, s, &gs);
-    la::MultiplyNTInto(gs, g, &work);
-    work.Scale(-1.0);
-    work.Add(r);  // Q = R - G S Gᵀ
-    if (util::FaultShouldFail(util::fault_site::kResidualPoison) &&
-        !work.empty()) {
-      work(0, 0) = std::numeric_limits<double>::quiet_NaN();
-    }
+    // ---- Post-update low-rank state -------------------------------------
+    la::MultiplyInto(g, s, &h);      // H = G·S
+    r.MultiplyDenseInto(g, &k);      // K = R·G — the iteration's one SpMM
+    gtg = la::Gram(g);
+    la::MultiplyInto(h, gtg, &hg);   // H·(GᵀG)
 
     // ---- Steps 6–7: E_R update (Eq. 25–27) and objective ----------------
     // (beta·D + I)⁻¹ is diagonal: row i of E_R is row i of Q scaled by
-    // s_i = 1 / (beta/(2||q_i|| + zeta) + 1). Rows are independent, so
-    // both cores run the reweighting as parallel row chunks; the default
-    // core stores only the scales.
-    double data_term = 0.0;
-    double l21 = 0.0;
+    // s_i = 1 / (beta/(2||q_i|| + zeta) + 1), so only the scales change.
+    ResidualRowNorms(r_norm_sq, h, k, hg, &row_norm);
+    if (util::FaultShouldFail(util::fault_site::kResidualPoison) && n > 0) {
+      row_norm[0] = std::numeric_limits<double>::quiet_NaN();
+    }
     if (robust) {
       have_error = true;
-      if (explicit_core) {
-        util::ParallelFor(
-            0, n, util::GrainForWork(4 * n + 1),
-            [&](std::size_t r0, std::size_t r1) {
-              for (std::size_t i = r0; i < r1; ++i) {
-                const double* qi = work.row_ptr(i);
-                double norm_sq = 0.0;
-                for (std::size_t j = 0; j < n; ++j) norm_sq += qi[j] * qi[j];
-                const double d_ii =
-                    1.0 / (2.0 * std::sqrt(norm_sq) + opts_.l21_zeta);
-                const double scale = 1.0 / (opts_.beta * d_ii + 1.0);
-                er_scale[i] = scale;
-                double* ei = error.row_ptr(i);
-                for (std::size_t j = 0; j < n; ++j) ei[j] = scale * qi[j];
-              }
-            });
-        // After the E_R update the data term is ||Q - E_R||²_F, evaluated
-        // elementwise on the materialised matrices (reference behaviour).
-        work.Sub(error);
-        l21 = error.L21Norm();
-        data_term = work.FrobeniusNormSquared();
-      } else {
-        // Row norms and scales staged per row, then reduced serially in
-        // row order — bit-identical for any pool size. The objective
-        // terms follow analytically from E_R = diag(s)·Q:
-        //   ||Q - E_R||²_F = Σ (1 - s_i)²·||q_i||²
-        //   ||E_R||₂,₁     = Σ s_i·||q_i||.
-        util::ParallelFor(
-            0, n, util::GrainForWork(2 * n + 1),
-            [&](std::size_t r0, std::size_t r1) {
-              for (std::size_t i = r0; i < r1; ++i) {
-                const double* qi = work.row_ptr(i);
-                double norm_sq = 0.0;
-                for (std::size_t j = 0; j < n; ++j) norm_sq += qi[j] * qi[j];
-                const double norm = std::sqrt(norm_sq);
-                row_norm[i] = norm;
-                const double d_ii = 1.0 / (2.0 * norm + opts_.l21_zeta);
-                er_scale[i] = 1.0 / (opts_.beta * d_ii + 1.0);
-              }
-            });
-        for (std::size_t i = 0; i < n; ++i) {
-          const double keep = 1.0 - er_scale[i];
-          data_term += keep * keep * row_norm[i] * row_norm[i];
-          l21 += er_scale[i] * row_norm[i];
-        }
+      for (std::size_t i = 0; i < n; ++i) {
+        const double d_ii = 1.0 / (2.0 * row_norm[i] + opts_.l21_zeta);
+        er_scale[i] = 1.0 / (opts_.beta * d_ii + 1.0);
       }
-    } else {
-      data_term = work.FrobeniusNormSquared();
     }
 
     const double smooth =
         opts_.lambda != 0.0 ? la::Sandwich(g, ensemble.laplacian) : 0.0;
-    double objective = data_term + opts_.beta * l21 + opts_.lambda * smooth;
+    double objective = AnalyticDataTerms(row_norm, er_scale, opts_.beta) +
+                       opts_.lambda * smooth;
     if (util::FaultShouldFail(util::fault_site::kObjectivePoison)) {
       objective = std::numeric_limits<double>::quiet_NaN();
     }
@@ -708,351 +525,7 @@ Result<RhchmeResult> Rhchme::FitDense(
   res.s = std::move(s);
   res.labels = fact::ExtractLabels(blocks, res.g);
   res.seconds = watch.ElapsedSeconds();
-  if (robust) {
-    out.error_scale = std::move(er_scale);
-    if (explicit_core) {
-      out.error_dense_ = std::move(error);
-    } else {
-      // `work` holds the final residual Q — exactly the factored E_R's
-      // second factor. Handing it to the result costs no copy.
-      out.error_residual = std::move(work);
-    }
-  }
-  return out;
-}
-
-Result<RhchmeResult> Rhchme::FitSparseR(
-    const data::MultiTypeRelationalData& data,
-    const HeterogeneousEnsemble& ensemble,
-    const fact::BlockStructure& blocks) const {
-  Stopwatch watch;
-  const std::size_t n = blocks.total_objects();
-  const std::size_t c = blocks.total_clusters();
-  const bool robust = opts_.use_error_matrix;
-  const SolverCoreId core_id = SolverCoreId::kSparseR;
-
-  RhchmeResult out;
-  out.ensemble = ensemble;
-  fact::HoccResult& res = out.hocc;
-  res.objective_trace.reserve(opts_.max_iterations);
-  FitDiagnostics& diag = out.diagnostics;
-
-  // Step 1: the joint R, sparse end-to-end. The CSC mirror is built once
-  // so every Rᵀ product of the fit runs the threaded gather path; the row
-  // norms ‖r_i‖² anchor the analytic residual norms all fit long. Under
-  // assume_symmetric_r no Rᵀ product is ever taken, so the mirror (an
-  // extra O(nnz) of memory) is skipped too. Non-finite stored entries are
-  // zeroed and counted before anything derives from them.
-  const bool sym_r = opts_.assume_symmetric_r;
-  if (util::FaultShouldFail(util::fault_site::kAllocJointR)) {
-    throw std::bad_alloc();
-  }
-  la::SparseMatrix r = data.BuildJointRSparse();
-  diag.nonfinite_input_entries += r.ReplaceNonFinite(0.0);
-  if (!sym_r) r.BuildCscMirror();
-  const std::vector<double> r_norm_sq = r.RowNormsSquared();
-
-  la::SparseMatrix lap_pos, lap_neg;
-  if (opts_.lambda != 0.0) {
-    lap_pos = la::PositivePart(ensemble.laplacian);
-    lap_neg = la::NegativePart(ensemble.laplacian);
-  }
-
-  // E_R stays doubly implicit: per-row scales s_i with
-  // E_R = diag(s)·(R − H·Gᵀ) — neither the error matrix nor the residual
-  // is ever formed.
-  std::vector<double> er_scale(robust ? n : 0, 0.0);
-  std::vector<double> row_norm(n, 0.0);
-  bool have_error = false;
-
-  Rng rng(opts_.seed);
-  const uint64_t fingerprint = OptionsFingerprint(opts_, n, c, core_id);
-
-  // Low-rank iteration state, all n x c or c x c. K = R·G (the one SpMM
-  // per iteration), H = G·S, GᵀG and HG = H·(GᵀG) are computed right
-  // after each G update and double as the next iteration's implicit-M
-  // product inputs — M·G = K − diag(s)·(K − HG) needs exactly them.
-  la::Matrix g, s, h, k, hg, gtg;
-  la::Matrix mg, mtg, gs_scaled, scratch;
-  double prev_objective = std::numeric_limits<double>::infinity();
-  int start_t = 1;
-
-  // Rebuilds the cached low-rank state from the current factors with the
-  // loop's own kernel sequence, so resume and rollback continue
-  // bit-identically with an uninterrupted fit.
-  auto rebuild_derived_state = [&]() {
-    if (have_error) la::MultiplyInto(g, s, &h);
-    r.MultiplyDenseInto(g, &k);
-    gtg = la::Gram(g);
-    if (have_error) la::MultiplyInto(h, gtg, &hg);
-  };
-
-  // ---- Resume (or fresh initialisation) ---------------------------------
-  if (opts_.resume) {
-    SolverSnapshot snap;
-    bool resumed = false;
-    RHCHME_RETURN_IF_ERROR(TryLoadResume(opts_.checkpoint_path, fingerprint,
-                                         core_id, n, c, er_scale.size(),
-                                         &snap, &resumed));
-    if (resumed) {
-      g = std::move(snap.g);
-      s = std::move(snap.s);
-      er_scale = std::move(snap.er_scale);
-      have_error = snap.have_error;
-      prev_objective = snap.prev_objective;
-      res.objective_trace = std::move(snap.objective_trace);
-      rng.RestoreState(snap.rng_state);
-      diag = snap.diagnostics;
-      diag.resumed_from_iteration = snap.iteration;
-      res.iterations = snap.iteration;
-      start_t = snap.iteration + 1;
-    }
-  }
-  if (start_t == 1) {
-    Result<la::Matrix> init =
-        fact::InitMembership(data, blocks, opts_.init, &rng);
-    if (!init.ok()) return init.status();
-    g = std::move(init).value();
-    if (!g.AllFinite()) {
-      ++diag.nan_guard_trips;
-      diag.nonfinite_g_entries += g.ReplaceNonFinite(0.0);
-      fact::NormalizeMembershipRows(blocks, &g);
-    }
-  }
-  if (util::FaultShouldFail(util::fault_site::kAllocWorkspace)) {
-    throw std::bad_alloc();
-  }
-  rebuild_derived_state();
-
-  auto write_checkpoint = [&](int t) {
-    if (opts_.checkpoint_every <= 0 || t % opts_.checkpoint_every != 0) return;
-    SolverSnapshot snap;
-    snap.core_id = core_id;
-    snap.options_fingerprint = fingerprint;
-    snap.iteration = t;
-    snap.prev_objective = prev_objective;
-    snap.have_error = have_error;
-    snap.rng_state = rng.SaveState();
-    snap.diagnostics = diag;
-    snap.g = g;
-    snap.s = s;
-    snap.er_scale = er_scale;
-    snap.objective_trace = res.objective_trace;
-    const Status st = SaveSolverSnapshot(opts_.checkpoint_path, snap);
-    if (st.ok()) {
-      ++diag.snapshots_written;
-    } else {
-      ++diag.snapshot_failures;
-    }
-  };
-
-  la::Matrix g_prev, s_prev;
-  std::vector<double> er_prev;
-  bool have_error_prev = false;
-  int consecutive_backtracks = 0;
-  fact::SolveStats solve_stats;
-
-  auto restore_accepted = [&]() {
-    g = g_prev;
-    s = s_prev;
-    if (robust) er_scale = er_prev;
-    have_error = have_error_prev;
-    rebuild_derived_state();
-  };
-
-  for (int t = start_t; t <= opts_.max_iterations; ++t) {
-    g_prev = g;
-    s_prev = s;
-    if (robust) er_prev = er_scale;
-    have_error_prev = have_error;
-    // ---- M·G and Mᵀ·G from the implicit M = R − diag(s)·(R − H·Gᵀ) ------
-    const la::Matrix* m_g = &k;  // E_R = 0 (first iteration, or disabled).
-    if (robust && have_error) {
-      // mg_i = k_i − s_i·(k_i − hg_i): the E_R fold collapses to a row
-      // recombination of cached n x c state.
-      mg.Resize(n, c);
-      util::ParallelFor(0, n, util::GrainForWork(3 * c + 1),
-                        [&](std::size_t r0, std::size_t r1) {
-                          for (std::size_t i = r0; i < r1; ++i) {
-                            const double si = er_scale[i];
-                            const double* ki = k.row_ptr(i);
-                            const double* hgi = hg.row_ptr(i);
-                            double* mi = mg.row_ptr(i);
-                            for (std::size_t j = 0; j < c; ++j) {
-                              mi[j] = ki[j] - si * (ki[j] - hgi[j]);
-                            }
-                          }
-                        });
-      // Mᵀ·G = Rᵀ·G − Rᵀ·diag(s)·G + G·(Hᵀ·diag(s)·G) plus a c x c
-      // recombination. Non-assuming: two gather-path transposed SpMMs
-      // (the scaled one never materialises diag(s)·R). Symmetric R:
-      // Rᵀ·G is the cached K and Rᵀ·diag(s)·G = R·(diag(s)·G) runs as a
-      // forward SpMM — no transposed product at all.
-      gs_scaled.Resize(n, c);
-      util::ParallelFor(0, n, util::GrainForWork(2 * c + 1),
-                        [&](std::size_t r0, std::size_t r1) {
-                          for (std::size_t i = r0; i < r1; ++i) {
-                            const double si = er_scale[i];
-                            const double* gi = g.row_ptr(i);
-                            double* oi = gs_scaled.row_ptr(i);
-                            for (std::size_t j = 0; j < c; ++j) {
-                              oi[j] = si * gi[j];
-                            }
-                          }
-                        });
-      if (sym_r) {
-        mtg = k;
-        r.MultiplyDenseInto(gs_scaled, &scratch);
-      } else {
-        r.MultiplyTransposedDenseInto(g, &mtg);
-        r.MultiplyTransposedScaledDenseInto(er_scale, g, &scratch);
-      }
-      mtg.Sub(scratch);
-      la::Matrix hts = la::MultiplyTN(h, gs_scaled);  // Hᵀ·diag(s)·G, c x c
-      mtg.Add(la::Multiply(g, hts));
-      m_g = &mg;
-    } else {
-      // M = R, so M·G is exactly the cached K (no copy); Mᵀ·G needs the
-      // transposed product — or is K again when R is symmetric.
-      if (sym_r) {
-        mtg = k;
-      } else {
-        r.MultiplyTransposedDenseInto(g, &mtg);
-      }
-    }
-
-    // ---- Step 3: S update (Eq. 18) from the c x c products --------------
-    la::Matrix gtmg = la::MultiplyTN(g, *m_g);
-    Result<la::Matrix> s_new =
-        fact::SolveCentralSFromProducts(gtg, gtmg, opts_.ridge, &solve_stats);
-    diag.solve_ridge_retries += solve_stats.ridge_retries;
-    solve_stats.ridge_retries = 0;
-    if (!s_new.ok()) {
-      // The ridge ladder already retried; persistent. Keep the last
-      // accepted iterate (degraded stop) unless there is none.
-      if (res.objective_trace.empty()) return s_new.status();
-      ++diag.degraded_stops;
-      restore_accepted();
-      break;
-    }
-    s = std::move(s_new).value();
-
-    // ---- Step 4: multiplicative G update (Eq. 21) -----------------------
-    RHCHME_RETURN_IF_ERROR_CTX(fact::MultiplicativeGUpdateFromProducts(
-        *m_g, mtg, s, gtg, opts_.lambda, &lap_pos, &lap_neg, opts_.mu_eps,
-        &g));
-
-    // NaN tripwire (same contract as the dense cores; before Eq. 22 so
-    // the zero-row fallback cannot silently absorb a NaN row).
-    if (!g.AllFinite()) {
-      ++diag.nan_guard_trips;
-      diag.nonfinite_g_entries += g.ReplaceNonFinite(0.0);
-      fact::NormalizeMembershipRows(blocks, &g);
-    }
-
-    // ---- Step 5: row ℓ1 normalisation (Eq. 22) --------------------------
-    if (opts_.normalize_rows) fact::NormalizeMembershipRows(blocks, &g);
-
-    // ---- Post-update low-rank state -------------------------------------
-    la::MultiplyInto(g, s, &h);      // H = G·S
-    r.MultiplyDenseInto(g, &k);      // K = R·G — the iteration's one SpMM
-    gtg = la::Gram(g);
-    la::MultiplyInto(h, gtg, &hg);   // H·(GᵀG)
-
-    // ---- Steps 6–7: E_R scales and objective, all analytic --------------
-    // ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ — per-row dots of
-    // cached n x c state, staged row-indexed then reduced serially in row
-    // order (bit-identical for any pool size, like the dense cores).
-    util::ParallelFor(
-        0, n, util::GrainForWork(4 * c + 1),
-        [&](std::size_t r0, std::size_t r1) {
-          for (std::size_t i = r0; i < r1; ++i) {
-            const double* hi = h.row_ptr(i);
-            const double* ki = k.row_ptr(i);
-            const double* hgi = hg.row_ptr(i);
-            double hk = 0.0, hh = 0.0;
-            for (std::size_t j = 0; j < c; ++j) {
-              hk += hi[j] * ki[j];
-              hh += hi[j] * hgi[j];
-            }
-            // The identity can dip below zero by rounding when a residual
-            // row vanishes; clamp before the square root.
-            const double nsq = r_norm_sq[i] - 2.0 * hk + hh;
-            row_norm[i] = nsq > 0.0 ? std::sqrt(nsq) : 0.0;
-          }
-        });
-    if (util::FaultShouldFail(util::fault_site::kResidualPoison) && n > 0) {
-      row_norm[0] = std::numeric_limits<double>::quiet_NaN();
-    }
-    double data_term = 0.0;
-    double l21 = 0.0;
-    if (robust) {
-      have_error = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double norm = row_norm[i];
-        const double d_ii = 1.0 / (2.0 * norm + opts_.l21_zeta);
-        er_scale[i] = 1.0 / (opts_.beta * d_ii + 1.0);
-        const double keep = 1.0 - er_scale[i];
-        data_term += keep * keep * norm * norm;
-        l21 += er_scale[i] * norm;
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        data_term += row_norm[i] * row_norm[i];
-      }
-    }
-
-    const double smooth =
-        opts_.lambda != 0.0 ? la::Sandwich(g, ensemble.laplacian) : 0.0;
-    double objective = data_term + opts_.beta * l21 + opts_.lambda * smooth;
-    if (util::FaultShouldFail(util::fault_site::kObjectivePoison)) {
-      objective = std::numeric_limits<double>::quiet_NaN();
-    }
-
-    // ---- Divergence guard (same contract as the dense cores) ------------
-    if (ObjectiveLooksBad(objective, prev_objective)) {
-      if (consecutive_backtracks < kMaxConsecutiveBacktracks) {
-        ++consecutive_backtracks;
-        ++diag.backtracks;
-        restore_accepted();
-        --t;  // Replay this iteration from the accepted state.
-        continue;
-      }
-      if (res.objective_trace.empty()) {
-        return Status::NumericalError(
-            "objective non-finite at the first iteration");
-      }
-      ++diag.degraded_stops;
-      restore_accepted();
-      break;
-    }
-    consecutive_backtracks = 0;
-
-    res.objective_trace.push_back(objective);
-    res.iterations = t;
-    if (callback_) callback_(t, g);
-
-    const double rel = std::fabs(prev_objective - objective) /
-                       std::max(1.0, std::fabs(prev_objective));
-    if (std::isfinite(prev_objective) && rel < opts_.tolerance) {
-      res.converged = true;
-      break;
-    }
-    prev_objective = objective;
-    write_checkpoint(t);
-  }
-
-  res.g = std::move(g);
-  res.s = std::move(s);
-  res.labels = fact::ExtractLabels(blocks, res.g);
-  res.seconds = watch.ElapsedSeconds();
-  if (robust) {
-    out.error_scale = std::move(er_scale);
-    // The factored E_R's second factor is Q = R − G·S·Gᵀ, never formed on
-    // this core; hand the sparse R to the result so ErrorMatrix() can
-    // rebuild Q on demand.
-    out.error_sparse_r = std::move(r);
-  }
+  out.error_scale = std::move(er_scale);
   return out;
 }
 

@@ -1,6 +1,9 @@
 #include "data/multitype_data.h"
 
+#include <algorithm>
 #include <string>
+
+#include "util/parallel.h"
 
 namespace rhchme {
 namespace data {
@@ -102,22 +105,88 @@ la::Matrix MultiTypeRelationalData::BuildJointR() const {
 }
 
 la::SparseMatrix MultiTypeRelationalData::BuildJointRSparse() const {
-  const std::size_t n = TotalObjects();
-  std::vector<la::Triplet> trips;
-  for (const auto& [key, block] : relations_) {
-    const std::size_t rk = TypeOffset(key.first);
-    const std::size_t cl = TypeOffset(key.second);
-    for (std::size_t i = 0; i < block.rows(); ++i) {
-      for (std::size_t j = 0; j < block.cols(); ++j) {
-        const double v = block(i, j);
-        if (v != 0.0) {
-          trips.push_back({rk + i, cl + j, v});
-          trips.push_back({cl + j, rk + i, v});
-        }
+  const std::size_t num_types = types_.size();
+  std::vector<std::size_t> offset(num_types + 1, 0);
+  for (std::size_t k = 0; k < num_types; ++k) {
+    offset[k + 1] = offset[k] + types_[k].count;
+  }
+  const std::size_t n = offset[num_types];
+
+  // A row of type a takes its entries from the blocks (a, b), b != a.
+  // Visiting b in offset order makes the columns arrive ascending: the
+  // stored block is read along row i when a < b, and down column i of the
+  // stored (b, a) block when a > b (the mirrored half). No triplets, no
+  // sort.
+  struct Source {
+    const la::Matrix* block;
+    bool by_column;
+    std::size_t col0;
+  };
+  std::vector<std::vector<Source>> sources(num_types);
+  for (std::size_t a = 0; a < num_types; ++a) {
+    for (std::size_t b = 0; b < num_types; ++b) {
+      if (a == b) continue;
+      const auto it = relations_.find({std::min(a, b), std::max(a, b)});
+      if (it != relations_.end()) {
+        sources[a].push_back({&it->second, a > b, offset[b]});
       }
     }
   }
-  return la::SparseMatrix::FromTriplets(n, n, std::move(trips));
+  // Calls fn(col, value) for every stored entry of local row i of type a,
+  // in ascending column order. Exact zeros are dropped; NaN/Inf are kept
+  // (the solver counts and zeroes them).
+  auto for_each_entry = [&](std::size_t a, std::size_t i, auto&& fn) {
+    for (const Source& src : sources[a]) {
+      const la::Matrix& m = *src.block;
+      if (src.by_column) {
+        for (std::size_t j = 0; j < m.rows(); ++j) {
+          const double v = m(j, i);
+          if (v != 0.0) fn(src.col0 + j, v);
+        }
+      } else {
+        const double* row = m.row_ptr(i);
+        for (std::size_t j = 0; j < m.cols(); ++j) {
+          if (row[j] != 0.0) fn(src.col0 + j, row[j]);
+        }
+      }
+    }
+  };
+
+  // Count pass, then fill pass, both row-parallel; each row writes only
+  // its own slots, so the arrays are identical for any pool size.
+  std::vector<std::size_t> row_offsets(n + 1, 0);
+  const std::size_t grain = util::GrainForWork(n + 1);
+  for (std::size_t a = 0; a < num_types; ++a) {
+    util::ParallelFor(0, types_[a].count, grain,
+                      [&](std::size_t r0, std::size_t r1) {
+                        for (std::size_t i = r0; i < r1; ++i) {
+                          std::size_t count = 0;
+                          for_each_entry(a, i, [&](std::size_t, double) {
+                            ++count;
+                          });
+                          row_offsets[offset[a] + i + 1] = count;
+                        }
+                      });
+  }
+  for (std::size_t i = 0; i < n; ++i) row_offsets[i + 1] += row_offsets[i];
+  std::vector<std::size_t> cols(row_offsets[n]);
+  std::vector<double> vals(row_offsets[n]);
+  for (std::size_t a = 0; a < num_types; ++a) {
+    util::ParallelFor(0, types_[a].count, grain,
+                      [&](std::size_t r0, std::size_t r1) {
+                        for (std::size_t i = r0; i < r1; ++i) {
+                          std::size_t pos = row_offsets[offset[a] + i];
+                          for_each_entry(a, i, [&](std::size_t col, double v) {
+                            cols[pos] = col;
+                            vals[pos] = v;
+                            ++pos;
+                          });
+                        }
+                      });
+  }
+  return la::SparseMatrix::FromCsr(n, n, std::move(row_offsets),
+                                   std::move(cols), std::move(vals))
+      .value();
 }
 
 double MultiTypeRelationalData::JointRDensity() const {

@@ -82,16 +82,23 @@ class MultiTypeRelationalData {
   /// Column offset of type k inside the joint n x c membership matrix.
   std::size_t ClusterOffset(std::size_t k) const;
 
-  /// Joint symmetric inter-type matrix R (n x n, zero diagonal blocks;
-  /// paper §I.A). Missing blocks stay zero.
+  /// Joint inter-type matrix R (n x n, zero diagonal blocks; paper §I.A).
+  /// Missing blocks stay zero. R is symmetric by construction: each
+  /// relation is stored once and mirrored into its transpose block, so
+  /// R = Rᵀ exactly (the solver relies on this; no option or check is
+  /// involved).
   la::Matrix BuildJointR() const;
 
-  /// Sparse version of BuildJointR (drops exact zeros).
+  /// CSR version of BuildJointR (drops exact zeros, keeps NaN/Inf),
+  /// assembled directly from the stored blocks: a row-parallel count pass
+  /// and a fill pass, columns already in order. The arrays are identical
+  /// for any pool size. This is the solver's representation at every
+  /// fill.
   la::SparseMatrix BuildJointRSparse() const;
 
   /// Density of the joint R: nonzero entries / n², counted from the
-  /// stored blocks without building either representation. Drives the
-  /// solver's automatic sparse-R core selection.
+  /// stored blocks without building either representation. At most
+  /// 1 − Σ_k n_k²/n², since the diagonal type blocks are zero.
   double JointRDensity() const;
 
   /// Joint ground-truth labels offset per type; empty if any type lacks

@@ -47,10 +47,7 @@ const char* CorruptionModeName(data::RowCorruptionMode m) {
 }
 
 std::vector<RhchmeVariant> DefaultRhchmeVariants() {
-  return {{"implicit", "exact"},
-          {"sparse", "exact"},
-          {"explicit", "exact"},
-          {"implicit", "descent"}};
+  return {{"exact"}, {"descent"}};
 }
 
 namespace {
@@ -88,9 +85,6 @@ Status ScenarioGridOptions::Validate() const {
     }
   }
   for (const RhchmeVariant& v : rhchme_variants) {
-    if (v.core != "implicit" && v.core != "sparse" && v.core != "explicit") {
-      return Status::InvalidArgument("unknown RHCHME core: " + v.core);
-    }
     if (v.backend != "exact" && v.backend != "descent") {
       return Status::InvalidArgument("unknown graph backend: " + v.backend);
     }
@@ -258,55 +252,35 @@ Status RunBaselineReplicate(const std::string& method,
 }
 
 void ApplyVariant(const RhchmeVariant& v, core::RhchmeOptions* o) {
-  if (v.core == "sparse") {
-    o->sparse_r = core::SparseRMode::kAlways;
-  } else {
-    o->sparse_r = core::SparseRMode::kNever;
-    o->explicit_materialization = v.core == "explicit";
-  }
   o->ensemble.knn.backend = v.backend == "descent"
                                 ? graph::KnnBackend::kNNDescent
                                 : graph::KnnBackend::kExact;
 }
 
-/// Runs every RHCHME variant slot on one replicate. The ensemble is
-/// shared across solver cores of the same backend (it does not depend on
-/// the core), and its build time is charged to each of them so `seconds`
-/// reflects a full fit.
+/// Runs every RHCHME variant slot on one replicate. The ensemble build
+/// time is charged to the fit so `seconds` reflects a full fit.
 Status RunRhchmeReplicate(std::vector<MethodSlot*>& slots,
                           const data::MultiTypeRelationalData& d,
                           const ScenarioGridOptions& opts, uint64_t seed) {
   const std::vector<std::size_t>& truth = d.Type(0).labels;
   const fact::BlockStructure blocks = fact::BuildBlockStructure(d);
-  for (const std::string& backend : {std::string("exact"),
-                                     std::string("descent")}) {
-    std::vector<MethodSlot*> backend_slots;
-    for (MethodSlot* s : slots) {
-      if (s->rhchme.backend == backend) backend_slots.push_back(s);
-    }
-    if (backend_slots.empty()) continue;
-
-    core::RhchmeOptions base = BaseRhchmeOptions(opts);
-    ApplyVariant(backend_slots.front()->rhchme, &base);
+  for (MethodSlot* s : slots) {
+    core::RhchmeOptions o = BaseRhchmeOptions(opts);
+    ApplyVariant(s->rhchme, &o);
+    o.seed = seed;
     Stopwatch ensemble_watch;
     Result<core::HeterogeneousEnsemble> ensemble =
-        core::BuildEnsemble(d, blocks, base.ensemble);
+        core::BuildEnsemble(d, blocks, o.ensemble);
     if (!ensemble.ok()) return ensemble.status();
     const double ensemble_seconds = ensemble_watch.ElapsedSeconds();
-
-    for (MethodSlot* s : backend_slots) {
-      core::RhchmeOptions o = BaseRhchmeOptions(opts);
-      ApplyVariant(s->rhchme, &o);
-      o.seed = seed;
-      core::Rhchme solver(o);
-      Result<core::RhchmeResult> fit = solver.FitWithEnsemble(d, *ensemble);
-      if (!fit.ok()) return fit.status();
-      RHCHME_RETURN_IF_ERROR(
-          ScoreInto(truth, fit.value().hocc.labels[0],
-                    fit.value().hocc.seconds + ensemble_seconds, &s->sum));
-      s->sum.recovery +=
-          static_cast<double>(fit.value().diagnostics.RecoveryEvents());
-    }
+    Result<core::RhchmeResult> fit =
+        core::Rhchme(o).FitWithEnsemble(d, ensemble.value());
+    if (!fit.ok()) return fit.status();
+    RHCHME_RETURN_IF_ERROR(
+        ScoreInto(truth, fit.value().hocc.labels[0],
+                  fit.value().hocc.seconds + ensemble_seconds, &s->sum));
+    s->sum.recovery +=
+        static_cast<double>(fit.value().diagnostics.RecoveryEvents());
   }
   return Status::OK();
 }

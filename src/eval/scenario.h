@@ -8,9 +8,8 @@
 // relation sparsity × class/type imbalance over a synthetic workload
 // family (the document/term/concept corpus of examples/
 // document_clustering.cpp or the K-type block world of examples/
-// webpage_clustering.cpp), runs RHCHME — any combination of solver core
-// (implicit / sparse-R / explicit) × graph backend (exact / NN-descent)
-// — and the four baselines (DR-T, SRC, SNMTF, RMC) on every cell, and
+// webpage_clustering.cpp), runs RHCHME — on either graph backend (exact /
+// NN-descent) — and the four baselines (DR-T, SRC, SNMTF, RMC) on every cell, and
 // aggregates NMI/ARI/purity/FScore over a fixed replicate seed set.
 //
 // WriteScenarioReportJson emits QUALITY_scenarios.json with a context
@@ -59,21 +58,17 @@ const char* ImbalanceKindName(ImbalanceKind k);
 /// JSON tag of a corruption payload: "spike" or "nonfinite".
 const char* CorruptionModeName(data::RowCorruptionMode m);
 
-/// One RHCHME configuration under the grid: solver core × graph backend.
+/// One RHCHME configuration under the grid: its graph backend.
 struct RhchmeVariant {
-  /// Solver core: "implicit" (dense default), "sparse" (sparse-R forced),
-  /// or "explicit" (reference materialisation).
-  std::string core = "implicit";
   /// pNN construction backend for both ensemble members: "exact" or
   /// "descent".
   std::string backend = "exact";
 
-  /// "implicit+exact" — the `variant` field of the emitted cells.
-  std::string Name() const { return core + "+" + backend; }
+  /// "exact" — the `variant` field of the emitted cells.
+  std::string Name() const { return backend; }
 };
 
-/// The default RHCHME coverage: every solver core on the exact backend,
-/// plus the default core on NN-descent.
+/// The default RHCHME coverage: both graph backends.
 std::vector<RhchmeVariant> DefaultRhchmeVariants();
 
 struct ScenarioGridOptions {
@@ -99,7 +94,7 @@ struct ScenarioGridOptions {
   // ---- Methods ------------------------------------------------------------
   /// Subset of {"RHCHME", "DR-T", "SRC", "SNMTF", "RMC"}; empty runs all.
   std::vector<std::string> methods;
-  /// RHCHME core × backend coverage; empty selects
+  /// RHCHME backend coverage; empty selects
   /// DefaultRhchmeVariants().
   std::vector<RhchmeVariant> rhchme_variants;
 
@@ -129,7 +124,7 @@ struct ScenarioCell {
   data::RowCorruptionMode corruption_mode = data::RowCorruptionMode::kSpike;
   double sparsity = 0.0;
   std::string method;   ///< "RHCHME", "DR-T", "SRC", "SNMTF", "RMC".
-  std::string variant;  ///< RHCHME core+backend; empty for baselines.
+  std::string variant;  ///< RHCHME graph backend; empty for baselines.
   double nmi = 0.0;
   double ari = 0.0;
   double purity = 0.0;

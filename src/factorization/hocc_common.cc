@@ -146,8 +146,8 @@ namespace {
 /// Data-term halves of Eq. 21 from precomputed gradient products:
 /// num = A⁺ + G·B⁻ and den = A⁻ + G·B⁺ with the symmetrised halves
 /// A = ½(mg·Sᵀ + mtg·S) and B of the header comment. Shared by every
-/// overload — the dense paths form mg/mtg from M, the sparse-R core from
-/// its low-rank identities; both already hold GᵀG.
+/// overload — the dense path forms mg/mtg from M, the RHCHME solver from
+/// its low-rank identities.
 void GUpdateDataTermsFromProducts(const la::Matrix& mg, const la::Matrix& mtg,
                                   const la::Matrix& s, const la::Matrix& gtg,
                                   const la::Matrix& g, la::Matrix* num,
@@ -194,21 +194,6 @@ void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
   RatioUpdate(num, den, eps, g);
 }
 
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double lambda,
-                           const la::SparseMatrix* laplacian_pos,
-                           const la::SparseMatrix* laplacian_neg, double eps,
-                           la::Matrix* g) {
-  la::Matrix mg = la::Multiply(m, *g);                  // n x c
-  la::Matrix mtg;                                       // n x c
-  la::MultiplyTNStreamInto(m, *g, &mtg);
-  const Status st = MultiplicativeGUpdateFromProducts(
-      mg, mtg, s, la::Gram(*g), lambda, laplacian_pos, laplacian_neg, eps, g);
-  // The products were formed from *g two lines up, so a shape mismatch
-  // here is programmer error, not a recoverable pipeline state.
-  RHCHME_CHECK(st.ok(), st.ToString().c_str());
-}
-
 Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
                                          const la::Matrix& mtg,
                                          const la::Matrix& s,
@@ -242,9 +227,7 @@ Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
 
 void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
                            double eps, la::Matrix* g) {
-  MultiplicativeGUpdate(m, s, /*lambda=*/0.0,
-                        static_cast<const la::Matrix*>(nullptr), nullptr, eps,
-                        g);
+  MultiplicativeGUpdate(m, s, /*lambda=*/0.0, nullptr, nullptr, eps, g);
 }
 
 void RatioUpdate(const la::Matrix& num, const la::Matrix& den, double eps,

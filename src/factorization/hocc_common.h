@@ -64,10 +64,10 @@ Result<la::Matrix> SolveCentralS(const la::Matrix& g, const la::Matrix& m,
                                  SolveStats* stats = nullptr);
 
 /// Product-form Eq. 18: the same closed form from the precomputed c x c
-/// factors `gtg` = GᵀG and `gtmg` = Gᵀ·M·G. This is the seam the
-/// implicit-M solver cores plug into — the sparse-R core evaluates
-/// Gᵀ·M·G from low-rank identities without ever forming M, then hands
-/// the c x c pieces here. SolveCentralS is a thin wrapper around it.
+/// factors `gtg` = GᵀG and `gtmg` = Gᵀ·M·G. This is the seam the RHCHME
+/// solver plugs into — it evaluates Gᵀ·M·G from low-rank identities
+/// without ever forming M, then hands the c x c pieces here.
+/// SolveCentralS is a thin wrapper around it.
 ///
 /// Numerical guard: when the base solve fails or produces a non-finite S
 /// (singular GᵀG, injected fault), the solve is retried up the ridge
@@ -96,25 +96,18 @@ void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
                            const la::Matrix* laplacian_neg, double eps,
                            la::Matrix* g);
 
-/// Sparse-Laplacian overload: the ± parts stay in CSR and the L±·G terms
-/// run as SpMM (O(nnz·c) instead of O(n²·c)); the pNN ensemble Laplacian
-/// is never densified. Values agree with the dense overload to rounding.
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double lambda,
-                           const la::SparseMatrix* laplacian_pos,
-                           const la::SparseMatrix* laplacian_neg, double eps,
-                           la::Matrix* g);
-
 /// Product-form Eq. 21: the same update from precomputed gradient halves
 /// `mg` = M·G and `mtg` = Mᵀ·G (both n x c) and `gtg` = GᵀG instead of M
-/// itself — the seam shared with the sparse-R solver core, which
-/// evaluates the products in O(nnz + n·c²) via the implicit
+/// itself — the seam shared with the RHCHME solver, which evaluates the
+/// products in O(nnz + n·c²) via the implicit
 /// M = R − diag(s)·(R − H·Gᵀ) and never materialises a dense M (and
 /// already holds GᵀG from the S solve). `g` must be the same membership
-/// every product was formed against. Laplacian handling matches the
-/// sparse overload above. Returns InvalidArgument on shape mismatch
-/// instead of aborting — this is a fit-pipeline seam, and bad shapes here
-/// can come from corrupted snapshots, not only programmer error.
+/// every product was formed against. The Laplacian ± parts stay in CSR
+/// and the L±·G terms run as SpMM (O(nnz·c)); pass nullptr (with
+/// lambda = 0) when there is no manifold regulariser. Returns
+/// InvalidArgument on shape mismatch instead of aborting — this is a
+/// fit-pipeline seam, and bad shapes here can come from corrupted
+/// snapshots, not only programmer error.
 Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
                                          const la::Matrix& mtg,
                                          const la::Matrix& s,
@@ -123,8 +116,7 @@ Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
                                          const la::SparseMatrix* laplacian_neg,
                                          double eps, la::Matrix* g);
 
-/// No-regulariser convenience (lambda = 0): data terms only. Avoids the
-/// nullptr-overload ambiguity at call sites without a Laplacian.
+/// No-regulariser convenience (lambda = 0): data terms only.
 void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
                            double eps, la::Matrix* g);
 

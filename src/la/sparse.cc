@@ -114,6 +114,47 @@ SparseMatrix SparseMatrix::FromTriplets(std::size_t rows, std::size_t cols,
   return m;
 }
 
+Result<SparseMatrix> SparseMatrix::FromCsr(std::size_t rows,
+                                           std::size_t cols,
+                                           std::vector<std::size_t> row_offsets,
+                                           std::vector<std::size_t> col_indices,
+                                           std::vector<double> values) {
+  if (row_offsets.size() != rows + 1 || row_offsets.front() != 0) {
+    return Status::InvalidArgument(
+        "FromCsr: row_offsets needs rows+1 entries starting at 0");
+  }
+  const std::size_t nnz = row_offsets.back();
+  if (col_indices.size() != nnz || values.size() != nnz) {
+    return Status::InvalidArgument(
+        "FromCsr: col_indices/values length != row_offsets.back()");
+  }
+  // Non-decreasing offsets ending at nnz keep every row slice in bounds;
+  // settle that before any column is read.
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (row_offsets[i] > row_offsets[i + 1]) {
+      return Status::InvalidArgument("FromCsr: row_offsets decrease");
+    }
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t k = row_offsets[i]; k < row_offsets[i + 1]; ++k) {
+      if (col_indices[k] >= cols) {
+        return Status::InvalidArgument("FromCsr: column index out of range");
+      }
+      if (k > row_offsets[i] && col_indices[k] <= col_indices[k - 1]) {
+        return Status::InvalidArgument(
+            "FromCsr: columns not strictly ascending within a row");
+      }
+    }
+  }
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_offsets);
+  m.cols_idx_ = std::move(col_indices);
+  m.values_ = std::move(values);
+  return m;
+}
+
 SparseMatrix SparseMatrix::FromDense(const Matrix& dense, double prune_tol) {
   std::vector<Triplet> trips;
   for (std::size_t i = 0; i < dense.rows(); ++i) {
@@ -350,11 +391,8 @@ Matrix SparseMatrix::MultiplyDense(const Matrix& b) const {
   return c;
 }
 
-// Shared body of the two transposed products: Aᵀ·B, with source row i
-// scaled by row_scale[i] when row_scale != nullptr (Aᵀ·diag(d)·B).
-void SparseMatrix::TransposedDenseProductInto(const double* row_scale,
-                                              const Matrix& b,
-                                              Matrix* c) const {
+void SparseMatrix::MultiplyTransposedDenseInto(const Matrix& b,
+                                               Matrix* c) const {
   RHCHME_CHECK(b.rows() == rows_, "MultiplyTransposedDense: dims mismatch");
   c->Resize(cols_, b.cols());
   const std::size_t n = b.cols();
@@ -370,19 +408,9 @@ void SparseMatrix::TransposedDenseProductInto(const double* row_scale,
         [&](std::size_t c0, std::size_t c1) {
           for (std::size_t r = c0; r < c1; ++r) {
             double* cr = c->row_ptr(r);
-            if (row_scale == nullptr) {
-              // Hot unscaled path: no per-nonzero multiply.
-              for (std::size_t k = csc->col_ptr[r]; k < csc->col_ptr[r + 1];
-                   ++k) {
-                simd::Axpy(csc->values[k], b.row_ptr(csc->row_idx[k]), cr, n);
-              }
-            } else {
-              for (std::size_t k = csc->col_ptr[r]; k < csc->col_ptr[r + 1];
-                   ++k) {
-                const std::size_t src = csc->row_idx[k];
-                simd::Axpy(csc->values[k] * row_scale[src], b.row_ptr(src),
-                           cr, n);
-              }
+            for (std::size_t k = csc->col_ptr[r]; k < csc->col_ptr[r + 1];
+                 ++k) {
+              simd::Axpy(csc->values[k], b.row_ptr(csc->row_idx[k]), cr, n);
             }
           }
         });
@@ -398,15 +426,8 @@ void SparseMatrix::TransposedDenseProductInto(const double* row_scale,
   if (nchunks <= 1) {
     for (std::size_t i = 0; i < rows_; ++i) {
       const double* bi = b.row_ptr(i);
-      if (row_scale == nullptr) {
-        for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-          simd::Axpy(values_[k], bi, c->row_ptr(cols_idx_[k]), n);
-        }
-      } else {
-        const double scale = row_scale[i];
-        for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-          simd::Axpy(values_[k] * scale, bi, c->row_ptr(cols_idx_[k]), n);
-        }
+      for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+        simd::Axpy(values_[k], bi, c->row_ptr(cols_idx_[k]), n);
       }
     }
     return;
@@ -419,32 +440,13 @@ void SparseMatrix::TransposedDenseProductInto(const double* row_scale,
       const std::size_t ce = std::min(e0, cb + grain);
       for (std::size_t i = cb; i < ce; ++i) {
         const double* bi = b.row_ptr(i);
-        if (row_scale == nullptr) {
-          for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-            simd::Axpy(values_[k], bi, slot.row_ptr(cols_idx_[k]), n);
-          }
-        } else {
-          const double scale = row_scale[i];
-          for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-            simd::Axpy(values_[k] * scale, bi, slot.row_ptr(cols_idx_[k]), n);
-          }
+        for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+          simd::Axpy(values_[k], bi, slot.row_ptr(cols_idx_[k]), n);
         }
       }
     }
   });
   for (const Matrix& slot : partial) c->Add(slot);
-}
-
-void SparseMatrix::MultiplyTransposedDenseInto(const Matrix& b,
-                                               Matrix* c) const {
-  TransposedDenseProductInto(nullptr, b, c);
-}
-
-void SparseMatrix::MultiplyTransposedScaledDenseInto(
-    const std::vector<double>& d, const Matrix& b, Matrix* c) const {
-  RHCHME_CHECK(d.size() == rows_,
-               "MultiplyTransposedScaledDense: scale size mismatch");
-  TransposedDenseProductInto(d.data(), b, c);
 }
 
 std::vector<double> SparseMatrix::RowSums() const {

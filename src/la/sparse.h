@@ -2,8 +2,8 @@
 //
 // The inter-type relationship matrix R and pNN affinity graphs are sparse
 // (tf-idf blocks, p edges per object). CSR keeps graph construction and
-// sparse-dense products cheap; solvers densify only when an algorithm is
-// inherently dense (e.g. the solver's joint-R residual workspace).
+// sparse-dense products cheap; the RHCHME solver keeps its joint R in
+// CSR at every fill.
 //
 // Transposed products (Aᵀ·B, Aᵀ·x) are the awkward case for CSR: the
 // natural loop scatters into output rows indexed by the nonzeros'
@@ -44,10 +44,10 @@ struct CscMirror {
   std::vector<double> values;        // size nnz
 };
 
-/// CSR matrix. Duplicate triplets are summed at build time; explicit
-/// zeros are dropped. The structure is fixed after construction; the only
-/// mutators are value-level (Scale, PruneSmall), and both invalidate the
-/// CSC mirror.
+/// CSR matrix. FromTriplets sums duplicates and drops explicit zeros;
+/// FromCsr adopts validated arrays as given. The structure is fixed after
+/// construction; the only mutators are value-level (Scale, PruneSmall),
+/// and both invalidate the CSC mirror.
 ///
 /// Thread-safety: concurrent const access is safe, including the lazy
 /// CSC build (internally synchronised; at most one thread builds, the
@@ -74,6 +74,18 @@ class SparseMatrix {
   /// Builds from triplets (any order; duplicates summed; zeros pruned).
   static SparseMatrix FromTriplets(std::size_t rows, std::size_t cols,
                                    std::vector<Triplet> triplets);
+
+  /// Adopts ready-made CSR arrays: row i owns the slice
+  /// [row_offsets[i], row_offsets[i+1]) of col_indices/values. Validated
+  /// in O(rows + nnz): row_offsets must have rows+1 entries, start at 0,
+  /// never decrease and end at nnz; col_indices and values must both have
+  /// nnz entries; columns must be < cols and strictly ascending within
+  /// each row. Values are stored as given (zeros and non-finite values
+  /// included). InvalidArgument on any violation.
+  static Result<SparseMatrix> FromCsr(std::size_t rows, std::size_t cols,
+                                      std::vector<std::size_t> row_offsets,
+                                      std::vector<std::size_t> col_indices,
+                                      std::vector<double> values);
 
   /// Converts a dense matrix, dropping entries with |v| <= prune_tol.
   static SparseMatrix FromDense(const Matrix& dense, double prune_tol = 0.0);
@@ -151,21 +163,11 @@ class SparseMatrix {
   /// the last bit — per call site the path is fixed).
   void MultiplyTransposedDenseInto(const Matrix& b, Matrix* c) const;
 
-  /// C = Aᵀ·diag(d)·B for dense B: the transposed product with source row
-  /// i scaled by d[i] (requires d.size() == rows(); resizes `c`). Runs the
-  /// same two code paths — CSC gather when the mirror is cached, bounded
-  /// per-chunk-accumulator scatter otherwise — under the same determinism
-  /// contract as MultiplyTransposedDenseInto. The sparse-R solver core's
-  /// Mᵀ·G gradient half needs Rᵀ·diag(s)·G without ever materialising the
-  /// row-scaled diag(s)·R.
-  void MultiplyTransposedScaledDenseInto(const std::vector<double>& d,
-                                         const Matrix& b, Matrix* c) const;
-
   /// Per-row sums (degree vector when A is an affinity matrix).
   std::vector<double> RowSums() const;
 
-  /// Per-row squared Euclidean norms: out[i] = Σ_j a_ij². The sparse-R
-  /// solver core caches these once per fit — the analytic residual row
+  /// Per-row squared Euclidean norms: out[i] = Σ_j a_ij². The solver
+  /// caches these once per fit — the analytic residual row
   /// norms ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ start from them.
   std::vector<double> RowNormsSquared() const;
 
@@ -181,10 +183,6 @@ class SparseMatrix {
   bool IsSymmetric(double tol = 1e-12) const;
 
  private:
-  /// Shared body of the transposed dense products; `row_scale` (length
-  /// rows(), may be nullptr for no scaling) multiplies source row i.
-  void TransposedDenseProductInto(const double* row_scale, const Matrix& b,
-                                  Matrix* c) const;
   std::shared_ptr<const CscMirror> ComputeCsc() const;
   /// Cached mirror if present, nullptr otherwise (does not build).
   std::shared_ptr<const CscMirror> CscIfBuilt() const;

@@ -14,11 +14,10 @@
 //   auto scores = eval::ScoreLabels(data.value().Type(0).labels,
 //                                   result.value().hocc.labels[0]);
 //
-// Solver cores: the fit picks its memory profile per dataset —
-// tf-idf-sparse relations run the sparse-R core (zero dense n x n
-// allocations, O(nnz + n·c) per iteration), dense relations the implicit
-// dense core (two n x n matrices); see core::SparseRMode and
-// docs/ARCHITECTURE.md §Memory model.
+// Solver core: one. The joint R stays in CSR form at every fill, so a fit
+// allocates no dense n x n matrix (O(nnz + n·c) per iteration); the dense
+// E_R is built on demand by core::ErrorMatrix. See docs/ARCHITECTURE.md
+// §Memory model.
 
 #ifndef RHCHME_RHCHME_RHCHME_H_
 #define RHCHME_RHCHME_RHCHME_H_

@@ -5,8 +5,7 @@
 //   2. a snapshot file truncated at *every* possible byte (or bit-flipped)
 //      loads as a clean non-OK Status — never UB, never a garbage state;
 //   3. a fit killed after iteration k and resumed reproduces the
-//      uninterrupted trajectory bit-identically, at pool sizes 1 and 4,
-//      on every solver core.
+//      uninterrupted trajectory bit-identically, at pool sizes 1 and 4.
 
 #include "core/checkpoint.h"
 
@@ -60,7 +59,6 @@ void ExpectBitIdentical(const la::Matrix& a, const la::Matrix& b,
 
 SolverSnapshot MakeSnapshot() {
   SolverSnapshot snap;
-  snap.core_id = SolverCoreId::kSparseR;
   snap.options_fingerprint = 0x1234abcdu;
   snap.iteration = 3;
   snap.prev_objective = 41.5;
@@ -90,7 +88,6 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   Result<SolverSnapshot> loaded = LoadSolverSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const SolverSnapshot& l = loaded.value();
-  EXPECT_EQ(l.core_id, snap.core_id);
   EXPECT_EQ(l.options_fingerprint, snap.options_fingerprint);
   EXPECT_EQ(l.iteration, snap.iteration);
   EXPECT_EQ(l.prev_objective, snap.prev_objective);
@@ -161,91 +158,105 @@ data::MultiTypeRelationalData SmallData(uint64_t seed = 21) {
   return data::GenerateBlockWorld(o).value();
 }
 
-struct CoreConfig {
-  const char* name;
-  SparseRMode sparse_r;
-  bool explicit_core;
-};
-
-RhchmeOptions CoreOptions(const CoreConfig& cfg) {
+RhchmeOptions ResumeOptions() {
   RhchmeOptions opts;
   opts.max_iterations = 9;
   opts.lambda = 1.0;
   opts.beta = 50.0;
   opts.tolerance = 0.0;  // Never converge early: full, comparable traces.
   opts.ensemble.subspace.spg.max_iterations = 20;
-  opts.sparse_r = cfg.sparse_r;
-  opts.explicit_materialization = cfg.explicit_core;
   return opts;
 }
 
-const CoreConfig kCores[] = {
-    {"dense-implicit", SparseRMode::kNever, false},
-    {"dense-explicit", SparseRMode::kNever, true},
-    {"sparse-r", SparseRMode::kAlways, false},
-};
+TEST(Checkpoint, VersionOneSnapshotIsFailedPrecondition) {
+  // Version 1 carried a solver-core id. Rewriting a current snapshot's
+  // version field to 1, with the checksum recomputed so integrity passes,
+  // must surface as FailedPrecondition from the version check.
+  const std::string path = TempPath("rhchme_ckpt_v1.bin");
+  ASSERT_TRUE(SaveSolverSnapshot(path, MakeSnapshot()).ok());
+  std::string bytes = ReadAll(path);
+  const uint32_t v1 = 1;
+  std::memcpy(&bytes[4], &v1, sizeof(v1));  // Right after the magic.
+  const std::size_t body = bytes.size() - sizeof(uint64_t);
+  uint64_t sum = 1469598103934665603ull;  // FNV-1a, as in the format.
+  for (std::size_t i = 0; i < body; ++i) {
+    sum ^= static_cast<unsigned char>(bytes[i]);
+    sum *= 1099511628211ull;
+  }
+  std::memcpy(&bytes[body], &sum, sizeof(sum));
+  WriteAll(path, bytes);
+  Result<SolverSnapshot> r = LoadSolverSnapshot(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+      << r.status().ToString();
+
+  // A fit asked to resume from it fails the same way.
+  RhchmeOptions opts = ResumeOptions();
+  opts.checkpoint_path = path;
+  opts.resume = true;
+  Result<RhchmeResult> fit = Rhchme(opts).Fit(SmallData());
+  ASSERT_FALSE(fit.ok());
+  EXPECT_EQ(fit.status().code(), StatusCode::kFailedPrecondition);
+  fs::remove(path);
+}
 
 TEST(CheckpointResume, KilledFitResumesBitIdentically) {
   const data::MultiTypeRelationalData d = SmallData();
   const fact::BlockStructure blocks = fact::BuildBlockStructure(d);
   for (int threads : {1, 4}) {
     ScopedNumThreads pool(threads);
-    for (const CoreConfig& cfg : kCores) {
-      SCOPED_TRACE(std::string(cfg.name) + " @" + std::to_string(threads) +
-                   " threads");
-      RhchmeOptions opts = CoreOptions(cfg);
-      Result<HeterogeneousEnsemble> ensemble =
-          BuildEnsemble(d, blocks, opts.ensemble);
-      ASSERT_TRUE(ensemble.ok()) << ensemble.status().ToString();
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    RhchmeOptions opts = ResumeOptions();
+    Result<HeterogeneousEnsemble> ensemble =
+        BuildEnsemble(d, blocks, opts.ensemble);
+    ASSERT_TRUE(ensemble.ok()) << ensemble.status().ToString();
 
-      // Reference: one uninterrupted fit.
-      Result<RhchmeResult> full =
-          Rhchme(opts).FitWithEnsemble(d, *ensemble);
-      ASSERT_TRUE(full.ok()) << full.status().ToString();
+    // Reference: one uninterrupted fit.
+    Result<RhchmeResult> full =
+        Rhchme(opts).FitWithEnsemble(d, *ensemble);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
 
-      // "Killed" fit: stop after 4 iterations with a checkpoint at 4,
-      // then resume with the full budget (the options fingerprint
-      // deliberately excludes max_iterations, so extending it is legal).
-      const std::string snap = TempPath("rhchme_ckpt_resume.bin");
-      fs::remove(snap);
-      RhchmeOptions killed = opts;
-      killed.max_iterations = 4;
-      killed.checkpoint_path = snap;
-      killed.checkpoint_every = 2;
-      Result<RhchmeResult> part =
-          Rhchme(killed).FitWithEnsemble(d, *ensemble);
-      ASSERT_TRUE(part.ok()) << part.status().ToString();
-      ASSERT_GE(part.value().diagnostics.snapshots_written, 1);
+    // "Killed" fit: stop after 4 iterations with a checkpoint at 4,
+    // then resume with the full budget (the options fingerprint
+    // deliberately excludes max_iterations, so extending it is legal).
+    const std::string snap = TempPath("rhchme_ckpt_resume.bin");
+    fs::remove(snap);
+    RhchmeOptions killed = opts;
+    killed.max_iterations = 4;
+    killed.checkpoint_path = snap;
+    killed.checkpoint_every = 2;
+    Result<RhchmeResult> part =
+        Rhchme(killed).FitWithEnsemble(d, *ensemble);
+    ASSERT_TRUE(part.ok()) << part.status().ToString();
+    ASSERT_GE(part.value().diagnostics.snapshots_written, 1);
 
-      RhchmeOptions resumed = opts;
-      resumed.checkpoint_path = snap;
-      resumed.resume = true;
-      Result<RhchmeResult> cont =
-          Rhchme(resumed).FitWithEnsemble(d, *ensemble);
-      ASSERT_TRUE(cont.ok()) << cont.status().ToString();
-      EXPECT_EQ(cont.value().diagnostics.resumed_from_iteration, 4);
+    RhchmeOptions resumed = opts;
+    resumed.checkpoint_path = snap;
+    resumed.resume = true;
+    Result<RhchmeResult> cont =
+        Rhchme(resumed).FitWithEnsemble(d, *ensemble);
+    ASSERT_TRUE(cont.ok()) << cont.status().ToString();
+    EXPECT_EQ(cont.value().diagnostics.resumed_from_iteration, 4);
 
-      ASSERT_EQ(cont.value().hocc.objective_trace.size(),
-                full.value().hocc.objective_trace.size());
-      for (std::size_t t = 0; t < full.value().hocc.objective_trace.size();
-           ++t) {
-        EXPECT_EQ(cont.value().hocc.objective_trace[t],
-                  full.value().hocc.objective_trace[t])
-            << "objective diverged at iteration " << t + 1;
-      }
-      ExpectBitIdentical(cont.value().hocc.g, full.value().hocc.g, "g");
-      ExpectBitIdentical(cont.value().hocc.s, full.value().hocc.s, "s");
-      EXPECT_EQ(cont.value().hocc.labels, full.value().hocc.labels);
-      fs::remove(snap);
+    ASSERT_EQ(cont.value().hocc.objective_trace.size(),
+              full.value().hocc.objective_trace.size());
+    for (std::size_t t = 0; t < full.value().hocc.objective_trace.size();
+         ++t) {
+      EXPECT_EQ(cont.value().hocc.objective_trace[t],
+                full.value().hocc.objective_trace[t])
+          << "objective diverged at iteration " << t + 1;
     }
+    ExpectBitIdentical(cont.value().hocc.g, full.value().hocc.g, "g");
+    ExpectBitIdentical(cont.value().hocc.s, full.value().hocc.s, "s");
+    EXPECT_EQ(cont.value().hocc.labels, full.value().hocc.labels);
+    fs::remove(snap);
   }
 }
 
 TEST(CheckpointResume, MismatchedSnapshotIsRejectedNotSilentlyRestarted) {
   const data::MultiTypeRelationalData d = SmallData();
   const fact::BlockStructure blocks = fact::BuildBlockStructure(d);
-  const CoreConfig dense = kCores[0];
-  RhchmeOptions opts = CoreOptions(dense);
+  RhchmeOptions opts = ResumeOptions();
   Result<HeterogeneousEnsemble> ensemble =
       BuildEnsemble(d, blocks, opts.ensemble);
   ASSERT_TRUE(ensemble.ok());
@@ -267,14 +278,6 @@ TEST(CheckpointResume, MismatchedSnapshotIsRejectedNotSilentlyRestarted) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 
-  // Different solver core, same everything else.
-  RhchmeOptions sparse = CoreOptions(kCores[2]);
-  sparse.checkpoint_path = snap;
-  sparse.resume = true;
-  Result<RhchmeResult> r2 = Rhchme(sparse).FitWithEnsemble(d, *ensemble);
-  ASSERT_FALSE(r2.ok());
-  EXPECT_EQ(r2.status().code(), StatusCode::kFailedPrecondition);
-
   // resume with a missing file is a fresh fit, not an error.
   fs::remove(snap);
   RhchmeOptions fresh = opts;
@@ -286,13 +289,13 @@ TEST(CheckpointResume, MismatchedSnapshotIsRejectedNotSilentlyRestarted) {
 }
 
 TEST(CheckpointResume, ValidationRejectsInconsistentOptions) {
-  RhchmeOptions o = CoreOptions(kCores[0]);
+  RhchmeOptions o = ResumeOptions();
   o.checkpoint_every = 2;  // every without a path
   EXPECT_FALSE(o.Validate().ok());
-  o = CoreOptions(kCores[0]);
+  o = ResumeOptions();
   o.resume = true;  // resume without a path
   EXPECT_FALSE(o.Validate().ok());
-  o = CoreOptions(kCores[0]);
+  o = ResumeOptions();
   o.checkpoint_every = -1;
   EXPECT_FALSE(o.Validate().ok());
 }

@@ -33,14 +33,12 @@ data::MultiTypeRelationalData SmallData(uint64_t seed = 21) {
   return data::GenerateBlockWorld(o).value();
 }
 
-core::RhchmeOptions FastOptions(bool sparse_core) {
+core::RhchmeOptions FastOptions() {
   core::RhchmeOptions opts;
   opts.max_iterations = 12;
   opts.lambda = 1.0;
   opts.beta = 50.0;
   opts.ensemble.subspace.spg.max_iterations = 20;
-  opts.sparse_r =
-      sparse_core ? core::SparseRMode::kAlways : core::SparseRMode::kNever;
   return opts;
 }
 
@@ -65,12 +63,12 @@ void ExpectRecoveredOrCleanFailure(const Result<core::RhchmeResult>& fit,
 /// Solver-seam sites are probed inside FitWithEnsemble; a shared
 /// ensemble keeps the sweep fast and keeps ensemble construction out of
 /// the armed window.
-class SolverFaultSweep : public ::testing::TestWithParam<bool> {
+class SolverFaultSweep : public ::testing::Test {
  protected:
   void SetUp() override {
     data_ = SmallData();
     blocks_ = fact::BuildBlockStructure(data_);
-    core::RhchmeOptions opts = FastOptions(GetParam());
+    core::RhchmeOptions opts = FastOptions();
     Result<core::HeterogeneousEnsemble> e =
         core::BuildEnsemble(data_, blocks_, opts.ensemble);
     ASSERT_TRUE(e.ok()) << e.status().ToString();
@@ -82,7 +80,7 @@ class SolverFaultSweep : public ::testing::TestWithParam<bool> {
   core::HeterogeneousEnsemble ensemble_;
 };
 
-TEST_P(SolverFaultSweep, EverySiteRecoversOrFailsCleanly) {
+TEST_F(SolverFaultSweep, EverySiteRecoversOrFailsCleanly) {
   // Fire each site on its first hit and again deeper into the fit, so
   // both the "no accepted iterate yet" and the "mid-trajectory" recovery
   // paths are exercised for every seam.
@@ -90,7 +88,7 @@ TEST_P(SolverFaultSweep, EverySiteRecoversOrFailsCleanly) {
     for (int fire_on_hit : {1, 3}) {
       util::ScopedFaultDisarm scoped;
       util::FaultArmCountdown(site, fire_on_hit);
-      core::Rhchme solver(FastOptions(GetParam()));
+      core::Rhchme solver(FastOptions());
       Result<core::RhchmeResult> fit =
           solver.FitWithEnsemble(data_, ensemble_);
       const bool fired = util::FaultHitCount(site) >= fire_on_hit;
@@ -99,7 +97,7 @@ TEST_P(SolverFaultSweep, EverySiteRecoversOrFailsCleanly) {
   }
 }
 
-TEST_P(SolverFaultSweep, PoisonSitesRecoverWithGuardsCounted) {
+TEST_F(SolverFaultSweep, PoisonSitesRecoverWithGuardsCounted) {
   // The NaN-payload seams must come back as *recovered* OK fits: the
   // guards absorb the poison, they do not give up.
   const std::vector<const char*> kPoisonSites = {
@@ -108,7 +106,7 @@ TEST_P(SolverFaultSweep, PoisonSitesRecoverWithGuardsCounted) {
   for (const char* site : kPoisonSites) {
     util::ScopedFaultDisarm scoped;
     util::FaultArmCountdown(site, 1);
-    core::Rhchme solver(FastOptions(GetParam()));
+    core::Rhchme solver(FastOptions());
     Result<core::RhchmeResult> fit = solver.FitWithEnsemble(data_, ensemble_);
     ASSERT_TRUE(fit.ok()) << site << ": " << fit.status().ToString();
     ASSERT_GE(util::FaultHitCount(site), 1) << site << " was never probed";
@@ -117,14 +115,14 @@ TEST_P(SolverFaultSweep, PoisonSitesRecoverWithGuardsCounted) {
   }
 }
 
-TEST_P(SolverFaultSweep, CentralSolveFailureIsAbsorbedByRidgeLadder) {
+TEST_F(SolverFaultSweep, CentralSolveFailureIsAbsorbedByRidgeLadder) {
   // Failing the first attempt of the c x c solve must be healed one
   // level down: the ridge ladder retries with boosted regularisation and
   // the fit proceeds, counting the retry — no degraded stop, no error.
   for (int fire_on_hit : {1, 2}) {
     util::ScopedFaultDisarm scoped;
     util::FaultArmCountdown(util::fault_site::kCentralSolveFail, fire_on_hit);
-    core::Rhchme solver(FastOptions(GetParam()));
+    core::Rhchme solver(FastOptions());
     Result<core::RhchmeResult> fit = solver.FitWithEnsemble(data_, ensemble_);
     ASSERT_TRUE(fit.ok()) << fit.status().ToString();
     ASSERT_GE(util::FaultHitCount(util::fault_site::kCentralSolveFail),
@@ -135,44 +133,38 @@ TEST_P(SolverFaultSweep, CentralSolveFailureIsAbsorbedByRidgeLadder) {
   }
 }
 
-TEST_P(SolverFaultSweep, AllocationFailureIsCleanStatus) {
+TEST_F(SolverFaultSweep, AllocationFailureIsCleanStatus) {
   for (const char* site : {util::fault_site::kAllocJointR,
                            util::fault_site::kAllocWorkspace}) {
     util::ScopedFaultDisarm scoped;
     util::FaultArmCountdown(site, 1);
-    core::Rhchme solver(FastOptions(GetParam()));
+    core::Rhchme solver(FastOptions());
     Result<core::RhchmeResult> fit = solver.FitWithEnsemble(data_, ensemble_);
     ASSERT_FALSE(fit.ok()) << site;
     EXPECT_EQ(fit.status().code(), StatusCode::kInternal) << site;
   }
 }
 
-TEST_P(SolverFaultSweep, SeededSoakNeverCrashes) {
+TEST_F(SolverFaultSweep, SeededSoakNeverCrashes) {
   // Probabilistic schedule over every site at once; any failure replays
   // from the logged seed via FaultArmSeeded.
   for (uint64_t seed : {7u, 99u}) {
     util::ScopedFaultDisarm scoped;
     util::FaultArmSeeded(seed, 0.05);
-    core::Rhchme solver(FastOptions(GetParam()));
+    core::Rhchme solver(FastOptions());
     Result<core::RhchmeResult> fit = solver.FitWithEnsemble(data_, ensemble_);
     SCOPED_TRACE("soak seed " + std::to_string(seed));
     ExpectRecoveredOrCleanFailure(fit, "seeded-soak", /*fired=*/false);
   }
 }
 
-TEST_P(SolverFaultSweep, DisarmedRegistryIsInert) {
+TEST_F(SolverFaultSweep, DisarmedRegistryIsInert) {
   util::FaultDisarm();
-  core::Rhchme solver(FastOptions(GetParam()));
+  core::Rhchme solver(FastOptions());
   Result<core::RhchmeResult> fit = solver.FitWithEnsemble(data_, ensemble_);
   ASSERT_TRUE(fit.ok()) << fit.status().ToString();
   EXPECT_EQ(fit.value().diagnostics.RecoveryEvents(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Cores, SolverFaultSweep, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& param_info) {
-                           return param_info.param ? "SparseR"
-                                                   : "DenseImplicit";
-                         });
 
 TEST(IoFaults, MatrixWriteFailureIsCleanStatus) {
   util::ScopedFaultDisarm scoped;
@@ -212,7 +204,7 @@ TEST(IoFaults, SnapshotWriteFaultsLeaveFitHealthy) {
     const fs::path snap =
         fs::temp_directory_path() / "rhchme_fault_snapshot.bin";
     fs::remove(snap);
-    core::RhchmeOptions opts = FastOptions(/*sparse_core=*/false);
+    core::RhchmeOptions opts = FastOptions();
     opts.checkpoint_path = snap.string();
     opts.checkpoint_every = 1;
     util::FaultArmCountdown(site, 1);

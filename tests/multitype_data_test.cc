@@ -4,7 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+
+#include "data/corruption.h"
+#include "data/synthetic.h"
 #include "la/gemm.h"
+#include "scoped_num_threads.h"
 #include "util/rng.h"
 
 namespace rhchme {
@@ -124,9 +133,10 @@ TEST(MultiTypeData, SparseJointRMirroredBlocksAreSymmetric) {
 }
 
 TEST(MultiTypeData, SparseJointRBuildContractOnDuplicates) {
-  // BuildJointRSparse leans on the FromTriplets build contract; pin the
-  // two properties it needs with joint-R-shaped triplets: duplicates are
-  // summed, and duplicates cancelling to an exact zero are pruned.
+  // The triplet oracle below leans on the FromTriplets build contract;
+  // pin the two properties it needs with joint-R-shaped triplets:
+  // duplicates are summed, and duplicates cancelling to an exact zero
+  // are pruned.
   std::vector<la::Triplet> trips = {
       {0, 4, 1.5}, {4, 0, 1.5},   // mirrored pair, split in two...
       {0, 4, 1.5}, {4, 0, 1.5},   // ...deliveries: must sum to 3.
@@ -139,6 +149,130 @@ TEST(MultiTypeData, SparseJointRBuildContractOnDuplicates) {
   EXPECT_EQ(m.At(4, 0), 3.0);
   EXPECT_EQ(m.At(2, 5), 0.0);
   EXPECT_TRUE(m.IsSymmetric(0.0));
+}
+
+// ---- Direct CSR assembly of the joint R ------------------------------------
+
+/// The former triplet builder of BuildJointRSparse, kept as the oracle:
+/// every nonzero of every stored block and its mirror as a triplet, then
+/// FromTriplets' sort.
+la::SparseMatrix TripletJointR(const MultiTypeRelationalData& d) {
+  std::vector<la::Triplet> trips;
+  for (std::size_t k = 0; k < d.NumTypes(); ++k) {
+    for (std::size_t l = k + 1; l < d.NumTypes(); ++l) {
+      if (!d.HasRelation(k, l)) continue;
+      const la::Matrix& block = d.Relation(k, l);
+      const std::size_t rk = d.TypeOffset(k);
+      const std::size_t cl = d.TypeOffset(l);
+      for (std::size_t i = 0; i < block.rows(); ++i) {
+        for (std::size_t j = 0; j < block.cols(); ++j) {
+          const double v = block(i, j);
+          if (v != 0.0) {
+            trips.push_back({rk + i, cl + j, v});
+            trips.push_back({cl + j, rk + i, v});
+          }
+        }
+      }
+    }
+  }
+  const std::size_t n = d.TotalObjects();
+  return la::SparseMatrix::FromTriplets(n, n, std::move(trips));
+}
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// Same arrays, values compared by bit pattern (NaN payloads included).
+void ExpectSameCsr(const la::SparseMatrix& got, const la::SparseMatrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_offsets(), want.row_offsets());
+  EXPECT_EQ(got.col_indices(), want.col_indices());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  for (std::size_t k = 0; k < got.values().size(); ++k) {
+    ASSERT_EQ(Bits(got.values()[k]), Bits(want.values()[k])) << "slot " << k;
+  }
+}
+
+MultiTypeRelationalData BlockWorld(double dropout) {
+  BlockWorldOptions o;
+  o.objects_per_type = {40, 31, 17};
+  o.n_classes = 3;
+  o.dropout = dropout;
+  o.seed = 5;
+  return GenerateBlockWorld(o).value();
+}
+
+MultiTypeRelationalData SmallCorpus() {
+  SyntheticCorpusOptions o;
+  o.docs_per_class = {12, 9, 6};
+  o.n_terms = 60;
+  o.n_concepts = 25;
+  o.seed = 8;
+  return GenerateSyntheticCorpus(o).value();
+}
+
+TEST(JointRAssembly, DirectCsrMatchesTripletBuilderBitForBit) {
+  for (double dropout : {0.0, 0.35, 0.97}) {
+    SCOPED_TRACE("block world, dropout " + std::to_string(dropout));
+    const MultiTypeRelationalData d = BlockWorld(dropout);
+    const la::SparseMatrix r = d.BuildJointRSparse();
+    ExpectSameCsr(r, TripletJointR(d));
+    EXPECT_TRUE(r.IsSymmetric(0.0));
+  }
+  SCOPED_TRACE("corpus");
+  const MultiTypeRelationalData corpus = SmallCorpus();
+  const la::SparseMatrix r = corpus.BuildJointRSparse();
+  ExpectSameCsr(r, TripletJointR(corpus));
+  EXPECT_TRUE(r.IsSymmetric(0.0));
+}
+
+TEST(JointRAssembly, NonFiniteEntriesAreKeptBitForBit) {
+  // NaN/Inf are stored (the solver counts and zeroes them); negative zero
+  // is dropped like any exact zero.
+  MultiTypeRelationalData d = ThreeTypeFixture();
+  la::Matrix r01 = d.Relation(0, 1);
+  r01(0, 1) = std::numeric_limits<double>::quiet_NaN();
+  r01(1, 2) = std::numeric_limits<double>::infinity();
+  r01(2, 0) = -std::numeric_limits<double>::infinity();
+  r01(3, 0) = -0.0;
+  ASSERT_TRUE(d.SetRelation(0, 1, r01).ok());
+  la::Matrix r21 = d.RelationTransposed(2, 1);
+  r21(1, 1) = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(d.SetRelation(2, 1, r21).ok());
+  const la::SparseMatrix r = d.BuildJointRSparse();
+  ExpectSameCsr(r, TripletJointR(d));
+  EXPECT_EQ(r.At(3, 4), 0.0);
+  EXPECT_TRUE(std::isnan(r.At(0, 5)));
+  EXPECT_TRUE(std::isnan(r.At(5, 0)));
+
+  // Non-finite corruption from the generator, as the scenario grid plants
+  // it.
+  BlockWorldOptions o;
+  o.objects_per_type = {24, 18, 12};
+  o.n_classes = 3;
+  o.corrupted_fraction = 0.2;
+  o.corruption_mode = RowCorruptionMode::kNonFinite;
+  o.seed = 33;
+  const MultiTypeRelationalData poisoned = GenerateBlockWorld(o).value();
+  ExpectSameCsr(poisoned.BuildJointRSparse(), TripletJointR(poisoned));
+}
+
+TEST(JointRAssembly, BitIdenticalAcrossPoolSizes) {
+  const MultiTypeRelationalData d = BlockWorld(0.35);
+  la::SparseMatrix serial, threaded;
+  {
+    ScopedNumThreads pool(1);
+    serial = d.BuildJointRSparse();
+  }
+  {
+    ScopedNumThreads pool(4);
+    threaded = d.BuildJointRSparse();
+  }
+  ExpectSameCsr(threaded, serial);
 }
 
 TEST(MultiTypeData, JointRDensityCountsMirroredNonzeros) {

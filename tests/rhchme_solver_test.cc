@@ -6,14 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
-#include <thread>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "data/corruption.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "dense_reference_solver.h"
 #include "la/gemm.h"
 #include "la/matrix.h"
 #include "scoped_num_threads.h"
@@ -54,18 +54,9 @@ TEST(RhchmeOptions, Validation) {
   o.ensemble.include_knn = false;
   o.ensemble.include_subspace = false;
   EXPECT_FALSE(o.Validate().ok());
-  // The sparse-R core cannot be forced together with the dense reference
-  // core, and the auto threshold must be a density.
-  o = FastOptions();
-  o.sparse_r = SparseRMode::kAlways;
-  o.explicit_materialization = true;
-  EXPECT_FALSE(o.Validate().ok());
-  o = FastOptions();
-  o.sparse_r_density_threshold = -0.1;
-  EXPECT_FALSE(o.Validate().ok());
-  o = FastOptions();
-  o.sparse_r_density_threshold = 1.5;
-  EXPECT_FALSE(o.Validate().ok());
+  // One core at every fill: the density cutoff is a constant, not a knob.
+  static_assert(RhchmeOptions::sparse_r_density_threshold == 1.0,
+                "every joint-R fill runs the CSR core");
 }
 
 TEST(Rhchme, SurvivesNonFiniteCorruptedInput) {
@@ -80,21 +71,18 @@ TEST(Rhchme, SurvivesNonFiniteCorruptedInput) {
   gen.seed = 33;
   data::MultiTypeRelationalData d = data::GenerateBlockWorld(gen).value();
 
-  for (core::SparseRMode mode :
-       {core::SparseRMode::kNever, core::SparseRMode::kAlways}) {
-    RhchmeOptions opts = FastOptions();
-    opts.sparse_r = mode;
-    Rhchme solver(opts);
-    Result<RhchmeResult> r = solver.Fit(d);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_GT(r.value().diagnostics.nonfinite_input_entries, 0u);
-    EXPECT_TRUE(r.value().hocc.g.AllFinite());
-    EXPECT_TRUE(r.value().hocc.g.IsNonNegative());
-    EXPECT_FALSE(r.value().hocc.objective_trace.empty());
-    for (double obj : r.value().hocc.objective_trace) {
-      EXPECT_TRUE(std::isfinite(obj));
-    }
+  Rhchme solver(FastOptions());
+  Result<RhchmeResult> r = solver.Fit(d);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r.value().diagnostics.nonfinite_input_entries, 0u);
+  EXPECT_TRUE(r.value().hocc.g.AllFinite());
+  EXPECT_TRUE(r.value().hocc.g.IsNonNegative());
+  EXPECT_FALSE(r.value().hocc.objective_trace.empty());
+  for (double obj : r.value().hocc.objective_trace) {
+    EXPECT_TRUE(std::isfinite(obj));
   }
+  // The dense E_R reads the same sanitised R: finite everywhere.
+  EXPECT_TRUE(ErrorMatrix(d, r.value()).AllFinite());
 }
 
 TEST(Rhchme, ProducesValidResult) {
@@ -113,7 +101,7 @@ TEST(Rhchme, ProducesValidResult) {
   EXPECT_FALSE(h.objective_trace.empty());
   EXPECT_GT(h.seconds, 0.0);
   EXPECT_TRUE(r.value().HasErrorMatrix());
-  EXPECT_EQ(r.value().ErrorMatrix().rows(), 54u);
+  EXPECT_EQ(ErrorMatrix(d, r.value()).rows(), 54u);
 }
 
 TEST(Rhchme, MembershipRowsAreL1Normalised) {
@@ -216,7 +204,7 @@ TEST(Rhchme, ErrorMatrixLocalisesOnCorruptedRows) {
   Rhchme solver(opts);
   Result<RhchmeResult> res = solver.Fit(d);
   ASSERT_TRUE(res.ok());
-  const la::Matrix& e = res.value().ErrorMatrix();
+  const la::Matrix e = ErrorMatrix(d, res.value());
 
   double bad_mass = 0.0, clean_mass = 0.0;
   std::size_t n_bad = 0, n_clean = 0;
@@ -298,7 +286,7 @@ TEST(Rhchme, DisablingErrorMatrixLeavesItEmpty) {
   Result<RhchmeResult> r = solver.Fit(d);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value().HasErrorMatrix());
-  EXPECT_TRUE(r.value().ErrorMatrix().empty());
+  EXPECT_TRUE(ErrorMatrix(d, r.value()).empty());
 }
 
 TEST(Rhchme, ConvergesBeforeIterationCapOnEasyData) {
@@ -324,313 +312,138 @@ TEST(Rhchme, RandomInitAlsoWorks) {
   EXPECT_TRUE(r.value().hocc.g.AllFinite());
 }
 
-// ---- Memory-lean solver core -----------------------------------------------
+// ---- Equivalence with the dense reference ---------------------------------
 
-/// The implicit core (factored E_R, sparse Laplacian algebra) and the
-/// explicit-materialisation reference core run the same update algebra;
-/// their objective traces must agree to rounding (the Laplacian products
-/// and objective reductions use different summation orders, so exact
-/// equality is not expected).
-TEST(RhchmeImplicitCore, ObjectiveTraceMatchesExplicitCore) {
-  data::MultiTypeRelationalData d = SmallData();
+using testing_reference::DenseJointR;
+using testing_reference::DenseObjective;
+using testing_reference::DenseReferenceFit;
+using testing_reference::DenseReferenceSolve;
+using testing_reference::DenseResidual;
+
+/// The CSR core groups the arithmetic differently from the dense oracle
+/// (low-rank identities, symmetric SpMMs, analytic objective terms), so
+/// the traces agree to rounding, not bit for bit: ≤1e-8 relative at pool
+/// sizes 1 and 4, with the robust term on and off, with and without the
+/// manifold term.
+TEST(RhchmeCore, ObjectiveTraceMatchesDenseReference) {
+  const data::MultiTypeRelationalData d = SmallData();
+  const fact::BlockStructure b = fact::BuildBlockStructure(d);
   RhchmeOptions opts = FastOptions();
   opts.max_iterations = 15;
-  opts.tolerance = 0.0;  // Fixed-length traces on both cores.
-
-  RhchmeOptions explicit_opts = opts;
-  explicit_opts.explicit_materialization = true;
-
-  Result<RhchmeResult> implicit_fit = Rhchme(opts).Fit(d);
-  Result<RhchmeResult> explicit_fit = Rhchme(explicit_opts).Fit(d);
-  ASSERT_TRUE(implicit_fit.ok());
-  ASSERT_TRUE(explicit_fit.ok());
-
-  const auto& ti = implicit_fit.value().hocc.objective_trace;
-  const auto& te = explicit_fit.value().hocc.objective_trace;
-  ASSERT_EQ(ti.size(), te.size());
-  for (std::size_t i = 0; i < ti.size(); ++i) {
-    const double rel = std::fabs(ti[i] - te[i]) / std::fabs(te[i]);
-    EXPECT_LT(rel, 1e-10) << "iteration " << i;
-  }
-  // The factored E_R must materialise to the explicit one.
-  EXPECT_LT(la::MaxAbsDiff(implicit_fit.value().ErrorMatrix(),
-                           explicit_fit.value().ErrorMatrix()),
-            1e-8);
-}
-
-TEST(RhchmeImplicitCore, LazyErrorMatrixMatchesFactoredForm) {
-  data::MultiTypeRelationalData d = SmallData();
-  Rhchme solver(FastOptions());
-  Result<RhchmeResult> r = solver.Fit(d);
-  ASSERT_TRUE(r.ok());
-  const RhchmeResult& res = r.value();
-  ASSERT_TRUE(res.HasErrorMatrix());
-  ASSERT_EQ(res.error_scale.size(), res.error_residual.rows());
-  const la::Matrix& e = res.ErrorMatrix();
-  ASSERT_EQ(e.rows(), res.error_residual.rows());
-  for (std::size_t i = 0; i < e.rows(); ++i) {
-    for (std::size_t j = 0; j < e.cols(); ++j) {
-      EXPECT_EQ(e(i, j), res.error_scale[i] * res.error_residual(i, j));
-    }
-  }
-  // The accessor caches: a second call hands back the same matrix.
-  EXPECT_EQ(&res.ErrorMatrix(), &e);
-}
-
-/// Acceptance gate of the memory-lean core: the default path allocates
-/// exactly two dense n x n matrices per fit — the joint R and the shared
-/// M/Q workspace. No dense E_R, no dense ensemble Laplacian, no dense ±
-/// parts (la::memstats counts every Matrix construction/Resize of at
-/// least n² doubles).
-TEST(RhchmeImplicitCore, FitAllocatesOnlyTwoDenseNxN) {
-  data::MultiTypeRelationalData d = SmallData();
-  fact::BlockStructure b = fact::BuildBlockStructure(d);
-  RhchmeOptions opts = FastOptions();
+  opts.tolerance = 0.0;  // Fixed-length traces on both sides.
   Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
   ASSERT_TRUE(e.ok());
-  const std::size_t n = b.total_objects();
-
-  Rhchme solver(opts);
-  la::memstats::StartTracking(n * n);
-  Result<RhchmeResult> r = solver.FitWithEnsemble(d, e.value());
-  la::memstats::StopTracking();
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(la::memstats::LargeAllocations(), 2u);
-}
-
-/// The implicit core's kernels (fold, scale reduction, sparse SpMM and
-/// Sandwich) all chunk independently of the pool size, so the full fit is
-/// bit-identical across thread counts.
-TEST(RhchmeImplicitCore, FitIsBitStableAcrossThreadCounts) {
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.max_iterations = 10;
-  opts.tolerance = 0.0;
-  auto fit = [&](int threads) {
-    ScopedNumThreads scoped(threads);
-    Result<RhchmeResult> r = Rhchme(opts).Fit(d);
-    EXPECT_TRUE(r.ok());
-    return std::move(r).value();
-  };
-  const RhchmeResult serial = fit(1);
-  const RhchmeResult threaded = fit(4);
-  EXPECT_EQ(serial.hocc.objective_trace, threaded.hocc.objective_trace);
-  EXPECT_EQ(la::MaxAbsDiff(serial.hocc.g, threaded.hocc.g), 0.0);
-  EXPECT_EQ(serial.error_scale, threaded.error_scale);
-  EXPECT_EQ(la::MaxAbsDiff(serial.error_residual, threaded.error_residual),
-            0.0);
-}
-
-/// Satellite guards: with the robust term off and lambda == 0, the fit
-/// must not touch E_R state or build Laplacian ± parts — on either core.
-TEST(RhchmeImplicitCore, DisabledTermsSkipTheirAllocations) {
-  data::MultiTypeRelationalData d = SmallData();
-  fact::BlockStructure b = fact::BuildBlockStructure(d);
-  RhchmeOptions opts = FastOptions();
-  opts.use_error_matrix = false;
-  opts.lambda = 0.0;
-  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
-  ASSERT_TRUE(e.ok());
-  const std::size_t n = b.total_objects();
-
-  for (bool explicit_core : {false, true}) {
-    RhchmeOptions core_opts = opts;
-    core_opts.explicit_materialization = explicit_core;
-    Rhchme solver(core_opts);
-    la::memstats::StartTracking(n * n);
-    Result<RhchmeResult> r = solver.FitWithEnsemble(d, e.value());
-    la::memstats::StopTracking();
-    ASSERT_TRUE(r.ok()) << "explicit_core=" << explicit_core;
-    // Joint R + the residual workspace; nothing else reaches n².
-    EXPECT_EQ(la::memstats::LargeAllocations(), 2u)
-        << "explicit_core=" << explicit_core;
-    EXPECT_FALSE(r.value().HasErrorMatrix());
-  }
-}
-
-// ---- Sparse-R solver core --------------------------------------------------
-
-/// Acceptance gate of the sparse-R core: the objective trace must agree
-/// with the implicit dense core within 1e-8 relative — at one and at four
-/// threads — on the synthetic three-type dataset. The cores share the
-/// update algebra but group the arithmetic differently (low-rank
-/// identities vs dense folds), so exact equality is not expected.
-TEST(RhchmeSparseCore, ObjectiveTraceMatchesImplicitCoreAtBothThreadCounts) {
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.max_iterations = 15;
-  opts.tolerance = 0.0;  // Fixed-length traces on both cores.
-
-  RhchmeOptions sparse_opts = opts;
-  sparse_opts.sparse_r = SparseRMode::kAlways;
-  RhchmeOptions dense_opts = opts;
-  dense_opts.sparse_r = SparseRMode::kNever;
-
-  for (int threads : {1, 4}) {
-    ScopedNumThreads scoped(threads);
-    Result<RhchmeResult> sparse_fit = Rhchme(sparse_opts).Fit(d);
-    Result<RhchmeResult> dense_fit = Rhchme(dense_opts).Fit(d);
-    ASSERT_TRUE(sparse_fit.ok()) << "threads=" << threads;
-    ASSERT_TRUE(dense_fit.ok()) << "threads=" << threads;
-
-    const auto& ts = sparse_fit.value().hocc.objective_trace;
-    const auto& td = dense_fit.value().hocc.objective_trace;
-    ASSERT_EQ(ts.size(), td.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      const double rel = std::fabs(ts[i] - td[i]) / std::fabs(td[i]);
-      EXPECT_LT(rel, 1e-8) << "iteration " << i << ", threads=" << threads;
-    }
-    // Same clustering out of both cores.
-    EXPECT_EQ(sparse_fit.value().hocc.labels, dense_fit.value().hocc.labels)
-        << "threads=" << threads;
-  }
-}
-
-/// ROADMAP item 4d: the joint R of MultiTypeRelationalData is symmetric
-/// by construction (every relation is mirrored into its transpose), so
-/// assume_symmetric_r — which reuses K = R·G for Rᵀ·G and runs the scaled
-/// transposed product as a forward SpMM — must reproduce the non-assuming
-/// sparse core to rounding: trace-match <= 1e-8 relative, same labels, at
-/// one and at four threads, with and without the robust term.
-TEST(RhchmeSparseCore, AssumeSymmetricRMatchesNonAssumingPath) {
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.max_iterations = 15;
-  opts.tolerance = 0.0;  // Fixed-length traces on both paths.
-  opts.sparse_r = SparseRMode::kAlways;
 
   for (bool robust : {true, false}) {
-    opts.use_error_matrix = robust;
-    RhchmeOptions sym_opts = opts;
-    sym_opts.assume_symmetric_r = true;
-    for (int threads : {1, 4}) {
-      ScopedNumThreads scoped(threads);
-      Result<RhchmeResult> base = Rhchme(opts).Fit(d);
-      Result<RhchmeResult> sym = Rhchme(sym_opts).Fit(d);
-      ASSERT_TRUE(base.ok()) << "threads=" << threads;
-      ASSERT_TRUE(sym.ok()) << "threads=" << threads;
-
-      const auto& tb = base.value().hocc.objective_trace;
-      const auto& ts = sym.value().hocc.objective_trace;
-      ASSERT_EQ(tb.size(), ts.size()) << "threads=" << threads;
-      for (std::size_t i = 0; i < tb.size(); ++i) {
-        const double rel = std::fabs(tb[i] - ts[i]) / std::fabs(tb[i]);
-        EXPECT_LT(rel, 1e-8)
-            << "iteration " << i << ", threads=" << threads
-            << ", robust=" << robust;
+    for (double lambda : {0.0, 1.0}) {
+      opts.use_error_matrix = robust;
+      opts.lambda = lambda;
+      const DenseReferenceFit want = DenseReferenceSolve(d, e.value(), opts);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("robust=" + std::to_string(robust) +
+                     " lambda=" + std::to_string(lambda) +
+                     " threads=" + std::to_string(threads));
+        ScopedNumThreads scoped(threads);
+        Result<RhchmeResult> got = Rhchme(opts).FitWithEnsemble(d, e.value());
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const auto& tg = got.value().hocc.objective_trace;
+        const auto& tw = want.objective_trace;
+        ASSERT_EQ(tg.size(), tw.size());
+        for (std::size_t i = 0; i < tg.size(); ++i) {
+          EXPECT_LT(std::fabs(tg[i] - tw[i]) / std::fabs(tw[i]), 1e-8)
+              << "iteration " << i;
+        }
+        EXPECT_LT(la::MaxAbsDiff(got.value().hocc.g, want.g), 1e-8);
       }
-      EXPECT_EQ(base.value().hocc.labels, sym.value().hocc.labels)
-          << "threads=" << threads << ", robust=" << robust;
     }
   }
 }
 
-/// The sparse-R fit must never allocate a dense n x n matrix — the whole
-/// point of the core. la::memstats counts every Matrix construction or
-/// Resize of >= n² doubles.
-TEST(RhchmeSparseCore, FitAllocatesZeroDenseNxN) {
-  data::MultiTypeRelationalData d = SmallData();
-  fact::BlockStructure b = fact::BuildBlockStructure(d);
-  RhchmeOptions opts = FastOptions();
-  opts.sparse_r = SparseRMode::kAlways;
-  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
-  ASSERT_TRUE(e.ok());
-  const std::size_t n = b.total_objects();
-
-  Rhchme solver(opts);
-  la::memstats::StartTracking(n * n);
-  Result<RhchmeResult> r = solver.FitWithEnsemble(d, e.value());
-  la::memstats::StopTracking();
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(la::memstats::LargeAllocations(), 0u);
-  EXPECT_TRUE(r.value().hocc.g.AllFinite());
-  EXPECT_TRUE(r.value().HasErrorMatrix());
-}
-
-TEST(RhchmeSparseCore, FitIsBitStableAcrossThreadCounts) {
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.sparse_r = SparseRMode::kAlways;
-  opts.max_iterations = 10;
-  opts.tolerance = 0.0;
-  auto fit = [&](int threads) {
-    ScopedNumThreads scoped(threads);
-    Result<RhchmeResult> r = Rhchme(opts).Fit(d);
-    EXPECT_TRUE(r.ok());
-    return std::move(r).value();
-  };
-  const RhchmeResult serial = fit(1);
-  const RhchmeResult threaded = fit(4);
-  EXPECT_EQ(serial.hocc.objective_trace, threaded.hocc.objective_trace);
-  EXPECT_EQ(la::MaxAbsDiff(serial.hocc.g, threaded.hocc.g), 0.0);
-  EXPECT_EQ(serial.error_scale, threaded.error_scale);
-}
-
-/// The factored sparse E_R materialises to the implicit core's dense one.
-TEST(RhchmeSparseCore, ErrorMatrixMatchesImplicitCore) {
-  data::MultiTypeRelationalData d = SmallData();
+/// The factored E_R materialises to the oracle's dense E_R.
+TEST(RhchmeCore, ErrorMatrixMatchesDenseReference) {
+  const data::MultiTypeRelationalData d = SmallData();
+  const fact::BlockStructure b = fact::BuildBlockStructure(d);
   RhchmeOptions opts = FastOptions();
   opts.max_iterations = 12;
   opts.tolerance = 0.0;
-  RhchmeOptions sparse_opts = opts;
-  sparse_opts.sparse_r = SparseRMode::kAlways;
-  Result<RhchmeResult> sparse_fit = Rhchme(sparse_opts).Fit(d);
-  Result<RhchmeResult> dense_fit = Rhchme(opts).Fit(d);
-  ASSERT_TRUE(sparse_fit.ok());
-  ASSERT_TRUE(dense_fit.ok());
-  ASSERT_TRUE(sparse_fit.value().HasErrorMatrix());
-  EXPECT_TRUE(sparse_fit.value().error_residual.empty());
-  EXPECT_GT(sparse_fit.value().error_sparse_r.nnz(), 0u);
-  EXPECT_LT(la::MaxAbsDiff(sparse_fit.value().ErrorMatrix(),
-                           dense_fit.value().ErrorMatrix()),
-            1e-8);
-}
-
-/// kAuto picks the core per dataset: a tf-idf-sparse block world (heavy
-/// dropout) runs sparse (zero dense n x n), the dense default block world
-/// stays on the implicit dense core (exactly two).
-TEST(RhchmeSparseCore, AutoModeSelectsByDensity) {
-  RhchmeOptions opts = FastOptions();
-  ASSERT_EQ(opts.sparse_r, SparseRMode::kAuto);
-
-  data::BlockWorldOptions sparse_world;
-  sparse_world.objects_per_type = {24, 18, 12};
-  sparse_world.n_classes = 3;
-  sparse_world.dropout = 0.97;
-  sparse_world.seed = 21;
-  data::MultiTypeRelationalData sparse_data =
-      data::GenerateBlockWorld(sparse_world).value();
-  ASSERT_LE(sparse_data.JointRDensity(), opts.sparse_r_density_threshold);
-
-  data::MultiTypeRelationalData dense_data = SmallData();
-  ASSERT_GT(dense_data.JointRDensity(), opts.sparse_r_density_threshold);
-
-  struct Case {
-    const data::MultiTypeRelationalData* data;
-    std::size_t expected_allocs;
-  };
-  for (const Case& c : {Case{&sparse_data, 0}, Case{&dense_data, 2}}) {
-    const data::MultiTypeRelationalData& data = *c.data;
-    const std::size_t expected_allocs = c.expected_allocs;
-    fact::BlockStructure b = fact::BuildBlockStructure(data);
-    Result<HeterogeneousEnsemble> e = BuildEnsemble(data, b, opts.ensemble);
-    ASSERT_TRUE(e.ok());
-    const std::size_t n = b.total_objects();
-    la::memstats::StartTracking(n * n);
-    Result<RhchmeResult> r = Rhchme(opts).FitWithEnsemble(data, e.value());
-    la::memstats::StopTracking();
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(la::memstats::LargeAllocations(), expected_allocs);
+  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
+  ASSERT_TRUE(e.ok());
+  Result<RhchmeResult> fit = Rhchme(opts).FitWithEnsemble(d, e.value());
+  ASSERT_TRUE(fit.ok());
+  const DenseReferenceFit want = DenseReferenceSolve(d, e.value(), opts);
+  const la::Matrix got = ErrorMatrix(d, fit.value());
+  ASSERT_EQ(got.rows(), want.error.rows());
+  EXPECT_LT(la::MaxAbsDiff(got, want.error), 1e-8);
+  // And it is exactly diag(s)·(R − G·S·Gᵀ) of the fit's own factors.
+  const la::Matrix q =
+      DenseResidual(DenseJointR(d), fit.value().hocc.g, fit.value().hocc.s);
+  for (std::size_t i = 0; i < q.rows(); ++i) {
+    for (std::size_t j = 0; j < q.cols(); ++j) {
+      EXPECT_NEAR(got(i, j), fit.value().error_scale[i] * q(i, j), 1e-12);
+    }
   }
 }
 
-/// Disabled robust term and lambda == 0 must also stay dense-free on the
-/// sparse core.
-TEST(RhchmeSparseCore, DisabledTermsStayAllocationFree) {
+// ---- Memory, determinism and disabled terms --------------------------------
+
+/// The fit allocates no dense n x n matrix at any fill: la::memstats
+/// counts every Matrix construction or Resize of at least n² doubles.
+TEST(RhchmeCore, FitAllocatesZeroDenseNxNAtEveryFill) {
+  data::BlockWorldOptions tfidf_world;
+  tfidf_world.objects_per_type = {24, 18, 12};
+  tfidf_world.n_classes = 3;
+  tfidf_world.dropout = 0.97;
+  tfidf_world.seed = 21;
+  const data::MultiTypeRelationalData block_world = SmallData();
+  const data::MultiTypeRelationalData tfidf =
+      data::GenerateBlockWorld(tfidf_world).value();
+  ASSERT_GT(block_world.JointRDensity(), 0.4);
+  ASSERT_LT(tfidf.JointRDensity(), 0.05);
+
+  for (const data::MultiTypeRelationalData* d : {&block_world, &tfidf}) {
+    const fact::BlockStructure b = fact::BuildBlockStructure(*d);
+    RhchmeOptions opts = FastOptions();
+    Result<HeterogeneousEnsemble> e = BuildEnsemble(*d, b, opts.ensemble);
+    ASSERT_TRUE(e.ok());
+    const std::size_t n = b.total_objects();
+    la::memstats::StartTracking(n * n);
+    Result<RhchmeResult> r = Rhchme(opts).FitWithEnsemble(*d, e.value());
+    la::memstats::StopTracking();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(la::memstats::LargeAllocations(), 0u)
+        << "density " << d->JointRDensity();
+    EXPECT_TRUE(r.value().hocc.g.AllFinite());
+    EXPECT_TRUE(r.value().HasErrorMatrix());
+  }
+}
+
+/// Every kernel of the loop chunks independently of the pool size, so the
+/// full fit is bit-identical across thread counts.
+TEST(RhchmeCore, FitIsBitStableAcrossThreadCounts) {
+  data::MultiTypeRelationalData d = SmallData();
+  RhchmeOptions opts = FastOptions();
+  opts.max_iterations = 10;
+  opts.tolerance = 0.0;
+  auto fit = [&](int threads) {
+    ScopedNumThreads scoped(threads);
+    Result<RhchmeResult> r = Rhchme(opts).Fit(d);
+    EXPECT_TRUE(r.ok());
+    return std::move(r).value();
+  };
+  const RhchmeResult serial = fit(1);
+  const RhchmeResult threaded = fit(4);
+  EXPECT_EQ(serial.hocc.objective_trace, threaded.hocc.objective_trace);
+  EXPECT_EQ(la::MaxAbsDiff(serial.hocc.g, threaded.hocc.g), 0.0);
+  EXPECT_EQ(la::MaxAbsDiff(serial.hocc.s, threaded.hocc.s), 0.0);
+  EXPECT_EQ(serial.error_scale, threaded.error_scale);
+}
+
+/// With the robust term off and lambda == 0 the fit keeps no E_R state
+/// and builds no Laplacian ± parts — and still allocates nothing n x n.
+TEST(RhchmeCore, DisabledTermsStayAllocationFree) {
   data::MultiTypeRelationalData d = SmallData();
   fact::BlockStructure b = fact::BuildBlockStructure(d);
   RhchmeOptions opts = FastOptions();
-  opts.sparse_r = SparseRMode::kAlways;
   opts.use_error_matrix = false;
   opts.lambda = 0.0;
   Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
@@ -643,137 +456,134 @@ TEST(RhchmeSparseCore, DisabledTermsStayAllocationFree) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(la::memstats::LargeAllocations(), 0u);
   EXPECT_FALSE(r.value().HasErrorMatrix());
-  EXPECT_TRUE(r.value().ErrorMatrix().empty());
+  EXPECT_TRUE(r.value().error_scale.empty());
 }
 
-/// Theorem 1 holds on the sparse core too: same updates, different
-/// arithmetic grouping.
-TEST(RhchmeSparseCore, ObjectiveMonotonicallyDecreases) {
+// ---- The objective helper --------------------------------------------------
+
+/// Fed the fit's own factors, the objective helper reproduces the
+/// solver's last trace entry, with and without the robust term.
+TEST(RhchmeObjective, MatchesFinalTraceValue) {
   data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.sparse_r = SparseRMode::kAlways;
-  opts.normalize_rows = false;
-  opts.max_iterations = 30;
-  opts.tolerance = 0.0;
-  Rhchme solver(opts);
-  Result<RhchmeResult> r = solver.Fit(d);
-  ASSERT_TRUE(r.ok());
-  const auto& trace = r.value().hocc.objective_trace;
-  ASSERT_GE(trace.size(), 5u);
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    EXPECT_LE(trace[i], trace[i - 1] * (1.0 + 1e-7))
-        << "objective rose at iteration " << i;
+  for (bool robust : {true, false}) {
+    RhchmeOptions opts = FastOptions();
+    opts.use_error_matrix = robust;
+    opts.max_iterations = 8;
+    opts.tolerance = 0.0;
+    Result<RhchmeResult> r = Rhchme(opts).Fit(d);
+    ASSERT_TRUE(r.ok());
+    const RhchmeResult& res = r.value();
+    const double objective = RhchmeObjective(
+        d.BuildJointRSparse(), res.hocc.g, res.hocc.s, res.error_scale,
+        res.ensemble.laplacian, opts.lambda, opts.beta);
+    const double traced = res.hocc.objective_trace.back();
+    EXPECT_NEAR(objective, traced, 1e-8 * std::fabs(traced))
+        << "robust=" << robust;
   }
 }
 
-/// The standalone sparse-R objective overload, fed the sparse fit's own
-/// factors, must reproduce the solver's last trace entry.
-TEST(RhchmeObjective, SparseROverloadMatchesSparseFitTrace) {
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.sparse_r = SparseRMode::kAlways;
-  opts.max_iterations = 8;
-  opts.tolerance = 0.0;
-  Rhchme solver(opts);
-  Result<RhchmeResult> r = solver.Fit(d);
-  ASSERT_TRUE(r.ok());
-  const RhchmeResult& res = r.value();
-  const double objective = RhchmeObjective(
-      d.BuildJointRSparse(), res.hocc.g, res.hocc.s, res.error_scale,
-      res.ensemble.laplacian, opts.lambda, opts.beta);
-  const double traced = res.hocc.objective_trace.back();
-  EXPECT_NEAR(objective, traced, 1e-8 * std::fabs(traced));
-}
-
-/// And with the robust term off, the overload's E_R = 0 form must match
-/// the dense no-error objective.
-TEST(RhchmeObjective, SparseROverloadMatchesDenseWithoutError) {
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.use_error_matrix = false;
-  opts.max_iterations = 5;
-  opts.tolerance = 0.0;
-  Rhchme solver(opts);
-  Result<RhchmeResult> r = solver.Fit(d);
-  ASSERT_TRUE(r.ok());
-  const RhchmeResult& res = r.value();
-  const double sparse_obj = RhchmeObjective(
-      d.BuildJointRSparse(), res.hocc.g, res.hocc.s, {},
-      res.ensemble.laplacian, opts.lambda, opts.beta);
-  const double dense_obj = RhchmeObjective(
-      d.BuildJointR(), res.hocc.g, res.hocc.s, la::Matrix(),
-      res.ensemble.laplacian, opts.lambda, opts.beta);
-  EXPECT_NEAR(sparse_obj, dense_obj, 1e-8 * std::fabs(dense_obj));
-}
-
-// ---- Lazy ErrorMatrix thread-safety ----------------------------------------
-
-/// Regression for the lazy-build race: concurrent const readers must all
-/// see the same cached matrix (the build is internally synchronised, like
-/// SparseMatrix::BuildCscMirror). Run under TSan in CI.
-TEST(RhchmeResult, ErrorMatrixIsSafeUnderConcurrentConstReads) {
-  data::MultiTypeRelationalData d = SmallData();
-  Rhchme solver(FastOptions());
-  Result<RhchmeResult> r = solver.Fit(d);
-  ASSERT_TRUE(r.ok());
-  const RhchmeResult& res = r.value();
-  ASSERT_TRUE(res.HasErrorMatrix());
-
-  constexpr int kReaders = 8;
-  std::vector<const la::Matrix*> seen(kReaders, nullptr);
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int i = 0; i < kReaders; ++i) {
-    readers.emplace_back([&res, &seen, i] { seen[i] = &res.ErrorMatrix(); });
-  }
-  for (std::thread& t : readers) t.join();
-  for (int i = 1; i < kReaders; ++i) {
-    EXPECT_EQ(seen[i], seen[0]) << "reader " << i;
-  }
-  // The built matrix matches the factored form.
-  const la::Matrix& e = *seen[0];
-  ASSERT_EQ(e.rows(), res.error_residual.rows());
-  for (std::size_t i = 0; i < e.rows(); ++i) {
-    for (std::size_t j = 0; j < e.cols(); ++j) {
-      EXPECT_EQ(e(i, j), res.error_scale[i] * res.error_residual(i, j));
-    }
-  }
-}
-
-TEST(RhchmeObjective, SparseOverloadMatchesFinalTraceValue) {
-  // The public Eq. 15 helper, fed the fit's own factors and its sparse
-  // ensemble Laplacian, must reproduce the solver's last trace entry.
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.max_iterations = 8;
-  opts.tolerance = 0.0;
-  Rhchme solver(opts);
-  Result<RhchmeResult> r = solver.Fit(d);
-  ASSERT_TRUE(r.ok());
-  const RhchmeResult& res = r.value();
-  const double objective = RhchmeObjective(
-      d.BuildJointR(), res.hocc.g, res.hocc.s, res.ErrorMatrix(),
-      res.ensemble.laplacian, opts.lambda, opts.beta);
-  const double traced = res.hocc.objective_trace.back();
-  EXPECT_NEAR(objective, traced, 1e-8 * std::fabs(traced));
-}
-
-TEST(RhchmeObjective, MatchesManualEvaluation) {
+/// The analytic evaluation against the oracle's entry-by-entry Eq. 15 on
+/// arbitrary factors (no fit involved): random R, G, S and E_R scales.
+TEST(RhchmeObjective, MatchesDirectEvaluation) {
   Rng rng(5);
   const std::size_t n = 10, c = 3;
   la::Matrix r = la::Matrix::RandomUniform(n, n, &rng);
   la::Matrix g = la::Matrix::RandomUniform(n, c, &rng);
   la::Matrix s = la::Matrix::RandomNormal(c, c, &rng);
-  la::Matrix e = la::Matrix::RandomUniform(n, n, &rng, 0.0, 0.1);
+  std::vector<double> scale(n);
+  for (double& v : scale) v = rng.Uniform(0.0, 1.0);
   la::Matrix lap = la::Matrix::Identity(n);
-  la::Matrix resid = la::MultiplyNT(la::Multiply(g, s), g);
-  resid.Scale(-1.0);
-  resid.Add(r);
-  resid.Sub(e);
-  const double expected =
-      resid.FrobeniusNormSquared() + 2.0 * e.L21Norm() +
-      3.0 * la::FrobeniusInner(la::Multiply(lap, g), g);
-  EXPECT_NEAR(RhchmeObjective(r, g, s, e, lap, 3.0, 2.0), expected, 1e-8);
+  la::Matrix e = DenseResidual(r, g, s);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) e(i, j) *= scale[i];
+  }
+  const double expected = DenseObjective(r, g, s, e, lap, 3.0, 2.0);
+  const double got =
+      RhchmeObjective(la::SparseMatrix::FromDense(r), g, s, scale,
+                      la::SparseMatrix::FromDense(lap), 3.0, 2.0);
+  EXPECT_NEAR(got, expected, 1e-9 * std::fabs(expected));
+  // E_R = 0 form.
+  EXPECT_NEAR(RhchmeObjective(la::SparseMatrix::FromDense(r), g, s, {},
+                              la::SparseMatrix::FromDense(lap), 3.0, 2.0),
+              DenseObjective(r, g, s, la::Matrix(), lap, 3.0, 2.0), 1e-9);
+}
+
+/// Catastrophic cancellation in ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ +
+/// h_i·(GᵀG)·h_iᵀ: on an exactly rank-c R = G₀·S₀·Gᵀ₀ every residual
+/// row is zero, so the identity subtracts equal O(‖r_i‖²) terms and lands
+/// on ±rounding. The clamp at zero keeps the objective finite; without
+/// it a slightly negative row yields sqrt(negative) = NaN.
+TEST(RhchmeObjective, ExactReconstructionStaysFiniteAndMatchesDirectNorms) {
+  // Three types, G₀ block-diagonal with rows on the simplex, S₀ with zero
+  // diagonal type blocks and S₀ = S₀ᵀ — so R has the joint-R block
+  // pattern and can be stored as inter-type relations.
+  const std::vector<std::size_t> counts = {30, 24, 18};
+  const std::vector<std::size_t> clusters = {3, 2, 4};
+  Rng rng(77);
+  data::MultiTypeRelationalData d;
+  std::vector<la::Matrix> gk;
+  for (std::size_t k = 0; k < counts.size(); ++k) {
+    la::Matrix block = la::Matrix::RandomUniform(counts[k], clusters[k], &rng,
+                                                 0.05, 1.0);
+    for (std::size_t i = 0; i < block.rows(); ++i) {
+      double sum = 0.0;
+      for (std::size_t j = 0; j < block.cols(); ++j) sum += block(i, j);
+      for (std::size_t j = 0; j < block.cols(); ++j) block(i, j) /= sum;
+    }
+    gk.push_back(block);
+    d.AddType({"t" + std::to_string(k), counts[k], clusters[k], {}, {}});
+  }
+  const fact::BlockStructure b = fact::BuildBlockStructure(d);
+  la::Matrix g0(b.total_objects(), b.total_clusters());
+  la::Matrix s0(b.total_clusters(), b.total_clusters());
+  for (std::size_t k = 0; k < counts.size(); ++k) {
+    g0.SetBlock(b.type_offset[k], b.cluster_offset[k], gk[k]);
+    for (std::size_t l = k + 1; l < counts.size(); ++l) {
+      const la::Matrix skl =
+          la::Matrix::RandomUniform(clusters[k], clusters[l], &rng, 1.0, 9.0);
+      s0.SetBlock(b.cluster_offset[k], b.cluster_offset[l], skl);
+      s0.SetBlock(b.cluster_offset[l], b.cluster_offset[k], skl.Transposed());
+      ASSERT_TRUE(d.SetRelation(
+          k, l, la::MultiplyNT(la::Multiply(gk[k], skl), gk[l])).ok());
+    }
+  }
+  const la::SparseMatrix r = d.BuildJointRSparse();
+  const la::Matrix r_dense = DenseJointR(d);
+  const la::Matrix q = DenseResidual(r_dense, g0, s0);
+  const std::size_t n = b.total_objects();
+  const la::SparseMatrix no_lap(la::SparseMatrix::FromDense(la::Matrix(n, n)));
+
+  // Data term alone (E_R = 0), and with E_R scales at beta = 0: every
+  // term is a squared norm, so the analytic value must sit within 1e-9 of
+  // the direct one. (The ℓ2,1 term takes square roots of the rounding
+  // residue and is only required to stay finite.)
+  std::vector<double> scale(n);
+  for (double& v : scale) v = rng.Uniform(0.1, 0.9);
+  la::Matrix e = q;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) e(i, j) *= scale[i];
+  }
+  const double direct_plain =
+      DenseObjective(r_dense, g0, s0, la::Matrix(), la::Matrix(n, n), 0.0, 0.0);
+  const double direct_scaled =
+      DenseObjective(r_dense, g0, s0, e, la::Matrix(n, n), 0.0, 0.0);
+  const double plain = RhchmeObjective(r, g0, s0, {}, no_lap, 0.0, 0.0);
+  const double scaled = RhchmeObjective(r, g0, s0, scale, no_lap, 0.0, 0.0);
+  ASSERT_TRUE(std::isfinite(plain));
+  ASSERT_TRUE(std::isfinite(scaled));
+  EXPECT_NEAR(plain, direct_plain, 1e-9);
+  EXPECT_NEAR(scaled, direct_scaled, 1e-9);
+  EXPECT_TRUE(std::isfinite(RhchmeObjective(r, g0, s0, scale, no_lap, 0.0,
+                                            300.0)));
+
+  // The dense E_R built from the same factors matches the oracle's.
+  RhchmeResult fit;
+  fit.hocc.g = g0;
+  fit.hocc.s = s0;
+  fit.error_scale = scale;
+  const la::Matrix got = ErrorMatrix(d, fit);
+  ASSERT_TRUE(got.AllFinite());
+  EXPECT_LT(la::MaxAbsDiff(got, e), 1e-9);
 }
 
 }  // namespace

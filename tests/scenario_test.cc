@@ -58,11 +58,7 @@ TEST(ScenarioGridOptions, ValidatesAxesAndMethods) {
   EXPECT_FALSE(bad.Validate().ok());
 
   bad = TinyGrid();
-  bad.rhchme_variants = {{"semi", "exact"}};
-  EXPECT_FALSE(bad.Validate().ok());
-
-  bad = TinyGrid();
-  bad.rhchme_variants = {{"implicit", "annoy"}};
+  bad.rhchme_variants = {{"annoy"}};
   EXPECT_FALSE(bad.Validate().ok());
 
   bad = TinyGrid();
@@ -80,7 +76,7 @@ TEST(RunScenarioGrid, NonFiniteModeRunsGuardedVariantsOnly) {
   opts.corruption_modes = {data::RowCorruptionMode::kSpike,
                            data::RowCorruptionMode::kNonFinite};
   opts.methods = {"RHCHME", "SNMTF"};
-  opts.rhchme_variants = {{"implicit", "exact"}};
+  opts.rhchme_variants = {{"exact"}};
 
   Result<ScenarioReport> report = RunScenarioGrid(opts);
   ASSERT_TRUE(report.ok()) << report.status().message();
@@ -109,7 +105,7 @@ TEST(RunScenarioGrid, CoversEveryCellMethodAndVariant) {
   opts.corruption_fractions = {0.0, 0.2};
   opts.seeds = {1, 2};
   opts.methods = {"RHCHME", "SNMTF"};
-  opts.rhchme_variants = {{"implicit", "exact"}, {"sparse", "exact"}};
+  opts.rhchme_variants = {{"exact"}, {"descent"}};
 
   Result<ScenarioReport> report = RunScenarioGrid(opts);
   ASSERT_TRUE(report.ok()) << report.status().message();
@@ -126,27 +122,30 @@ TEST(RunScenarioGrid, CoversEveryCellMethodAndVariant) {
   // Cells are ordered (imbalance, corruption, sparsity, method) with
   // RHCHME variants expanded in listed order.
   EXPECT_EQ(cells[0].corruption, 0.0);
-  EXPECT_EQ(cells[0].variant, "implicit+exact");
-  EXPECT_EQ(cells[1].variant, "sparse+exact");
+  EXPECT_EQ(cells[0].variant, "exact");
+  EXPECT_EQ(cells[1].variant, "descent");
   EXPECT_EQ(cells[2].method, "SNMTF");
+  EXPECT_EQ(cells[2].variant, "");
   EXPECT_EQ(cells[3].corruption, 0.2);
+}
 
-  // The implicit and sparse-R cores solve the same objective and must
-  // trace-match: identical labels, identical seed-averaged metrics.
-  EXPECT_EQ(cells[0].nmi, cells[1].nmi);
-  EXPECT_EQ(cells[3].nmi, cells[4].nmi);
+TEST(DefaultRhchmeVariants, OneSlotPerGraphBackend) {
+  const std::vector<RhchmeVariant> variants = DefaultRhchmeVariants();
+  ASSERT_EQ(variants.size(), 2u);
+  EXPECT_EQ(variants[0].Name(), "exact");
+  EXPECT_EQ(variants[1].Name(), "descent");
 }
 
 TEST(RunScenarioGrid, BlockWorldWorkloadRuns) {
   ScenarioGridOptions opts = TinyGrid();
   opts.workload = ScenarioWorkload::kBlockWorld;
   opts.methods = {"RHCHME", "DR-T"};
-  opts.rhchme_variants = {{"implicit", "descent"}};
+  opts.rhchme_variants = {{"descent"}};
 
   Result<ScenarioReport> report = RunScenarioGrid(opts);
   ASSERT_TRUE(report.ok()) << report.status().message();
   ASSERT_EQ(report.value().cells.size(), 2u);
-  EXPECT_EQ(report.value().cells[0].variant, "implicit+descent");
+  EXPECT_EQ(report.value().cells[0].variant, "descent");
   EXPECT_EQ(report.value().cells[1].method, "DR-T");
 }
 
@@ -155,7 +154,7 @@ TEST(RunScenarioGrid, BlockWorldWorkloadRuns) {
 TEST(RunScenarioGrid, BitIdenticalAcrossThreadCounts) {
   ScenarioGridOptions opts = TinyGrid();
   opts.methods = {"RHCHME", "DR-T", "SRC", "SNMTF", "RMC"};
-  opts.rhchme_variants = {{"implicit", "exact"}, {"implicit", "descent"}};
+  opts.rhchme_variants = {{"exact"}, {"descent"}};
 
   Result<ScenarioReport> one(Status::Internal("unset"));
   Result<ScenarioReport> four(Status::Internal("unset"));

@@ -141,52 +141,44 @@ TEST(Sparse, RowNormsSquaredEmptyAndZeroRows) {
   EXPECT_EQ(norms[2], 0.0);
 }
 
-TEST(Sparse, TransposedScaledDenseMatchesDenseOnBothPaths) {
-  // Aᵀ·diag(d)·B against the dense reference, on the scatter fallback and
-  // on the CSC gather path.
-  Rng rng(32);
-  Matrix a = RandomSparseDense(8, 6, 0.5, 32);
-  Matrix b = Matrix::RandomNormal(8, 3, &rng);
-  std::vector<double> d(8);
-  for (double& v : d) v = rng.Uniform(-1.0, 2.0);
-  Matrix expected(6, 3);
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t r = 0; r < 6; ++r) {
-      for (std::size_t c = 0; c < 3; ++c) {
-        expected(r, c) += a(i, r) * d[i] * b(i, c);
-      }
-    }
-  }
-  SparseMatrix sparse = SparseMatrix::FromDense(a);
-  Matrix got;
-  sparse.MultiplyTransposedScaledDenseInto(d, b, &got);  // Scatter path.
-  EXPECT_LT(MaxAbsDiff(got, expected), 1e-12);
-  sparse.BuildCscMirror();
-  Matrix got_csc;
-  sparse.MultiplyTransposedScaledDenseInto(d, b, &got_csc);  // Gather path.
-  EXPECT_LT(MaxAbsDiff(got_csc, expected), 1e-12);
+TEST(Sparse, FromCsrAdoptsValidArrays) {
+  // [[0 2 0], [0 0 0], [1 0 3]] handed over as raw CSR.
+  Result<SparseMatrix> m =
+      SparseMatrix::FromCsr(3, 3, {0, 1, 1, 3}, {1, 0, 2}, {2.0, 1.0, 3.0});
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(m.value().nnz(), 3u);
+  EXPECT_EQ(m.value().At(0, 1), 2.0);
+  EXPECT_EQ(m.value().At(2, 0), 1.0);
+  EXPECT_EQ(m.value().At(2, 2), 3.0);
+  EXPECT_EQ(m.value().At(1, 1), 0.0);
+  // Same arrays as the triplet builder.
+  const SparseMatrix t = SparseMatrix::FromTriplets(
+      3, 3, {{2, 2, 3.0}, {0, 1, 2.0}, {2, 0, 1.0}});
+  EXPECT_EQ(m.value().row_offsets(), t.row_offsets());
+  EXPECT_EQ(m.value().col_indices(), t.col_indices());
+  EXPECT_EQ(m.value().values(), t.values());
+  // Empty shapes are fine.
+  EXPECT_TRUE(SparseMatrix::FromCsr(0, 0, {0}, {}, {}).ok());
 }
 
-TEST(Sparse, TransposedScaledDenseBitStableAcrossThreadCounts) {
-  Rng rng(33);
-  Matrix a = RandomSparseDense(64, 40, 0.2, 33);
-  Matrix b = Matrix::RandomNormal(64, 5, &rng);
-  std::vector<double> d(64);
-  for (double& v : d) v = rng.Uniform(0.0, 1.0);
-  SparseMatrix sparse = SparseMatrix::FromDense(a);
-  auto run = [&](int threads, bool mirror) {
-    ScopedNumThreads scoped(threads);
-    SparseMatrix m = sparse;
-    if (mirror) m.BuildCscMirror();
-    Matrix out;
-    m.MultiplyTransposedScaledDenseInto(d, b, &out);
-    return out;
+TEST(Sparse, FromCsrRejectsMalformedArrays) {
+  auto code = [](std::size_t rows, std::size_t cols,
+                 std::vector<std::size_t> offsets,
+                 std::vector<std::size_t> col_idx, std::vector<double> vals) {
+    return SparseMatrix::FromCsr(rows, cols, std::move(offsets),
+                                 std::move(col_idx), std::move(vals))
+        .status()
+        .code();
   };
-  for (bool mirror : {false, true}) {
-    Matrix serial = run(1, mirror);
-    Matrix threaded = run(4, mirror);
-    EXPECT_EQ(MaxAbsDiff(serial, threaded), 0.0) << "mirror=" << mirror;
-  }
+  const StatusCode bad = StatusCode::kInvalidArgument;
+  EXPECT_EQ(code(2, 2, {0, 1}, {0}, {1.0}), bad);           // Short offsets.
+  EXPECT_EQ(code(2, 2, {1, 1, 1}, {0}, {1.0}), bad);        // Not from 0.
+  EXPECT_EQ(code(2, 2, {0, 2, 1}, {0}, {1.0}), bad);        // Decreasing.
+  EXPECT_EQ(code(2, 2, {0, 1, 2}, {0}, {1.0, 2.0}), bad);   // Short cols.
+  EXPECT_EQ(code(2, 2, {0, 1, 2}, {0, 1}, {1.0}), bad);     // Short values.
+  EXPECT_EQ(code(2, 2, {0, 1, 1}, {2}, {1.0}), bad);        // Column range.
+  EXPECT_EQ(code(1, 3, {0, 2}, {1, 1}, {1.0, 2.0}), bad);   // Duplicate.
+  EXPECT_EQ(code(1, 3, {0, 2}, {2, 0}, {1.0, 2.0}), bad);   // Unsorted.
 }
 
 TEST(Sparse, RowSumsMatchDense) {

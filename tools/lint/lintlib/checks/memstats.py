@@ -1,7 +1,7 @@
 """Memstats-accounting check.
 
 The solver-memory arc (PRs 3 and 5) is pinned by la::memstats: tests
-prove the implicit and sparse-R cores never materialise a dense n x n
+prove the solver core never materialises a dense n x n
 working set by counting large allocations at the la::Matrix seam. That
 proof only holds while every dense product-shaped buffer actually goes
 through Matrix (whose constructor and Resize call

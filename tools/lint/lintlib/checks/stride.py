@@ -18,8 +18,7 @@ through row_ptr(i) / operator()(i, j), which are stride-correct by
 construction.
 
 Receiver typing is a file-scoped token heuristic (declarations tracked
-through brace/paren scopes); the libclang engine, when available,
-replaces it with real type information. std::vector / AlignedVector
+through brace/paren scopes). std::vector / AlignedVector
 data() is 1-D and exempt by construction — only Matrix receivers are
 flagged.
 """
@@ -58,17 +57,6 @@ def _matrix_decl_positions(toks):
 
 def run(ctx):
     toks = ctx.source.tokens
-
-    # Type-aware mode: the clang engine resolved real receiver types.
-    clang_index = getattr(ctx, "clang_index", None)
-    if clang_index is not None and ctx.relpath in clang_index:
-        for line in sorted(set(clang_index[ctx.relpath])):
-            ctx.report(line, NAME,
-                       "raw la::Matrix::data() use (libclang-resolved): "
-                       "rows are stride()-spaced with zero padding; use "
-                       "row_ptr()/operator() or annotate "
-                       "// lint:stride-ok(<reason>)")
-        return
 
     n = len(toks)
 

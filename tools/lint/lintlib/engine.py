@@ -74,19 +74,13 @@ def discover_files(root, roots=DEFAULT_ROOTS):
     return sorted(out)
 
 
-def lint_file(path, root, checks, clang_index=None):
-    """Runs `checks` over one file; returns (violations, warnings).
-
-    `clang_index`, when provided by the clang engine, maps relpath ->
-    precise line sets used by type-aware checks; token-level checks
-    ignore it.
-    """
+def lint_file(path, root, checks):
+    """Runs `checks` over one file; returns (violations, warnings)."""
     with open(path, "r", encoding="utf-8", errors="replace") as f:
         text = f.read()
     relpath = os.path.relpath(path, root).replace(os.sep, "/")
     source = tokens.SourceFile(relpath, text)
     ctx = CheckContext(source=source, relpath=relpath)
-    ctx.clang_index = clang_index
     active_names = set()
     for check in checks:
         if check.allows(relpath):
@@ -96,8 +90,7 @@ def lint_file(path, root, checks, clang_index=None):
 
     warnings = []
     # Annotation hygiene: a reason is mandatory, and an annotation that
-    # suppresses nothing is stale (kept as a warning: engine precision
-    # may legitimately differ between the token and clang backends).
+    # suppresses nothing is stale (kept as a warning, not a violation).
     for line, anns in sorted(source.annotations.items()):
         for name, reason in anns:
             if name not in {c.NAME for c in checks}:
@@ -116,12 +109,12 @@ def lint_file(path, root, checks, clang_index=None):
     return ctx.violations, warnings
 
 
-def run(root, checks, files=None, clang_index=None):
+def run(root, checks, files=None):
     """Lints `files` (or the default tree under `root`)."""
     paths = files if files else discover_files(root)
     all_violations, all_warnings = [], []
     for path in paths:
-        violations, warnings = lint_file(path, root, checks, clang_index)
+        violations, warnings = lint_file(path, root, checks)
         all_violations.extend(violations)
         all_warnings.extend(warnings)
     return all_violations, all_warnings

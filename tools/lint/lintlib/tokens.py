@@ -7,10 +7,6 @@ annotation side channel. Comments, string literals (including raw
 strings) and character literals are consumed so their contents can never
 produce false tokens; preprocessor lines are kept as single tokens so
 checks can see #include targets.
-
-The clang engine (lintlib/clang_engine.py) refines receiver typing when
-libclang is importable; this tokenizer is the always-available contract
-that CI relies on.
 """
 
 import re

@@ -15,11 +15,6 @@ mandatory — the annotation is the audit trail):
   copy         no by-value returns of stored matrices, no non-const
                reference accessors on shared state (the PR 5 bug class)
 
-Engines: `--engine tokens` (pure-Python lexer, always available — the CI
-contract) or `--engine clang` (libclang type resolution for stride
-receivers, used when the bindings are importable). Default `auto`
-prefers clang when present, with identical reporting either way.
-
 Usage:
   python3 tools/lint/rhchme_lint.py                  # lint the tree
   python3 tools/lint/rhchme_lint.py src/foo.cc ...   # specific files
@@ -34,7 +29,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from lintlib import checks, clang_engine, engine  # noqa: E402
+from lintlib import checks, engine  # noqa: E402
 
 
 def main():
@@ -50,14 +45,6 @@ def main():
     parser.add_argument("--check", action="append", default=None,
                         metavar="NAME",
                         help="run only this check (repeatable)")
-    parser.add_argument("--engine", choices=("auto", "tokens", "clang"),
-                        default="auto",
-                        help="receiver-typing engine for the stride check "
-                             "(default: auto = clang if importable, else "
-                             "tokens)")
-    parser.add_argument("--compile-commands", default=None,
-                        help="compile_commands.json for the clang engine "
-                             "(default: <root>/build/compile_commands.json)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write results as JSON")
     parser.add_argument("--quiet", action="store_true",
@@ -92,19 +79,7 @@ def main():
                   file=sys.stderr)
             return 2
 
-    clang_index = None
-    if args.engine in ("auto", "clang"):
-        paths = files or engine.discover_files(root)
-        clang_index = clang_engine.build_index(root, paths,
-                                               args.compile_commands)
-        if clang_index is None and args.engine == "clang":
-            print("error: --engine clang requested but the libclang "
-                  "bindings are unavailable (pip module 'clang' + "
-                  "libclang.so)", file=sys.stderr)
-            return 2
-
-    violations, warnings = engine.run(root, active, files=files,
-                                      clang_index=clang_index)
+    violations, warnings = engine.run(root, active, files=files)
 
     for w in warnings:
         print(f"warning: {w}")
@@ -123,10 +98,9 @@ def main():
         return 1
     if not args.quiet:
         scanned = files or engine.discover_files(root)
-        mode = "clang" if clang_index is not None else "tokens"
         print(f"OK: {len(scanned)} file(s) clean under "
               f"{', '.join(c.NAME for c in active)} "
-              f"({mode} engine; {len(warnings)} warning(s)).")
+              f"({len(warnings)} warning(s)).")
     return 0
 
 

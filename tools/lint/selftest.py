@@ -9,9 +9,6 @@ Contract, by filename convention under tools/lint/fixtures/<check>/:
 
 The special fixtures/annotations/ corpus pins the annotation grammar:
 empty reasons are violations, stale and unknown annotations warn.
-
-Runs the token engine only: it is the always-available contract CI
-gates on; the clang engine is a best-effort refinement on top.
 """
 
 import os
@@ -28,7 +25,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 
 def lint(path):
-    return engine.lint_file(path, ROOT, checks.ALL_CHECKS, clang_index=None)
+    return engine.lint_file(path, ROOT, checks.ALL_CHECKS)
 
 
 def main():

@@ -20,11 +20,14 @@
 //   rhchme_cli run RHCHME /tmp/d1 /tmp/d1_labels.csv
 //   rhchme_cli --force_isa=scalar compare /tmp/d1
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "rhchme/rhchme.h"
 
@@ -120,8 +123,24 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(diag.solve_ridge_retries),
           static_cast<unsigned long long>(diag.degraded_stops));
     }
-    labels = fit.value().hocc.labels;
-    seconds = fit.value().hocc.seconds;
+    // A fit that ran out of iterations before meeting the tolerance says
+    // so; a degraded stop is already reported above.
+    const fact::HoccResult& hocc = fit.value().hocc;
+    if (!hocc.converged && diag.degraded_stops == 0) {
+      const core::RhchmeOptions& opts = solver.options();
+      const std::vector<double>& trace = hocc.objective_trace;
+      double rel = 0.0;
+      if (trace.size() >= 2) {
+        const double prev = trace[trace.size() - 2];
+        rel = std::fabs(prev - trace.back()) / std::max(1.0, std::fabs(prev));
+      }
+      std::fprintf(stderr,
+                   "warning: RHCHME stopped at max_iterations=%d without "
+                   "meeting tolerance %g (last relative change %.2g)\n",
+                   opts.max_iterations, opts.tolerance, rel);
+    }
+    labels = hocc.labels;
+    seconds = hocc.seconds;
   } else if (method == "SRC") {
     Result<fact::HoccResult> fit =
         baselines::RunSrc(data.value(), baselines::SrcOptions{});

@@ -1,7 +1,7 @@
 // Robustness scenario-matrix runner (ROADMAP item 5).
 //
 // Sweeps corruption fraction x relation sparsity x class imbalance over
-// RHCHME (solver cores x graph backends) and the four baselines, then
+// RHCHME (on both graph backends) and the four baselines, then
 // writes QUALITY_scenarios.json for tools/quality_compare.py — the
 // quality twin of bench_kernels + tools/bench_compare.py.
 //
