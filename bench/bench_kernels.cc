@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -294,6 +295,31 @@ void BM_SparseTransposedDenseCsc(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseTransposedDenseCsc)->UseRealTime()
     ->Arg(1024)->Arg(4096)->Arg(16384);
+
+void BM_SparseDenseNarrow(benchmark::State& state) {
+  // The solver's SpMM: forward CSR·G with a narrow G (c columns) — the
+  // shape of K = R·G, R·(diag(s)·G) and L±·G in every iteration. Each c
+  // runs at the workload it comes from: c=9 at block-world fill (n=1800,
+  // ~43%), c=24 at tf-idf fill (n=2800, ~4.5%), c=30 at D4 fill
+  // (n=1600, ~23%). Columns are drawn with replacement and duplicates
+  // merged, so −n·ln(1−fill) draws per row give the target fill.
+  const auto c = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = c == 9 ? 1800 : c == 24 ? 2800 : 1600;
+  const double fill = c == 9 ? 0.43 : c == 24 ? 0.045 : 0.23;
+  const auto draws =
+      static_cast<std::size_t>(-static_cast<double>(n) * std::log1p(-fill));
+  la::SparseMatrix r = RandomSparse(n, n, draws, 18);
+  la::Matrix g = RandomMatrix(n, c, 19);
+  la::Matrix out;
+  for (auto _ : state) {
+    r.MultiplyDenseInto(g, &out);
+    // lint:stride-ok(DoNotOptimize sink: pointer identity only, no element access)
+    benchmark::DoNotOptimize(out.data());
+  }
+  SetKernelCounters(state, 2.0 * static_cast<double>(r.nnz()) * c);
+  state.counters["nnz"] = benchmark::Counter(static_cast<double>(r.nnz()));
+}
+BENCHMARK(BM_SparseDenseNarrow)->UseRealTime()->Arg(9)->Arg(24)->Arg(30);
 
 void BM_EnsembleBuild(benchmark::State& state) {
   // Full heterogeneous-ensemble construction (paper Eq. 12): per (type,

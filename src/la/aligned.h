@@ -18,7 +18,7 @@ namespace la {
 
 /// Alignment of every Matrix row and of the GEMM packing buffers: one
 /// x86-64 cache line, which is also a whole AVX-512 vector and a multiple
-/// of every narrower vector width (AVX2, NEON, SSE2).
+/// of every narrower vector width (AVX2, SSE2).
 constexpr std::size_t kAlignment = 64;
 
 /// Doubles per cache line — the unit the leading dimension is padded to.

@@ -13,7 +13,7 @@
 // microkernel; mostly-zero tiles (membership blocks) keep a zero-skipping
 // axpy path, selected per tile by a cheap density probe (Sandwich applies
 // the same probe per reduction segment of each L row). One binary carries
-// every compiled table (scalar, avx2, avx512, neon) and picks one at
+// every compiled table (scalar, avx2, avx512) and picks one at
 // startup by CPUID; RHCHME_FORCE_ISA / --force_isa pins the choice.
 //
 // Determinism: each output row is produced by exactly one chunk and its

@@ -3,12 +3,12 @@
 // (la/simd.h owns the dispatch; this header owns the seam).
 //
 // Every ISA's implementations live in their own translation unit —
-// la/kernels_scalar.cc, la/kernels_avx2.cc, la/kernels_avx512.cc,
-// la/kernels_neon.cc — and those files are the ONLY ones compiled with
-// their `-m` ISA flags (see CMakeLists.txt). That is what lets one binary
-// carry scalar through AVX-512 side by side without the classic
-// illegal-instruction hazard: this header must therefore stay free of
-// inline functions and of includes that carry them. An inline function
+// la/kernels_scalar.cc, la/kernels_avx2.cc, la/kernels_avx512.cc — and
+// those files are the ONLY ones compiled with their `-m` ISA flags (see
+// CMakeLists.txt). That is what lets one binary carry scalar through
+// AVX-512 side by side without the classic illegal-instruction hazard:
+// this header must therefore stay free of inline functions and of
+// includes that carry them. An inline function
 // compiled into an AVX-512 TU lands in a COMDAT section the linker may
 // pick for the whole program, which would execute AVX-512 code on a host
 // the dispatcher correctly classified as AVX2-only. Raw pointers, plain
@@ -20,6 +20,12 @@
 //     exactly one (unfused) multiply and/or add per element in the scalar
 //     reference's per-element order — bit-identical to simd::scalar::*
 //     for every table, including the AVX-512 masked tails.
+//   - The CSR row kernel (spmm_rows) is element-parallel too: each output
+//     element starts from +0.0 and takes one unfused multiply, then one
+//     add, per nonzero in ascending nonzero order — bit-identical to a
+//     zeroed row followed by one Axpy per nonzero, in every table. Only
+//     the register blocking differs (32-column strips held across the
+//     whole row, stored once).
 //   - Reductions (Dot, SquaredDistance) reassociate into a fixed number
 //     of lane accumulators combined in a fixed order that depends only on
 //     the table and the call's length — bit-stable across thread counts
@@ -37,15 +43,14 @@ namespace la {
 namespace simd {
 
 /// Instruction sets a kernel table can be built for, in dispatch
-/// preference order (highest first at runtime: kAvx512 > kAvx2 > kNeon >
-/// kScalar).
-enum class Isa { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
+/// preference order (highest first at runtime: kAvx512 > kAvx2 > kScalar).
+enum class Isa { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// One ISA's complete kernel set. All pointers are always non-null in a
 /// table returned by the registry; geometry fields size the caller-owned
 /// GEMM packing buffers.
 struct KernelTable {
-  const char* name;   ///< Resolved table name: "scalar", "avx2", "avx512", "neon".
+  const char* name;   ///< Resolved table name: "scalar", "avx2", "avx512".
   Isa isa;            ///< Which ISA this table implements.
   std::size_t lanes;  ///< Doubles per vector register (1 for scalar).
   std::size_t mr;     ///< GEMM microkernel rows (A micro-panel height).
@@ -85,18 +90,28 @@ struct KernelTable {
   void (*gemm_packed)(const double* packa, const double* packb,
                       std::size_t mrows, std::size_t klen, std::size_t jlen,
                       double* c, std::size_t ldc);
+
+  /// Sparse x dense rows: for every row i in [r0, r1), overwrites
+  /// C[i, 0..n) (row stride ldc) with Σ vals[k] · B[idx[k], 0..n) (row
+  /// stride ldb) over k in [offsets[i], offsets[i+1]), in ascending k,
+  /// starting from +0.0 (an empty row stores zeros). offsets/idx/vals are
+  /// CSR (or CSC) arrays indexed by absolute row. Columns n.. of C are
+  /// never written; B and C must not overlap. Does not allocate.
+  void (*spmm_rows)(const std::size_t* offsets, const std::size_t* idx,
+                    const double* vals, std::size_t r0, std::size_t r1,
+                    const double* b, std::size_t ldb, std::size_t n,
+                    double* c, std::size_t ldc);
 };
 
 /// Per-ISA table accessors, defined one per kernels_*.cc TU. Each returns
 /// its table when the TU was compiled with the matching ISA enabled, and
-/// nullptr otherwise (the TU compiles to a stub on foreign architectures
-/// or with an older compiler), so the dispatcher can probe what this
-/// binary actually carries. Hardware support is the dispatcher's problem,
+/// nullptr otherwise (the TU compiles to a stub on non-x86-64 targets or
+/// with an older compiler), so the dispatcher can probe what this binary
+/// actually carries. Hardware support is the dispatcher's problem,
 /// not these accessors'.
 const KernelTable* ScalarKernelTable();  // Never null.
 const KernelTable* Avx2KernelTable();
 const KernelTable* Avx512KernelTable();
-const KernelTable* NeonKernelTable();
 
 }  // namespace simd
 }  // namespace la

@@ -11,6 +11,11 @@
 // the GEMM microkernel. A-panel packing only relocates the same operands
 // into a contiguous stream, so dispatched results are bit-identical to
 // the old `-mavx2`-global build.
+//
+// The CSR row kernel holds a strip of up to 32 output columns (eight ymm
+// accumulators) across a row's whole nonzero list and stores it once.
+// The strip's last register loads and stores through a vmaskmovpd lane
+// mask: dead lanes read as zero and are never written.
 
 #include "la/kernels.h"
 
@@ -209,10 +214,72 @@ void GemmPacked(const double* packa, const double* packb, std::size_t mrows,
   }
 }
 
+/// Accumulator registers per CSR row strip.
+constexpr std::size_t kStripVecs = 8;
+constexpr std::size_t kStrip = kStripVecs * kLanes;
+
+/// One row strip of kVecs registers, the last covering the lanes set in
+/// `tail`: acc = +0.0, then acc + (v·B[idx[k]]) per nonzero — the unfused
+/// multiply and add Axpy performs, in the same order.
+template <std::size_t kVecs>
+void SpmmStrip(const std::size_t* idx, const double* vals, std::size_t kb,
+               std::size_t ke, const double* b, std::size_t ldb, double* c,
+               __m256i tail) {
+  Vec acc[kVecs];
+  for (std::size_t q = 0; q < kVecs; ++q) acc[q] = _mm256_setzero_pd();
+  for (std::size_t k = kb; k < ke; ++k) {
+    const Vec v = _mm256_set1_pd(vals[k]);
+    const double* bk = b + idx[k] * ldb;
+    for (std::size_t q = 0; q + 1 < kVecs; ++q) {
+      acc[q] = _mm256_add_pd(
+          acc[q], _mm256_mul_pd(v, _mm256_loadu_pd(bk + q * kLanes)));
+    }
+    constexpr std::size_t kLast = kVecs - 1;
+    acc[kLast] = _mm256_add_pd(
+        acc[kLast],
+        _mm256_mul_pd(v, _mm256_maskload_pd(bk + kLast * kLanes, tail)));
+  }
+  for (std::size_t q = 0; q + 1 < kVecs; ++q) {
+    _mm256_storeu_pd(c + q * kLanes, acc[q]);
+  }
+  _mm256_maskstore_pd(c + (kVecs - 1) * kLanes, tail, acc[kVecs - 1]);
+}
+
+void SpmmRows(const std::size_t* offsets, const std::size_t* idx,
+              const double* vals, std::size_t r0, std::size_t r1,
+              const double* b, std::size_t ldb, std::size_t n, double* c,
+              std::size_t ldc) {
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  for (std::size_t i = r0; i < r1; ++i) {
+    const std::size_t kb = offsets[i], ke = offsets[i + 1];
+    double* ci = c + i * ldc;
+    for (std::size_t j0 = 0; j0 < n; j0 += kStrip) {
+      const std::size_t w = n - j0 < kStrip ? n - j0 : kStrip;
+      const std::size_t vecs = (w + kLanes - 1) / kLanes;
+      const auto live = static_cast<long long>(w - (vecs - 1) * kLanes);
+      const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), lane);
+      const double* bs = b + j0;
+      double* cs = ci + j0;
+      switch (vecs) {
+        case 1: SpmmStrip<1>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
+        case 2: SpmmStrip<2>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
+        case 3: SpmmStrip<3>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
+        case 4: SpmmStrip<4>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
+        case 5: SpmmStrip<5>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
+        case 6: SpmmStrip<6>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
+        case 7: SpmmStrip<7>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
+        default:
+          SpmmStrip<kStripVecs>(idx, vals, kb, ke, bs, ldb, cs, tail);
+          break;
+      }
+    }
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     "avx2", Isa::kAvx2, kLanes,          kMr, kNr,   Axpy,
     Dot,    SquaredDistance, Add,        Sub, Scale, Hadamard,
-    PackB,  PackA,           GemmPacked,
+    PackB,  PackA,           GemmPacked, SpmmRows,
 };
 
 }  // namespace

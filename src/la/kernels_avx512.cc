@@ -15,6 +15,10 @@
 //
 // GEMM geometry is 8 x 16: mr=8 packed A rows against nr=16 packed B
 // columns (two zmm registers), i.e. 16 vector accumulators per tile.
+//
+// The CSR row kernel holds a strip of up to 32 output columns (four zmm
+// accumulators, the last one masked) across a row's whole nonzero list
+// and stores it once; masked-off lanes are computed but never stored.
 
 #include "la/kernels.h"
 
@@ -257,10 +261,66 @@ void GemmPacked(const double* packa, const double* packb, std::size_t mrows,
   }
 }
 
+/// Accumulator registers per CSR row strip.
+constexpr std::size_t kStripVecs = 4;
+constexpr std::size_t kStrip = kStripVecs * kLanes;
+
+/// One row strip of kVecs registers, the last covering the lanes in
+/// `tail`: acc = +0.0, then acc + (v·B[idx[k]]) per nonzero — the unfused
+/// multiply and add Axpy performs, in the same order.
+template <std::size_t kVecs>
+void SpmmStrip(const std::size_t* idx, const double* vals, std::size_t kb,
+               std::size_t ke, const double* b, std::size_t ldb, double* c,
+               __mmask8 tail) {
+  Vec acc[kVecs];
+  for (std::size_t q = 0; q < kVecs; ++q) acc[q] = _mm512_setzero_pd();
+  for (std::size_t k = kb; k < ke; ++k) {
+    const Vec v = _mm512_set1_pd(vals[k]);
+    const double* bk = b + idx[k] * ldb;
+    for (std::size_t q = 0; q + 1 < kVecs; ++q) {
+      acc[q] = _mm512_add_pd(
+          acc[q], _mm512_mul_pd(v, _mm512_loadu_pd(bk + q * kLanes)));
+    }
+    constexpr std::size_t kLast = kVecs - 1;
+    acc[kLast] = _mm512_add_pd(
+        acc[kLast],
+        _mm512_mul_pd(v, _mm512_maskz_loadu_pd(tail, bk + kLast * kLanes)));
+  }
+  for (std::size_t q = 0; q + 1 < kVecs; ++q) {
+    _mm512_storeu_pd(c + q * kLanes, acc[q]);
+  }
+  _mm512_mask_storeu_pd(c + (kVecs - 1) * kLanes, tail, acc[kVecs - 1]);
+}
+
+void SpmmRows(const std::size_t* offsets, const std::size_t* idx,
+              const double* vals, std::size_t r0, std::size_t r1,
+              const double* b, std::size_t ldb, std::size_t n, double* c,
+              std::size_t ldc) {
+  for (std::size_t i = r0; i < r1; ++i) {
+    const std::size_t kb = offsets[i], ke = offsets[i + 1];
+    double* ci = c + i * ldc;
+    for (std::size_t j0 = 0; j0 < n; j0 += kStrip) {
+      const std::size_t w = n - j0 < kStrip ? n - j0 : kStrip;
+      const std::size_t vecs = (w + kLanes - 1) / kLanes;
+      const __mmask8 tail = TailMask(w - (vecs - 1) * kLanes);
+      const double* bs = b + j0;
+      double* cs = ci + j0;
+      switch (vecs) {
+        case 1: SpmmStrip<1>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
+        case 2: SpmmStrip<2>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
+        case 3: SpmmStrip<3>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
+        default:
+          SpmmStrip<kStripVecs>(idx, vals, kb, ke, bs, ldb, cs, tail);
+          break;
+      }
+    }
+  }
+}
+
 constexpr KernelTable kAvx512Table = {
     "avx512", Isa::kAvx512, kLanes,        kMr, kNr,   Axpy,
     Dot,      SquaredDistance, Add,        Sub, Scale, Hadamard,
-    PackB,    PackA,           GemmPacked,
+    PackB,    PackA,           GemmPacked, SpmmRows,
 };
 
 }  // namespace

@@ -4,7 +4,9 @@
 // target offers is all the auto-vectorizer may use.
 //
 // The element-parallel kernels are byte-for-byte the simd::scalar::*
-// reference loops; the GEMM entry points implement the same packed
+// reference loops, and the CSR row kernel is literally the zeroed row
+// plus one Axpy per nonzero that the vector tables' register strips must
+// reproduce bit for bit; the GEMM entry points implement the same packed
 // (mr x nr) register-tile protocol as the vector tables so la/gemm.cc
 // drives every ISA through one code path.
 
@@ -109,10 +111,23 @@ void GemmPacked(const double* packa, const double* packb, std::size_t mrows,
   }
 }
 
+void SpmmRows(const std::size_t* offsets, const std::size_t* idx,
+              const double* vals, std::size_t r0, std::size_t r1,
+              const double* b, std::size_t ldb, std::size_t n, double* c,
+              std::size_t ldc) {
+  for (std::size_t i = r0; i < r1; ++i) {
+    double* ci = c + i * ldc;
+    for (std::size_t j = 0; j < n; ++j) ci[j] = 0.0;
+    for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      Axpy(vals[k], b + idx[k] * ldb, ci, n);
+    }
+  }
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar", Isa::kScalar, /*lanes=*/1,     kMr,   kNr,  Axpy,
     Dot,      SquaredDistance, Add,          Sub,   Scale, Hadamard,
-    PackB,    PackA,           GemmPacked,
+    PackB,    PackA,           GemmPacked,   SpmmRows,
 };
 
 }  // namespace

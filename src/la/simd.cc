@@ -28,20 +28,19 @@ std::mutex& ResolveMutex() {
   return m;
 }
 
-const char* const kValidNames = "scalar, avx2, avx512, neon";
+const char* const kValidNames = "scalar, avx2, avx512";
 
 /// Compiled-in table for `name`, or null. Does not check CPU support.
 const KernelTable* CompiledTableForName(const char* name) {
   if (std::strcmp(name, "scalar") == 0) return ScalarKernelTable();
   if (std::strcmp(name, "avx2") == 0) return Avx2KernelTable();
   if (std::strcmp(name, "avx512") == 0) return Avx512KernelTable();
-  if (std::strcmp(name, "neon") == 0) return NeonKernelTable();
   return nullptr;
 }
 
 bool IsKnownName(const char* name) {
   return std::strcmp(name, "scalar") == 0 || std::strcmp(name, "avx2") == 0 ||
-         std::strcmp(name, "avx512") == 0 || std::strcmp(name, "neon") == 0;
+         std::strcmp(name, "avx512") == 0;
 }
 
 /// Whether the running CPU can execute `table`'s ISA.
@@ -53,8 +52,6 @@ bool CpuSupports(const KernelTable& table, const CpuFeatures& f) {
       return f.avx2 && f.fma;
     case Isa::kAvx512:
       return f.avx512f && f.avx512dq;
-    case Isa::kNeon:
-      return f.neon;
   }
   return false;
 }
@@ -106,8 +103,6 @@ CpuFeatures DetectCpuFeatures() {
   f.fma = __builtin_cpu_supports("fma") != 0;
   f.avx512f = __builtin_cpu_supports("avx512f") != 0;
   f.avx512dq = __builtin_cpu_supports("avx512dq") != 0;
-#elif defined(__aarch64__)
-  f.neon = true;
 #endif
   return f;
 }
@@ -118,9 +113,6 @@ const KernelTable* ResolveTable(const CpuFeatures& features) {
   }
   if (features.avx2 && features.fma) {
     if (const KernelTable* t = Avx2KernelTable()) return t;
-  }
-  if (features.neon) {
-    if (const KernelTable* t = NeonKernelTable()) return t;
   }
   return ScalarKernelTable();
 }

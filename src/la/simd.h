@@ -1,16 +1,16 @@
 // Runtime-dispatched SIMD kernel layer for the dense/sparse hot loops.
 //
 // One binary carries every kernel table it could compile — scalar always,
-// AVX2+FMA and AVX-512(F+DQ) on x86-64, NEON on aarch64 — with each ISA's
-// implementations confined to their own translation unit
-// (la/kernels_*.cc), the only files built with their `-m` flags. CPUID
-// feature detection picks the best supported table once at startup
-// (AVX-512 → AVX2 → NEON → scalar); every call after that goes through
+// AVX2+FMA and AVX-512(F+DQ) on x86-64 — with each ISA's implementations
+// confined to their own translation unit (la/kernels_*.cc), the only
+// files built with their `-m` flags. Other architectures run the scalar
+// table. CPUID feature detection picks the best supported table once at
+// startup (AVX-512 → AVX2 → scalar); every call after that goes through
 // the resolved simd::KernelTable of function pointers. There is no
 // global SIMD compile flag any more.
 //
 // Forcing and reproduction:
-//   - RHCHME_FORCE_ISA={scalar,avx2,avx512,neon} pins the table before
+//   - RHCHME_FORCE_ISA={scalar,avx2,avx512} pins the table before
 //     first use. A value that is unknown, not compiled into this binary,
 //     or not supported by the host CPU is a clean startup error.
 //   - ForceIsa() is the same override for CLI flags (--force_isa); it
@@ -95,17 +95,15 @@ struct CpuFeatures {
   bool avx512dq = false;
   bool avx2 = false;
   bool fma = false;
-  bool neon = false;
 };
 
-/// Queries the running CPU (CPUID on x86-64; NEON is baseline on
-/// aarch64).
+/// Queries the running CPU (CPUID on x86-64; no bits elsewhere).
 CpuFeatures DetectCpuFeatures();
 
 /// Pure selection policy: the highest-preference table that is both
 /// compiled into this binary and supported by `features`, in the order
-/// AVX-512(F+DQ) → AVX2+FMA → NEON → scalar. Never returns null (the
-/// scalar table always exists).
+/// AVX-512(F+DQ) → AVX2+FMA → scalar. Never returns null (the scalar
+/// table always exists).
 const KernelTable* ResolveTable(const CpuFeatures& features);
 
 /// The dispatched kernel table. Resolved exactly once, on first call:
@@ -119,12 +117,12 @@ const KernelTable* ResolveTable(const CpuFeatures& features);
 /// different ISA.
 const KernelTable& Table();
 
-/// Pins the dispatched table by name ("scalar", "avx2", "avx512",
-/// "neon") — the CLI-flag twin of RHCHME_FORCE_ISA, taking precedence
-/// over it. Returns InvalidArgument for an unknown name,
-/// FailedPrecondition when the table is not compiled into this binary,
-/// not supported by this CPU, or dispatch already resolved to a
-/// different table (call before first kernel use).
+/// Pins the dispatched table by name ("scalar", "avx2", "avx512") — the
+/// CLI-flag twin of RHCHME_FORCE_ISA, taking precedence over it. Returns
+/// InvalidArgument for an unknown name, FailedPrecondition when the table
+/// is not compiled into this binary, not supported by this CPU, or
+/// dispatch already resolved to a different table (call before first
+/// kernel use).
 Status ForceIsa(const char* name);
 
 /// The table for an explicitly named ISA when it is compiled into this
@@ -133,7 +131,7 @@ Status ForceIsa(const char* name);
 /// in one binary.
 const KernelTable* TableForName(const char* name);
 
-/// Name of the dispatched table: "scalar", "avx2", "avx512" or "neon".
+/// Name of the dispatched table: "scalar", "avx2" or "avx512".
 /// Recorded in bench/quality JSON context (`rhchme_simd`).
 const char* IsaName();
 
@@ -145,8 +143,8 @@ const char* DetectedIsaName();
 // ---- Dispatched kernel entry points ---------------------------------------
 //
 // Thin forwarders for call sites outside the hot loops. Each performs one
-// dispatch (an atomic load) per call; la/gemm.cc and the kNN inner loops
-// hoist Table() once instead.
+// dispatch (an atomic load) per call; la/gemm.cc, la/sparse.cc and the
+// kNN inner loops hoist Table() once instead.
 
 inline void Axpy(double a, const double* x, double* y, std::size_t n) {
   Table().axpy(a, x, y, n);

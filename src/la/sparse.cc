@@ -371,17 +371,17 @@ void SparseMatrix::MultiplyDenseInto(const Matrix& b, Matrix* c) const {
   RHCHME_CHECK(b.rows() == cols_, "MultiplyDense: dims mismatch");
   c->Resize(rows_, b.cols());
   const std::size_t n = b.cols();
-  // Output rows are independent; each chunk gathers its own rows' nonzeros.
+  const simd::KernelTable& kt = simd::Table();
+  const double* bd = b.data();  // lint:stride-ok(kernel uses ldb = stride())
+  double* cd = c->data();       // lint:stride-ok(kernel uses ldc = stride())
+  // Output rows are independent; each chunk gathers its own rows' nonzeros
+  // into register strips (la/kernels.h spmm_rows).
   const std::size_t nnz_per_row = rows_ > 0 ? nnz() / rows_ + 1 : 1;
   util::ParallelFor(
       0, rows_, util::GrainForWork(2 * nnz_per_row * (n + 1)),
       [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t i = r0; i < r1; ++i) {
-          double* ci = c->row_ptr(i);
-          for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-            simd::Axpy(values_[k], b.row_ptr(cols_idx_[k]), ci, n);
-          }
-        }
+        kt.spmm_rows(row_ptr_.data(), cols_idx_.data(), values_.data(), r0,
+                     r1, bd, b.stride(), n, cd, c->stride());
       });
 }
 
@@ -396,23 +396,22 @@ void SparseMatrix::MultiplyTransposedDenseInto(const Matrix& b,
   RHCHME_CHECK(b.rows() == rows_, "MultiplyTransposedDense: dims mismatch");
   c->Resize(cols_, b.cols());
   const std::size_t n = b.cols();
+  const simd::KernelTable& kt = simd::Table();
   std::shared_ptr<const CscMirror> csc = CscIfBuilt();
   if (csc) {
     // Gather path: output row r of C is column r of A dotted against the
     // corresponding rows of B — rows of C are independent and thread
     // cleanly; ascending row order within each column fixes the
     // accumulation order.
+    const double* bd = b.data();  // lint:stride-ok(kernel uses ldb = stride())
+    double* cd = c->data();       // lint:stride-ok(kernel uses ldc = stride())
     const std::size_t nnz_per_col = cols_ > 0 ? nnz() / cols_ + 1 : 1;
     util::ParallelFor(
         0, cols_, util::GrainForWork(2 * nnz_per_col * (n + 1)),
         [&](std::size_t c0, std::size_t c1) {
-          for (std::size_t r = c0; r < c1; ++r) {
-            double* cr = c->row_ptr(r);
-            for (std::size_t k = csc->col_ptr[r]; k < csc->col_ptr[r + 1];
-                 ++k) {
-              simd::Axpy(csc->values[k], b.row_ptr(csc->row_idx[k]), cr, n);
-            }
-          }
+          kt.spmm_rows(csc->col_ptr.data(), csc->row_idx.data(),
+                       csc->values.data(), c0, c1, bd, b.stride(), n, cd,
+                       c->stride());
         });
     return;
   }
@@ -427,7 +426,7 @@ void SparseMatrix::MultiplyTransposedDenseInto(const Matrix& b,
     for (std::size_t i = 0; i < rows_; ++i) {
       const double* bi = b.row_ptr(i);
       for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-        simd::Axpy(values_[k], bi, c->row_ptr(cols_idx_[k]), n);
+        kt.axpy(values_[k], bi, c->row_ptr(cols_idx_[k]), n);
       }
     }
     return;
@@ -441,7 +440,7 @@ void SparseMatrix::MultiplyTransposedDenseInto(const Matrix& b,
       for (std::size_t i = cb; i < ce; ++i) {
         const double* bi = b.row_ptr(i);
         for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-          simd::Axpy(values_[k], bi, slot.row_ptr(cols_idx_[k]), n);
+          kt.axpy(values_[k], bi, slot.row_ptr(cols_idx_[k]), n);
         }
       }
     }

@@ -96,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Microtile edges of the packed SIMD kernel: row counts straddling the
 // 4-row register tile, column counts straddling the vector-panel width
-// (kNr = 8 on AVX2, 4 on NEON) and the column block, and reduction depths
+// (kNr = 8 on AVX2) and the column block, and reduction depths
 // straddling the k tile.
 INSTANTIATE_TEST_SUITE_P(
     MicroTileEdges, GemmShapeTest,

@@ -10,6 +10,10 @@
 //     bounded rounding;
 //   - the packed GEMM protocol (pack_a / pack_b / gemm_packed) of every
 //     table computes C += A·B within reduction rounding;
+//   - the CSR row kernel (spmm_rows) of every table is bit-identical to a
+//     zeroed row plus one scalar Axpy per nonzero, writes nothing outside
+//     its rows and columns, and keeps ±0.0, ±Inf and NaN as that chain
+//     does;
 //   - both hold for every tail width 1..2*widest-unroll+1, so no lane or
 //     mask remainder path is left uncovered;
 //   - table selection (ResolveTable) and the force override (ForceIsa /
@@ -23,8 +27,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "la/aligned.h"
@@ -40,7 +46,7 @@ namespace {
 constexpr std::size_t kMaxWidth = 2 * 2 * 8 + 1;
 
 /// Every table name the registry knows; unavailable ones resolve to null.
-const char* const kAllIsaNames[] = {"scalar", "avx2", "avx512", "neon"};
+const char* const kAllIsaNames[] = {"scalar", "avx2", "avx512"};
 
 std::vector<double> RandomVec(std::size_t n, uint64_t seed, double lo = -1.0,
                               double hi = 1.0) {
@@ -180,6 +186,140 @@ TEST(SimdKernels, ZeroLengthIsIdentity) {
   }
 }
 
+// ---- CSR row kernel (spmm_rows) -------------------------------------------
+
+/// Bit equality, with any NaN equal to any NaN: x86 propagates the payload
+/// of whichever NaN operand comes first, and the compiler may commute the
+/// operands of a multiply or add, so payloads are not part of the
+/// contract. Everything else — the sign of zero included — must match.
+bool SameBits(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  uint64_t ua = 0, ub = 0;
+  std::memcpy(&ua, &a, sizeof a);
+  std::memcpy(&ub, &b, sizeof b);
+  return ua == ub;
+}
+
+/// A small CSR operand with empty rows and, optionally, special values
+/// (NaN, ±Inf, ±0.0) mixed into both the nonzeros and B.
+struct SpmmCase {
+  std::size_t rows = 0, brows = 0, n = 0, ldb = 0, ldc = 0;
+  std::vector<std::size_t> offsets, idx;
+  std::vector<double> vals, b;
+};
+
+SpmmCase MakeSpmmCase(std::size_t n, bool specials, uint64_t seed) {
+  const double kSpecial[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -0.0,
+                             0.0};
+  Rng rng(seed);
+  SpmmCase sc;
+  sc.rows = 9;
+  sc.brows = 13;
+  sc.n = n;
+  sc.ldb = n + 3;  // Padded, and odd offsets misalign most rows.
+  sc.ldc = n + 5;
+  sc.offsets.push_back(0);
+  for (std::size_t i = 0; i < sc.rows; ++i) {
+    // Rows 2 and 6 stay empty; the others hold 1..12 nonzeros.
+    const std::size_t len = (i == 2 || i == 6) ? 0 : 1 + rng.UniformInt(12);
+    for (std::size_t k = 0; k < len; ++k) {
+      sc.idx.push_back(rng.UniformInt(sc.brows));  // Repeats allowed.
+      double v = rng.Uniform(-2.0, 2.0);
+      if (specials && sc.vals.size() % 5 == 3) {
+        v = kSpecial[(sc.vals.size() / 5) % 5];
+      }
+      sc.vals.push_back(v);
+    }
+    sc.offsets.push_back(sc.idx.size());
+  }
+  // lint:memstats-ok(small test operand; ldb padding is the point)
+  sc.b.assign(sc.brows * sc.ldb, 0.0);
+  for (std::size_t r = 0; r < sc.brows; ++r) {
+    for (std::size_t j = 0; j < sc.ldb; ++j) {
+      double x = rng.Uniform(-1.0, 1.0);
+      if (j >= n) {
+        x = 1e300;  // Padding: would poison any output that read it.
+      } else if (specials && (r * n + j) % 7 == 2) {
+        x = kSpecial[((r * n + j) / 7) % 5];
+      }
+      sc.b[r * sc.ldb + j] = x;
+    }
+  }
+  return sc;
+}
+
+/// The contract's reference: a zeroed row, then one scalar Axpy per
+/// nonzero in ascending order.
+std::vector<double> ReferenceRow(const SpmmCase& sc, std::size_t i) {
+  std::vector<double> row(sc.n, 0.0);
+  for (std::size_t k = sc.offsets[i]; k < sc.offsets[i + 1]; ++k) {
+    simd::scalar::Axpy(sc.vals[k], sc.b.data() + sc.idx[k] * sc.ldb,
+                       row.data(), sc.n);
+  }
+  return row;
+}
+
+TEST(SimdSpmmRows, BitIdenticalToTheAxpyChainAndWritesOnlyItsRows) {
+  constexpr double kSentinel = -777.25;
+  // Every width 1..70 crosses each strip, register and mask boundary of
+  // both vector tables (32-column strips of 4- or 8-lane registers) twice.
+  const std::size_t kMaxN = 70;
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 9}, {2, 7}, {3, 3}, {5, 6}, {8, 9}};
+  for (const simd::KernelTable* t : RunnableTables()) {
+    for (bool specials : {false, true}) {
+      for (std::size_t n = 1; n <= kMaxN; ++n) {
+        const SpmmCase sc = MakeSpmmCase(n, specials, 1000 + n);
+        for (const auto& [r0, r1] : ranges) {
+          // lint:memstats-ok(small test output; ldc padding is the point)
+          std::vector<double> c(sc.rows * sc.ldc, kSentinel);
+          t->spmm_rows(sc.offsets.data(), sc.idx.data(), sc.vals.data(), r0,
+                       r1, sc.b.data(), sc.ldb, n, c.data(), sc.ldc);
+          for (std::size_t i = 0; i < sc.rows; ++i) {
+            const bool live = i >= r0 && i < r1;
+            const std::vector<double> want =
+                live ? ReferenceRow(sc, i) : std::vector<double>();
+            for (std::size_t j = 0; j < sc.ldc; ++j) {
+              const double got = c[i * sc.ldc + j];
+              if (live && j < n) {
+                ASSERT_TRUE(SameBits(got, want[j]))
+                    << t->name << " specials=" << specials << " n=" << n
+                    << " rows [" << r0 << "," << r1 << ") at (" << i << ","
+                    << j << "): " << got << " vs " << want[j];
+              } else {
+                ASSERT_EQ(got, kSentinel)
+                    << t->name << " wrote outside its range: n=" << n
+                    << " rows [" << r0 << "," << r1 << ") at (" << i << ","
+                    << j << ")";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdSpmmRows, StartsFromPositiveZero) {
+  // A lone −0.0 product must come out +0.0 (+0.0 + −0.0), as in the
+  // zeroed-row Axpy chain; an empty row stores +0.0 over whatever was
+  // there.
+  const std::size_t offsets[] = {0, 1, 1};
+  const std::size_t idx[] = {0};
+  const double vals[] = {-0.0};
+  const double b[] = {1.0, 2.0, 3.0};
+  for (const simd::KernelTable* t : RunnableTables()) {
+    double c[6] = {-1.0, -1.0, -1.0, -1.0, -1.0, -1.0};
+    t->spmm_rows(offsets, idx, vals, 0, 2, b, 3, 3, c, 3);
+    for (double x : c) {
+      EXPECT_EQ(x, 0.0) << t->name;
+      EXPECT_FALSE(std::signbit(x)) << t->name;
+    }
+  }
+}
+
 // ---- Packed GEMM protocol -------------------------------------------------
 
 /// C += A·B through one table's pack_a / pack_b / gemm_packed.
@@ -296,11 +436,6 @@ TEST(SimdDispatch, ResolveTableHonoursMockedFeatureBits) {
     EXPECT_STREQ(simd::ResolveTable(full)->name,
                  simd::Avx2KernelTable() ? "avx2" : "scalar");
   }
-
-  simd::CpuFeatures arm;
-  arm.neon = true;
-  EXPECT_STREQ(simd::ResolveTable(arm)->name,
-               simd::NeonKernelTable() ? "neon" : "scalar");
 }
 
 TEST(SimdDispatch, TableForNameFiltersUnknownAndUnavailable) {
@@ -313,13 +448,17 @@ TEST(SimdDispatch, TableForNameFiltersUnknownAndUnavailable) {
 }
 
 TEST(SimdDispatch, ForceIsaRejectsUnknownName) {
-  const Status st = simd::ForceIsa("avx1024");
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("avx1024"), std::string::npos);
+  // "neon" included: the binary carries no NEON table, so the name is
+  // unknown rather than merely unavailable.
+  for (const char* name : {"avx1024", "neon"}) {
+    const Status st = simd::ForceIsa(name);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(st.message().find(name), std::string::npos);
+  }
 }
 
 TEST(SimdDispatch, ForceIsaRejectsUnavailableIsaCleanly) {
-  // Whichever of neon/avx512 this host cannot run must come back as a
+  // Whichever of avx2/avx512 this host cannot run must come back as a
   // clean FailedPrecondition, not a crash or a silent fallback.
   for (const char* name : kAllIsaNames) {
     if (simd::TableForName(name) != nullptr) continue;

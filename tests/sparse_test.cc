@@ -1,15 +1,19 @@
 // Unit tests for the CSR SparseMatrix and its CSC mirror: build/round-trip
 // correctness, transposed products on both the gather (CSC) and scatter
 // (per-chunk accumulator) paths, mutation-triggered mirror invalidation,
-// and bit-stability of the products across thread counts.
+// bit-stability of the products across thread counts, and bit-identity
+// of the register-strip products with the per-nonzero Axpy loop they
+// replaced.
 
 #include "la/sparse.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "la/gemm.h"
+#include "la/simd.h"
 #include "scoped_num_threads.h"
 #include "util/rng.h"
 
@@ -308,6 +312,67 @@ TEST(SparseCsc, TransposedProductBitStableAcrossThreadCounts) {
     }
     EXPECT_EQ(MaxAbsDiff(serial, threaded), 0.0)
         << "mirror=" << with_mirror;
+  }
+}
+
+/// The per-nonzero loop MultiplyDenseInto and the CSC gather ran before
+/// the row kernel: a zeroed output row, then one Axpy per stored entry of
+/// the (row_offsets, idx, vals) row in ascending order.
+Matrix AxpyLoopProduct(std::size_t out_rows,
+                       const std::vector<std::size_t>& offsets,
+                       const std::vector<std::size_t>& idx,
+                       const std::vector<double>& vals, const Matrix& b) {
+  Matrix c(out_rows, b.cols());
+  for (std::size_t i = 0; i < out_rows; ++i) {
+    for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      simd::scalar::Axpy(vals[k], b.row_ptr(idx[k]), c.row_ptr(i), b.cols());
+    }
+  }
+  return c;
+}
+
+/// Bitwise equality of the logical entries (distinguishes −0.0 from +0.0).
+bool SameBits(const Matrix& x, const Matrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    if (std::memcmp(x.row_ptr(i), y.row_ptr(i), x.cols() * sizeof(double)) !=
+        0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SparseProducts, RowKernelIsBitIdenticalToThePerNonzeroAxpyLoop) {
+  // Both products that run on the dispatched spmm_rows kernel — the CSR
+  // forward product and the CSC gather of the transposed product — at the
+  // solver's widths (c = 9 block world, 24 tf-idf, 30 D presets) and
+  // around the 32-column strip, at pool sizes 1 and 4. Rows 0 and 5 of A
+  // and column 3 are empty.
+  Matrix a = RandomSparseDense(157, 143, 0.3, 41);
+  for (std::size_t j = 0; j < a.cols(); ++j) a(0, j) = a(5, j) = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) a(i, 3) = 0.0;
+  SparseMatrix fwd = SparseMatrix::FromDense(a);
+  SparseMatrix gather = SparseMatrix::FromDense(a);
+  const CscMirror& csc = gather.BuildCscMirror();
+  for (std::size_t c : {1, 9, 24, 30, 33, 100}) {
+    Rng rng(500 + c);
+    const Matrix b = Matrix::RandomUniform(a.cols(), c, &rng, -1.0, 1.0);
+    const Matrix bt = Matrix::RandomUniform(a.rows(), c, &rng, -1.0, 1.0);
+    const Matrix want = AxpyLoopProduct(a.rows(), fwd.row_offsets(),
+                                        fwd.col_indices(), fwd.values(), b);
+    const Matrix want_t =
+        AxpyLoopProduct(a.cols(), csc.col_ptr, csc.row_idx, csc.values, bt);
+    for (int pool : {1, 4}) {
+      ScopedNumThreads threads(pool);
+      Matrix got, got_t;
+      fwd.MultiplyDenseInto(b, &got);
+      gather.MultiplyTransposedDenseInto(bt, &got_t);
+      EXPECT_TRUE(SameBits(got, want))
+          << simd::IsaName() << " A·B c=" << c << " pool=" << pool;
+      EXPECT_TRUE(SameBits(got_t, want_t))
+          << simd::IsaName() << " Aᵀ·B (CSC) c=" << c << " pool=" << pool;
+    }
   }
 }
 

@@ -76,7 +76,7 @@ def main():
     parser.add_argument("--allow-isa-mismatch", action="store_true",
                         help="compare runs even when current and baseline "
                              "dispatched different kernel tables (scalar vs "
-                             "avx2 vs avx512 vs neon); the numbers will "
+                             "avx2 vs avx512); the numbers will "
                              "include the ISA gap")
     parser.add_argument("--require-isa-match", action="store_true",
                         help="treat a kernel-table mismatch as a hard "

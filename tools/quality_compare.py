@@ -10,8 +10,8 @@ tools/bench_compare.py:
     across optimisation levels, so a debug comparison measures the
     build gap, not a regression;
   * skips (exit 0, with a note) when the current run dispatched a
-    different kernel table than the baseline (scalar vs avx2 vs avx512
-    vs neon) — different kernels, different rounding, different k-means
+    different kernel table than the baseline (scalar vs avx2 vs avx512)
+    — different kernels, different rounding, different k-means
     trajectories, so the comparison would measure the ISA, not a
     regression. Legs that pin RHCHME_FORCE_ISA pass --require-isa-match
     to turn the skip into a hard failure;

@@ -10,7 +10,7 @@
 //   compare <dataset_dir>
 //       Run all seven paper methods and print the comparison table.
 //
-// A leading --force_isa=<scalar|avx2|avx512|neon> pins the dispatched
+// A leading --force_isa=<scalar|avx2|avx512> pins the dispatched
 // kernel table (same contract as the RHCHME_FORCE_ISA environment
 // variable, over which the flag wins); an ISA this binary or CPU cannot
 // run is a clean error.
@@ -44,7 +44,7 @@ int Usage() {
       "  rhchme_cli [--force_isa=ISA] run <RHCHME|SRC|SNMTF|RMC> "
       "<dataset_dir> [labels_out]\n"
       "  rhchme_cli [--force_isa=ISA] compare <dataset_dir>\n"
-      "  ISA: scalar | avx2 | avx512 | neon (pins the kernel table; "
+      "  ISA: scalar | avx2 | avx512 (pins the kernel table; "
       "overrides RHCHME_FORCE_ISA)\n");
   return 2;
 }

@@ -14,8 +14,8 @@
 //                generated with this flag (Release build).
 //   --threads    Pool size; results are bit-identical for any value
 //                (tests/scenario_test.cc pins that down).
-//   --force_isa  Pins the dispatched kernel table (scalar|avx2|avx512|
-//                neon); overrides RHCHME_FORCE_ISA. The resolved table is
+//   --force_isa  Pins the dispatched kernel table (scalar|avx2|avx512);
+//                overrides RHCHME_FORCE_ISA. The resolved table is
 //                recorded in the report's JSON context, which is what
 //                tools/quality_compare.py keys the comparison on.
 
