@@ -499,11 +499,12 @@ void RunSolverIterationBench(benchmark::State& state, double dropout) {
 }
 
 void BM_SolverIteration(benchmark::State& state) {
-  // Block-world fill (~47% of the joint R stored).
+  // Block-world fill (~47% of the joint R stored). 600 per type is the
+  // blockworld-sweep shape of e2ebench: n = 1800, c = 9.
   RunSolverIterationBench(state, /*dropout=*/0.3);
 }
 BENCHMARK(BM_SolverIteration)->UseRealTime()->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
+    ->Arg(600)->Unit(benchmark::kMillisecond);
 
 void BM_SolverIterationTfidf(benchmark::State& state) {
   // tf-idf-like fill (~2%): the iteration cost scales with the nonzero

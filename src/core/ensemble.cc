@@ -79,7 +79,7 @@ Status EnsembleOptions::Validate() const {
     return Status::InvalidArgument(
         "ensemble needs at least one member (subspace or pNN)");
   }
-  if (alpha < 0.0) {
+  if (!(alpha >= 0.0)) {  // Negated so that NaN fails too.
     return Status::InvalidArgument("ensemble alpha must be nonnegative");
   }
   RHCHME_RETURN_IF_ERROR(knn.Validate());
@@ -212,7 +212,7 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
 Result<HeterogeneousEnsemble> ReweightEnsemble(
     const HeterogeneousEnsemble& base, const fact::BlockStructure& blocks,
     double alpha, graph::LaplacianKind kind) {
-  if (alpha < 0.0) {
+  if (!(alpha >= 0.0)) {  // Negated so that NaN fails too.
     return Status::InvalidArgument("ensemble alpha must be nonnegative");
   }
   if (base.subspace_affinity.size() != blocks.num_types() ||

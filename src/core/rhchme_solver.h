@@ -23,8 +23,8 @@
 // fit. R is symmetric by construction (data::MultiTypeRelationalData
 // mirrors every relation into its transpose), so Rᵀ·G = R·G and every
 // product the updates need is a forward SpMM. With H = G·S and K = R·G
-// (one SpMM per iteration) the products of M = R − E_R with
-// E_R = diag(s)·(R − H·Gᵀ) are low-rank:
+// the products of M = R − E_R with E_R = diag(s)·(R − H·Gᵀ) are
+// low-rank:
 //
 //   M·G  = K − diag(s)·(K − H·(GᵀG))
 //   Mᵀ·G = K − R·(diag(s)·G) + G·(Hᵀ·diag(s)·G)
@@ -35,7 +35,13 @@
 // with cached sparse row norms ‖r_i‖² (clamped at zero: the identity
 // cancels when the reconstruction is near-exact), and the objective terms
 // are analytic — ‖Q − E_R‖²_F = Σ(1−s_i)²‖q_i‖², ‖E_R‖₂,₁ = Σ s_i‖q_i‖.
-// The ensemble Laplacian and its Eq. 21 ± parts stay sparse end-to-end.
+// The ensemble Laplacian stays sparse end-to-end; its Eq. 21 ± parts are
+// never built.
+//
+// An iteration is the two SpMMs with R (K and R·(diag(s)·G)) inside a
+// few row-parallel passes over a workspace allocated once per fit, and it
+// reproduces the unfused loop bit for bit (docs/ARCHITECTURE.md "Solver
+// iteration").
 
 #ifndef RHCHME_CORE_RHCHME_SOLVER_H_
 #define RHCHME_CORE_RHCHME_SOLVER_H_

@@ -15,20 +15,22 @@ Status SpgOptions::Validate() const {
   if (max_iterations <= 0) {
     return Status::InvalidArgument("SPG needs max_iterations >= 1");
   }
-  if (tolerance <= 0.0) {
+  // Comparisons are negated so that NaN fails them.
+  if (!(tolerance > 0.0)) {
     return Status::InvalidArgument("SPG tolerance must be positive");
   }
-  if (step_min <= 0.0 || step_max <= step_min) {
+  if (!(step_min > 0.0) || !(step_max > step_min)) {
     return Status::InvalidArgument("SPG step clamp invalid");
   }
   return Status::OK();
 }
 
 Status SubspaceOptions::Validate() const {
-  if (gamma <= 0.0) {
+  // Comparisons are negated so that NaN fails them.
+  if (!(gamma > 0.0)) {
     return Status::InvalidArgument("subspace gamma must be positive");
   }
-  if (affine_penalty < 0.0) {
+  if (!(affine_penalty >= 0.0)) {
     return Status::InvalidArgument("affine_penalty must be nonnegative");
   }
   return spg.Validate();

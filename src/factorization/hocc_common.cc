@@ -1,5 +1,6 @@
 #include "factorization/hocc_common.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -7,6 +8,7 @@
 #include "cluster/assignments.h"
 #include "cluster/kmeans.h"
 #include "la/gemm.h"
+#include "la/simd.h"
 #include "la/solve.h"
 #include "util/fault.h"
 #include "util/parallel.h"
@@ -141,33 +143,97 @@ Result<la::Matrix> SolveCentralSFromProducts(const la::Matrix& gtg,
   return last;
 }
 
-namespace {
-
-/// Data-term halves of Eq. 21 from precomputed gradient products:
-/// num = A⁺ + G·B⁻ and den = A⁻ + G·B⁺ with the symmetrised halves
-/// A = ½(mg·Sᵀ + mtg·S) and B of the header comment. Shared by every
-/// overload — the dense path forms mg/mtg from M, the RHCHME solver from
-/// its low-rank identities.
-void GUpdateDataTermsFromProducts(const la::Matrix& mg, const la::Matrix& mtg,
-                                  const la::Matrix& s, const la::Matrix& gtg,
-                                  const la::Matrix& g, la::Matrix* num,
-                                  la::Matrix* den) {
-  // A = ½ (M G Sᵀ + Mᵀ G S).
-  la::Matrix a = la::MultiplyNT(mg, s);                 // (M G) Sᵀ
-  a.Add(la::Multiply(mtg, s));                          // + (Mᵀ G) S
-  a.Scale(0.5);
-
+void GUpdateGramTerms(const la::Matrix& s, const la::Matrix& gtg,
+                      la::Matrix* b_pos, la::Matrix* b_neg) {
   // B = ½ (Sᵀ GᵀG S + S GᵀG Sᵀ).
   la::Matrix gtgs = la::Multiply(gtg, s);               // GᵀG S
   la::Matrix b = la::MultiplyTN(s, gtgs);               // Sᵀ GᵀG S
   la::Matrix gtgst = la::MultiplyNT(gtg, s);            // GᵀG Sᵀ
   b.Add(la::Multiply(s, gtgst));                        // + S GᵀG Sᵀ
   b.Scale(0.5);
+  *b_pos = la::PositivePart(b);
+  *b_neg = la::NegativePart(b);
+}
 
-  *num = la::PositivePart(a);
-  num->Add(la::Multiply(g, la::NegativePart(b)));
-  *den = la::NegativePart(a);
-  den->Add(la::Multiply(g, la::PositivePart(b)));
+void GUpdateRows(const GUpdateOperands& op, const la::Matrix& g,
+                 std::size_t r0, std::size_t r1, GUpdateScratch* scratch,
+                 la::Matrix* g_out) {
+  const la::simd::KernelTable& kt = la::simd::Table();
+  const std::size_t c = g.cols();
+  const la::Matrix& s = *op.s;
+  la::Matrix& a = scratch->a;
+  la::Matrix& num = scratch->num;
+  la::Matrix& den = scratch->den;
+  // A = ½ (M G Sᵀ + Mᵀ G S); (M G Sᵀ)_ij is the dot of M·G's row i with
+  // S's row j.
+  la::MultiplyRowsInto(*op.mtg, s, &a, r0, r1);
+  constexpr std::size_t kBatch = 64;
+  double dots[kBatch];
+  for (std::size_t i = r0; i < r1; ++i) {
+    double* ai = a.row_ptr(i);
+    for (std::size_t j0 = 0; j0 < c; j0 += kBatch) {
+      const std::size_t len = std::min(kBatch, c - j0);
+      kt.dot_rows(op.mg->row_ptr(i), s.row_ptr(j0), s.stride(), nullptr, len,
+                  c, dots);
+      for (std::size_t t = 0; t < len; ++t) {
+        ai[j0 + t] = (dots[t] + ai[j0 + t]) * 0.5;
+      }
+    }
+  }
+  la::MultiplyRowsInto(g, *op.b_neg, &num, r0, r1);  // G·B⁻
+  la::MultiplyRowsInto(g, *op.b_pos, &den, r0, r1);  // G·B⁺
+  const bool manifold = op.lg_neg != nullptr && op.lg_pos != nullptr;
+  for (std::size_t i = r0; i < r1; ++i) {
+    const double* ai = a.row_ptr(i);
+    const double* ni = num.row_ptr(i);
+    const double* di = den.row_ptr(i);
+    const double* lni = manifold ? op.lg_neg->row_ptr(i) : nullptr;
+    const double* lpi = manifold ? op.lg_pos->row_ptr(i) : nullptr;
+    const double* gi = g.row_ptr(i);
+    double* oi = g_out->row_ptr(i);
+    for (std::size_t j = 0; j < c; ++j) {
+      double nj = (ai[j] > 0.0 ? ai[j] : 0.0) + ni[j];   // A⁺ + G·B⁻
+      double dj = (ai[j] < 0.0 ? -ai[j] : 0.0) + di[j];  // A⁻ + G·B⁺
+      if (manifold) {
+        nj = nj + lni[j];
+        dj = dj + lpi[j];
+      }
+      // Guard tiny negatives in the numerator.
+      const double pos = nj > 0.0 ? nj : 0.0;
+      oi[j] = gi[j] * std::sqrt(pos / (dj + op.eps));
+    }
+  }
+}
+
+namespace {
+
+/// Whole-matrix Eq. 21 over GUpdateRows, in place on `g`.
+void ApplyGUpdate(const la::Matrix& mg, const la::Matrix& mtg,
+                  const la::Matrix& s, const la::Matrix& gtg,
+                  const la::Matrix* lg_neg, const la::Matrix* lg_pos,
+                  double eps, la::Matrix* g) {
+  la::Matrix b_pos, b_neg;
+  GUpdateGramTerms(s, gtg, &b_pos, &b_neg);
+  GUpdateOperands op;
+  op.mg = &mg;
+  op.mtg = &mtg;
+  op.s = &s;
+  op.b_pos = &b_pos;
+  op.b_neg = &b_neg;
+  op.lg_neg = lg_neg;
+  op.lg_pos = lg_pos;
+  op.eps = eps;
+  const std::size_t n = g->rows(), c = g->cols();
+  GUpdateScratch scratch;
+  scratch.Resize(n, c);
+  // Whole panels per chunk: GUpdateRows reads G's panels before it
+  // overwrites them.
+  const std::size_t grain =
+      (util::GrainForWork(10 * c * c + 1) + la::kGemmRowPanel - 1) /
+      la::kGemmRowPanel * la::kGemmRowPanel;
+  util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+    GUpdateRows(op, *g, r0, r1, &scratch, g);
+  });
 }
 
 }  // namespace
@@ -181,17 +247,17 @@ void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
   // Streaming AᵀB: materialising Mᵀ here would be the iteration's only
   // dense n x n temporary (M is the solver's full-size data matrix).
   la::MultiplyTNStreamInto(m, *g, &mtg);
-  la::Matrix num, den;
-  GUpdateDataTermsFromProducts(mg, mtg, s, la::Gram(*g), *g, &num, &den);
-  if (lambda != 0.0 && laplacian_pos != nullptr && laplacian_neg != nullptr) {
-    la::Matrix lg_neg = la::Multiply(*laplacian_neg, *g);
+  la::Matrix lg_neg, lg_pos;
+  const bool manifold =
+      lambda != 0.0 && laplacian_pos != nullptr && laplacian_neg != nullptr;
+  if (manifold) {
+    lg_neg = la::Multiply(*laplacian_neg, *g);
     lg_neg.Scale(lambda);
-    num.Add(lg_neg);
-    la::Matrix lg_pos = la::Multiply(*laplacian_pos, *g);
+    lg_pos = la::Multiply(*laplacian_pos, *g);
     lg_pos.Scale(lambda);
-    den.Add(lg_pos);
   }
-  RatioUpdate(num, den, eps, g);
+  ApplyGUpdate(mg, mtg, s, la::Gram(*g), manifold ? &lg_neg : nullptr,
+               manifold ? &lg_pos : nullptr, eps, g);
 }
 
 Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
@@ -205,18 +271,17 @@ Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
     return Status::InvalidArgument(
         "MultiplicativeGUpdateFromProducts: shape mismatch");
   }
-  la::Matrix num, den;
-  GUpdateDataTermsFromProducts(mg, mtg, s, gtg, *g, &num, &den);
-  if (lambda != 0.0 && laplacian_pos != nullptr && laplacian_neg != nullptr) {
-    la::Matrix lg;                                      // n x c SpMM scratch
-    laplacian_neg->MultiplyDenseInto(*g, &lg);
-    lg.Scale(lambda);
-    num.Add(lg);
-    laplacian_pos->MultiplyDenseInto(*g, &lg);
-    lg.Scale(lambda);
-    den.Add(lg);
+  la::Matrix lg_neg, lg_pos;                            // n x c SpMM results
+  const bool manifold =
+      lambda != 0.0 && laplacian_pos != nullptr && laplacian_neg != nullptr;
+  if (manifold) {
+    laplacian_neg->MultiplyDenseInto(*g, &lg_neg);
+    lg_neg.Scale(lambda);
+    laplacian_pos->MultiplyDenseInto(*g, &lg_pos);
+    lg_pos.Scale(lambda);
   }
-  RatioUpdate(num, den, eps, g);
+  ApplyGUpdate(mg, mtg, s, gtg, manifold ? &lg_neg : nullptr,
+               manifold ? &lg_pos : nullptr, eps, g);
   if (util::FaultShouldFail(util::fault_site::kGUpdatePoison) && !g->empty()) {
     // Simulates a kernel emitting NaN (e.g. an overflowed 0·inf product);
     // the solver's post-update tripwire must catch and sanitize it.
@@ -261,17 +326,21 @@ void NormalizeMembershipRows(const BlockStructure& blocks, la::Matrix* g) {
         util::GrainForWork(4 * (c1 - c0) + 1),
         [&](std::size_t r0, std::size_t r1) {
           for (std::size_t i = r0; i < r1; ++i) {
-            double s = 0.0;
-            for (std::size_t j = c0; j < c1; ++j) s += std::fabs((*g)(i, j));
-            if (s > 0.0) {
-              const double inv = 1.0 / s;
-              for (std::size_t j = c0; j < c1; ++j) (*g)(i, j) *= inv;
-            } else {
-              const double u = 1.0 / static_cast<double>(c1 - c0);
-              for (std::size_t j = c0; j < c1; ++j) (*g)(i, j) = u;
-            }
+            NormalizeMembershipRow(c0, c1, g->row_ptr(i));
           }
         });
+  }
+}
+
+void NormalizeMembershipRow(std::size_t c0, std::size_t c1, double* row) {
+  double s = 0.0;
+  for (std::size_t j = c0; j < c1; ++j) s += std::fabs(row[j]);
+  if (s > 0.0) {
+    const double inv = 1.0 / s;
+    for (std::size_t j = c0; j < c1; ++j) row[j] *= inv;
+  } else {
+    const double u = 1.0 / static_cast<double>(c1 - c0);
+    for (std::size_t j = c0; j < c1; ++j) row[j] = u;
   }
 }
 

@@ -98,16 +98,14 @@ void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
 
 /// Product-form Eq. 21: the same update from precomputed gradient halves
 /// `mg` = M·G and `mtg` = Mᵀ·G (both n x c) and `gtg` = GᵀG instead of M
-/// itself — the seam shared with the RHCHME solver, which evaluates the
-/// products in O(nnz + n·c²) via the implicit
-/// M = R − diag(s)·(R − H·Gᵀ) and never materialises a dense M (and
-/// already holds GᵀG from the S solve). `g` must be the same membership
-/// every product was formed against. The Laplacian ± parts stay in CSR
-/// and the L±·G terms run as SpMM (O(nnz·c)); pass nullptr (with
-/// lambda = 0) when there is no manifold regulariser. Returns
-/// InvalidArgument on shape mismatch instead of aborting — this is a
-/// fit-pipeline seam, and bad shapes here can come from corrupted
-/// snapshots, not only programmer error.
+/// itself. `g` must be the same membership every product was formed
+/// against. The Laplacian ± parts stay in CSR and the L±·G terms run as
+/// SpMM (O(nnz·c)); pass nullptr (with lambda = 0) when there is no
+/// manifold regulariser. This is the whole-matrix form of GUpdateRows,
+/// the row kernel the RHCHME solver runs inside its fused passes, so the
+/// two agree bit for bit. Returns InvalidArgument on shape mismatch
+/// instead of aborting — this is a fit-pipeline seam, and bad shapes here
+/// can come from corrupted snapshots, not only programmer error.
 Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
                                          const la::Matrix& mtg,
                                          const la::Matrix& s,
@@ -115,6 +113,49 @@ Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
                                          const la::SparseMatrix* laplacian_pos,
                                          const la::SparseMatrix* laplacian_neg,
                                          double eps, la::Matrix* g);
+
+/// The c x c term of Eq. 21 every row shares: B = ½(Sᵀ·GᵀG·S + S·GᵀG·Sᵀ)
+/// split into `b_pos` = B⁺ and `b_neg` = B⁻ (both entrywise
+/// nonnegative).
+void GUpdateGramTerms(const la::Matrix& s, const la::Matrix& gtg,
+                      la::Matrix* b_pos, la::Matrix* b_neg);
+
+/// Read-only operands of the Eq. 21 row kernel. Every n x c operand is
+/// read at the rows being updated; `lg_neg`/`lg_pos` are lambda·L⁻·G and
+/// lambda·L⁺·G (each product entry times lambda), or both null when there
+/// is no manifold term.
+struct GUpdateOperands {
+  const la::Matrix* mg = nullptr;   ///< M·G
+  const la::Matrix* mtg = nullptr;  ///< Mᵀ·G
+  const la::Matrix* s = nullptr;    ///< S (c x c)
+  const la::Matrix* b_pos = nullptr;  ///< B⁺ from GUpdateGramTerms
+  const la::Matrix* b_neg = nullptr;  ///< B⁻ from GUpdateGramTerms
+  const la::Matrix* lg_neg = nullptr;
+  const la::Matrix* lg_pos = nullptr;
+  double eps = 0.0;  ///< Denominator floor.
+};
+
+/// n x c scratch of GUpdateRows; only the rows being updated are written.
+struct GUpdateScratch {
+  la::Matrix a, num, den;
+  void Resize(std::size_t n, std::size_t c) {
+    a.Resize(n, c);
+    num.Resize(n, c);
+    den.Resize(n, c);
+  }
+};
+
+/// Rows [r0, r1) of the Eq. 21 update: row i of `g_out` becomes
+///   g_i ∘ sqrt( max(0, A⁺ + G·B⁻ + lambda·L⁻·G) / (A⁻ + G·B⁺ + lambda·L⁺·G + eps) )
+/// at row i, with A = ½(M·G·Sᵀ + Mᵀ·G·S). The row products go through
+/// la::MultiplyRowsInto and M·G·Sᵀ through the dispatched dot, so any
+/// tiling of the rows gives the same bits. The range must consist of
+/// whole la::kGemmRowPanel panels (r0 a multiple of it, r1 too or
+/// r1 == n) — the products probe whole panels of `mtg` and `g` — and
+/// `g_out` may then alias `g`. Serial; the caller owns the parallelism.
+void GUpdateRows(const GUpdateOperands& op, const la::Matrix& g,
+                 std::size_t r0, std::size_t r1, GUpdateScratch* scratch,
+                 la::Matrix* g_out);
 
 /// No-regulariser convenience (lambda = 0): data terms only.
 void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
@@ -129,6 +170,11 @@ void RatioUpdate(const la::Matrix& num, const la::Matrix& den, double eps,
 /// normalised within its own cluster columns (paper Eq. 22; all-zero rows
 /// become uniform over the block).
 void NormalizeMembershipRows(const BlockStructure& blocks, la::Matrix* g);
+
+/// Eq. 22 for one row whose type owns cluster columns [c0, c1): scales
+/// them to unit ℓ1 mass, or sets them uniform when the mass is zero.
+/// NormalizeMembershipRows applies exactly this to every row.
+void NormalizeMembershipRow(std::size_t c0, std::size_t c1, double* row);
 
 /// Reconstruction ‖M − G·S·Gᵀ‖²_F.
 double ReconstructionError(const la::Matrix& m, const la::Matrix& g,

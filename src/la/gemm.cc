@@ -18,7 +18,7 @@ namespace {
 // for any output element is fixed by these constants and the dispatched
 // kernel table alone, never by the thread count, which keeps results
 // bit-identical for any pool size within a dispatched ISA.
-constexpr std::size_t kRowPanel = 32;
+constexpr std::size_t kRowPanel = kGemmRowPanel;
 constexpr std::size_t kBlockK = 64;
 constexpr std::size_t kBlockJ = 256;
 
@@ -88,16 +88,26 @@ void GemmPanelSparse(const simd::KernelTable& kt, const Matrix& a,
 /// into a zero-initialised register partial vs unfused in-place updates
 /// of C), so the two paths are NOT bit-identical to each other. That is
 /// fine for the determinism contract: probe decisions sit on kRowPanel
-/// sub-panels of the *global* row grid (ParallelFor chunk starts are
-/// always grain-aligned, even when ranges fuse on the inline path) and
-/// read only A's content, never the thread count, so the path chosen for
-/// a given tile — and the result — is the same for every pool size.
+/// sub-panels of the *global* row grid and always read the whole panel,
+/// even when [r0, r1) covers only part of it. They read only A's content,
+/// never the thread count or the range, and each output element's chain
+/// depends only on its own row, so the result of a row is the same for
+/// every pool size and every tiling of the rows.
 void GemmPanelNN(const Matrix& a, const Matrix& b, Matrix* c, std::size_t r0,
                  std::size_t r1) {
   const simd::KernelTable& kt = simd::Table();
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
-  const std::size_t npanels = (r1 - r0 + kRowPanel - 1) / kRowPanel;
+  // Panels sit on the global kRowPanel grid; a range that starts or ends
+  // inside a panel computes only its own rows of it, but the probe still
+  // reads the whole panel.
+  const std::size_t first = r0 / kRowPanel;
+  const std::size_t npanels = r1 > r0 ? (r1 - 1) / kRowPanel + 1 - first : 0;
+  auto panel_rows = [&](std::size_t p, std::size_t* lo, std::size_t* hi) {
+    const std::size_t p0 = (first + p) * kRowPanel;
+    *lo = std::max(r0, p0);
+    *hi = std::min(r1, p0 + kRowPanel);
+  };
   AlignedVector<double> packa, packb;
   std::vector<std::size_t> aoff(npanels);
   std::vector<char> sparse(npanels);
@@ -106,11 +116,15 @@ void GemmPanelNN(const Matrix& a, const Matrix& b, Matrix* c, std::size_t r0,
     const std::size_t klen = kend - kb;
     std::size_t atotal = 0;
     for (std::size_t p = 0; p < npanels; ++p) {
-      const std::size_t p0 = r0 + p * kRowPanel;
-      const std::size_t p1 = std::min(r1, p0 + kRowPanel);
-      sparse[p] = PanelMostlyZero(a, p0, p1, kb, kend) ? 1 : 0;
+      const std::size_t p0 = (first + p) * kRowPanel;
+      sparse[p] = PanelMostlyZero(a, p0, std::min(a.rows(), p0 + kRowPanel),
+                                  kb, kend)
+                      ? 1
+                      : 0;
       if (!sparse[p]) {
-        const std::size_t apanels = (p1 - p0 + kt.mr - 1) / kt.mr;
+        std::size_t lo, hi;
+        panel_rows(p, &lo, &hi);
+        const std::size_t apanels = (hi - lo + kt.mr - 1) / kt.mr;
         aoff[p] = atotal;
         atotal += apanels * klen * kt.mr;
       }
@@ -118,19 +132,19 @@ void GemmPanelNN(const Matrix& a, const Matrix& b, Matrix* c, std::size_t r0,
     packa.resize(atotal);
     for (std::size_t p = 0; p < npanels; ++p) {
       if (sparse[p]) continue;
-      const std::size_t p0 = r0 + p * kRowPanel;
-      const std::size_t p1 = std::min(r1, p0 + kRowPanel);
-      kt.pack_a(a.row_ptr(p0) + kb, a.stride(), p1 - p0, klen,
+      std::size_t lo, hi;
+      panel_rows(p, &lo, &hi);
+      kt.pack_a(a.row_ptr(lo) + kb, a.stride(), hi - lo, klen,
                 packa.data() + aoff[p]);
     }
     for (std::size_t jb = 0; jb < n; jb += kBlockJ) {
       const std::size_t jlen = std::min(n, jb + kBlockJ) - jb;
       bool b_packed = false;
       for (std::size_t p = 0; p < npanels; ++p) {
-        const std::size_t p0 = r0 + p * kRowPanel;
-        const std::size_t p1 = std::min(r1, p0 + kRowPanel);
+        std::size_t lo, hi;
+        panel_rows(p, &lo, &hi);
         if (sparse[p]) {
-          GemmPanelSparse(kt, a, b, c, p0, p1, kb, kend, jb, jlen);
+          GemmPanelSparse(kt, a, b, c, lo, hi, kb, kend, jb, jlen);
           continue;
         }
         if (!b_packed) {
@@ -140,8 +154,8 @@ void GemmPanelNN(const Matrix& a, const Matrix& b, Matrix* c, std::size_t r0,
                     packb.data());
           b_packed = true;
         }
-        kt.gemm_packed(packa.data() + aoff[p], packb.data(), p1 - p0, klen,
-                       jlen, c->row_ptr(p0) + jb, c->stride());
+        kt.gemm_packed(packa.data() + aoff[p], packb.data(), hi - lo, klen,
+                       jlen, c->row_ptr(lo) + jb, c->stride());
       }
     }
   }
@@ -156,6 +170,18 @@ void MultiplyInto(const Matrix& a, const Matrix& b, Matrix* c) {
   util::ParallelFor(0, m, kRowPanel, [&](std::size_t r0, std::size_t r1) {
     GemmPanelNN(a, b, c, r0, r1);
   });
+}
+
+void MultiplyRowsInto(const Matrix& a, const Matrix& b, Matrix* c,
+                      std::size_t r0, std::size_t r1) {
+  RHCHME_CHECK(a.cols() == b.rows(), "Multiply: inner dims mismatch");
+  RHCHME_CHECK(c->rows() == a.rows() && c->cols() == b.cols() &&
+                   r0 <= r1 && r1 <= a.rows(),
+               "MultiplyRowsInto: output shape or row range mismatch");
+  for (std::size_t i = r0; i < r1; ++i) {
+    std::fill(c->row_ptr(i), c->row_ptr(i) + c->cols(), 0.0);
+  }
+  GemmPanelNN(a, b, c, r0, r1);
 }
 
 Matrix Multiply(const Matrix& a, const Matrix& b) {
@@ -240,11 +266,8 @@ void MultiplyNTInto(const Matrix& a, const Matrix& b, Matrix* c) {
       std::max(std::size_t{1}, util::GrainForWork(2 * k * (n ? n : 1)));
   util::ParallelFor(0, m, grain, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t i = r0; i < r1; ++i) {
-      const double* ai = a.row_ptr(i);
-      double* ci = c->row_ptr(i);
-      for (std::size_t j = 0; j < n; ++j) {
-        ci[j] = kt.dot(ai, b.row_ptr(j), k);
-      }
+      kt.dot_rows(a.row_ptr(i), b.row_ptr(0), b.stride(), nullptr, n, k,
+                  c->row_ptr(i));
     }
   });
 }
@@ -261,28 +284,19 @@ Matrix Gram(const Matrix& a) {
   Matrix g(n, n);
   if (n == 0) return g;
   // Row i of AᵀA needs column i of A; the transpose makes every dot
-  // contiguous. Upper triangle first (disjoint rows per chunk), mirror
-  // after the barrier.
+  // contiguous. Each index i owns the upper-triangle entries (i, j >= i)
+  // and their mirrors (j, i), so one region fills the whole matrix.
   const Matrix at = a.Transposed();
   const std::size_t grain =
       std::max(std::size_t{1}, util::GrainForWork(k * (n / 2 + 1)));
   util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t i = r0; i < r1; ++i) {
-      const double* ati = at.row_ptr(i);
       double* gi = g.row_ptr(i);
-      for (std::size_t j = i; j < n; ++j) {
-        gi[j] = kt.dot(ati, at.row_ptr(j), k);
-      }
+      kt.dot_rows(at.row_ptr(i), at.row_ptr(i), at.stride(), nullptr, n - i,
+                  k, gi + i);
+      for (std::size_t j = i + 1; j < n; ++j) g(j, i) = gi[j];
     }
   });
-  util::ParallelFor(0, n, std::max(std::size_t{1}, util::GrainForWork(n)),
-                    [&](std::size_t r0, std::size_t r1) {
-                      for (std::size_t i = r0; i < r1; ++i) {
-                        for (std::size_t j = 0; j < i; ++j) {
-                          g(i, j) = g(j, i);
-                        }
-                      }
-                    });
   return g;
 }
 

@@ -32,6 +32,12 @@
 namespace rhchme {
 namespace la {
 
+/// Height of the row panels the product kernels probe and pack: a panel
+/// is rows [32·p, 32·p + 32) of the global row grid. Callers that
+/// produce A's rows and multiply them in the same pass (MultiplyRowsInto)
+/// tile their rows in whole panels.
+constexpr std::size_t kGemmRowPanel = 32;
+
 /// C = A * B. Requires a.cols() == b.rows().
 Matrix Multiply(const Matrix& a, const Matrix& b);
 
@@ -43,6 +49,17 @@ Matrix MultiplyNT(const Matrix& a, const Matrix& b);
 
 /// Writes A * B into `c` (resized as needed).
 void MultiplyInto(const Matrix& a, const Matrix& b, Matrix* c);
+
+/// Rows [r0, r1) of C = A * B, written into `c`, which must already be
+/// a.rows() x b.cols(); other rows are left alone. Each row is
+/// bit-identical to the same row of MultiplyInto for any range: a
+/// 32-row panel of the global row grid takes the path its whole-panel
+/// density probe picks, so callers may tile rows freely, e.g. inside
+/// their own fused row-parallel passes. The probe reads every row of A in
+/// the panels the range touches, so those rows must be final. Serial; the
+/// caller owns the parallelism.
+void MultiplyRowsInto(const Matrix& a, const Matrix& b, Matrix* c,
+                      std::size_t r0, std::size_t r1);
 
 /// Writes Aᵀ * B into `c` (resized as needed). Materialises Aᵀ first —
 /// fastest for the general case, but costs an A-sized temporary.

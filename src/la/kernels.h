@@ -30,6 +30,9 @@
 //     of lane accumulators combined in a fixed order that depends only on
 //     the table and the call's length — bit-stable across thread counts
 //     per dispatched table, bounded rounding away from the scalar chain.
+//     The batched dot (dot_rows) keeps each dot's chain exactly: it only
+//     transposes several dots' lane accumulators so their in-order lane
+//     sums run side by side in one register.
 //   - The packed GEMM microkernel fixes its accumulation order by the
 //     table's (mr, nr) geometry and the call's klen alone.
 
@@ -60,6 +63,13 @@ struct KernelTable {
   void (*axpy)(double a, const double* x, double* y, std::size_t n);
   /// Σ a[i]·b[i] with the table's fixed lane-accumulator order.
   double (*dot)(const double* a, const double* b, std::size_t n);
+  /// Many dots against one vector: out[t] = dot(a, row_t, n) for t in
+  /// [0, count), where row_t starts at b + idx[t]·ldb (b + t·ldb when idx
+  /// is null). Every out[t] is bit-identical to this table's dot; the
+  /// vector tables reduce the lanes of several dots at once.
+  void (*dot_rows)(const double* a, const double* b, std::size_t ldb,
+                   const std::size_t* idx, std::size_t count, std::size_t n,
+                   double* out);
   /// Σ (a[i]-b[i])², same accumulator structure as dot.
   double (*squared_distance)(const double* a, const double* b,
                              std::size_t n);
@@ -101,6 +111,18 @@ struct KernelTable {
                     const double* vals, std::size_t r0, std::size_t r1,
                     const double* b, std::size_t ldb, std::size_t n,
                     double* c, std::size_t ldc);
+
+  /// Sign-split CSR row kernel: for every row i in [r0, r1), overwrites
+  /// neg[i, 0..n) with Σ (−vals[k]) · B[idx[k], 0..n) over the row's
+  /// strictly negative entries and pos[i, 0..n) (both row stride ldc) with
+  /// Σ vals[k] · B[idx[k], 0..n) over its strictly positive ones; zero
+  /// and NaN entries belong to neither. Each output is exactly what
+  /// spmm_rows gives on the matrix's negative part (negated values) or
+  /// positive part, without building either. Does not allocate.
+  void (*spmm_sign_rows)(const std::size_t* offsets, const std::size_t* idx,
+                         const double* vals, std::size_t r0, std::size_t r1,
+                         const double* b, std::size_t ldb, std::size_t n,
+                         double* neg, double* pos, std::size_t ldc);
 };
 
 /// Per-ISA table accessors, defined one per kernels_*.cc TU. Each returns

@@ -52,18 +52,59 @@ void Axpy(double a, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-double Dot(const double* a, const double* b, std::size_t n) {
+/// The vector part of Dot: both lane accumulators over the whole
+/// 8-element blocks, added; the scalar tail starts at (n / 8) * 8.
+Vec DotBlocks(const double* a, const double* b, std::size_t n) {
   Vec acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 2 * kLanes <= n; i += 2 * kLanes) {
+  for (std::size_t i = 0; i + 2 * kLanes <= n; i += 2 * kLanes) {
     acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
                            acc0);
     acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + kLanes),
                            _mm256_loadu_pd(b + i + kLanes), acc1);
   }
-  double s = SumLanes(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += a[i] * b[i];
+  return _mm256_add_pd(acc0, acc1);
+}
+
+double Dot(const double* a, const double* b, std::size_t n) {
+  double s = SumLanes(DotBlocks(a, b, n));
+  for (std::size_t i = n / (2 * kLanes) * (2 * kLanes); i < n; ++i) {
+    s += a[i] * b[i];
+  }
   return s;
+}
+
+/// Four dots at a time: their block accumulators are transposed so that
+/// vector lane q carries dot q's lane sum ((l0 + l1) + l2) + l3, then the
+/// scalar tail's unfused multiply-adds run lane-wise — Dot's exact chain.
+void DotRows(const double* a, const double* b, std::size_t ldb,
+             const std::size_t* idx, std::size_t count, std::size_t n,
+             double* out) {
+  const std::size_t tail = n / (2 * kLanes) * (2 * kLanes);
+  std::size_t t = 0;
+  for (; t + kLanes <= count; t += kLanes) {
+    const double* r[kLanes];
+    for (std::size_t q = 0; q < kLanes; ++q) {
+      r[q] = b + (idx != nullptr ? idx[t + q] : t + q) * ldb;
+    }
+    const Vec v0 = DotBlocks(a, r[0], n), v1 = DotBlocks(a, r[1], n);
+    const Vec v2 = DotBlocks(a, r[2], n), v3 = DotBlocks(a, r[3], n);
+    const Vec u0 = _mm256_unpacklo_pd(v0, v1);  // v0[0] v1[0] v0[2] v1[2]
+    const Vec u1 = _mm256_unpackhi_pd(v0, v1);  // v0[1] v1[1] v0[3] v1[3]
+    const Vec u2 = _mm256_unpacklo_pd(v2, v3);
+    const Vec u3 = _mm256_unpackhi_pd(v2, v3);
+    Vec s = _mm256_add_pd(_mm256_permute2f128_pd(u0, u2, 0x20),   // lane 0
+                          _mm256_permute2f128_pd(u1, u3, 0x20));  // lane 1
+    s = _mm256_add_pd(s, _mm256_permute2f128_pd(u0, u2, 0x31));   // lane 2
+    s = _mm256_add_pd(s, _mm256_permute2f128_pd(u1, u3, 0x31));   // lane 3
+    for (std::size_t i = tail; i < n; ++i) {
+      const Vec x = _mm256_set_pd(r[3][i], r[2][i], r[1][i], r[0][i]);
+      s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_set1_pd(a[i]), x));
+    }
+    _mm256_storeu_pd(out + t, s);
+  }
+  for (; t < count; ++t) {
+    out[t] = Dot(a, b + (idx != nullptr ? idx[t] : t) * ldb, n);
+  }
 }
 
 double SquaredDistance(const double* a, const double* b, std::size_t n) {
@@ -276,10 +317,92 @@ void SpmmRows(const std::size_t* offsets, const std::size_t* idx,
   }
 }
 
+/// Registers per sign of a sign-split row strip (two accumulator sets).
+constexpr std::size_t kSignStripVecs = 4;
+constexpr std::size_t kSignStrip = kSignStripVecs * kLanes;
+
+/// SpmmStrip with one accumulator set per sign: a negative entry adds
+/// (−v)·B[idx[k]] to `an`, a positive one v·B[idx[k]] to `ap`.
+template <std::size_t kVecs>
+void SpmmSignStrip(const std::size_t* idx, const double* vals, std::size_t kb,
+                   std::size_t ke, const double* b, std::size_t ldb,
+                   double* neg, double* pos, __m256i tail) {
+  constexpr std::size_t kLast = kVecs - 1;
+  Vec an[kVecs], ap[kVecs];
+  for (std::size_t q = 0; q < kVecs; ++q) {
+    an[q] = _mm256_setzero_pd();
+    ap[q] = _mm256_setzero_pd();
+  }
+  for (std::size_t k = kb; k < ke; ++k) {
+    const double v = vals[k];
+    const double* bk = b + idx[k] * ldb;
+    if (v < 0.0) {
+      const Vec w = _mm256_set1_pd(-v);
+      for (std::size_t q = 0; q < kLast; ++q) {
+        an[q] = _mm256_add_pd(
+            an[q], _mm256_mul_pd(w, _mm256_loadu_pd(bk + q * kLanes)));
+      }
+      an[kLast] = _mm256_add_pd(
+          an[kLast],
+          _mm256_mul_pd(w, _mm256_maskload_pd(bk + kLast * kLanes, tail)));
+    } else if (v > 0.0) {
+      const Vec w = _mm256_set1_pd(v);
+      for (std::size_t q = 0; q < kLast; ++q) {
+        ap[q] = _mm256_add_pd(
+            ap[q], _mm256_mul_pd(w, _mm256_loadu_pd(bk + q * kLanes)));
+      }
+      ap[kLast] = _mm256_add_pd(
+          ap[kLast],
+          _mm256_mul_pd(w, _mm256_maskload_pd(bk + kLast * kLanes, tail)));
+    }
+  }
+  for (std::size_t q = 0; q < kLast; ++q) {
+    _mm256_storeu_pd(neg + q * kLanes, an[q]);
+    _mm256_storeu_pd(pos + q * kLanes, ap[q]);
+  }
+  _mm256_maskstore_pd(neg + kLast * kLanes, tail, an[kLast]);
+  _mm256_maskstore_pd(pos + kLast * kLanes, tail, ap[kLast]);
+}
+
+void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
+                  const double* vals, std::size_t r0, std::size_t r1,
+                  const double* b, std::size_t ldb, std::size_t n,
+                  double* neg, double* pos, std::size_t ldc) {
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  for (std::size_t i = r0; i < r1; ++i) {
+    const std::size_t kb = offsets[i], ke = offsets[i + 1];
+    for (std::size_t j0 = 0; j0 < n; j0 += kSignStrip) {
+      const std::size_t w = n - j0 < kSignStrip ? n - j0 : kSignStrip;
+      const std::size_t vecs = (w + kLanes - 1) / kLanes;
+      const auto live = static_cast<long long>(w - (vecs - 1) * kLanes);
+      const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), lane);
+      const double* bs = b + j0;
+      double* ns = neg + i * ldc + j0;
+      double* ps = pos + i * ldc + j0;
+      switch (vecs) {
+        case 1:
+          SpmmSignStrip<1>(idx, vals, kb, ke, bs, ldb, ns, ps, tail);
+          break;
+        case 2:
+          SpmmSignStrip<2>(idx, vals, kb, ke, bs, ldb, ns, ps, tail);
+          break;
+        case 3:
+          SpmmSignStrip<3>(idx, vals, kb, ke, bs, ldb, ns, ps, tail);
+          break;
+        default:
+          SpmmSignStrip<kSignStripVecs>(idx, vals, kb, ke, bs, ldb, ns, ps,
+                                        tail);
+          break;
+      }
+    }
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
-    "avx2", Isa::kAvx2, kLanes,          kMr, kNr,   Axpy,
-    Dot,    SquaredDistance, Add,        Sub, Scale, Hadamard,
-    PackB,  PackA,           GemmPacked, SpmmRows,
+    "avx2",   Isa::kAvx2, kLanes,          kMr, kNr,   Axpy,
+    Dot,      DotRows,    SquaredDistance, Add, Sub,   Scale,
+    Hadamard, PackB,      PackA,           GemmPacked, SpmmRows,
+    SpmmSignRows,
 };
 
 }  // namespace

@@ -68,7 +68,9 @@ void Axpy(double a, const double* x, double* y, std::size_t n) {
   }
 }
 
-double Dot(const double* a, const double* b, std::size_t n) {
+/// Dot's two lane accumulators over the whole call, added — everything
+/// but the final in-order lane sum.
+Vec DotLanes(const double* a, const double* b, std::size_t n) {
   Vec acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
   std::size_t i = 0;
   for (; i + 2 * kLanes <= n; i += 2 * kLanes) {
@@ -87,7 +89,62 @@ double Dot(const double* a, const double* b, std::size_t n) {
     acc1 = _mm512_fmadd_pd(_mm512_maskz_loadu_pd(m, a + i),
                            _mm512_maskz_loadu_pd(m, b + i), acc1);
   }
-  return SumLanes(_mm512_add_pd(acc0, acc1));
+  return _mm512_add_pd(acc0, acc1);
+}
+
+double Dot(const double* a, const double* b, std::size_t n) {
+  return SumLanes(DotLanes(a, b, n));
+}
+
+/// Eight dots at a time: their lane vectors are transposed so that vector
+/// lane q carries dot q's lanes, and the in-order sum l0 + l1 + … + l7 of
+/// SumLanes runs for all eight at once — Dot's exact chain.
+void DotRows(const double* a, const double* b, std::size_t ldb,
+             const std::size_t* idx, std::size_t count, std::size_t n,
+             double* out) {
+  std::size_t t = 0;
+  for (; t + kLanes <= count; t += kLanes) {
+    Vec v[kLanes];
+    for (std::size_t q = 0; q < kLanes; ++q) {
+      v[q] = DotLanes(a, b + (idx != nullptr ? idx[t + q] : t + q) * ldb, n);
+    }
+    // 8 x 8 transpose: unpack pairs, then regroup 128-bit blocks twice.
+    // (The maskz forms with a full mask are the plain instructions; GCC's
+    // unmasked intrinsics trip -Wmaybe-uninitialized on their internal
+    // undefined source.)
+    constexpr __mmask8 kAll = 0xFF;
+    Vec u[kLanes], w[kLanes];
+    for (std::size_t q = 0; q < kLanes; q += 2) {
+      u[q] = _mm512_maskz_unpacklo_pd(kAll, v[q], v[q + 1]);  // lanes 0,2,4,6
+      u[q + 1] = _mm512_maskz_unpackhi_pd(kAll, v[q], v[q + 1]);  // 1,3,5,7
+    }
+    for (std::size_t h = 0; h < kLanes; h += 4) {
+      w[h + 0] = _mm512_maskz_shuffle_f64x2(kAll, u[h], u[h + 2], 0x88);
+      w[h + 1] = _mm512_maskz_shuffle_f64x2(kAll, u[h], u[h + 2], 0xDD);
+      w[h + 2] = _mm512_maskz_shuffle_f64x2(kAll, u[h + 1], u[h + 3], 0x88);
+      w[h + 3] = _mm512_maskz_shuffle_f64x2(kAll, u[h + 1], u[h + 3], 0xDD);
+    }
+    // col<l>: lane q = v[q][l].
+    const Vec col0 = _mm512_maskz_shuffle_f64x2(kAll, w[0], w[4], 0x88);
+    const Vec col4 = _mm512_maskz_shuffle_f64x2(kAll, w[0], w[4], 0xDD);
+    const Vec col2 = _mm512_maskz_shuffle_f64x2(kAll, w[1], w[5], 0x88);
+    const Vec col6 = _mm512_maskz_shuffle_f64x2(kAll, w[1], w[5], 0xDD);
+    const Vec col1 = _mm512_maskz_shuffle_f64x2(kAll, w[2], w[6], 0x88);
+    const Vec col5 = _mm512_maskz_shuffle_f64x2(kAll, w[2], w[6], 0xDD);
+    const Vec col3 = _mm512_maskz_shuffle_f64x2(kAll, w[3], w[7], 0x88);
+    const Vec col7 = _mm512_maskz_shuffle_f64x2(kAll, w[3], w[7], 0xDD);
+    Vec s = _mm512_add_pd(col0, col1);
+    s = _mm512_add_pd(s, col2);
+    s = _mm512_add_pd(s, col3);
+    s = _mm512_add_pd(s, col4);
+    s = _mm512_add_pd(s, col5);
+    s = _mm512_add_pd(s, col6);
+    s = _mm512_add_pd(s, col7);
+    _mm512_storeu_pd(out + t, s);
+  }
+  for (; t < count; ++t) {
+    out[t] = Dot(a, b + (idx != nullptr ? idx[t] : t) * ldb, n);
+  }
 }
 
 double SquaredDistance(const double* a, const double* b, std::size_t n) {
@@ -317,10 +374,85 @@ void SpmmRows(const std::size_t* offsets, const std::size_t* idx,
   }
 }
 
+/// SpmmStrip with one accumulator set per sign: a negative entry adds
+/// (−v)·B[idx[k]] to `an`, a positive one v·B[idx[k]] to `ap`.
+template <std::size_t kVecs>
+void SpmmSignStrip(const std::size_t* idx, const double* vals, std::size_t kb,
+                   std::size_t ke, const double* b, std::size_t ldb,
+                   double* neg, double* pos, __mmask8 tail) {
+  constexpr std::size_t kLast = kVecs - 1;
+  Vec an[kVecs], ap[kVecs];
+  for (std::size_t q = 0; q < kVecs; ++q) {
+    an[q] = _mm512_setzero_pd();
+    ap[q] = _mm512_setzero_pd();
+  }
+  for (std::size_t k = kb; k < ke; ++k) {
+    const double v = vals[k];
+    const double* bk = b + idx[k] * ldb;
+    if (v < 0.0) {
+      const Vec w = _mm512_set1_pd(-v);
+      for (std::size_t q = 0; q < kLast; ++q) {
+        an[q] = _mm512_add_pd(
+            an[q], _mm512_mul_pd(w, _mm512_loadu_pd(bk + q * kLanes)));
+      }
+      an[kLast] = _mm512_add_pd(
+          an[kLast],
+          _mm512_mul_pd(w, _mm512_maskz_loadu_pd(tail, bk + kLast * kLanes)));
+    } else if (v > 0.0) {
+      const Vec w = _mm512_set1_pd(v);
+      for (std::size_t q = 0; q < kLast; ++q) {
+        ap[q] = _mm512_add_pd(
+            ap[q], _mm512_mul_pd(w, _mm512_loadu_pd(bk + q * kLanes)));
+      }
+      ap[kLast] = _mm512_add_pd(
+          ap[kLast],
+          _mm512_mul_pd(w, _mm512_maskz_loadu_pd(tail, bk + kLast * kLanes)));
+    }
+  }
+  for (std::size_t q = 0; q < kLast; ++q) {
+    _mm512_storeu_pd(neg + q * kLanes, an[q]);
+    _mm512_storeu_pd(pos + q * kLanes, ap[q]);
+  }
+  _mm512_mask_storeu_pd(neg + kLast * kLanes, tail, an[kLast]);
+  _mm512_mask_storeu_pd(pos + kLast * kLanes, tail, ap[kLast]);
+}
+
+void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
+                  const double* vals, std::size_t r0, std::size_t r1,
+                  const double* b, std::size_t ldb, std::size_t n,
+                  double* neg, double* pos, std::size_t ldc) {
+  for (std::size_t i = r0; i < r1; ++i) {
+    const std::size_t kb = offsets[i], ke = offsets[i + 1];
+    for (std::size_t j0 = 0; j0 < n; j0 += kStrip) {
+      const std::size_t w = n - j0 < kStrip ? n - j0 : kStrip;
+      const std::size_t vecs = (w + kLanes - 1) / kLanes;
+      const __mmask8 tail = TailMask(w - (vecs - 1) * kLanes);
+      const double* bs = b + j0;
+      double* ns = neg + i * ldc + j0;
+      double* ps = pos + i * ldc + j0;
+      switch (vecs) {
+        case 1:
+          SpmmSignStrip<1>(idx, vals, kb, ke, bs, ldb, ns, ps, tail);
+          break;
+        case 2:
+          SpmmSignStrip<2>(idx, vals, kb, ke, bs, ldb, ns, ps, tail);
+          break;
+        case 3:
+          SpmmSignStrip<3>(idx, vals, kb, ke, bs, ldb, ns, ps, tail);
+          break;
+        default:
+          SpmmSignStrip<kStripVecs>(idx, vals, kb, ke, bs, ldb, ns, ps, tail);
+          break;
+      }
+    }
+  }
+}
+
 constexpr KernelTable kAvx512Table = {
-    "avx512", Isa::kAvx512, kLanes,        kMr, kNr,   Axpy,
-    Dot,      SquaredDistance, Add,        Sub, Scale, Hadamard,
-    PackB,    PackA,           GemmPacked, SpmmRows,
+    "avx512", Isa::kAvx512, kLanes,          kMr, kNr,   Axpy,
+    Dot,      DotRows,      SquaredDistance, Add, Sub,   Scale,
+    Hadamard, PackB,        PackA,           GemmPacked, SpmmRows,
+    SpmmSignRows,
 };
 
 }  // namespace

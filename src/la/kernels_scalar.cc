@@ -30,6 +30,14 @@ double Dot(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
+void DotRows(const double* a, const double* b, std::size_t ldb,
+             const std::size_t* idx, std::size_t count, std::size_t n,
+             double* out) {
+  for (std::size_t t = 0; t < count; ++t) {
+    out[t] = Dot(a, b + (idx != nullptr ? idx[t] : t) * ldb, n);
+  }
+}
+
 double SquaredDistance(const double* a, const double* b, std::size_t n) {
   double s = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -124,10 +132,30 @@ void SpmmRows(const std::size_t* offsets, const std::size_t* idx,
   }
 }
 
+void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
+                  const double* vals, std::size_t r0, std::size_t r1,
+                  const double* b, std::size_t ldb, std::size_t n,
+                  double* neg, double* pos, std::size_t ldc) {
+  for (std::size_t i = r0; i < r1; ++i) {
+    double* ni = neg + i * ldc;
+    double* pi = pos + i * ldc;
+    for (std::size_t j = 0; j < n; ++j) ni[j] = pi[j] = 0.0;
+    for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      const double v = vals[k];
+      if (v < 0.0) {
+        Axpy(-v, b + idx[k] * ldb, ni, n);
+      } else if (v > 0.0) {
+        Axpy(v, b + idx[k] * ldb, pi, n);
+      }
+    }
+  }
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar", Isa::kScalar, /*lanes=*/1,     kMr,   kNr,  Axpy,
-    Dot,      SquaredDistance, Add,          Sub,   Scale, Hadamard,
-    PackB,    PackA,           GemmPacked,   SpmmRows,
+    Dot,      DotRows,         SquaredDistance, Add, Sub, Scale,
+    Hadamard, PackB,           PackA,        GemmPacked,   SpmmRows,
+    SpmmSignRows,
 };
 
 }  // namespace

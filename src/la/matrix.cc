@@ -89,6 +89,27 @@ Matrix Matrix::RandomNormal(std::size_t rows, std::size_t cols, Rng* rng,
   return m;
 }
 
+Matrix::Matrix(const Matrix& other)
+    : rows_(other.rows_),
+      cols_(other.cols_),
+      stride_(other.stride_),
+      data_(other.data_) {
+  memstats::internal::NoteAlloc(rows_ * cols_);
+}
+
+Matrix& Matrix::operator=(const Matrix& other) {
+  if (this == &other) return *this;
+  // Same rule as Resize: only a change of footprint is a fresh buffer.
+  if (other.data_.size() != data_.size()) {
+    memstats::internal::NoteAlloc(other.rows_ * other.cols_);
+  }
+  rows_ = other.rows_;
+  cols_ = other.cols_;
+  stride_ = other.stride_;
+  data_ = other.data_;
+  return *this;
+}
+
 void Matrix::Fill(double v) {
   for (std::size_t i = 0; i < rows_; ++i) {
     double* r = row_ptr(i);
@@ -409,14 +430,26 @@ Matrix Hadamard(const Matrix& a, const Matrix& b) {
 }
 
 Matrix PositivePart(const Matrix& m) {
-  Matrix p = m;
-  p.Apply([](double v) { return v > 0.0 ? v : 0.0; });
+  Matrix p(m.rows(), m.cols());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const double* src = m.row_ptr(i);
+    double* dst = p.row_ptr(i);
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      dst[j] = src[j] > 0.0 ? src[j] : 0.0;
+    }
+  }
   return p;
 }
 
 Matrix NegativePart(const Matrix& m) {
-  Matrix p = m;
-  p.Apply([](double v) { return v < 0.0 ? -v : 0.0; });
+  Matrix p(m.rows(), m.cols());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const double* src = m.row_ptr(i);
+    double* dst = p.row_ptr(i);
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      dst[j] = src[j] < 0.0 ? -src[j] : 0.0;
+    }
+  }
   return p;
 }
 

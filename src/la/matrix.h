@@ -27,9 +27,9 @@ namespace la {
 /// Counted elements are logical (rows * cols) — row padding introduced by
 /// the aligned storage layout is excluded, so thresholds keyed to problem
 /// sizes (n²) keep their meaning.
-/// Plain copies/moves of an existing matrix are not counted — the
-/// contract covers explicit allocation sites, which is where solver
-/// working sets are created.
+/// Copies count too: a copy-constructed matrix, and a copy-assigned one
+/// whose footprint changes (it needs a new buffer), are acquisitions of
+/// their logical size. Moves hand a buffer over and are not counted.
 namespace memstats {
 /// Starts counting allocations of >= `min_elements` doubles; resets the
 /// counter.
@@ -89,6 +89,13 @@ class Matrix {
     memstats::internal::NoteAlloc(rows * cols);
     Fill(fill);
   }
+
+  /// Copies are memstats acquisitions (see la::memstats); moves are not.
+  Matrix(const Matrix& other);
+  Matrix& operator=(const Matrix& other);
+  Matrix(Matrix&& other) noexcept = default;
+  Matrix& operator=(Matrix&& other) noexcept = default;
+  ~Matrix() = default;
 
   /// Builds from nested initialiser-style rows; all rows must agree in size.
   static Matrix FromRows(const std::vector<std::vector<double>>& rows);

@@ -370,19 +370,25 @@ std::vector<double> SparseMatrix::MultiplyTVec(
 void SparseMatrix::MultiplyDenseInto(const Matrix& b, Matrix* c) const {
   RHCHME_CHECK(b.rows() == cols_, "MultiplyDense: dims mismatch");
   c->Resize(rows_, b.cols());
-  const std::size_t n = b.cols();
-  const simd::KernelTable& kt = simd::Table();
-  const double* bd = b.data();  // lint:stride-ok(kernel uses ldb = stride())
-  double* cd = c->data();       // lint:stride-ok(kernel uses ldc = stride())
   // Output rows are independent; each chunk gathers its own rows' nonzeros
   // into register strips (la/kernels.h spmm_rows).
   const std::size_t nnz_per_row = rows_ > 0 ? nnz() / rows_ + 1 : 1;
-  util::ParallelFor(
-      0, rows_, util::GrainForWork(2 * nnz_per_row * (n + 1)),
-      [&](std::size_t r0, std::size_t r1) {
-        kt.spmm_rows(row_ptr_.data(), cols_idx_.data(), values_.data(), r0,
-                     r1, bd, b.stride(), n, cd, c->stride());
-      });
+  util::ParallelFor(0, rows_,
+                    util::GrainForWork(2 * nnz_per_row * (b.cols() + 1)),
+                    [&](std::size_t r0, std::size_t r1) {
+                      MultiplyDenseRows(b, r0, r1, c);
+                    });
+}
+
+void SparseMatrix::MultiplyDenseRows(const Matrix& b, std::size_t r0,
+                                     std::size_t r1, Matrix* c) const {
+  RHCHME_CHECK(b.rows() == cols_ && c->rows() == rows_ &&
+                   c->cols() == b.cols() && r0 <= r1 && r1 <= rows_,
+               "MultiplyDenseRows: dims mismatch");
+  const double* bd = b.data();  // lint:stride-ok(kernel uses ldb = stride())
+  double* cd = c->data();       // lint:stride-ok(kernel uses ldc = stride())
+  simd::Table().spmm_rows(row_ptr_.data(), cols_idx_.data(), values_.data(),
+                          r0, r1, bd, b.stride(), b.cols(), cd, c->stride());
 }
 
 Matrix SparseMatrix::MultiplyDense(const Matrix& b) const {
@@ -565,6 +571,11 @@ SparseMatrix NegativePart(const SparseMatrix& m) {
       m, [](double v) { return v < 0.0; }, [](double v) { return -v; });
 }
 
+std::size_t SandwichChunkRows(const SparseMatrix& l, std::size_t c) {
+  const std::size_t nnz_per_row = l.rows() > 0 ? l.nnz() / l.rows() + 1 : 1;
+  return util::GrainForWork(2 * nnz_per_row * c + 1);
+}
+
 double Sandwich(const Matrix& g, const SparseMatrix& l) {
   RHCHME_CHECK(l.rows() == l.cols() && l.rows() == g.rows(),
                "Sandwich: shape mismatch");
@@ -577,14 +588,20 @@ double Sandwich(const Matrix& g, const SparseMatrix& l) {
   // independent; ParallelSum combines per-chunk partials in chunk order,
   // and chunk boundaries depend only on (n, grain), so the reduction tree
   // — and the result — is thread-count invariant.
-  const std::size_t nnz_per_row = l.nnz() / n + 1;
-  const std::size_t grain = util::GrainForWork(2 * nnz_per_row * c + 1);
+  const std::size_t grain = SandwichChunkRows(l, c);
+  const simd::KernelTable& kt = simd::Table();
   return util::ParallelSum(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+    // Row dots in batches (dot_rows, bit-identical to one dot each), then
+    // added to the chunk's chain in CSR order.
+    constexpr std::size_t kBatch = 64;
+    double dots[kBatch];
     double acc = 0.0;
     for (std::size_t i = r0; i < r1; ++i) {
-      const double* gi = g.row_ptr(i);
-      for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-        acc += vals[k] * simd::Dot(gi, g.row_ptr(cols[k]), c);
+      for (std::size_t k0 = offsets[i]; k0 < offsets[i + 1]; k0 += kBatch) {
+        const std::size_t len = std::min(kBatch, offsets[i + 1] - k0);
+        kt.dot_rows(g.row_ptr(i), g.row_ptr(0), g.stride(), cols.data() + k0,
+                    len, c, dots);
+        for (std::size_t t = 0; t < len; ++t) acc += vals[k0 + t] * dots[t];
       }
     }
     return acc;

@@ -151,6 +151,12 @@ class SparseMatrix {
   /// C = A·B for dense B (resizes `c`).
   void MultiplyDenseInto(const Matrix& b, Matrix* c) const;
   Matrix MultiplyDense(const Matrix& b) const;
+  /// Rows [r0, r1) of C = A·B, written into `c`, which must already be
+  /// rows() x b.cols(); other rows are left alone. Bit-identical to the
+  /// same rows of MultiplyDenseInto. Serial, for callers that fuse the
+  /// product into their own row-parallel passes.
+  void MultiplyDenseRows(const Matrix& b, std::size_t r0, std::size_t r1,
+                         Matrix* c) const;
 
   /// C = Aᵀ·B for dense B (resizes `c`; no explicit transpose formed).
   ///
@@ -216,6 +222,13 @@ SparseMatrix NegativePart(const SparseMatrix& m);
 /// bit-identical for any pool size. Requires L square with
 /// l.rows() == g.rows().
 double Sandwich(const Matrix& g, const SparseMatrix& l);
+
+/// Rows per chunk of Sandwich's reduction grid for a `c`-column G. A
+/// caller that folds tr(Gᵀ L G) into its own row pass reproduces Sandwich
+/// bit for bit by chunking rows on this grid, summing each chunk as
+/// acc += l_ik · Dot(g_i, g_k) in CSR order from 0.0, and adding the
+/// chunk partials in chunk order from 0.0.
+std::size_t SandwichChunkRows(const SparseMatrix& l, std::size_t c);
 
 }  // namespace la
 }  // namespace rhchme

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
+#include <utility>
 
 #include "scoped_num_threads.h"
 #include "util/rng.h"
@@ -143,6 +145,43 @@ TEST(Gemm, MultiplyIntoReusesBuffer) {
   Matrix c(2, 2, 99.0);  // Wrong shape, stale contents.
   MultiplyInto(a, b, &c);
   EXPECT_LT(MaxAbsDiff(c, NaiveMultiply(a, b)), 1e-10);
+}
+
+TEST(Gemm, MultiplyRowsIntoMatchesMultiplyIntoForAnyRange) {
+  // In every 32-row panel the first 16 rows are dense and the rest hold
+  // one nonzero each: a whole panel is under half zero (packed path), its
+  // last 16 rows alone are mostly zero (zero-skip path), and the two
+  // paths round differently. A row range that cuts a panel must still get
+  // the whole panel's path — the bits MultiplyInto gives those rows.
+  Rng rng(31);
+  for (std::size_t k : {9, 70}) {
+    for (std::size_t n : {9, 40}) {
+      const std::size_t m = 100;
+      Matrix a(m, k);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t l = 0; l < k; ++l) {
+          if (i % 32 < 16 || l == i % k) a(i, l) = rng.Uniform(-1.0, 1.0);
+        }
+      }
+      const Matrix b = Matrix::RandomUniform(k, n, &rng, -1.0, 1.0);
+      Matrix whole;
+      MultiplyInto(a, b, &whole);
+      for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, m},
+                                   {16, 32}, {20, 21}, {5, 37}, {33, 100},
+                                   {96, 100}, {40, 40}}) {
+        Matrix part(m, n, -7.5);
+        MultiplyRowsInto(a, b, &part, r0, r1);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            const double want = i >= r0 && i < r1 ? whole(i, j) : -7.5;
+            ASSERT_EQ(std::memcmp(&part(i, j), &want, sizeof(double)), 0)
+                << "k=" << k << " n=" << n << " rows [" << r0 << "," << r1
+                << ") at (" << i << "," << j << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Gemm, VectorProducts) {

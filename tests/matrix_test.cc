@@ -370,6 +370,24 @@ TEST(MatrixAlignment, MemstatsCountsLogicalElementsNotPaddedBuffer) {
   memstats::StopTracking();
 }
 
+TEST(MatrixAlignment, MemstatsCountsCopiesThatAcquireABuffer) {
+  const Matrix src(4, 3, 1.0);
+  Matrix same(4, 3), other(2, 2);
+  memstats::StartTracking(12);
+  Matrix copy = src;  // Copy construction: a new buffer.
+  EXPECT_EQ(memstats::LargeAllocations(), 1u);
+  same = src;  // Same footprint: the buffer is reused.
+  EXPECT_EQ(memstats::LargeAllocations(), 1u);
+  other = src;  // New footprint: a new buffer.
+  EXPECT_EQ(memstats::LargeAllocations(), 2u);
+  Matrix moved = std::move(copy);  // Moves hand the buffer over.
+  other = std::move(moved);
+  EXPECT_EQ(memstats::LargeAllocations(), 2u);
+  memstats::StopTracking();
+  EXPECT_EQ(other(3, 2), 1.0);
+  EXPECT_EQ(same(0, 0), 1.0);
+}
+
 }  // namespace
 }  // namespace la
 }  // namespace rhchme

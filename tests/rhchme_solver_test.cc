@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -54,6 +55,42 @@ TEST(RhchmeOptions, Validation) {
   o.ensemble.include_knn = false;
   o.ensemble.include_subspace = false;
   EXPECT_FALSE(o.Validate().ok());
+  // NaN and negative values are rejected for every real-valued knob,
+  // including the numerical guards; zero stays legal.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double RhchmeOptions::*field :
+       {&RhchmeOptions::lambda, &RhchmeOptions::beta,
+        &RhchmeOptions::tolerance, &RhchmeOptions::ridge,
+        &RhchmeOptions::mu_eps, &RhchmeOptions::l21_zeta}) {
+    for (double bad : {nan, -1.0}) {
+      o = FastOptions();
+      o.*field = bad;
+      EXPECT_FALSE(o.Validate().ok()) << bad;
+    }
+    o = FastOptions();
+    o.*field = 0.0;
+    EXPECT_TRUE(o.Validate().ok());
+  }
+  for (double bad : {nan, -1.0}) {
+    o = FastOptions();
+    o.ensemble.alpha = bad;
+    EXPECT_FALSE(o.Validate().ok()) << "alpha " << bad;
+    o = FastOptions();
+    o.ensemble.subspace.gamma = bad;
+    EXPECT_FALSE(o.Validate().ok()) << "gamma " << bad;
+    o = FastOptions();
+    o.ensemble.subspace.affine_penalty = bad;
+    EXPECT_FALSE(o.Validate().ok()) << "affine_penalty " << bad;
+    o = FastOptions();
+    o.ensemble.subspace.spg.tolerance = bad;
+    EXPECT_FALSE(o.Validate().ok()) << "spg.tolerance " << bad;
+    o = FastOptions();
+    o.ensemble.subspace.spg.step_min = bad;
+    EXPECT_FALSE(o.Validate().ok()) << "spg.step_min " << bad;
+    o = FastOptions();
+    o.ensemble.subspace.spg.step_max = bad;
+    EXPECT_FALSE(o.Validate().ok()) << "spg.step_max " << bad;
+  }
   // One core at every fill: the density cutoff is a constant, not a knob.
   static_assert(RhchmeOptions::sparse_r_density_threshold == 1.0,
                 "every joint-R fill runs the CSR core");
@@ -415,6 +452,31 @@ TEST(RhchmeCore, FitAllocatesZeroDenseNxNAtEveryFill) {
     EXPECT_TRUE(r.value().hocc.g.AllFinite());
     EXPECT_TRUE(r.value().HasErrorMatrix());
   }
+}
+
+/// The iteration workspace is allocated once per fit: counting every
+/// acquisition of at least n·c doubles (copies included), a 50-iteration
+/// fit allocates exactly as often as a 5-iteration one.
+TEST(RhchmeCore, IterationsAllocateNoNxCBuffers) {
+  const data::MultiTypeRelationalData d = SmallData();
+  const fact::BlockStructure b = fact::BuildBlockStructure(d);
+  RhchmeOptions opts = FastOptions();
+  opts.tolerance = 0.0;  // Every iteration runs.
+  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
+  ASSERT_TRUE(e.ok());
+  const std::size_t n = b.total_objects(), c = b.total_clusters();
+  auto count = [&](int iterations) {
+    opts.max_iterations = iterations;
+    la::memstats::StartTracking(n * c);
+    Result<RhchmeResult> r = Rhchme(opts).FitWithEnsemble(d, e.value());
+    la::memstats::StopTracking();
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.value().hocc.iterations, iterations);
+    return la::memstats::LargeAllocations();
+  };
+  const std::size_t five = count(5);
+  EXPECT_GT(five, 0u);  // The workspace itself is counted.
+  EXPECT_EQ(count(50), five);
 }
 
 /// Every kernel of the loop chunks independently of the pool size, so the

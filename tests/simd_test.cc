@@ -151,6 +151,46 @@ TEST(SimdKernels, DotMatchesScalarWithinRoundingAtAllTailWidths) {
   }
 }
 
+TEST(SimdKernels, DotRowsIsBitIdenticalToDotPerRow) {
+  // Widths cover every tail shape of the 4- and 8-lane dots; counts cover
+  // partial and several whole batches; rows are read contiguously (null
+  // idx) and gathered in a scrambled order with repeats, from a padded
+  // stride. Signed zeros and infinities keep the sign/NaN behaviour in
+  // the comparison (memcmp, so -0.0 vs +0.0 counts).
+  for (const simd::KernelTable* t : RunnableTables()) {
+    for (std::size_t n : {0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 30, 33, 70}) {
+      const std::size_t ldb = n + 3;
+      const std::size_t rows = 37;
+      std::vector<double> b = RandomVec(rows * ldb, 500 + n, -2.0, 2.0);
+      std::vector<double> a = RandomVec(n, 600 + n, -2.0, 2.0);
+      if (n > 2) {
+        a[1] = -0.0;
+        b[2 * ldb + 1] = std::numeric_limits<double>::infinity();
+      }
+      std::vector<std::size_t> idx;
+      for (std::size_t k = 0; k < rows; ++k) idx.push_back((k * 11 + 5) % rows);
+      idx.push_back(idx[3]);
+      for (std::size_t count : {0, 1, 3, 4, 5, 8, 9, 17, 38}) {
+        for (bool gather : {false, true}) {
+          if (!gather && count > rows) continue;
+          std::vector<double> out(count + 1, 42.0);
+          t->dot_rows(a.data(), b.data(), ldb, gather ? idx.data() : nullptr,
+                      count, n, out.data());
+          for (std::size_t q = 0; q < count; ++q) {
+            const double* row = b.data() + (gather ? idx[q] : q) * ldb;
+            const double want = t->dot(a.data(), row, n);
+            EXPECT_EQ(std::memcmp(&out[q], &want, sizeof(double)), 0)
+                << t->name << " n=" << n << " count=" << count
+                << " gather=" << gather << " q=" << q << ": " << out[q]
+                << " vs " << want;
+          }
+          EXPECT_EQ(out[count], 42.0) << "wrote past count";
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, SquaredDistanceMatchesScalarWithinRounding) {
   for (const simd::KernelTable* t : RunnableTables()) {
     for (std::size_t n = 1; n <= kMaxWidth; ++n) {
@@ -295,6 +335,58 @@ TEST(SimdSpmmRows, BitIdenticalToTheAxpyChainAndWritesOnlyItsRows) {
                     << j << ")";
               }
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdSpmmRows, SignSplitEqualsSpmmRowsOnEachSignPart) {
+  // spmm_sign_rows on the full matrix against spmm_rows on its negative
+  // part (negated values) and its positive part, built here as CSR; zero
+  // and NaN entries belong to neither part.
+  constexpr double kSentinel = -777.25;
+  const std::pair<std::size_t, std::size_t> ranges[] = {{0, 9}, {2, 7}, {5, 6}};
+  for (const simd::KernelTable* t : RunnableTables()) {
+    for (bool specials : {false, true}) {
+      for (std::size_t n = 1; n <= 70; ++n) {
+        const SpmmCase sc = MakeSpmmCase(n, specials, 2000 + n);
+        SpmmCase neg = sc, pos = sc;
+        for (SpmmCase* part : {&neg, &pos}) {
+          part->offsets.assign(1, 0);
+          part->idx.clear();
+          part->vals.clear();
+        }
+        for (std::size_t i = 0; i < sc.rows; ++i) {
+          for (std::size_t k = sc.offsets[i]; k < sc.offsets[i + 1]; ++k) {
+            if (sc.vals[k] < 0.0) {
+              neg.idx.push_back(sc.idx[k]);
+              neg.vals.push_back(-sc.vals[k]);
+            } else if (sc.vals[k] > 0.0) {
+              pos.idx.push_back(sc.idx[k]);
+              pos.vals.push_back(sc.vals[k]);
+            }
+          }
+          neg.offsets.push_back(neg.idx.size());
+          pos.offsets.push_back(pos.idx.size());
+        }
+        for (const auto& [r0, r1] : ranges) {
+          // lint:memstats-ok(small test outputs; ldc padding is the point)
+          std::vector<double> gn(sc.rows * sc.ldc, kSentinel), gp = gn;
+          std::vector<double> wn = gn, wp = gn;
+          t->spmm_sign_rows(sc.offsets.data(), sc.idx.data(), sc.vals.data(),
+                            r0, r1, sc.b.data(), sc.ldb, n, gn.data(),
+                            gp.data(), sc.ldc);
+          t->spmm_rows(neg.offsets.data(), neg.idx.data(), neg.vals.data(),
+                       r0, r1, sc.b.data(), sc.ldb, n, wn.data(), sc.ldc);
+          t->spmm_rows(pos.offsets.data(), pos.idx.data(), pos.vals.data(),
+                       r0, r1, sc.b.data(), sc.ldb, n, wp.data(), sc.ldc);
+          for (std::size_t e = 0; e < gn.size(); ++e) {
+            ASSERT_TRUE(SameBits(gn[e], wn[e]) && SameBits(gp[e], wp[e]))
+                << t->name << " specials=" << specials << " n=" << n
+                << " rows [" << r0 << "," << r1 << ") at flat " << e << ": "
+                << gn[e] << "/" << gp[e] << " vs " << wn[e] << "/" << wp[e];
           }
         }
       }

@@ -14,6 +14,13 @@ Guards the perf trajectory in CI:
   * benchmarks missing from either side are reported but never fatal,
     so adding or retiring kernels does not break CI.
 
+Report-only: next to the absolute comparison it prints each row's rate
+(runs of the benchmark body per second, 1 / real_time) as a fraction of
+BM_GemmNN/512's rate in the same run, for the baseline and the current
+run. Each run is normalised by its own GEMM row, so a host that is
+uniformly slower or faster leaves the fraction unchanged while a kernel
+regression moves it. The fractions never change the exit code.
+
 Usage:
   python3 tools/bench_compare.py \
       [--current build/BENCH_kernels.json] \
@@ -37,14 +44,20 @@ import json
 import sys
 
 
+# The row every run's rates are normalised by (report-only column).
+REFERENCE_ROW = "BM_GemmNN/512/real_time"
+SECONDS_PER_UNIT = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
+
+
 def load_benchmarks(path):
-    """Returns (context, {name: real_time}, {name: recall}) for a
-    google-benchmark JSON; recall only holds kernels that report the
-    counter."""
+    """Returns (context, {name: real_time}, {name: recall},
+    {name: real_time in seconds}) for a google-benchmark JSON; recall only
+    holds kernels that report the counter."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     times = {}
     recalls = {}
+    seconds = {}
     for bench in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev of repetitions).
         if bench.get("run_type") == "aggregate":
@@ -53,9 +66,43 @@ def load_benchmarks(path):
         if name is None or "real_time" not in bench:
             continue
         times[name] = float(bench["real_time"])
+        unit = SECONDS_PER_UNIT.get(bench.get("time_unit", "ns"))
+        if unit is not None:
+            seconds[name] = float(bench["real_time"]) * unit
         if "recall" in bench:
             recalls[name] = float(bench["recall"])
-    return doc.get("context", {}), times, recalls
+    return doc.get("context", {}), times, recalls, seconds
+
+
+def rate_fractions(seconds):
+    """{name: rate / rate of REFERENCE_ROW} for one run, or None when the
+    run lacks the reference row."""
+    ref = seconds.get(REFERENCE_ROW)
+    if not ref:
+        return None
+    return {name: ref / t for name, t in seconds.items() if t > 0}
+
+
+def print_rate_fractions(shared, base_seconds, cur_seconds):
+    """Report-only table: each shared row's rate as a fraction of the same
+    run's BM_GemmNN/512 rate, baseline and current."""
+    base_frac = rate_fractions(base_seconds)
+    cur_frac = rate_fractions(cur_seconds)
+    if base_frac is None or cur_frac is None:
+        print(f"\nnote: {REFERENCE_ROW} missing from "
+              f"{'the baseline' if base_frac is None else 'the current run'}"
+              "; no same-run rate fractions.")
+        return
+    rows = [n for n in shared if n in base_frac and n in cur_frac]
+    if not rows:
+        return
+    width = max(len(n) for n in rows)
+    print(f"\nRate as a fraction of the same run's {REFERENCE_ROW} "
+          "(report only; delta > 0: faster relative to that row):")
+    print(f"{'benchmark':<{width}}  {'baseline':>10}  {'current':>10}  delta")
+    for name in rows:
+        b, c = base_frac[name], cur_frac[name]
+        print(f"{name:<{width}}  {b:>10.4g}  {c:>10.4g}  {(c - b) / b:>+7.1%}")
 
 
 def main():
@@ -86,12 +133,14 @@ def main():
     args = parser.parse_args()
 
     try:
-        cur_ctx, current, cur_recall = load_benchmarks(args.current)
+        cur_ctx, current, cur_recall, cur_seconds = load_benchmarks(
+            args.current)
     except (OSError, ValueError) as e:
         print(f"error: cannot read --current {args.current}: {e}")
         return 1
     try:
-        base_ctx, baseline, base_recall = load_benchmarks(args.baseline)
+        base_ctx, baseline, base_recall, base_seconds = load_benchmarks(
+            args.baseline)
     except (OSError, ValueError) as e:
         print(f"error: cannot read --baseline {args.baseline}: {e}")
         return 1
@@ -177,6 +226,8 @@ def main():
             recall_regressions.append((name, drop))
         print(f"{name}: recall {base_recall[name]:.4f} -> "
               f"{cur_recall[name]:.4f}{flag}")
+
+    print_rate_fractions(shared, base_seconds, cur_seconds)
 
     for name in only_current:
         print(f"note: {name} has no baseline entry (new kernel?)")
