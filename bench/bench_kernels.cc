@@ -443,30 +443,6 @@ void BM_SubspaceLearning(benchmark::State& state) {
 BENCHMARK(BM_SubspaceLearning)->UseRealTime()->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-void BM_MultiplicativeIteration(benchmark::State& state) {
-  // One S-solve + one multiplicative G update, the per-iteration core of
-  // every HOCC solver here.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t c = 15;
-  Rng rng(9);
-  la::Matrix r = la::Matrix::RandomUniform(n, n, &rng);
-  la::Matrix g = la::Matrix::RandomUniform(n, c, &rng, 0.1, 1.0);
-  la::Matrix lap = la::Matrix::Identity(n);
-  la::Matrix lap_pos = la::PositivePart(lap);
-  la::Matrix lap_neg = la::NegativePart(lap);
-  for (auto _ : state) {
-    auto s = fact::SolveCentralS(g, r, 1e-9);
-    fact::MultiplicativeGUpdate(r, s.value(), 1.0, &lap_pos, &lap_neg,
-                                1e-12, &g);
-    // lint:stride-ok(DoNotOptimize sink: pointer identity only, no element access)
-    benchmark::DoNotOptimize(g.data());
-  }
-  // Dominated by the n² x c products: M G, Mᵀ G, and the Laplacian terms.
-  SetKernelCounters(state, 8.0 * static_cast<double>(n) * n * c);
-}
-BENCHMARK(BM_MultiplicativeIteration)->UseRealTime()->Arg(256)->Arg(512)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
 /// Shared harness for the solver benchmarks: a 3-type block world with a
 /// prebuilt ensemble, timed over a fixed 6-iteration FitWithEnsemble.
 /// `dropout` controls the joint R's fill.
@@ -536,20 +512,6 @@ void BM_KMeans(benchmark::State& state) {
   SetKernelCounters(state, 0.0);
 }
 BENCHMARK(BM_KMeans)->UseRealTime()->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
-
-void BM_EigenSym(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(12);
-  la::Matrix b = la::Matrix::RandomNormal(n, n, &rng);
-  la::Matrix a = la::Add(b, b.Transposed());
-  for (auto _ : state) {
-    auto r = la::EigenSym(a);
-    benchmark::DoNotOptimize(r.value().eigenvalues.data());
-  }
-  SetKernelCounters(state, 0.0);
-}
-BENCHMARK(BM_EigenSym)->UseRealTime()->Arg(32)->Arg(64)->Arg(128)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

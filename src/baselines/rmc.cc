@@ -2,23 +2,99 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
+#include <functional>
+#include <utility>
 
-#include "baselines/snmtf.h"
-#include "la/gemm.h"
-#include "util/stopwatch.h"
+#include "baselines/core_options.h"
+#include "core/ensemble.h"
 
 namespace rhchme {
 namespace baselines {
 
-Status RmcOptions::Validate() const {
-  if (lambda < 0.0) return Status::InvalidArgument("lambda must be >= 0");
-  if (max_iterations <= 0) {
-    return Status::InvalidArgument("max_iterations must be >= 1");
+namespace {
+
+/// The union of the candidates' CSR patterns, with zero values, and for
+/// each candidate the position of each of its entries in it.
+la::SparseMatrix UnionPattern(const std::vector<la::SparseMatrix>& lap,
+                              std::vector<std::vector<std::size_t>>* slot) {
+  const std::size_t n = lap.front().rows();
+  std::vector<la::Triplet> trips;
+  for (const la::SparseMatrix& l : lap) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = l.row_offsets()[i]; k < l.row_offsets()[i + 1];
+           ++k) {
+        trips.push_back({i, l.col_indices()[k], 1.0});
+      }
+    }
   }
+  // Duplicates sum to a positive count, so no entry is pruned.
+  la::SparseMatrix pattern =
+      la::SparseMatrix::FromTriplets(n, n, std::move(trips));
+  pattern.Scale(0.0);
+  const std::vector<std::size_t>& offsets = pattern.row_offsets();
+  const std::vector<std::size_t>& cols = pattern.col_indices();
+  slot->assign(lap.size(), {});
+  for (std::size_t q = 0; q < lap.size(); ++q) {
+    const std::vector<std::size_t>& lo = lap[q].row_offsets();
+    const std::vector<std::size_t>& lc = lap[q].col_indices();
+    std::vector<std::size_t>& out = (*slot)[q];
+    out.resize(lap[q].nnz());
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto first = cols.begin() + static_cast<std::ptrdiff_t>(offsets[i]);
+      const auto last =
+          cols.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]);
+      for (std::size_t k = lo[i]; k < lo[i + 1]; ++k) {
+        out[k] = static_cast<std::size_t>(
+            std::lower_bound(first, last, lc[k]) - cols.begin());
+      }
+    }
+  }
+  return pattern;
+}
+
+/// L = Σ_i beta_i·L̂_i on the union pattern: each entry sums its
+/// candidates' terms in candidate order from zero, skipping zero weights.
+void MixCandidates(const std::vector<la::SparseMatrix>& lap,
+                   const std::vector<std::vector<std::size_t>>& slot,
+                   const std::vector<double>& beta,
+                   std::vector<double>* values) {
+  std::fill(values->begin(), values->end(), 0.0);
+  for (std::size_t q = 0; q < lap.size(); ++q) {
+    if (!(beta[q] > 0.0)) continue;
+    const std::vector<double>& lv = lap[q].values();
+    for (std::size_t k = 0; k < lv.size(); ++k) {
+      (*values)[slot[q][k]] += beta[q] * lv[k];
+    }
+  }
+}
+
+/// The weight step: argmin over the simplex of
+/// Σ_i beta_i·tr(GᵀL̂_iG) + mu·||beta||², i.e.
+/// beta = Proj_simplex(−traces / (2·mu)).
+std::vector<double> CandidateWeights(const std::vector<la::SparseMatrix>& lap,
+                                     const la::Matrix& g, double opt_mu) {
+  const std::size_t q = lap.size();
+  std::vector<double> traces(q);
+  for (std::size_t i = 0; i < q; ++i) traces[i] = la::Sandwich(g, lap[i]);
+  double mu = opt_mu;
+  if (mu <= 0.0) {
+    // Auto scale: comparable to the trace magnitudes, so weights spread
+    // over several candidates instead of collapsing onto one.
+    double mean = 0.0;
+    for (double v : traces) mean += std::fabs(v);
+    mu = std::max(mean / static_cast<double>(q), 1e-12);
+  }
+  std::vector<double> target(q);
+  for (std::size_t i = 0; i < q; ++i) target[i] = -traces[i] / (2.0 * mu);
+  return ProjectOntoSimplex(std::move(target));
+}
+
+}  // namespace
+
+Status RmcOptions::Validate() const {
+  if (std::isnan(mu)) return Status::InvalidArgument("mu must not be NaN");
   for (const auto& c : candidates) RHCHME_RETURN_IF_ERROR(c.Validate());
-  return Status::OK();
+  return internal::CoreOptions(*this, lambda).Validate();
 }
 
 std::vector<graph::KnnGraphOptions> DefaultRmcCandidates() {
@@ -66,91 +142,42 @@ Result<RmcResult> RunRmc(const data::MultiTypeRelationalData& data,
   RHCHME_RETURN_IF_ERROR(data.Validate());
   Stopwatch watch;
 
+  // Pre-build all candidate Laplacians, each a pNN-only ensemble (this is
+  // RMC's extra cost that Table V attributes to it).
   const fact::BlockStructure blocks = fact::BuildBlockStructure(data);
-  const la::Matrix r = data.BuildJointR();
-
-  // Pre-build all candidate Laplacians (this is RMC's extra cost that
-  // Table V attributes to it).
   const std::vector<graph::KnnGraphOptions> candidates =
       opts.candidates.empty() ? DefaultRmcCandidates() : opts.candidates;
   const std::size_t q = candidates.size();
-  std::vector<la::Matrix> lap(q);
+  std::vector<la::SparseMatrix> lap(q);
   for (std::size_t i = 0; i < q; ++i) {
-    Result<la::Matrix> l =
-        BuildJointKnnLaplacian(data, blocks, candidates[i], opts.laplacian);
-    if (!l.ok()) return l.status();
-    lap[i] = std::move(l).value();
+    core::EnsembleOptions member;
+    member.include_subspace = false;
+    member.knn = candidates[i];
+    member.laplacian = opts.laplacian;
+    Result<core::HeterogeneousEnsemble> e =
+        core::BuildEnsemble(data, blocks, member);
+    if (!e.ok()) return e.status();
+    lap[i] = std::move(e).value().laplacian;
   }
 
-  Rng rng(opts.seed);
-  Result<la::Matrix> init =
-      fact::InitMembership(data, blocks, opts.init, &rng);
-  if (!init.ok()) return init.status();
-  la::Matrix g = std::move(init).value();
-
+  // Each iteration re-weights the candidates against the accepted G and
+  // runs on their mix, written by the hook onto the union pattern before
+  // the iteration's update.
+  std::vector<std::vector<std::size_t>> slot;
+  core::HeterogeneousEnsemble mix;
+  mix.laplacian = UnionPattern(lap, &slot);
   std::vector<double> beta(q, 1.0 / static_cast<double>(q));
+  core::Rhchme solver(internal::CoreOptions(opts, opts.lambda));
+  solver.SetLaplacianHook(
+      [&](int, const la::Matrix& g, std::vector<double>* values) {
+        beta = CandidateWeights(lap, g, opts.mu);
+        MixCandidates(lap, slot, beta, values);
+      });
+  Result<fact::HoccResult> fit =
+      internal::BaselineResult(solver.FitWithEnsemble(data, mix), watch);
+  if (!fit.ok()) return fit.status();
   RmcResult out;
-  fact::HoccResult& res = out.hocc;
-  la::Matrix s;
-  double prev = std::numeric_limits<double>::infinity();
-  for (int t = 1; t <= opts.max_iterations; ++t) {
-    // ---- beta update: argmin over the simplex of
-    //      sum_i beta_i·tr(GᵀL̂_iG) + mu·||beta||²
-    //      => beta = Proj_simplex(-trace_vec / (2·mu)).
-    std::vector<double> traces(q);
-    for (std::size_t i = 0; i < q; ++i) {
-      traces[i] = la::FrobeniusInner(la::Multiply(lap[i], g), g);
-    }
-    double mu = opts.mu;
-    if (mu <= 0.0) {
-      // Auto scale: comparable to the trace magnitudes, so weights spread
-      // over several candidates instead of collapsing onto one.
-      double mean = 0.0;
-      for (double v : traces) mean += std::fabs(v);
-      mu = std::max(mean / static_cast<double>(q), 1e-12);
-    }
-    std::vector<double> target(q);
-    for (std::size_t i = 0; i < q; ++i) target[i] = -traces[i] / (2.0 * mu);
-    beta = ProjectOntoSimplex(std::move(target));
-
-    // ---- Ensemble Laplacian under the current beta.
-    la::Matrix ensemble(r.rows(), r.cols());
-    for (std::size_t i = 0; i < q; ++i) {
-      if (beta[i] > 0.0) ensemble.AddScaled(lap[i], beta[i]);
-    }
-    const la::Matrix lap_pos = la::PositivePart(ensemble);
-    const la::Matrix lap_neg = la::NegativePart(ensemble);
-
-    // ---- Standard NMTF steps against the ensemble.
-    Result<la::Matrix> s_new = fact::SolveCentralS(g, r, opts.ridge);
-    if (!s_new.ok()) return s_new.status();
-    s = std::move(s_new).value();
-    fact::MultiplicativeGUpdate(r, s, opts.lambda, &lap_pos, &lap_neg,
-                                opts.mu_eps, &g);
-
-    double smooth = 0.0;
-    for (std::size_t i = 0; i < q; ++i) {
-      if (beta[i] > 0.0) {
-        smooth += beta[i] * la::FrobeniusInner(la::Multiply(lap[i], g), g);
-      }
-    }
-    const double objective =
-        fact::ReconstructionError(r, g, s) + opts.lambda * smooth;
-    res.objective_trace.push_back(objective);
-    res.iterations = t;
-    const double rel =
-        std::fabs(prev - objective) / std::max(1.0, std::fabs(prev));
-    if (std::isfinite(prev) && rel < opts.tolerance) {
-      res.converged = true;
-      break;
-    }
-    prev = objective;
-  }
-
-  res.g = std::move(g);
-  res.s = std::move(s);
-  res.labels = fact::ExtractLabels(blocks, res.g);
-  res.seconds = watch.ElapsedSeconds();
+  out.hocc = std::move(fit).value();
   out.candidate_weights = std::move(beta);
   return out;
 }

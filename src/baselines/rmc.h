@@ -15,6 +15,12 @@
 //
 // All candidates are the SAME kind of member (pNN graphs) — exactly the
 // lack of diversity RHCHME's §III.B argues against.
+//
+// It runs the RHCHME solver core (core/rhchme_solver.h) with E_R and
+// Eq. 22 off. Each candidate is a sparse pNN-only ensemble Laplacian
+// (core::BuildEnsemble); their weighted sum lives on the union of their
+// CSR patterns, built once, and the core's Laplacian hook rewrites its
+// values from each iteration's weights.
 
 #ifndef RHCHME_BASELINES_RMC_H_
 #define RHCHME_BASELINES_RMC_H_
@@ -37,7 +43,7 @@ struct RmcOptions {
   std::vector<graph::KnnGraphOptions> candidates;
   graph::LaplacianKind laplacian = graph::LaplacianKind::kSymmetric;
   /// Weight-spread regulariser mu; <= 0 selects mu automatically from the
-  /// scale of the tr(Gᵀ·L̂_i·G) values.
+  /// scale of the tr(Gᵀ·L̂_i·G) values. NaN is rejected.
   double mu = -1.0;
   int max_iterations = 100;
   double tolerance = 1e-5;

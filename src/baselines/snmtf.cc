@@ -1,91 +1,30 @@
 #include "baselines/snmtf.h"
 
-#include <cmath>
-#include <limits>
-
-#include "la/gemm.h"
-#include "util/stopwatch.h"
+#include "baselines/core_options.h"
 
 namespace rhchme {
 namespace baselines {
+namespace {
 
-Status SnmtfOptions::Validate() const {
-  if (lambda < 0.0) return Status::InvalidArgument("lambda must be >= 0");
-  if (max_iterations <= 0) {
-    return Status::InvalidArgument("max_iterations must be >= 1");
-  }
-  return knn.Validate();
+core::RhchmeOptions SnmtfCoreOptions(const SnmtfOptions& opts) {
+  core::RhchmeOptions core = internal::CoreOptions(opts, opts.lambda);
+  core.ensemble.include_subspace = false;
+  core.ensemble.knn = opts.knn;
+  core.ensemble.laplacian = opts.laplacian;
+  return core;
 }
 
-Result<la::Matrix> BuildJointKnnLaplacian(
-    const data::MultiTypeRelationalData& data,
-    const fact::BlockStructure& blocks, const graph::KnnGraphOptions& knn,
-    graph::LaplacianKind kind) {
-  la::Matrix joint(blocks.total_objects(), blocks.total_objects());
-  for (std::size_t k = 0; k < data.NumTypes(); ++k) {
-    const data::ObjectType& type = data.Type(k);
-    if (type.features.empty()) {
-      return Status::FailedPrecondition("type '" + type.name +
-                                        "' has no features for a pNN graph");
-    }
-    Result<la::SparseMatrix> w = graph::BuildKnnGraph(type.features, knn);
-    if (!w.ok()) return w.status();
-    Result<la::Matrix> lap = graph::BuildLaplacian(w.value(), kind);
-    if (!lap.ok()) return lap.status();
-    joint.SetBlock(blocks.type_offset[k], blocks.type_offset[k], lap.value());
-  }
-  return joint;
+}  // namespace
+
+Status SnmtfOptions::Validate() const {
+  return SnmtfCoreOptions(*this).Validate();
 }
 
 Result<fact::HoccResult> RunSnmtf(const data::MultiTypeRelationalData& data,
                                   const SnmtfOptions& opts) {
-  RHCHME_RETURN_IF_ERROR(opts.Validate());
-  RHCHME_RETURN_IF_ERROR(data.Validate());
   Stopwatch watch;
-
-  const fact::BlockStructure blocks = fact::BuildBlockStructure(data);
-  const la::Matrix r = data.BuildJointR();
-  Result<la::Matrix> lap =
-      BuildJointKnnLaplacian(data, blocks, opts.knn, opts.laplacian);
-  if (!lap.ok()) return lap.status();
-  const la::Matrix lap_pos = la::PositivePart(lap.value());
-  const la::Matrix lap_neg = la::NegativePart(lap.value());
-
-  Rng rng(opts.seed);
-  Result<la::Matrix> init =
-      fact::InitMembership(data, blocks, opts.init, &rng);
-  if (!init.ok()) return init.status();
-  la::Matrix g = std::move(init).value();
-
-  fact::HoccResult res;
-  la::Matrix s;
-  double prev = std::numeric_limits<double>::infinity();
-  for (int t = 1; t <= opts.max_iterations; ++t) {
-    Result<la::Matrix> s_new = fact::SolveCentralS(g, r, opts.ridge);
-    if (!s_new.ok()) return s_new.status();
-    s = std::move(s_new).value();
-    fact::MultiplicativeGUpdate(r, s, opts.lambda, &lap_pos, &lap_neg,
-                                opts.mu_eps, &g);
-
-    const double objective =
-        fact::ReconstructionError(r, g, s) +
-        opts.lambda * la::FrobeniusInner(la::Multiply(lap.value(), g), g);
-    res.objective_trace.push_back(objective);
-    res.iterations = t;
-    const double rel =
-        std::fabs(prev - objective) / std::max(1.0, std::fabs(prev));
-    if (std::isfinite(prev) && rel < opts.tolerance) {
-      res.converged = true;
-      break;
-    }
-    prev = objective;
-  }
-
-  res.g = std::move(g);
-  res.s = std::move(s);
-  res.labels = fact::ExtractLabels(blocks, res.g);
-  res.seconds = watch.ElapsedSeconds();
-  return res;
+  core::Rhchme solver(SnmtfCoreOptions(opts));
+  return internal::BaselineResult(solver.Fit(data), watch);
 }
 
 }  // namespace baselines

@@ -11,6 +11,12 @@
 // SNMTF imposes Gᵀ·L·G = I; as in RMC [15] we use the relaxed
 // multiplicative scheme, which keeps G nonnegative (the paper §III.C
 // discusses exactly this trade-off).
+//
+// It runs the RHCHME solver core (core/rhchme_solver.h) through
+// core::Rhchme::Fit with E_R and Eq. 22 off and the subspace member
+// dropped: the ensemble's pNN-only Laplacian is SNMTF's single-graph
+// Laplacian. CSR joint R and sparse Laplacian end to end; the core's
+// input sanitisation and numerical guards apply.
 
 #ifndef RHCHME_BASELINES_SNMTF_H_
 #define RHCHME_BASELINES_SNMTF_H_
@@ -43,13 +49,6 @@ struct SnmtfOptions {
 /// Fits SNMTF. Types must have nonempty features (for the pNN graphs).
 Result<fact::HoccResult> RunSnmtf(const data::MultiTypeRelationalData& data,
                                   const SnmtfOptions& opts);
-
-/// Builds the joint block-diagonal single-pNN Laplacian SNMTF uses
-/// (shared with RMC candidates and exposed for tests).
-Result<la::Matrix> BuildJointKnnLaplacian(
-    const data::MultiTypeRelationalData& data,
-    const fact::BlockStructure& blocks, const graph::KnnGraphOptions& knn,
-    graph::LaplacianKind kind);
 
 }  // namespace baselines
 }  // namespace rhchme

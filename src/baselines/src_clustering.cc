@@ -1,63 +1,25 @@
 #include "baselines/src_clustering.h"
 
-#include <cmath>
-#include <limits>
-
-#include "la/gemm.h"
-#include "util/stopwatch.h"
+#include "baselines/core_options.h"
+#include "core/ensemble.h"
 
 namespace rhchme {
 namespace baselines {
 
 Status SrcOptions::Validate() const {
-  if (max_iterations <= 0) {
-    return Status::InvalidArgument("max_iterations must be >= 1");
-  }
-  if (tolerance < 0.0) return Status::InvalidArgument("tolerance must be >= 0");
-  return Status::OK();
+  return internal::CoreOptions(*this, /*lambda=*/0.0).Validate();
 }
 
 Result<fact::HoccResult> RunSrc(const data::MultiTypeRelationalData& data,
                                 const SrcOptions& opts) {
-  RHCHME_RETURN_IF_ERROR(opts.Validate());
-  RHCHME_RETURN_IF_ERROR(data.Validate());
   Stopwatch watch;
-
-  const fact::BlockStructure blocks = fact::BuildBlockStructure(data);
-  const la::Matrix r = data.BuildJointR();
-
-  Rng rng(opts.seed);
-  Result<la::Matrix> init =
-      fact::InitMembership(data, blocks, opts.init, &rng);
-  if (!init.ok()) return init.status();
-  la::Matrix g = std::move(init).value();
-
-  fact::HoccResult res;
-  la::Matrix s;
-  double prev = std::numeric_limits<double>::infinity();
-  for (int t = 1; t <= opts.max_iterations; ++t) {
-    Result<la::Matrix> s_new = fact::SolveCentralS(g, r, opts.ridge);
-    if (!s_new.ok()) return s_new.status();
-    s = std::move(s_new).value();
-    fact::MultiplicativeGUpdate(r, s, opts.mu_eps, &g);
-
-    const double objective = fact::ReconstructionError(r, g, s);
-    res.objective_trace.push_back(objective);
-    res.iterations = t;
-    const double rel =
-        std::fabs(prev - objective) / std::max(1.0, std::fabs(prev));
-    if (std::isfinite(prev) && rel < opts.tolerance) {
-      res.converged = true;
-      break;
-    }
-    prev = objective;
-  }
-
-  res.g = std::move(g);
-  res.s = std::move(s);
-  res.labels = fact::ExtractLabels(blocks, res.g);
-  res.seconds = watch.ElapsedSeconds();
-  return res;
+  // No manifold term: at lambda = 0 the core never walks the (empty)
+  // n x n Laplacian.
+  const std::size_t n = data.TotalObjects();
+  core::HeterogeneousEnsemble none;
+  none.laplacian = la::SparseMatrix::FromTriplets(n, n, {});
+  core::Rhchme solver(internal::CoreOptions(opts, /*lambda=*/0.0));
+  return internal::BaselineResult(solver.FitWithEnsemble(data, none), watch);
 }
 
 }  // namespace baselines

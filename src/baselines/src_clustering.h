@@ -9,6 +9,10 @@
 // i.e. the joint objective ||R − G·S·Gᵀ||²_F with no intra-type
 // (manifold) information. It is the "no intra-type relationships"
 // reference point of Tables III–V.
+//
+// It runs the RHCHME solver core (core/rhchme_solver.h) on the CSR joint
+// R with E_R and Eq. 22 off, lambda = 0 and an empty Laplacian, so it
+// shares the core's input sanitisation and numerical guards.
 
 #ifndef RHCHME_BASELINES_SRC_CLUSTERING_H_
 #define RHCHME_BASELINES_SRC_CLUSTERING_H_

@@ -197,13 +197,17 @@ std::size_t RoundUp(std::size_t x, std::size_t multiple) {
 /// therefore the same whatever the row tiling and pool size.
 class FusedIteration {
  public:
+  /// `lap_values` are the values walked on `laplacian`'s pattern: its own,
+  /// or a Laplacian hook's rewritable copy of them.
   FusedIteration(const la::SparseMatrix& r,
                  const std::vector<double>& r_norm_sq,
                  const la::SparseMatrix& laplacian,
+                 const std::vector<double>& lap_values,
                  const fact::BlockStructure& blocks, const RhchmeOptions& opts)
       : r_(r),
         r_norm_sq_(r_norm_sq),
         lap_(laplacian),
+        lap_values_(lap_values),
         blocks_(blocks),
         opts_(opts),
         n_(blocks.total_objects()),
@@ -385,6 +389,16 @@ class FusedIteration {
               poison_residual);
   }
 
+  /// lambda·L∓·G of the accepted `g` again, after a Laplacian hook
+  /// rewrote L's values.
+  void RewalkLaplacian(const la::Matrix& g) {
+    if (!manifold_) return;
+    util::ParallelFor(0, n_, state_grain_, [&](std::size_t r0,
+                                               std::size_t r1) {
+      LaplacianProducts(g, r0, r1);
+    });
+  }
+
   /// Makes the update's output the accepted iterate: swaps G buffers and
   /// (robust term) E_R scale buffers. The derived state already belongs to
   /// it.
@@ -409,13 +423,26 @@ class FusedIteration {
 
   /// Laplacian rows [r0, r1) against G: lambda·L⁻·G and lambda·L⁺·G
   /// (spmm_sign_rows — spmm_rows on the ± parts without building them —
-  /// then scaled) and the Sandwich chunk partial Σ l_ik·(g_i·g_k), its
-  /// dots batched through dot_rows.
+  /// then scaled).
+  void LaplacianProducts(const la::Matrix& g, std::size_t r0, std::size_t r1) {
+    const la::simd::KernelTable& kt = la::simd::Table();
+    kt.spmm_sign_rows(lap_.row_offsets().data(), lap_.col_indices().data(),
+                      lap_values_.data(), r0, r1, g.row_ptr(0), g.stride(),
+                      c_, lg_neg_.row_ptr(0), lg_pos_.row_ptr(0),
+                      lg_neg_.stride());
+    for (std::size_t i = r0; i < r1; ++i) {
+      kt.scale(lg_neg_.row_ptr(i), opts_.lambda, c_);
+      kt.scale(lg_pos_.row_ptr(i), opts_.lambda, c_);
+    }
+  }
+
+  /// LaplacianProducts plus the Sandwich chunk partial Σ l_ik·(g_i·g_k)
+  /// of rows [r0, r1), its dots batched through dot_rows.
   double LaplacianRows(const la::Matrix& g, std::size_t r0, std::size_t r1) {
     const la::simd::KernelTable& kt = la::simd::Table();
     const std::vector<std::size_t>& offsets = lap_.row_offsets();
     const std::vector<std::size_t>& cols = lap_.col_indices();
-    const std::vector<double>& vals = lap_.values();
+    const std::vector<double>& vals = lap_values_;
     constexpr std::size_t kBatch = 64;
     double dots[kBatch];
     double acc = 0.0;
@@ -427,13 +454,7 @@ class FusedIteration {
         for (std::size_t t = 0; t < len; ++t) acc += vals[k0 + t] * dots[t];
       }
     }
-    kt.spmm_sign_rows(offsets.data(), cols.data(), vals.data(), r0, r1,
-                      g.row_ptr(0), g.stride(), c_, lg_neg_.row_ptr(0),
-                      lg_pos_.row_ptr(0), lg_neg_.stride());
-    for (std::size_t i = r0; i < r1; ++i) {
-      kt.scale(lg_neg_.row_ptr(i), opts_.lambda, c_);
-      kt.scale(lg_pos_.row_ptr(i), opts_.lambda, c_);
-    }
+    LaplacianProducts(g, r0, r1);
     return acc;
   }
 
@@ -485,7 +506,8 @@ class FusedIteration {
 
   const la::SparseMatrix& r_;
   const std::vector<double>& r_norm_sq_;
-  const la::SparseMatrix& lap_;
+  const la::SparseMatrix& lap_;  // the pattern; values from lap_values_
+  const std::vector<double>& lap_values_;
   const fact::BlockStructure& blocks_;
   const RhchmeOptions& opts_;
   const std::size_t n_, c_;
@@ -662,11 +684,18 @@ Result<RhchmeResult> Rhchme::FitCsr(const data::MultiTypeRelationalData& data,
   if (util::FaultShouldFail(util::fault_site::kAllocWorkspace)) {
     throw std::bad_alloc();
   }
+  // A Laplacian hook rewrites values on the ensemble's fixed pattern, so
+  // the fit walks its own copy of them; without one it reads L in place.
+  std::vector<double> hooked_values;
+  if (laplacian_hook_) hooked_values = ensemble.laplacian.values();
   // The whole iteration workspace, allocated once. Resume and rollback
   // rebuild its derived state from the accepted iterate with the passes'
   // own kernels, so they continue bit-identically with an uninterrupted
   // fit.
-  FusedIteration it(r, r_norm_sq, ensemble.laplacian, blocks, opts_);
+  FusedIteration it(r, r_norm_sq, ensemble.laplacian,
+                    laplacian_hook_ ? hooked_values
+                                    : ensemble.laplacian.values(),
+                    blocks, opts_);
   it.Rebuild(g, s, er_scale, have_error);
 
   // Periodic snapshot after an accepted iteration t; failures count and
@@ -699,6 +728,15 @@ Result<RhchmeResult> Rhchme::FitCsr(const data::MultiTypeRelationalData& data,
     // E_R = 0 (first iteration, or robust term disabled): M = R, and since
     // R is symmetric both M·G and Mᵀ·G are exactly the cached K.
     const bool robust_m = robust && have_error;
+
+    if (laplacian_hook_) {
+      laplacian_hook_(t, g, &hooked_values);
+      if (hooked_values.size() != ensemble.laplacian.nnz()) {
+        return Status::InvalidArgument(
+            "Laplacian hook changed the number of values");
+      }
+      it.RewalkLaplacian(g);
+    }
 
     // ---- Step 3: S update (Eq. 18) from the c x c products --------------
     it.CrossProducts(robust_m);

@@ -15,7 +15,9 @@
 //
 // L is the heterogeneous manifold ensemble of Eq. 12 (see ensemble.h).
 // Theorem 1 (monotone descent of Eq. 15 under updates 1–3, without the
-// normalisation step) is covered by property tests.
+// normalisation step) is covered by property tests. The SRC, SNMTF and
+// RMC baselines (src/baselines) run this same loop with E_R and Eq. 22
+// off; RMC re-weights its Laplacian through SetLaplacianHook.
 //
 // Memory model (docs/ARCHITECTURE.md §Memory model): one solver core.
 // The joint R stays a la::SparseMatrix in CSR form for the whole fit and
@@ -162,6 +164,16 @@ struct FitDiagnostics {
 using IterationCallback =
     std::function<void(int iteration, const la::Matrix& g)>;
 
+/// Per-iteration Laplacian hook: called at the start of every iteration
+/// (a rolled-back iteration's replay included) with the 1-based iteration
+/// index, the accepted membership G and the values of the fit's own copy
+/// of the ensemble Laplacian, in its CSR order. The hook rewrites those
+/// values in place; the pattern is fixed, so it must keep their count.
+/// The iteration then runs on the rewritten L. RMC (baselines/rmc.h)
+/// re-weights its candidate Laplacians here.
+using LaplacianHook = std::function<void(
+    int iteration, const la::Matrix& g, std::vector<double>* values)>;
+
 /// Result bundle: fact::HoccResult plus the learned error matrix (kept
 /// factored) and the ensemble that produced it.
 struct RhchmeResult {
@@ -207,6 +219,11 @@ class Rhchme {
       const HeterogeneousEnsemble& ensemble) const;
 
   void SetIterationCallback(IterationCallback cb) { callback_ = std::move(cb); }
+  /// Without a hook the fit reads the ensemble Laplacian in place and
+  /// keeps no copy of it.
+  void SetLaplacianHook(LaplacianHook hook) {
+    laplacian_hook_ = std::move(hook);
+  }
 
   const RhchmeOptions& options() const { return opts_; }
 
@@ -219,6 +236,7 @@ class Rhchme {
 
   RhchmeOptions opts_;
   IterationCallback callback_;
+  LaplacianHook laplacian_hook_;
 };
 
 /// The full objective J₄ of Eq. 15, evaluated against a sparse R and the

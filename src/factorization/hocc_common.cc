@@ -77,16 +77,6 @@ Result<la::Matrix> InitMembership(const data::MultiTypeRelationalData& data,
   return g;
 }
 
-Result<la::Matrix> SolveCentralS(const la::Matrix& g, const la::Matrix& m,
-                                 double ridge, SolveStats* stats) {
-  if (g.rows() != m.rows() || m.rows() != m.cols()) {
-    return Status::InvalidArgument("SolveCentralS: shape mismatch");
-  }
-  la::Matrix gtg = la::Gram(g);
-  la::Matrix gtmg = la::MultiplyTN(g, la::Multiply(m, g));
-  return SolveCentralSFromProducts(gtg, gtmg, ridge, stats);
-}
-
 Result<la::Matrix> SolveCentralSFromProducts(const la::Matrix& gtg,
                                              const la::Matrix& gtmg,
                                              double ridge, SolveStats* stats) {
@@ -205,61 +195,6 @@ void GUpdateRows(const GUpdateOperands& op, const la::Matrix& g,
   }
 }
 
-namespace {
-
-/// Whole-matrix Eq. 21 over GUpdateRows, in place on `g`.
-void ApplyGUpdate(const la::Matrix& mg, const la::Matrix& mtg,
-                  const la::Matrix& s, const la::Matrix& gtg,
-                  const la::Matrix* lg_neg, const la::Matrix* lg_pos,
-                  double eps, la::Matrix* g) {
-  la::Matrix b_pos, b_neg;
-  GUpdateGramTerms(s, gtg, &b_pos, &b_neg);
-  GUpdateOperands op;
-  op.mg = &mg;
-  op.mtg = &mtg;
-  op.s = &s;
-  op.b_pos = &b_pos;
-  op.b_neg = &b_neg;
-  op.lg_neg = lg_neg;
-  op.lg_pos = lg_pos;
-  op.eps = eps;
-  const std::size_t n = g->rows(), c = g->cols();
-  GUpdateScratch scratch;
-  scratch.Resize(n, c);
-  // Whole panels per chunk: GUpdateRows reads G's panels before it
-  // overwrites them.
-  const std::size_t grain =
-      (util::GrainForWork(10 * c * c + 1) + la::kGemmRowPanel - 1) /
-      la::kGemmRowPanel * la::kGemmRowPanel;
-  util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
-    GUpdateRows(op, *g, r0, r1, &scratch, g);
-  });
-}
-
-}  // namespace
-
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double lambda, const la::Matrix* laplacian_pos,
-                           const la::Matrix* laplacian_neg, double eps,
-                           la::Matrix* g) {
-  la::Matrix mg = la::Multiply(m, *g);                  // n x c
-  la::Matrix mtg;                                       // n x c
-  // Streaming AᵀB: materialising Mᵀ here would be the iteration's only
-  // dense n x n temporary (M is the solver's full-size data matrix).
-  la::MultiplyTNStreamInto(m, *g, &mtg);
-  la::Matrix lg_neg, lg_pos;
-  const bool manifold =
-      lambda != 0.0 && laplacian_pos != nullptr && laplacian_neg != nullptr;
-  if (manifold) {
-    lg_neg = la::Multiply(*laplacian_neg, *g);
-    lg_neg.Scale(lambda);
-    lg_pos = la::Multiply(*laplacian_pos, *g);
-    lg_pos.Scale(lambda);
-  }
-  ApplyGUpdate(mg, mtg, s, la::Gram(*g), manifold ? &lg_neg : nullptr,
-               manifold ? &lg_pos : nullptr, eps, g);
-}
-
 Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
                                          const la::Matrix& mtg,
                                          const la::Matrix& s,
@@ -280,19 +215,34 @@ Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
     laplacian_pos->MultiplyDenseInto(*g, &lg_pos);
     lg_pos.Scale(lambda);
   }
-  ApplyGUpdate(mg, mtg, s, gtg, manifold ? &lg_neg : nullptr,
-               manifold ? &lg_pos : nullptr, eps, g);
+  la::Matrix b_pos, b_neg;
+  GUpdateGramTerms(s, gtg, &b_pos, &b_neg);
+  GUpdateOperands op;
+  op.mg = &mg;
+  op.mtg = &mtg;
+  op.s = &s;
+  op.b_pos = &b_pos;
+  op.b_neg = &b_neg;
+  op.lg_neg = manifold ? &lg_neg : nullptr;
+  op.lg_pos = manifold ? &lg_pos : nullptr;
+  op.eps = eps;
+  const std::size_t n = g->rows(), c = g->cols();
+  GUpdateScratch scratch;
+  scratch.Resize(n, c);
+  // Whole panels per chunk: GUpdateRows reads G's panels before it
+  // overwrites them.
+  const std::size_t grain =
+      (util::GrainForWork(10 * c * c + 1) + la::kGemmRowPanel - 1) /
+      la::kGemmRowPanel * la::kGemmRowPanel;
+  util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+    GUpdateRows(op, *g, r0, r1, &scratch, g);
+  });
   if (util::FaultShouldFail(util::fault_site::kGUpdatePoison) && !g->empty()) {
     // Simulates a kernel emitting NaN (e.g. an overflowed 0·inf product);
     // the solver's post-update tripwire must catch and sanitize it.
     (*g)(0, 0) = std::numeric_limits<double>::quiet_NaN();
   }
   return Status::OK();
-}
-
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double eps, la::Matrix* g) {
-  MultiplicativeGUpdate(m, s, /*lambda=*/0.0, nullptr, nullptr, eps, g);
 }
 
 void RatioUpdate(const la::Matrix& num, const la::Matrix& den, double eps,
@@ -342,14 +292,6 @@ void NormalizeMembershipRow(std::size_t c0, std::size_t c1, double* row) {
     const double u = 1.0 / static_cast<double>(c1 - c0);
     for (std::size_t j = c0; j < c1; ++j) row[j] = u;
   }
-}
-
-double ReconstructionError(const la::Matrix& m, const la::Matrix& g,
-                           const la::Matrix& s) {
-  la::Matrix gs = la::Multiply(g, s);
-  la::Matrix approx = la::MultiplyNT(gs, g);
-  approx.Sub(m);
-  return approx.FrobeniusNormSquared();
 }
 
 std::vector<std::vector<std::size_t>> ExtractLabels(

@@ -57,17 +57,11 @@ struct SolveStats {
   int ridge_retries = 0;  ///< Boosted-ridge attempts after a failed solve.
 };
 
-/// Closed-form S given G (paper Eq. 18): S = P·Gᵀ·M·G·P with
-/// P = (GᵀG + ridge·I)⁻¹. `m` is R (or R - E_R for the robust variant).
-Result<la::Matrix> SolveCentralS(const la::Matrix& g, const la::Matrix& m,
-                                 double ridge = 1e-9,
-                                 SolveStats* stats = nullptr);
-
-/// Product-form Eq. 18: the same closed form from the precomputed c x c
-/// factors `gtg` = GᵀG and `gtmg` = Gᵀ·M·G. This is the seam the RHCHME
-/// solver plugs into — it evaluates Gᵀ·M·G from low-rank identities
-/// without ever forming M, then hands the c x c pieces here.
-/// SolveCentralS is a thin wrapper around it.
+/// Closed-form S (paper Eq. 18): S = P·Gᵀ·M·G·P with
+/// P = (GᵀG + ridge·I)⁻¹, from the precomputed c x c factors `gtg` = GᵀG
+/// and `gtmg` = Gᵀ·M·G (M = R, or R − E_R for the robust variant). The
+/// RHCHME solver evaluates Gᵀ·M·G from low-rank identities without ever
+/// forming M, then hands the c x c pieces here.
 ///
 /// Numerical guard: when the base solve fails or produces a non-finite S
 /// (singular GᵀG, injected fault), the solve is retried up the ridge
@@ -85,23 +79,15 @@ Result<la::Matrix> SolveCentralSFromProducts(const la::Matrix& gtg,
 ///   G ← G ∘ sqrt( (lambda·L⁻·G + A⁺ + G·B⁻) / (lambda·L⁺·G + A⁻ + G·B⁺) )
 /// with the symmetrised gradient halves A = ½(M·G·Sᵀ + Mᵀ·G·S) and
 /// B = ½(Sᵀ·GᵀG·S + S·GᵀG·Sᵀ), which reduce to the paper's A = M·G·Sᵀ,
-/// B = Sᵀ·GᵀG·S when M and S are symmetric (DESIGN.md §5).
+/// B = Sᵀ·GᵀG·S when M and S are symmetric (DESIGN.md §5). `eps` floors
+/// the denominator. Zero entries of G stay zero, so the block-diagonal
+/// structure is preserved.
 ///
-/// `laplacian_pos`/`laplacian_neg` are the precomputed ± parts of L; pass
-/// nullptr (with lambda = 0) when there is no manifold regulariser.
-/// `eps` floors the denominator. Zero entries of G stay zero, so the
-/// block-diagonal structure is preserved.
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double lambda, const la::Matrix* laplacian_pos,
-                           const la::Matrix* laplacian_neg, double eps,
-                           la::Matrix* g);
-
-/// Product-form Eq. 21: the same update from precomputed gradient halves
-/// `mg` = M·G and `mtg` = Mᵀ·G (both n x c) and `gtg` = GᵀG instead of M
-/// itself. `g` must be the same membership every product was formed
-/// against. The Laplacian ± parts stay in CSR and the L±·G terms run as
-/// SpMM (O(nnz·c)); pass nullptr (with lambda = 0) when there is no
-/// manifold regulariser. This is the whole-matrix form of GUpdateRows,
+/// Product form: M enters only through `mg` = M·G and `mtg` = Mᵀ·G (both
+/// n x c), with `gtg` = GᵀG. `g` must be the same membership every
+/// product was formed against. The Laplacian ± parts stay in CSR and the
+/// L±·G terms run as SpMM (O(nnz·c)); pass nullptr (with lambda = 0) when
+/// there is no manifold regulariser. This is the whole-matrix form of GUpdateRows,
 /// the row kernel the RHCHME solver runs inside its fused passes, so the
 /// two agree bit for bit. Returns InvalidArgument on shape mismatch
 /// instead of aborting — this is a fit-pipeline seam, and bad shapes here
@@ -157,10 +143,6 @@ void GUpdateRows(const GUpdateOperands& op, const la::Matrix& g,
                  std::size_t r0, std::size_t r1, GUpdateScratch* scratch,
                  la::Matrix* g_out);
 
-/// No-regulariser convenience (lambda = 0): data terms only.
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double eps, la::Matrix* g);
-
 /// G ∘= sqrt(num/(den+eps)) — the bare ratio update (used by DRCC, whose
 /// factor matrices are not symmetric).
 void RatioUpdate(const la::Matrix& num, const la::Matrix& den, double eps,
@@ -175,10 +157,6 @@ void NormalizeMembershipRows(const BlockStructure& blocks, la::Matrix* g);
 /// them to unit ℓ1 mass, or sets them uniform when the mass is zero.
 /// NormalizeMembershipRows applies exactly this to every row.
 void NormalizeMembershipRow(std::size_t c0, std::size_t c1, double* row);
-
-/// Reconstruction ‖M − G·S·Gᵀ‖²_F.
-double ReconstructionError(const la::Matrix& m, const la::Matrix& g,
-                           const la::Matrix& s);
 
 /// Shared outcome of a HOCC solver.
 struct HoccResult {

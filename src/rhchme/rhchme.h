@@ -24,7 +24,6 @@
 
 // Substrate: linear algebra, graphs, clustering.
 #include "la/aligned.h"
-#include "la/eigen_sym.h"
 #include "la/gemm.h"
 #include "la/matrix.h"
 #include "la/simd.h"

@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "baselines/drcc.h"
 #include "baselines/rmc.h"
 #include "baselines/snmtf.h"
 #include "baselines/src_clustering.h"
+#include "core/ensemble.h"
 #include "data/synthetic.h"
+#include "dense_reference_solver.h"
 #include "eval/metrics.h"
 #include "la/gemm.h"
 #include "scoped_num_threads.h"
+#include "util/fault.h"
 
 namespace rhchme {
 namespace baselines {
@@ -84,14 +90,16 @@ TEST(Snmtf, ObjectiveDecreases) {
 }
 
 TEST(Snmtf, JointLaplacianIsBlockDiagonal) {
+  // SNMTF's single-graph Laplacian is the pNN-only ensemble's.
   data::MultiTypeRelationalData d = SmallData();
   fact::BlockStructure b = fact::BuildBlockStructure(d);
-  graph::KnnGraphOptions knn;
-  Result<la::Matrix> l = BuildJointKnnLaplacian(
-      d, b, knn, graph::LaplacianKind::kSymmetric);
-  ASSERT_TRUE(l.ok());
-  EXPECT_EQ(l.value().Block(0, 24, 24, 18).MaxAbs(), 0.0);
-  EXPECT_GT(l.value().Block(0, 0, 24, 24).MaxAbs(), 0.0);
+  core::EnsembleOptions knn_only;
+  knn_only.include_subspace = false;
+  Result<core::HeterogeneousEnsemble> e = core::BuildEnsemble(d, b, knn_only);
+  ASSERT_TRUE(e.ok());
+  const la::Matrix l = e.value().laplacian.ToDense();
+  EXPECT_EQ(l.Block(0, 24, 24, 18).MaxAbs(), 0.0);
+  EXPECT_GT(l.Block(0, 0, 24, 24).MaxAbs(), 0.0);
 }
 
 TEST(Snmtf, FailsWithoutFeatures) {
@@ -353,6 +361,319 @@ TEST(Determinism, DrccBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.value().objective_trace[i], b.value().objective_trace[i])
         << "iteration " << i;
   }
+}
+
+// ---- One solver core -------------------------------------------------------
+//
+// SRC, SNMTF and RMC run the RHCHME core with E_R and Eq. 22 off; the
+// dense oracle of tests/dense_reference_solver.h checks the mapping, and
+// the core's validation, guards and footprint carry over to all three.
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(Src, RejectsNaNTolerance) {
+  SrcOptions opts;
+  opts.tolerance = kNaN;
+  EXPECT_EQ(RunSrc(SmallData(), opts).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(Snmtf, RejectsNaNTolerance) {
+  SnmtfOptions opts;
+  opts.tolerance = kNaN;
+  EXPECT_EQ(RunSnmtf(SmallData(), opts).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(Rmc, RejectsNaNToleranceAndMu) {
+  RmcOptions opts;
+  opts.tolerance = kNaN;
+  EXPECT_EQ(RunRmc(SmallData(), opts).status().code(),
+            StatusCode::kInvalidArgument);
+  opts = RmcOptions{};
+  opts.mu = kNaN;
+  EXPECT_EQ(RunRmc(SmallData(), opts).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+constexpr const char* kCoreBaselines[] = {"SRC", "SNMTF", "RMC"};
+
+/// One of kCoreBaselines fitted on `d` for a few iterations.
+Result<fact::HoccResult> FitCoreBaseline(
+    const std::string& method, const data::MultiTypeRelationalData& d) {
+  if (method == "SRC") {
+    SrcOptions opts;
+    opts.max_iterations = 12;
+    return RunSrc(d, opts);
+  }
+  if (method == "SNMTF") {
+    SnmtfOptions opts;
+    opts.lambda = 1.0;
+    opts.max_iterations = 12;
+    return RunSnmtf(d, opts);
+  }
+  RmcOptions opts;
+  opts.lambda = 1.0;
+  opts.max_iterations = 12;
+  Result<RmcResult> fit = RunRmc(d, opts);
+  if (!fit.ok()) return fit.status();
+  return std::move(fit).value().hocc;
+}
+
+TEST(CoreBaselines, RecoverFromNaNRelationEntry) {
+  data::MultiTypeRelationalData d = SmallData();
+  la::Matrix r01 = d.Relation(0, 1);
+  r01(3, 2) = kNaN;
+  ASSERT_TRUE(d.SetRelation(0, 1, r01).ok());
+  for (const std::string method : kCoreBaselines) {
+    Result<fact::HoccResult> fit = FitCoreBaseline(method, d);
+    ASSERT_TRUE(fit.ok()) << method << ": " << fit.status().ToString();
+    EXPECT_TRUE(fit.value().g.AllFinite()) << method;
+  }
+}
+
+TEST(CoreBaselines, RecoverFromEveryPoisonSite) {
+  const data::MultiTypeRelationalData d = SmallData();
+  util::ScopedFaultDisarm disarm;
+  for (const char* site :
+       {util::fault_site::kInitPoison, util::fault_site::kCentralSolvePoison,
+        util::fault_site::kGUpdatePoison, util::fault_site::kResidualPoison,
+        util::fault_site::kObjectivePoison}) {
+    for (const std::string method : kCoreBaselines) {
+      util::FaultArmCountdown(site, 1);
+      Result<fact::HoccResult> fit = FitCoreBaseline(method, d);
+      const long long hits = util::FaultHitCount(site);
+      util::FaultDisarm();
+      EXPECT_GT(hits, 0) << site << " " << method;
+      ASSERT_TRUE(fit.ok()) << site << " " << method << ": "
+                            << fit.status().ToString();
+      EXPECT_TRUE(fit.value().g.AllFinite()) << site << " " << method;
+      EXPECT_TRUE(fit.value().g.IsNonNegative()) << site << " " << method;
+    }
+  }
+}
+
+/// No dense n x n allocation: the joint R stays CSR and every Laplacian
+/// sparse (la::memstats counts each Matrix of at least n² doubles).
+TEST(CoreBaselines, AllocateNoDenseNxN) {
+  const data::MultiTypeRelationalData d = SmallData();
+  const std::size_t n = d.TotalObjects();
+  for (const std::string method : kCoreBaselines) {
+    la::memstats::StartTracking(n * n);
+    Result<fact::HoccResult> fit = FitCoreBaseline(method, d);
+    la::memstats::StopTracking();
+    ASSERT_TRUE(fit.ok()) << method;
+    EXPECT_EQ(la::memstats::LargeAllocations(), 0u) << method;
+  }
+}
+
+/// Core options of the dense oracle for a baseline: E_R and Eq. 22 off, a
+/// fixed iteration count.
+core::RhchmeOptions OracleOptions(double lambda, uint64_t seed) {
+  core::RhchmeOptions o;
+  o.lambda = lambda;
+  o.use_error_matrix = false;
+  o.normalize_rows = false;
+  o.max_iterations = 40;
+  o.tolerance = 0.0;
+  o.seed = seed;
+  return o;
+}
+
+/// pNN-only ensemble for one pNN configuration: SNMTF's Laplacian and an
+/// RMC candidate.
+core::HeterogeneousEnsemble KnnEnsemble(const data::MultiTypeRelationalData& d,
+                                        const graph::KnnGraphOptions& knn) {
+  core::EnsembleOptions o;
+  o.include_subspace = false;
+  o.knn = knn;
+  return core::BuildEnsemble(d, fact::BuildBlockStructure(d), o).value();
+}
+
+void ExpectMatchesOracle(const data::MultiTypeRelationalData& d,
+                         const fact::HoccResult& got,
+                         const testing_reference::DenseReferenceFit& want) {
+  const fact::BlockStructure b = fact::BuildBlockStructure(d);
+  EXPECT_EQ(got.labels, fact::ExtractLabels(b, want.g));
+  ASSERT_EQ(got.objective_trace.size(), want.objective_trace.size());
+  for (std::size_t i = 0; i < got.objective_trace.size(); ++i) {
+    EXPECT_NEAR(got.objective_trace[i], want.objective_trace[i],
+                1e-12 * std::fabs(want.objective_trace[i]))
+        << "iteration " << i;
+  }
+}
+
+TEST(CoreBaselines, SrcMatchesDenseOracle) {
+  const data::MultiTypeRelationalData d = SmallData();
+  const std::size_t n = d.TotalObjects();
+  core::HeterogeneousEnsemble none;
+  none.laplacian = la::SparseMatrix::FromTriplets(n, n, {});
+  const testing_reference::DenseReferenceFit want =
+      testing_reference::DenseReferenceSolve(d, none, OracleOptions(0.0, 3));
+  for (int threads : {1, 4}) {
+    ScopedNumThreads pool(threads);
+    SrcOptions opts;
+    opts.max_iterations = 40;
+    opts.tolerance = 0.0;
+    opts.seed = 3;
+    Result<fact::HoccResult> got = RunSrc(d, opts);
+    ASSERT_TRUE(got.ok());
+    ExpectMatchesOracle(d, got.value(), want);
+  }
+}
+
+TEST(CoreBaselines, SnmtfMatchesDenseOracle) {
+  const data::MultiTypeRelationalData d = SmallData();
+  const testing_reference::DenseReferenceFit want =
+      testing_reference::DenseReferenceSolve(
+          d, KnnEnsemble(d, graph::KnnGraphOptions{}), OracleOptions(1.0, 3));
+  for (int threads : {1, 4}) {
+    ScopedNumThreads pool(threads);
+    SnmtfOptions opts;
+    opts.lambda = 1.0;
+    opts.max_iterations = 40;
+    opts.tolerance = 0.0;
+    opts.seed = 3;
+    Result<fact::HoccResult> got = RunSnmtf(d, opts);
+    ASSERT_TRUE(got.ok());
+    ExpectMatchesOracle(d, got.value(), want);
+  }
+}
+
+TEST(CoreBaselines, RmcWithOneCandidateIsSnmtfBitForBit) {
+  const data::MultiTypeRelationalData d = SmallData();
+  graph::KnnGraphOptions knn;
+  knn.p = 7;
+  knn.scheme = graph::WeightScheme::kHeatKernel;
+  SnmtfOptions snmtf;
+  snmtf.knn = knn;
+  snmtf.lambda = 2.0;
+  snmtf.max_iterations = 30;
+  snmtf.seed = 9;
+  RmcOptions rmc;
+  rmc.candidates = {knn};
+  rmc.lambda = 2.0;
+  rmc.max_iterations = 30;
+  rmc.seed = 9;
+  Result<fact::HoccResult> want = RunSnmtf(d, snmtf);
+  Result<RmcResult> got = RunRmc(d, rmc);
+  ASSERT_TRUE(want.ok() && got.ok());
+  EXPECT_EQ(got.value().hocc.objective_trace, want.value().objective_trace);
+  EXPECT_EQ(got.value().hocc.labels, want.value().labels);
+  EXPECT_EQ(got.value().candidate_weights, std::vector<double>{1.0});
+}
+
+TEST(CoreBaselines, RmcMatchesDenseOracleUnderTheSameHook) {
+  const data::MultiTypeRelationalData d = SmallData();
+  const std::vector<graph::KnnGraphOptions> candidates =
+      DefaultRmcCandidates();
+  std::vector<la::Matrix> lap;
+  for (const graph::KnnGraphOptions& knn : candidates) {
+    lap.push_back(KnnEnsemble(d, knn).laplacian.ToDense());
+  }
+  // RMC's weight step on dense candidates: beta = Proj_simplex(−traces /
+  // (2·mu)) with the automatic mu, then L = Σ beta_i·L̂_i.
+  std::vector<double> beta;
+  auto dense_hook = [&](int, const la::Matrix& g, la::Matrix* l) {
+    std::vector<double> traces;
+    double mean = 0.0;
+    for (const la::Matrix& li : lap) {
+      traces.push_back(la::FrobeniusInner(la::Multiply(li, g), g));
+      mean += std::fabs(traces.back());
+    }
+    const double mu =
+        std::max(mean / static_cast<double>(lap.size()), 1e-12);
+    for (double& t : traces) t = -t / (2.0 * mu);
+    beta = ProjectOntoSimplex(traces);
+    *l = la::Matrix(l->rows(), l->cols());
+    for (std::size_t i = 0; i < lap.size(); ++i) {
+      if (beta[i] > 0.0) l->AddScaled(lap[i], beta[i]);
+    }
+  };
+  const testing_reference::DenseReferenceFit want =
+      testing_reference::DenseReferenceSolve(
+          d, KnnEnsemble(d, candidates[0]), OracleOptions(1.0, 3),
+          dense_hook);
+  RmcOptions opts;
+  opts.lambda = 1.0;
+  opts.max_iterations = 40;
+  opts.tolerance = 0.0;
+  opts.seed = 3;
+  Result<RmcResult> got = RunRmc(d, opts);
+  ASSERT_TRUE(got.ok());
+  ExpectMatchesOracle(d, got.value().hocc, want);
+  const std::vector<double>& weights = got.value().candidate_weights;
+  ASSERT_EQ(weights.size(), beta.size());
+  double sum = 0.0;
+  for (std::size_t i = 0; i < beta.size(); ++i) {
+    EXPECT_NEAR(weights[i], beta[i], 1e-12) << "candidate " << i;
+    sum += weights[i];
+  }
+  EXPECT_NEAR(sum, 1.0, 1e-12);
+}
+
+// ---- The core's Laplacian hook (RMC's seam) -------------------------------
+
+/// A full RHCHME fit (E_R and Eq. 22 on) with an optional hook.
+Result<core::RhchmeResult> FitWithHook(const data::MultiTypeRelationalData& d,
+                                       core::LaplacianHook hook,
+                                       double lambda = 1.0) {
+  core::RhchmeOptions opts;
+  opts.lambda = lambda;
+  opts.beta = 50.0;
+  opts.max_iterations = 15;
+  opts.tolerance = 0.0;
+  core::Rhchme solver(opts);
+  if (hook) solver.SetLaplacianHook(std::move(hook));
+  return solver.FitWithEnsemble(
+      d, KnnEnsemble(d, graph::KnnGraphOptions{}));
+}
+
+TEST(LaplacianHook, UnchangedValuesKeepTheTraceBitForBit) {
+  const data::MultiTypeRelationalData d = SmallData();
+  int calls = 0;
+  Result<core::RhchmeResult> plain = FitWithHook(d, nullptr);
+  Result<core::RhchmeResult> hooked = FitWithHook(
+      d, [&](int iteration, const la::Matrix&, std::vector<double>*) {
+        EXPECT_EQ(iteration, ++calls);
+      });
+  ASSERT_TRUE(plain.ok() && hooked.ok());
+  EXPECT_EQ(calls, 15);
+  EXPECT_EQ(hooked.value().hocc.objective_trace,
+            plain.value().hocc.objective_trace);
+  EXPECT_EQ(hooked.value().error_scale, plain.value().error_scale);
+}
+
+TEST(LaplacianHook, RewrittenValuesReachTheIteration) {
+  // 3·L at lambda = 1 is L at lambda = 3, up to rounding.
+  const data::MultiTypeRelationalData d = SmallData();
+  std::vector<double> original;
+  Result<core::RhchmeResult> hooked = FitWithHook(
+      d, [&](int, const la::Matrix&, std::vector<double>* values) {
+        if (original.empty()) original = *values;
+        for (std::size_t k = 0; k < values->size(); ++k) {
+          (*values)[k] = 3.0 * original[k];
+        }
+      });
+  Result<core::RhchmeResult> want = FitWithHook(d, nullptr, /*lambda=*/3.0);
+  ASSERT_TRUE(hooked.ok() && want.ok());
+  EXPECT_EQ(hooked.value().hocc.labels, want.value().hocc.labels);
+  const std::vector<double>& got_trace = hooked.value().hocc.objective_trace;
+  const std::vector<double>& want_trace = want.value().hocc.objective_trace;
+  ASSERT_EQ(got_trace.size(), want_trace.size());
+  for (std::size_t i = 0; i < got_trace.size(); ++i) {
+    EXPECT_NEAR(got_trace[i], want_trace[i], 1e-12 * std::fabs(want_trace[i]))
+        << "iteration " << i;
+  }
+}
+
+TEST(LaplacianHook, MustKeepTheValueCount) {
+  const data::MultiTypeRelationalData d = SmallData();
+  Result<core::RhchmeResult> fit = FitWithHook(
+      d, [](int, const la::Matrix&, std::vector<double>* values) {
+        values->push_back(1.0);
+      });
+  EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

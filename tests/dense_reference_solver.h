@@ -3,17 +3,20 @@
 //
 // Everything here is the textbook form of the updates, with every O(n²)
 // quantity materialised: dense R, dense M = R − E_R, the closed-form S of
-// Eq. 18 (fact::SolveCentralS), the dense-Laplacian multiplicative G
-// update of Eq. 21, a dense E_R from Eq. 25–27 and the objective of
-// Eq. 15 evaluated entry by entry. It shares the initialisation with the
-// library (fact::InitMembership from the same seed), so its objective
-// trace is the library's up to rounding.
+// Eq. 18 (SolveCentralS), the dense-Laplacian multiplicative G update of
+// Eq. 21 (MultiplicativeGUpdate), a dense E_R from Eq. 25–27 and the
+// objective of Eq. 15 evaluated entry by entry. It shares the
+// initialisation with the library (fact::InitMembership from the same
+// seed), so its objective trace is the library's up to rounding. With
+// E_R and Eq. 22 off it is also the oracle of the SRC, SNMTF and RMC
+// baselines, which run the library's core.
 
 #ifndef RHCHME_TESTS_DENSE_REFERENCE_SOLVER_H_
 #define RHCHME_TESTS_DENSE_REFERENCE_SOLVER_H_
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -34,6 +37,58 @@ struct DenseReferenceFit {
   la::Matrix error;  ///< Dense E_R; empty when the robust term is off.
   std::vector<double> objective_trace;
 };
+
+/// Closed-form S given G (paper Eq. 18): S = P·Gᵀ·M·G·P with
+/// P = (GᵀG + ridge·I)⁻¹, through the library's product form.
+inline Result<la::Matrix> SolveCentralS(const la::Matrix& g,
+                                        const la::Matrix& m, double ridge) {
+  return fact::SolveCentralSFromProducts(
+      la::Gram(g), la::MultiplyTN(g, la::Multiply(m, g)), ridge);
+}
+
+/// One multiplicative update of G (paper Eq. 21) against a dense M and
+/// the dense ± parts of L (nullptr with lambda = 0 for no manifold term):
+/// the library's row kernel over every row, on dense products.
+inline void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
+                                  double lambda,
+                                  const la::Matrix* laplacian_pos,
+                                  const la::Matrix* laplacian_neg, double eps,
+                                  la::Matrix* g) {
+  const la::Matrix mg = la::Multiply(m, *g);
+  la::Matrix mtg;
+  la::MultiplyTNStreamInto(m, *g, &mtg);
+  la::Matrix lg_neg, lg_pos;
+  const bool manifold =
+      lambda != 0.0 && laplacian_pos != nullptr && laplacian_neg != nullptr;
+  if (manifold) {
+    lg_neg = la::Multiply(*laplacian_neg, *g);
+    lg_neg.Scale(lambda);
+    lg_pos = la::Multiply(*laplacian_pos, *g);
+    lg_pos.Scale(lambda);
+  }
+  la::Matrix b_pos, b_neg;
+  fact::GUpdateGramTerms(s, la::Gram(*g), &b_pos, &b_neg);
+  fact::GUpdateOperands op;
+  op.mg = &mg;
+  op.mtg = &mtg;
+  op.s = &s;
+  op.b_pos = &b_pos;
+  op.b_neg = &b_neg;
+  op.lg_neg = manifold ? &lg_neg : nullptr;
+  op.lg_pos = manifold ? &lg_pos : nullptr;
+  op.eps = eps;
+  fact::GUpdateScratch scratch;
+  scratch.Resize(g->rows(), g->cols());
+  fact::GUpdateRows(op, *g, 0, g->rows(), &scratch, g);
+}
+
+/// Reconstruction ‖M − G·S·Gᵀ‖²_F.
+inline double ReconstructionError(const la::Matrix& m, const la::Matrix& g,
+                                  const la::Matrix& s) {
+  la::Matrix approx = la::MultiplyNT(la::Multiply(g, s), g);
+  approx.Sub(m);
+  return approx.FrobeniusNormSquared();
+}
 
 /// Dense joint R with the fit's input sanitisation (NaN/Inf read as 0).
 inline la::Matrix DenseJointR(const data::MultiTypeRelationalData& d) {
@@ -82,28 +137,41 @@ inline double DenseObjective(const la::Matrix& r, const la::Matrix& g,
   return resid.FrobeniusNormSquared() + beta * l21 + lambda * smooth;
 }
 
+/// The dense counterpart of core::LaplacianHook: rewrites the dense L
+/// from the iteration index and the accepted G.
+using DenseLaplacianHook =
+    std::function<void(int iteration, const la::Matrix& g, la::Matrix* lap)>;
+
 /// Algorithm 2 against a prebuilt ensemble, with the library's stopping
-/// rule. No numerical guards: the oracle runs on healthy data only.
+/// rule. No numerical guards: the oracle runs on healthy data only. A
+/// `hook` rewrites L at the start of every iteration, as the core's
+/// Laplacian hook does.
 inline DenseReferenceFit DenseReferenceSolve(
     const data::MultiTypeRelationalData& data,
     const core::HeterogeneousEnsemble& ensemble,
-    const core::RhchmeOptions& opts) {
+    const core::RhchmeOptions& opts,
+    const DenseLaplacianHook& hook = nullptr) {
   const fact::BlockStructure blocks = fact::BuildBlockStructure(data);
   const la::Matrix r = DenseJointR(data);
-  const la::Matrix lap = ensemble.laplacian.ToDense();
-  const la::Matrix lap_pos = la::PositivePart(lap);
-  const la::Matrix lap_neg = la::NegativePart(lap);
+  la::Matrix lap = ensemble.laplacian.ToDense();
+  la::Matrix lap_pos = la::PositivePart(lap);
+  la::Matrix lap_neg = la::NegativePart(lap);
 
   DenseReferenceFit fit;
   Rng rng(opts.seed);
   fit.g = fact::InitMembership(data, blocks, opts.init, &rng).value();
   double prev = std::numeric_limits<double>::infinity();
   for (int t = 1; t <= opts.max_iterations; ++t) {
+    if (hook) {
+      hook(t, fit.g, &lap);
+      lap_pos = la::PositivePart(lap);
+      lap_neg = la::NegativePart(lap);
+    }
     la::Matrix m = r;
     if (!fit.error.empty()) m.Sub(fit.error);
-    fit.s = fact::SolveCentralS(fit.g, m, opts.ridge).value();
-    fact::MultiplicativeGUpdate(m, fit.s, opts.lambda, &lap_pos, &lap_neg,
-                                opts.mu_eps, &fit.g);
+    fit.s = SolveCentralS(fit.g, m, opts.ridge).value();
+    MultiplicativeGUpdate(m, fit.s, opts.lambda, &lap_pos, &lap_neg,
+                          opts.mu_eps, &fit.g);
     if (opts.normalize_rows) fact::NormalizeMembershipRows(blocks, &fit.g);
     if (opts.use_error_matrix) {
       fit.error = DenseErrorUpdate(DenseResidual(r, fit.g, fit.s), opts.beta,

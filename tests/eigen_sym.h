@@ -1,15 +1,44 @@
-#include "la/eigen_sym.h"
+// Symmetric eigensolver (cyclic Jacobi), a test-only reference.
+//
+// The tests need eigenpairs of small graph Laplacians and Gram matrices
+// (Laplacian PSD-ness, Fiedler vectors, eigenvalue spectra); the library
+// itself never decomposes a matrix. Jacobi is O(n³) with a small constant
+// and numerically robust, which is sufficient for the small matrices the
+// tests decompose.
+
+#ifndef RHCHME_TESTS_EIGEN_SYM_H_
+#define RHCHME_TESTS_EIGEN_SYM_H_
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
+
+#include "la/matrix.h"
+#include "util/status.h"
 
 namespace rhchme {
 namespace la {
-namespace {
+
+/// Eigen-decomposition A = V·diag(w)·Vᵀ of a symmetric matrix.
+struct EigenSymResult {
+  /// Eigenvalues in ascending order.
+  std::vector<double> eigenvalues;
+  /// Column j of `eigenvectors` is the unit eigenvector for eigenvalues[j].
+  Matrix eigenvectors;
+};
+
+/// Options for the Jacobi sweep loop.
+struct EigenSymOptions {
+  int max_sweeps = 64;      ///< Hard cap; convergence is usually < 15 sweeps.
+  double tolerance = 1e-12; ///< Stop when off-diagonal Frobenius mass is
+                            ///< below tolerance * ||A||_F.
+};
+
+namespace eigen_sym_detail {
 
 /// Frobenius mass of the strict off-diagonal part.
-double OffDiagonalNorm(const Matrix& a) {
+inline double OffDiagonalNorm(const Matrix& a) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = i + 1; j < a.cols(); ++j) {
@@ -19,9 +48,14 @@ double OffDiagonalNorm(const Matrix& a) {
   return std::sqrt(s);
 }
 
-}  // namespace
+}  // namespace eigen_sym_detail
 
-Result<EigenSymResult> EigenSym(const Matrix& a, const EigenSymOptions& opts) {
+/// Full eigen-decomposition of symmetric `a`. Symmetry is enforced by
+/// averaging (A+Aᵀ)/2; returns InvalidArgument for non-square input and
+/// NotConverged if the sweep cap is hit (pairs computed so far returned
+/// in the error-free case only).
+inline Result<EigenSymResult> EigenSym(const Matrix& a,
+                                       const EigenSymOptions& opts = {}) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("EigenSym: matrix must be square");
   }
@@ -37,7 +71,7 @@ Result<EigenSymResult> EigenSym(const Matrix& a, const EigenSymOptions& opts) {
   Matrix v = Matrix::Identity(n);
 
   const double stop = opts.tolerance * std::max(w.FrobeniusNorm(), 1e-300);
-  bool converged = (n <= 1) || OffDiagonalNorm(w) <= stop;
+  bool converged = (n <= 1) || eigen_sym_detail::OffDiagonalNorm(w) <= stop;
   for (int sweep = 0; sweep < opts.max_sweeps && !converged; ++sweep) {
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
@@ -68,7 +102,7 @@ Result<EigenSymResult> EigenSym(const Matrix& a, const EigenSymOptions& opts) {
         }
       }
     }
-    converged = OffDiagonalNorm(w) <= stop;
+    converged = eigen_sym_detail::OffDiagonalNorm(w) <= stop;
   }
   if (!converged) {
     return Status::NotConverged("EigenSym: Jacobi sweep cap reached");
@@ -92,8 +126,10 @@ Result<EigenSymResult> EigenSym(const Matrix& a, const EigenSymOptions& opts) {
   return out;
 }
 
-Result<EigenSymResult> EigenSymSmallest(const Matrix& a, std::size_t k,
-                                        const EigenSymOptions& opts) {
+/// The k smallest eigenpairs (e.g. the spectral embedding of a Laplacian).
+/// Computes the full decomposition and slices it.
+inline Result<EigenSymResult> EigenSymSmallest(
+    const Matrix& a, std::size_t k, const EigenSymOptions& opts = {}) {
   if (k > a.rows()) {
     return Status::InvalidArgument("EigenSymSmallest: k exceeds dimension");
   }
@@ -108,3 +144,5 @@ Result<EigenSymResult> EigenSymSmallest(const Matrix& a, std::size_t k,
 
 }  // namespace la
 }  // namespace rhchme
+
+#endif  // RHCHME_TESTS_EIGEN_SYM_H_

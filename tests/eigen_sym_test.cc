@@ -1,6 +1,6 @@
 // Unit and property tests for the Jacobi symmetric eigensolver.
 
-#include "la/eigen_sym.h"
+#include "eigen_sym.h"
 
 #include <gtest/gtest.h>
 

@@ -6,7 +6,7 @@
 
 #include "core/subspace.h"
 #include "data/synthetic.h"
-#include "la/eigen_sym.h"
+#include "eigen_sym.h"
 #include "la/gemm.h"
 #include "scoped_num_threads.h"
 

@@ -7,12 +7,39 @@
 #include <cmath>
 
 #include "data/synthetic.h"
+#include "dense_reference_solver.h"
 #include "la/gemm.h"
 #include "util/rng.h"
 
 namespace rhchme {
 namespace fact {
 namespace {
+
+using testing_reference::ReconstructionError;
+
+/// Eq. 18 in product form against a dense M.
+Result<la::Matrix> SolveS(const la::Matrix& g, const la::Matrix& m,
+                          double ridge) {
+  return SolveCentralSFromProducts(la::Gram(g),
+                                   la::MultiplyTN(g, la::Multiply(m, g)),
+                                   ridge);
+}
+
+/// Eq. 21 in product form against a dense M and a sparse L (null L: no
+/// manifold term).
+void UpdateG(const la::Matrix& m, const la::Matrix& s, double lambda,
+             const la::SparseMatrix* lap, la::Matrix* g) {
+  la::SparseMatrix lap_pos, lap_neg;
+  if (lap != nullptr) {
+    lap_pos = la::PositivePart(*lap);
+    lap_neg = la::NegativePart(*lap);
+  }
+  ASSERT_TRUE(MultiplicativeGUpdateFromProducts(
+                  la::Multiply(m, *g), la::MultiplyTN(m, *g), s, la::Gram(*g),
+                  lambda, lap ? &lap_pos : nullptr,
+                  lap ? &lap_neg : nullptr, 1e-12, g)
+                  .ok());
+}
 
 data::MultiTypeRelationalData SmallData() {
   data::BlockWorldOptions o;
@@ -63,34 +90,36 @@ TEST(InitMembership, BlockDiagonalRowStochastic) {
   }
 }
 
-TEST(SolveCentralS, RecoversPlantedS) {
+TEST(SolveCentralSFromProducts, RecoversPlantedS) {
   // Build R = G·S·Gᵀ exactly and check the closed form recovers S.
   Rng rng(2);
   const std::size_t n = 20, c = 4;
   la::Matrix g = la::Matrix::RandomUniform(n, c, &rng, 0.1, 1.0);
   la::Matrix s_true = la::Matrix::RandomNormal(c, c, &rng);
   la::Matrix r = la::MultiplyNT(la::Multiply(g, s_true), g);
-  Result<la::Matrix> s = SolveCentralS(g, r, 1e-12);
+  Result<la::Matrix> s = SolveS(g, r, 1e-12);
   ASSERT_TRUE(s.ok());
   EXPECT_LT(la::MaxAbsDiff(s.value(), s_true), 1e-6);
 }
 
-TEST(SolveCentralS, SurvivesEmptyClusterColumn) {
+TEST(SolveCentralSFromProducts, SurvivesEmptyClusterColumn) {
   Rng rng(3);
   la::Matrix g = la::Matrix::RandomUniform(10, 3, &rng);
   for (std::size_t i = 0; i < 10; ++i) g(i, 2) = 0.0;  // Empty cluster.
   la::Matrix r = la::Matrix::RandomUniform(10, 10, &rng);
-  Result<la::Matrix> s = SolveCentralS(g, r, 1e-9);
+  Result<la::Matrix> s = SolveS(g, r, 1e-9);
   ASSERT_TRUE(s.ok());
   EXPECT_TRUE(s.value().AllFinite());
 }
 
-TEST(SolveCentralS, RejectsShapeMismatch) {
-  EXPECT_FALSE(SolveCentralS(la::Matrix(5, 2), la::Matrix(4, 4)).ok());
-  EXPECT_FALSE(SolveCentralS(la::Matrix(4, 2), la::Matrix(4, 5)).ok());
+TEST(SolveCentralSFromProducts, RejectsShapeMismatch) {
+  EXPECT_FALSE(
+      SolveCentralSFromProducts(la::Matrix(2, 3), la::Matrix(2, 3)).ok());
+  EXPECT_FALSE(
+      SolveCentralSFromProducts(la::Matrix(2, 2), la::Matrix(3, 3)).ok());
 }
 
-TEST(MultiplicativeGUpdate, DecreasesReconstructionObjective) {
+TEST(MultiplicativeGUpdateFromProducts, DecreasesReconstructionObjective) {
   Rng rng(4);
   const std::size_t n = 16, c = 3;
   la::Matrix g_true = la::Matrix::RandomUniform(n, c, &rng, 0.0, 1.0);
@@ -100,14 +129,14 @@ TEST(MultiplicativeGUpdate, DecreasesReconstructionObjective) {
 
   double prev = ReconstructionError(r, g, s);
   for (int it = 0; it < 25; ++it) {
-    MultiplicativeGUpdate(r, s, 1e-12, &g);
+    UpdateG(r, s, 0.0, nullptr, &g);
     const double now = ReconstructionError(r, g, s);
     EXPECT_LE(now, prev * (1.0 + 1e-9)) << "iteration " << it;
     prev = now;
   }
 }
 
-TEST(MultiplicativeGUpdate, ZerosStayZero) {
+TEST(MultiplicativeGUpdateFromProducts, ZerosStayZero) {
   // The block-diagonal structure of G survives because multiplicative
   // updates cannot resurrect exact zeros.
   Rng rng(5);
@@ -116,13 +145,13 @@ TEST(MultiplicativeGUpdate, ZerosStayZero) {
   for (std::size_t i = 0; i < 6; ++i) g(i, 3) = 0.0;
   la::Matrix s = la::Matrix::RandomUniform(c, c, &rng);
   la::Matrix r = la::Matrix::RandomUniform(n, n, &rng);
-  MultiplicativeGUpdate(r, s, 1e-12, &g);
+  UpdateG(r, s, 0.0, nullptr, &g);
   for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(g(i, 3), 0.0);
   EXPECT_TRUE(g.IsNonNegative());
   EXPECT_TRUE(g.AllFinite());
 }
 
-TEST(MultiplicativeGUpdate, LaplacianTermPullsNeighboursTogether) {
+TEST(MultiplicativeGUpdateFromProducts, LaplacianTermPullsNeighboursTogether) {
   // Two objects connected by a strong graph edge end up with more
   // similar membership rows than without the regulariser.
   Rng rng(6);
@@ -136,8 +165,7 @@ TEST(MultiplicativeGUpdate, LaplacianTermPullsNeighboursTogether) {
     for (std::size_t j = 0; j < n; ++j) lap(i, j) = -w(i, j);
   }
   lap(0, 0) = lap(1, 1) = 10.0;
-  la::Matrix lap_pos = la::PositivePart(lap);
-  la::Matrix lap_neg = la::NegativePart(lap);
+  const la::SparseMatrix sparse_lap = la::SparseMatrix::FromDense(lap);
 
   la::Matrix g0 = la::Matrix::RandomUniform(n, c, &rng, 0.1, 1.0);
   g0(0, 0) = 0.9;
@@ -151,8 +179,8 @@ TEST(MultiplicativeGUpdate, LaplacianTermPullsNeighboursTogether) {
   la::Matrix g_reg = g0;
   la::Matrix g_noreg = g0;
   for (int it = 0; it < 10; ++it) {
-    MultiplicativeGUpdate(r, s, 5.0, &lap_pos, &lap_neg, 1e-12, &g_reg);
-    MultiplicativeGUpdate(r, s, 1e-12, &g_noreg);
+    UpdateG(r, s, 5.0, &sparse_lap, &g_reg);
+    UpdateG(r, s, 0.0, nullptr, &g_noreg);
   }
   EXPECT_LT(row_gap(g_reg), row_gap(g_noreg));
 }
@@ -215,7 +243,7 @@ TEST(ExtractLabels, PerTypeArgmax) {
   EXPECT_EQ(labels[1], std::vector<std::size_t>(9, 2u));
 }
 
-TEST(ReconstructionError, ZeroForExactFactorisation) {
+TEST(DenseReference, ReconstructionErrorZeroForExactFactorisation) {
   Rng rng(8);
   la::Matrix g = la::Matrix::RandomUniform(10, 3, &rng);
   la::Matrix s = la::Matrix::RandomNormal(3, 3, &rng);

@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "la/eigen_sym.h"
+#include "eigen_sym.h"
 #include "la/gemm.h"
 
 namespace rhchme {

@@ -100,6 +100,24 @@ void PrintScores(const data::MultiTypeRelationalData& data,
   }
 }
 
+/// Warns when a fit stopped at its iteration cap without meeting its
+/// tolerance. A degraded stop ends before the cap and is reported on its
+/// own.
+void WarnIfCapped(const std::string& method, const fact::HoccResult& hocc,
+                  int max_iterations, double tolerance) {
+  if (hocc.converged || hocc.iterations < max_iterations) return;
+  const std::vector<double>& trace = hocc.objective_trace;
+  double rel = 0.0;
+  if (trace.size() >= 2) {
+    const double prev = trace[trace.size() - 2];
+    rel = std::fabs(prev - trace.back()) / std::max(1.0, std::fabs(prev));
+  }
+  std::fprintf(stderr,
+               "warning: %s stopped at max_iterations=%d without meeting "
+               "tolerance %g (last relative change %.2g)\n",
+               method.c_str(), max_iterations, tolerance, rel);
+}
+
 int Run(int argc, char** argv) {
   if (argc < 4) return Usage();
   const std::string method = argv[2];
@@ -123,40 +141,31 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(diag.solve_ridge_retries),
           static_cast<unsigned long long>(diag.degraded_stops));
     }
-    // A fit that ran out of iterations before meeting the tolerance says
-    // so; a degraded stop is already reported above.
     const fact::HoccResult& hocc = fit.value().hocc;
-    if (!hocc.converged && diag.degraded_stops == 0) {
-      const core::RhchmeOptions& opts = solver.options();
-      const std::vector<double>& trace = hocc.objective_trace;
-      double rel = 0.0;
-      if (trace.size() >= 2) {
-        const double prev = trace[trace.size() - 2];
-        rel = std::fabs(prev - trace.back()) / std::max(1.0, std::fabs(prev));
-      }
-      std::fprintf(stderr,
-                   "warning: RHCHME stopped at max_iterations=%d without "
-                   "meeting tolerance %g (last relative change %.2g)\n",
-                   opts.max_iterations, opts.tolerance, rel);
-    }
+    WarnIfCapped(method, hocc, solver.options().max_iterations,
+                 solver.options().tolerance);
     labels = hocc.labels;
     seconds = hocc.seconds;
   } else if (method == "SRC") {
-    Result<fact::HoccResult> fit =
-        baselines::RunSrc(data.value(), baselines::SrcOptions{});
+    const baselines::SrcOptions opts;
+    Result<fact::HoccResult> fit = baselines::RunSrc(data.value(), opts);
     if (!fit.ok()) return Fail(fit.status());
+    WarnIfCapped(method, fit.value(), opts.max_iterations, opts.tolerance);
     labels = fit.value().labels;
     seconds = fit.value().seconds;
   } else if (method == "SNMTF") {
-    Result<fact::HoccResult> fit =
-        baselines::RunSnmtf(data.value(), baselines::SnmtfOptions{});
+    const baselines::SnmtfOptions opts;
+    Result<fact::HoccResult> fit = baselines::RunSnmtf(data.value(), opts);
     if (!fit.ok()) return Fail(fit.status());
+    WarnIfCapped(method, fit.value(), opts.max_iterations, opts.tolerance);
     labels = fit.value().labels;
     seconds = fit.value().seconds;
   } else if (method == "RMC") {
-    Result<baselines::RmcResult> fit =
-        baselines::RunRmc(data.value(), baselines::RmcOptions{});
+    const baselines::RmcOptions opts;
+    Result<baselines::RmcResult> fit = baselines::RunRmc(data.value(), opts);
     if (!fit.ok()) return Fail(fit.status());
+    WarnIfCapped(method, fit.value().hocc, opts.max_iterations,
+                 opts.tolerance);
     labels = fit.value().hocc.labels;
     seconds = fit.value().hocc.seconds;
   } else {
