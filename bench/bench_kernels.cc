@@ -443,6 +443,49 @@ void BM_SubspaceLearning(benchmark::State& state) {
 BENCHMARK(BM_SubspaceLearning)->UseRealTime()->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
+/// Document features (tf-idf rows, about 2% filled) of the e2ebench
+/// tfidf-sparse corpus shape with `n` documents: 8 classes, 1000 terms,
+/// 600 concepts, 120 tokens per document, relation dropout 0.7.
+la::Matrix TfidfDocuments(std::size_t n) {
+  data::SyntheticCorpusOptions o;
+  o.docs_per_class.assign(8, n / 8);
+  o.n_terms = 1000;
+  o.n_concepts = 600;
+  o.doc_length_mean = 120.0;
+  o.relation_dropout = 0.7;
+  o.seed = 1;
+  return data::GenerateSyntheticCorpus(o).value().Type(0).features;
+}
+
+void BM_SubspaceLearningTfidf(benchmark::State& state) {
+  // Full Algorithm 1 at defaults (80 SPG steps) on tf-idf documents: the
+  // step direction turns ≥ 97% zeros within about ten steps.
+  const la::Matrix x = TfidfDocuments(static_cast<std::size_t>(state.range(0)));
+  const core::SubspaceOptions opts;
+  for (auto _ : state) {
+    auto r = core::LearnSubspaceAffinity(x, opts);
+    benchmark::DoNotOptimize(r.value().affinity.data());
+  }
+  SetKernelCounters(state, 0.0);
+}
+BENCHMARK(BM_SubspaceLearningTfidf)->UseRealTime()->Arg(600)->Arg(1200)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_GramTfidf(benchmark::State& state) {
+  // The subspace member's Gram Q = X·Xᵀ on tf-idf documents (the sparse
+  // MultiplyNT path).
+  const la::Matrix x = TfidfDocuments(static_cast<std::size_t>(state.range(0)));
+  la::Matrix q;
+  for (auto _ : state) {
+    la::MultiplyNTInto(x, x, &q);
+    // lint:stride-ok(DoNotOptimize sink: pointer identity only, no element access)
+    benchmark::DoNotOptimize(q.data());
+  }
+  SetKernelCounters(state, 0.0);
+}
+BENCHMARK(BM_GramTfidf)->UseRealTime()->Arg(1200)
+    ->Unit(benchmark::kMillisecond);
+
 /// Shared harness for the solver benchmarks: a 3-type block world with a
 /// prebuilt ensemble, timed over a fixed 6-iteration FitWithEnsemble.
 /// `dropout` controls the joint R's fill.

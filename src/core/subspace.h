@@ -11,10 +11,12 @@
 // gradient 2γ(W·Q − Q) + 2·1·(1ᵀW) with Q = X·Xᵀ (DESIGN.md §5.1/5.2
 // documents the deviations from the paper's typo'd formulas).
 //
-// Each SPG step costs one n×n·n×n product (d·Q; W·Q is carried forward)
-// and three fused row-parallel passes over a fixed workspace, so the
-// learned W is bit-identical for any pool size under a given kernel
-// table.
+// Each SPG step costs one product d·Q (W·Q is carried forward) and three
+// fused row-parallel passes over a fixed workspace, so the learned W is
+// bit-identical for any pool size under a given kernel table. The step
+// direction d is kept as its nonzeros: once W turns sparse (Eq. 5), the
+// product's mostly-zero panels and most of the passes cost O(nnz(d)),
+// and W is bit-identical to running every pass densely.
 //
 // The point of this learner (Fig. 1): two objects far apart in Euclidean
 // space but on the same low-dimensional subspace obtain a nonzero
@@ -73,7 +75,8 @@ struct SubspaceOptions {
   /// self-expression.
   bool normalize_rows = true;
   /// Zero out affinities below this fraction of the matrix max
-  /// (suppresses numerical dust; 0 disables).
+  /// (suppresses numerical dust; 0 disables; negative or NaN is
+  /// rejected).
   double prune_rel_tol = 1e-6;
   uint64_t seed = 12345;  ///< Random initialisation of W (paper Algorithm 1).
 

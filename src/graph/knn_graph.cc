@@ -67,9 +67,12 @@ const char* KnnBackendName(KnnBackend backend) {
 
 Status KnnGraphOptions::Validate() const {
   if (p == 0) return Status::InvalidArgument("pNN graph needs p >= 1");
-  if (scheme == WeightScheme::kHeatKernel && heat_sigma == 0.0) {
+  // Negated so that NaN fails it: a NaN sigma would skip the auto
+  // bandwidth (NaN < 0 is false) and turn every weight into NaN.
+  if (scheme == WeightScheme::kHeatKernel &&
+      !(heat_sigma < 0.0 || heat_sigma > 0.0)) {
     return Status::InvalidArgument(
-        "heat_sigma == 0 divides by zero; use < 0 for auto bandwidth");
+        "heat_sigma must be nonzero and not NaN; use < 0 for auto bandwidth");
   }
   return descent.Validate();
 }

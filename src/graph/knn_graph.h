@@ -45,8 +45,8 @@ struct KnnGraphOptions {
   std::size_t p = 5;
   WeightScheme scheme = WeightScheme::kCosine;
   /// Heat-kernel bandwidth sigma; < 0 selects the mean squared neighbour
-  /// distance automatically. Exactly zero is rejected by Validate() — it
-  /// would divide by zero in the weight pass.
+  /// distance automatically. Exactly zero and NaN are rejected by
+  /// Validate() — they would divide by zero or poison every weight.
   double heat_sigma = -1.0;
   /// Eq. 3 keeps an edge when either endpoint lists the other (union
   /// symmetrisation). Set to true for the stricter mutual-kNN variant.
@@ -61,8 +61,8 @@ struct KnnGraphOptions {
   /// derive per-member seeds from descent.seed (see core::BuildEnsemble).
   KnnDescentOptions descent;
 
-  /// InvalidArgument when p == 0, when heat_sigma == 0 with kHeatKernel,
-  /// or when the descent options are malformed.
+  /// InvalidArgument when p == 0, when heat_sigma is zero or NaN with
+  /// kHeatKernel, or when the descent options are malformed.
   Status Validate() const;
 };
 

@@ -19,19 +19,15 @@ namespace {
 // kernel table alone, never by the thread count, which keeps results
 // bit-identical for any pool size within a dispatched ISA.
 constexpr std::size_t kRowPanel = kGemmRowPanel;
-constexpr std::size_t kBlockK = 64;
+constexpr std::size_t kBlockK = kGemmBlockK;
 constexpr std::size_t kBlockJ = 256;
 
-/// Zero fraction at or above which a (row panel x kBlockK) tile of A takes
-/// the zero-skipping scalar path. Membership blocks (one nonzero per row
-/// per type block) sit far above this; dense R products sit far below, so
-/// the probe rarely flips on borderline tiles.
-constexpr double kSparsePanelZeroFraction = 0.5;
-
-/// Cheap density probe: true when at least kSparsePanelZeroFraction of the
-/// A tile rows [p0, p1) x cols [kb, kend) is exactly zero. One pass over
-/// at most kRowPanel x kBlockK doubles — noise against the 2·rows·klen·n
-/// flops the tile is about to spend.
+/// Cheap density probe: MostlyZero over the A tile rows [p0, p1) x cols
+/// [kb, kend). One pass over at most kRowPanel x kBlockK doubles — noise
+/// against the 2·rows·klen·n flops the tile is about to spend. Membership
+/// blocks (one nonzero per row per type block) sit far above the rule's
+/// threshold; dense R products sit far below, so the probe rarely flips on
+/// borderline tiles.
 bool PanelMostlyZero(const Matrix& a, std::size_t p0, std::size_t p1,
                      std::size_t kb, std::size_t kend) {
   std::size_t zeros = 0;
@@ -39,9 +35,7 @@ bool PanelMostlyZero(const Matrix& a, std::size_t p0, std::size_t p1,
     const double* ai = a.row_ptr(i);
     for (std::size_t l = kb; l < kend; ++l) zeros += (ai[l] == 0.0);
   }
-  const std::size_t total = (p1 - p0) * (kend - kb);
-  return static_cast<double>(zeros) >=
-         kSparsePanelZeroFraction * static_cast<double>(total);
+  return MostlyZero(zeros, (p1 - p0) * (kend - kb));
 }
 
 /// Same probe over one kBlockK-column segment of a single row — the
@@ -50,8 +44,7 @@ bool PanelMostlyZero(const Matrix& a, std::size_t p0, std::size_t p1,
 bool SegmentMostlyZero(const double* row, std::size_t t0, std::size_t t1) {
   std::size_t zeros = 0;
   for (std::size_t t = t0; t < t1; ++t) zeros += (row[t] == 0.0);
-  return static_cast<double>(zeros) >=
-         kSparsePanelZeroFraction * static_cast<double>(t1 - t0);
+  return MostlyZero(zeros, t1 - t0);
 }
 
 /// Zero-skipping panel kernel: right for mostly-zero A tiles (membership
@@ -163,6 +156,10 @@ void GemmPanelNN(const Matrix& a, const Matrix& b, Matrix* c, std::size_t r0,
 
 }  // namespace
 
+bool MostlyZero(std::size_t zeros, std::size_t total) {
+  return 2 * zeros >= total;
+}
+
 void MultiplyInto(const Matrix& a, const Matrix& b, Matrix* c) {
   RHCHME_CHECK(a.cols() == b.rows(), "Multiply: inner dims mismatch");
   const std::size_t m = a.rows();
@@ -208,53 +205,6 @@ Matrix MultiplyTN(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void MultiplyTNStreamInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  RHCHME_CHECK(a.rows() == b.rows(), "MultiplyTN: inner dims mismatch");
-  const simd::KernelTable& kt = simd::Table();
-  const std::size_t kk = a.rows(), m = a.cols(), n = b.cols();
-  c->Resize(m, n);
-  if (kk == 0 || m == 0 || n == 0) return;
-  // Mirror of the sparse scatter fallback: bounded per-chunk accumulators
-  // keep the merge memory at <= kMaxChunks output copies, and the
-  // shape-only chunk layout keeps the per-element accumulation order
-  // (ascending source row) independent of the thread count.
-  constexpr std::size_t kMaxChunks = 16;
-  const std::size_t cap_grain = (kk + kMaxChunks - 1) / kMaxChunks;
-  const std::size_t grain =
-      std::max(util::GrainForWork(2 * m * (n ? n : 1)), cap_grain);
-  const std::size_t nchunks = (kk + grain - 1) / grain;
-  if (nchunks <= 1) {
-    for (std::size_t k = 0; k < kk; ++k) {
-      const double* ak = a.row_ptr(k);
-      const double* bk = b.row_ptr(k);
-      for (std::size_t i = 0; i < m; ++i) {
-        const double aki = ak[i];
-        if (aki == 0.0) continue;
-        kt.axpy(aki, bk, c->row_ptr(i), n);
-      }
-    }
-    return;
-  }
-  std::vector<Matrix> partial(nchunks);
-  util::ParallelFor(0, kk, grain, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t cb = b0; cb < e0; cb += grain) {
-      Matrix& slot = partial[cb / grain];
-      slot.Resize(m, n);  // Zero-initialised accumulator.
-      const std::size_t ce = std::min(e0, cb + grain);
-      for (std::size_t k = cb; k < ce; ++k) {
-        const double* ak = a.row_ptr(k);
-        const double* bk = b.row_ptr(k);
-        for (std::size_t i = 0; i < m; ++i) {
-          const double aki = ak[i];
-          if (aki == 0.0) continue;
-          kt.axpy(aki, bk, slot.row_ptr(i), n);
-        }
-      }
-    }
-  });
-  for (const Matrix& slot : partial) c->Add(slot);
-}
-
 void MultiplyNTInto(const Matrix& a, const Matrix& b, Matrix* c) {
   RHCHME_CHECK(a.cols() == b.cols(), "MultiplyNT: inner dims mismatch");
   const simd::KernelTable& kt = simd::Table();
@@ -264,10 +214,44 @@ void MultiplyNTInto(const Matrix& a, const Matrix& b, Matrix* c) {
   // independent, so panels go straight to the pool.
   const std::size_t grain =
       std::max(std::size_t{1}, util::GrainForWork(2 * k * (n ? n : 1)));
+  std::size_t zeros = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* bj = b.row_ptr(j);
+    for (std::size_t l = 0; l < k; ++l) zeros += (bj[l] == 0.0);
+  }
+  if (!MostlyZero(zeros, n * k) || !a.AllFinite() || !b.AllFinite()) {
+    util::ParallelFor(0, m, grain, [&](std::size_t r0, std::size_t r1) {
+      for (std::size_t i = r0; i < r1; ++i) {
+        kt.dot_rows(a.row_ptr(i), b.row_ptr(0), b.stride(), nullptr, n, k,
+                    c->row_ptr(i));
+      }
+    });
+    return;
+  }
+  // Mostly-zero B (tf-idf feature rows): each dot walks row j's nonzeros
+  // against the dense row i of A, the same dot bit for bit.
+  std::vector<std::size_t> offsets(n + 1, 0), idx;
+  std::vector<double> vals;
+  idx.reserve(n * k - zeros);
+  vals.reserve(n * k - zeros);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* bj = b.row_ptr(j);
+    for (std::size_t l = 0; l < k; ++l) {
+      if (bj[l] == 0.0) continue;
+      idx.push_back(l);
+      vals.push_back(bj[l]);
+    }
+    offsets[j + 1] = idx.size();
+  }
   util::ParallelFor(0, m, grain, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t i = r0; i < r1; ++i) {
-      kt.dot_rows(a.row_ptr(i), b.row_ptr(0), b.stride(), nullptr, n, k,
-                  c->row_ptr(i));
+      const double* ai = a.row_ptr(i);
+      double* ci = c->row_ptr(i);
+      for (std::size_t j = 0; j < n; ++j) {
+        ci[j] = kt.dot_sparse(idx.data() + offsets[j],
+                              vals.data() + offsets[j],
+                              offsets[j + 1] - offsets[j], ai, k);
+      }
     }
   });
 }
@@ -320,11 +304,11 @@ std::vector<double> MultiplyTVec(const Matrix& a,
   const std::size_t kk = a.rows(), m = a.cols();
   std::vector<double> y(m, 0.0);
   if (kk == 0 || m == 0) return y;
-  // Same bounded per-chunk-accumulator pattern as MultiplyTNStreamInto:
-  // source-row chunks accumulate into their own m-vector, merged in chunk
-  // order. Chunk layout depends only on the shape (capped at kMaxChunks),
-  // and every y[j] sums rows in ascending order on both paths, so results
-  // are bit-identical for any pool size.
+  // Bounded per-chunk accumulators: source-row chunks accumulate into
+  // their own m-vector, merged in chunk order. Chunk layout depends only
+  // on the shape (capped at kMaxChunks), and every y[j] sums rows in
+  // ascending order on both paths, so results are bit-identical for any
+  // pool size.
   constexpr std::size_t kMaxChunks = 16;
   const std::size_t cap_grain = (kk + kMaxChunks - 1) / kMaxChunks;
   const std::size_t grain = std::max(util::GrainForWork(2 * m + 1), cap_grain);

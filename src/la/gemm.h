@@ -38,6 +38,18 @@ namespace la {
 /// tile their rows in whole panels.
 constexpr std::size_t kGemmRowPanel = 32;
 
+/// Width of the reduction tiles the product kernels probe: a (row panel ×
+/// kGemmBlockK) tile of A is one probe unit.
+constexpr std::size_t kGemmBlockK = 64;
+
+/// The product kernels' one density rule: true when at least half of a
+/// tile's `total` entries are exact zeros (`zeros` of them), so the tile
+/// takes the zero-skipping path. Every (row panel × kGemmBlockK) tile of
+/// A in MultiplyInto / MultiplyRowsInto picks its path by it, so a caller
+/// that knows its nonzero counts can predict that path without reading
+/// the tile.
+bool MostlyZero(std::size_t zeros, std::size_t total);
+
 /// C = A * B. Requires a.cols() == b.rows().
 Matrix Multiply(const Matrix& a, const Matrix& b);
 
@@ -65,16 +77,12 @@ void MultiplyRowsInto(const Matrix& a, const Matrix& b, Matrix* c,
 /// fastest for the general case, but costs an A-sized temporary.
 void MultiplyTNInto(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// Writes Aᵀ * B into `c` without materialising Aᵀ: source-row chunks of
-/// A/B accumulate into per-chunk (a.cols() x b.cols()) buffers that are
-/// merged in chunk order. Chunk layout depends only on the shapes (capped
-/// at 16 chunks), so results are bit-identical for any pool size. The
-/// memory-lean choice when A is a large square matrix and B is narrow —
-/// the solver's Mᵀ·G product — where the transposed copy would be the
-/// only n x n temporary of the iteration.
-void MultiplyTNStreamInto(const Matrix& a, const Matrix& b, Matrix* c);
-
-/// Writes A * Bᵀ into `c` (resized as needed).
+/// Writes A * Bᵀ into `c` (resized as needed). Every C(i,j) is the
+/// dispatched table's dot of row i of A and row j of B. When B is mostly
+/// zero (MostlyZero over all its entries) and both operands are finite,
+/// the dot runs over row j's nonzeros (KernelTable::dot_sparse) against
+/// row i of A, which stays in L1; that is the same dot bit for bit, so
+/// the path never changes C.
 void MultiplyNTInto(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// Gram matrix AᵀA (symmetric; computes the upper triangle in parallel
@@ -86,8 +94,7 @@ std::vector<double> MultiplyVec(const Matrix& a, const std::vector<double>& x);
 
 /// y = Aᵀ * x. Requires a.rows() == x.size(). Source-row chunks scatter
 /// into bounded per-chunk accumulators (<= 16 output copies) merged in
-/// chunk order — the same pattern as MultiplyTNStreamInto — so results
-/// are bit-identical for any pool size.
+/// chunk order, so results are bit-identical for any pool size.
 std::vector<double> MultiplyTVec(const Matrix& a,
                                  const std::vector<double>& x);
 

@@ -33,6 +33,15 @@
 //     The batched dot (dot_rows) keeps each dot's chain exactly: it only
 //     transposes several dots' lane accumulators so their in-order lane
 //     sums run side by side in one register.
+//   - The sparse dot (dot_sparse) sends each nonzero a[idx[k]] into the
+//     lane accumulator the table's dense dot gives index idx[k] at length
+//     n (avx512: the two accumulators with their full-block and
+//     masked-tail rules; avx2: the two block accumulators, then the
+//     unfused scalar tail), with the same multiply-add and the same
+//     epilogue. The skipped terms are exact no-ops: accumulators start at
+//     +0.0 and never reach −0.0, and 0·b adds a zero for finite b. (A
+//     product that underflows to −0.0 in an FMA lane is the one exception;
+//     it can flip the sign of an exactly zero result, nothing else.)
 //   - The packed GEMM microkernel fixes its accumulation order by the
 //     table's (mr, nr) geometry and the call's klen alone.
 
@@ -70,6 +79,12 @@ struct KernelTable {
   void (*dot_rows)(const double* a, const double* b, std::size_t ldb,
                    const std::size_t* idx, std::size_t count, std::size_t n,
                    double* out);
+  /// Σ vals[k]·b[idx[k]] over k in [0, count): bit-identical to dot(a, b,
+  /// n) for the length-n vector a that is zero except a[idx[k]] = vals[k].
+  /// Requires idx strictly ascending and below n, and b finite; reads
+  /// only b[idx[k]].
+  double (*dot_sparse)(const std::size_t* idx, const double* vals,
+                       std::size_t count, const double* b, std::size_t n);
   /// Σ (a[i]-b[i])², same accumulator structure as dot.
   double (*squared_distance)(const double* a, const double* b,
                              std::size_t n);

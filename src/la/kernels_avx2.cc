@@ -73,6 +73,27 @@ double Dot(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
+/// Dot on a sparse a: index j < (n / 8) * 8 goes into lane j % 4 of block
+/// accumulator (j % 8) / 4 through the same FMA, the two accumulators are
+/// added and lane-summed as in Dot, and the tail's nonzeros take Dot's
+/// unfused scalar multiply-adds.
+double DotSparse(const std::size_t* idx, const double* vals,
+                 std::size_t count, const double* b, std::size_t n) {
+  const std::size_t tail = n / (2 * kLanes) * (2 * kLanes);
+  alignas(32) double acc[2 * kLanes] = {};  // acc0 lanes, then acc1 lanes.
+  std::size_t k = 0;
+  for (; k < count && idx[k] < tail; ++k) {
+    double& slot = acc[idx[k] % (2 * kLanes)];
+    slot = _mm_cvtsd_f64(_mm_fmadd_sd(_mm_set_sd(vals[k]),
+                                      _mm_set_sd(b[idx[k]]),
+                                      _mm_set_sd(slot)));
+  }
+  double s = SumLanes(
+      _mm256_add_pd(_mm256_load_pd(acc), _mm256_load_pd(acc + kLanes)));
+  for (; k < count; ++k) s += vals[k] * b[idx[k]];
+  return s;
+}
+
 /// Four dots at a time: their block accumulators are transposed so that
 /// vector lane q carries dot q's lane sum ((l0 + l1) + l2) + l3, then the
 /// scalar tail's unfused multiply-adds run lane-wise — Dot's exact chain.
@@ -399,10 +420,10 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
 }
 
 constexpr KernelTable kAvx2Table = {
-    "avx2",   Isa::kAvx2, kLanes,          kMr, kNr,   Axpy,
-    Dot,      DotRows,    SquaredDistance, Add, Sub,   Scale,
-    Hadamard, PackB,      PackA,           GemmPacked, SpmmRows,
-    SpmmSignRows,
+    "avx2",       Isa::kAvx2,  kLanes,   kMr,        kNr,
+    Axpy,         Dot,         DotRows,  DotSparse,  SquaredDistance,
+    Add,          Sub,         Scale,    Hadamard,   PackB,
+    PackA,        GemmPacked,  SpmmRows, SpmmSignRows,
 };
 
 }  // namespace

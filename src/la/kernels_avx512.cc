@@ -96,6 +96,27 @@ double Dot(const double* a, const double* b, std::size_t n) {
   return SumLanes(DotLanes(a, b, n));
 }
 
+/// Dot on a sparse a. DotLanes puts index j into lane j % 8 of acc0 or
+/// acc1: by (j / 8) % 2 inside the whole 16-element blocks, acc0 for the
+/// one further full 8-block when there is one, acc1 for the masked tail.
+/// Each nonzero takes that lane's FMA here, and the epilogue is Dot's.
+double DotSparse(const std::size_t* idx, const double* vals,
+                 std::size_t count, const double* b, std::size_t n) {
+  const std::size_t blocks = n / (2 * kLanes) * (2 * kLanes);
+  const std::size_t acc0_end = n - blocks >= kLanes ? blocks + kLanes : blocks;
+  alignas(64) double acc[2 * kLanes] = {};  // acc0 lanes, then acc1 lanes.
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t j = idx[k];
+    const std::size_t s = j < blocks     ? j % (2 * kLanes)
+                          : j < acc0_end ? j % kLanes
+                                         : kLanes + j % kLanes;
+    acc[s] = _mm_cvtsd_f64(_mm_fmadd_sd(_mm_set_sd(vals[k]),
+                                        _mm_set_sd(b[j]), _mm_set_sd(acc[s])));
+  }
+  return SumLanes(
+      _mm512_add_pd(_mm512_load_pd(acc), _mm512_load_pd(acc + kLanes)));
+}
+
 /// Eight dots at a time: their lane vectors are transposed so that vector
 /// lane q carries dot q's lanes, and the in-order sum l0 + l1 + … + l7 of
 /// SumLanes runs for all eight at once — Dot's exact chain.
@@ -449,10 +470,10 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
 }
 
 constexpr KernelTable kAvx512Table = {
-    "avx512", Isa::kAvx512, kLanes,          kMr, kNr,   Axpy,
-    Dot,      DotRows,      SquaredDistance, Add, Sub,   Scale,
-    Hadamard, PackB,        PackA,           GemmPacked, SpmmRows,
-    SpmmSignRows,
+    "avx512",     Isa::kAvx512, kLanes,   kMr,        kNr,
+    Axpy,         Dot,          DotRows,  DotSparse,  SquaredDistance,
+    Add,          Sub,          Scale,    Hadamard,   PackB,
+    PackA,        GemmPacked,   SpmmRows, SpmmSignRows,
 };
 
 }  // namespace

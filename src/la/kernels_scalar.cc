@@ -38,6 +38,13 @@ void DotRows(const double* a, const double* b, std::size_t ldb,
   }
 }
 
+double DotSparse(const std::size_t* idx, const double* vals,
+                 std::size_t count, const double* b, std::size_t /*n*/) {
+  double s = 0.0;
+  for (std::size_t k = 0; k < count; ++k) s += vals[k] * b[idx[k]];
+  return s;
+}
+
 double SquaredDistance(const double* a, const double* b, std::size_t n) {
   double s = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -152,10 +159,10 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
 }
 
 constexpr KernelTable kScalarTable = {
-    "scalar", Isa::kScalar, /*lanes=*/1,     kMr,   kNr,  Axpy,
-    Dot,      DotRows,         SquaredDistance, Add, Sub, Scale,
-    Hadamard, PackB,           PackA,        GemmPacked,   SpmmRows,
-    SpmmSignRows,
+    "scalar",     Isa::kScalar, /*lanes=*/1, kMr,        kNr,
+    Axpy,         Dot,          DotRows,     DotSparse,  SquaredDistance,
+    Add,          Sub,          Scale,       Hadamard,   PackB,
+    PackA,        GemmPacked,   SpmmRows,    SpmmSignRows,
 };
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "factorization/hocc_common.h"
 #include "la/gemm.h"
 #include "la/matrix.h"
+#include "multiply_tn_stream.h"
 #include "util/rng.h"
 
 namespace rhchme {
@@ -56,7 +57,7 @@ inline void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
                                   la::Matrix* g) {
   const la::Matrix mg = la::Multiply(m, *g);
   la::Matrix mtg;
-  la::MultiplyTNStreamInto(m, *g, &mtg);
+  MultiplyTNStreamInto(m, *g, &mtg);
   la::Matrix lg_neg, lg_pos;
   const bool manifold =
       lambda != 0.0 && laplacian_pos != nullptr && laplacian_neg != nullptr;

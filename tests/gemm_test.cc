@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <utility>
 
+#include "la/simd.h"
+#include "multiply_tn_stream.h"
 #include "scoped_num_threads.h"
 #include "util/rng.h"
 
@@ -201,6 +205,81 @@ TEST(Gemm, FrobeniusInnerMatchesTrace) {
   EXPECT_NEAR(FrobeniusInner(a, b), expected, 1e-10);
 }
 
+/// B with each entry kept (uniform in [-1, 1)) with probability `keep`
+/// and exactly zero otherwise.
+Matrix SparseRandom(std::size_t rows, std::size_t cols, double keep,
+                    Rng* rng) {
+  Matrix b(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double v = rng->Uniform(-1.0, 1.0);
+      if (rng->Uniform() < keep) b(i, j) = v;
+    }
+  }
+  return b;
+}
+
+/// C(i,j) = the dispatched table's dense dot of row i of A and row j of
+/// B: what the dense MultiplyNTInto path computes.
+Matrix DenseDotNT(const Matrix& a, const Matrix& b) {
+  const simd::KernelTable& kt = simd::Table();
+  Matrix c(a.rows(), b.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      c(i, j) = kt.dot(a.row_ptr(i), b.row_ptr(j), a.cols());
+    }
+  }
+  return c;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  if (!a.SameShape(b)) return false;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    if (std::memcmp(a.row_ptr(i), b.row_ptr(i), a.cols() * sizeof(double)) !=
+        0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The sparse path of MultiplyNTInto (mostly-zero B: one dot_sparse per
+// entry over row j's nonzeros) is the dense path bit for bit, on both
+// sides of the 50% rule, at every tail shape of the reduction length,
+// for A with signed zeros, and for any pool size.
+TEST(Gemm, SparseNTPathIsBitIdenticalToTheDensePath) {
+  Rng rng(41);
+  for (std::size_t k : {1, 7, 16, 64, 77, 300}) {
+    for (double keep : {0.02, 0.3, 0.5, 0.9}) {
+      Matrix a = Matrix::RandomNormal(45, k, &rng);
+      a(3, 0) = -0.0;
+      const Matrix b = SparseRandom(70, k, keep, &rng);
+      const Matrix want = DenseDotNT(a, b);
+      for (int threads : {1, 4}) {
+        ScopedNumThreads scoped(threads);
+        EXPECT_TRUE(SameBits(MultiplyNT(a, b), want))
+            << "k=" << k << " keep=" << keep << " threads=" << threads;
+      }
+      // The Gram shape the subspace learner takes: A = B.
+      EXPECT_TRUE(SameBits(MultiplyNT(b, b), DenseDotNT(b, b)))
+          << "gram k=" << k << " keep=" << keep;
+    }
+  }
+}
+
+// A non-finite operand keeps the dense path, where 0·Inf = NaN enters
+// the dot as it should.
+TEST(Gemm, SparseNTPathLeavesNonFiniteOperandsToTheDensePath) {
+  Rng rng(42);
+  Matrix a = Matrix::RandomNormal(5, 40, &rng);
+  const Matrix b = SparseRandom(6, 40, 0.05, &rng);
+  a(2, 39) = std::numeric_limits<double>::infinity();
+  const Matrix c = MultiplyNT(a, b);
+  for (std::size_t j = 0; j < b.rows(); ++j) {
+    EXPECT_EQ(std::isnan(c(2, j)), std::isnan(DenseDotNT(a, b)(2, j)));
+  }
+}
+
 TEST(Gemm, StreamingTNMatchesNaive) {
   Rng rng(23);
   // Square-A (the solver's Mᵀ·G shape) and rectangular shapes.
@@ -209,7 +288,7 @@ TEST(Gemm, StreamingTNMatchesNaive) {
     Matrix a = Matrix::RandomNormal(k, m, &rng);
     Matrix b = Matrix::RandomNormal(k, n, &rng);
     Matrix got;
-    MultiplyTNStreamInto(a, b, &got);
+    testing_reference::MultiplyTNStreamInto(a, b, &got);
     EXPECT_LT(MaxAbsDiff(got, NaiveMultiply(a.Transposed(), b)), 1e-9)
         << k << "x" << m << " * " << k << "x" << n;
   }
@@ -217,7 +296,7 @@ TEST(Gemm, StreamingTNMatchesNaive) {
 
 TEST(Gemm, StreamingTNHandlesEmptyShapes) {
   Matrix got;
-  MultiplyTNStreamInto(Matrix(0, 3), Matrix(0, 2), &got);
+  testing_reference::MultiplyTNStreamInto(Matrix(0, 3), Matrix(0, 2), &got);
   EXPECT_EQ(got.rows(), 3u);
   EXPECT_EQ(got.cols(), 2u);
   EXPECT_EQ(got.MaxAbs(), 0.0);
@@ -230,7 +309,7 @@ TEST(Gemm, StreamingTNIsBitStableAcrossThreadCounts) {
   auto run = [&](int threads) {
     ScopedNumThreads scoped(threads);
     Matrix c;
-    MultiplyTNStreamInto(a, b, &c);
+    testing_reference::MultiplyTNStreamInto(a, b, &c);
     return c;
   };
   EXPECT_EQ(MaxAbsDiff(run(1), run(4)), 0.0);

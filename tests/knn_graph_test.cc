@@ -191,6 +191,16 @@ TEST(KnnGraph, RejectsZeroHeatSigma) {
   EXPECT_TRUE(opts.Validate().ok());
 }
 
+/// Regression: a NaN heat_sigma passed Validate(), skipped the automatic
+/// bandwidth (NaN < 0 is false) and made every edge weight NaN.
+TEST(KnnGraph, RejectsNaNHeatSigma) {
+  KnnGraphOptions opts;
+  opts.scheme = WeightScheme::kHeatKernel;
+  opts.heat_sigma = std::nan("");
+  EXPECT_FALSE(opts.Validate().ok());
+  EXPECT_FALSE(BuildKnnGraph(LinePoints(), opts).ok());
+}
+
 /// Acceptance gate of the blocked exact path: no construction step —
 /// neighbour search, auto bandwidth, weighting, symmetrisation — may
 /// allocate a dense n x n matrix (la::memstats counts every Matrix

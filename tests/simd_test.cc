@@ -7,7 +7,8 @@
 //     bit-identical to scalar in every table, including AVX-512 masked
 //     tails;
 //   - reassociated reductions (Dot, SquaredDistance) match scalar within
-//     bounded rounding;
+//     bounded rounding, and the sparse dot (dot_sparse) is bit-identical
+//     to its table's dense dot on the densified vector;
 //   - the packed GEMM protocol (pack_a / pack_b / gemm_packed) of every
 //     table computes C += A·B within reduction rounding;
 //   - the CSR row kernel (spmm_rows) of every table is bit-identical to a
@@ -186,6 +187,44 @@ TEST(SimdKernels, DotRowsIsBitIdenticalToDotPerRow) {
           }
           EXPECT_EQ(out[count], 42.0) << "wrote past count";
         }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, DotSparseIsBitIdenticalToDotOnTheDensifiedVector) {
+  // Every length 0..70 covers every block, 8-block and tail shape of the
+  // 4- and 8-lane dots. Supports: empty, each single position, every
+  // third position, and full; values of both signs; b holds ±0.0. Off the
+  // support b is NaN in the sparse call, so a read there would show.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const simd::KernelTable* t : RunnableTables()) {
+    for (std::size_t n = 0; n <= 70; ++n) {
+      std::vector<double> b = RandomVec(n, 700 + n, -2.0, 2.0);
+      if (n > 3) {
+        b[1] = -0.0;
+        b[2] = 0.0;
+      }
+      const std::vector<double> vals = RandomVec(n, 800 + n, -3.0, 3.0);
+      std::vector<std::vector<std::size_t>> supports = {{}};
+      for (std::size_t j = 0; j < n; ++j) supports.push_back({j});
+      supports.emplace_back();
+      for (std::size_t j = 0; j < n; j += 3) supports.back().push_back(j);
+      supports.emplace_back();
+      for (std::size_t j = 0; j < n; ++j) supports.back().push_back(j);
+      for (const std::vector<std::size_t>& idx : supports) {
+        std::vector<double> a(n, 0.0), v, b_sparse(n, nan);
+        for (std::size_t k = 0; k < idx.size(); ++k) {
+          a[idx[k]] = vals[k];
+          v.push_back(vals[k]);
+          b_sparse[idx[k]] = b[idx[k]];
+        }
+        const double want = t->dot(a.data(), b.data(), n);
+        const double got =
+            t->dot_sparse(idx.data(), v.data(), idx.size(), b_sparse.data(), n);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << t->name << " n=" << n << " nnz=" << idx.size() << ": " << got
+            << " vs " << want;
       }
     }
   }

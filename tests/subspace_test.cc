@@ -359,6 +359,18 @@ TEST(LearnSubspace, AffinePenaltyKeepsDescentProperty) {
   }
 }
 
+// Regression: a negative or NaN prune_rel_tol passed Validate() and
+// silently disabled pruning.
+TEST(LearnSubspace, NegativeOrNaNPruneToleranceRejected) {
+  for (double tol : {-1e-6, std::nan("")}) {
+    SubspaceOptions opts;
+    opts.prune_rel_tol = tol;
+    EXPECT_FALSE(opts.Validate().ok()) << tol;
+    EXPECT_FALSE(LearnSubspaceAffinity(la::Matrix(5, 3, 1.0), opts).ok())
+        << tol;
+  }
+}
+
 TEST(LearnSubspace, NegativeAffinePenaltyRejected) {
   SubspaceOptions opts;
   opts.affine_penalty = -1.0;
