@@ -471,6 +471,47 @@ void BM_SubspaceLearningTfidf(benchmark::State& state) {
 BENCHMARK(BM_SubspaceLearningTfidf)->UseRealTime()->Arg(600)->Arg(1200)
     ->Unit(benchmark::kMillisecond);
 
+/// The D4 preset (its own seed): three types, 660 documents × 520 terms,
+/// 520 terms × 660 documents and 420 concepts × 660 documents.
+data::MultiTypeRelationalData D4Corpus() {
+  return data::GenerateSyntheticCorpus(data::ReutersTop10Preset()).value();
+}
+
+void BM_SubspaceLearningD4(benchmark::State& state) {
+  // Full Algorithm 1 at defaults (80 SPG steps) on D4's document features,
+  // the largest subspace member of the d4-fit workload. Most of a step
+  // past the first few is the direction pass and the d·Q panels.
+  const data::MultiTypeRelationalData d = D4Corpus();
+  const la::Matrix& x = d.Type(0).features;
+  if (x.rows() != static_cast<std::size_t>(state.range(0))) {
+    state.SkipWithError("D4 preset changed its document count");
+    return;
+  }
+  const core::SubspaceOptions opts;
+  for (auto _ : state) {
+    auto r = core::LearnSubspaceAffinity(x, opts);
+    benchmark::DoNotOptimize(r.value().affinity.data());
+  }
+  SetKernelCounters(state, 0.0);
+}
+BENCHMARK(BM_SubspaceLearningD4)->UseRealTime()->Arg(660)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_EnsembleBuildD4(benchmark::State& state) {
+  // The whole D4 ensemble at default EnsembleOptions: three subspace
+  // members (660, 520 and 420 objects) and three pNN members, placed by
+  // BuildEnsemble's cost-based schedule.
+  const data::MultiTypeRelationalData d = D4Corpus();
+  const fact::BlockStructure blocks = fact::BuildBlockStructure(d);
+  const core::EnsembleOptions opts;
+  for (auto _ : state) {
+    auto e = core::BuildEnsemble(d, blocks, opts);
+    benchmark::DoNotOptimize(e.value().laplacian.nnz());
+  }
+  SetKernelCounters(state, 0.0);
+}
+BENCHMARK(BM_EnsembleBuildD4)->UseRealTime()->Unit(benchmark::kMillisecond);
+
 void BM_GramTfidf(benchmark::State& state) {
   // The subspace member's Gram Q = X·Xᵀ on tf-idf documents (the sparse
   // MultiplyNT path).

@@ -1,5 +1,6 @@
 #include "core/ensemble.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/parallel.h"
@@ -72,7 +73,71 @@ la::SparseMatrix AssembleJointLaplacian(
       blocks.total_objects(), blocks.total_objects(), std::move(trips));
 }
 
+/// Single-thread seconds per unit of each cost term, calibrated against
+/// member times of the D1–D4 presets, the tf-idf corpus and the block
+/// world on a 4-core AVX-512 host (the estimate lands within 2× of them).
+/// A subspace member pays the Gram (n²·D), the dense n×n products of its
+/// first steps (n³) and the per-step row passes (n² per step); a pNN
+/// member pays its pairwise distances (n²·D).
+constexpr double kGramSeconds = 1e-10;
+constexpr double kCubeSeconds = 1e-9;
+constexpr double kStepSeconds = 5e-9;
+constexpr double kPairSeconds = 1e-10;
+
+double EstimatedCost(const MemberShape& m, int spg_iterations) {
+  const auto n = static_cast<double>(m.objects);
+  const auto d = static_cast<double>(m.features);
+  if (!m.subspace) return kPairSeconds * n * n * d;
+  return n * n *
+         (kGramSeconds * d + kCubeSeconds * n +
+          kStepSeconds * static_cast<double>(spg_iterations));
+}
+
 }  // namespace
+
+std::vector<bool> PlanMemberSchedule(const std::vector<MemberShape>& members,
+                                     int spg_iterations, std::size_t pool) {
+  std::vector<bool> on_caller(members.size(), pool <= 1);
+  if (pool <= 1) return on_caller;
+  std::vector<double> cost(members.size());
+  std::vector<std::size_t> subspace;
+  for (std::size_t t = 0; t < members.size(); ++t) {
+    cost[t] = EstimatedCost(members[t], spg_iterations);
+    if (members[t].subspace) subspace.push_back(t);
+  }
+  std::stable_sort(subspace.begin(), subspace.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
+  auto fan_out = [&] {
+    double largest = 0.0, total = 0.0;
+    for (std::size_t t = 0; t < members.size(); ++t) {
+      if (on_caller[t]) continue;
+      largest = std::max(largest, cost[t]);
+      total += cost[t];
+    }
+    return std::max(largest, total / static_cast<double>(pool));
+  };
+  // Plan k moves subspace[k - 1] to the caller on top of plan k − 1.
+  double caller = 0.0;
+  double best = fan_out();
+  std::size_t best_k = 0;
+  for (std::size_t k = 1; k <= subspace.size(); ++k) {
+    const std::size_t t = subspace[k - 1];
+    on_caller[t] = true;
+    caller += cost[t] / static_cast<double>(std::min(
+                            pool, SpgRowChunks(members[t].objects)));
+    const double estimate = caller + fan_out();
+    if (estimate < best) {
+      best = estimate;
+      best_k = k;
+    }
+  }
+  for (std::size_t k = best_k; k < subspace.size(); ++k) {
+    on_caller[subspace[k]] = false;
+  }
+  return on_caller;
+}
 
 Status EnsembleOptions::Validate() const {
   if (!include_subspace && !include_knn) {
@@ -104,6 +169,7 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
   out.alpha = opts.alpha;
   out.subspace_affinity.resize(num_types);
   out.knn_affinity.resize(num_types);
+  out.subspace_iterations.assign(num_types, 0);
 
   // One candidate manifold per member: every (type, member) pair learns
   // its affinity and Laplacian independently.
@@ -120,6 +186,9 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
   std::vector<la::Matrix> subspace_lap(num_types);
   std::vector<la::SparseMatrix> knn_lap(num_types);
   std::vector<Status> task_status(tasks.size());
+  // Per-type SPG stop flags; bytes, not vector<bool> bits, because tasks
+  // write them concurrently.
+  std::vector<char> converged(num_types, 0);
 
   // Non-finite feature entries (kNonFinite row corruption, bad upstream
   // data) would propagate through every distance and subspace iterate
@@ -150,6 +219,8 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
         task_status[t] = learned.status();
         return;
       }
+      out.subspace_iterations[task.type] = learned.value().iterations;
+      converged[task.type] = learned.value().converged ? 1 : 0;
       out.subspace_affinity[task.type] = std::move(learned).value().affinity;
       Result<la::Matrix> lap =
           graph::BuildLaplacian(out.subspace_affinity[task.type],
@@ -183,19 +254,22 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
   };
 
   // Schedule: nested regions run inline, so a member in the task fan-out
-  // runs its kernels on one thread. A subspace member whose SPG passes
-  // split into at least NumThreads() row chunks is big enough to use the
-  // whole pool by itself, so those run on the caller one after another;
-  // smaller subspace members and every pNN member fan out one per task.
-  // Each member is bit-identical for any pool size, so the schedule never
-  // changes the ensemble.
-  const auto pool = static_cast<std::size_t>(util::NumThreads());
+  // runs its kernels on one thread, while a member on the caller has the
+  // whole pool. PlanMemberSchedule picks the split from the member shapes
+  // and the pool size. Each member is bit-identical for any pool size, so
+  // the schedule never changes the ensemble.
+  std::vector<MemberShape> shapes;
+  shapes.reserve(tasks.size());
+  for (const MemberTask& task : tasks) {
+    const la::Matrix& features = data.Type(task.type).features;
+    shapes.push_back({features.rows(), features.cols(), task.subspace});
+  }
+  const std::vector<bool> plan = PlanMemberSchedule(
+      shapes, opts.subspace.spg.max_iterations,
+      static_cast<std::size_t>(util::NumThreads()));
   std::vector<std::size_t> fan_out, on_caller;
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const bool large =
-        tasks[t].subspace &&
-        SpgRowChunks(data.Type(tasks[t].type).features.rows()) >= pool;
-    (large ? on_caller : fan_out).push_back(t);
+    (plan[t] ? on_caller : fan_out).push_back(t);
   }
   RunTasks(fan_out.size(), [&](std::size_t i) { build_member(fan_out[i]); });
   for (std::size_t t : on_caller) build_member(t);
@@ -204,6 +278,7 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
     if (!status.ok()) return status;
   }
 
+  out.subspace_converged.assign(converged.begin(), converged.end());
   out.laplacian =
       AssembleJointLaplacian(blocks, subspace_lap, knn_lap, opts.alpha);
   return out;

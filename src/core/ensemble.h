@@ -12,14 +12,15 @@
 // types and plugs into the regulariser tr(Gᵀ L G) of Eq. 15.
 //
 // Threading model: every (type, member) pair is an independent
-// construction task — one candidate manifold per task — dispatched on
-// the global pool (util/parallel.h). Each member's subspace seed is
-// derived upfront via util DeriveStreamSeed(seed, type), and tasks write
-// only their own output slots, so the assembled ensemble is bit-identical
-// for any pool size or schedule (covered by ensemble_test). A task's own
-// inner parallel regions run inline while other tasks are in flight
-// (nested-region rule); with a single task the caller runs it directly
-// so its inner kernels keep the whole pool.
+// construction task — one candidate manifold per task. PlanMemberSchedule
+// sends the largest subspace members to the caller, one after another
+// with the whole pool for their inner kernels, when its cost estimate says
+// that shortens the build; the other members fan out one per pool task
+// (util/parallel.h), where their inner parallel regions run inline
+// (nested-region rule). Each member's subspace seed is derived upfront via
+// util DeriveStreamSeed(seed, type), and tasks write only their own
+// output slots, so the assembled ensemble is bit-identical for any pool
+// size or schedule (covered by ensemble_test).
 
 #ifndef RHCHME_CORE_ENSEMBLE_H_
 #define RHCHME_CORE_ENSEMBLE_H_
@@ -70,12 +71,37 @@ struct HeterogeneousEnsemble {
   std::vector<la::Matrix> subspace_affinity;
   /// Per-type pNN affinities W^E (empty when disabled).
   std::vector<la::SparseMatrix> knn_affinity;
+  /// Per-type SPG steps of the subspace member and whether it met its
+  /// tolerance (0 and false when the member is disabled). A member with
+  /// spg.max_iterations steps and no convergence stopped at its cap.
+  std::vector<int> subspace_iterations;
+  std::vector<bool> subspace_converged;
   double alpha = 1.0;
 };
 
+/// The shape of one ensemble member, all the schedule looks at.
+struct MemberShape {
+  std::size_t objects = 0;   ///< n: objects of the member's type.
+  std::size_t features = 0;  ///< D: feature columns of the type.
+  bool subspace = false;     ///< Subspace member W^S; false = pNN W^E.
+};
+
+/// BuildEnsemble's member schedule: entry t is true when member t runs on
+/// the caller (with the whole pool) and false when it fans out as one
+/// pool task. Each member's cost is estimated from its shape alone
+/// (subspace: n, D and `spg_iterations`; pNN: n and D). A member on the
+/// caller takes cost / min(pool, SpgRowChunks(n)); the fan-out takes
+/// max(largest task, Σ tasks / pool) and runs first. Of the plans that
+/// put the k = 0…m largest subspace members on the caller, the one with
+/// the lowest estimate wins, ties going to the smaller k. With one thread
+/// there is no fan-out: every member runs on the caller. A pure function
+/// of its arguments; no plan changes a bit of the ensemble.
+std::vector<bool> PlanMemberSchedule(const std::vector<MemberShape>& members,
+                                     int spg_iterations, std::size_t pool);
+
 /// Builds the ensemble for every type of `data` using each type's feature
 /// matrix. Types must have nonempty features. Members are constructed in
-/// parallel (one task per member) with schedule-independent results; the
+/// parallel (PlanMemberSchedule) with schedule-independent results; the
 /// first failing member's status (in type order, subspace before pNN) is
 /// returned on error.
 Result<HeterogeneousEnsemble> BuildEnsemble(

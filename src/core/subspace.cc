@@ -82,8 +82,8 @@ void ForEachRowChunk(std::size_t n, const Fn& fn) {
 
 /// Entry (i, j) of the gradient 2γ(W·Q − Q) + 2·1·(1ᵀW) + 2η(W·1 − 1)·1ᵀ
 /// from W·Q(i,j), Q(i,j), the column sum j of W and the row's affine term
-/// 2η(rs_i − 1). One expression everywhere, so a recomputed entry has the
-/// bits of the stored one.
+/// 2η(rs_i − 1). One expression everywhere (la::simd's spg_direction_row
+/// included), so a recomputed entry has the bits of the stored one.
 double GradientEntry(double two_gamma, double wq, double q, double cs,
                      double affine) {
   return two_gamma * (wq - q) + (2.0 * cs + affine);
@@ -138,46 +138,21 @@ class SpgState {
 
   /// Pass A: writes the nonzeros of the projected direction
   /// d = P(W − step·grad) − W with its row and column sums, and returns
-  /// the stationarity measure ||P(W − grad) − W||_∞.
+  /// the stationarity measure ||P(W − grad) − W||_∞. The table's
+  /// spg_direction_row computes a row's entries with GradientEntry's
+  /// expression (P's zero diagonal included), keeps the running max of the
+  /// probe and compacts the nonzeros to the front of d_'s row.
   double Direction(double step) {
     ForEachRowChunk(n_, [&](std::size_t c, std::size_t r0, std::size_t r1) {
       double* cs = col_partial_.row_ptr(c);
       std::fill(cs, cs + n_, 0.0);
-      double* d = scratch_.row_ptr(c);
-      // A running max in registers, skipping NaN like the dense pass.
       double probe = 0.0;
       for (std::size_t i = r0; i < r1; ++i) {
-        const double* w = w_.row_ptr(i);
-        const double* wq = wq_.row_ptr(i);
-        const double* q = q_.row_ptr(i);
-        const double affine = Affine(rs_w_[i]);
-        // P's zero diagonal is set between the two halves of the row.
-        auto half = [&](std::size_t j0, std::size_t j1) {
-          for (std::size_t j = j0; j < j1; ++j) {
-            const double g =
-                GradientEntry(two_gamma_, wq[j], q[j], cs_w_[j], affine);
-            const double p = w[j] - g;
-            const double r = std::fabs((p < 0.0 ? 0.0 : p) - w[j]);
-            probe = r > probe ? r : probe;
-            const double v = w[j] + -step * g;
-            d[j] = (v < 0.0 ? 0.0 : v) - w[j];
-          }
-        };
-        half(0, i);
-        const double r = std::fabs(0.0 - w[i]);
-        probe = r > probe ? r : probe;
-        d[i] = 0.0 - w[i];
-        half(i + 1, n_);
-        // Compact the nonzeros to the front of d_'s row; the store always
-        // lands at or before j.
         double* vals = d_.row_ptr(i);
         std::size_t* idx = RowIdx(i);
-        std::size_t count = 0;
-        for (std::size_t j = 0; j < n_; ++j) {
-          vals[count] = d[j];
-          idx[count] = j;
-          count += (d[j] != 0.0);
-        }
+        const std::size_t count = kt_.spg_direction_row(
+            w_.row_ptr(i), wq_.row_ptr(i), q_.row_ptr(i), cs_w_.data(),
+            two_gamma_, Affine(rs_w_[i]), step, i, n_, vals, idx, &probe);
         nnz_[i] = count;
         double rs = 0.0;
         for (std::size_t k = 0; k < count; ++k) {
@@ -416,7 +391,7 @@ class SpgState {
   std::vector<std::size_t> idx_, nnz_;
   std::vector<double> cs_w_, rs_w_, cs_prev_, rs_prev_, cs_d_, rs_d_;
   la::Matrix row_terms_;    ///< Per-row terms of pass B (n × kRowTerms).
-  la::Matrix scratch_;      ///< One dense row per chunk (chunks × n).
+  la::Matrix scratch_;      ///< Advance's y, one row per chunk (chunks × n).
   la::Matrix col_partial_;  ///< Column sums of d per chunk (chunks × n).
   la::Matrix partial_;      ///< Scalar partials per chunk (chunks × kSlots).
   double objective_ = 0.0;

@@ -106,9 +106,10 @@ double SubspaceObjective(const la::Matrix& w, const la::Matrix& gram,
 void ProjectFeasible(la::Matrix* w);
 
 /// Number of row chunks the SPG passes of an n-object type split into
-/// (util::GrainForWork(n) rows each; a shape-only layout). BuildEnsemble
-/// runs a subspace member on the caller, with the whole pool, once this
-/// reaches the pool size.
+/// (util::GrainForWork(n) rows each; a shape-only layout), so at most
+/// this many threads share a member's row passes. PlanMemberSchedule
+/// (core/ensemble.h) divides a member's cost on the caller by
+/// min(pool, SpgRowChunks(n)).
 std::size_t SpgRowChunks(std::size_t n);
 
 }  // namespace core

@@ -44,6 +44,12 @@
 //     it can flip the sign of an exactly zero result, nothing else.)
 //   - The packed GEMM microkernel fixes its accumulation order by the
 //     table's (mr, nr) geometry and the call's klen alone.
+//   - The SPG direction row (spg_direction_row) is element-parallel: each
+//     entry takes the gradient, projection and step expressions of the
+//     scalar loop with unfused multiplies and adds in that loop's order,
+//     and the compaction keeps ascending j. Its one reduction is a max
+//     over non-NaN values, exact in any lane order. Every table is
+//     bit-identical to the scalar table: vals, idx, count and probe.
 
 #ifndef RHCHME_LA_KERNELS_H_
 #define RHCHME_LA_KERNELS_H_
@@ -138,6 +144,24 @@ struct KernelTable {
                          const double* vals, std::size_t r0, std::size_t r1,
                          const double* b, std::size_t ldb, std::size_t n,
                          double* neg, double* pos, std::size_t ldc);
+
+  /// One row of the SPG projected direction (core/subspace.cc, pass A).
+  /// For every j in [0, n) except `diag`:
+  ///   g = two_gamma·(wq[j] − q[j]) + (2·cs[j] + affine),
+  ///   p = w[j] − g,        r = |(p < 0 ? 0 : p) − w[j]|,
+  ///   v = w[j] + (−step)·g, d = (v < 0 ? 0 : v) − w[j];
+  /// at j = diag (none when diag >= n), r = |0 − w[j]| and d = 0 − w[j].
+  /// Raises *probe to r wherever r > *probe (so NaN never raises it),
+  /// writes the entries with d != 0 (NaN included) to vals[0, count) and
+  /// their columns to idx[0, count) in ascending j, and returns count.
+  /// vals and idx must hold n entries; entries at and past count may be
+  /// overwritten. Does not allocate.
+  std::size_t (*spg_direction_row)(const double* w, const double* wq,
+                                   const double* q, const double* cs,
+                                   double two_gamma, double affine,
+                                   double step, std::size_t diag,
+                                   std::size_t n, double* vals,
+                                   std::size_t* idx, double* probe);
 };
 
 /// Per-ISA table accessors, defined one per kernels_*.cc TU. Each returns

@@ -16,6 +16,9 @@
 // accumulators) across a row's whole nonzero list and stores it once.
 // The strip's last register loads and stores through a vmaskmovpd lane
 // mask: dead lanes read as zero and are never written.
+//
+// The SPG direction row compacts the nonzeros of each 4-entry block with
+// a vpermd permutation from a 16-entry LUT.
 
 #include "la/kernels.h"
 
@@ -419,11 +422,116 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
   }
 }
 
+/// vpermd indices that move the 64-bit lanes set in a 4-bit mask to the
+/// front, in ascending lane order, and the number of lanes moved.
+struct CompressLut {
+  int perm[16][2 * kLanes];
+  int count[16];
+};
+
+constexpr CompressLut MakeCompressLut() {
+  CompressLut lut{};
+  for (int m = 0; m < 16; ++m) {
+    int out = 0;
+    for (int l = 0; l < static_cast<int>(kLanes); ++l) {
+      if ((m >> l) & 1) {
+        lut.perm[m][2 * out] = 2 * l;
+        lut.perm[m][2 * out + 1] = 2 * l + 1;
+        ++out;
+      }
+    }
+    lut.count[m] = out;
+  }
+  return lut;
+}
+
+constexpr CompressLut kCompress = MakeCompressLut();
+
+/// SPG direction row, 4 entries per step; the tail reads through a
+/// vmaskmovpd mask (dead lanes load as zero and are masked out of the
+/// probe and the compaction). The gradient, projection and step are the
+/// scalar table's unfused expressions lane by lane; max_pd(a, b) is
+/// a > b ? a : b, so max_pd(0, p) is (p < 0 ? 0 : p) and max_pd(r, probe)
+/// the scalar probe update, NaN and ±0 included. The diagonal lane is
+/// replaced before the probe and the compaction. A block's nonzeros of d
+/// (NaN included: NEQ_UQ) are permuted to the front through a 16-entry
+/// LUT and stored whole: a full block starts at j >= count, so the store
+/// stays inside [0, n); the tail's store is masked to its count.
+std::size_t SpgDirectionRow(const double* w, const double* wq,
+                            const double* q, const double* cs,
+                            double two_gamma, double affine, double step,
+                            std::size_t diag, std::size_t n, double* vals,
+                            std::size_t* idx, double* probe) {
+  const Vec zero = _mm256_setzero_pd();
+  const Vec two = _mm256_set1_pd(2.0);
+  const Vec tg = _mm256_set1_pd(two_gamma);
+  const Vec aff = _mm256_set1_pd(affine);
+  const Vec nstep = _mm256_set1_pd(-step);
+  const Vec sign = _mm256_set1_pd(-0.0);
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i diagv = _mm256_set1_epi64x(static_cast<long long>(diag));
+  auto* idx64 = reinterpret_cast<long long*>(idx);
+  Vec pr = _mm256_set1_pd(*probe);
+  std::size_t count = 0;
+  for (std::size_t j = 0; j < n; j += kLanes) {
+    const bool full = n - j >= kLanes;
+    const __m256i live =
+        full ? _mm256_set1_epi64x(-1)
+             : _mm256_cmpgt_epi64(
+                   _mm256_set1_epi64x(static_cast<long long>(n - j)), lane);
+    const __m256i jv =
+        _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(j)), lane);
+    const Vec wv = _mm256_maskload_pd(w + j, live);
+    const Vec g = _mm256_add_pd(
+        _mm256_mul_pd(tg, _mm256_sub_pd(_mm256_maskload_pd(wq + j, live),
+                                        _mm256_maskload_pd(q + j, live))),
+        _mm256_add_pd(_mm256_mul_pd(two, _mm256_maskload_pd(cs + j, live)),
+                      aff));
+    Vec r = _mm256_andnot_pd(
+        sign, _mm256_sub_pd(_mm256_max_pd(zero, _mm256_sub_pd(wv, g)), wv));
+    Vec d = _mm256_sub_pd(
+        _mm256_max_pd(zero, _mm256_add_pd(wv, _mm256_mul_pd(nstep, g))), wv);
+    if (diag - j < kLanes) {
+      const Vec at = _mm256_castsi256_pd(_mm256_cmpeq_epi64(jv, diagv));
+      const Vec dd = _mm256_sub_pd(zero, wv);
+      r = _mm256_blendv_pd(r, _mm256_andnot_pd(sign, dd), at);
+      d = _mm256_blendv_pd(d, dd, at);
+    }
+    const Vec live_pd = _mm256_castsi256_pd(live);
+    pr = _mm256_max_pd(_mm256_and_pd(r, live_pd), pr);
+    const int nz =
+        _mm256_movemask_pd(_mm256_and_pd(_mm256_cmp_pd(d, zero, _CMP_NEQ_UQ),
+                                         live_pd));
+    const __m256i perm = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kCompress.perm[nz]));
+    const Vec dc = _mm256_castsi256_pd(
+        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(d), perm));
+    const __m256i jc = _mm256_permutevar8x32_epi32(jv, perm);
+    if (full) {
+      _mm256_storeu_pd(vals + count, dc);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(idx64 + count), jc);
+    } else {
+      const __m256i out = _mm256_cmpgt_epi64(
+          _mm256_set1_epi64x(kCompress.count[nz]), lane);
+      _mm256_maskstore_pd(vals + count, out, dc);
+      _mm256_maskstore_epi64(idx64 + count, out, jc);
+    }
+    count += static_cast<std::size_t>(kCompress.count[nz]);
+  }
+  alignas(32) double lanes[kLanes];
+  _mm256_store_pd(lanes, pr);
+  double p = *probe;
+  for (double l : lanes) p = l > p ? l : p;
+  *probe = p;
+  return count;
+}
+
 constexpr KernelTable kAvx2Table = {
     "avx2",       Isa::kAvx2,  kLanes,   kMr,        kNr,
     Axpy,         Dot,         DotRows,  DotSparse,  SquaredDistance,
     Add,          Sub,         Scale,    Hadamard,   PackB,
     PackA,        GemmPacked,  SpmmRows, SpmmSignRows,
+    SpgDirectionRow,
 };
 
 }  // namespace

@@ -19,6 +19,9 @@
 // The CSR row kernel holds a strip of up to 32 output columns (four zmm
 // accumulators, the last one masked) across a row's whole nonzero list
 // and stores it once; masked-off lanes are computed but never stored.
+//
+// The SPG direction row compacts the nonzeros of each 8-entry block with
+// vcompresspd / vpcompressq into a register stored whole (masked in the tail).
 
 #include "la/kernels.h"
 
@@ -469,11 +472,82 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
   }
 }
 
+/// SPG direction row, 8 entries per step (the tail through the k-mask
+/// `live`). The gradient, projection and step are the scalar table's
+/// unfused expressions lane by lane; max_pd(a, b) is a > b ? a : b, so
+/// max_pd(0, p) is (p < 0 ? 0 : p) and max_pd(r, probe) the scalar probe
+/// update, NaN and ±0 included. The diagonal lane is replaced before the
+/// probe and the compaction. A block's nonzeros of d (NaN included:
+/// NEQ_UQ) are compressed to the front of a register and stored whole: a
+/// full block starts at j >= count, so the store stays inside [0, n); the
+/// tail's store is masked to its count.
+std::size_t SpgDirectionRow(const double* w, const double* wq,
+                            const double* q, const double* cs,
+                            double two_gamma, double affine, double step,
+                            std::size_t diag, std::size_t n, double* vals,
+                            std::size_t* idx, double* probe) {
+  // The maskz form with a full mask is the plain vmaxpd (see DotRows).
+  constexpr __mmask8 kAll = 0xFF;
+  const Vec zero = _mm512_setzero_pd();
+  const Vec two = _mm512_set1_pd(2.0);
+  const Vec tg = _mm512_set1_pd(two_gamma);
+  const Vec aff = _mm512_set1_pd(affine);
+  const Vec nstep = _mm512_set1_pd(-step);
+  const __m512i eight = _mm512_set1_epi64(kLanes);
+  __m512i jv = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  Vec pr = _mm512_set1_pd(*probe);
+  std::size_t count = 0;
+  for (std::size_t j = 0; j < n; j += kLanes) {
+    const __mmask8 live = n - j >= kLanes ? kAll : TailMask(n - j);
+    const Vec wv = _mm512_maskz_loadu_pd(live, w + j);
+    const Vec g = _mm512_add_pd(
+        _mm512_mul_pd(tg, _mm512_sub_pd(_mm512_maskz_loadu_pd(live, wq + j),
+                                        _mm512_maskz_loadu_pd(live, q + j))),
+        _mm512_add_pd(_mm512_mul_pd(two, _mm512_maskz_loadu_pd(live, cs + j)),
+                      aff));
+    Vec r = _mm512_abs_pd(
+        _mm512_sub_pd(_mm512_maskz_max_pd(kAll, zero, _mm512_sub_pd(wv, g)),
+                      wv));
+    Vec d = _mm512_sub_pd(
+        _mm512_maskz_max_pd(kAll, zero,
+                            _mm512_add_pd(wv, _mm512_mul_pd(nstep, g))),
+        wv);
+    if (diag - j < kLanes) {
+      const auto at = static_cast<__mmask8>(1u << (diag - j));
+      const Vec dd = _mm512_sub_pd(zero, wv);
+      r = _mm512_mask_mov_pd(r, at, _mm512_abs_pd(dd));
+      d = _mm512_mask_mov_pd(d, at, dd);
+    }
+    pr = _mm512_mask_max_pd(pr, live, r, pr);
+    const __mmask8 nz = _mm512_mask_cmp_pd_mask(live, d, zero, _CMP_NEQ_UQ);
+    const auto kept = static_cast<std::size_t>(__builtin_popcount(nz));
+    const Vec dc = _mm512_maskz_compress_pd(nz, d);
+    const __m512i jc = _mm512_maskz_compress_epi64(nz, jv);
+    if (live == kAll) {
+      _mm512_storeu_pd(vals + count, dc);
+      _mm512_storeu_si512(idx + count, jc);
+    } else {
+      const __mmask8 out = TailMask(kept);
+      _mm512_mask_storeu_pd(vals + count, out, dc);
+      _mm512_mask_storeu_epi64(idx + count, out, jc);
+    }
+    count += kept;
+    jv = _mm512_add_epi64(jv, eight);
+  }
+  alignas(64) double lanes[kLanes];
+  _mm512_store_pd(lanes, pr);
+  double p = *probe;
+  for (double l : lanes) p = l > p ? l : p;
+  *probe = p;
+  return count;
+}
+
 constexpr KernelTable kAvx512Table = {
     "avx512",     Isa::kAvx512, kLanes,   kMr,        kNr,
     Axpy,         Dot,          DotRows,  DotSparse,  SquaredDistance,
     Add,          Sub,          Scale,    Hadamard,   PackB,
     PackA,        GemmPacked,   SpmmRows, SpmmSignRows,
+    SpgDirectionRow,
 };
 
 }  // namespace

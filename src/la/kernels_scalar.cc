@@ -12,6 +12,8 @@
 
 #include "la/kernels.h"
 
+#include <cmath>
+
 namespace rhchme {
 namespace la {
 namespace simd {
@@ -158,11 +160,48 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
   }
 }
 
+std::size_t SpgDirectionRow(const double* w, const double* wq,
+                            const double* q, const double* cs,
+                            double two_gamma, double affine, double step,
+                            std::size_t diag, std::size_t n, double* vals,
+                            std::size_t* idx, double* probe) {
+  double pr = *probe;
+  std::size_t count = 0;
+  // Branch-free compaction: the store always lands at or before j.
+  auto keep = [&](std::size_t j, double d) {
+    vals[count] = d;
+    idx[count] = j;
+    count += (d != 0.0);
+  };
+  auto span = [&](std::size_t j0, std::size_t j1) {
+    for (std::size_t j = j0; j < j1; ++j) {
+      const double g = two_gamma * (wq[j] - q[j]) + (2.0 * cs[j] + affine);
+      const double p = w[j] - g;
+      const double r = std::fabs((p < 0.0 ? 0.0 : p) - w[j]);
+      pr = r > pr ? r : pr;
+      const double v = w[j] + -step * g;
+      keep(j, (v < 0.0 ? 0.0 : v) - w[j]);
+    }
+  };
+  if (diag < n) {
+    span(0, diag);
+    const double r = std::fabs(0.0 - w[diag]);
+    pr = r > pr ? r : pr;
+    keep(diag, 0.0 - w[diag]);
+    span(diag + 1, n);
+  } else {
+    span(0, n);
+  }
+  *probe = pr;
+  return count;
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar",     Isa::kScalar, /*lanes=*/1, kMr,        kNr,
     Axpy,         Dot,          DotRows,     DotSparse,  SquaredDistance,
     Add,          Sub,          Scale,       Hadamard,   PackB,
     PackA,        GemmPacked,   SpmmRows,    SpmmSignRows,
+    SpgDirectionRow,
 };
 
 }  // namespace

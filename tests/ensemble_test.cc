@@ -9,6 +9,7 @@
 #include "eigen_sym.h"
 #include "la/gemm.h"
 #include "scoped_num_threads.h"
+#include "util/rng.h"
 
 namespace rhchme {
 namespace core {
@@ -229,6 +230,19 @@ TEST(Ensemble, SizeAwareScheduleIsBitStableAcrossThreadCounts) {
   ASSERT_GE(SpgRowChunks(600), 4u);
   EnsembleOptions opts;
   opts.subspace.spg.max_iterations = 5;
+  std::vector<MemberShape> shapes;
+  for (std::size_t k = 0; k < 2; ++k) {
+    for (bool subspace : {true, false}) {
+      shapes.push_back(
+          {d.Type(k).features.rows(), d.Type(k).features.cols(), subspace});
+    }
+  }
+  // Mixed at pools 2 and 4: the 600-object member alone on the caller.
+  for (std::size_t pool : {2, 4}) {
+    EXPECT_EQ(PlanMemberSchedule(shapes, 5, pool),
+              (std::vector<bool>{false, false, true, false}))
+        << pool;
+  }
 
   auto build = [&](int threads) {
     ScopedNumThreads scoped(threads);
@@ -250,6 +264,134 @@ TEST(Ensemble, SizeAwareScheduleIsBitStableAcrossThreadCounts) {
       EXPECT_EQ(serial.knn_affinity[k].values(), e.knn_affinity[k].values());
     }
   }
+}
+
+std::vector<MemberShape> Shapes(
+    const std::vector<std::pair<std::size_t, std::size_t>>& types) {
+  std::vector<MemberShape> shapes;
+  for (const auto& [n, dims] : types) {
+    shapes.push_back({n, dims, true});
+    shapes.push_back({n, dims, false});
+  }
+  return shapes;
+}
+
+/// Every subspace member on the caller, every pNN member fanned out.
+std::vector<bool> SubspaceOnCaller(std::size_t types) {
+  std::vector<bool> plan;
+  for (std::size_t k = 0; k < types; ++k) {
+    plan.push_back(true);
+    plan.push_back(false);
+  }
+  return plan;
+}
+
+TEST(EnsembleSchedule, PlansTheWorkloadShapes) {
+  // D4 (documents, terms, concepts): the 420-object member splits into
+  // fewer row chunks than the pool, yet it runs on the caller too.
+  const auto d4 = Shapes({{660, 520}, {520, 660}, {420, 660}});
+  ASSERT_LT(SpgRowChunks(420), 4u);
+  EXPECT_EQ(PlanMemberSchedule(d4, 80, 4), SubspaceOnCaller(3));
+  // The tfidf-sparse corpus and the 3 × 600 block world.
+  EXPECT_EQ(
+      PlanMemberSchedule(Shapes({{1200, 1000}, {1000, 1200}, {600, 1200}}),
+                         80, 4),
+      SubspaceOnCaller(3));
+  EXPECT_EQ(PlanMemberSchedule(
+                Shapes({{600, 1200}, {600, 1200}, {600, 1200}}), 80, 4),
+            SubspaceOnCaller(3));
+  // bench_kernels' BM_EnsembleBuild/48 and /96: one-chunk members gain
+  // nothing from the pool, so everything fans out.
+  for (std::size_t n : {48, 96}) {
+    EXPECT_EQ(PlanMemberSchedule(Shapes({{n, 2 * n}, {n, 2 * n}, {n, 2 * n}}),
+                                 15, 4),
+              std::vector<bool>(6, false))
+        << n;
+  }
+  // One thread: no fan-out.
+  EXPECT_EQ(PlanMemberSchedule(d4, 80, 1), std::vector<bool>(6, true));
+  EXPECT_TRUE(PlanMemberSchedule({}, 80, 4).empty());
+}
+
+TEST(EnsembleSchedule, CostPlanBuildsTheSameD4EnsembleAtEveryPoolSize) {
+  // D4 at 2 SPG steps. At pool 4 the 420-object concept member runs on
+  // the caller although it splits into fewer row chunks than the pool.
+  const data::MultiTypeRelationalData d =
+      data::GenerateSyntheticCorpus(data::ReutersTop10Preset()).value();
+  const fact::BlockStructure b = fact::BuildBlockStructure(d);
+  EnsembleOptions opts;
+  opts.subspace.spg.max_iterations = 2;
+  std::vector<std::pair<std::size_t, std::size_t>> types;
+  for (std::size_t k = 0; k < d.NumTypes(); ++k) {
+    types.push_back({d.Type(k).features.rows(), d.Type(k).features.cols()});
+  }
+  ASSERT_EQ(types.back().first, 420u);
+  ASSERT_LT(SpgRowChunks(420), 4u);
+  EXPECT_EQ(PlanMemberSchedule(Shapes(types), 2, 4), SubspaceOnCaller(3));
+
+  auto build = [&](int threads) {
+    ScopedNumThreads scoped(threads);
+    Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts);
+    EXPECT_TRUE(e.ok()) << e.status().ToString();
+    return std::move(e).value();
+  };
+  const HeterogeneousEnsemble serial = build(1);
+  for (int threads : {2, 4}) {
+    const HeterogeneousEnsemble e = build(threads);
+    EXPECT_EQ(serial.laplacian.values(), e.laplacian.values())
+        << threads << " threads";
+    EXPECT_EQ(serial.laplacian.col_indices(), e.laplacian.col_indices());
+    for (std::size_t k = 0; k < d.NumTypes(); ++k) {
+      EXPECT_EQ(la::MaxAbsDiff(serial.subspace_affinity[k],
+                               e.subspace_affinity[k]),
+                0.0)
+          << "type " << k << ", " << threads << " threads";
+      EXPECT_EQ(serial.knn_affinity[k].values(), e.knn_affinity[k].values());
+    }
+  }
+}
+
+TEST(Ensemble, RecordsHowEachSubspaceMemberStopped) {
+  data::MultiTypeRelationalData d = SmallData();
+  fact::BlockStructure b = fact::BuildBlockStructure(d);
+  const EnsembleOptions opts = FastOptions();
+  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts);
+  ASSERT_TRUE(e.ok());
+  ASSERT_EQ(e.value().subspace_iterations.size(), 2u);
+  ASSERT_EQ(e.value().subspace_converged.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    SubspaceOptions sub = opts.subspace;
+    sub.seed = DeriveStreamSeed(opts.subspace.seed, k);
+    const SubspaceResult alone =
+        LearnSubspaceAffinity(d.Type(k).features, sub).value();
+    EXPECT_EQ(e.value().subspace_iterations[k], alone.iterations);
+    EXPECT_EQ(e.value().subspace_converged[k], alone.converged);
+  }
+  // The tolerance is never met in 20 steps: both members hit the cap.
+  EXPECT_EQ(e.value().subspace_iterations,
+            std::vector<int>(2, opts.subspace.spg.max_iterations));
+  EXPECT_EQ(e.value().subspace_converged, std::vector<bool>(2, false));
+  // Re-weighting keeps the record.
+  Result<HeterogeneousEnsemble> r = ReweightEnsemble(e.value(), b, 2.0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().subspace_iterations, e.value().subspace_iterations);
+  EXPECT_EQ(r.value().subspace_converged, e.value().subspace_converged);
+
+  // A loose tolerance stops every member at the first probe.
+  EnsembleOptions loose = opts;
+  loose.subspace.spg.tolerance = 1e9;
+  Result<HeterogeneousEnsemble> l = BuildEnsemble(d, b, loose);
+  ASSERT_TRUE(l.ok());
+  EXPECT_EQ(l.value().subspace_iterations, std::vector<int>(2, 0));
+  EXPECT_EQ(l.value().subspace_converged, std::vector<bool>(2, true));
+
+  // A disabled member records no steps.
+  EnsembleOptions knn_only = opts;
+  knn_only.include_subspace = false;
+  Result<HeterogeneousEnsemble> k = BuildEnsemble(d, b, knn_only);
+  ASSERT_TRUE(k.ok());
+  EXPECT_EQ(k.value().subspace_iterations, std::vector<int>(2, 0));
+  EXPECT_EQ(k.value().subspace_converged, std::vector<bool>(2, false));
 }
 
 TEST(Ensemble, ReweightIsBitStableAcrossThreadCounts) {

@@ -15,6 +15,9 @@
 //     zeroed row plus one scalar Axpy per nonzero, writes nothing outside
 //     its rows and columns, and keeps ±0.0, ±Inf and NaN as that chain
 //     does;
+//   - the SPG direction row (spg_direction_row) of every table is bit
+//     identical to the scalar pass it replaced: values, columns, count
+//     and probe, ±0.0 and NaN included;
 //   - both hold for every tail width 1..2*widest-unroll+1, so no lane or
 //     mask remainder path is left uncovered;
 //   - table selection (ResolveTable) and the force override (ForceIsa /
@@ -447,6 +450,174 @@ TEST(SimdSpmmRows, StartsFromPositiveZero) {
     for (double x : c) {
       EXPECT_EQ(x, 0.0) << t->name;
       EXPECT_FALSE(std::signbit(x)) << t->name;
+    }
+  }
+}
+
+// ---- SPG direction row ----------------------------------------------------
+
+/// One row of the SPG direction pass as core/subspace.cc ran it before the
+/// kernel existed: two scalar halves around P's zero diagonal into a dense
+/// row, then a branch-free compaction. The oracle every table must match.
+struct DirectionRow {
+  std::vector<double> vals;
+  std::vector<std::size_t> idx;
+  double probe = 0.0;
+};
+
+DirectionRow ReferenceDirectionRow(const std::vector<double>& w,
+                                   const std::vector<double>& wq,
+                                   const std::vector<double>& q,
+                                   const std::vector<double>& cs,
+                                   double two_gamma, double affine,
+                                   double step, std::size_t diag,
+                                   double probe) {
+  const std::size_t n = w.size();
+  std::vector<double> d(n);
+  auto half = [&](std::size_t j0, std::size_t j1) {
+    for (std::size_t j = j0; j < j1; ++j) {
+      const double g = two_gamma * (wq[j] - q[j]) + (2.0 * cs[j] + affine);
+      const double p = w[j] - g;
+      const double r = std::fabs((p < 0.0 ? 0.0 : p) - w[j]);
+      probe = r > probe ? r : probe;
+      const double v = w[j] + -step * g;
+      d[j] = (v < 0.0 ? 0.0 : v) - w[j];
+    }
+  };
+  if (diag < n) {
+    half(0, diag);
+    const double r = std::fabs(0.0 - w[diag]);
+    probe = r > probe ? r : probe;
+    d[diag] = 0.0 - w[diag];
+    half(diag + 1, n);
+  } else {
+    half(0, n);
+  }
+  DirectionRow out;
+  out.probe = probe;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (d[j] != 0.0) {
+      out.vals.push_back(d[j]);
+      out.idx.push_back(j);
+    }
+  }
+  return out;
+}
+
+TEST(SimdSpgDirectionRow, BitIdenticalToTheScalarPassOnEveryTable) {
+  // Every length 0..70 covers every block and tail shape of the 4- and
+  // 8-lane tables, with the diagonal at 0, in the middle, at n − 1 and
+  // absent. Shapes: mixed signs of w − step·g; an empty support (w = ±0,
+  // g > 0); a full one (g ≪ 0); g = 0, so w − step·g is w itself with its
+  // ±0 entries; and NaN in W·Q, which d keeps and the probe skips.
+  constexpr double kSentinel = -777.25;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  enum Shape { kMixed, kEmpty, kFull, kZeroGradient, kNan };
+  for (const simd::KernelTable* t : RunnableTables()) {
+    for (std::size_t n = 0; n <= 70; ++n) {
+      for (Shape shape : {kMixed, kEmpty, kFull, kZeroGradient, kNan}) {
+        const uint64_t seed = 5000 + 10 * n + shape;
+        std::vector<double> w = RandomVec(n, seed, -0.5, 1.0);
+        std::vector<double> q = RandomVec(n, seed + 1, -1.0, 1.0);
+        std::vector<double> wq = RandomVec(n, seed + 2, -1.0, 1.0);
+        std::vector<double> cs = RandomVec(n, seed + 3, 0.0, 0.5);
+        double affine = 0.1 * static_cast<double>(n % 3) - 0.1;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (w[j] < 0.0) w[j] = j % 2 == 0 ? 0.0 : -0.0;
+          switch (shape) {
+            case kEmpty:
+              w[j] = j % 2 == 0 ? 0.0 : -0.0;
+              wq[j] = q[j] + 1.0;
+              break;
+            case kFull:
+              w[j] += 0.5;
+              wq[j] = q[j] - 10.0;
+              break;
+            case kZeroGradient:
+              wq[j] = q[j];
+              cs[j] = 0.0;
+              break;
+            default:
+              break;
+          }
+        }
+        if (shape == kZeroGradient || shape == kFull) affine = 0.0;
+        if (shape == kNan) {
+          for (std::size_t j = 1; j < n; j += 7) wq[j] = nan;
+        }
+        const std::size_t diags[] = {0, n / 2, n == 0 ? 0 : n - 1, n};
+        for (std::size_t diag : diags) {
+          for (double probe0 : {0.0, 0.25}) {
+            const DirectionRow want = ReferenceDirectionRow(
+                w, wq, q, cs, 3.0, affine, 0.7, diag, probe0);
+            std::vector<double> vals(n + 8, kSentinel);
+            std::vector<std::size_t> idx(n + 8, 99999);
+            double probe = probe0;
+            const std::size_t count = t->spg_direction_row(
+                w.data(), wq.data(), q.data(), cs.data(), 3.0, affine, 0.7,
+                diag, n, vals.data(), idx.data(), &probe);
+            const std::string where = std::string(t->name) +
+                                      " n=" + std::to_string(n) +
+                                      " shape=" + std::to_string(shape) +
+                                      " diag=" + std::to_string(diag);
+            ASSERT_EQ(count, want.vals.size()) << where;
+            ASSERT_TRUE(SameBits(probe, want.probe))
+                << where << ": probe " << probe << " vs " << want.probe;
+            for (std::size_t k = 0; k < count; ++k) {
+              ASSERT_EQ(idx[k], want.idx[k]) << where << " k=" << k;
+              ASSERT_TRUE(SameBits(vals[k], want.vals[k]))
+                  << where << " k=" << k << ": " << vals[k] << " vs "
+                  << want.vals[k];
+            }
+            for (std::size_t k = n; k < n + 8; ++k) {
+              ASSERT_EQ(vals[k], kSentinel) << where << " wrote past n";
+              ASSERT_EQ(idx[k], 99999u) << where << " wrote past n";
+            }
+            if (shape == kEmpty) {
+              EXPECT_EQ(count, 0u) << where;
+            }
+            if (shape == kFull) {
+              EXPECT_EQ(count, n) << where;
+            }
+            EXPECT_FALSE(std::isnan(probe)) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdSpgDirectionRow, TablesAgreeOnARealisticRow) {
+  // A long row in the shape the SPG loop sees after a few steps: W mostly
+  // exact zeros, so d is mostly zeros too. Every table returns the scalar
+  // table's bits.
+  const std::size_t n = 1203;
+  std::vector<double> w = RandomVec(n, 91, -3.0, 0.05);
+  for (double& x : w) x = x < 0.0 ? 0.0 : x;
+  const std::vector<double> q = RandomVec(n, 92, -0.2, 0.2);
+  const std::vector<double> wq = RandomVec(n, 93, -0.2, 0.2);
+  const std::vector<double> cs = RandomVec(n, 94, 0.0, 0.1);
+  const simd::KernelTable* scalar = simd::TableForName("scalar");
+  std::vector<double> want_vals(n);
+  std::vector<std::size_t> want_idx(n);
+  double want_probe = 0.0;
+  const std::size_t want = scalar->spg_direction_row(
+      w.data(), wq.data(), q.data(), cs.data(), 10.0, -0.02, 0.3, 400, n,
+      want_vals.data(), want_idx.data(), &want_probe);
+  ASSERT_GT(want, 0u);
+  ASSERT_LT(want, n / 2);
+  for (const simd::KernelTable* t : RunnableTables()) {
+    std::vector<double> vals(n);
+    std::vector<std::size_t> idx(n);
+    double probe = 0.0;
+    const std::size_t count = t->spg_direction_row(
+        w.data(), wq.data(), q.data(), cs.data(), 10.0, -0.02, 0.3, 400, n,
+        vals.data(), idx.data(), &probe);
+    ASSERT_EQ(count, want) << t->name;
+    EXPECT_TRUE(SameBits(probe, want_probe)) << t->name;
+    for (std::size_t k = 0; k < count; ++k) {
+      ASSERT_EQ(idx[k], want_idx[k]) << t->name << " k=" << k;
+      ASSERT_TRUE(SameBits(vals[k], want_vals[k])) << t->name << " k=" << k;
     }
   }
 }

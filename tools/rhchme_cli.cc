@@ -118,6 +118,26 @@ void WarnIfCapped(const std::string& method, const fact::HoccResult& hocc,
                method.c_str(), max_iterations, tolerance, rel);
 }
 
+/// One line naming the types whose subspace member stopped at the SPG step
+/// cap, worded like WarnIfCapped.
+void WarnIfSpgCapped(const data::MultiTypeRelationalData& data,
+                     const core::HeterogeneousEnsemble& ensemble,
+                     const core::SpgOptions& spg) {
+  std::string capped;
+  for (std::size_t k = 0; k < ensemble.subspace_iterations.size(); ++k) {
+    if (ensemble.subspace_converged[k] ||
+        ensemble.subspace_iterations[k] < spg.max_iterations) {
+      continue;
+    }
+    capped += (capped.empty() ? "" : ", ") + data.Type(k).name;
+  }
+  if (capped.empty()) return;
+  std::fprintf(stderr,
+               "warning: subspace member(s) of %s stopped at "
+               "spg.max_iterations=%d without meeting tolerance %g\n",
+               capped.c_str(), spg.max_iterations, spg.tolerance);
+}
+
 int Run(int argc, char** argv) {
   if (argc < 4) return Usage();
   const std::string method = argv[2];
@@ -141,6 +161,8 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(diag.solve_ridge_retries),
           static_cast<unsigned long long>(diag.degraded_stops));
     }
+    WarnIfSpgCapped(data.value(), fit.value().ensemble,
+                    solver.options().ensemble.subspace.spg);
     const fact::HoccResult& hocc = fit.value().hocc;
     WarnIfCapped(method, hocc, solver.options().max_iterations,
                  solver.options().tolerance);
