@@ -245,57 +245,6 @@ void BM_SparseSandwich(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseSandwich)->UseRealTime()->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_SparseCscBuild(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  la::SparseMatrix a = RandomSparse(n, n, 16, 15);
-  for (auto _ : state) {
-    state.PauseTiming();
-    a.Scale(1.0);  // Invalidates the cached mirror; not part of the build.
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(&a.BuildCscMirror());
-  }
-  SetKernelCounters(state, 0.0);
-  state.counters["nnz"] = benchmark::Counter(static_cast<double>(a.nnz()));
-}
-BENCHMARK(BM_SparseCscBuild)->UseRealTime()->Arg(1024)->Arg(4096);
-
-void BM_SparseTransposedDenseScatter(benchmark::State& state) {
-  // Aᵀ·B on the per-chunk-accumulator fallback (no CSC mirror) — the
-  // one-shot-product path.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t c = 30;
-  la::SparseMatrix a = RandomSparse(n, n, 16, 16);
-  la::Matrix b = RandomMatrix(n, c, 17);
-  la::Matrix out;
-  for (auto _ : state) {
-    a.MultiplyTransposedDenseInto(b, &out);
-    // lint:stride-ok(DoNotOptimize sink: pointer identity only, no element access)
-    benchmark::DoNotOptimize(out.data());
-  }
-  SetKernelCounters(state, 2.0 * static_cast<double>(a.nnz()) * c);
-}
-BENCHMARK(BM_SparseTransposedDenseScatter)->UseRealTime()
-    ->Arg(1024)->Arg(4096)->Arg(16384);
-
-void BM_SparseTransposedDenseCsc(benchmark::State& state) {
-  // Same product with the CSC mirror built once up front: gather-style
-  // loops threading over output rows.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t c = 30;
-  la::SparseMatrix a = RandomSparse(n, n, 16, 16);
-  a.BuildCscMirror();
-  la::Matrix b = RandomMatrix(n, c, 17);
-  la::Matrix out;
-  for (auto _ : state) {
-    a.MultiplyTransposedDenseInto(b, &out);
-    // lint:stride-ok(DoNotOptimize sink: pointer identity only, no element access)
-    benchmark::DoNotOptimize(out.data());
-  }
-  SetKernelCounters(state, 2.0 * static_cast<double>(a.nnz()) * c);
-}
-BENCHMARK(BM_SparseTransposedDenseCsc)->UseRealTime()
-    ->Arg(1024)->Arg(4096)->Arg(16384);
-
 void BM_SparseDenseNarrow(benchmark::State& state) {
   // The solver's SpMM: forward CSR·G with a narrow G (c columns) — the
   // shape of K = R·G, R·(diag(s)·G) and L±·G in every iteration. Each c

@@ -33,8 +33,7 @@ Result<double> RecallAgainstExact(const la::Matrix& points,
   if (!approx.ok()) return approx.status();
   const std::size_t p =
       std::min(opts.p, points.rows() > 0 ? points.rows() - 1 : 0);
-  graph::KnnNeighborLists exact = graph::ExactKnnNeighbors(
-      points, p, graph::KnnMetric::kSquaredEuclidean);
+  graph::KnnNeighborLists exact = graph::ExactKnnNeighbors(points, p);
   return KnnRecall(approx.value(), exact);
 }
 

@@ -14,8 +14,8 @@ namespace graph {
 namespace {
 
 /// Bounded chunk count for the shape-only triangular split of the exact
-/// engine (same idiom and cap as the sparse scatter fallback): scratch is
-/// O(n·p) per chunk, so the cap bounds peak memory at 16·n·p entries.
+/// engine: scratch is O(n·p) per chunk, so the cap bounds peak memory at
+/// 16·n·p entries.
 constexpr std::size_t kMaxExactChunks = 16;
 
 /// Row panel height of the exact engine's distance tiles: each j-row load
@@ -107,41 +107,37 @@ class TopPHeap {
   std::size_t size_ = 0;
 };
 
-/// Shared metric state: squared row norms for kSquaredEuclidean (the
-/// historical sq[i] + sq[j] − 2·dot grouping, kept so exact weights stay
-/// bit-identical to the old dense path), row norms for kCosine.
-struct MetricContext {
+/// The rows and their squared norms. Distances use the historical
+/// sq[i] + sq[j] − 2·dot grouping, kept so exact weights stay
+/// bit-identical to the old dense path.
+struct PointSet {
   const la::Matrix& points;
-  KnnMetric metric;
-  std::vector<double> norm;  // ‖x_i‖² (Euclidean) or ‖x_i‖ (cosine).
+  std::vector<double> sq;  // ‖x_i‖².
 };
 
-MetricContext MakeMetricContext(const la::Matrix& points, KnnMetric metric) {
+PointSet MakePointSet(const la::Matrix& points) {
   const std::size_t n = points.rows(), d = points.cols();
-  MetricContext ctx{points, metric, std::vector<double>(n, 0.0)};
+  PointSet ps{points, std::vector<double>(n, 0.0)};
   util::ParallelFor(0, n, util::GrainForWork(2 * d + 1),
                     [&](std::size_t r0, std::size_t r1) {
                       for (std::size_t i = r0; i < r1; ++i) {
                         const double* r = points.row_ptr(i);
-                        const double sq = la::simd::Dot(r, r, d);
-                        ctx.norm[i] =
-                            metric == KnnMetric::kCosine ? std::sqrt(sq) : sq;
+                        ps.sq[i] = la::simd::Dot(r, r, d);
                       }
                     });
-  return ctx;
+  return ps;
 }
 
-inline double Distance(const MetricContext& ctx, std::size_t i,
-                       std::size_t j) {
-  const std::size_t d = ctx.points.cols();
-  const double dot =
-      la::simd::Dot(ctx.points.row_ptr(i), ctx.points.row_ptr(j), d);
-  if (ctx.metric == KnnMetric::kSquaredEuclidean) {
-    // max() guards the tiny negatives produced by cancellation.
-    return std::max(0.0, ctx.norm[i] + ctx.norm[j] - 2.0 * dot);
-  }
-  if (ctx.norm[i] == 0.0 || ctx.norm[j] == 0.0) return 1.0;
-  return 1.0 - dot / (ctx.norm[i] * ctx.norm[j]);
+/// Squared Euclidean distance from two squared norms and the rows' dot;
+/// max() guards the tiny negatives produced by cancellation.
+inline double SquaredDistance(double sq_a, double sq_b, double dot) {
+  return std::max(0.0, sq_a + sq_b - 2.0 * dot);
+}
+
+inline double Distance(const PointSet& ps, std::size_t i, std::size_t j) {
+  const double dot = la::simd::Dot(ps.points.row_ptr(i), ps.points.row_ptr(j),
+                                   ps.points.cols());
+  return SquaredDistance(ps.sq[i], ps.sq[j], dot);
 }
 
 /// Cost-balanced boundaries of the triangular pair set: chunk k covers
@@ -209,12 +205,12 @@ inline bool DedupPush(TopPHeap* heap, std::size_t cand, double dist) {
 /// improve that heap again (rejection and eviction are monotone in the
 /// (distance, index) total order) — so later trees and the descent rounds
 /// skip tag-sharing pairs with bit-identical results.
-void RpForestInit(const MetricContext& ctx, std::size_t p, int trees,
+void RpForestInit(const PointSet& ps, std::size_t p, int trees,
                   std::size_t leaf, uint64_t seed,
                   std::vector<KnnNeighbor>* lists,
                   std::vector<std::size_t>* sizes,
                   std::vector<uint32_t>* leaf_tags) {
-  const std::size_t n = ctx.points.rows(), d = ctx.points.cols();
+  const std::size_t n = ps.points.rows(), d = ps.points.cols();
   struct Span {
     std::size_t lo, hi;
   };
@@ -242,13 +238,13 @@ void RpForestInit(const MetricContext& ctx, std::size_t p, int trees,
       const std::size_t a = s.lo + rng.UniformInt(m);
       std::size_t b = s.lo + rng.UniformInt(m);
       if (b == a) b = s.lo + (b + 1 - s.lo) % m;
-      const double* xa = ctx.points.row_ptr(idx[a]);
-      const double* xb = ctx.points.row_ptr(idx[b]);
+      const double* xa = ps.points.row_ptr(idx[a]);
+      const double* xb = ps.points.row_ptr(idx[b]);
       for (std::size_t j = 0; j < d; ++j) dir[j] = xa[j] - xb[j];
       keys.resize(m);
       for (std::size_t k = 0; k < m; ++k) {
         proj[s.lo + k] =
-            la::simd::Dot(ctx.points.row_ptr(idx[s.lo + k]), dir.data(), d);
+            la::simd::Dot(ps.points.row_ptr(idx[s.lo + k]), dir.data(), d);
         keys[k] = {proj[s.lo + k], idx[s.lo + k]};
       }
       // Median split in the (projection, index) total order: exactly
@@ -283,8 +279,8 @@ void RpForestInit(const MetricContext& ctx, std::size_t p, int trees,
             const std::size_t m = s.hi - s.lo;
             for (std::size_t k = 0; k < m; ++k) {
               const std::size_t a = idx[s.lo + k];
-              l_ptr[k] = ctx.points.row_ptr(a);
-              l_norm[k] = ctx.norm[a];
+              l_ptr[k] = ps.points.row_ptr(a);
+              l_norm[k] = ps.sq[a];
             }
             for (std::size_t i = 0; i + 1 < m; ++i) {
               const std::size_t a = idx[s.lo + i];
@@ -302,15 +298,8 @@ void RpForestInit(const MetricContext& ctx, std::size_t p, int trees,
                   }
                 }
                 if (joined_before) continue;
-                const double dot = la::simd::Dot(pa, l_ptr[j], d);
-                double dist;
-                if (ctx.metric == KnnMetric::kSquaredEuclidean) {
-                  dist = std::max(0.0, na + l_norm[j] - 2.0 * dot);
-                } else if (na == 0.0 || l_norm[j] == 0.0) {
-                  dist = 1.0;
-                } else {
-                  dist = 1.0 - dot / (na * l_norm[j]);
-                }
+                const double dist = SquaredDistance(
+                    na, l_norm[j], la::simd::Dot(pa, l_ptr[j], d));
                 TopPHeap ha(lists->data() + a * p, p, (*sizes)[a]);
                 ha.Push(b, dist);
                 (*sizes)[a] = ha.size();
@@ -337,16 +326,18 @@ Status KnnDescentOptions::Validate() const {
   if (max_iterations < 1) {
     return Status::InvalidArgument("NN-descent needs max_iterations >= 1");
   }
-  if (termination_delta < 0.0) {
+  // Negated so that NaN fails them: NaN or +inf would reach the size_t
+  // casts of the join caps and the update floor.
+  if (!(termination_delta >= 0.0 && std::isfinite(termination_delta))) {
     return Status::InvalidArgument(
-        "NN-descent termination_delta must be >= 0");
+        "NN-descent termination_delta must be finite and >= 0");
   }
-  if (sample_rate <= 0.0 || sample_rate > 1.0) {
+  if (!(sample_rate > 0.0 && sample_rate <= 1.0)) {
     return Status::InvalidArgument(
         "NN-descent sample_rate must be in (0, 1]");
   }
-  if (rp_trees < 0) {
-    return Status::InvalidArgument("NN-descent rp_trees must be >= 0");
+  if (rp_trees < 1) {
+    return Status::InvalidArgument("NN-descent rp_trees must be >= 1");
   }
   if (leaf_size < 4) {
     return Status::InvalidArgument("NN-descent leaf_size must be >= 4");
@@ -354,13 +345,12 @@ Status KnnDescentOptions::Validate() const {
   return Status::OK();
 }
 
-KnnNeighborLists ExactKnnNeighbors(const la::Matrix& points, std::size_t p,
-                                   KnnMetric metric) {
+KnnNeighborLists ExactKnnNeighbors(const la::Matrix& points, std::size_t p) {
   const std::size_t n = points.rows(), d = points.cols();
   KnnNeighborLists out(n);
   if (n < 2) return out;
   p = std::min(p, n - 1);
-  const MetricContext ctx = MakeMetricContext(points, metric);
+  const PointSet ps = MakePointSet(points);
 
   // Shape-only chunk count: enough chunks to amortise kMinWorkPerChunk
   // dots of length d each, capped so scratch stays O(n·p).
@@ -398,7 +388,7 @@ KnnNeighborLists ExactKnnNeighbors(const la::Matrix& points, std::size_t p,
         for (std::size_t j = i0 + 1; j < n; ++j) {
           const std::size_t i_end = std::min(i1, j);
           for (std::size_t i = i0; i < i_end; ++i) {
-            const double dist = Distance(ctx, i, j);
+            const double dist = Distance(ps, i, j);
             if (heaps[i - r0].Push(j, dist)) sizes[c][i - r0] = heaps[i - r0].size();
             if (heaps[j - r0].Push(i, dist)) sizes[c][j - r0] = heaps[j - r0].size();
           }
@@ -437,7 +427,6 @@ KnnNeighborLists ExactKnnNeighbors(const la::Matrix& points, std::size_t p,
 }
 
 Result<KnnNeighborLists> NnDescent(const la::Matrix& points, std::size_t p,
-                                   KnnMetric metric,
                                    const KnnDescentOptions& opts) {
   RHCHME_RETURN_IF_ERROR(opts.Validate());
   const std::size_t n = points.rows();
@@ -447,9 +436,9 @@ Result<KnnNeighborLists> NnDescent(const la::Matrix& points, std::size_t p,
   if (p + 1 >= n) {
     // Every other point is a neighbour; the exact engine is already
     // O(n·p) here and descent could not prune anything.
-    return ExactKnnNeighbors(points, p, metric);
+    return ExactKnnNeighbors(points, p);
   }
-  const MetricContext ctx = MakeMetricContext(points, metric);
+  const PointSet ps = MakePointSet(points);
   const std::size_t d = points.cols();
 
   // Neighbour state as flat heap slabs: entry t of row v lives at v*p + t,
@@ -458,36 +447,19 @@ Result<KnnNeighborLists> NnDescent(const la::Matrix& points, std::size_t p,
   std::vector<KnnNeighbor> lists(n * p);
   std::vector<char> fresh(n * p, 1);
 
-  // Per-node leaf ordinals of the init forest (n × rp_trees): pairs
-  // sharing a tag were joined exhaustively during init and are skipped by
-  // every later pair scan (bit-identical, see RpForestInit).
+  // Random-projection forest init: every heap comes out full because the
+  // effective leaf keeps >= p + 1 rows per leaf (see RpForestInit). The
+  // per-node leaf ordinals (n × rp_trees) mark pairs joined exhaustively
+  // during init, which every later pair scan skips (bit-identical, see
+  // RpForestInit).
   const std::size_t n_tags = static_cast<std::size_t>(opts.rp_trees);
   std::vector<uint32_t> leaf_tags(n * n_tags);
-  if (opts.rp_trees > 0) {
-    // Random-projection forest init: every heap comes out full because
-    // the effective leaf keeps >= p + 1 rows per leaf (see RpForestInit).
+  {
     const std::size_t leaf =
         std::max<std::size_t>(opts.leaf_size, 2 * (p + 1));
     std::vector<std::size_t> sizes(n, 0);
-    RpForestInit(ctx, p, opts.rp_trees, leaf, opts.seed, &lists, &sizes,
+    RpForestInit(ps, p, opts.rp_trees, leaf, opts.seed, &lists, &sizes,
                  &leaf_tags);
-  } else {
-    // Reference fallback: random initial lists from per-node streams —
-    // node v samples p distinct partners from [0, n) \ {v}.
-    util::ParallelFor(
-        0, n, util::GrainForWork(2 * d * p + 1),
-        [&](std::size_t r0, std::size_t r1) {
-          for (std::size_t v = r0; v < r1; ++v) {
-            Rng rng = StreamRng(opts.seed, v);
-            const std::vector<std::size_t> picks =
-                rng.SampleWithoutReplacement(n - 1, p);
-            TopPHeap heap(lists.data() + v * p, p);
-            for (std::size_t raw : picks) {
-              const std::size_t u = raw >= v ? raw + 1 : raw;  // Skip self.
-              heap.Push(u, Distance(ctx, v, u));
-            }
-          }
-        });
   }
 
   const std::size_t fwd_cap = static_cast<std::size_t>(
@@ -658,8 +630,8 @@ Result<KnnNeighborLists> NnDescent(const la::Matrix& points, std::size_t p,
             const uint32_t a = adj_node[b + i];
             g_id[i] = a;
             g_flag[i] = adj_flag[b + i];
-            g_ptr[i] = ctx.points.row_ptr(a);
-            g_sq[i] = ctx.norm[a];
+            g_ptr[i] = ps.points.row_ptr(a);
+            g_sq[i] = ps.sq[a];
             g_worst[i] = worst[a];
             for (std::size_t t = 0; t < n_tags; ++t) {
               g_tag[i * n_tags + t] = leaf_tags[a * n_tags + t];
@@ -685,15 +657,8 @@ Result<KnnNeighborLists> NnDescent(const la::Matrix& points, std::size_t p,
                 }
               }
               if (joined_before) continue;
-              const double dot = la::simd::Dot(pa, g_ptr[j], d);
-              double dist;
-              if (metric == KnnMetric::kSquaredEuclidean) {
-                dist = std::max(0.0, na + g_sq[j] - 2.0 * dot);
-              } else if (na == 0.0 || g_sq[j] == 0.0) {
-                dist = 1.0;
-              } else {
-                dist = 1.0 - dot / (na * g_sq[j]);
-              }
+              const double dist = SquaredDistance(
+                  na, g_sq[j], la::simd::Dot(pa, g_ptr[j], d));
               if (dist < wa) out_props.push_back({a, cnd, dist});
               if (dist < g_worst[j]) out_props.push_back({cnd, a, dist});
             }

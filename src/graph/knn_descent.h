@@ -3,7 +3,7 @@
 // construction wall").
 //
 // Two engines produce the same artefact, a per-row list of the p closest
-// other rows with their distances:
+// other rows by squared Euclidean distance, with those distances:
 //
 //  * ExactKnnNeighbors — the reference. Blocked row-panel distance tiles
 //    feed per-row top-p heaps, so the dense n x n distance matrix of the
@@ -49,15 +49,6 @@
 namespace rhchme {
 namespace graph {
 
-/// Distance used for neighbour selection. BuildKnnGraph always selects by
-/// squared Euclidean distance (matching the historical exact path for
-/// every weight scheme); the cosine metric (1 − cosine similarity, zero
-/// rows maximally distant) is exposed for direct users of the lists.
-enum class KnnMetric {
-  kSquaredEuclidean,
-  kCosine,
-};
-
 struct KnnDescentOptions {
   /// Refinement-round cap. Recall plateaus within a handful of rounds on
   /// clustered data; the update-rate test below usually stops earlier.
@@ -70,24 +61,25 @@ struct KnnDescentOptions {
   /// edges to the join (unsampled fresh edges stay fresh and wait for a
   /// later round) and at most twice that many reverse edges.
   double sample_rate = 0.5;
-  /// Random-projection trees used to seed the initial lists. Each tree
-  /// recursively splits the rows by a hyperplane through two sampled
-  /// points and joins every leaf exhaustively. 0 falls back to random
-  /// initial lists (slower convergence, kept for reference).
+  /// Random-projection trees used to seed the initial lists (>= 1). Each
+  /// tree recursively splits the rows by a hyperplane through two sampled
+  /// points and joins every leaf exhaustively.
   int rp_trees = 4;
   /// Target leaf size of the projection trees; the effective value is
   /// max(leaf_size, 2·(p+1)) so median splits always leave >= p + 1 rows
   /// per leaf and every initial list is full.
   std::size_t leaf_size = 64;
-  /// Stream seed for tree splits, initial lists and join samples.
+  /// Stream seed for tree splits and join samples.
   /// Ensemble members derive per-member streams from it (see
   /// core::BuildEnsemble).
   uint64_t seed = 0x9e3779b9;
 
+  /// InvalidArgument when a field is out of range, NaN, or (for
+  /// termination_delta) infinite.
   Status Validate() const;
 };
 
-/// One neighbour of a row: its index and the metric distance.
+/// One neighbour of a row: its index and its squared Euclidean distance.
 struct KnnNeighbor {
   std::size_t index;
   double distance;
@@ -99,14 +91,12 @@ using KnnNeighborLists = std::vector<std::vector<KnnNeighbor>>;
 /// Exact p-nearest-neighbour lists in O(n·p) memory (never the dense
 /// n x n distance matrix). Requires points.rows() >= 2; p is clamped to
 /// n − 1. Bit-identical across thread counts.
-KnnNeighborLists ExactKnnNeighbors(const la::Matrix& points, std::size_t p,
-                                   KnnMetric metric);
+KnnNeighborLists ExactKnnNeighbors(const la::Matrix& points, std::size_t p);
 
 /// Approximate p-nearest-neighbour lists via NN-descent. Requires
 /// points.rows() >= 2; p is clamped to n − 1 (at which point the result
 /// is exact). Bit-identical across thread counts for a fixed seed.
 Result<KnnNeighborLists> NnDescent(const la::Matrix& points, std::size_t p,
-                                   KnnMetric metric,
                                    const KnnDescentOptions& opts);
 
 }  // namespace graph

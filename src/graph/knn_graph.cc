@@ -2,50 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "la/simd.h"
 #include "util/parallel.h"
 
 namespace rhchme {
 namespace graph {
-namespace {
-
-/// Folded triangular row mapping: unit m owns rows {m, n−1−m}, so every
-/// unit costs exactly (n−1) upper-triangle cells — uniform-grain chunking
-/// then balances perfectly, unlike plain row chunks where row i costs
-/// (n−1−i) and early chunks get ~2x the work. Ownership is exclusive
-/// (units own disjoint row pairs; the middle row of odd n pairs with
-/// itself), and per-cell arithmetic is untouched, so output values are
-/// bit-identical to the unfolded loop for any pool size.
-template <typename RowFn>
-void ForEachRowFolded(std::size_t n, std::size_t cost_per_unit,
-                      const RowFn& fn) {
-  const std::size_t units = (n + 1) / 2;
-  util::ParallelFor(0, units, util::GrainForWork(cost_per_unit),
-                    [&](std::size_t m0, std::size_t m1) {
-                      for (std::size_t m = m0; m < m1; ++m) {
-                        fn(m);
-                        const std::size_t mate = n - 1 - m;
-                        if (mate != m) fn(mate);
-                      }
-                    });
-}
-
-/// Copies the strict upper triangle of `m` onto the lower one. Each unit
-/// writes only its own rows; the upper triangle was fully written before
-/// the ParallelFor barrier that precedes this call.
-void MirrorUpperToLower(la::Matrix* m) {
-  const std::size_t n = m->rows();
-  if (n == 0) return;
-  ForEachRowFolded(n, n, [&](std::size_t i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      (*m)(i, j) = (*m)(j, i);
-    }
-  });
-}
-
-}  // namespace
 
 const char* WeightSchemeName(WeightScheme scheme) {
   switch (scheme) {
@@ -77,58 +39,6 @@ Status KnnGraphOptions::Validate() const {
   return descent.Validate();
 }
 
-la::Matrix PairwiseSquaredDistances(const la::Matrix& points) {
-  const std::size_t n = points.rows(), d = points.cols();
-  std::vector<double> sq(n, 0.0);
-  util::ParallelFor(0, n, util::GrainForWork(2 * d + 1),
-                    [&](std::size_t r0, std::size_t r1) {
-                      for (std::size_t i = r0; i < r1; ++i) {
-                        const double* r = points.row_ptr(i);
-                        sq[i] = la::simd::Dot(r, r, d);
-                      }
-                    });
-  la::Matrix dist(n, n);
-  if (n == 0) return dist;
-  // Upper triangle only, folded row units: every chunk write lands in the
-  // chunk's own rows, and the mirror pass runs after the barrier.
-  ForEachRowFolded(n, d * (n - 1) + 1, [&](std::size_t i) {
-    const double* ri = points.row_ptr(i);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double dot = la::simd::Dot(ri, points.row_ptr(j), d);
-      // max() guards the tiny negatives produced by cancellation.
-      dist(i, j) = std::max(0.0, sq[i] + sq[j] - 2.0 * dot);
-    }
-  });
-  MirrorUpperToLower(&dist);
-  return dist;
-}
-
-la::Matrix PairwiseCosine(const la::Matrix& points) {
-  const std::size_t n = points.rows(), d = points.cols();
-  std::vector<double> norm(n, 0.0);
-  util::ParallelFor(0, n, util::GrainForWork(2 * d + 1),
-                    [&](std::size_t r0, std::size_t r1) {
-                      for (std::size_t i = r0; i < r1; ++i) {
-                        const double* r = points.row_ptr(i);
-                        norm[i] = std::sqrt(la::simd::Dot(r, r, d));
-                      }
-                    });
-  la::Matrix cos(n, n);
-  if (n == 0) return cos;
-  // Same folded upper-triangle + mirror structure as the distance kernel.
-  ForEachRowFolded(n, d * (n - 1) + 1, [&](std::size_t i) {
-    if (norm[i] == 0.0) return;
-    const double* ri = points.row_ptr(i);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (norm[j] == 0.0) continue;
-      const double dot = la::simd::Dot(ri, points.row_ptr(j), d);
-      cos(i, j) = std::max(0.0, dot / (norm[i] * norm[j]));
-    }
-  });
-  MirrorUpperToLower(&cos);
-  return cos;
-}
-
 Result<KnnNeighborLists> BuildKnnNeighbors(const la::Matrix& points,
                                            const KnnGraphOptions& opts) {
   RHCHME_RETURN_IF_ERROR(opts.Validate());
@@ -141,9 +51,9 @@ Result<KnnNeighborLists> BuildKnnNeighbors(const la::Matrix& points,
       opts.backend == KnnBackend::kNNDescent ||
       (opts.backend == KnnBackend::kAuto && n > opts.auto_backend_threshold);
   if (use_descent) {
-    return NnDescent(points, p, KnnMetric::kSquaredEuclidean, opts.descent);
+    return NnDescent(points, p, opts.descent);
   }
-  return ExactKnnNeighbors(points, p, KnnMetric::kSquaredEuclidean);
+  return ExactKnnNeighbors(points, p);
 }
 
 Result<la::SparseMatrix> BuildKnnGraph(const la::Matrix& points,

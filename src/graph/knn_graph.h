@@ -80,14 +80,6 @@ Result<la::SparseMatrix> BuildKnnGraph(const la::Matrix& points,
 Result<KnnNeighborLists> BuildKnnNeighbors(const la::Matrix& points,
                                            const KnnGraphOptions& opts);
 
-/// Pairwise squared Euclidean distances between rows of `points`
-/// (exposed for tests and for the subspace demo).
-la::Matrix PairwiseSquaredDistances(const la::Matrix& points);
-
-/// Pairwise cosine similarities between rows, floored at zero so the
-/// affinity stays nonnegative. Zero rows get zero similarity.
-la::Matrix PairwiseCosine(const la::Matrix& points);
-
 }  // namespace graph
 }  // namespace rhchme
 

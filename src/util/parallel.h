@@ -23,12 +23,13 @@
 // ranges internally and combines per-chunk partials in chunk order, or
 // (c) apply the same re-chunking idiom to non-scalar reductions: derive
 // the chunk layout from the problem shape only (never the pool size),
-// give each chunk its own accumulator slot indexed by
-// (chunk_begin - begin) / grain — recoverable inside fused calls because
-// chunk starts are grain-aligned — and merge the slots in chunk order
-// after the barrier. SparseMatrix::MultiplyTransposedDenseInto's scatter
-// fallback is the reference implementation of (c). No atomics touch user
-// accumulators.
+// give each chunk its own accumulator slot, and merge the slots in chunk
+// order after the barrier. A ParallelFor over chunk indices at grain 1
+// makes the slot the index itself; over a raw range, the slot is
+// (chunk_begin - begin) / grain, recoverable inside fused calls because
+// chunk starts are grain-aligned. graph::ExactKnnNeighbors' per-chunk
+// heap slabs, merged in chunk order, are the reference implementation of
+// (c). No atomics touch user accumulators.
 //
 // Nested parallel regions run serially: a ParallelFor issued from inside
 // a worker executes inline on that worker. Coarse task fan-out therefore

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -43,29 +44,19 @@ la::Matrix Blobs(std::size_t clusters, std::size_t per_cluster,
 }
 
 /// Straight-from-the-definition reference with the engines' exact
-/// arithmetic (norms + simd::Dot), so distances compare bitwise.
-KnnNeighborLists BruteForce(const la::Matrix& pts, std::size_t p,
-                            KnnMetric metric) {
+/// arithmetic (squared norms + simd::Dot), so distances compare bitwise.
+KnnNeighborLists BruteForce(const la::Matrix& pts, std::size_t p) {
   const std::size_t n = pts.rows(), d = pts.cols();
-  std::vector<double> norm(n);
+  std::vector<double> sq(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double sq = la::simd::Dot(pts.row_ptr(i), pts.row_ptr(i), d);
-    norm[i] = metric == KnnMetric::kCosine ? std::sqrt(sq) : sq;
+    sq[i] = la::simd::Dot(pts.row_ptr(i), pts.row_ptr(i), d);
   }
   KnnNeighborLists out(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
       const double dot = la::simd::Dot(pts.row_ptr(i), pts.row_ptr(j), d);
-      double dist;
-      if (metric == KnnMetric::kSquaredEuclidean) {
-        dist = std::max(0.0, norm[i] + norm[j] - 2.0 * dot);
-      } else if (norm[i] == 0.0 || norm[j] == 0.0) {
-        dist = 1.0;
-      } else {
-        dist = 1.0 - dot / (norm[i] * norm[j]);
-      }
-      out[i].push_back({j, dist});
+      out[i].push_back({j, std::max(0.0, sq[i] + sq[j] - 2.0 * dot)});
     }
     std::sort(out[i].begin(), out[i].end(),
               [](const KnnNeighbor& a, const KnnNeighbor& b) {
@@ -90,25 +81,18 @@ void ExpectListsIdentical(const KnnNeighborLists& a,
   }
 }
 
-TEST(ExactKnn, MatchesBruteForceBothMetrics) {
+TEST(ExactKnn, MatchesBruteForce) {
   Rng rng(5);
   la::Matrix pts = la::Matrix::RandomNormal(70, 5, &rng);
-  for (KnnMetric metric :
-       {KnnMetric::kSquaredEuclidean, KnnMetric::kCosine}) {
-    ExpectListsIdentical(ExactKnnNeighbors(pts, 7, metric),
-                         BruteForce(pts, 7, metric));
-  }
+  ExpectListsIdentical(ExactKnnNeighbors(pts, 7), BruteForce(pts, 7));
 }
 
 TEST(ExactKnn, HandlesDegenerateShapes) {
   // n < 2: empty lists, no crash.
-  EXPECT_TRUE(ExactKnnNeighbors(la::Matrix(1, 3), 5,
-                                KnnMetric::kSquaredEuclidean)[0]
-                  .empty());
+  EXPECT_TRUE(ExactKnnNeighbors(la::Matrix(1, 3), 5)[0].empty());
   // p >= n clamps to the complete graph.
   la::Matrix pts = la::Matrix::FromRows({{0.0}, {1.0}, {2.0}});
-  KnnNeighborLists lists =
-      ExactKnnNeighbors(pts, 100, KnnMetric::kSquaredEuclidean);
+  KnnNeighborLists lists = ExactKnnNeighbors(pts, 100);
   for (const auto& l : lists) EXPECT_EQ(l.size(), 2u);
 }
 
@@ -117,12 +101,11 @@ TEST(ExactKnn, BitStableAcrossThreadCounts) {
   KnnNeighborLists ref;
   {
     ScopedNumThreads scoped(1);
-    ref = ExactKnnNeighbors(pts, 6, KnnMetric::kSquaredEuclidean);
+    ref = ExactKnnNeighbors(pts, 6);
   }
   {
     ScopedNumThreads scoped(4);
-    ExpectListsIdentical(
-        ExactKnnNeighbors(pts, 6, KnnMetric::kSquaredEuclidean), ref);
+    ExpectListsIdentical(ExactKnnNeighbors(pts, 6), ref);
   }
 }
 
@@ -139,17 +122,41 @@ TEST(NnDescentOptions, Validation) {
   EXPECT_FALSE(o.Validate().ok());
   o.sample_rate = 1.5;
   EXPECT_FALSE(o.Validate().ok());
+  o = KnnDescentOptions();
+  o.rp_trees = 1;
+  EXPECT_TRUE(o.Validate().ok());
+  o.rp_trees = 0;
+  EXPECT_FALSE(o.Validate().ok());
+}
+
+TEST(KnnDescent, RejectsNaNSampleRateAndTerminationDelta) {
+  // Above auto_backend_threshold these reach the size_t casts of the
+  // join cap and the update floor, where NaN and +inf are undefined.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  KnnDescentOptions o;
+  o.sample_rate = nan;
+  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
+  o = KnnDescentOptions();
+  o.termination_delta = nan;
+  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
+  o.termination_delta = inf;
+  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
+  // The graph options and NN-descent itself refuse them too.
+  KnnGraphOptions graph_opts;
+  graph_opts.descent.sample_rate = nan;
+  EXPECT_FALSE(graph_opts.Validate().ok());
+  la::Matrix pts = Blobs(2, 10, 3, 3);
+  EXPECT_FALSE(NnDescent(pts, 3, o).ok());
 }
 
 TEST(NnDescent, HighRecallOnBlobs) {
   la::Matrix pts = Blobs(8, 40, 16, 23);  // n = 320.
   KnnDescentOptions opts;
   for (std::size_t p : {std::size_t{5}, std::size_t{10}}) {
-    Result<KnnNeighborLists> approx =
-        NnDescent(pts, p, KnnMetric::kSquaredEuclidean, opts);
+    Result<KnnNeighborLists> approx = NnDescent(pts, p, opts);
     ASSERT_TRUE(approx.ok());
-    KnnNeighborLists exact =
-        ExactKnnNeighbors(pts, p, KnnMetric::kSquaredEuclidean);
+    KnnNeighborLists exact = ExactKnnNeighbors(pts, p);
     Result<double> recall = eval::KnnRecall(approx.value(), exact);
     ASSERT_TRUE(recall.ok());
     EXPECT_GE(recall.value(), 0.95) << "p=" << p;
@@ -180,12 +187,11 @@ TEST(NnDescent, BitStableAcrossThreadCounts) {
   KnnNeighborLists ref;
   {
     ScopedNumThreads scoped(1);
-    ref = NnDescent(pts, 5, KnnMetric::kSquaredEuclidean, opts).value();
+    ref = NnDescent(pts, 5, opts).value();
   }
   {
     ScopedNumThreads scoped(4);
-    ExpectListsIdentical(
-        NnDescent(pts, 5, KnnMetric::kSquaredEuclidean, opts).value(), ref);
+    ExpectListsIdentical(NnDescent(pts, 5, opts).value(), ref);
   }
 }
 
@@ -193,10 +199,8 @@ TEST(NnDescent, DeterministicUnderFixedStream) {
   la::Matrix pts = Blobs(4, 30, 6, 37);
   KnnDescentOptions opts;
   opts.seed = DeriveStreamSeed(123, 7);  // An ensemble-style derived stream.
-  KnnNeighborLists a =
-      NnDescent(pts, 5, KnnMetric::kSquaredEuclidean, opts).value();
-  KnnNeighborLists b =
-      NnDescent(pts, 5, KnnMetric::kSquaredEuclidean, opts).value();
+  KnnNeighborLists a = NnDescent(pts, 5, opts).value();
+  KnnNeighborLists b = NnDescent(pts, 5, opts).value();
   ExpectListsIdentical(a, b);
 }
 
@@ -209,26 +213,22 @@ TEST(KnnBackend, AutoSelectsByThreshold) {
   // Below the threshold kAuto is the exact reference...
   opts.backend = KnnBackend::kAuto;
   opts.auto_backend_threshold = 1000;
-  ExpectListsIdentical(
-      BuildKnnNeighbors(pts, opts).value(),
-      ExactKnnNeighbors(pts, 4, KnnMetric::kSquaredEuclidean));
+  ExpectListsIdentical(BuildKnnNeighbors(pts, opts).value(),
+                       ExactKnnNeighbors(pts, 4));
 
   // ...above it, exactly the NN-descent result for the same seed.
   opts.auto_backend_threshold = 32;
-  ExpectListsIdentical(
-      BuildKnnNeighbors(pts, opts).value(),
-      NnDescent(pts, 4, KnnMetric::kSquaredEuclidean, opts.descent).value());
+  ExpectListsIdentical(BuildKnnNeighbors(pts, opts).value(),
+                       NnDescent(pts, 4, opts.descent).value());
 
   // Explicit backends ignore the threshold.
   opts.backend = KnnBackend::kExact;
-  ExpectListsIdentical(
-      BuildKnnNeighbors(pts, opts).value(),
-      ExactKnnNeighbors(pts, 4, KnnMetric::kSquaredEuclidean));
+  ExpectListsIdentical(BuildKnnNeighbors(pts, opts).value(),
+                       ExactKnnNeighbors(pts, 4));
   opts.backend = KnnBackend::kNNDescent;
   opts.auto_backend_threshold = 1000;
-  ExpectListsIdentical(
-      BuildKnnNeighbors(pts, opts).value(),
-      NnDescent(pts, 4, KnnMetric::kSquaredEuclidean, opts.descent).value());
+  ExpectListsIdentical(BuildKnnNeighbors(pts, opts).value(),
+                       NnDescent(pts, 4, opts.descent).value());
 }
 
 TEST(KnnBackend, Names) {

@@ -6,11 +6,15 @@
 
 #include <cmath>
 
+#include "pairwise_reference.h"
 #include "util/rng.h"
 
 namespace rhchme {
 namespace graph {
 namespace {
+
+using testing_reference::PairwiseCosine;
+using testing_reference::PairwiseSquaredDistances;
 
 /// Four collinear points at x = 0, 1, 2, 10: the first three are mutual
 /// neighbours, the outlier attaches to x = 2.
