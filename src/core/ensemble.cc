@@ -34,45 +34,6 @@ void RunTasks(std::size_t count, const Fn& fn) {
   });
 }
 
-/// Assembles the joint sparse Laplacian alpha·L_S + L_E from per-type
-/// member Laplacians (dense L_S blocks, sparse L_E blocks; either may be
-/// empty). Blocks land at their type offsets; overlapping (i, j) entries
-/// of the two members are summed by FromTriplets (two addends —
-/// order-insensitive), so the assembly is deterministic.
-la::SparseMatrix AssembleJointLaplacian(
-    const fact::BlockStructure& blocks,
-    const std::vector<la::Matrix>& subspace_lap,
-    const std::vector<la::SparseMatrix>& knn_lap, double alpha) {
-  std::vector<la::Triplet> trips;
-  std::size_t nnz_bound = 0;
-  for (std::size_t k = 0; k < blocks.num_types(); ++k) {
-    nnz_bound += subspace_lap[k].size() + knn_lap[k].nnz();
-  }
-  trips.reserve(nnz_bound);
-  for (std::size_t k = 0; k < blocks.num_types(); ++k) {
-    const std::size_t off = blocks.type_offset[k];
-    const la::Matrix& ls = subspace_lap[k];
-    for (std::size_t i = 0; i < ls.rows(); ++i) {
-      const double* row = ls.row_ptr(i);
-      for (std::size_t j = 0; j < ls.cols(); ++j) {
-        const double v = alpha * row[j];
-        if (v != 0.0) trips.push_back({off + i, off + j, v});
-      }
-    }
-    const la::SparseMatrix& le = knn_lap[k];
-    const auto& offsets = le.row_offsets();
-    const auto& cols = le.col_indices();
-    const auto& vals = le.values();
-    for (std::size_t i = 0; i < le.rows(); ++i) {
-      for (std::size_t p = offsets[i]; p < offsets[i + 1]; ++p) {
-        trips.push_back({off + i, off + cols[p], vals[p]});
-      }
-    }
-  }
-  return la::SparseMatrix::FromTriplets(
-      blocks.total_objects(), blocks.total_objects(), std::move(trips));
-}
-
 /// Single-thread seconds per unit of each cost term, calibrated against
 /// member times of the D1–D4 presets, the tf-idf corpus and the block
 /// world on a 4-core AVX-512 host (the estimate lands within 2× of them).
@@ -93,6 +54,14 @@ double EstimatedCost(const MemberShape& m, int spg_iterations) {
           kStepSeconds * static_cast<double>(spg_iterations));
 }
 
+/// Threads a member on the caller keeps busy: a subspace member's row
+/// passes split into SpgRowChunks(n) chunks; a pNN member's pairwise scan
+/// splits into more chunks than the pool has threads.
+double CallerThreads(const MemberShape& m, std::size_t pool) {
+  return static_cast<double>(
+      m.subspace ? std::min(pool, SpgRowChunks(m.objects)) : pool);
+}
+
 }  // namespace
 
 std::vector<bool> PlanMemberSchedule(const std::vector<MemberShape>& members,
@@ -100,12 +69,12 @@ std::vector<bool> PlanMemberSchedule(const std::vector<MemberShape>& members,
   std::vector<bool> on_caller(members.size(), pool <= 1);
   if (pool <= 1) return on_caller;
   std::vector<double> cost(members.size());
-  std::vector<std::size_t> subspace;
+  std::vector<std::size_t> order(members.size());
   for (std::size_t t = 0; t < members.size(); ++t) {
     cost[t] = EstimatedCost(members[t], spg_iterations);
-    if (members[t].subspace) subspace.push_back(t);
+    order[t] = t;
   }
-  std::stable_sort(subspace.begin(), subspace.end(),
+  std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return cost[a] > cost[b];
                    });
@@ -118,25 +87,91 @@ std::vector<bool> PlanMemberSchedule(const std::vector<MemberShape>& members,
     }
     return std::max(largest, total / static_cast<double>(pool));
   };
-  // Plan k moves subspace[k - 1] to the caller on top of plan k − 1.
+  // Plan k moves order[k - 1] to the caller on top of plan k − 1.
   double caller = 0.0;
   double best = fan_out();
   std::size_t best_k = 0;
-  for (std::size_t k = 1; k <= subspace.size(); ++k) {
-    const std::size_t t = subspace[k - 1];
+  for (std::size_t k = 1; k <= order.size(); ++k) {
+    const std::size_t t = order[k - 1];
     on_caller[t] = true;
-    caller += cost[t] / static_cast<double>(std::min(
-                            pool, SpgRowChunks(members[t].objects)));
+    caller += cost[t] / CallerThreads(members[t], pool);
     const double estimate = caller + fan_out();
     if (estimate < best) {
       best = estimate;
       best_k = k;
     }
   }
-  for (std::size_t k = best_k; k < subspace.size(); ++k) {
-    on_caller[subspace[k]] = false;
+  for (std::size_t k = best_k; k < order.size(); ++k) {
+    on_caller[order[k]] = false;
   }
   return on_caller;
+}
+
+la::SparseMatrix AssembleJointLaplacian(
+    const fact::BlockStructure& blocks,
+    const std::vector<la::Matrix>& subspace_lap,
+    const std::vector<la::SparseMatrix>& knn_lap, double alpha) {
+  const std::size_t n = blocks.total_objects();
+  std::size_t widest = 1;
+  for (std::size_t k = 0; k < blocks.num_types(); ++k) {
+    widest = std::max(widest, blocks.objects(k));
+  }
+  // Rows are independent: each call of the row loop appends its rows to
+  // the buffer of its first chunk, and the buffers are concatenated in
+  // chunk order, which is row order whatever the pool fused.
+  const std::size_t grain = util::GrainForWork(widest);
+  const std::size_t chunks = (n + grain - 1) / grain;
+  std::vector<std::vector<std::size_t>> chunk_cols(chunks);
+  std::vector<std::vector<double>> chunk_vals(chunks);
+  std::vector<std::size_t> offsets(n + 1, 0);
+  util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+    std::vector<std::size_t>& cols = chunk_cols[r0 / grain];
+    std::vector<double>& vals = chunk_vals[r0 / grain];
+    std::size_t k = static_cast<std::size_t>(
+        std::upper_bound(blocks.type_offset.begin(), blocks.type_offset.end(),
+                         r0) -
+        blocks.type_offset.begin() - 1);
+    for (std::size_t r = r0; r < r1; ++r) {
+      while (r >= blocks.type_offset[k + 1]) ++k;
+      const std::size_t off = blocks.type_offset[k];
+      const std::size_t i = r - off;
+      const std::size_t width = blocks.objects(k);
+      const la::Matrix& ls = subspace_lap[k];
+      const double* srow = ls.empty() ? nullptr : ls.row_ptr(i);
+      const la::SparseMatrix& le = knn_lap[k];
+      std::size_t p = 0, p_end = 0;
+      if (le.rows() > 0) {
+        p = le.row_offsets()[i];
+        p_end = le.row_offsets()[i + 1];
+      }
+      const std::size_t before = cols.size();
+      for (std::size_t j = 0; j < width; ++j) {
+        const double v = srow != nullptr ? alpha * srow[j] : 0.0;
+        const bool has_e = p < p_end && le.col_indices()[p] == j;
+        if (v == 0.0 && !has_e) continue;
+        double sum = 0.0;
+        if (v != 0.0) sum += v;
+        if (has_e) sum += le.values()[p++];
+        if (sum != 0.0) {
+          cols.push_back(off + j);
+          vals.push_back(sum);
+        }
+      }
+      offsets[r + 1] = cols.size() - before;
+    }
+  });
+  for (std::size_t r = 0; r < n; ++r) offsets[r + 1] += offsets[r];
+  std::vector<std::size_t> cols(offsets[n]);
+  std::vector<double> vals(offsets[n]);
+  std::size_t at = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    std::copy(chunk_cols[c].begin(), chunk_cols[c].end(), cols.begin() + at);
+    std::copy(chunk_vals[c].begin(), chunk_vals[c].end(), vals.begin() + at);
+    at += chunk_cols[c].size();
+  }
+  return la::SparseMatrix::FromCsr(n, n, std::move(offsets), std::move(cols),
+                                   std::move(vals))
+      .value();
 }
 
 Status EnsembleOptions::Validate() const {
@@ -169,14 +204,17 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
   out.alpha = opts.alpha;
   out.subspace_affinity.resize(num_types);
   out.knn_affinity.resize(num_types);
-  out.subspace_iterations.assign(num_types, 0);
+  if (opts.include_subspace) {
+    out.subspace_iterations.assign(num_types, 0);
+    out.subspace_stop.assign(num_types, StopReason::kMaxIterations);
+  }
 
   // One candidate manifold per member: every (type, member) pair learns
   // its affinity and Laplacian independently.
   // Stochastic members (subspace init, NN-descent backend) draw seeds
   // from DeriveStreamSeed(seed, type), fixed before dispatch, so the
   // ensemble is reproducible for any schedule or pool size. Tasks write
-  // only their own slots; assembly stays serial.
+  // only their own slots; the assembly after them reads those slots.
   std::vector<MemberTask> tasks;
   tasks.reserve(2 * num_types);
   for (std::size_t k = 0; k < num_types; ++k) {
@@ -186,9 +224,6 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
   std::vector<la::Matrix> subspace_lap(num_types);
   std::vector<la::SparseMatrix> knn_lap(num_types);
   std::vector<Status> task_status(tasks.size());
-  // Per-type SPG stop flags; bytes, not vector<bool> bits, because tasks
-  // write them concurrently.
-  std::vector<char> converged(num_types, 0);
 
   // Non-finite feature entries (kNonFinite row corruption, bad upstream
   // data) would propagate through every distance and subspace iterate
@@ -220,7 +255,7 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
         return;
       }
       out.subspace_iterations[task.type] = learned.value().iterations;
-      converged[task.type] = learned.value().converged ? 1 : 0;
+      out.subspace_stop[task.type] = learned.value().stop;
       out.subspace_affinity[task.type] = std::move(learned).value().affinity;
       Result<la::Matrix> lap =
           graph::BuildLaplacian(out.subspace_affinity[task.type],
@@ -278,7 +313,6 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
     if (!status.ok()) return status;
   }
 
-  out.subspace_converged.assign(converged.begin(), converged.end());
   out.laplacian =
       AssembleJointLaplacian(blocks, subspace_lap, knn_lap, opts.alpha);
   return out;
@@ -298,8 +332,7 @@ Result<HeterogeneousEnsemble> ReweightEnsemble(
   HeterogeneousEnsemble out = base;
   out.alpha = alpha;
   // Laplacian rebuilds are per-type independent; tasks fill their own
-  // member slots, then the joint sparse Laplacian is assembled serially
-  // in type order.
+  // member slots, then the joint sparse Laplacian is assembled from them.
   std::vector<la::Matrix> subspace_lap(blocks.num_types());
   std::vector<la::SparseMatrix> knn_lap(blocks.num_types());
   std::vector<Status> task_status(blocks.num_types());

@@ -13,14 +13,15 @@
 //
 // Threading model: every (type, member) pair is an independent
 // construction task — one candidate manifold per task. PlanMemberSchedule
-// sends the largest subspace members to the caller, one after another
-// with the whole pool for their inner kernels, when its cost estimate says
-// that shortens the build; the other members fan out one per pool task
-// (util/parallel.h), where their inner parallel regions run inline
-// (nested-region rule). Each member's subspace seed is derived upfront via
-// util DeriveStreamSeed(seed, type), and tasks write only their own
-// output slots, so the assembled ensemble is bit-identical for any pool
-// size or schedule (covered by ensemble_test).
+// sends the largest members (subspace or pNN) to the caller, one after
+// another with the whole pool for their inner kernels, when its cost
+// estimate says that shortens the build; the other members fan out one
+// per pool task (util/parallel.h), where their inner parallel regions run
+// inline (nested-region rule). Each member's subspace seed is derived
+// upfront via util DeriveStreamSeed(seed, type), tasks write only their
+// own output slots, and the joint Laplacian's rows are assembled in
+// parallel from those slots, so the ensemble is bit-identical for any
+// pool size or schedule (covered by ensemble_test).
 
 #ifndef RHCHME_CORE_ENSEMBLE_H_
 #define RHCHME_CORE_ENSEMBLE_H_
@@ -71,11 +72,12 @@ struct HeterogeneousEnsemble {
   std::vector<la::Matrix> subspace_affinity;
   /// Per-type pNN affinities W^E (empty when disabled).
   std::vector<la::SparseMatrix> knn_affinity;
-  /// Per-type SPG steps of the subspace member and whether it met its
-  /// tolerance (0 and false when the member is disabled). A member with
-  /// spg.max_iterations steps and no convergence stopped at its cap.
+  /// Per-type SPG steps of the subspace member and why it stopped
+  /// (SubspaceResult::iterations and ::stop); both empty when the member
+  /// is disabled. StopReason::kMaxIterations marks a member that stopped
+  /// at its cap.
   std::vector<int> subspace_iterations;
-  std::vector<bool> subspace_converged;
+  std::vector<StopReason> subspace_stop;
   double alpha = 1.0;
 };
 
@@ -90,14 +92,28 @@ struct MemberShape {
 /// the caller (with the whole pool) and false when it fans out as one
 /// pool task. Each member's cost is estimated from its shape alone
 /// (subspace: n, D and `spg_iterations`; pNN: n and D). A member on the
-/// caller takes cost / min(pool, SpgRowChunks(n)); the fan-out takes
-/// max(largest task, Σ tasks / pool) and runs first. Of the plans that
-/// put the k = 0…m largest subspace members on the caller, the one with
-/// the lowest estimate wins, ties going to the smaller k. With one thread
-/// there is no fan-out: every member runs on the caller. A pure function
-/// of its arguments; no plan changes a bit of the ensemble.
+/// caller takes cost / min(pool, SpgRowChunks(n)) (subspace) or
+/// cost / pool (pNN); the fan-out takes max(largest task, Σ tasks / pool)
+/// and runs first. Of the plans that put the k = 0…m largest members of
+/// either kind on the caller, the one with the lowest estimate wins, ties
+/// going to the smaller k. With one thread there is no fan-out: every
+/// member runs on the caller. A pure function of its arguments; no plan
+/// changes a bit of the ensemble. `spg_iterations` is the step cap: the
+/// estimate does not foresee a plateau stop.
 std::vector<bool> PlanMemberSchedule(const std::vector<MemberShape>& members,
                                      int spg_iterations, std::size_t pool);
+
+/// The joint sparse Laplacian alpha·L_S + L_E from per-type member
+/// Laplacians (dense L_S blocks, sparse L_E blocks; either may be empty),
+/// each block at its type offset. An entry is the sum of its one or two
+/// member terms (alpha·L_S only where nonzero), dropped when that sum is
+/// zero; two addends commute, so each entry is order-free. Rows are
+/// written straight into CSR, row-parallel, with the same bits as summing
+/// the entries as triplets (la::SparseMatrix::FromTriplets).
+la::SparseMatrix AssembleJointLaplacian(
+    const fact::BlockStructure& blocks,
+    const std::vector<la::Matrix>& subspace_lap,
+    const std::vector<la::SparseMatrix>& knn_lap, double alpha);
 
 /// Builds the ensemble for every type of `data` using each type's feature
 /// matrix. Types must have nonempty features. Members are constructed in

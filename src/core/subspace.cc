@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "la/gemm.h"
@@ -44,6 +45,20 @@ void ProjectFeasible(la::Matrix* w) {
   w->ClampNonNegative();
   const std::size_t n = std::min(w->rows(), w->cols());
   for (std::size_t i = 0; i < n; ++i) (*w)(i, i) = 0.0;
+}
+
+bool ObjectivePlateaued(const std::vector<double>& trace) {
+  const std::size_t steps = static_cast<std::size_t>(kSpgPlateauSteps);
+  if (trace.size() <= steps) return false;
+  for (std::size_t k = trace.size() - steps; k < trace.size(); ++k) {
+    const double prev = trace[k - 1];
+    // Negated so that a NaN objective never counts as flat.
+    if (!(std::fabs(trace[k] - prev) / std::max(1.0, std::fabs(prev)) <=
+          kSpgPlateauTolerance)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::size_t SpgRowChunks(std::size_t n) {
@@ -92,19 +107,22 @@ double GradientEntry(double two_gamma, double wq, double q, double cs,
 /// The SPG iterate of Algorithm 1 and its fixed workspace: W, W·Q, the
 /// projected direction d as per-row compacted nonzeros, and d·Q next to
 /// the caller's Q, plus the row and column sums of W and d. Nothing n×n
-/// is allocated after construction. A step is pass A (Direction), the
-/// d·Q product with pass B (LineSearch), and pass C (Advance); W·Q is
-/// carried forward as W·Q += t·d·Q, since W_new = W + t·d. The gradient
-/// is never stored: each pass recomputes the entries it needs with
-/// GradientEntry.
+/// is allocated after construction. The first direction is pass A alone
+/// (Direction); a step is then the d·Q product with pass B (LineSearch),
+/// the s·s and s·y pre-pass over d's support (StepLength), and one row
+/// pass (AdvanceAndDirection) that takes the step and writes the next
+/// direction's row while W and W·Q are still in cache. W·Q is carried
+/// forward as W·Q += t·d·Q, since W_new = W + t·d. The gradient is never
+/// stored: each pass recomputes the entries it needs with GradientEntry.
 ///
 /// J₂ is γ(tr Q − 2 tr(W·Q) + <W·Q, W>) + ||1ᵀW||² + η||W·1 − 1||².
 ///
-/// d is ≥ 97% exact zeros after about ten steps, so per-step work other
-/// than W·Q's update and ⟨W·Q, W⟩ follows d's nonzeros. Every sum keeps
-/// the term order of the dense passes (tests/reference_spg.h), and a
-/// skipped term is an exact zero, so W and the objective trace are
-/// bit-identical to them.
+/// A step streams seven n×n arrays: d·Q written and W read in pass B;
+/// d·Q, W·Q (read and written), W and Q in the row pass. d is ≥ 97% exact
+/// zeros after about ten steps, so the rest of the per-step work follows
+/// d's nonzeros. Every sum keeps the term order of the dense passes
+/// (tests/reference_spg.h), and a skipped term is an exact zero, so W and
+/// the objective trace are bit-identical to them.
 class SpgState {
  public:
   SpgState(const la::Matrix& gram, la::Matrix w, double gamma, double eta)
@@ -128,7 +146,8 @@ class SpgState {
         cs_d_(n_, 0.0),
         rs_d_(n_, 0.0),
         row_terms_(n_, kRowTerms),
-        scratch_(SpgRowChunks(n_), n_),
+        y_(SpgRowChunks(n_), n_),
+        s_(SpgRowChunks(n_), n_),
         col_partial_(SpgRowChunks(n_), n_),
         partial_(SpgRowChunks(n_), kSlots) {
     // The column indices of d take the place of the dense gradient of the
@@ -136,41 +155,17 @@ class SpgState {
     la::memstats::internal::NoteAlloc(n_ * n_);
   }
 
-  /// Pass A: writes the nonzeros of the projected direction
-  /// d = P(W − step·grad) − W with its row and column sums, and returns
-  /// the stationarity measure ||P(W − grad) − W||_∞. The table's
-  /// spg_direction_row computes a row's entries with GradientEntry's
-  /// expression (P's zero diagonal included), keeps the running max of the
-  /// probe and compacts the nonzeros to the front of d_'s row.
+  /// Pass A on its own, for the first step: see DirectionRow. Returns the
+  /// stationarity measure ||P(W − grad) − W||_∞.
   double Direction(double step) {
     ForEachRowChunk(n_, [&](std::size_t c, std::size_t r0, std::size_t r1) {
       double* cs = col_partial_.row_ptr(c);
       std::fill(cs, cs + n_, 0.0);
       double probe = 0.0;
-      for (std::size_t i = r0; i < r1; ++i) {
-        double* vals = d_.row_ptr(i);
-        std::size_t* idx = RowIdx(i);
-        const std::size_t count = kt_.spg_direction_row(
-            w_.row_ptr(i), wq_.row_ptr(i), q_.row_ptr(i), cs_w_.data(),
-            two_gamma_, Affine(rs_w_[i]), step, i, n_, vals, idx, &probe);
-        nnz_[i] = count;
-        double rs = 0.0;
-        for (std::size_t k = 0; k < count; ++k) {
-          rs += vals[k];
-          cs[idx[k]] += vals[k];
-        }
-        rs_d_[i] = rs;
-      }
-      partial_(c, 0) = probe;
+      for (std::size_t i = r0; i < r1; ++i) DirectionRow(i, step, cs, &probe);
+      partial_(c, kProbe) = probe;
     });
-    std::fill(cs_d_.begin(), cs_d_.end(), 0.0);
-    double probe = 0.0;
-    for (std::size_t c = 0; c < partial_.rows(); ++c) {
-      const double* cs = col_partial_.row_ptr(c);
-      for (std::size_t j = 0; j < n_; ++j) cs_d_[j] += cs[j];
-      probe = std::max(probe, partial_(c, 0));
-    }
-    return probe;
+    return MergeDirection();
   }
 
   /// d·Q with the row terms of pass B, then the step. J₂ is a convex
@@ -240,74 +235,130 @@ class SpgState {
     return a > 0.0 ? std::clamp(-b / (2.0 * a), 1e-6, 1.0) : 1.0;
   }
 
-  /// Pass C: takes the step W += t·d (so s = t·d), carries W·Q and the
-  /// sums forward and returns the Barzilai–Borwein steplength s·s / s·y
-  /// for the next step, with y = grad_new − grad. W, s·s and s·y touch
-  /// only d's support; there y is the gradient from the new W·Q and sums
-  /// minus the one from the old. Objective() then holds J₂ at the new W.
-  double Advance(double t, const SpgOptions& spg) {
+  /// Carries the row and column sums over the step W += t·d (so s = t·d)
+  /// and returns the Barzilai–Borwein steplength s·s / s·y of the next
+  /// step, with y = grad_new − grad, before any dense work: s·s and s·y
+  /// touch only d's support, and there the new gradient needs only the
+  /// new W·Q entry W·Q + t·d·Q, the expression of the row pass's axpy.
+  double StepLength(double t, const SpgOptions& spg) {
     cs_prev_ = cs_w_;
     rs_prev_ = rs_w_;
     for (std::size_t j = 0; j < n_; ++j) cs_w_[j] += t * cs_d_[j];
     for (std::size_t i = 0; i < n_; ++i) rs_w_[i] += t * rs_d_[i];
     ForEachRowChunk(n_, [&](std::size_t c, std::size_t r0, std::size_t r1) {
-      // y by column, read only on d's support.
-      double* y = scratch_.row_ptr(c);
-      double sy = 0.0, ss = 0.0, tr = 0.0, wq_w = 0.0;
+      // y and d by column, read only on d's support.
+      double* y = y_.row_ptr(c);
+      double* s = s_.row_ptr(c);
+      double sy = 0.0, ss = 0.0;
       for (std::size_t i = r0; i < r1; ++i) {
         const std::size_t* idx = RowIdx(i);
         const double* d = d_.row_ptr(i);
         const std::size_t count = nnz_[i];
         const double* q = q_.row_ptr(i);
-        double* dq = dq_.row_ptr(i);
-        double* w = w_.row_ptr(i);
-        double* wq = wq_.row_ptr(i);
+        const double* dq = dq_.row_ptr(i);
+        const double* wq = wq_.row_ptr(i);
         const double affine_old = Affine(rs_prev_[i]);
-        for (std::size_t k = 0; k < count; ++k) {
-          const std::size_t j = idx[k];
-          y[j] = GradientEntry(two_gamma_, wq[j], q[j], cs_prev_[j],
-                               affine_old);
-        }
-        kt_.axpy(t, dq, wq, n_);
-        // W·Q has absorbed the d·Q row, which now takes d by column.
         const double affine = Affine(rs_w_[i]);
         for (std::size_t k = 0; k < count; ++k) {
           const std::size_t j = idx[k];
-          w[j] += t * d[k];
-          y[j] = GradientEntry(two_gamma_, wq[j], q[j], cs_w_[j], affine) -
-                 y[j];
-          dq[j] = d[k];
+          const double old = GradientEntry(two_gamma_, wq[j], q[j],
+                                           cs_prev_[j], affine_old);
+          y[j] = GradientEntry(two_gamma_, wq[j] + t * dq[j], q[j], cs_w_[j],
+                               affine) -
+                 old;
+          s[j] = d[k];
         }
         sy += t * kt_.dot_sparse(idx, d, count, y, n_);
-        ss += t * t * kt_.dot_sparse(idx, d, count, dq, n_);
+        ss += t * t * kt_.dot_sparse(idx, d, count, s, n_);
+      }
+      partial_(c, kSy) = sy;
+      partial_(c, kSs) = ss;
+    });
+    const double sy = ChunkSum(kSy);
+    const double ss = ChunkSum(kSs);
+    return sy > 0.0 ? std::clamp(ss / sy, spg.step_min, spg.step_max)
+                    : spg.step_max;
+  }
+
+  /// Pass C fused with the next pass A, per row: W·Q += t·d·Q, W += t·d
+  /// on d's support, the tr(W·Q) and <W·Q, W> terms of J₂, then (when
+  /// `direction` is set) the row of the next direction at steplength
+  /// `next_step`. Call after StepLength(t). Objective() then holds J₂ at
+  /// the new W; returns the next direction's stationarity measure (0
+  /// without one).
+  double AdvanceAndDirection(double t, double next_step, bool direction) {
+    ForEachRowChunk(n_, [&](std::size_t c, std::size_t r0, std::size_t r1) {
+      double* cs = col_partial_.row_ptr(c);
+      if (direction) std::fill(cs, cs + n_, 0.0);
+      double tr = 0.0, wq_w = 0.0, probe = 0.0;
+      for (std::size_t i = r0; i < r1; ++i) {
+        const std::size_t* idx = RowIdx(i);
+        const double* d = d_.row_ptr(i);
+        double* w = w_.row_ptr(i);
+        double* wq = wq_.row_ptr(i);
+        kt_.axpy(t, dq_.row_ptr(i), wq, n_);
+        for (std::size_t k = 0; k < nnz_[i]; ++k) w[idx[k]] += t * d[k];
         tr += wq[i];
         wq_w += kt_.dot(wq, w, n_);
+        // The row's old d is spent: the next one may overwrite it.
+        if (direction) DirectionRow(i, next_step, cs, &probe);
       }
-      partial_(c, 0) = sy;
-      partial_(c, 1) = ss;
-      partial_(c, 2) = tr;
-      partial_(c, 3) = wq_w;
+      partial_(c, kTrace) = tr;
+      partial_(c, kWqW) = wq_w;
+      partial_(c, kProbe) = probe;
     });
-    const double sy = ChunkSum(0);
-    const double ss = ChunkSum(1);
     double sparsity = 0.0;
     for (double cs : cs_w_) sparsity += cs * cs;
     double affine = 0.0;
     if (eta_ > 0.0) {
       for (double rs : rs_w_) affine += (rs - 1.0) * (rs - 1.0);
     }
-    objective_ = gamma_ * (tr_q_ - 2.0 * ChunkSum(2) + ChunkSum(3)) +
+    objective_ = gamma_ * (tr_q_ - 2.0 * ChunkSum(kTrace) + ChunkSum(kWqW)) +
                  sparsity + eta_ * affine;
-    return sy > 0.0 ? std::clamp(ss / sy, spg.step_min, spg.step_max)
-                    : spg.step_max;
+    return direction ? MergeDirection() : 0.0;
   }
 
   double Objective() const { return objective_; }
   la::Matrix TakeAffinity() { return std::move(w_); }
 
  private:
-  static constexpr std::size_t kSlots = 4;     ///< Scalar partials per chunk.
+  /// Scalar partials per chunk: s·y, s·s, tr(W·Q), <W·Q, W> and the
+  /// stationarity probe.
+  enum Slot : std::size_t { kSy, kSs, kTrace, kWqW, kProbe, kSlots };
   static constexpr std::size_t kRowTerms = 3;  ///< dq(i,i), ⟨dq, W⟩, ⟨dq, d⟩.
+
+  /// Pass A for row i: writes the nonzeros of the projected direction
+  /// d = P(W − step·grad) − W and its row sum, adds the row to the
+  /// chunk's column sums `cs` and raises *probe to the row's part of
+  /// ||P(W − grad) − W||_∞. The table's spg_direction_row computes the
+  /// entries with GradientEntry's expression (P's zero diagonal included)
+  /// and compacts the nonzeros to the front of d_'s row.
+  void DirectionRow(std::size_t i, double step, double* cs, double* probe) {
+    double* vals = d_.row_ptr(i);
+    std::size_t* idx = RowIdx(i);
+    const std::size_t count = kt_.spg_direction_row(
+        w_.row_ptr(i), wq_.row_ptr(i), q_.row_ptr(i), cs_w_.data(), two_gamma_,
+        Affine(rs_w_[i]), step, i, n_, vals, idx, probe);
+    nnz_[i] = count;
+    double rs = 0.0;
+    for (std::size_t k = 0; k < count; ++k) {
+      rs += vals[k];
+      cs[idx[k]] += vals[k];
+    }
+    rs_d_[i] = rs;
+  }
+  /// Merges the chunks' column sums of d in chunk order and returns the
+  /// largest chunk probe.
+  double MergeDirection() {
+    std::fill(cs_d_.begin(), cs_d_.end(), 0.0);
+    double probe = 0.0;
+    for (std::size_t c = 0; c < partial_.rows(); ++c) {
+      const double* cs = col_partial_.row_ptr(c);
+      for (std::size_t j = 0; j < n_; ++j) cs_d_[j] += cs[j];
+      probe = std::max(probe, partial_(c, kProbe));
+    }
+    return probe;
+  }
 
   /// The gradient's affine term 2η(rs − 1) of a row with W-row sum rs.
   double Affine(double rs) const {
@@ -391,7 +442,7 @@ class SpgState {
   std::vector<std::size_t> idx_, nnz_;
   std::vector<double> cs_w_, rs_w_, cs_prev_, rs_prev_, cs_d_, rs_d_;
   la::Matrix row_terms_;    ///< Per-row terms of pass B (n × kRowTerms).
-  la::Matrix scratch_;      ///< Advance's y, one row per chunk (chunks × n).
+  la::Matrix y_, s_;        ///< StepLength's y and d, chunks × n.
   la::Matrix col_partial_;  ///< Column sums of d per chunk (chunks × n).
   la::Matrix partial_;      ///< Scalar partials per chunk (chunks × kSlots).
   double objective_ = 0.0;
@@ -418,6 +469,80 @@ la::Matrix ObjectGram(const la::Matrix& objects, bool normalize_rows) {
   return gram;
 }
 
+/// Post-processing: prune dust, keep the top k per row, symmetrise for
+/// Laplacian use. Row-parallel; every entry is one expression of its own
+/// inputs (the max is exact and order-free), so the result is the same
+/// for any pool size and equal to the serial passes in
+/// tests/reference_spg.h.
+void PostProcessAffinity(const SubspaceOptions& opts, la::Matrix* w) {
+  const std::size_t n = w->rows();
+  const std::size_t grain = util::GrainForWork(n);
+  if (opts.prune_rel_tol > 0.0) {
+    // la::Matrix::MaxAbs per row, then over the rows.
+    std::vector<double> row_max(n, 0.0);
+    util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+      for (std::size_t i = r0; i < r1; ++i) {
+        const double* row = w->row_ptr(i);
+        double m = 0.0;
+        for (std::size_t j = 0; j < n; ++j) m = std::max(m, std::fabs(row[j]));
+        row_max[i] = m;
+      }
+    });
+    double max_abs = 0.0;
+    for (double m : row_max) max_abs = std::max(max_abs, m);
+    const double cut = opts.prune_rel_tol * max_abs;
+    util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+      for (std::size_t i = r0; i < r1; ++i) {
+        double* row = w->row_ptr(i);
+        for (std::size_t j = 0; j < n; ++j) row[j] = row[j] < cut ? 0.0 : row[j];
+      }
+    });
+  }
+  const std::size_t k = opts.keep_top_k;
+  if (k > 0 && k < n - 1) {
+    util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+      std::vector<double> kept;
+      for (std::size_t i = r0; i < r1; ++i) {
+        double* row = w->row_ptr(i);
+        kept.clear();
+        for (std::size_t j = 0; j < n; ++j) {
+          if (row[j] > 0.0) kept.push_back(row[j]);
+        }
+        if (kept.size() <= k) continue;
+        std::nth_element(kept.begin(),
+                         kept.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                         kept.end(), std::greater<>());
+        const double cut = kept[k - 1];
+        for (std::size_t j = 0; j < n; ++j) {
+          if (row[j] < cut) row[j] = 0.0;
+        }
+      }
+    });
+  }
+  if (opts.symmetrize) {
+    // (W + Wᵀ)/2 in place: the task of tile row b owns every pair (i, j)
+    // with i in b and j >= i, and writes both of its entries.
+    constexpr std::size_t kTile = 32;
+    const std::size_t tiles = (n + kTile - 1) / kTile;
+    util::ParallelFor(0, tiles, 1, [&](std::size_t b0, std::size_t b1) {
+      for (std::size_t b = b0; b < b1; ++b) {
+        const std::size_t i0 = b * kTile, i1 = std::min(n, i0 + kTile);
+        for (std::size_t j0 = i0; j0 < n; j0 += kTile) {
+          const std::size_t j1 = std::min(n, j0 + kTile);
+          for (std::size_t i = i0; i < i1; ++i) {
+            double* row = w->row_ptr(i);
+            for (std::size_t j = std::max(i, j0); j < j1; ++j) {
+              const double v = (row[j] + (*w)(j, i)) * 0.5;
+              row[j] = v;
+              (*w)(j, i) = v;
+            }
+          }
+        }
+      }
+    });
+  }
+}
+
 }  // namespace
 
 Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
@@ -430,7 +555,6 @@ Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
   }
 
   SubspaceResult out;
-  bool converged = false;
   int it = 0;
   la::Matrix w;
   {
@@ -441,53 +565,31 @@ Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
                                               1.0 / static_cast<double>(n));
     ProjectFeasible(&w0);
     SpgState spg(gram, std::move(w0), opts.gamma, opts.affine_penalty);
-    double step = 1.0;  // Initial BB steplength guess.
-    for (; it < opts.spg.max_iterations; ++it) {
-      // Stationarity check ||P(W - grad) - W||_inf, in the same pass as
-      // the projected direction d = P(W - step·grad) - W.
-      if (spg.Direction(step) <= opts.spg.tolerance) {
-        converged = true;
+    // Stationarity check ||P(W - grad) - W||_inf, in the same pass as the
+    // projected direction d = P(W - step·grad) - W; 1 is the initial BB
+    // steplength guess.
+    double probe = spg.Direction(1.0);
+    while (it < opts.spg.max_iterations) {
+      if (probe <= opts.spg.tolerance) {
+        out.stop = StopReason::kTolerance;
         break;
       }
       const double t = spg.LineSearch();
-      step = spg.Advance(t, opts.spg);
+      const double step = spg.StepLength(t, opts.spg);
+      ++it;
+      probe = spg.AdvanceAndDirection(t, step, it < opts.spg.max_iterations);
       out.objective_trace.push_back(spg.Objective());
+      if (ObjectivePlateaued(out.objective_trace)) {
+        out.stop = StopReason::kPlateau;
+        break;
+      }
     }
     w = spg.TakeAffinity();
   }
-
-  // Post-processing: prune dust, symmetrise for Laplacian use.
-  if (opts.prune_rel_tol > 0.0) {
-    const double cut = opts.prune_rel_tol * w.MaxAbs();
-    w.Apply([cut](double v) { return v < cut ? 0.0 : v; });
-  }
-  if (opts.keep_top_k > 0 && opts.keep_top_k < n - 1) {
-    std::vector<std::pair<double, std::size_t>> row;
-    for (std::size_t i = 0; i < n; ++i) {
-      row.clear();
-      for (std::size_t j = 0; j < n; ++j) {
-        if (w(i, j) > 0.0) row.push_back({w(i, j), j});
-      }
-      if (row.size() <= opts.keep_top_k) continue;
-      std::nth_element(row.begin(),
-                       row.begin() + static_cast<std::ptrdiff_t>(
-                                         opts.keep_top_k - 1),
-                       row.end(), std::greater<>());
-      const double cut = row[opts.keep_top_k - 1].first;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (w(i, j) < cut) w(i, j) = 0.0;
-      }
-    }
-  }
-  if (opts.symmetrize) {
-    la::Matrix wt = w.Transposed();
-    w.Add(wt);
-    w.Scale(0.5);
-  }
+  PostProcessAffinity(opts, &w);
 
   out.affinity = std::move(w);
   out.iterations = it;
-  out.converged = converged;
   return out;
 }
 

@@ -11,12 +11,21 @@
 // gradient 2γ(W·Q − Q) + 2·1·(1ᵀW) with Q = X·Xᵀ (DESIGN.md §5.1/5.2
 // documents the deviations from the paper's typo'd formulas).
 //
-// Each SPG step costs one product d·Q (W·Q is carried forward) and three
-// fused row-parallel passes over a fixed workspace, so the learned W is
+// Each SPG step costs one product d·Q (W·Q is carried forward) and two
+// row-parallel passes over a fixed workspace, so the learned W is
 // bit-identical for any pool size under a given kernel table. The step
 // direction d is kept as its nonzeros: once W turns sparse (Eq. 5), the
 // product's mostly-zero panels and most of the passes cost O(nnz(d)),
 // and W is bit-identical to running every pass densely.
+//
+// Stop rules, checked in this order: after a step, the objective plateau
+// (J₂'s relative change |J₂ₖ − J₂ₖ₋₁| / max(1, |J₂ₖ₋₁|) at most
+// kSpgPlateauTolerance on kSpgPlateauSteps consecutive steps); before a
+// step, the stationarity test ||P(W − grad) − W||_∞ <= spg.tolerance; and
+// the cap of spg.max_iterations steps. The line search makes every step a
+// descent, but the Barzilai–Borwein steps are nonmonotone in size, so a
+// single flat step does not stop the loop. The stop reads only the
+// objective trace, so it is bit-identical across pool sizes too.
 //
 // The point of this learner (Fig. 1): two objects far apart in Euclidean
 // space but on the same low-dimensional subspace obtain a nonzero
@@ -34,7 +43,26 @@
 namespace rhchme {
 namespace core {
 
-/// Spectral Projected Gradient solver knobs.
+/// Relative change of J₂ per step at or below which a step counts as flat.
+constexpr double kSpgPlateauTolerance = 1e-6;
+/// Consecutive flat steps that stop the SPG loop (the objective plateau).
+constexpr int kSpgPlateauSteps = 3;
+
+/// Why an SPG run stopped.
+enum class StopReason {
+  kTolerance,      ///< The stationarity test met spg.tolerance.
+  kPlateau,        ///< J₂ stayed flat for kSpgPlateauSteps steps.
+  kMaxIterations,  ///< spg.max_iterations steps ran without either.
+};
+
+/// True when the last kSpgPlateauSteps steps of `trace` (J₂ after each
+/// step) were all flat: the objective plateau that stops the SPG loop.
+bool ObjectivePlateaued(const std::vector<double>& trace);
+
+/// Spectral Projected Gradient solver knobs. The loop stops at the first
+/// of three rules: the objective plateau (kSpgPlateauTolerance over
+/// kSpgPlateauSteps steps, fixed), the stationarity `tolerance`, or
+/// `max_iterations` steps.
 struct SpgOptions {
   int max_iterations = 80;
   /// Stop when the projected-gradient step has infinity norm below this.
@@ -89,7 +117,7 @@ struct SubspaceResult {
   la::Matrix affinity;
   std::vector<double> objective_trace;  ///< J₂ after each SPG iteration.
   int iterations = 0;
-  bool converged = false;
+  StopReason stop = StopReason::kMaxIterations;
 };
 
 /// Runs Algorithm 1 on one object type. `objects` holds one object per

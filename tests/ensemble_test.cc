@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "core/subspace.h"
 #include "data/synthetic.h"
 #include "eigen_sym.h"
@@ -216,9 +219,9 @@ TEST(Ensemble, BuildIsBitStableAcrossThreadCounts) {
   }
 }
 
-// A small type's subspace member fans out with the pNN members, while a
-// large type's member runs on the caller with the whole pool (at pool 1
-// both run on the caller). Every schedule must build the same ensemble.
+// A small type's members fan out, while a large type's members run on the
+// caller with the whole pool (at pool 1 all run on the caller). Every
+// schedule must build the same ensemble.
 TEST(Ensemble, SizeAwareScheduleIsBitStableAcrossThreadCounts) {
   data::BlockWorldOptions o;
   o.objects_per_type = {40, 600};
@@ -237,10 +240,10 @@ TEST(Ensemble, SizeAwareScheduleIsBitStableAcrossThreadCounts) {
           {d.Type(k).features.rows(), d.Type(k).features.cols(), subspace});
     }
   }
-  // Mixed at pools 2 and 4: the 600-object member alone on the caller.
+  // Mixed at pools 2 and 4: the 600-object members alone on the caller.
   for (std::size_t pool : {2, 4}) {
     EXPECT_EQ(PlanMemberSchedule(shapes, 5, pool),
-              (std::vector<bool>{false, false, true, false}))
+              (std::vector<bool>{false, false, true, true}))
         << pool;
   }
 
@@ -288,18 +291,21 @@ std::vector<bool> SubspaceOnCaller(std::size_t types) {
 
 TEST(EnsembleSchedule, PlansTheWorkloadShapes) {
   // D4 (documents, terms, concepts): the 420-object member splits into
-  // fewer row chunks than the pool, yet it runs on the caller too.
+  // fewer row chunks than the pool, yet it runs on the caller too. At
+  // pool 4 the three pNN members follow: one after another with the pool
+  // they beat the fan-out, whose longest task runs on one thread. At
+  // pool 2 that gain is gone and they fan out.
   const auto d4 = Shapes({{660, 520}, {520, 660}, {420, 660}});
   ASSERT_LT(SpgRowChunks(420), 4u);
-  EXPECT_EQ(PlanMemberSchedule(d4, 80, 4), SubspaceOnCaller(3));
+  EXPECT_EQ(PlanMemberSchedule(d4, 80, 4), std::vector<bool>(6, true));
+  EXPECT_EQ(PlanMemberSchedule(d4, 80, 2), SubspaceOnCaller(3));
   // The tfidf-sparse corpus and the 3 × 600 block world.
-  EXPECT_EQ(
-      PlanMemberSchedule(Shapes({{1200, 1000}, {1000, 1200}, {600, 1200}}),
-                         80, 4),
-      SubspaceOnCaller(3));
+  const auto tfidf = Shapes({{1200, 1000}, {1000, 1200}, {600, 1200}});
+  EXPECT_EQ(PlanMemberSchedule(tfidf, 80, 4), std::vector<bool>(6, true));
+  EXPECT_EQ(PlanMemberSchedule(tfidf, 80, 2), SubspaceOnCaller(3));
   EXPECT_EQ(PlanMemberSchedule(
                 Shapes({{600, 1200}, {600, 1200}, {600, 1200}}), 80, 4),
-            SubspaceOnCaller(3));
+            std::vector<bool>(6, true));
   // bench_kernels' BM_EnsembleBuild/48 and /96: one-chunk members gain
   // nothing from the pool, so everything fans out.
   for (std::size_t n : {48, 96}) {
@@ -314,8 +320,9 @@ TEST(EnsembleSchedule, PlansTheWorkloadShapes) {
 }
 
 TEST(EnsembleSchedule, CostPlanBuildsTheSameD4EnsembleAtEveryPoolSize) {
-  // D4 at 2 SPG steps. At pool 4 the 420-object concept member runs on
-  // the caller although it splits into fewer row chunks than the pool.
+  // D4 at 2 SPG steps. At pool 4 every member runs on the caller, the
+  // 420-object concept member too although it splits into fewer row
+  // chunks than the pool; at pool 2 the pNN members fan out.
   const data::MultiTypeRelationalData d =
       data::GenerateSyntheticCorpus(data::ReutersTop10Preset()).value();
   const fact::BlockStructure b = fact::BuildBlockStructure(d);
@@ -327,7 +334,9 @@ TEST(EnsembleSchedule, CostPlanBuildsTheSameD4EnsembleAtEveryPoolSize) {
   }
   ASSERT_EQ(types.back().first, 420u);
   ASSERT_LT(SpgRowChunks(420), 4u);
-  EXPECT_EQ(PlanMemberSchedule(Shapes(types), 2, 4), SubspaceOnCaller(3));
+  EXPECT_EQ(PlanMemberSchedule(Shapes(types), 2, 4),
+            std::vector<bool>(6, true));
+  EXPECT_EQ(PlanMemberSchedule(Shapes(types), 2, 2), SubspaceOnCaller(3));
 
   auto build = [&](int threads) {
     ScopedNumThreads scoped(threads);
@@ -354,44 +363,168 @@ TEST(EnsembleSchedule, CostPlanBuildsTheSameD4EnsembleAtEveryPoolSize) {
 TEST(Ensemble, RecordsHowEachSubspaceMemberStopped) {
   data::MultiTypeRelationalData d = SmallData();
   fact::BlockStructure b = fact::BuildBlockStructure(d);
-  const EnsembleOptions opts = FastOptions();
-  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts);
-  ASSERT_TRUE(e.ok());
-  ASSERT_EQ(e.value().subspace_iterations.size(), 2u);
-  ASSERT_EQ(e.value().subspace_converged.size(), 2u);
+  auto build = [&](const EnsembleOptions& opts) {
+    Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts);
+    EXPECT_TRUE(e.ok()) << e.status().ToString();
+    return std::move(e).value();
+  };
+  // At 80 steps both members plateau well before the cap; the record
+  // matches each member learned alone.
+  EnsembleOptions opts = FastOptions();
+  opts.subspace.spg.max_iterations = 80;
+  const HeterogeneousEnsemble e = build(opts);
+  ASSERT_EQ(e.subspace_iterations.size(), 2u);
+  ASSERT_EQ(e.subspace_stop.size(), 2u);
   for (std::size_t k = 0; k < 2; ++k) {
     SubspaceOptions sub = opts.subspace;
     sub.seed = DeriveStreamSeed(opts.subspace.seed, k);
     const SubspaceResult alone =
         LearnSubspaceAffinity(d.Type(k).features, sub).value();
-    EXPECT_EQ(e.value().subspace_iterations[k], alone.iterations);
-    EXPECT_EQ(e.value().subspace_converged[k], alone.converged);
+    EXPECT_EQ(e.subspace_iterations[k], alone.iterations);
+    EXPECT_EQ(e.subspace_stop[k], alone.stop);
+    EXPECT_EQ(e.subspace_stop[k], StopReason::kPlateau) << "type " << k;
+    EXPECT_LT(e.subspace_iterations[k], 80) << "type " << k;
   }
-  // The tolerance is never met in 20 steps: both members hit the cap.
-  EXPECT_EQ(e.value().subspace_iterations,
-            std::vector<int>(2, opts.subspace.spg.max_iterations));
-  EXPECT_EQ(e.value().subspace_converged, std::vector<bool>(2, false));
   // Re-weighting keeps the record.
-  Result<HeterogeneousEnsemble> r = ReweightEnsemble(e.value(), b, 2.0);
+  Result<HeterogeneousEnsemble> r = ReweightEnsemble(e, b, 2.0);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().subspace_iterations, e.value().subspace_iterations);
-  EXPECT_EQ(r.value().subspace_converged, e.value().subspace_converged);
+  EXPECT_EQ(r.value().subspace_iterations, e.subspace_iterations);
+  EXPECT_EQ(r.value().subspace_stop, e.subspace_stop);
+
+  // Neither the plateau nor the tolerance comes within 20 steps: both
+  // members hit the cap.
+  const HeterogeneousEnsemble c = build(FastOptions());
+  EXPECT_EQ(c.subspace_iterations, std::vector<int>(2, 20));
+  EXPECT_EQ(c.subspace_stop,
+            std::vector<StopReason>(2, StopReason::kMaxIterations));
 
   // A loose tolerance stops every member at the first probe.
-  EnsembleOptions loose = opts;
+  EnsembleOptions loose = FastOptions();
   loose.subspace.spg.tolerance = 1e9;
-  Result<HeterogeneousEnsemble> l = BuildEnsemble(d, b, loose);
-  ASSERT_TRUE(l.ok());
-  EXPECT_EQ(l.value().subspace_iterations, std::vector<int>(2, 0));
-  EXPECT_EQ(l.value().subspace_converged, std::vector<bool>(2, true));
+  const HeterogeneousEnsemble l = build(loose);
+  EXPECT_EQ(l.subspace_iterations, std::vector<int>(2, 0));
+  EXPECT_EQ(l.subspace_stop,
+            std::vector<StopReason>(2, StopReason::kTolerance));
 
-  // A disabled member records no steps.
-  EnsembleOptions knn_only = opts;
+  // A disabled member has no record.
+  EnsembleOptions knn_only = FastOptions();
   knn_only.include_subspace = false;
-  Result<HeterogeneousEnsemble> k = BuildEnsemble(d, b, knn_only);
-  ASSERT_TRUE(k.ok());
-  EXPECT_EQ(k.value().subspace_iterations, std::vector<int>(2, 0));
-  EXPECT_EQ(k.value().subspace_converged, std::vector<bool>(2, false));
+  const HeterogeneousEnsemble k = build(knn_only);
+  EXPECT_TRUE(k.subspace_iterations.empty());
+  EXPECT_TRUE(k.subspace_stop.empty());
+}
+
+// ---- Joint Laplacian assembly ----------------------------------------------
+
+/// The triplet assembly that AssembleJointLaplacian's direct CSR rows
+/// replaced: every nonzero alpha·L_S entry and every L_E entry becomes a
+/// triplet, and FromTriplets sums the overlaps.
+la::SparseMatrix ReferenceAssembly(
+    const fact::BlockStructure& blocks,
+    const std::vector<la::Matrix>& subspace_lap,
+    const std::vector<la::SparseMatrix>& knn_lap, double alpha) {
+  std::vector<la::Triplet> trips;
+  for (std::size_t k = 0; k < blocks.num_types(); ++k) {
+    const std::size_t off = blocks.type_offset[k];
+    const la::Matrix& ls = subspace_lap[k];
+    for (std::size_t i = 0; i < ls.rows(); ++i) {
+      for (std::size_t j = 0; j < ls.cols(); ++j) {
+        const double v = alpha * ls(i, j);
+        if (v != 0.0) trips.push_back({off + i, off + j, v});
+      }
+    }
+    const la::SparseMatrix& le = knn_lap[k];
+    for (std::size_t i = 0; i < le.rows(); ++i) {
+      for (std::size_t p = le.row_offsets()[i]; p < le.row_offsets()[i + 1];
+           ++p) {
+        trips.push_back({off + i, off + le.col_indices()[p], le.values()[p]});
+      }
+    }
+  }
+  return la::SparseMatrix::FromTriplets(
+      blocks.total_objects(), blocks.total_objects(), std::move(trips));
+}
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) ==
+                           0);
+}
+
+void ExpectSameCsr(const la::SparseMatrix& got, const la::SparseMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_TRUE(SameBytes(got.row_offsets(), want.row_offsets()));
+  EXPECT_TRUE(SameBytes(got.col_indices(), want.col_indices()));
+  EXPECT_TRUE(SameBytes(got.values(), want.values()));
+}
+
+TEST(EnsembleAssembly, MatchesTheTripletAssemblyByteForByte) {
+  // Type 0 has both members with overlapping entries, among them one
+  // pair that cancels exactly, an explicit zero and a −0.0 in L_E; type 1
+  // has only L_E, type 2 only L_S.
+  fact::BlockStructure blocks;
+  blocks.type_offset = {0, 4, 7, 10};
+  blocks.cluster_offset = {0, 1, 2, 3};
+  std::vector<la::Matrix> ls(3);
+  ls[0] = la::Matrix::FromRows({{1.0, 0.5, 0.0, -0.25},
+                                {0.5, 1.0, 0.0, 0.0},
+                                {0.0, 0.0, 0.0, 0.125},
+                                {-0.25, 0.0, 0.125, 1.0}});
+  ls[2] = la::Matrix::FromRows(
+      {{1.0, -0.3, 0.0}, {-0.3, 1.0, 0.7}, {0.0, 0.7, 1.0}});
+  std::vector<la::SparseMatrix> le(3);
+  le[0] = la::SparseMatrix::FromCsr(
+              4, 4, {0, 3, 5, 7, 9}, {0, 1, 3, 1, 2, 2, 3, 0, 3},
+              {1.0, -1.0, 0.25, 1.0, 0.0, -0.0, 0.5, -0.5, 1.0})
+              .value();
+  le[1] = la::SparseMatrix::FromCsr(3, 3, {0, 2, 3, 5}, {0, 2, 1, 0, 2},
+                                    {1.0, -0.5, 1.0, -0.5, 1.0})
+              .value();
+  for (double alpha : {2.0, 1.0, 0.3, 0.0}) {
+    for (int pool : {1, 4}) {
+      ScopedNumThreads threads(pool);
+      SCOPED_TRACE("alpha " + std::to_string(alpha) + ", pool " +
+                   std::to_string(pool));
+      ExpectSameCsr(AssembleJointLaplacian(blocks, ls, le, alpha),
+                    ReferenceAssembly(blocks, ls, le, alpha));
+    }
+  }
+  // At alpha 2, L_S(0, 1)·2 + L_E(0, 1) = 0: that entry is dropped.
+  EXPECT_EQ(AssembleJointLaplacian(blocks, ls, le, 2.0).At(0, 1), 0.0);
+  EXPECT_EQ(AssembleJointLaplacian(blocks, ls, le, 2.0).nnz(),
+            ReferenceAssembly(blocks, ls, le, 2.0).nnz());
+}
+
+TEST(EnsembleAssembly, BuiltEnsembleMatchesTheTripletAssembly) {
+  // Types large enough for several row chunks; the diagonals and the
+  // pNN edges overlap the subspace Laplacian throughout.
+  data::BlockWorldOptions o;
+  o.objects_per_type = {300, 200};
+  o.n_classes = 3;
+  o.seed = 5;
+  const data::MultiTypeRelationalData d = data::GenerateBlockWorld(o).value();
+  const fact::BlockStructure b = fact::BuildBlockStructure(d);
+  EnsembleOptions opts;
+  opts.subspace.spg.max_iterations = 2;
+  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  std::vector<la::Matrix> ls;
+  std::vector<la::SparseMatrix> le;
+  for (std::size_t k = 0; k < d.NumTypes(); ++k) {
+    ls.push_back(
+        graph::BuildLaplacian(e.value().subspace_affinity[k], opts.laplacian)
+            .value());
+    le.push_back(graph::BuildSparseLaplacian(e.value().knn_affinity[k],
+                                             opts.laplacian)
+                     .value());
+  }
+  ExpectSameCsr(e.value().laplacian, ReferenceAssembly(b, ls, le, opts.alpha));
+  for (int pool : {1, 4}) {
+    ScopedNumThreads threads(pool);
+    ExpectSameCsr(AssembleJointLaplacian(b, ls, le, 0.5),
+                  ReferenceAssembly(b, ls, le, 0.5));
+  }
 }
 
 TEST(Ensemble, ReweightIsBitStableAcrossThreadCounts) {

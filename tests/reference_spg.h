@@ -235,8 +235,9 @@ inline la::Matrix ReferenceGram(const la::Matrix& x) {
   return g;
 }
 
-/// core::LearnSubspaceAffinity on the dense-direction loop. Requires
-/// valid options and n >= 2.
+/// core::LearnSubspaceAffinity on the dense-direction loop, with the same
+/// stop rules (the objective plateau restated as a count of consecutive
+/// flat steps). Requires valid options and n >= 2.
 inline core::SubspaceResult ReferenceLearnSubspaceAffinity(
     const la::Matrix& objects, const core::SubspaceOptions& opts) {
   const std::size_t n = objects.rows();
@@ -262,16 +263,29 @@ inline core::SubspaceResult ReferenceLearnSubspaceAffinity(
   core::SubspaceResult out;
   ReferenceSpgState spg(gram, std::move(w0), opts.gamma, opts.affine_penalty);
   double step = 1.0;
-  bool converged = false;
+  out.stop = core::StopReason::kMaxIterations;
   int it = 0;
-  for (; it < opts.spg.max_iterations; ++it) {
+  int flat_steps = 0;  // Consecutive steps with a flat objective.
+  while (it < opts.spg.max_iterations) {
     if (spg.Direction(step) <= opts.spg.tolerance) {
-      converged = true;
+      out.stop = core::StopReason::kTolerance;
       break;
     }
     const double t = spg.LineSearch();
     step = spg.Advance(t, opts.spg);
-    out.objective_trace.push_back(spg.Objective());
+    ++it;
+    const double objective = spg.Objective();
+    if (!out.objective_trace.empty()) {
+      const double prev = out.objective_trace.back();
+      const double change =
+          std::fabs(objective - prev) / std::max(1.0, std::fabs(prev));
+      flat_steps = change <= core::kSpgPlateauTolerance ? flat_steps + 1 : 0;
+    }
+    out.objective_trace.push_back(objective);
+    if (flat_steps == core::kSpgPlateauSteps) {
+      out.stop = core::StopReason::kPlateau;
+      break;
+    }
   }
   la::Matrix w = spg.TakeAffinity();
 
@@ -305,7 +319,6 @@ inline core::SubspaceResult ReferenceLearnSubspaceAffinity(
 
   out.affinity = std::move(w);
   out.iterations = it;
-  out.converged = converged;
   return out;
 }
 

@@ -3,8 +3,9 @@
 // trace, the step count and the stop flag must match byte for byte on
 // every runnable kernel table and pool size. The feature sets cover
 // mostly-zero direction panels (tf-idf), mixed sparse and dense panels
-// (block world) and dense steps throughout (dense random features), and
-// the affine penalty off and on.
+// (block world) and dense steps throughout (dense random features), the
+// affine penalty off and on, and every stop rule: the cap, the
+// stationarity tolerance and the objective plateau.
 //
 // The dispatched table is fixed per process, so the launcher test re-runs
 // this binary once per runnable table with RHCHME_FORCE_ISA set; the
@@ -94,7 +95,7 @@ void CheckCase(const la::Matrix& x, SubspaceOptions opts,
       EXPECT_TRUE(SameBytes(got.value().objective_trace, ref.objective_trace))
           << "objective trace";
       EXPECT_EQ(got.value().iterations, ref.iterations);
-      EXPECT_EQ(got.value().converged, ref.converged);
+      EXPECT_EQ(got.value().stop, ref.stop);
     }
   }
   SubspaceOptions raw = opts;
@@ -136,6 +137,29 @@ TEST_F(SpgIdentityCases, TfidfFeatures) {
   }
 }
 
+TEST_F(SpgIdentityCases, TfidfPlateauStop) {
+  // The corpus of TfidfFeatures at another seed and the default 80 steps:
+  // at eta 0 every type's objective plateaus after 18–26 steps, at eta 10
+  // none does. Top-k pruning is on, so its row-parallel pass is covered.
+  data::SyntheticCorpusOptions o;
+  o.docs_per_class.assign(8, 50);
+  o.n_terms = 330;
+  o.n_concepts = 200;
+  o.doc_length_mean = 40.0;
+  o.relation_dropout = 0.7;
+  o.seed = 4;
+  const data::MultiTypeRelationalData d =
+      data::GenerateSyntheticCorpus(o).value();
+  SubspaceOptions opts;
+  opts.keep_top_k = 10;
+  for (std::size_t k = 0; k < d.NumTypes(); ++k) {
+    CheckCase(d.Type(k).features, opts, "tf-idf type " + d.Type(k).name);
+    EXPECT_EQ(LearnSubspaceAffinity(d.Type(k).features, opts).value().stop,
+              StopReason::kPlateau)
+        << d.Type(k).name;
+  }
+}
+
 TEST_F(SpgIdentityCases, BlockWorldFeatures) {
   // Dense relation rows: the direction's panels are sparse and dense side
   // by side, and some flip between steps.
@@ -168,7 +192,8 @@ TEST_F(SpgIdentityCases, ToleranceStop) {
   opts.spg.tolerance = 0.1;  // Met after about 200 steps at eta = 0.
   const la::Matrix x = la::Matrix::RandomUniform(40, 3, &rng);
   CheckCase(x, opts, "tolerance stop");
-  EXPECT_TRUE(LearnSubspaceAffinity(x, opts).value().converged);
+  EXPECT_EQ(LearnSubspaceAffinity(x, opts).value().stop,
+            StopReason::kTolerance);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "data/manifolds.h"
+#include "data/synthetic.h"
 #include "la/gemm.h"
 #include "scoped_num_threads.h"
 #include "util/rng.h"
@@ -89,7 +90,7 @@ SubspaceResult ReferenceLearn(const la::Matrix& x,
     ProjectFeasible(&probe);
     probe.Sub(w);
     if (probe.MaxAbs() <= opts.spg.tolerance) {
-      out.converged = true;
+      out.stop = StopReason::kTolerance;
       break;
     }
 
@@ -138,6 +139,11 @@ SubspaceResult ReferenceLearn(const la::Matrix& x,
                     : opts.spg.step_max;
     grad = grad_new;
     out.objective_trace.push_back(ReferenceObjective(w, gram, wq, gamma, eta));
+    if (ObjectivePlateaued(out.objective_trace)) {
+      ++it;
+      out.stop = StopReason::kPlateau;
+      break;
+    }
   }
 
   if (opts.prune_rel_tol > 0.0) {
@@ -392,7 +398,7 @@ TEST_P(SubspaceOracle, FusedSolverMatchesTwoGemmReference) {
   const SubspaceResult ref = ReferenceLearn(x, opts);
 
   EXPECT_EQ(fused.value().iterations, ref.iterations);
-  EXPECT_EQ(fused.value().converged, ref.converged);
+  EXPECT_EQ(fused.value().stop, ref.stop);
   const auto& trace = fused.value().objective_trace;
   ASSERT_EQ(trace.size(), ref.objective_trace.size());
   ASSERT_GT(trace.size(), 10u);
@@ -449,6 +455,114 @@ TEST(LearnSubspace, WorkspaceDoesNotGrowWithIterations) {
   const std::size_t short_run = large_allocations(5);
   EXPECT_GT(short_run, 0u);
   EXPECT_EQ(large_allocations(40), short_run);
+}
+
+// ---- Stop rules -------------------------------------------------------------
+
+/// Whether step k of `trace` (k >= 1) is flat by the plateau rule.
+bool FlatStep(const std::vector<double>& trace, std::size_t k) {
+  const double prev = trace[k - 1];
+  return std::fabs(trace[k] - prev) / std::max(1.0, std::fabs(prev)) <=
+         kSpgPlateauTolerance;
+}
+
+/// Checks that a run stopped at the first window of kSpgPlateauSteps flat
+/// steps and returns how many flat steps came before that window.
+std::size_t ExpectStoppedAtFirstPlateau(const SubspaceResult& r, int cap) {
+  EXPECT_EQ(r.stop, StopReason::kPlateau);
+  EXPECT_LT(r.iterations, cap);
+  const std::vector<double>& trace = r.objective_trace;
+  EXPECT_EQ(trace.size(), static_cast<std::size_t>(r.iterations));
+  const std::size_t window = static_cast<std::size_t>(kSpgPlateauSteps);
+  if (trace.size() <= window) {
+    ADD_FAILURE() << "trace too short: " << trace.size();
+    return 0;
+  }
+  std::size_t run = 0, earlier_flat = 0;
+  for (std::size_t k = 1; k < trace.size(); ++k) {
+    run = FlatStep(trace, k) ? run + 1 : 0;
+    if (k + 1 < trace.size()) {
+      EXPECT_LT(run, window) << "an earlier plateau ends at step " << k + 1;
+      if (run > 0) ++earlier_flat;
+    }
+  }
+  EXPECT_EQ(run, window) << "the last steps are not a plateau";
+  return earlier_flat - (window - 1);
+}
+
+TEST(SpgPlateau, ThreeFlatStepsStop) {
+  std::vector<double> trace = {10.0, 4.0, 3.0};
+  for (int k = 0; k < kSpgPlateauSteps; ++k) {
+    EXPECT_FALSE(ObjectivePlateaued(trace)) << k << " flat steps";
+    trace.push_back(trace.back());
+  }
+  EXPECT_TRUE(ObjectivePlateaued(trace));
+  // The change is relative to |J| above 1 and absolute below it.
+  EXPECT_TRUE(ObjectivePlateaued({1e3, 1e3 - 5e-4, 1e3 - 1e-3, 1e3 - 1.5e-3}));
+  EXPECT_FALSE(ObjectivePlateaued({1e3, 1e3 - 2e-3, 1e3 - 4e-3, 1e3 - 6e-3}));
+  EXPECT_TRUE(ObjectivePlateaued({0.5, 0.5 - 5e-7, 0.5 - 1e-6, 0.5 - 1.5e-6}));
+  EXPECT_FALSE(ObjectivePlateaued({0.01, 0.0099, 0.0098, 0.0097}));
+  EXPECT_FALSE(ObjectivePlateaued({1.0, NAN, NAN, NAN}));
+
+  // A tf-idf type settles within a few dozen steps: the loop stops at its
+  // first plateau, well before the cap.
+  data::SyntheticCorpusOptions o;
+  o.docs_per_class.assign(8, 50);
+  o.n_terms = 330;
+  o.n_concepts = 200;
+  o.doc_length_mean = 40.0;
+  o.relation_dropout = 0.7;
+  o.seed = 3;
+  const data::MultiTypeRelationalData d =
+      data::GenerateSyntheticCorpus(o).value();
+  const SubspaceOptions opts;
+  const SubspaceResult r =
+      LearnSubspaceAffinity(d.Type(2).features, opts).value();
+  ExpectStoppedAtFirstPlateau(r, opts.spg.max_iterations);
+  // One step fewer than the plateau needs: the cap stops it instead.
+  SubspaceOptions shorter = opts;
+  shorter.spg.max_iterations = r.iterations - 1;
+  const SubspaceResult capped =
+      LearnSubspaceAffinity(d.Type(2).features, shorter).value();
+  EXPECT_EQ(capped.stop, StopReason::kMaxIterations);
+  EXPECT_EQ(capped.iterations, r.iterations - 1);
+}
+
+TEST(SpgPlateau, SingleFlatStepDoesNotStop) {
+  // Flat steps that never make a run of kSpgPlateauSteps.
+  const std::vector<double> trace = {10.0, 9.0, 9.0, 8.0, 8.0, 8.0, 7.0};
+  for (std::size_t len = 1; len <= trace.size(); ++len) {
+    EXPECT_FALSE(ObjectivePlateaued(std::vector<double>(
+        trace.begin(), trace.begin() + static_cast<std::ptrdiff_t>(len))))
+        << len;
+  }
+  // This block-world type takes a single flat step inside the
+  // nonmonotone phase (a tiny Barzilai–Borwein step); the loop goes on
+  // and stops at its plateau some steps later.
+  data::BlockWorldOptions o;
+  o.objects_per_type = {15, 12};
+  o.n_classes = 3;
+  o.seed = 9;
+  const data::MultiTypeRelationalData d = data::GenerateBlockWorld(o).value();
+  SubspaceOptions opts;
+  opts.seed = DeriveStreamSeed(opts.seed, 0);
+  const SubspaceResult r =
+      LearnSubspaceAffinity(d.Type(0).features, opts).value();
+  EXPECT_GE(ExpectStoppedAtFirstPlateau(r, opts.spg.max_iterations), 1u);
+}
+
+TEST(SpgPlateau, D4MemberRunsToTheCap) {
+  // The D4 concepts type is still changing at step 80: no plateau.
+  const data::MultiTypeRelationalData d =
+      data::GenerateSyntheticCorpus(data::ReutersTop10Preset()).value();
+  const std::size_t k = d.NumTypes() - 1;
+  ASSERT_EQ(d.Type(k).features.rows(), 420u);
+  SubspaceOptions opts;
+  opts.seed = DeriveStreamSeed(opts.seed, k);
+  const SubspaceResult r =
+      LearnSubspaceAffinity(d.Type(k).features, opts).value();
+  EXPECT_EQ(r.stop, StopReason::kMaxIterations);
+  EXPECT_EQ(r.iterations, 80);
 }
 
 class SubspaceGammaSweep : public ::testing::TestWithParam<double> {};

@@ -124,9 +124,8 @@ void WarnIfSpgCapped(const data::MultiTypeRelationalData& data,
                      const core::HeterogeneousEnsemble& ensemble,
                      const core::SpgOptions& spg) {
   std::string capped;
-  for (std::size_t k = 0; k < ensemble.subspace_iterations.size(); ++k) {
-    if (ensemble.subspace_converged[k] ||
-        ensemble.subspace_iterations[k] < spg.max_iterations) {
+  for (std::size_t k = 0; k < ensemble.subspace_stop.size(); ++k) {
+    if (ensemble.subspace_stop[k] != core::StopReason::kMaxIterations) {
       continue;
     }
     capped += (capped.empty() ? "" : ", ") + data.Type(k).name;
@@ -134,7 +133,8 @@ void WarnIfSpgCapped(const data::MultiTypeRelationalData& data,
   if (capped.empty()) return;
   std::fprintf(stderr,
                "warning: subspace member(s) of %s stopped at "
-               "spg.max_iterations=%d without meeting tolerance %g\n",
+               "spg.max_iterations=%d without meeting tolerance %g or "
+               "reaching the objective plateau\n",
                capped.c_str(), spg.max_iterations, spg.tolerance);
 }
 
