@@ -462,12 +462,12 @@ void BM_EnsembleBuildD4(benchmark::State& state) {
 BENCHMARK(BM_EnsembleBuildD4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_GramTfidf(benchmark::State& state) {
-  // The subspace member's Gram Q = X·Xᵀ on tf-idf documents (the sparse
-  // MultiplyNT path).
+  // The subspace member's Gram Q = X̂·X̂ᵀ on tf-idf documents, as the
+  // member forms it: the factored product with A = I over the
+  // row-normalised features.
   const la::Matrix x = TfidfDocuments(static_cast<std::size_t>(state.range(0)));
-  la::Matrix q;
   for (auto _ : state) {
-    la::MultiplyNTInto(x, x, &q);
+    const la::Matrix q = core::FactoredGramProduct(x, true, nullptr);
     // lint:stride-ok(DoNotOptimize sink: pointer identity only, no element access)
     benchmark::DoNotOptimize(q.data());
   }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "la/gemm.h"
 #include "la/simd.h"
 #include "util/parallel.h"
 
@@ -49,6 +50,29 @@ la::Matrix SeedPlusPlus(const la::Matrix& points, std::size_t k, Rng* rng) {
   return centroids;
 }
 
+/// Column indices of each row's nonzeros (row i at [offsets[i],
+/// offsets[i + 1]) of idx), for the centroid update over nonzeros. Built
+/// once per KMeans call, and only when the points are mostly zero
+/// (la::MostlyZero): on denser points the dense row add is faster.
+struct RowNonZeros {
+  std::vector<std::size_t> offsets, idx;
+};
+
+RowNonZeros MakeRowNonZeros(const la::Matrix& points) {
+  RowNonZeros nz;
+  const std::size_t total = points.rows() * points.cols();
+  if (!la::MostlyZero(total - points.NonZeros(), total)) return nz;
+  nz.offsets.assign(points.rows() + 1, 0);
+  for (std::size_t i = 0; i < points.rows(); ++i) {
+    const double* pr = points.row_ptr(i);
+    for (std::size_t j = 0; j < points.cols(); ++j) {
+      if (pr[j] != 0.0) nz.idx.push_back(j);
+    }
+    nz.offsets[i + 1] = nz.idx.size();
+  }
+  return nz;
+}
+
 struct LloydOutcome {
   std::vector<std::size_t> assignments;
   la::Matrix centroids;
@@ -56,8 +80,9 @@ struct LloydOutcome {
   int iterations;
 };
 
-LloydOutcome RunLloyd(const la::Matrix& points, la::Matrix centroids,
-                      const KMeansOptions& opts, Rng* rng) {
+LloydOutcome RunLloyd(const la::Matrix& points, const RowNonZeros& nonzeros,
+                      la::Matrix centroids, const KMeansOptions& opts,
+                      Rng* rng) {
   const std::size_t n = points.rows(), d = points.cols(), k = opts.k;
   std::vector<std::size_t> assign(n, 0);
   std::vector<double> best_dist(n, 0.0);
@@ -104,12 +129,21 @@ LloydOutcome RunLloyd(const la::Matrix& points, la::Matrix centroids,
     // exact (assignments, centroids, inertia) triple the assignment step
     // measured, and a reseeded centre is never returned sight-unseen.
     if (it + 1 >= opts.max_iterations) continue;  // Cap: no trailing update.
+    // Skipping a row's zeros is exact: every sum starts at +0.0, and a sum
+    // of nonzero doubles is never −0.0, so adding ±0.0 changes no bit.
     centroids.Fill(0.0);
     std::vector<std::size_t> count(k, 0);
     for (std::size_t i = 0; i < n; ++i) {
       double* cr = centroids.row_ptr(assign[i]);
       const double* pr = points.row_ptr(i);
-      for (std::size_t j = 0; j < d; ++j) cr[j] += pr[j];
+      if (nonzeros.offsets.empty()) {
+        for (std::size_t j = 0; j < d; ++j) cr[j] += pr[j];
+      } else {
+        for (std::size_t e = nonzeros.offsets[i]; e < nonzeros.offsets[i + 1];
+             ++e) {
+          cr[nonzeros.idx[e]] += pr[nonzeros.idx[e]];
+        }
+      }
       ++count[assign[i]];
     }
     for (std::size_t c = 0; c < k; ++c) {
@@ -145,11 +179,12 @@ Result<KMeansResult> KMeans(const la::Matrix& points,
     return Status::InvalidArgument("k-means: fewer points than clusters");
   }
 
+  const RowNonZeros nonzeros = MakeRowNonZeros(points);
   KMeansResult best;
   best.inertia = std::numeric_limits<double>::max();
   for (int r = 0; r < opts.restarts; ++r) {
-    LloydOutcome out =
-        RunLloyd(points, SeedPlusPlus(points, opts.k, rng), opts, rng);
+    LloydOutcome out = RunLloyd(points, nonzeros,
+                                SeedPlusPlus(points, opts.k, rng), opts, rng);
     if (out.inertia < best.inertia) {
       best.assignments = std::move(out.assignments);
       best.centroids = std::move(out.centroids);

@@ -33,7 +33,8 @@ struct KMeansResult {
 };
 
 /// Clusters the rows of `points` into k groups. Deterministic given `rng`
-/// state. Requires points.rows() >= k >= 1.
+/// state. Requires points.rows() >= k >= 1. On mostly-zero points the
+/// centroid update adds only each row's nonzeros, with the same bits.
 Result<KMeansResult> KMeans(const la::Matrix& points,
                             const KMeansOptions& opts, Rng* rng);
 

@@ -38,8 +38,10 @@ void RunTasks(std::size_t count, const Fn& fn) {
 /// member times of the D1–D4 presets, the tf-idf corpus and the block
 /// world on a 4-core AVX-512 host (the estimate lands within 2× of them).
 /// A subspace member pays the Gram (n²·D), the dense n×n products of its
-/// first steps (n³) and the per-step row passes (n² per step); a pNN
-/// member pays its pairwise distances (n²·D).
+/// first steps (n³ GEMM multiply-adds, or n·2·nnz(X) CSR ones worth
+/// kSpgGemmAdvantage GEMM ones each on the factored path) and the
+/// per-step row passes (n² per step); a pNN member pays its pairwise
+/// distances (n²·D).
 constexpr double kGramSeconds = 1e-10;
 constexpr double kCubeSeconds = 1e-9;
 constexpr double kStepSeconds = 5e-9;
@@ -49,8 +51,13 @@ double EstimatedCost(const MemberShape& m, int spg_iterations) {
   const auto n = static_cast<double>(m.objects);
   const auto d = static_cast<double>(m.features);
   if (!m.subspace) return kPairSeconds * n * n * d;
+  // GEMM multiply-adds of one dense-phase product, per n² entries.
+  const double product =
+      SpgFactoredProducts(m.objects, m.feature_nnz)
+          ? 2.0 * static_cast<double>(kSpgGemmAdvantage * m.feature_nnz) / n
+          : n;
   return n * n *
-         (kGramSeconds * d + kCubeSeconds * n +
+         (kGramSeconds * d + kCubeSeconds * product +
           kStepSeconds * static_cast<double>(spg_iterations));
 }
 
@@ -231,11 +238,16 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
   // local copy; the clean common case pays only the finiteness scan and
   // shares the caller's matrices untouched.
   std::vector<la::Matrix> sanitized(num_types);
+  std::vector<std::size_t> feature_nnz(num_types, 0);
   for (std::size_t k = 0; k < num_types; ++k) {
     const la::Matrix& features = data.Type(k).features;
     if (!features.AllFinite()) {
       sanitized[k] = features;
       sanitized[k].ReplaceNonFinite(0.0);
+    }
+    if (opts.include_subspace) {
+      feature_nnz[k] =
+          (sanitized[k].empty() ? features : sanitized[k]).NonZeros();
     }
   }
 
@@ -297,7 +309,8 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
   shapes.reserve(tasks.size());
   for (const MemberTask& task : tasks) {
     const la::Matrix& features = data.Type(task.type).features;
-    shapes.push_back({features.rows(), features.cols(), task.subspace});
+    shapes.push_back({features.rows(), features.cols(), task.subspace,
+                      feature_nnz[task.type]});
   }
   const std::vector<bool> plan = PlanMemberSchedule(
       shapes, opts.subspace.spg.max_iterations,

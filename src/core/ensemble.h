@@ -86,12 +86,16 @@ struct MemberShape {
   std::size_t objects = 0;   ///< n: objects of the member's type.
   std::size_t features = 0;  ///< D: feature columns of the type.
   bool subspace = false;     ///< Subspace member W^S; false = pNN W^E.
+  /// Nonzero feature entries; with n it says whether a subspace member
+  /// forms its Q products through the features (SpgFactoredProducts).
+  std::size_t feature_nnz = 0;
 };
 
 /// BuildEnsemble's member schedule: entry t is true when member t runs on
 /// the caller (with the whole pool) and false when it fans out as one
 /// pool task. Each member's cost is estimated from its shape alone
-/// (subspace: n, D and `spg_iterations`; pNN: n and D). A member on the
+/// (subspace: n, D, the feature nonzeros and `spg_iterations`; pNN: n and
+/// D). A member on the
 /// caller takes cost / min(pool, SpgRowChunks(n)) (subspace) or
 /// cost / pool (pNN); the fan-out takes max(largest task, Σ tasks / pool)
 /// and runs first. Of the plans that put the k = 0…m largest members of

@@ -1,12 +1,15 @@
 #include "core/subspace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "la/gemm.h"
 #include "la/simd.h"
+#include "la/sparse.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -61,6 +64,10 @@ bool ObjectivePlateaued(const std::vector<double>& trace) {
   return true;
 }
 
+bool SpgFactoredProducts(std::size_t n, std::size_t feature_nnz) {
+  return 2 * feature_nnz * kSpgGemmAdvantage < n * n;
+}
+
 std::size_t SpgRowChunks(std::size_t n) {
   const std::size_t grain = util::GrainForWork(n);
   return (n + grain - 1) / grain;
@@ -95,6 +102,152 @@ void ForEachRowChunk(std::size_t n, const Fn& fn) {
   });
 }
 
+/// Workers of ForEachPanel over n rows: one per thread, at most one per
+/// kGemmRowPanel-row panel. Sizes the per-worker scratch.
+std::size_t PanelSlots(std::size_t n) {
+  const std::size_t panels = (n + la::kGemmRowPanel - 1) / la::kGemmRowPanel;
+  return std::max<std::size_t>(
+      1, std::min(static_cast<std::size_t>(util::NumThreads()), panels));
+}
+
+/// Runs fn(lo, hi, slot) for every kGemmRowPanel-row panel [lo, hi) of
+/// [0, n) on PanelSlots(n) workers. `slot` names the worker, so scratch
+/// indexed by it is never shared; workers claim panels from a shared
+/// counter. A panel's rows depend on its own inputs alone, so which
+/// worker runs it never changes a bit.
+template <typename Fn>
+void ForEachPanel(std::size_t n, const Fn& fn) {
+  const std::size_t panels = (n + la::kGemmRowPanel - 1) / la::kGemmRowPanel;
+  std::atomic<std::size_t> next{0};
+  util::ParallelFor(0, PanelSlots(n), 1, [&](std::size_t s0, std::size_t s1) {
+    for (std::size_t slot = s0; slot < s1; ++slot) {
+      for (std::size_t p = next++; p < panels; p = next++) {
+        const std::size_t lo = p * la::kGemmRowPanel;
+        fn(lo, std::min(n, lo + la::kGemmRowPanel), slot);
+      }
+    }
+  });
+}
+
+/// Q = X̂·X̂ᵀ held as the CSR factors X̂ (n × D, the object rows,
+/// L2-normalised when asked) and X̂ᵀ, for products A·Q = (A·X̂)·X̂ᵀ. A
+/// panel of A's rows is written transposed into an n × kGemmRowPanel
+/// buffer Aᵀ (PanelInput); PanelProduct then forms Vᵀ = X̂ᵀ·Aᵀ and X̂·Vᵀ
+/// with two SparseMatrix::MultiplyDenseRows and transposes the result into
+/// the panel's output rows. Both products are spmm_rows (one unfused
+/// multiply-add per nonzero in ascending order, from +0.0), so a row of
+/// A·Q has the same bits on every kernel table, in any panel and on any
+/// worker. A row costs 2·nnz(X̂) multiply-adds.
+class FactoredGram {
+ public:
+  FactoredGram(const la::Matrix& objects, bool normalize_rows)
+      : n_(objects.rows()), scratch_(PanelSlots(n_)) {
+    const std::size_t d = objects.cols();
+    // X̂ row by row, then X̂ᵀ by a counting sort on the column, which
+    // keeps each of its rows in ascending object order.
+    std::vector<std::size_t> offsets(n_ + 1, 0), cols, t_offsets(d + 1, 0);
+    std::vector<double> vals;
+    for (std::size_t i = 0; i < n_; ++i) {
+      const double* row = objects.row_ptr(i);
+      double norm_sq = 0.0;
+      for (std::size_t k = 0; k < d; ++k) norm_sq += row[k] * row[k];
+      const double scale = !normalize_rows ? 1.0
+                           : norm_sq > 0.0  ? 1.0 / std::sqrt(norm_sq)
+                                            : 0.0;
+      // A zero row stays zero: it keeps no entries.
+      for (std::size_t k = 0; k < d && scale > 0.0; ++k) {
+        if (row[k] == 0.0) continue;
+        cols.push_back(k);
+        vals.push_back(row[k] * scale);
+        ++t_offsets[k + 1];
+      }
+      offsets[i + 1] = cols.size();
+    }
+    for (std::size_t k = 0; k < d; ++k) t_offsets[k + 1] += t_offsets[k];
+    std::vector<std::size_t> t_rows(cols.size()), fill(t_offsets.begin(),
+                                                       t_offsets.end() - 1);
+    std::vector<double> t_vals(cols.size());
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+        const std::size_t slot = fill[cols[e]]++;
+        t_rows[slot] = i;
+        t_vals[slot] = vals[e];
+      }
+    }
+    x_ = la::SparseMatrix::FromCsr(n_, d, std::move(offsets), std::move(cols),
+                                   std::move(vals))
+             .value();
+    xt_ = la::SparseMatrix::FromCsr(d, n_, std::move(t_offsets),
+                                    std::move(t_rows), std::move(t_vals))
+              .value();
+  }
+
+  std::size_t nnz() const { return x_.nnz(); }
+
+  /// The Aᵀ buffer of worker `slot`: column r takes row lo + r of A.
+  /// Columns past the panel's height are never read back.
+  la::Matrix& PanelInput(std::size_t slot) {
+    Scratch& s = scratch_[slot];
+    if (s.at.empty()) {
+      s.at = la::Matrix(n_, la::kGemmRowPanel);
+      s.vt = la::Matrix(xt_.rows(), la::kGemmRowPanel);
+      s.ut = la::Matrix(n_, la::kGemmRowPanel);
+    }
+    return s.at;
+  }
+
+  /// Rows [lo, hi) of A·Q into `out` (n × n), from PanelInput(slot).
+  void PanelProduct(std::size_t slot, std::size_t lo, std::size_t hi,
+                    la::Matrix* out) {
+    Scratch& s = scratch_[slot];
+    xt_.MultiplyDenseRows(s.at, 0, xt_.rows(), &s.vt);
+    x_.MultiplyDenseRows(s.vt, 0, n_, &s.ut);
+    // Transposed in blocks of kTransposeBlock rows of X̂·Vᵀ, so each output
+    // row takes whole cache lines.
+    for (std::size_t i0 = 0; i0 < n_; i0 += kTransposeBlock) {
+      const std::size_t i1 = std::min(n_, i0 + kTransposeBlock);
+      for (std::size_t r = 0; r < hi - lo; ++r) {
+        double* o = out->row_ptr(lo + r);
+        for (std::size_t i = i0; i < i1; ++i) o[i] = s.ut(i, r);
+      }
+    }
+  }
+
+  /// A·Q for a dense n×n A, or Q itself (A = I) when `a` is null.
+  la::Matrix Multiply(const la::Matrix* a) {
+    la::Matrix out(n_, n_);
+    ForEachPanel(n_, [&](std::size_t lo, std::size_t hi, std::size_t slot) {
+      la::Matrix& at = PanelInput(slot);
+      if (a == nullptr) {
+        at.Fill(0.0);
+        for (std::size_t r = 0; r < hi - lo; ++r) at(lo + r, r) = 1.0;
+      } else {
+        for (std::size_t i0 = 0; i0 < n_; i0 += kTransposeBlock) {
+          const std::size_t i1 = std::min(n_, i0 + kTransposeBlock);
+          for (std::size_t r = 0; r < hi - lo; ++r) {
+            const double* row = a->row_ptr(lo + r);
+            for (std::size_t i = i0; i < i1; ++i) at(i, r) = row[i];
+          }
+        }
+      }
+      PanelProduct(slot, lo, hi, &out);
+    });
+    return out;
+  }
+
+ private:
+  /// Rows of X̂·Vᵀ (or of Aᵀ) per block of the panel transposes: one
+  /// cache line of an output row.
+  static constexpr std::size_t kTransposeBlock = 8;
+  struct Scratch {
+    la::Matrix at, vt, ut;  ///< Aᵀ (n × 32), Vᵀ (D × 32), X̂·Vᵀ (n × 32).
+  };
+
+  const std::size_t n_;
+  la::SparseMatrix x_, xt_;
+  std::vector<Scratch> scratch_;  ///< One per ForEachPanel worker.
+};
+
 /// Entry (i, j) of the gradient 2γ(W·Q − Q) + 2·1·(1ᵀW) + 2η(W·1 − 1)·1ᵀ
 /// from W·Q(i,j), Q(i,j), the column sum j of W and the row's affine term
 /// 2η(rs_i − 1). One expression everywhere (la::simd's spg_direction_row
@@ -125,16 +278,20 @@ double GradientEntry(double two_gamma, double wq, double q, double cs,
 /// the objective trace are bit-identical to them.
 class SpgState {
  public:
-  SpgState(const la::Matrix& gram, la::Matrix w, double gamma, double eta)
+  /// `factored` (null off the factored path) must outlive the state.
+  SpgState(const la::Matrix& gram, FactoredGram* factored, la::Matrix w,
+           double gamma, double eta)
       : n_(gram.rows()),
         q_(gram),
+        factored_(factored),
         two_gamma_(2.0 * gamma),
         gamma_(gamma),
         eta_(eta),
         tr_q_(gram.Trace()),
         kt_(la::simd::Table()),
         w_(std::move(w)),
-        wq_(la::Multiply(w_, q_)),
+        wq_(factored_ != nullptr ? factored_->Multiply(&w_)
+                                 : la::Multiply(w_, q_)),
         d_(n_, n_),
         dq_(n_, n_),
         idx_(n_ * n_),
@@ -180,35 +337,40 @@ class SpgState {
   /// path, whose terms are spmm_rows' (one unfused multiply-add per
   /// nonzero, in ascending order); it runs spmm_rows on the compacted
   /// rows. Any other panel is expanded to dense rows in place for
-  /// la::MultiplyRowsInto and compacted again after it.
+  /// la::MultiplyRowsInto and compacted again after it. On the factored
+  /// path a panel for which FactoredPanel says so runs (d·X̂)·X̂ᵀ instead.
   double LineSearch() {
-    const std::size_t panels =
-        (n_ + la::kGemmRowPanel - 1) / la::kGemmRowPanel;
-    util::ParallelFor(0, panels, 1, [&](std::size_t p0, std::size_t p1) {
-      std::vector<std::size_t> tile_nnz(
-          (n_ + la::kGemmBlockK - 1) / la::kGemmBlockK);
-      for (std::size_t p = p0; p < p1; ++p) {
-        const std::size_t lo = p * la::kGemmRowPanel;
-        const std::size_t hi = std::min(n_, lo + la::kGemmRowPanel);
-        if (PanelMostlyZero(lo, hi, &tile_nnz)) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            const std::size_t offsets[2] = {0, nnz_[i]};
-            kt_.spmm_rows(offsets, RowIdx(i), d_.row_ptr(i), 0, 1,
-                          q_.row_ptr(0), q_.stride(), n_, dq_.row_ptr(i),
-                          dq_.stride());
-          }
-        } else {
-          for (std::size_t i = lo; i < hi; ++i) ExpandRow(i);
-          la::MultiplyRowsInto(d_, q_, &dq_, lo, hi);
-          for (std::size_t i = lo; i < hi; ++i) CompactRow(i);
-        }
+    const std::size_t tiles = (n_ + la::kGemmBlockK - 1) / la::kGemmBlockK;
+    ForEachPanel(n_, [&](std::size_t lo, std::size_t hi, std::size_t slot) {
+      std::vector<std::size_t> tile_nnz(tiles);
+      const bool sparse = PanelMostlyZero(lo, hi, &tile_nnz);
+      if (factored_ != nullptr && FactoredPanel(lo, hi, sparse)) {
+        la::Matrix& at = factored_->PanelInput(slot);
+        at.Fill(0.0);
         for (std::size_t i = lo; i < hi; ++i) {
-          const double* dq = dq_.row_ptr(i);
-          row_terms_(i, 0) = dq[i];
-          row_terms_(i, 1) = kt_.dot(dq, w_.row_ptr(i), n_);
-          row_terms_(i, 2) = kt_.dot_sparse(RowIdx(i), d_.row_ptr(i),
-                                            nnz_[i], dq, n_);
+          const std::size_t* idx = RowIdx(i);
+          const double* d = d_.row_ptr(i);
+          for (std::size_t k = 0; k < nnz_[i]; ++k) at(idx[k], i - lo) = d[k];
         }
+        factored_->PanelProduct(slot, lo, hi, &dq_);
+      } else if (sparse) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::size_t offsets[2] = {0, nnz_[i]};
+          kt_.spmm_rows(offsets, RowIdx(i), d_.row_ptr(i), 0, 1,
+                        q_.row_ptr(0), q_.stride(), n_, dq_.row_ptr(i),
+                        dq_.stride());
+        }
+      } else {
+        for (std::size_t i = lo; i < hi; ++i) ExpandRow(i);
+        la::MultiplyRowsInto(d_, q_, &dq_, lo, hi);
+        for (std::size_t i = lo; i < hi; ++i) CompactRow(i);
+      }
+      for (std::size_t i = lo; i < hi; ++i) {
+        const double* dq = dq_.row_ptr(i);
+        row_terms_(i, 0) = dq[i];
+        row_terms_(i, 1) = kt_.dot(dq, w_.row_ptr(i), n_);
+        row_terms_(i, 2) =
+            kt_.dot_sparse(RowIdx(i), d_.row_ptr(i), nnz_[i], dq, n_);
       }
     });
     const double tr_dq = RowTermSum(0);
@@ -387,6 +549,17 @@ class SpgState {
     }
     return true;
   }
+  /// Whether the d·Q panel [lo, hi) runs factored (SpgFactoredProducts):
+  /// 2·nnz(X̂) multiply-adds per row against n per nonzero of d on the
+  /// zero-skipping path. A dense panel always does: the member is on the
+  /// factored path because 2·nnz(X̂) is below the GEMM's n² /
+  /// kSpgGemmAdvantage.
+  bool FactoredPanel(std::size_t lo, std::size_t hi, bool sparse) const {
+    if (!sparse) return true;
+    std::size_t d_nnz = 0;
+    for (std::size_t i = lo; i < hi; ++i) d_nnz += nnz_[i];
+    return 2 * factored_->nnz() * (hi - lo) < d_nnz * n_;
+  }
   /// Spreads row i's compacted nonzeros over the dense row, in place:
   /// from the back, idx[k] >= k, so every read precedes the write over it.
   void ExpandRow(std::size_t i) {
@@ -431,6 +604,7 @@ class SpgState {
 
   const std::size_t n_;
   const la::Matrix& q_;
+  FactoredGram* const factored_;
   const double two_gamma_;
   const double gamma_;
   const double eta_;
@@ -545,6 +719,15 @@ void PostProcessAffinity(const SubspaceOptions& opts, la::Matrix* w) {
 
 }  // namespace
 
+la::Matrix FactoredGramProduct(const la::Matrix& objects, bool normalize_rows,
+                               const la::Matrix* a) {
+  RHCHME_CHECK(a == nullptr ||
+                   (a->rows() == objects.rows() && a->cols() == objects.rows()),
+               "FactoredGramProduct: A must be n x n");
+  FactoredGram factored(objects, normalize_rows);
+  return factored.Multiply(a);
+}
+
 Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
                                              const SubspaceOptions& opts) {
   RHCHME_RETURN_IF_ERROR(opts.Validate());
@@ -559,12 +742,19 @@ Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
   la::Matrix w;
   {
     // Q and the SPG workspace are freed before post-processing allocates.
-    const la::Matrix gram = ObjectGram(objects, opts.normalize_rows);
+    std::unique_ptr<FactoredGram> factored;
+    if (SpgFactoredProducts(n, objects.NonZeros()) && objects.AllFinite()) {
+      factored = std::make_unique<FactoredGram>(objects, opts.normalize_rows);
+    }
+    const la::Matrix gram = factored != nullptr
+                                ? factored->Multiply(nullptr)
+                                : ObjectGram(objects, opts.normalize_rows);
     Rng rng(opts.seed);
     la::Matrix w0 = la::Matrix::RandomUniform(n, n, &rng, 0.0,
                                               1.0 / static_cast<double>(n));
     ProjectFeasible(&w0);
-    SpgState spg(gram, std::move(w0), opts.gamma, opts.affine_penalty);
+    SpgState spg(gram, factored.get(), std::move(w0), opts.gamma,
+                 opts.affine_penalty);
     // Stationarity check ||P(W - grad) - W||_inf, in the same pass as the
     // projected direction d = P(W - step·grad) - W; 1 is the initial BB
     // steplength guess.

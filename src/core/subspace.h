@@ -18,6 +18,14 @@
 // product's mostly-zero panels and most of the passes cost O(nnz(d)),
 // and W is bit-identical to running every pass densely.
 //
+// Sparse features (SpgFactoredProducts): Q, the first W·Q and every d·Q
+// panel that would cost more run through the features as (A·X̂)·X̂ᵀ, two
+// CSR row products per 32-row panel of A (FactoredGramProduct). That
+// costs 2·nnz(X̂) multiply-adds per row instead of the GEMM's n, so the
+// dense first steps (random W₀, d 14–99% full) no longer pay n³. Those
+// products use spmm_rows alone, so W stays bit-identical across kernel
+// tables and pool sizes on this path too.
+//
 // Stop rules, checked in this order: after a step, the objective plateau
 // (J₂'s relative change |J₂ₖ − J₂ₖ₋₁| / max(1, |J₂ₖ₋₁|) at most
 // kSpgPlateauTolerance on kSpgPlateauSteps consecutive steps); before a
@@ -132,6 +140,35 @@ double SubspaceObjective(const la::Matrix& w, const la::Matrix& gram,
 
 /// Projection of Eq. 11: zero diagonal, negatives clamped to zero.
 void ProjectFeasible(la::Matrix* w);
+
+/// Multiply-adds the packed GEMM runs in the time the per-nonzero CSR row
+/// kernel (spmm_rows) runs one. It prices the GEMM path of a Q product at
+/// n² / kSpgGemmAdvantage per row of A against the factored path's
+/// 2·nnz(X̂). Measured on a 4-core AVX-512 host with the W₀·Q product of
+/// the tf-idf and D4 members: 3.9–7.6 at 4 threads, 2.3–5.1 at 1. Whole
+/// members with n²/(2·nnz) of 4.3–5.1 ran equally fast either way at 4
+/// threads, so 6 keeps them on the GEMM path.
+constexpr std::size_t kSpgGemmAdvantage = 6;
+
+/// True when an n-object member whose features hold `feature_nnz`
+/// nonzeros forms its products with Q = X̂·X̂ᵀ as (A·X̂)·X̂ᵀ:
+/// 2·feature_nnz·kSpgGemmAdvantage < n². LearnSubspaceAffinity takes that
+/// path when this holds and every feature is finite. On it, Q and the
+/// first W·Q are factored products, and a d·Q panel of r rows is one when
+/// 2·feature_nnz·r is below its current cost: n per nonzero of the
+/// panel's d on the zero-skipping path, or (always, by this rule) the
+/// GEMM's r·n² / kSpgGemmAdvantage.
+bool SpgFactoredProducts(std::size_t n, std::size_t feature_nnz);
+
+/// A·Q for Q = X̂·X̂ᵀ, where X̂ is `objects` with each row L2-normalised
+/// when `normalize_rows` is set (a zero row stays zero), or Q itself when
+/// `a` is null. A is n×n. Runs the factored product of the SPG learner
+/// whatever SpgFactoredProducts says: per output row r and column i,
+/// v_k = Σ_j X̂(j,k)·A(r,j) in ascending j, then Σ_k X̂(i,k)·v_k in
+/// ascending k, each from +0.0 with one unfused multiply-add per nonzero
+/// of X̂. Requires finite `objects`.
+la::Matrix FactoredGramProduct(const la::Matrix& objects, bool normalize_rows,
+                               const la::Matrix* a);
 
 /// Number of row chunks the SPG passes of an n-object type split into
 /// (util::GrainForWork(n) rows each; a shape-only layout), so at most

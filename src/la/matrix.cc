@@ -321,6 +321,15 @@ bool Matrix::AllFinite() const {
   return true;
 }
 
+std::size_t Matrix::NonZeros() const {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < rows_; ++i) {
+    const double* r = row_ptr(i);
+    for (std::size_t j = 0; j < cols_; ++j) count += (r[j] != 0.0);
+  }
+  return count;
+}
+
 std::size_t Matrix::ReplaceNonFinite(double value) {
   std::size_t replaced = 0;
   for (std::size_t i = 0; i < rows_; ++i) {

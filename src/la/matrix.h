@@ -194,6 +194,8 @@ class Matrix {
 
   /// True if all entries are finite (no NaN/Inf).
   bool AllFinite() const;
+  /// Number of entries that are not exactly zero (NaN counts).
+  std::size_t NonZeros() const;
   /// Replaces every NaN/Inf entry with `value`; returns how many were
   /// replaced. The graceful-degradation seam for corrupted inputs: a
   /// poisoned entry becomes missing data instead of propagating through

@@ -269,12 +269,17 @@ TEST(Ensemble, SizeAwareScheduleIsBitStableAcrossThreadCounts) {
   }
 }
 
+/// Member shapes of dense types (n·D feature nonzeros each), or of types
+/// with the given nonzero counts.
 std::vector<MemberShape> Shapes(
-    const std::vector<std::pair<std::size_t, std::size_t>>& types) {
+    const std::vector<std::pair<std::size_t, std::size_t>>& types,
+    const std::vector<std::size_t>& nnz = {}) {
   std::vector<MemberShape> shapes;
-  for (const auto& [n, dims] : types) {
-    shapes.push_back({n, dims, true});
-    shapes.push_back({n, dims, false});
+  for (std::size_t k = 0; k < types.size(); ++k) {
+    const auto [n, dims] = types[k];
+    const std::size_t count = nnz.empty() ? n * dims : nnz[k];
+    shapes.push_back({n, dims, true, count});
+    shapes.push_back({n, dims, false, count});
   }
   return shapes;
 }
@@ -295,12 +300,14 @@ TEST(EnsembleSchedule, PlansTheWorkloadShapes) {
   // pool 4 the three pNN members follow: one after another with the pool
   // they beat the fan-out, whose longest task runs on one thread. At
   // pool 2 that gain is gone and they fan out.
-  const auto d4 = Shapes({{660, 520}, {520, 660}, {420, 660}});
+  const auto d4 =
+      Shapes({{660, 520}, {520, 660}, {420, 660}}, {42834, 42834, 83454});
   ASSERT_LT(SpgRowChunks(420), 4u);
   EXPECT_EQ(PlanMemberSchedule(d4, 80, 4), std::vector<bool>(6, true));
   EXPECT_EQ(PlanMemberSchedule(d4, 80, 2), SubspaceOnCaller(3));
   // The tfidf-sparse corpus and the 3 × 600 block world.
-  const auto tfidf = Shapes({{1200, 1000}, {1000, 1200}, {600, 1200}});
+  const auto tfidf = Shapes({{1200, 1000}, {1000, 1200}, {600, 1200}},
+                            {24708, 24708, 41450});
   EXPECT_EQ(PlanMemberSchedule(tfidf, 80, 4), std::vector<bool>(6, true));
   EXPECT_EQ(PlanMemberSchedule(tfidf, 80, 2), SubspaceOnCaller(3));
   EXPECT_EQ(PlanMemberSchedule(

@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "cluster/assignments.h"
+#include "la/simd.h"
 #include "util/rng.h"
 
 namespace rhchme {
@@ -58,6 +61,115 @@ double RecomputeInertiaCheckingAssignments(const la::Matrix& pts,
     total += assigned;
   }
   return total;
+}
+
+/// KMeans with the dense centroid update: k-means++ seeding and Lloyd
+/// iterations as the library runs them, serially, adding whole rows.
+/// The reference for the library's update over nonzeros.
+KMeansResult DenseLoopKMeans(const la::Matrix& points,
+                             const KMeansOptions& opts, Rng* rng) {
+  const std::size_t n = points.rows(), d = points.cols(), k = opts.k;
+  auto dist = [&](const double* a, const double* b) {
+    return la::simd::SquaredDistance(a, b, d);
+  };
+  KMeansResult best;
+  best.inertia = std::numeric_limits<double>::max();
+  for (int restart = 0; restart < opts.restarts; ++restart) {
+    la::Matrix centroids(k, d);
+    centroids.SetBlock(0, 0, points.Block(rng->UniformInt(n), 0, 1, d));
+    std::vector<double> dist2(n, std::numeric_limits<double>::max());
+    for (std::size_t c = 1; c < k; ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        dist2[i] = std::min(dist2[i],
+                            dist(points.row_ptr(i), centroids.row_ptr(c - 1)));
+      }
+      double total = 0.0;
+      for (double v : dist2) total += v;
+      const std::size_t chosen =
+          total <= 0.0 ? rng->UniformInt(n) : rng->Categorical(dist2);
+      centroids.SetBlock(c, 0, points.Block(chosen, 0, 1, d));
+    }
+    std::vector<std::size_t> assign(n, 0);
+    double prev = std::numeric_limits<double>::max(), inertia = prev;
+    int it = 0;
+    for (; it < opts.max_iterations; ++it) {
+      inertia = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        double b = std::numeric_limits<double>::max();
+        std::size_t best_c = 0;
+        for (std::size_t c = 0; c < k; ++c) {
+          const double v = dist(points.row_ptr(i), centroids.row_ptr(c));
+          if (v < b) {
+            b = v;
+            best_c = c;
+          }
+        }
+        assign[i] = best_c;
+        inertia += b;
+      }
+      const double delta = prev - inertia;
+      if (delta >= 0.0 && delta < opts.tolerance) {
+        ++it;
+        break;
+      }
+      prev = inertia;
+      if (it + 1 >= opts.max_iterations) continue;
+      centroids.Fill(0.0);
+      std::vector<std::size_t> count(k, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < d; ++j) {
+          centroids(assign[i], j) += points(i, j);
+        }
+        ++count[assign[i]];
+      }
+      for (std::size_t c = 0; c < k; ++c) {
+        if (count[c] == 0) {
+          centroids.SetBlock(c, 0, points.Block(rng->UniformInt(n), 0, 1, d));
+          continue;
+        }
+        const double inv = 1.0 / static_cast<double>(count[c]);
+        for (std::size_t j = 0; j < d; ++j) centroids(c, j) *= inv;
+      }
+    }
+    if (inertia < best.inertia) {
+      best.assignments = assign;
+      best.centroids = centroids;
+      best.inertia = inertia;
+      best.iterations = it;
+    }
+  }
+  return best;
+}
+
+TEST(KMeans, UpdateOverNonzerosMatchesTheDenseLoop) {
+  // Rows about 4% full, so the centroid update walks each row's
+  // nonzeros; the result must be the dense loop's byte for byte.
+  Rng data_rng(41);
+  la::Matrix pts(300, 120);
+  for (std::size_t i = 0; i < pts.rows(); ++i) {
+    const std::size_t topic = i % 5;
+    for (std::size_t j = 0; j < pts.cols(); ++j) {
+      const double p = j / 24 == topic ? 0.15 : 0.005;
+      if (data_rng.Uniform() < p) pts(i, j) = data_rng.Uniform(0.1, 1.0);
+    }
+  }
+  KMeansOptions opts;
+  opts.k = 6;
+  opts.restarts = 3;
+  Rng rng_lib(42), rng_ref(42);
+  const KMeansResult got = KMeans(pts, opts, &rng_lib).value();
+  const KMeansResult ref = DenseLoopKMeans(pts, opts, &rng_ref);
+  EXPECT_GT(got.iterations, 1);
+  EXPECT_EQ(got.assignments, ref.assignments);
+  EXPECT_EQ(got.iterations, ref.iterations);
+  EXPECT_EQ(std::memcmp(&got.inertia, &ref.inertia, sizeof(double)), 0);
+  ASSERT_TRUE(got.centroids.SameShape(ref.centroids));
+  for (std::size_t c = 0; c < ref.centroids.rows(); ++c) {
+    EXPECT_EQ(std::memcmp(got.centroids.row_ptr(c), ref.centroids.row_ptr(c),
+                          ref.centroids.cols() * sizeof(double)),
+              0)
+        << "centroid " << c;
+  }
 }
 
 TEST(KMeans, RecoversSeparatedBlobs) {

@@ -109,6 +109,31 @@ TEST(ExactKnn, BitStableAcrossThreadCounts) {
   }
 }
 
+TEST(ExactKnn, SparseRowsMatchTheDenseLoop) {
+  // tf-idf documents and terms under 5% fill: the exact engine walks
+  // the source rows' nonzeros (dot_sparse), and must give the lists and
+  // distances of the dense dot loop byte for byte, at every pool size.
+  data::SyntheticCorpusOptions o;
+  o.docs_per_class.assign(6, 40);
+  o.n_terms = 800;
+  o.n_concepts = 100;
+  o.doc_length_mean = 25.0;
+  o.seed = 9;
+  const data::MultiTypeRelationalData d =
+      data::GenerateSyntheticCorpus(o).value();
+  for (std::size_t k = 0; k < 2; ++k) {
+    const la::Matrix& x = d.Type(k).features;
+    SCOPED_TRACE(d.Type(k).name);
+    ASSERT_LT(static_cast<double>(x.NonZeros()),
+              0.05 * static_cast<double>(x.rows() * x.cols()));
+    const KnnNeighborLists dense = BruteForce(x, 10);
+    for (int threads : {1, 4}) {
+      ScopedNumThreads scoped(threads);
+      ExpectListsIdentical(ExactKnnNeighbors(x, 10), dense);
+    }
+  }
+}
+
 TEST(NnDescentOptions, Validation) {
   KnnDescentOptions o;
   EXPECT_TRUE(o.Validate().ok());

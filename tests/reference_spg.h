@@ -4,11 +4,16 @@
 //
 // Every step here runs whole n×n passes: the gradient is stored as a dense
 // matrix and rewritten in place, the projected direction d is written
-// densely, and d·Q is one la::MultiplyInto. The Gram Q = X·Xᵀ is taken
+// densely, and d·Q is la::MultiplyInto's rows. The Gram Q = X·Xᵀ is taken
 // entry by entry with the dispatched table's dense dot. Each pass sums its
 // scalar and column partials over the same shape-only row chunks as the
 // library, so the library must reproduce this W and objective trace bit
 // for bit — per dispatched kernel table and pool size.
+//
+// A member with sparse features takes the factored path instead, by the
+// rule of core::SpgFactoredProducts restated here: Q, W₀·Q and the d·Q
+// panels the rule picks are (A·X̂)·X̂ᵀ, written below as plain loops over
+// X̂'s nonzeros (ReferenceFactoredRow).
 
 #ifndef RHCHME_TESTS_REFERENCE_SPG_H_
 #define RHCHME_TESTS_REFERENCE_SPG_H_
@@ -40,20 +45,95 @@ void ReferenceForEachRowChunk(std::size_t n, const Fn& fn) {
   });
 }
 
+/// X̂, the object rows L2-normalised when asked (a zero row stays zero),
+/// as per-row and per-column lists of its nonzeros, each in ascending
+/// order.
+struct ReferenceFactors {
+  std::vector<std::vector<std::pair<std::size_t, double>>> rows, cols;
+  std::size_t nnz = 0;
+};
+
+inline ReferenceFactors BuildReferenceFactors(const la::Matrix& x,
+                                              bool normalize_rows) {
+  ReferenceFactors f;
+  f.rows.resize(x.rows());
+  f.cols.resize(x.cols());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    double norm_sq = 0.0;
+    for (std::size_t k = 0; k < x.cols(); ++k) norm_sq += x(i, k) * x(i, k);
+    double scale = 1.0;
+    if (normalize_rows) scale = norm_sq > 0.0 ? 1.0 / std::sqrt(norm_sq) : 0.0;
+    if (scale == 0.0) continue;
+    for (std::size_t k = 0; k < x.cols(); ++k) {
+      if (x(i, k) == 0.0) continue;
+      f.rows[i].push_back({k, x(i, k) * scale});
+      f.cols[k].push_back({i, x(i, k) * scale});
+      ++f.nnz;
+    }
+  }
+  return f;
+}
+
+/// Whether the learner takes the factored path on `x`: finite features
+/// with 2·nnz(X)·kSpgGemmAdvantage < n².
+inline bool ReferenceFactoredPath(const la::Matrix& x) {
+  std::size_t nnz = 0;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t k = 0; k < x.cols(); ++k) nnz += x(i, k) != 0.0;
+  }
+  return x.AllFinite() &&
+         2 * nnz * core::kSpgGemmAdvantage < x.rows() * x.rows();
+}
+
+/// Row r of A·Q = (A·X̂)·X̂ᵀ from row r of A: v_k = Σ_j X̂(j,k)·A(r,j),
+/// then out_i = Σ_k X̂(i,k)·v_k, each sum from +0.0 in ascending order.
+inline void ReferenceFactoredRow(const ReferenceFactors& f, const double* a,
+                                 double* out) {
+  std::vector<double> v(f.cols.size(), 0.0);
+  for (std::size_t k = 0; k < f.cols.size(); ++k) {
+    double acc = 0.0;
+    for (const auto& [j, x] : f.cols[k]) acc += x * a[j];
+    v[k] = acc;
+  }
+  for (std::size_t i = 0; i < f.rows.size(); ++i) {
+    double acc = 0.0;
+    for (const auto& [k, x] : f.rows[i]) acc += x * v[k];
+    out[i] = acc;
+  }
+}
+
+/// A·Q for n×n A, or Q itself when `a` is null.
+inline la::Matrix ReferenceFactoredProduct(const ReferenceFactors& f,
+                                           const la::Matrix* a) {
+  const std::size_t n = f.rows.size();
+  la::Matrix out(n, n);
+  std::vector<double> e(n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    e[r] = 1.0;
+    ReferenceFactoredRow(f, a != nullptr ? a->row_ptr(r) : e.data(),
+                         out.row_ptr(r));
+    e[r] = 0.0;
+  }
+  return out;
+}
+
 /// The SPG iterate with a dense gradient and a dense direction: pass A
 /// (Direction), d·Q and pass B (LineSearch), pass C (Advance).
 class ReferenceSpgState {
  public:
-  ReferenceSpgState(const la::Matrix& gram, la::Matrix w, double gamma,
-                    double eta)
+  /// `factors` is null off the factored path.
+  ReferenceSpgState(const la::Matrix& gram, const ReferenceFactors* factors,
+                    la::Matrix w, double gamma, double eta)
       : n_(gram.rows()),
         q_(gram),
+        factors_(factors),
         gamma_(gamma),
         eta_(eta),
         tr_q_(gram.Trace()),
         kt_(la::simd::Table()),
         w_(std::move(w)),
-        wq_(la::Multiply(w_, q_)),
+        wq_(factors != nullptr ? ReferenceFactoredProduct(*factors, &w_)
+                               : la::Multiply(w_, q_)),
         grad_(n_, n_),
         d_(n_, n_),
         dq_(n_, n_),
@@ -110,8 +190,21 @@ class ReferenceSpgState {
     return probe;
   }
 
+  /// d·Q per 32-row panel: la::MultiplyInto's rows, or on the factored
+  /// path the factored rows when 2·nnz(X̂) per row is below the panel's
+  /// cost: n per nonzero of d when every (panel × kGemmBlockK) tile is
+  /// mostly zero, else the GEMM's, which the factored path always beats.
   double LineSearch() {
-    la::MultiplyInto(d_, q_, &dq_);
+    for (std::size_t lo = 0; lo < n_; lo += la::kGemmRowPanel) {
+      const std::size_t hi = std::min(n_, lo + la::kGemmRowPanel);
+      if (factors_ != nullptr && FactoredPanel(lo, hi)) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          ReferenceFactoredRow(*factors_, d_.row_ptr(i), dq_.row_ptr(i));
+        }
+      } else {
+        la::MultiplyRowsInto(d_, q_, &dq_, lo, hi);
+      }
+    }
     ReferenceForEachRowChunk(
         n_, [&](std::size_t c, std::size_t r0, std::size_t r1) {
           double tr = 0.0, dq_w = 0.0, dq_d = 0.0;
@@ -209,9 +302,25 @@ class ReferenceSpgState {
     for (std::size_t c = 0; c < partial_.rows(); ++c) s += partial_(c, slot);
     return s;
   }
+  bool FactoredPanel(std::size_t lo, std::size_t hi) const {
+    std::size_t d_nnz = 0;
+    bool mostly_zero = true;
+    for (std::size_t kb = 0; kb < n_; kb += la::kGemmBlockK) {
+      const std::size_t ke = std::min(n_, kb + la::kGemmBlockK);
+      std::size_t tile_nnz = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        for (std::size_t j = kb; j < ke; ++j) tile_nnz += d_(i, j) != 0.0;
+      }
+      const std::size_t total = (hi - lo) * (ke - kb);
+      mostly_zero = mostly_zero && 2 * (total - tile_nnz) >= total;
+      d_nnz += tile_nnz;
+    }
+    return !mostly_zero || 2 * factors_->nnz * (hi - lo) < d_nnz * n_;
+  }
 
   const std::size_t n_;
   const la::Matrix& q_;
+  const ReferenceFactors* const factors_;
   const double gamma_;
   const double eta_;
   const double tr_q_;
@@ -241,8 +350,12 @@ inline la::Matrix ReferenceGram(const la::Matrix& x) {
 inline core::SubspaceResult ReferenceLearnSubspaceAffinity(
     const la::Matrix& objects, const core::SubspaceOptions& opts) {
   const std::size_t n = objects.rows();
-  la::Matrix gram = ReferenceGram(objects);
-  if (opts.normalize_rows) {
+  ReferenceFactors factors;
+  const bool factored = ReferenceFactoredPath(objects);
+  if (factored) factors = BuildReferenceFactors(objects, opts.normalize_rows);
+  la::Matrix gram = factored ? ReferenceFactoredProduct(factors, nullptr)
+                             : ReferenceGram(objects);
+  if (opts.normalize_rows && !factored) {
     std::vector<double> inv_norm(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       const double d = std::sqrt(gram(i, i));
@@ -261,7 +374,8 @@ inline core::SubspaceResult ReferenceLearnSubspaceAffinity(
   core::ProjectFeasible(&w0);
 
   core::SubspaceResult out;
-  ReferenceSpgState spg(gram, std::move(w0), opts.gamma, opts.affine_penalty);
+  ReferenceSpgState spg(gram, factored ? &factors : nullptr, std::move(w0),
+                        opts.gamma, opts.affine_penalty);
   double step = 1.0;
   out.stop = core::StopReason::kMaxIterations;
   int it = 0;

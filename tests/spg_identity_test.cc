@@ -5,7 +5,10 @@
 // mostly-zero direction panels (tf-idf), mixed sparse and dense panels
 // (block world) and dense steps throughout (dense random features), the
 // affine penalty off and on, and every stop rule: the cap, the
-// stationarity tolerance and the objective plateau.
+// stationarity tolerance and the objective plateau. The tf-idf documents
+// and terms and the low-dimensional dense features take the factored path
+// (core::SpgFactoredProducts), the rest the GEMM and zero-skipping
+// products.
 //
 // The dispatched table is fixed per process, so the launcher test re-runs
 // this binary once per runnable table with RHCHME_FORCE_ISA set; the
@@ -76,9 +79,12 @@ bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
 
 /// Learns `x` with the library and the reference at pools 1 and 4, for
 /// the affine penalty off and on, and compares the results byte for byte.
-/// Also compares the raw W (no pruning, no symmetrisation) once.
+/// Also compares the raw W (no pruning, no symmetrisation) once. First
+/// asserts that `x` takes the factored path exactly when `factored`.
 void CheckCase(const la::Matrix& x, SubspaceOptions opts,
-               const std::string& what) {
+               const std::string& what, bool factored) {
+  EXPECT_EQ(SpgFactoredProducts(x.rows(), x.NonZeros()), factored) << what;
+  EXPECT_EQ(testing_reference::ReferenceFactoredPath(x), factored) << what;
   for (double eta : {0.0, 10.0}) {
     opts.affine_penalty = eta;
     for (int pool : {1, 4}) {
@@ -133,8 +139,33 @@ TEST_F(SpgIdentityCases, TfidfFeatures) {
   SubspaceOptions opts;
   opts.spg.max_iterations = 40;
   for (std::size_t k = 0; k < d.NumTypes(); ++k) {
-    CheckCase(d.Type(k).features, opts, "tf-idf type " + d.Type(k).name);
+    CheckCase(d.Type(k).features, opts, "tf-idf type " + d.Type(k).name,
+              d.Type(k).name != "concepts");
   }
+}
+
+TEST_F(SpgIdentityCases, TfidfZeroRowOffTheGrid) {
+  // Factored documents with a zero row, which stays zero in X̂, and 390
+  // objects, so the last 32-row panel is short.
+  data::SyntheticCorpusOptions o;
+  o.docs_per_class.assign(8, 50);
+  o.n_terms = 330;
+  o.n_concepts = 200;
+  o.doc_length_mean = 40.0;
+  o.relation_dropout = 0.7;
+  o.seed = 3;
+  const data::MultiTypeRelationalData d =
+      data::GenerateSyntheticCorpus(o).value();
+  const la::Matrix& docs = d.Type(0).features;
+  la::Matrix x(390, docs.cols());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; i != 17 && j < x.cols(); ++j) x(i, j) = docs(i, j);
+  }
+  SubspaceOptions opts;
+  opts.spg.max_iterations = 20;
+  CheckCase(x, opts, "tf-idf documents, zero row, 390 objects", true);
+  opts.normalize_rows = false;
+  CheckCase(x, opts, "tf-idf documents, rows not normalised", true);
 }
 
 TEST_F(SpgIdentityCases, TfidfPlateauStop) {
@@ -153,7 +184,8 @@ TEST_F(SpgIdentityCases, TfidfPlateauStop) {
   SubspaceOptions opts;
   opts.keep_top_k = 10;
   for (std::size_t k = 0; k < d.NumTypes(); ++k) {
-    CheckCase(d.Type(k).features, opts, "tf-idf type " + d.Type(k).name);
+    CheckCase(d.Type(k).features, opts, "tf-idf type " + d.Type(k).name,
+              d.Type(k).name != "concepts");
     EXPECT_EQ(LearnSubspaceAffinity(d.Type(k).features, opts).value().stop,
               StopReason::kPlateau)
         << d.Type(k).name;
@@ -172,7 +204,8 @@ TEST_F(SpgIdentityCases, BlockWorldFeatures) {
   SubspaceOptions opts;
   opts.spg.max_iterations = 30;
   for (std::size_t k = 0; k < d.NumTypes(); ++k) {
-    CheckCase(d.Type(k).features, opts, "block-world type " + d.Type(k).name);
+    CheckCase(d.Type(k).features, opts, "block-world type " + d.Type(k).name,
+              false);
   }
 }
 
@@ -180,9 +213,13 @@ TEST_F(SpgIdentityCases, DenseRandomFeatures) {
   Rng rng(31);
   SubspaceOptions opts;
   opts.spg.max_iterations = 12;
-  CheckCase(la::Matrix::RandomUniform(300, 24, &rng), opts, "dense random");
+  // 300 objects in 24 dimensions: (A·X̂)·X̂ᵀ costs 2·24 multiply-adds
+  // per entry of A·Q, which the factored path takes; 77 in 9 does not.
+  CheckCase(la::Matrix::RandomUniform(300, 24, &rng), opts, "dense random",
+            true);
   // Row counts off the 32-row panel grid and the 64-column tile grid.
-  CheckCase(la::Matrix::RandomUniform(77, 9, &rng), opts, "dense random 77");
+  CheckCase(la::Matrix::RandomUniform(77, 9, &rng), opts, "dense random 77",
+            false);
 }
 
 TEST_F(SpgIdentityCases, ToleranceStop) {
@@ -191,7 +228,7 @@ TEST_F(SpgIdentityCases, ToleranceStop) {
   opts.spg.max_iterations = 400;
   opts.spg.tolerance = 0.1;  // Met after about 200 steps at eta = 0.
   const la::Matrix x = la::Matrix::RandomUniform(40, 3, &rng);
-  CheckCase(x, opts, "tolerance stop");
+  CheckCase(x, opts, "tolerance stop", true);
   EXPECT_EQ(LearnSubspaceAffinity(x, opts).value().stop,
             StopReason::kTolerance);
 }

@@ -435,6 +435,48 @@ TEST(LearnSubspace, BitIdenticalAcrossPoolSizesWithManyChunks) {
   EXPECT_EQ(la::MaxAbsDiff(serial.affinity, threaded.affinity), 0.0);
 }
 
+// The factored product (A·X̂)·X̂ᵀ against the Gram and la::Multiply, on
+// tf-idf-like rows with a zero row (it stays zero in X̂) and 77 objects,
+// off the 32-row panel grid.
+TEST(FactoredGramProduct, MatchesTheGramAndGemm) {
+  constexpr std::size_t kN = 77;
+  Rng rng(24);
+  la::Matrix x(kN, 40);
+  for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t j = 0; i != 5 && j < x.cols(); ++j) {
+      if (rng.Uniform() < 0.15) x(i, j) = rng.Uniform(0.1, 2.0);
+    }
+  }
+  const la::Matrix w = la::Matrix::RandomUniform(kN, kN, &rng);
+  for (bool normalize : {true, false}) {
+    SCOPED_TRACE(normalize ? "normalised rows" : "raw rows");
+    la::Matrix xhat = x;
+    if (normalize) {
+      for (std::size_t i = 0; i < kN; ++i) {
+        double norm_sq = 0.0;
+        for (std::size_t j = 0; j < x.cols(); ++j) norm_sq += x(i, j) * x(i, j);
+        for (std::size_t j = 0; j < x.cols() && norm_sq > 0.0; ++j) {
+          xhat(i, j) /= std::sqrt(norm_sq);
+        }
+      }
+    }
+    const la::Matrix gram = la::MultiplyNT(xhat, xhat);
+    const la::Matrix q = FactoredGramProduct(x, normalize, nullptr);
+    EXPECT_LE(la::MaxAbsDiff(q, gram), 1e-12 * gram.MaxAbs());
+    for (std::size_t j = 0; j < kN; ++j) {
+      EXPECT_EQ(q(5, j), 0.0);
+      EXPECT_EQ(q(j, 5), 0.0);
+      for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(q(i, j), q(j, i));
+    }
+    const la::Matrix wq = la::Multiply(w, gram);
+    const la::Matrix got = FactoredGramProduct(x, normalize, &w);
+    EXPECT_LE(la::MaxAbsDiff(got, wq), 1e-12 * wq.MaxAbs());
+    // Rows are the same bits at every pool size.
+    ScopedNumThreads threads(1);
+    EXPECT_EQ(la::MaxAbsDiff(FactoredGramProduct(x, normalize, &w), got), 0.0);
+  }
+}
+
 // The SPG workspace is allocated once: the count of n×n allocations does
 // not grow with the number of steps.
 TEST(LearnSubspace, WorkspaceDoesNotGrowWithIterations) {
