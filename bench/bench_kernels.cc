@@ -370,8 +370,8 @@ void BM_Laplacian(benchmark::State& state) {
   graph::KnnGraphOptions opts;
   auto w = graph::BuildKnnGraph(pts, opts).value();
   for (auto _ : state) {
-    auto l = graph::BuildLaplacian(w, graph::LaplacianKind::kSymmetric);
-    benchmark::DoNotOptimize(l.value().data());
+    auto l = graph::BuildSparseLaplacian(w, graph::LaplacianKind::kSymmetric);
+    benchmark::DoNotOptimize(l.value().values().data());
   }
   SetKernelCounters(state, 0.0);
 }
@@ -385,7 +385,7 @@ void BM_SubspaceLearning(benchmark::State& state) {
   opts.spg.max_iterations = 30;
   for (auto _ : state) {
     auto r = core::LearnSubspaceAffinity(x, opts);
-    benchmark::DoNotOptimize(r.value().affinity.data());
+    benchmark::DoNotOptimize(r.value().affinity.values().data());
   }
   SetKernelCounters(state, 0.0);
 }
@@ -413,7 +413,7 @@ void BM_SubspaceLearningTfidf(benchmark::State& state) {
   const core::SubspaceOptions opts;
   for (auto _ : state) {
     auto r = core::LearnSubspaceAffinity(x, opts);
-    benchmark::DoNotOptimize(r.value().affinity.data());
+    benchmark::DoNotOptimize(r.value().affinity.values().data());
   }
   SetKernelCounters(state, 0.0);
 }
@@ -439,7 +439,7 @@ void BM_SubspaceLearningD4(benchmark::State& state) {
   const core::SubspaceOptions opts;
   for (auto _ : state) {
     auto r = core::LearnSubspaceAffinity(x, opts);
-    benchmark::DoNotOptimize(r.value().affinity.data());
+    benchmark::DoNotOptimize(r.value().affinity.values().data());
   }
   SetKernelCounters(state, 0.0);
 }

@@ -18,48 +18,55 @@ namespace {
 
 using namespace rhchme;  // NOLINT — example binary.
 
-/// Fraction of affinity mass that stays within the true manifold.
-double WithinMass(const la::Matrix& w, const std::vector<std::size_t>& y) {
-  double in = 0.0, total = 0.0;
+/// Calls fn(i, j, w_ij) for every stored entry of an affinity.
+template <typename Fn>
+void ForEachEdge(const la::SparseMatrix& w, const Fn& fn) {
   for (std::size_t i = 0; i < w.rows(); ++i) {
-    for (std::size_t j = 0; j < w.cols(); ++j) {
-      total += w(i, j);
-      if (y[i] == y[j]) in += w(i, j);
+    for (std::size_t k = w.row_offsets()[i]; k < w.row_offsets()[i + 1];
+         ++k) {
+      fn(i, w.col_indices()[k], w.values()[k]);
     }
   }
+}
+
+/// Fraction of affinity mass that stays within the true manifold.
+double WithinMass(const la::SparseMatrix& w,
+                  const std::vector<std::size_t>& y) {
+  double in = 0.0, total = 0.0;
+  ForEachEdge(w, [&](std::size_t i, std::size_t j, double v) {
+    total += v;
+    if (y[i] == y[j]) in += v;
+  });
   return total > 0.0 ? in / total : 0.0;
 }
 
 /// Fraction of the WITHIN-manifold affinity mass that connects pairs more
 /// than `cutoff` apart in Euclidean distance — the paper's "point z"
 /// claim: a pNN graph cannot connect distant within-manifold neighbours.
-double DistantWithinMass(const la::Matrix& w, const data::ManifoldSample& s,
-                         double cutoff) {
+double DistantWithinMass(const la::SparseMatrix& w,
+                         const data::ManifoldSample& s, double cutoff) {
   double distant = 0.0, total = 0.0;
-  for (std::size_t i = 0; i < w.rows(); ++i) {
-    for (std::size_t j = 0; j < w.cols(); ++j) {
-      if (s.labels[i] != s.labels[j] || w(i, j) <= 0.0) continue;
-      total += w(i, j);
-      const double dx = s.points(i, 0) - s.points(j, 0);
-      const double dy = s.points(i, 1) - s.points(j, 1);
-      if (dx * dx + dy * dy > cutoff * cutoff) distant += w(i, j);
-    }
-  }
+  ForEachEdge(w, [&](std::size_t i, std::size_t j, double v) {
+    if (s.labels[i] != s.labels[j] || v <= 0.0) return;
+    total += v;
+    const double dx = s.points(i, 0) - s.points(j, 0);
+    const double dy = s.points(i, 1) - s.points(j, 1);
+    if (dx * dx + dy * dy > cutoff * cutoff) distant += v;
+  });
   return total > 0.0 ? distant / total : 0.0;
 }
 
 /// Mean Euclidean length of within-manifold affinity edges (mass-weighted).
-double MeanEdgeLength(const la::Matrix& w, const data::ManifoldSample& s) {
+double MeanEdgeLength(const la::SparseMatrix& w,
+                      const data::ManifoldSample& s) {
   double len = 0.0, total = 0.0;
-  for (std::size_t i = 0; i < w.rows(); ++i) {
-    for (std::size_t j = 0; j < w.cols(); ++j) {
-      if (s.labels[i] != s.labels[j] || w(i, j) <= 0.0) continue;
-      const double dx = s.points(i, 0) - s.points(j, 0);
-      const double dy = s.points(i, 1) - s.points(j, 1);
-      len += w(i, j) * std::sqrt(dx * dx + dy * dy);
-      total += w(i, j);
-    }
-  }
+  ForEachEdge(w, [&](std::size_t i, std::size_t j, double v) {
+    if (s.labels[i] != s.labels[j] || v <= 0.0) return;
+    const double dx = s.points(i, 0) - s.points(j, 0);
+    const double dy = s.points(i, 1) - s.points(j, 1);
+    len += v * std::sqrt(dx * dx + dy * dy);
+    total += v;
+  });
   return total > 0.0 ? len / total : 0.0;
 }
 
@@ -120,8 +127,8 @@ int main() {
   Result<core::SubspaceResult> ws = core::LearnSubspaceAffinity(lifted, sub);
   RHCHME_CHECK(ws.ok(), ws.status().ToString().c_str());
 
-  la::Matrix we_dense = we.value().ToDense();
-  const la::Matrix& ws_aff = ws.value().affinity;
+  const la::SparseMatrix& we_aff = we.value();
+  const la::SparseMatrix& ws_aff = ws.value().affinity;
   const double cutoff = 0.5 * gen.radius;
   TablePrinter t(
       "Intra-type relationship quality (within = same-manifold edge mass; "
@@ -129,9 +136,9 @@ int main() {
       {"Affinity", "within-manifold", "reach (distant pairs)",
        "mean edge length"});
   t.AddRow({"pNN graph W^E (Eq. 3)",
-            TablePrinter::Fmt(WithinMass(we_dense, sample.labels), 3),
-            TablePrinter::Fmt(DistantWithinMass(we_dense, sample, cutoff), 3),
-            TablePrinter::Fmt(MeanEdgeLength(we_dense, sample), 3)});
+            TablePrinter::Fmt(WithinMass(we_aff, sample.labels), 3),
+            TablePrinter::Fmt(DistantWithinMass(we_aff, sample, cutoff), 3),
+            TablePrinter::Fmt(MeanEdgeLength(we_aff, sample), 3)});
   t.AddRow({"subspace affinity W^S (Alg. 1)",
             TablePrinter::Fmt(WithinMass(ws_aff, sample.labels), 3),
             TablePrinter::Fmt(DistantWithinMass(ws_aff, sample, cutoff), 3),

@@ -8,6 +8,7 @@
 #include "factorization/hocc_common.h"
 #include "la/gemm.h"
 #include "la/solve.h"
+#include "la/sparse.h"
 #include "util/stopwatch.h"
 
 namespace rhchme {
@@ -66,14 +67,16 @@ Result<DrccResult> RunDrcc(const la::Matrix& x, const DrccOptions& opts) {
   if (!wg.ok()) return wg.status();
   Result<la::SparseMatrix> wf = graph::BuildKnnGraph(xt, opts.knn);
   if (!wf.ok()) return wf.status();
-  Result<la::Matrix> lg = graph::BuildLaplacian(wg.value(), opts.laplacian);
+  Result<la::SparseMatrix> lg =
+      graph::BuildSparseLaplacian(wg.value(), opts.laplacian);
   if (!lg.ok()) return lg.status();
-  Result<la::Matrix> lf = graph::BuildLaplacian(wf.value(), opts.laplacian);
+  Result<la::SparseMatrix> lf =
+      graph::BuildSparseLaplacian(wf.value(), opts.laplacian);
   if (!lf.ok()) return lf.status();
-  const la::Matrix lg_pos = la::PositivePart(lg.value());
-  const la::Matrix lg_neg = la::NegativePart(lg.value());
-  const la::Matrix lf_pos = la::PositivePart(lf.value());
-  const la::Matrix lf_neg = la::NegativePart(lf.value());
+  const la::SparseMatrix lg_pos = la::PositivePart(lg.value());
+  const la::SparseMatrix lg_neg = la::NegativePart(lg.value());
+  const la::SparseMatrix lf_pos = la::PositivePart(lf.value());
+  const la::SparseMatrix lf_neg = la::NegativePart(lf.value());
 
   Rng rng(opts.seed);
   Result<la::Matrix> g_init = InitFactor(x, opts.row_clusters, &rng);
@@ -100,10 +103,11 @@ Result<DrccResult> RunDrcc(const la::Matrix& x, const DrccOptions& opts) {
       la::Matrix den = la::NegativePart(xfst);
       den.Add(la::Multiply(g, la::PositivePart(sffs)));
       if (opts.mu != 0.0) {
-        la::Matrix tmp = la::Multiply(lg_neg, g);
+        la::Matrix tmp;
+        lg_neg.MultiplyDenseInto(g, &tmp);
         tmp.Scale(opts.mu);
         num.Add(tmp);
-        la::MultiplyInto(lg_pos, g, &tmp);
+        lg_pos.MultiplyDenseInto(g, &tmp);
         tmp.Scale(opts.mu);
         den.Add(tmp);
       }
@@ -119,10 +123,11 @@ Result<DrccResult> RunDrcc(const la::Matrix& x, const DrccOptions& opts) {
       la::Matrix den = la::NegativePart(xtgs);
       den.Add(la::Multiply(f, la::PositivePart(sggs)));
       if (opts.lambda != 0.0) {
-        la::Matrix tmp = la::Multiply(lf_neg, f);
+        la::Matrix tmp;
+        lf_neg.MultiplyDenseInto(f, &tmp);
         tmp.Scale(opts.lambda);
         num.Add(tmp);
-        la::MultiplyInto(lf_pos, f, &tmp);
+        lf_pos.MultiplyDenseInto(f, &tmp);
         tmp.Scale(opts.lambda);
         den.Add(tmp);
       }
@@ -134,8 +139,8 @@ Result<DrccResult> RunDrcc(const la::Matrix& x, const DrccOptions& opts) {
     approx.Sub(x);
     const double objective =
         approx.FrobeniusNormSquared() +
-        opts.lambda * la::FrobeniusInner(la::Multiply(lf.value(), f), f) +
-        opts.mu * la::FrobeniusInner(la::Multiply(lg.value(), g), g);
+        opts.lambda * la::FrobeniusInner(lf.value().MultiplyDense(f), f) +
+        opts.mu * la::FrobeniusInner(lg.value().MultiplyDense(g), g);
     res.objective_trace.push_back(objective);
     res.iterations = t;
     const double rel =

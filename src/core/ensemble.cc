@@ -1,6 +1,7 @@
 #include "core/ensemble.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/parallel.h"
@@ -116,69 +117,46 @@ std::vector<bool> PlanMemberSchedule(const std::vector<MemberShape>& members,
 
 la::SparseMatrix AssembleJointLaplacian(
     const fact::BlockStructure& blocks,
-    const std::vector<la::Matrix>& subspace_lap,
+    const std::vector<la::SparseMatrix>& subspace_lap,
     const std::vector<la::SparseMatrix>& knn_lap, double alpha) {
   const std::size_t n = blocks.total_objects();
-  std::size_t widest = 1;
+  std::size_t nnz = 0;
   for (std::size_t k = 0; k < blocks.num_types(); ++k) {
-    widest = std::max(widest, blocks.objects(k));
+    nnz += subspace_lap[k].nnz() + knn_lap[k].nnz();
   }
-  // Rows are independent: each call of the row loop appends its rows to
-  // the buffer of its first chunk, and the buffers are concatenated in
-  // chunk order, which is row order whatever the pool fused.
-  const std::size_t grain = util::GrainForWork(widest);
-  const std::size_t chunks = (n + grain - 1) / grain;
-  std::vector<std::vector<std::size_t>> chunk_cols(chunks);
-  std::vector<std::vector<double>> chunk_vals(chunks);
-  std::vector<std::size_t> offsets(n + 1, 0);
-  util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
-    std::vector<std::size_t>& cols = chunk_cols[r0 / grain];
-    std::vector<double>& vals = chunk_vals[r0 / grain];
-    std::size_t k = static_cast<std::size_t>(
-        std::upper_bound(blocks.type_offset.begin(), blocks.type_offset.end(),
-                         r0) -
-        blocks.type_offset.begin() - 1);
-    for (std::size_t r = r0; r < r1; ++r) {
-      while (r >= blocks.type_offset[k + 1]) ++k;
-      const std::size_t off = blocks.type_offset[k];
-      const std::size_t i = r - off;
-      const std::size_t width = blocks.objects(k);
-      const la::Matrix& ls = subspace_lap[k];
-      const double* srow = ls.empty() ? nullptr : ls.row_ptr(i);
-      const la::SparseMatrix& le = knn_lap[k];
-      std::size_t p = 0, p_end = 0;
-      if (le.rows() > 0) {
-        p = le.row_offsets()[i];
-        p_end = le.row_offsets()[i + 1];
-      }
-      const std::size_t before = cols.size();
-      for (std::size_t j = 0; j < width; ++j) {
-        const double v = srow != nullptr ? alpha * srow[j] : 0.0;
-        const bool has_e = p < p_end && le.col_indices()[p] == j;
-        if (v == 0.0 && !has_e) continue;
-        double sum = 0.0;
-        if (v != 0.0) sum += v;
-        if (has_e) sum += le.values()[p++];
-        if (sum != 0.0) {
-          cols.push_back(off + j);
-          vals.push_back(sum);
+  return la::SparseMatrix::FromRows(
+      n, n, n > 0 ? nnz / n + 1 : 1,
+      [&](std::size_t r, const auto& put) {
+        const std::size_t k = static_cast<std::size_t>(
+            std::upper_bound(blocks.type_offset.begin(),
+                             blocks.type_offset.end(), r) -
+            blocks.type_offset.begin() - 1);
+        const std::size_t off = blocks.type_offset[k];
+        const std::size_t i = r - off;
+        // Member row i as [b, e) of its CSR arrays; a 0 x 0 block
+        // (disabled member) contributes an empty row.
+        auto row = [i](const la::SparseMatrix& m) {
+          return m.rows() > 0 ? std::make_pair(m.row_offsets()[i],
+                                               m.row_offsets()[i + 1])
+                              : std::make_pair(std::size_t{0}, std::size_t{0});
+        };
+        const la::SparseMatrix& ls = subspace_lap[k];
+        const la::SparseMatrix& le = knn_lap[k];
+        auto [s, s_end] = row(ls);
+        auto [p, p_end] = row(le);
+        // Each sum starts from +0.0, so a zero alpha·L_S term adds
+        // nothing: alpha·L_S counts only where it is nonzero.
+        constexpr std::size_t kDone = std::numeric_limits<std::size_t>::max();
+        while (s < s_end || p < p_end) {
+          const std::size_t js = s < s_end ? ls.col_indices()[s] : kDone;
+          const std::size_t je = p < p_end ? le.col_indices()[p] : kDone;
+          const std::size_t j = std::min(js, je);
+          double sum = 0.0;
+          if (js == j) sum += alpha * ls.values()[s++];
+          if (je == j) sum += le.values()[p++];
+          if (sum != 0.0) put(off + j, sum);
         }
-      }
-      offsets[r + 1] = cols.size() - before;
-    }
-  });
-  for (std::size_t r = 0; r < n; ++r) offsets[r + 1] += offsets[r];
-  std::vector<std::size_t> cols(offsets[n]);
-  std::vector<double> vals(offsets[n]);
-  std::size_t at = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::copy(chunk_cols[c].begin(), chunk_cols[c].end(), cols.begin() + at);
-    std::copy(chunk_vals[c].begin(), chunk_vals[c].end(), vals.begin() + at);
-    at += chunk_cols[c].size();
-  }
-  return la::SparseMatrix::FromCsr(n, n, std::move(offsets), std::move(cols),
-                                   std::move(vals))
-      .value();
+      });
 }
 
 Status EnsembleOptions::Validate() const {
@@ -228,7 +206,7 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
     if (opts.include_subspace) tasks.push_back({k, true});
     if (opts.include_knn) tasks.push_back({k, false});
   }
-  std::vector<la::Matrix> subspace_lap(num_types);
+  std::vector<la::SparseMatrix> subspace_lap(num_types);
   std::vector<la::SparseMatrix> knn_lap(num_types);
   std::vector<Status> task_status(tasks.size());
 
@@ -269,9 +247,8 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
       out.subspace_iterations[task.type] = learned.value().iterations;
       out.subspace_stop[task.type] = learned.value().stop;
       out.subspace_affinity[task.type] = std::move(learned).value().affinity;
-      Result<la::Matrix> lap =
-          graph::BuildLaplacian(out.subspace_affinity[task.type],
-                                opts.laplacian);
+      Result<la::SparseMatrix> lap = graph::BuildSparseLaplacian(
+          out.subspace_affinity[task.type], opts.laplacian);
       if (!lap.ok()) {
         task_status[t] = lap.status();
         return;
@@ -346,13 +323,13 @@ Result<HeterogeneousEnsemble> ReweightEnsemble(
   out.alpha = alpha;
   // Laplacian rebuilds are per-type independent; tasks fill their own
   // member slots, then the joint sparse Laplacian is assembled from them.
-  std::vector<la::Matrix> subspace_lap(blocks.num_types());
+  std::vector<la::SparseMatrix> subspace_lap(blocks.num_types());
   std::vector<la::SparseMatrix> knn_lap(blocks.num_types());
   std::vector<Status> task_status(blocks.num_types());
   RunTasks(blocks.num_types(), [&](std::size_t k) {
-    if (!base.subspace_affinity[k].empty()) {
-      Result<la::Matrix> lap =
-          graph::BuildLaplacian(base.subspace_affinity[k], kind);
+    if (base.subspace_affinity[k].rows() > 0) {
+      Result<la::SparseMatrix> lap =
+          graph::BuildSparseLaplacian(base.subspace_affinity[k], kind);
       if (!lap.ok()) {
         task_status[k] = lap.status();
         return;

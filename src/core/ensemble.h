@@ -61,15 +61,14 @@ struct EnsembleOptions {
 /// inspection, tests and the subspace demo).
 struct HeterogeneousEnsemble {
   /// Joint block-diagonal n x n Laplacian, alpha·L_S + L_E per block.
-  /// Stored sparse: the pattern is the union of the per-type blocks, so
-  /// the footprint is Σ_k nnz(block k) — O(n·p) when only the pNN member
-  /// is on, Σ_k n_k² worst case with the (dense-affinity) subspace
-  /// member — never the dense n². The solver consumes it sparse
-  /// end-to-end (±-split, SpMM, Sandwich); call ToDense() only for
-  /// inspection.
+  /// Stored sparse: each block's pattern is the union of its members'
+  /// patterns plus the diagonal, so the footprint is at most Σ_k
+  /// (nnz(W^S_k) + nnz(W^E_k) + n_k) — never the dense n². The solver
+  /// consumes it sparse end-to-end (±-split, SpMM, Sandwich); call
+  /// ToDense() only for inspection.
   la::SparseMatrix laplacian;
-  /// Per-type subspace affinities W^S (empty matrices when disabled).
-  std::vector<la::Matrix> subspace_affinity;
+  /// Per-type subspace affinities W^S as CSR (0 x 0 when disabled).
+  std::vector<la::SparseMatrix> subspace_affinity;
   /// Per-type pNN affinities W^E (empty when disabled).
   std::vector<la::SparseMatrix> knn_affinity;
   /// Per-type SPG steps of the subspace member and why it stopped
@@ -108,15 +107,16 @@ std::vector<bool> PlanMemberSchedule(const std::vector<MemberShape>& members,
                                      int spg_iterations, std::size_t pool);
 
 /// The joint sparse Laplacian alpha·L_S + L_E from per-type member
-/// Laplacians (dense L_S blocks, sparse L_E blocks; either may be empty),
-/// each block at its type offset. An entry is the sum of its one or two
-/// member terms (alpha·L_S only where nonzero), dropped when that sum is
-/// zero; two addends commute, so each entry is order-free. Rows are
-/// written straight into CSR, row-parallel, with the same bits as summing
-/// the entries as triplets (la::SparseMatrix::FromTriplets).
+/// Laplacians (CSR blocks; either member's block may be 0 x 0), each
+/// block at its type offset. Row r merges the two sorted member rows. An
+/// entry is the sum of its one or two member terms (alpha·L_S only where
+/// nonzero), dropped when that sum is zero; two addends commute, so each
+/// entry is order-free. Rows are written straight into CSR,
+/// row-parallel, with the same bits as summing the entries as triplets
+/// (la::SparseMatrix::FromTriplets).
 la::SparseMatrix AssembleJointLaplacian(
     const fact::BlockStructure& blocks,
-    const std::vector<la::Matrix>& subspace_lap,
+    const std::vector<la::SparseMatrix>& subspace_lap,
     const std::vector<la::SparseMatrix>& knn_lap, double alpha);
 
 /// Builds the ensemble for every type of `data` using each type's feature

@@ -778,7 +778,7 @@ Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
   }
   PostProcessAffinity(opts, &w);
 
-  out.affinity = std::move(w);
+  out.affinity = la::SparseMatrix::FromDense(w);
   out.iterations = it;
   return out;
 }

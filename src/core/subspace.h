@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "la/matrix.h"
+#include "la/sparse.h"
 #include "util/status.h"
 
 namespace rhchme {
@@ -121,8 +122,11 @@ struct SubspaceOptions {
 
 struct SubspaceResult {
   /// Learned affinity W: nonnegative, zero diagonal, symmetric when
-  /// requested. This is the paper's W^S for one object type.
-  la::Matrix affinity;
+  /// requested. This is the paper's W^S for one object type. Stored as
+  /// CSR (the learned W is a few percent full): the prune, top-k and
+  /// symmetrise passes run on the dense W of the SPG loop, and converting
+  /// it (la::SparseMatrix::FromDense, zeros dropped) is the last step.
+  la::SparseMatrix affinity;
   std::vector<double> objective_trace;  ///< J₂ after each SPG iteration.
   int iterations = 0;
   StopReason stop = StopReason::kMaxIterations;
@@ -158,6 +162,14 @@ constexpr std::size_t kSpgGemmAdvantage = 6;
 /// 2·feature_nnz·r is below its current cost: n per nonzero of the
 /// panel's d on the zero-skipping path, or (always, by this rule) the
 /// GEMM's r·n² / kSpgGemmAdvantage.
+///
+/// The rule reads the shape alone, never the pool size, although the
+/// GEMM's advantage grows with threads. The factored path moves W at
+/// rounding level against the GEMM path, so a pool-dependent choice would
+/// give a type a different W^S at 1 and at 4 threads and break the
+/// per-table bit-identity across thread counts. It would also misjudge
+/// the schedule: a member fanned out by PlanMemberSchedule runs its
+/// kernels on one thread whatever the pool size.
 bool SpgFactoredProducts(std::size_t n, std::size_t feature_nnz);
 
 /// A·Q for Q = X̂·X̂ᵀ, where X̂ is `objects` with each row L2-normalised

@@ -2,108 +2,8 @@
 
 #include <cmath>
 
-#include "util/parallel.h"
-
 namespace rhchme {
 namespace graph {
-namespace {
-
-/// Shared core: builds L from a dense affinity already materialised.
-la::Matrix LaplacianFromDense(const la::Matrix& w, LaplacianKind kind) {
-  const std::size_t n = w.rows();
-  std::vector<double> deg = w.RowSums();
-  la::Matrix l(n, n);
-  switch (kind) {
-    case LaplacianKind::kUnnormalized: {
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) l(i, j) = -w(i, j);
-        l(i, i) += deg[i];
-      }
-      break;
-    }
-    case LaplacianKind::kSymmetric: {
-      std::vector<double> inv_sqrt(n, 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        inv_sqrt[i] = deg[i] > 0.0 ? 1.0 / std::sqrt(deg[i]) : 0.0;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          l(i, j) = -inv_sqrt[i] * w(i, j) * inv_sqrt[j];
-        }
-        l(i, i) += deg[i] > 0.0 ? 1.0 : 0.0;
-      }
-      break;
-    }
-    case LaplacianKind::kRandomWalk: {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double inv = deg[i] > 0.0 ? 1.0 / deg[i] : 0.0;
-        for (std::size_t j = 0; j < n; ++j) l(i, j) = -inv * w(i, j);
-        l(i, i) += deg[i] > 0.0 ? 1.0 : 0.0;
-      }
-      break;
-    }
-  }
-  return l;
-}
-
-/// Sparse-direct core: scatters only the nonzeros of W into the dense L
-/// instead of densifying W first — O(n² zero-fill + nnz) rather than
-/// O(n²) arithmetic per entry. Rows of L are independent, so the scatter
-/// threads over row chunks; each (i, j) receives exactly one write plus
-/// the diagonal add, in a fixed order, keeping the result bit-identical
-/// across thread counts.
-la::Matrix LaplacianFromSparse(const la::SparseMatrix& w, LaplacianKind kind) {
-  const std::size_t n = w.rows();
-  std::vector<double> deg = w.RowSums();
-  const auto& offsets = w.row_offsets();
-  const auto& cols = w.col_indices();
-  const auto& vals = w.values();
-  la::Matrix l(n, n);
-
-  std::vector<double> inv_sqrt;
-  if (kind == LaplacianKind::kSymmetric) {
-    inv_sqrt.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      inv_sqrt[i] = deg[i] > 0.0 ? 1.0 / std::sqrt(deg[i]) : 0.0;
-    }
-  }
-
-  const std::size_t nnz_per_row = n > 0 ? w.nnz() / n + 1 : 1;
-  util::ParallelFor(
-      0, n, util::GrainForWork(2 * nnz_per_row + 2),
-      [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t i = r0; i < r1; ++i) {
-          double* li = l.row_ptr(i);
-          switch (kind) {
-            case LaplacianKind::kUnnormalized: {
-              for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-                li[cols[k]] -= vals[k];
-              }
-              li[i] += deg[i];
-              break;
-            }
-            case LaplacianKind::kSymmetric: {
-              for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-                li[cols[k]] -= inv_sqrt[i] * vals[k] * inv_sqrt[cols[k]];
-              }
-              li[i] += deg[i] > 0.0 ? 1.0 : 0.0;
-              break;
-            }
-            case LaplacianKind::kRandomWalk: {
-              const double inv = deg[i] > 0.0 ? 1.0 / deg[i] : 0.0;
-              for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-                li[cols[k]] -= inv * vals[k];
-              }
-              li[i] += deg[i] > 0.0 ? 1.0 : 0.0;
-              break;
-            }
-          }
-        }
-      });
-  return l;
-}
-
-}  // namespace
 
 const char* LaplacianKindName(LaplacianKind kind) {
   switch (kind) {
@@ -118,24 +18,11 @@ std::vector<double> DegreeVector(const la::SparseMatrix& affinity) {
   return affinity.RowSums();
 }
 
-std::vector<double> DegreeVector(const la::Matrix& affinity) {
-  return affinity.RowSums();
-}
-
 Result<la::Matrix> BuildLaplacian(const la::SparseMatrix& affinity,
                                   LaplacianKind kind) {
-  if (affinity.rows() != affinity.cols()) {
-    return Status::InvalidArgument("Laplacian: affinity must be square");
-  }
-  return LaplacianFromSparse(affinity, kind);
-}
-
-Result<la::Matrix> BuildLaplacian(const la::Matrix& affinity,
-                                  LaplacianKind kind) {
-  if (affinity.rows() != affinity.cols()) {
-    return Status::InvalidArgument("Laplacian: affinity must be square");
-  }
-  return LaplacianFromDense(affinity, kind);
+  Result<la::SparseMatrix> l = BuildSparseLaplacian(affinity, kind);
+  if (!l.ok()) return l.status();
+  return l.value().ToDense();
 }
 
 Result<la::SparseMatrix> BuildSparseLaplacian(const la::SparseMatrix& w,
@@ -144,7 +31,7 @@ Result<la::SparseMatrix> BuildSparseLaplacian(const la::SparseMatrix& w,
     return Status::InvalidArgument("Laplacian: affinity must be square");
   }
   const std::size_t n = w.rows();
-  std::vector<double> deg = w.RowSums();
+  const std::vector<double> deg = w.RowSums();
   const auto& offsets = w.row_offsets();
   const auto& cols = w.col_indices();
   const auto& vals = w.values();
@@ -157,37 +44,47 @@ Result<la::SparseMatrix> BuildSparseLaplacian(const la::SparseMatrix& w,
     }
   }
 
-  // One triplet per nonzero of W plus one diagonal triplet per vertex;
-  // FromTriplets sums a self-loop's off-diagonal term with the diagonal
-  // one (two addends — order-insensitive), matching the dense scatter.
-  std::vector<la::Triplet> trips;
-  trips.reserve(w.nnz() + n);
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (kind) {
-      case LaplacianKind::kUnnormalized:
-        for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-          trips.push_back({i, cols[k], -vals[k]});
+  // Row i of L is row i of W, each entry mapped, with the diagonal term
+  // merged in at column i: summed with a self-loop's entry (two addends
+  // commute), and any entry that comes to zero is dropped.
+  const std::size_t nnz_per_row = n > 0 ? w.nnz() / n + 1 : 1;
+  return la::SparseMatrix::FromRows(
+      n, n, 2 * nnz_per_row + 2,
+      [&](std::size_t i, const auto& put) {
+        double diag = 0.0, scale = 0.0;
+        switch (kind) {
+          case LaplacianKind::kUnnormalized:
+            diag = deg[i];
+            scale = 1.0;
+            break;
+          case LaplacianKind::kSymmetric:
+            diag = deg[i] > 0.0 ? 1.0 : 0.0;
+            scale = inv_sqrt[i];
+            break;
+          case LaplacianKind::kRandomWalk:
+            diag = deg[i] > 0.0 ? 1.0 : 0.0;
+            scale = deg[i] > 0.0 ? 1.0 / deg[i] : 0.0;
+            break;
         }
-        trips.push_back({i, i, deg[i]});
-        break;
-      case LaplacianKind::kSymmetric:
+        auto emit = [&](std::size_t j, double v) {
+          if (v != 0.0) put(j, v);
+        };
+        bool diag_done = false;
         for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-          trips.push_back({i, cols[k], -inv_sqrt[i] * vals[k] *
-                                           inv_sqrt[cols[k]]});
+          const std::size_t j = cols[k];
+          if (!diag_done && j >= i) {
+            diag_done = true;
+            if (j > i) emit(i, diag);
+          }
+          const double v =
+              kind == LaplacianKind::kUnnormalized ? -vals[k]
+              : kind == LaplacianKind::kSymmetric
+                  ? -scale * vals[k] * inv_sqrt[j]
+                  : -scale * vals[k];
+          emit(j, j == i ? v + diag : v);
         }
-        if (deg[i] > 0.0) trips.push_back({i, i, 1.0});
-        break;
-      case LaplacianKind::kRandomWalk: {
-        const double inv = deg[i] > 0.0 ? 1.0 / deg[i] : 0.0;
-        for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-          trips.push_back({i, cols[k], -inv * vals[k]});
-        }
-        if (deg[i] > 0.0) trips.push_back({i, i, 1.0});
-        break;
-      }
-    }
-  }
-  return la::SparseMatrix::FromTriplets(n, n, std::move(trips));
+        if (!diag_done) emit(i, diag);
+      });
 }
 
 }  // namespace graph

@@ -26,27 +26,25 @@ const char* LaplacianKindName(LaplacianKind kind);
 
 /// Degree vector d_i = sum_j W_ij of an affinity matrix.
 std::vector<double> DegreeVector(const la::SparseMatrix& affinity);
-std::vector<double> DegreeVector(const la::Matrix& affinity);
 
-/// Dense Laplacian of a sparse affinity matrix. Isolated vertices (zero
-/// degree) contribute L_ii = 0 in normalised variants (their D^{-1/2} is
-/// treated as 0, the spectral-clustering convention).
-/// Requires a square affinity matrix. Sparse-direct: only W's nonzeros
-/// are scattered (threaded over rows), never a densified copy of W.
-Result<la::Matrix> BuildLaplacian(const la::SparseMatrix& affinity,
-                                  LaplacianKind kind);
-
-/// Dense-affinity overload (subspace affinities W^S are dense).
-Result<la::Matrix> BuildLaplacian(const la::Matrix& affinity,
-                                  LaplacianKind kind);
-
-/// Sparse-in, sparse-out Laplacian: the result's pattern is W's pattern
-/// plus the diagonal, so a pNN affinity (p entries per row) yields an
-/// O(n·p) Laplacian — never a dense n x n. This is what keeps the
-/// ensemble Laplacian of Eq. 12 sparse end-to-end in the solver. Values
-/// agree with the dense BuildLaplacian overloads to rounding.
+/// Sparse-in, sparse-out Laplacian, the library's one Laplacian rule: the
+/// result's pattern is W's pattern plus the diagonal, so a pNN affinity
+/// (p entries per row) yields an O(n·p) Laplacian and a learned subspace
+/// affinity W^S an O(nnz(W^S)) one — never a dense n x n. This is what
+/// keeps the ensemble Laplacian of Eq. 12 sparse end-to-end in the
+/// solver. Isolated vertices (zero degree) get an empty row in the
+/// normalised variants (their D^{-1/2} is treated as 0, the
+/// spectral-clustering convention). Rows are written straight into CSR,
+/// row-parallel; a self-loop's term is summed with the diagonal and an
+/// entry that comes to zero is dropped, so the bits are those of summing
+/// the terms as triplets (la::SparseMatrix::FromTriplets) for any pool
+/// size. Requires a square affinity matrix.
 Result<la::SparseMatrix> BuildSparseLaplacian(const la::SparseMatrix& affinity,
                                               LaplacianKind kind);
+
+/// Dense copy of BuildSparseLaplacian, for callers that want L dense.
+Result<la::Matrix> BuildLaplacian(const la::SparseMatrix& affinity,
+                                  LaplacianKind kind);
 
 }  // namespace graph
 }  // namespace rhchme

@@ -89,15 +89,15 @@ Result<SparseMatrix> SparseMatrix::FromCsr(std::size_t rows,
 }
 
 SparseMatrix SparseMatrix::FromDense(const Matrix& dense, double prune_tol) {
-  std::vector<Triplet> trips;
-  for (std::size_t i = 0; i < dense.rows(); ++i) {
-    for (std::size_t j = 0; j < dense.cols(); ++j) {
-      if (std::fabs(dense(i, j)) > prune_tol) {
-        trips.push_back({i, j, dense(i, j)});
-      }
-    }
-  }
-  return FromTriplets(dense.rows(), dense.cols(), std::move(trips));
+  return FromRows(dense.rows(), dense.cols(), dense.cols(),
+                  [&](std::size_t i, const auto& put) {
+                    const double* row = dense.row_ptr(i);
+                    for (std::size_t j = 0; j < dense.cols(); ++j) {
+                      if (row[j] != 0.0 && std::fabs(row[j]) > prune_tol) {
+                        put(j, row[j]);
+                      }
+                    }
+                  });
 }
 
 double SparseMatrix::Density() const {
@@ -248,21 +248,19 @@ bool SparseMatrix::IsSymmetric(double tol) const {
 namespace {
 
 /// Shared filter behind the ± parts: keeps entries selected by `keep`,
-/// storing `map(v)`. The CSR scan preserves the (row, col) order, so the
-/// triplets arrive pre-sorted and FromTriplets' sort is near-free.
+/// storing `map(v)`, in M's (row, col) order.
 template <typename Keep, typename Map>
 SparseMatrix FilterEntries(const SparseMatrix& m, Keep keep, Map map) {
   const auto& offsets = m.row_offsets();
   const auto& cols = m.col_indices();
   const auto& vals = m.values();
-  std::vector<Triplet> trips;
-  trips.reserve(m.nnz());
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-      if (keep(vals[k])) trips.push_back({i, cols[k], map(vals[k])});
-    }
-  }
-  return SparseMatrix::FromTriplets(m.rows(), m.cols(), std::move(trips));
+  const std::size_t nnz_per_row = m.rows() > 0 ? m.nnz() / m.rows() + 1 : 1;
+  return SparseMatrix::FromRows(
+      m.rows(), m.cols(), nnz_per_row, [&](std::size_t i, const auto& put) {
+        for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+          if (keep(vals[k])) put(cols[k], map(vals[k]));
+        }
+      });
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "la/matrix.h"
+#include "util/parallel.h"
 #include "util/status.h"
 
 namespace rhchme {
@@ -26,9 +27,10 @@ struct Triplet {
 };
 
 /// CSR matrix. FromTriplets sums duplicates and drops explicit zeros;
-/// FromCsr adopts validated arrays as given. The structure is fixed after
-/// construction; the only mutators are value-level (Scale,
-/// ReplaceNonFinite). Copies and moves are plain member-wise ones.
+/// FromCsr adopts validated arrays as given; FromRows writes the rows a
+/// caller's row rule emits. The structure is fixed after construction;
+/// the only mutators are value-level (Scale, ReplaceNonFinite). Copies
+/// and moves are plain member-wise ones.
 ///
 /// Thread-safety: concurrent const access is safe; mutators require
 /// exclusive access, the usual const/non-const contract.
@@ -57,7 +59,22 @@ class SparseMatrix {
                                       std::vector<std::size_t> col_indices,
                                       std::vector<double> values);
 
-  /// Converts a dense matrix, dropping entries with |v| <= prune_tol.
+  /// Builds a rows x cols matrix row-parallel from a row rule:
+  /// `emit_row(i, put)` calls put(j, v) for each entry of row i, columns
+  /// strictly ascending and < cols; v is stored as given. The rule runs
+  /// twice per row, once to count the entries and once to write them at
+  /// the row's final offset, so it must emit the same entries both times
+  /// and be safe to call concurrently for different rows. Arrays are
+  /// allocated once at their final size, and each row is written by one
+  /// call, so the result is the same for any pool size. `work_per_row`
+  /// sizes the chunks (util::GrainForWork). Rows are not validated.
+  template <typename EmitRow>
+  static SparseMatrix FromRows(std::size_t rows, std::size_t cols,
+                               std::size_t work_per_row,
+                               const EmitRow& emit_row);
+
+  /// Converts a dense matrix, dropping zeros and entries with
+  /// |v| <= prune_tol; row-parallel.
   static SparseMatrix FromDense(const Matrix& dense, double prune_tol = 0.0);
 
   std::size_t rows() const { return rows_; }
@@ -119,6 +136,38 @@ class SparseMatrix {
   std::vector<std::size_t> cols_idx_;  // size nnz
   std::vector<double> values_;         // size nnz
 };
+
+template <typename EmitRow>
+SparseMatrix SparseMatrix::FromRows(std::size_t rows, std::size_t cols,
+                                    std::size_t work_per_row,
+                                    const EmitRow& emit_row) {
+  const std::size_t grain = util::GrainForWork(work_per_row);
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_.assign(rows + 1, 0);
+  util::ParallelFor(0, rows, grain, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i) {
+      std::size_t count = 0;
+      emit_row(i, [&count](std::size_t, double) { ++count; });
+      m.row_ptr_[i + 1] = count;
+    }
+  });
+  for (std::size_t i = 0; i < rows; ++i) m.row_ptr_[i + 1] += m.row_ptr_[i];
+  m.cols_idx_.resize(m.row_ptr_[rows]);
+  m.values_.resize(m.row_ptr_[rows]);
+  util::ParallelFor(0, rows, grain, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i) {
+      std::size_t at = m.row_ptr_[i];
+      emit_row(i, [&](std::size_t j, double v) {
+        m.cols_idx_[at] = j;
+        m.values_[at] = v;
+        ++at;
+      });
+    }
+  });
+  return m;
+}
 
 /// Entrywise positive part (|M| + M)/2 of a sparse matrix: keeps the
 /// strictly positive entries, drops the rest. A structure-level filter —

@@ -11,6 +11,7 @@
 #include "data/synthetic.h"
 #include "eigen_sym.h"
 #include "la/gemm.h"
+#include "reference_laplacian.h"
 #include "scoped_num_threads.h"
 #include "util/rng.h"
 
@@ -24,6 +25,20 @@ data::MultiTypeRelationalData SmallData() {
   o.n_classes = 3;
   o.seed = 9;
   return data::GenerateBlockWorld(o).value();
+}
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) ==
+                           0);
+}
+
+void ExpectSameCsr(const la::SparseMatrix& got, const la::SparseMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_TRUE(SameBytes(got.row_offsets(), want.row_offsets()));
+  EXPECT_TRUE(SameBytes(got.col_indices(), want.col_indices()));
+  EXPECT_TRUE(SameBytes(got.values(), want.values()));
 }
 
 EnsembleOptions FastOptions() {
@@ -107,7 +122,7 @@ TEST(Ensemble, DisabledMemberLeavesEmptySlot) {
   opts.include_subspace = false;
   Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts);
   ASSERT_TRUE(e.ok());
-  EXPECT_TRUE(e.value().subspace_affinity[0].empty());
+  EXPECT_EQ(e.value().subspace_affinity[0].rows(), 0u);
   EXPECT_GT(e.value().knn_affinity[0].nnz(), 0u);
 }
 
@@ -207,10 +222,8 @@ TEST(Ensemble, BuildIsBitStableAcrossThreadCounts) {
   EXPECT_EQ(serial.laplacian.values(), threaded.laplacian.values());
   EXPECT_EQ(serial.laplacian.col_indices(), threaded.laplacian.col_indices());
   for (std::size_t k = 0; k < 2; ++k) {
-    EXPECT_EQ(la::MaxAbsDiff(serial.subspace_affinity[k],
-                             threaded.subspace_affinity[k]),
-              0.0)
-        << "type " << k;
+    SCOPED_TRACE("type " + std::to_string(k));
+    ExpectSameCsr(serial.subspace_affinity[k], threaded.subspace_affinity[k]);
     ASSERT_EQ(serial.knn_affinity[k].nnz(), threaded.knn_affinity[k].nnz());
     EXPECT_EQ(serial.knn_affinity[k].values(),
               threaded.knn_affinity[k].values());
@@ -260,10 +273,9 @@ TEST(Ensemble, SizeAwareScheduleIsBitStableAcrossThreadCounts) {
         << threads << " threads";
     EXPECT_EQ(serial.laplacian.col_indices(), e.laplacian.col_indices());
     for (std::size_t k = 0; k < 2; ++k) {
-      EXPECT_EQ(la::MaxAbsDiff(serial.subspace_affinity[k],
-                               e.subspace_affinity[k]),
-                0.0)
-          << "type " << k << ", " << threads << " threads";
+      SCOPED_TRACE("type " + std::to_string(k) + ", " +
+                   std::to_string(threads) + " threads");
+      ExpectSameCsr(serial.subspace_affinity[k], e.subspace_affinity[k]);
       EXPECT_EQ(serial.knn_affinity[k].values(), e.knn_affinity[k].values());
     }
   }
@@ -358,10 +370,9 @@ TEST(EnsembleSchedule, CostPlanBuildsTheSameD4EnsembleAtEveryPoolSize) {
         << threads << " threads";
     EXPECT_EQ(serial.laplacian.col_indices(), e.laplacian.col_indices());
     for (std::size_t k = 0; k < d.NumTypes(); ++k) {
-      EXPECT_EQ(la::MaxAbsDiff(serial.subspace_affinity[k],
-                               e.subspace_affinity[k]),
-                0.0)
-          << "type " << k << ", " << threads << " threads";
+      SCOPED_TRACE("type " + std::to_string(k) + ", " +
+                   std::to_string(threads) + " threads");
+      ExpectSameCsr(serial.subspace_affinity[k], e.subspace_affinity[k]);
       EXPECT_EQ(serial.knn_affinity[k].values(), e.knn_affinity[k].values());
     }
   }
@@ -424,8 +435,8 @@ TEST(Ensemble, RecordsHowEachSubspaceMemberStopped) {
 // ---- Joint Laplacian assembly ----------------------------------------------
 
 /// The triplet assembly that AssembleJointLaplacian's direct CSR rows
-/// replaced: every nonzero alpha·L_S entry and every L_E entry becomes a
-/// triplet, and FromTriplets sums the overlaps.
+/// replaced, on dense L_S blocks: every nonzero alpha·L_S entry and every
+/// L_E entry becomes a triplet, and FromTriplets sums the overlaps.
 la::SparseMatrix ReferenceAssembly(
     const fact::BlockStructure& blocks,
     const std::vector<la::Matrix>& subspace_lap,
@@ -452,18 +463,12 @@ la::SparseMatrix ReferenceAssembly(
       blocks.total_objects(), blocks.total_objects(), std::move(trips));
 }
 
-template <typename T>
-bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) ==
-                           0);
-}
-
-void ExpectSameCsr(const la::SparseMatrix& got, const la::SparseMatrix& want) {
-  EXPECT_EQ(got.rows(), want.rows());
-  EXPECT_TRUE(SameBytes(got.row_offsets(), want.row_offsets()));
-  EXPECT_TRUE(SameBytes(got.col_indices(), want.col_indices()));
-  EXPECT_TRUE(SameBytes(got.values(), want.values()));
+std::vector<la::SparseMatrix> Csr(const std::vector<la::Matrix>& dense) {
+  std::vector<la::SparseMatrix> out;
+  for (const la::Matrix& m : dense) {
+    out.push_back(la::SparseMatrix::FromDense(m));
+  }
+  return out;
 }
 
 TEST(EnsembleAssembly, MatchesTheTripletAssemblyByteForByte) {
@@ -488,18 +493,31 @@ TEST(EnsembleAssembly, MatchesTheTripletAssemblyByteForByte) {
   le[1] = la::SparseMatrix::FromCsr(3, 3, {0, 2, 3, 5}, {0, 2, 1, 0, 2},
                                     {1.0, -0.5, 1.0, -0.5, 1.0})
               .value();
+  // The library takes L_S as CSR. The second form stores explicit zeros
+  // (a 0.0 and a −0.0 in type 0's row 2), which must count as absent.
+  std::vector<la::SparseMatrix> ls_csr = Csr(ls);
+  std::vector<la::SparseMatrix> ls_zeros = ls_csr;
+  ls_zeros[0] = la::SparseMatrix::FromCsr(
+                    4, 4, {0, 3, 5, 8, 11},
+                    {0, 1, 3, 0, 1, 0, 1, 3, 0, 2, 3},
+                    {1.0, 0.5, -0.25, 0.5, 1.0, 0.0, -0.0, 0.125, -0.25,
+                     0.125, 1.0})
+                    .value();
+  ASSERT_EQ(la::MaxAbsDiff(ls_zeros[0].ToDense(), ls[0]), 0.0);
   for (double alpha : {2.0, 1.0, 0.3, 0.0}) {
     for (int pool : {1, 4}) {
       ScopedNumThreads threads(pool);
       SCOPED_TRACE("alpha " + std::to_string(alpha) + ", pool " +
                    std::to_string(pool));
-      ExpectSameCsr(AssembleJointLaplacian(blocks, ls, le, alpha),
-                    ReferenceAssembly(blocks, ls, le, alpha));
+      const la::SparseMatrix want = ReferenceAssembly(blocks, ls, le, alpha);
+      ExpectSameCsr(AssembleJointLaplacian(blocks, ls_csr, le, alpha), want);
+      ExpectSameCsr(AssembleJointLaplacian(blocks, ls_zeros, le, alpha),
+                    want);
     }
   }
   // At alpha 2, L_S(0, 1)·2 + L_E(0, 1) = 0: that entry is dropped.
-  EXPECT_EQ(AssembleJointLaplacian(blocks, ls, le, 2.0).At(0, 1), 0.0);
-  EXPECT_EQ(AssembleJointLaplacian(blocks, ls, le, 2.0).nnz(),
+  EXPECT_EQ(AssembleJointLaplacian(blocks, ls_csr, le, 2.0).At(0, 1), 0.0);
+  EXPECT_EQ(AssembleJointLaplacian(blocks, ls_csr, le, 2.0).nnz(),
             ReferenceAssembly(blocks, ls, le, 2.0).nnz());
 }
 
@@ -516,12 +534,14 @@ TEST(EnsembleAssembly, BuiltEnsembleMatchesTheTripletAssembly) {
   opts.subspace.spg.max_iterations = 2;
   Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts);
   ASSERT_TRUE(e.ok()) << e.status().ToString();
+  // L_S from the dense rule on the densified W^S, L_E from the library.
   std::vector<la::Matrix> ls;
-  std::vector<la::SparseMatrix> le;
+  std::vector<la::SparseMatrix> ls_csr, le;
   for (std::size_t k = 0; k < d.NumTypes(); ++k) {
-    ls.push_back(
-        graph::BuildLaplacian(e.value().subspace_affinity[k], opts.laplacian)
-            .value());
+    const la::SparseMatrix& ws = e.value().subspace_affinity[k];
+    ls.push_back(testing_reference::ReferenceDenseLaplacian(ws.ToDense(),
+                                                            opts.laplacian));
+    ls_csr.push_back(graph::BuildSparseLaplacian(ws, opts.laplacian).value());
     le.push_back(graph::BuildSparseLaplacian(e.value().knn_affinity[k],
                                              opts.laplacian)
                      .value());
@@ -529,9 +549,31 @@ TEST(EnsembleAssembly, BuiltEnsembleMatchesTheTripletAssembly) {
   ExpectSameCsr(e.value().laplacian, ReferenceAssembly(b, ls, le, opts.alpha));
   for (int pool : {1, 4}) {
     ScopedNumThreads threads(pool);
-    ExpectSameCsr(AssembleJointLaplacian(b, ls, le, 0.5),
+    ExpectSameCsr(AssembleJointLaplacian(b, ls_csr, le, 0.5),
+                  ReferenceAssembly(b, ls, le, 0.5));
+    ExpectSameCsr(ReweightEnsemble(e.value(), b, 0.5).value().laplacian,
                   ReferenceAssembly(b, ls, le, 0.5));
   }
+}
+
+TEST(Ensemble, ReweightAllocatesNoDenseTypeSquare) {
+  // The subspace member's W^S and L_S stay CSR: re-weighting (and the
+  // copy of the ensemble it returns) allocates no la::Matrix of n_k²
+  // entries or more.
+  data::BlockWorldOptions o;
+  o.objects_per_type = {150, 120};
+  o.n_classes = 3;
+  o.seed = 4;
+  const data::MultiTypeRelationalData d = data::GenerateBlockWorld(o).value();
+  const fact::BlockStructure b = fact::BuildBlockStructure(d);
+  Result<HeterogeneousEnsemble> base = BuildEnsemble(d, b, FastOptions());
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_GT(base.value().subspace_affinity[1].nnz(), 0u);
+  la::memstats::StartTracking(120 * 120);
+  Result<HeterogeneousEnsemble> r = ReweightEnsemble(base.value(), b, 2.0);
+  la::memstats::StopTracking();
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(la::memstats::LargeAllocations(), 0u);
 }
 
 TEST(Ensemble, ReweightIsBitStableAcrossThreadCounts) {

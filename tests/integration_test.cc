@@ -109,12 +109,15 @@ TEST(Integration, SubspaceMemberSeparatesIntersectingCircles) {
       core::LearnSubspaceAffinity(lifted, so);
   ASSERT_TRUE(sub.ok());
 
-  auto within_fraction = [&](const la::Matrix& w) {
+  auto within_fraction = [&](const la::SparseMatrix& w) {
     double in = 0.0, total = 0.0;
     for (std::size_t i = 0; i < w.rows(); ++i) {
-      for (std::size_t j = 0; j < w.cols(); ++j) {
-        total += w(i, j);
-        if (sample.labels[i] == sample.labels[j]) in += w(i, j);
+      for (std::size_t k = w.row_offsets()[i]; k < w.row_offsets()[i + 1];
+           ++k) {
+        total += w.values()[k];
+        if (sample.labels[i] == sample.labels[w.col_indices()[k]]) {
+          in += w.values()[k];
+        }
       }
     }
     return total > 0.0 ? in / total : 0.0;

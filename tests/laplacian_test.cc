@@ -5,18 +5,48 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "eigen_sym.h"
 #include "la/gemm.h"
+#include "reference_laplacian.h"
+#include "scoped_num_threads.h"
 #include "util/rng.h"
 
 namespace rhchme {
 namespace graph {
 namespace {
 
+using testing_reference::ReferenceDenseLaplacian;
+using testing_reference::ReferenceTripletLaplacian;
+
+constexpr LaplacianKind kAllKinds[] = {LaplacianKind::kUnnormalized,
+                                       LaplacianKind::kSymmetric,
+                                       LaplacianKind::kRandomWalk};
+
+la::SparseMatrix Csr(const la::Matrix& w) {
+  return la::SparseMatrix::FromDense(w);
+}
+
 /// Path graph 0-1-2 with unit weights.
-la::Matrix PathAffinity() {
-  return la::Matrix::FromRows({{0, 1, 0}, {1, 0, 1}, {0, 1, 0}});
+la::SparseMatrix PathAffinity() {
+  return Csr(la::Matrix::FromRows({{0, 1, 0}, {1, 0, 1}, {0, 1, 0}}));
+}
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+void ExpectSameCsr(const la::SparseMatrix& got, const la::SparseMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_TRUE(SameBytes(got.row_offsets(), want.row_offsets()));
+  EXPECT_TRUE(SameBytes(got.col_indices(), want.col_indices()));
+  EXPECT_TRUE(SameBytes(got.values(), want.values()));
 }
 
 TEST(Laplacian, UnnormalizedHandComputed) {
@@ -34,7 +64,7 @@ TEST(Laplacian, UnnormalizedRowSumsAreZero) {
   la::Matrix b = la::Matrix::RandomUniform(12, 12, &rng);
   la::Matrix w = la::Add(b, b.Transposed());  // Symmetric affinity.
   for (std::size_t i = 0; i < 12; ++i) w(i, i) = 0.0;
-  Result<la::Matrix> l = BuildLaplacian(w, LaplacianKind::kUnnormalized);
+  Result<la::Matrix> l = BuildLaplacian(Csr(w), LaplacianKind::kUnnormalized);
   ASSERT_TRUE(l.ok());
   for (double s : l.value().RowSums()) EXPECT_NEAR(s, 0.0, 1e-10);
 }
@@ -64,7 +94,7 @@ TEST(Laplacian, UnnormalizedAndSymmetricArePSD) {
   for (std::size_t i = 0; i < 10; ++i) w(i, i) = 0.0;
   for (LaplacianKind kind :
        {LaplacianKind::kUnnormalized, LaplacianKind::kSymmetric}) {
-    Result<la::Matrix> l = BuildLaplacian(w, kind);
+    Result<la::Matrix> l = BuildLaplacian(Csr(w), kind);
     ASSERT_TRUE(l.ok());
     Result<la::EigenSymResult> eig = la::EigenSym(l.value());
     ASSERT_TRUE(eig.ok());
@@ -78,7 +108,7 @@ TEST(Laplacian, ConstantVectorInNullspaceOfUnnormalized) {
   la::Matrix b = la::Matrix::RandomUniform(8, 8, &rng);
   la::Matrix w = la::Add(b, b.Transposed());
   for (std::size_t i = 0; i < 8; ++i) w(i, i) = 0.0;
-  Result<la::Matrix> l = BuildLaplacian(w, LaplacianKind::kUnnormalized);
+  Result<la::Matrix> l = BuildLaplacian(Csr(w), LaplacianKind::kUnnormalized);
   ASSERT_TRUE(l.ok());
   std::vector<double> ones(8, 1.0);
   for (double v : la::MultiplyVec(l.value(), ones)) {
@@ -89,53 +119,82 @@ TEST(Laplacian, ConstantVectorInNullspaceOfUnnormalized) {
 TEST(Laplacian, IsolatedVertexHandledGracefully) {
   // Vertex 2 has no edges; normalised variants must not divide by zero.
   la::Matrix w = la::Matrix::FromRows({{0, 1, 0}, {1, 0, 0}, {0, 0, 0}});
-  for (LaplacianKind kind :
-       {LaplacianKind::kUnnormalized, LaplacianKind::kSymmetric,
-        LaplacianKind::kRandomWalk}) {
-    Result<la::Matrix> l = BuildLaplacian(w, kind);
+  for (LaplacianKind kind : kAllKinds) {
+    Result<la::Matrix> l = BuildLaplacian(Csr(w), kind);
     ASSERT_TRUE(l.ok()) << LaplacianKindName(kind);
     EXPECT_TRUE(l.value().AllFinite());
     EXPECT_DOUBLE_EQ(l.value()(2, 2), 0.0);
   }
 }
 
-TEST(Laplacian, SparseAndDenseOverloadsAgree) {
+TEST(Laplacian, MatchesTheDenseReference) {
+  // The dense rule on W and the CSR rule on FromDense(W) give the same
+  // values: FromDense of the dense L is the sparse L byte for byte.
   Rng rng(4);
   la::Matrix b = la::Matrix::RandomUniform(9, 9, &rng);
   la::Matrix w = la::Add(b, b.Transposed());
   for (std::size_t i = 0; i < 9; ++i) w(i, i) = 0.0;
   w.Apply([](double v) { return v < 0.8 ? 0.0 : v; });
-  la::SparseMatrix sparse = la::SparseMatrix::FromDense(w);
-  for (LaplacianKind kind :
-       {LaplacianKind::kUnnormalized, LaplacianKind::kSymmetric,
-        LaplacianKind::kRandomWalk}) {
-    Result<la::Matrix> from_dense = BuildLaplacian(w, kind);
-    Result<la::Matrix> from_sparse = BuildLaplacian(sparse, kind);
-    ASSERT_TRUE(from_dense.ok());
-    ASSERT_TRUE(from_sparse.ok());
-    EXPECT_LT(la::MaxAbsDiff(from_dense.value(), from_sparse.value()), 1e-12);
+  for (LaplacianKind kind : kAllKinds) {
+    const la::Matrix want = ReferenceDenseLaplacian(w, kind);
+    Result<la::Matrix> dense = BuildLaplacian(Csr(w), kind);
+    Result<la::SparseMatrix> lean = BuildSparseLaplacian(Csr(w), kind);
+    ASSERT_TRUE(dense.ok());
+    ASSERT_TRUE(lean.ok());
+    EXPECT_EQ(la::MaxAbsDiff(dense.value(), want), 0.0)
+        << LaplacianKindName(kind);
+    ExpectSameCsr(lean.value(), Csr(want));
   }
 }
 
-TEST(Laplacian, SparseOutputMatchesDenseForAllKinds) {
+TEST(Laplacian, SparseOutputMatchesTheTripletBuildForAllKinds) {
   Rng rng(11);
   la::Matrix b = la::Matrix::RandomUniform(12, 12, &rng);
   la::Matrix w = la::Add(b, b.Transposed());
   for (std::size_t i = 0; i < 12; ++i) w(i, i) = 0.0;
   w.Apply([](double v) { return v < 1.2 ? 0.0 : v; });
-  la::SparseMatrix sparse = la::SparseMatrix::FromDense(w);
-  for (LaplacianKind kind :
-       {LaplacianKind::kUnnormalized, LaplacianKind::kSymmetric,
-        LaplacianKind::kRandomWalk}) {
-    Result<la::Matrix> dense = BuildLaplacian(sparse, kind);
+  la::SparseMatrix sparse = Csr(w);
+  for (LaplacianKind kind : kAllKinds) {
     Result<la::SparseMatrix> lean = BuildSparseLaplacian(sparse, kind);
-    ASSERT_TRUE(dense.ok());
     ASSERT_TRUE(lean.ok()) << LaplacianKindName(kind);
-    EXPECT_LT(la::MaxAbsDiff(dense.value(), lean.value().ToDense()), 1e-12)
-        << LaplacianKindName(kind);
+    ExpectSameCsr(lean.value(), ReferenceTripletLaplacian(sparse, kind));
     // The sparse result never widens beyond W's pattern plus the diagonal.
     EXPECT_LE(lean.value().nnz(), sparse.nnz() + 12u);
   }
+}
+
+TEST(Laplacian, DirectCsrMatchesTheTripletBuildByteForByte) {
+  // Row 0: a self-loop next to ordinary edges. Row 1: an explicit zero
+  // and a −0.0 among its edges. Row 2: no entries (zero degree). Row 3:
+  // entries that sum to a zero degree. Row 4: only a self-loop, which
+  // cancels the unnormalised diagonal exactly. Row 5: edges before the
+  // diagonal only.
+  const la::SparseMatrix w =
+      la::SparseMatrix::FromCsr(
+          6, 6, {0, 3, 7, 7, 9, 10, 12},
+          {0, 1, 5, 0, 1, 3, 4, 1, 5, 4, 0, 1},
+          {0.5, 2.0, 0.25, 2.0, 0.0, -0.0, 1.5, 1.0, -1.0, 3.0, 0.25, 0.75})
+          .value();
+  // A random sparse affinity large enough for several row chunks.
+  Rng rng(6);
+  la::Matrix b = la::Matrix::RandomUniform(400, 400, &rng);
+  b.Apply([](double v) { return v < 0.97 ? 0.0 : v; });
+  const la::SparseMatrix big = Csr(la::Add(b, b.Transposed()));
+  for (int pool : {1, 4}) {
+    ScopedNumThreads threads(pool);
+    for (LaplacianKind kind : kAllKinds) {
+      SCOPED_TRACE(std::string(LaplacianKindName(kind)) + ", pool " +
+                   std::to_string(pool));
+      ExpectSameCsr(BuildSparseLaplacian(w, kind).value(),
+                    ReferenceTripletLaplacian(w, kind));
+      ExpectSameCsr(BuildSparseLaplacian(big, kind).value(),
+                    ReferenceTripletLaplacian(big, kind));
+    }
+  }
+  // The unnormalised row 4 is −3 + 3 = 0 throughout: no entry is stored.
+  const la::SparseMatrix l =
+      BuildSparseLaplacian(w, LaplacianKind::kUnnormalized).value();
+  EXPECT_EQ(l.row_offsets()[5] - l.row_offsets()[4], 0u);
 }
 
 TEST(Laplacian, SparseOutputHandlesIsolatedVertices) {
@@ -143,9 +202,7 @@ TEST(Laplacian, SparseOutputHandlesIsolatedVertices) {
   // diagonal) empty, the unnormalised variant stores no explicit zero.
   std::vector<la::Triplet> trips = {{0, 1, 2.0}, {1, 0, 2.0}};
   la::SparseMatrix w = la::SparseMatrix::FromTriplets(3, 3, trips);
-  for (LaplacianKind kind :
-       {LaplacianKind::kUnnormalized, LaplacianKind::kSymmetric,
-        LaplacianKind::kRandomWalk}) {
+  for (LaplacianKind kind : kAllKinds) {
     Result<la::SparseMatrix> l = BuildSparseLaplacian(w, kind);
     ASSERT_TRUE(l.ok());
     EXPECT_EQ(l.value().At(2, 2), 0.0) << LaplacianKindName(kind);
@@ -163,7 +220,7 @@ TEST(Laplacian, ConnectedComponentsShowInSpectrum) {
   la::Matrix w(4, 4);
   w(0, 1) = w(1, 0) = 1.0;
   w(2, 3) = w(3, 2) = 1.0;
-  Result<la::Matrix> l = BuildLaplacian(w, LaplacianKind::kUnnormalized);
+  Result<la::Matrix> l = BuildLaplacian(Csr(w), LaplacianKind::kUnnormalized);
   ASSERT_TRUE(l.ok());
   Result<la::EigenSymResult> eig = la::EigenSym(l.value());
   ASSERT_TRUE(eig.ok());
@@ -173,17 +230,12 @@ TEST(Laplacian, ConnectedComponentsShowInSpectrum) {
 }
 
 TEST(Laplacian, RejectsNonSquare) {
-  EXPECT_FALSE(BuildLaplacian(la::Matrix(2, 3),
+  EXPECT_FALSE(BuildLaplacian(la::SparseMatrix::FromTriplets(2, 3, {}),
                               LaplacianKind::kUnnormalized).ok());
 }
 
 TEST(Laplacian, DegreeVectorMatchesRowSums) {
-  la::Matrix w = PathAffinity();
-  std::vector<double> deg = DegreeVector(w);
-  EXPECT_EQ(deg, (std::vector<double>{1.0, 2.0, 1.0}));
-  std::vector<double> deg_sparse =
-      DegreeVector(la::SparseMatrix::FromDense(w));
-  EXPECT_EQ(deg_sparse, deg);
+  EXPECT_EQ(DegreeVector(PathAffinity()), (std::vector<double>{1.0, 2.0, 1.0}));
 }
 
 }  // namespace

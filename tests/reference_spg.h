@@ -344,10 +344,19 @@ inline la::Matrix ReferenceGram(const la::Matrix& x) {
   return g;
 }
 
+/// core::SubspaceResult with the learned W kept dense.
+struct ReferenceSubspaceResult {
+  la::Matrix affinity;
+  std::vector<double> objective_trace;
+  int iterations = 0;
+  core::StopReason stop = core::StopReason::kMaxIterations;
+};
+
 /// core::LearnSubspaceAffinity on the dense-direction loop, with the same
 /// stop rules (the objective plateau restated as a count of consecutive
-/// flat steps). Requires valid options and n >= 2.
-inline core::SubspaceResult ReferenceLearnSubspaceAffinity(
+/// flat steps). Requires valid options and n >= 2. The library's CSR W
+/// is la::SparseMatrix::FromDense of this W.
+inline ReferenceSubspaceResult ReferenceLearnSubspaceAffinity(
     const la::Matrix& objects, const core::SubspaceOptions& opts) {
   const std::size_t n = objects.rows();
   ReferenceFactors factors;
@@ -373,7 +382,7 @@ inline core::SubspaceResult ReferenceLearnSubspaceAffinity(
                                             1.0 / static_cast<double>(n));
   core::ProjectFeasible(&w0);
 
-  core::SubspaceResult out;
+  ReferenceSubspaceResult out;
   ReferenceSpgState spg(gram, factored ? &factors : nullptr, std::move(w0),
                         opts.gamma, opts.affine_penalty);
   double step = 1.0;

@@ -60,21 +60,20 @@ TEST(SpgIdentity, HoldsOnEveryRunnableKernelTable) {
 
 // ---- The cases (child processes only) -----------------------------------
 
-bool SameBytes(const la::Matrix& a, const la::Matrix& b) {
-  if (!a.SameShape(b)) return false;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    if (std::memcmp(a.row_ptr(i), b.row_ptr(i), a.cols() * sizeof(double)) !=
-        0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// The library's CSR W against FromDense of the reference's dense W.
+bool SameBytes(const la::SparseMatrix& a, const la::Matrix& dense) {
+  const la::SparseMatrix b = la::SparseMatrix::FromDense(dense);
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         SameBytes(a.row_offsets(), b.row_offsets()) &&
+         SameBytes(a.col_indices(), b.col_indices()) &&
+         SameBytes(a.values(), b.values());
 }
 
 /// Learns `x` with the library and the reference at pools 1 and 4, for
@@ -95,7 +94,7 @@ void CheckCase(const la::Matrix& x, SubspaceOptions opts,
       SCOPED_TRACE(label);
       Result<SubspaceResult> got = LearnSubspaceAffinity(x, opts);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      const SubspaceResult ref =
+      const testing_reference::ReferenceSubspaceResult ref =
           testing_reference::ReferenceLearnSubspaceAffinity(x, opts);
       EXPECT_TRUE(SameBytes(got.value().affinity, ref.affinity)) << "W";
       EXPECT_TRUE(SameBytes(got.value().objective_trace, ref.objective_trace))

@@ -155,7 +155,7 @@ SubspaceResult ReferenceLearn(const la::Matrix& x,
     w.Add(wt);
     w.Scale(0.5);
   }
-  out.affinity = w;
+  out.affinity = la::SparseMatrix::FromDense(w);
   out.iterations = it;
   return out;
 }
@@ -190,7 +190,7 @@ TEST(LearnSubspace, OutputSatisfiesConstraints) {
   SubspaceOptions opts;
   Result<SubspaceResult> r = LearnSubspaceAffinity(x, opts);
   ASSERT_TRUE(r.ok());
-  const la::Matrix& w = r.value().affinity;
+  const la::Matrix w = r.value().affinity.ToDense();
   EXPECT_EQ(w.rows(), 30u);
   EXPECT_TRUE(w.IsNonNegative());
   EXPECT_TRUE(w.AllFinite());
@@ -231,7 +231,7 @@ TEST(LearnSubspace, ConnectsWithinSubspaceObjects) {
   Result<SubspaceResult> r =
       LearnSubspaceAffinity(sample.value().points, opts);
   ASSERT_TRUE(r.ok());
-  const la::Matrix& w = r.value().affinity;
+  const la::Matrix w = r.value().affinity.ToDense();
   double within = 0.0, across = 0.0;
   for (std::size_t i = 0; i < w.rows(); ++i) {
     for (std::size_t j = 0; j < w.cols(); ++j) {
@@ -263,7 +263,7 @@ TEST(LearnSubspace, FindsDistantWithinManifoldNeighbours) {
   Result<SubspaceResult> r =
       LearnSubspaceAffinity(sample.value().points, opts);
   ASSERT_TRUE(r.ok());
-  const la::Matrix& w = r.value().affinity;
+  const la::Matrix w = r.value().affinity.ToDense();
 
   // Pick the two most Euclidean-distant points of subspace 0; they are
   // colinear, so the affinity must still connect them (possibly via
@@ -299,7 +299,7 @@ TEST(LearnSubspace, TopKSparsification) {
   for (std::size_t i = 0; i < 20; ++i) {
     std::size_t nonzeros = 0;
     for (std::size_t j = 0; j < 20; ++j) {
-      if (r.value().affinity(i, j) > 0.0) ++nonzeros;
+      if (r.value().affinity.At(i, j) > 0.0) ++nonzeros;
     }
     EXPECT_LE(nonzeros, 3u) << "row " << i;
   }
@@ -312,7 +312,7 @@ TEST(LearnSubspace, GammaControlsReconstructionPressure) {
     SubspaceOptions opts;
     opts.gamma = gamma;
     opts.symmetrize = false;
-    la::Matrix w = LearnSubspaceAffinity(x, opts).value().affinity;
+    la::Matrix w = LearnSubspaceAffinity(x, opts).value().affinity.ToDense();
     la::Matrix resid = la::Multiply(w, x);
     resid.Sub(x);
     return resid.FrobeniusNormSquared();
@@ -341,7 +341,7 @@ TEST(LearnSubspace, AffinePenaltyPullsRowSumsToOne) {
     opts.affine_penalty = eta;
     opts.symmetrize = false;
     opts.spg.max_iterations = 60;
-    la::Matrix w = LearnSubspaceAffinity(x, opts).value().affinity;
+    la::Matrix w = LearnSubspaceAffinity(x, opts).value().affinity.ToDense();
     double err = 0.0;
     for (double rs : w.RowSums()) err += std::fabs(rs - 1.0);
     return err / static_cast<double>(w.rows());
@@ -407,8 +407,9 @@ TEST_P(SubspaceOracle, FusedSolverMatchesTwoGemmReference) {
                 1e-9 * std::fabs(ref.objective_trace[i]))
         << "iteration " << i;
   }
-  EXPECT_LE(la::MaxAbsDiff(fused.value().affinity, ref.affinity),
-            1e-9 * ref.affinity.MaxAbs());
+  const la::Matrix want = ref.affinity.ToDense();
+  EXPECT_LE(la::MaxAbsDiff(fused.value().affinity.ToDense(), want),
+            1e-9 * want.MaxAbs());
 }
 
 INSTANTIATE_TEST_SUITE_P(AffinePenalty, SubspaceOracle,
@@ -432,7 +433,8 @@ TEST(LearnSubspace, BitIdenticalAcrossPoolSizesWithManyChunks) {
   const SubspaceResult serial = learn(1);
   const SubspaceResult threaded = learn(4);
   EXPECT_EQ(serial.objective_trace, threaded.objective_trace);
-  EXPECT_EQ(la::MaxAbsDiff(serial.affinity, threaded.affinity), 0.0);
+  EXPECT_EQ(serial.affinity.values(), threaded.affinity.values());
+  EXPECT_EQ(serial.affinity.col_indices(), threaded.affinity.col_indices());
 }
 
 // The factored product (A·X̂)·X̂ᵀ against the Gram and la::Multiply, on
@@ -617,8 +619,8 @@ TEST_P(SubspaceGammaSweep, AlwaysFeasibleAndDescending) {
   opts.spg.max_iterations = 25;
   Result<SubspaceResult> r = LearnSubspaceAffinity(x, opts);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.value().affinity.IsNonNegative());
-  EXPECT_TRUE(r.value().affinity.AllFinite());
+  EXPECT_TRUE(r.value().affinity.ToDense().IsNonNegative());
+  EXPECT_TRUE(r.value().affinity.ToDense().AllFinite());
   const auto& trace = r.value().objective_trace;
   for (std::size_t i = 1; i < trace.size(); ++i) {
     EXPECT_LE(trace[i], trace[i - 1] + 1e-8);
