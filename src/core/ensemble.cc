@@ -12,7 +12,7 @@ namespace core {
 namespace {
 
 /// One ensemble-member construction unit: learn the affinity of member
-/// (`type`, subspace-or-pNN) and its Laplacian. Members are mutually
+/// (`type`, subspace-or-pNN). Members are mutually
 /// independent, so they run in any order: one per pool task, or on the
 /// caller (see the schedule in BuildEnsemble).
 struct MemberTask {
@@ -68,6 +68,37 @@ double EstimatedCost(const MemberShape& m, int spg_iterations) {
 double CallerThreads(const MemberShape& m, std::size_t pool) {
   return static_cast<double>(
       m.subspace ? std::min(pool, SpgRowChunks(m.objects)) : pool);
+}
+
+/// The tail BuildEnsemble and ReweightEnsemble share: builds the Laplacian
+/// of every member affinity in `out` (a 0 x 0 affinity is a disabled
+/// member and stays out), one task per type, then assembles the joint
+/// Laplacian at out->alpha.
+Status AssembleEnsemble(const fact::BlockStructure& blocks,
+                        graph::LaplacianKind kind, HeterogeneousEnsemble* out) {
+  const std::size_t num_types = blocks.num_types();
+  std::vector<la::SparseMatrix> subspace_lap(num_types);
+  std::vector<la::SparseMatrix> knn_lap(num_types);
+  std::vector<Status> task_status(num_types);
+  RunTasks(num_types, [&](std::size_t k) {
+    auto build = [&](const la::SparseMatrix& w, la::SparseMatrix* lap) {
+      if (w.rows() == 0 || !task_status[k].ok()) return;
+      Result<la::SparseMatrix> l = graph::BuildSparseLaplacian(w, kind);
+      if (!l.ok()) {
+        task_status[k] = l.status();
+        return;
+      }
+      *lap = std::move(l).value();
+    };
+    build(out->subspace_affinity[k], &subspace_lap[k]);
+    build(out->knn_affinity[k], &knn_lap[k]);
+  });
+  for (const Status& status : task_status) {
+    if (!status.ok()) return status;
+  }
+  out->laplacian =
+      AssembleJointLaplacian(blocks, subspace_lap, knn_lap, out->alpha);
+  return Status::OK();
 }
 
 }  // namespace
@@ -195,7 +226,7 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
   }
 
   // One candidate manifold per member: every (type, member) pair learns
-  // its affinity and Laplacian independently.
+  // its affinity independently.
   // Stochastic members (subspace init, NN-descent backend) draw seeds
   // from DeriveStreamSeed(seed, type), fixed before dispatch, so the
   // ensemble is reproducible for any schedule or pool size. Tasks write
@@ -206,8 +237,6 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
     if (opts.include_subspace) tasks.push_back({k, true});
     if (opts.include_knn) tasks.push_back({k, false});
   }
-  std::vector<la::SparseMatrix> subspace_lap(num_types);
-  std::vector<la::SparseMatrix> knn_lap(num_types);
   std::vector<Status> task_status(tasks.size());
 
   // Non-finite feature entries (kNonFinite row corruption, bad upstream
@@ -247,13 +276,6 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
       out.subspace_iterations[task.type] = learned.value().iterations;
       out.subspace_stop[task.type] = learned.value().stop;
       out.subspace_affinity[task.type] = std::move(learned).value().affinity;
-      Result<la::SparseMatrix> lap = graph::BuildSparseLaplacian(
-          out.subspace_affinity[task.type], opts.laplacian);
-      if (!lap.ok()) {
-        task_status[t] = lap.status();
-        return;
-      }
-      subspace_lap[task.type] = std::move(lap).value();
     } else {
       graph::KnnGraphOptions knn_opts = opts.knn;
       // Per-type stream for the NN-descent backend's random init, fixed
@@ -267,13 +289,6 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
         return;
       }
       out.knn_affinity[task.type] = std::move(knn).value();
-      Result<la::SparseMatrix> lap = graph::BuildSparseLaplacian(
-          out.knn_affinity[task.type], opts.laplacian);
-      if (!lap.ok()) {
-        task_status[t] = lap.status();
-        return;
-      }
-      knn_lap[task.type] = std::move(lap).value();
     }
   };
 
@@ -303,8 +318,7 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
     if (!status.ok()) return status;
   }
 
-  out.laplacian =
-      AssembleJointLaplacian(blocks, subspace_lap, knn_lap, opts.alpha);
+  RHCHME_RETURN_IF_ERROR(AssembleEnsemble(blocks, opts.laplacian, &out));
   return out;
 }
 
@@ -319,37 +333,14 @@ Result<HeterogeneousEnsemble> ReweightEnsemble(
     return Status::InvalidArgument(
         "ensemble members do not match the block structure");
   }
-  HeterogeneousEnsemble out = base;
+  // Every field but the joint Laplacian, which the tail rebuilds.
+  HeterogeneousEnsemble out;
+  out.subspace_affinity = base.subspace_affinity;
+  out.knn_affinity = base.knn_affinity;
+  out.subspace_iterations = base.subspace_iterations;
+  out.subspace_stop = base.subspace_stop;
   out.alpha = alpha;
-  // Laplacian rebuilds are per-type independent; tasks fill their own
-  // member slots, then the joint sparse Laplacian is assembled from them.
-  std::vector<la::SparseMatrix> subspace_lap(blocks.num_types());
-  std::vector<la::SparseMatrix> knn_lap(blocks.num_types());
-  std::vector<Status> task_status(blocks.num_types());
-  RunTasks(blocks.num_types(), [&](std::size_t k) {
-    if (base.subspace_affinity[k].rows() > 0) {
-      Result<la::SparseMatrix> lap =
-          graph::BuildSparseLaplacian(base.subspace_affinity[k], kind);
-      if (!lap.ok()) {
-        task_status[k] = lap.status();
-        return;
-      }
-      subspace_lap[k] = std::move(lap).value();
-    }
-    if (base.knn_affinity[k].nnz() > 0) {
-      Result<la::SparseMatrix> lap =
-          graph::BuildSparseLaplacian(base.knn_affinity[k], kind);
-      if (!lap.ok()) {
-        task_status[k] = lap.status();
-        return;
-      }
-      knn_lap[k] = std::move(lap).value();
-    }
-  });
-  for (const Status& status : task_status) {
-    if (!status.ok()) return status;
-  }
-  out.laplacian = AssembleJointLaplacian(blocks, subspace_lap, knn_lap, alpha);
+  RHCHME_RETURN_IF_ERROR(AssembleEnsemble(blocks, kind, &out));
   return out;
 }
 

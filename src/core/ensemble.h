@@ -58,7 +58,10 @@ struct EnsembleOptions {
 };
 
 /// The assembled ensemble plus its per-type ingredients (kept for
-/// inspection, tests and the subspace demo).
+/// inspection, tests and the subspace demo). ReweightEnsemble copies every
+/// field but `laplacian` one by one, so a field added here must be copied
+/// there too; Ensemble.ReweightMatchesFreshBuild compares each field with
+/// a fresh build.
 struct HeterogeneousEnsemble {
   /// Joint block-diagonal n x n Laplacian, alpha·L_S + L_E per block.
   /// Stored sparse: each block's pattern is the union of its members'

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -23,9 +22,6 @@ Status SpgOptions::Validate() const {
   // Comparisons are negated so that NaN fails them.
   if (!(tolerance > 0.0)) {
     return Status::InvalidArgument("SPG tolerance must be positive");
-  }
-  if (!(step_min > 0.0) || !(step_max > step_min)) {
-    return Status::InvalidArgument("SPG step clamp invalid");
   }
   return Status::OK();
 }
@@ -402,7 +398,7 @@ class SpgState {
   /// step, with y = grad_new − grad, before any dense work: s·s and s·y
   /// touch only d's support, and there the new gradient needs only the
   /// new W·Q entry W·Q + t·d·Q, the expression of the row pass's axpy.
-  double StepLength(double t, const SpgOptions& spg) {
+  double StepLength(double t) {
     cs_prev_ = cs_w_;
     rs_prev_ = rs_w_;
     for (std::size_t j = 0; j < n_; ++j) cs_w_[j] += t * cs_d_[j];
@@ -438,8 +434,8 @@ class SpgState {
     });
     const double sy = ChunkSum(kSy);
     const double ss = ChunkSum(kSs);
-    return sy > 0.0 ? std::clamp(ss / sy, spg.step_min, spg.step_max)
-                    : spg.step_max;
+    return sy > 0.0 ? std::clamp(ss / sy, kSpgStepMin, kSpgStepMax)
+                    : kSpgStepMax;
   }
 
   /// Pass C fused with the next pass A, per row: W·Q += t·d·Q, W += t·d
@@ -643,11 +639,10 @@ la::Matrix ObjectGram(const la::Matrix& objects, bool normalize_rows) {
   return gram;
 }
 
-/// Post-processing: prune dust, keep the top k per row, symmetrise for
-/// Laplacian use. Row-parallel; every entry is one expression of its own
-/// inputs (the max is exact and order-free), so the result is the same
-/// for any pool size and equal to the serial passes in
-/// tests/reference_spg.h.
+/// Post-processing: prune dust, symmetrise for Laplacian use.
+/// Row-parallel; every entry is one expression of its own inputs (the max
+/// is exact and order-free), so the result is the same for any pool size
+/// and equal to the serial passes in tests/reference_spg.h.
 void PostProcessAffinity(const SubspaceOptions& opts, la::Matrix* w) {
   const std::size_t n = w->rows();
   const std::size_t grain = util::GrainForWork(n);
@@ -669,27 +664,6 @@ void PostProcessAffinity(const SubspaceOptions& opts, la::Matrix* w) {
       for (std::size_t i = r0; i < r1; ++i) {
         double* row = w->row_ptr(i);
         for (std::size_t j = 0; j < n; ++j) row[j] = row[j] < cut ? 0.0 : row[j];
-      }
-    });
-  }
-  const std::size_t k = opts.keep_top_k;
-  if (k > 0 && k < n - 1) {
-    util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
-      std::vector<double> kept;
-      for (std::size_t i = r0; i < r1; ++i) {
-        double* row = w->row_ptr(i);
-        kept.clear();
-        for (std::size_t j = 0; j < n; ++j) {
-          if (row[j] > 0.0) kept.push_back(row[j]);
-        }
-        if (kept.size() <= k) continue;
-        std::nth_element(kept.begin(),
-                         kept.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                         kept.end(), std::greater<>());
-        const double cut = kept[k - 1];
-        for (std::size_t j = 0; j < n; ++j) {
-          if (row[j] < cut) row[j] = 0.0;
-        }
       }
     });
   }
@@ -765,7 +739,7 @@ Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
         break;
       }
       const double t = spg.LineSearch();
-      const double step = spg.StepLength(t, opts.spg);
+      const double step = spg.StepLength(t);
       ++it;
       probe = spg.AdvanceAndDirection(t, step, it < opts.spg.max_iterations);
       out.objective_trace.push_back(spg.Objective());

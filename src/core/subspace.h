@@ -56,6 +56,9 @@ namespace core {
 constexpr double kSpgPlateauTolerance = 1e-6;
 /// Consecutive flat steps that stop the SPG loop (the objective plateau).
 constexpr int kSpgPlateauSteps = 3;
+/// Barzilai–Borwein steplength clamp (the standard SPG safeguards).
+constexpr double kSpgStepMin = 1e-10;
+constexpr double kSpgStepMax = 1e10;
 
 /// Why an SPG run stopped.
 enum class StopReason {
@@ -76,9 +79,6 @@ struct SpgOptions {
   int max_iterations = 80;
   /// Stop when the projected-gradient step has infinity norm below this.
   double tolerance = 1e-5;
-  /// Barzilai–Borwein steplength clamp (standard SPG safeguards).
-  double step_min = 1e-10;
-  double step_max = 1e10;
 
   Status Validate() const;
 };
@@ -90,11 +90,6 @@ struct SubspaceOptions {
   /// magnitude and our synthetic corpora sit best around 5 (the Fig. 2
   /// bench re-derives this sweep).
   double gamma = 5.0;
-  /// Keep only the k strongest affinities per row (0 = keep all).
-  /// Eq. 5 wants W zero across subspaces; on noisy data the solved W
-  /// carries cross-subspace dust, and keeping the top-k entries per
-  /// object restores that sparsity pattern.
-  std::size_t keep_top_k = 0;
   /// Weight of the affine-combination penalty eta·||W·1 − 1||²₂.
   /// Eq. 4/6 of the paper constrain each object's coefficients to sum
   /// to one (affine self-expression) but Eq. 9 drops the constraint; a
@@ -123,7 +118,7 @@ struct SubspaceOptions {
 struct SubspaceResult {
   /// Learned affinity W: nonnegative, zero diagonal, symmetric when
   /// requested. This is the paper's W^S for one object type. Stored as
-  /// CSR (the learned W is a few percent full): the prune, top-k and
+  /// CSR (the learned W is a few percent full): the prune and
   /// symmetrise passes run on the dense W of the SPG loop, and converting
   /// it (la::SparseMatrix::FromDense, zeros dropped) is the last step.
   la::SparseMatrix affinity;

@@ -69,19 +69,6 @@ std::vector<std::size_t> CorruptRows(la::Matrix* m,
   return rows;
 }
 
-void AddGaussianNoise(la::Matrix* m, double sigma, Rng* rng,
-                      bool keep_nonnegative) {
-  // Row-major logical order keeps the draw sequence identical to the
-  // unpadded layout.
-  for (std::size_t i = 0; i < m->rows(); ++i) {
-    double* r = m->row_ptr(i);
-    for (std::size_t j = 0; j < m->cols(); ++j) {
-      r[j] += rng->Normal(0.0, sigma);
-    }
-  }
-  if (keep_nonnegative) m->ClampNonNegative();
-}
-
 void DropEntries(la::Matrix* m, double prob, Rng* rng) {
   RHCHME_CHECK(prob >= 0.0 && prob <= 1.0, "drop probability must be in [0,1]");
   if (prob == 0.0) return;
@@ -89,17 +76,6 @@ void DropEntries(la::Matrix* m, double prob, Rng* rng) {
     double* r = m->row_ptr(i);
     for (std::size_t j = 0; j < m->cols(); ++j) {
       if (rng->Uniform() < prob) r[j] = 0.0;
-    }
-  }
-}
-
-void AddSparseSpikes(la::Matrix* m, double prob, double magnitude, Rng* rng) {
-  for (std::size_t i = 0; i < m->rows(); ++i) {
-    double* r = m->row_ptr(i);
-    for (std::size_t j = 0; j < m->cols(); ++j) {
-      if (rng->Uniform() < prob) {
-        r[j] = magnitude * rng->Uniform();
-      }
     }
   }
 }

@@ -1,9 +1,9 @@
 // Noise and corruption injection.
 //
 // The robustness experiments corrupt a fraction of data rows (sample-wise,
-// matching the L2,1 error model of paper Eq. 13/14) or add dense Gaussian
-// noise/sparse spikes. All functions mutate in place and are deterministic
-// given the Rng.
+// matching the L2,1 error model of paper Eq. 13/14) or drop entries
+// (missing observations). All functions mutate in place and are
+// deterministic given the Rng.
 
 #ifndef RHCHME_DATA_CORRUPTION_H_
 #define RHCHME_DATA_CORRUPTION_H_
@@ -49,15 +49,6 @@ struct RowCorruptionOptions {
 std::vector<std::size_t> CorruptRows(la::Matrix* m,
                                      const RowCorruptionOptions& opts,
                                      Rng* rng);
-
-/// Adds i.i.d. N(0, sigma²) noise to every entry, then clamps at zero if
-/// `keep_nonnegative` (relationship matrices must stay in R+).
-void AddGaussianNoise(la::Matrix* m, double sigma, Rng* rng,
-                      bool keep_nonnegative = true);
-
-/// Sets each entry to `magnitude * Uniform()` with probability `prob`
-/// (gross sparse corruption).
-void AddSparseSpikes(la::Matrix* m, double prob, double magnitude, Rng* rng);
 
 /// Zeroes each entry independently with probability `prob` — relation
 /// sparsification (missing observations) for the robustness scenario

@@ -33,50 +33,5 @@ ManifoldSample SampleTwoCircles(const TwoCirclesOptions& opts) {
   return out;
 }
 
-Result<ManifoldSample> SampleUnionOfSubspaces(
-    const UnionOfSubspacesOptions& opts) {
-  if (opts.subspace_dims.empty()) {
-    return Status::InvalidArgument("need at least one subspace");
-  }
-  for (std::size_t d : opts.subspace_dims) {
-    if (d == 0 || d >= opts.ambient_dim) {
-      return Status::InvalidArgument(
-          "subspace dims must be in [1, ambient_dim)");
-    }
-  }
-  Rng rng(opts.seed);
-  const std::size_t n_sub = opts.subspace_dims.size();
-  const std::size_t n = n_sub * opts.points_per_subspace;
-
-  ManifoldSample out;
-  out.points.Resize(n, opts.ambient_dim);
-  out.labels.resize(n);
-
-  std::size_t row = 0;
-  for (std::size_t s = 0; s < n_sub; ++s) {
-    // Random basis: ambient_dim x d with N(0,1) entries. Entries of the
-    // basis are not orthogonalised — span is what matters.
-    la::Matrix basis = la::Matrix::RandomNormal(
-        opts.ambient_dim, opts.subspace_dims[s], &rng);
-    if (opts.nonnegative) basis.Apply([](double v) { return std::fabs(v); });
-    for (std::size_t i = 0; i < opts.points_per_subspace; ++i, ++row) {
-      // Draw the coefficient vector once per point, then project.
-      std::vector<double> coeff(opts.subspace_dims[s]);
-      for (double& c : coeff) {
-        c = opts.nonnegative ? 0.2 + rng.Uniform() : rng.Normal();
-      }
-      for (std::size_t a = 0; a < opts.ambient_dim; ++a) {
-        double v = 0.0;
-        for (std::size_t dd = 0; dd < opts.subspace_dims[s]; ++dd) {
-          v += basis(a, dd) * coeff[dd];
-        }
-        out.points(row, a) = v + rng.Normal(0.0, opts.noise_sigma);
-      }
-      out.labels[row] = s;
-    }
-  }
-  return out;
-}
-
 }  // namespace data
 }  // namespace rhchme

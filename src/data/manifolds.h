@@ -1,10 +1,9 @@
-// Manifold / subspace samplers for tests and the Fig. 1 demo.
+// Manifold sampler for the Fig. 1 demo.
 //
 // The paper motivates subspace learning with two intersecting circles
 // (Fig. 1): points near the intersection share pNN neighbours across
-// manifolds, while subspace membership separates them. These samplers
-// recreate that scene and the linear-subspace setting the reconstruction
-// methods assume.
+// manifolds, while subspace membership separates them. This sampler
+// recreates that scene.
 
 #ifndef RHCHME_DATA_MANIFOLDS_H_
 #define RHCHME_DATA_MANIFOLDS_H_
@@ -13,7 +12,6 @@
 
 #include "la/matrix.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace rhchme {
 namespace data {
@@ -36,23 +34,6 @@ struct TwoCirclesOptions {
 
 /// Two (possibly intersecting) circles in R², plus optional outliers.
 ManifoldSample SampleTwoCircles(const TwoCirclesOptions& opts);
-
-struct UnionOfSubspacesOptions {
-  /// Intrinsic dimension of each subspace; length = number of subspaces.
-  std::vector<std::size_t> subspace_dims = {2, 2};
-  std::size_t ambient_dim = 10;
-  std::size_t points_per_subspace = 60;
-  double noise_sigma = 0.01;
-  /// When true, subspace coefficients are nonnegative (documents are
-  /// nonnegative mixtures of topics).
-  bool nonnegative = true;
-  uint64_t seed = 2;
-};
-
-/// Points drawn from a union of random linear subspaces — the setting in
-/// which the self-expressive model X = X·W is exact.
-Result<ManifoldSample> SampleUnionOfSubspaces(
-    const UnionOfSubspacesOptions& opts);
 
 }  // namespace data
 }  // namespace rhchme

@@ -52,18 +52,8 @@ bool MultiTypeRelationalData::HasRelation(std::size_t k, std::size_t l) const {
 const la::Matrix& MultiTypeRelationalData::Relation(std::size_t k,
                                                     std::size_t l) const {
   RHCHME_CHECK(HasRelation(k, l), "relation not set");
-  RHCHME_CHECK(k < l,
-               "Relation(k, l) requires the stored orientation k < l; use "
-               "RelationTransposed for the reversed block");
+  RHCHME_CHECK(k < l, "Relation(k, l) requires the stored orientation k < l");
   return relations_.at({k, l});
-}
-
-la::Matrix MultiTypeRelationalData::RelationTransposed(std::size_t k,
-                                                       std::size_t l) const {
-  RHCHME_CHECK(HasRelation(k, l), "relation not set");
-  RHCHME_CHECK(k > l, "RelationTransposed(k, l) requires k > l; the stored "
-                      "orientation is available by reference via Relation");
-  return relations_.at({l, k}).Transposed();
 }
 
 std::size_t MultiTypeRelationalData::TotalObjects() const {

@@ -60,15 +60,9 @@ class MultiTypeRelationalData {
 
   /// The (count_k x count_l) block in its stored orientation (k < l),
   /// returned by const reference — no copy. Requires HasRelation(k, l)
-  /// and k < l; for the reversed orientation use RelationTransposed,
-  /// which makes its O(count_k·count_l) transposed copy explicit at the
-  /// call site. The reference stays valid until the relation is replaced
+  /// and k < l. The reference stays valid until the relation is replaced
   /// via SetRelation.
   const la::Matrix& Relation(std::size_t k, std::size_t l) const;
-
-  /// The (count_k x count_l) block for k > l: an explicit transposed copy
-  /// of the stored (l, k) block. Requires HasRelation(k, l) and k > l.
-  la::Matrix RelationTransposed(std::size_t k, std::size_t l) const;
 
   /// Total object count n = sum_k n_k.
   std::size_t TotalObjects() const;

@@ -220,6 +220,30 @@ std::vector<std::size_t> TriangularBounds(std::size_t n, std::size_t chunks) {
 /// depends on the pool size.
 constexpr std::size_t kMaxJoinChunks = 16;
 
+/// Refinement-round cap. Recall plateaus within a handful of rounds on
+/// clustered data; the update-rate test usually stops earlier.
+constexpr int kMaxRounds = 15;
+
+/// Early termination: stop when a round improves fewer than
+/// kTerminationDelta · n · p list entries.
+constexpr double kTerminationDelta = 1e-3;
+
+/// Join sample cap as a multiple of p (rho in the paper): each round a
+/// node contributes at most ceil(kSampleRate · p) of its fresh forward
+/// edges to the join (unsampled fresh edges stay fresh and wait for a
+/// later round) and at most twice that many reverse edges.
+constexpr double kSampleRate = 0.5;
+
+/// Random-projection trees used to seed the initial lists. Each tree
+/// recursively splits the rows by a hyperplane through two sampled points
+/// and joins every leaf exhaustively.
+constexpr int kRpTrees = 4;
+
+/// Target leaf size of the projection trees; the effective value is
+/// max(kLeafSize, 2·(p+1)) so median splits always leave >= p + 1 rows
+/// per leaf and every initial list is full.
+constexpr std::size_t kLeafSize = 64;
+
 /// One improvement proposal from the generator-side join: `partner` at
 /// distance `dist` challenges `target`'s current list.
 struct JoinProposal {
@@ -375,29 +399,6 @@ void RpForestInit(const PointSet& ps, std::size_t p, int trees,
 
 }  // namespace
 
-Status KnnDescentOptions::Validate() const {
-  if (max_iterations < 1) {
-    return Status::InvalidArgument("NN-descent needs max_iterations >= 1");
-  }
-  // Negated so that NaN fails them: NaN or +inf would reach the size_t
-  // casts of the join caps and the update floor.
-  if (!(termination_delta >= 0.0 && std::isfinite(termination_delta))) {
-    return Status::InvalidArgument(
-        "NN-descent termination_delta must be finite and >= 0");
-  }
-  if (!(sample_rate > 0.0 && sample_rate <= 1.0)) {
-    return Status::InvalidArgument(
-        "NN-descent sample_rate must be in (0, 1]");
-  }
-  if (rp_trees < 1) {
-    return Status::InvalidArgument("NN-descent rp_trees must be >= 1");
-  }
-  if (leaf_size < 4) {
-    return Status::InvalidArgument("NN-descent leaf_size must be >= 4");
-  }
-  return Status::OK();
-}
-
 KnnNeighborLists ExactKnnNeighbors(const la::Matrix& points, std::size_t p) {
   const std::size_t n = points.rows(), d = points.cols();
   KnnNeighborLists out(n);
@@ -481,9 +482,8 @@ KnnNeighborLists ExactKnnNeighbors(const la::Matrix& points, std::size_t p) {
   return out;
 }
 
-Result<KnnNeighborLists> NnDescent(const la::Matrix& points, std::size_t p,
-                                   const KnnDescentOptions& opts) {
-  RHCHME_RETURN_IF_ERROR(opts.Validate());
+KnnNeighborLists NnDescent(const la::Matrix& points, std::size_t p,
+                           const KnnDescentOptions& opts) {
   const std::size_t n = points.rows();
   KnnNeighborLists out(n);
   if (n < 2) return out;
@@ -504,25 +504,25 @@ Result<KnnNeighborLists> NnDescent(const la::Matrix& points, std::size_t p,
 
   // Random-projection forest init: every heap comes out full because the
   // effective leaf keeps >= p + 1 rows per leaf (see RpForestInit). The
-  // per-node leaf ordinals (n × rp_trees) mark pairs joined exhaustively
+  // per-node leaf ordinals (n × kRpTrees) mark pairs joined exhaustively
   // during init, which every later pair scan skips (bit-identical, see
   // RpForestInit).
-  const std::size_t n_tags = static_cast<std::size_t>(opts.rp_trees);
+  const std::size_t n_tags = static_cast<std::size_t>(kRpTrees);
   std::vector<uint32_t> leaf_tags(n * n_tags);
   {
     const std::size_t leaf =
-        std::max<std::size_t>(opts.leaf_size, 2 * (p + 1));
+        std::max<std::size_t>(kLeafSize, 2 * (p + 1));
     std::vector<std::size_t> sizes(n, 0);
-    RpForestInit(ps, p, opts.rp_trees, leaf, opts.seed, &lists, &sizes,
+    RpForestInit(ps, p, kRpTrees, leaf, opts.seed, &lists, &sizes,
                  &leaf_tags);
   }
 
   const std::size_t fwd_cap = static_cast<std::size_t>(
-      std::ceil(opts.sample_rate * static_cast<double>(p)));
+      std::ceil(kSampleRate * static_cast<double>(p)));
   const std::size_t rev_cap = 2 * fwd_cap;
   const std::size_t max_adj = p + rev_cap;
   const std::size_t update_floor = static_cast<std::size_t>(
-      opts.termination_delta * static_cast<double>(n) *
+      kTerminationDelta * static_cast<double>(n) *
       static_cast<double>(p));
 
   // Flat per-round state, allocated once. Forward edges: up to p kept
@@ -546,7 +546,7 @@ Result<KnnNeighborLists> NnDescent(const la::Matrix& points, std::size_t p,
   std::vector<char> next_fresh(n * p);
   std::vector<std::size_t> updates(n, 0);
 
-  for (int round = 0; round < opts.max_iterations; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     // ---- Forward thinning: node v keeps its settled entries plus at
     // most fwd_cap of its fresh ones, drawn from a (seed, round, node)
     // stream; sampled entries lose their flag, unsampled fresh entries

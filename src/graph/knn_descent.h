@@ -44,39 +44,15 @@
 #include <vector>
 
 #include "la/matrix.h"
-#include "util/status.h"
 
 namespace rhchme {
 namespace graph {
 
 struct KnnDescentOptions {
-  /// Refinement-round cap. Recall plateaus within a handful of rounds on
-  /// clustered data; the update-rate test below usually stops earlier.
-  int max_iterations = 15;
-  /// Early termination: stop when a round improves fewer than
-  /// `termination_delta * n * p` list entries.
-  double termination_delta = 1e-3;
-  /// Join sample cap as a multiple of p (rho in the paper): each round a
-  /// node contributes at most ceil(sample_rate * p) of its fresh forward
-  /// edges to the join (unsampled fresh edges stay fresh and wait for a
-  /// later round) and at most twice that many reverse edges.
-  double sample_rate = 0.5;
-  /// Random-projection trees used to seed the initial lists (>= 1). Each
-  /// tree recursively splits the rows by a hyperplane through two sampled
-  /// points and joins every leaf exhaustively.
-  int rp_trees = 4;
-  /// Target leaf size of the projection trees; the effective value is
-  /// max(leaf_size, 2·(p+1)) so median splits always leave >= p + 1 rows
-  /// per leaf and every initial list is full.
-  std::size_t leaf_size = 64;
   /// Stream seed for tree splits and join samples.
   /// Ensemble members derive per-member streams from it (see
   /// core::BuildEnsemble).
   uint64_t seed = 0x9e3779b9;
-
-  /// InvalidArgument when a field is out of range, NaN, or (for
-  /// termination_delta) infinite.
-  Status Validate() const;
 };
 
 /// One neighbour of a row: its index and its squared Euclidean distance.
@@ -93,10 +69,10 @@ using KnnNeighborLists = std::vector<std::vector<KnnNeighbor>>;
 /// n − 1. Bit-identical across thread counts.
 KnnNeighborLists ExactKnnNeighbors(const la::Matrix& points, std::size_t p);
 
-/// Approximate p-nearest-neighbour lists via NN-descent. Requires
-/// points.rows() >= 2; p is clamped to n − 1 (at which point the result
-/// is exact). Bit-identical across thread counts for a fixed seed.
-Result<KnnNeighborLists> NnDescent(const la::Matrix& points, std::size_t p,
+/// Approximate p-nearest-neighbour lists via NN-descent. p is clamped to
+/// n − 1 (at which point the result is exact). Bit-identical across
+/// thread counts for a fixed seed.
+KnnNeighborLists NnDescent(const la::Matrix& points, std::size_t p,
                                    const KnnDescentOptions& opts);
 
 }  // namespace graph

@@ -29,14 +29,7 @@ const char* KnnBackendName(KnnBackend backend) {
 
 Status KnnGraphOptions::Validate() const {
   if (p == 0) return Status::InvalidArgument("pNN graph needs p >= 1");
-  // Negated so that NaN fails it: a NaN sigma would skip the auto
-  // bandwidth (NaN < 0 is false) and turn every weight into NaN.
-  if (scheme == WeightScheme::kHeatKernel &&
-      !(heat_sigma < 0.0 || heat_sigma > 0.0)) {
-    return Status::InvalidArgument(
-        "heat_sigma must be nonzero and not NaN; use < 0 for auto bandwidth");
-  }
-  return descent.Validate();
+  return Status::OK();
 }
 
 Result<KnnNeighborLists> BuildKnnNeighbors(const la::Matrix& points,
@@ -49,7 +42,7 @@ Result<KnnNeighborLists> BuildKnnNeighbors(const la::Matrix& points,
   const std::size_t p = std::min(opts.p, n - 1);
   const bool use_descent =
       opts.backend == KnnBackend::kNNDescent ||
-      (opts.backend == KnnBackend::kAuto && n > opts.auto_backend_threshold);
+      (opts.backend == KnnBackend::kAuto && n > kKnnAutoBackendThreshold);
   if (use_descent) {
     return NnDescent(points, p, opts.descent);
   }
@@ -73,9 +66,9 @@ Result<la::SparseMatrix> BuildKnnGraph(const la::Matrix& points,
     return false;
   };
 
-  // Auto bandwidth: mean squared distance over all directed edges.
-  double sigma = opts.heat_sigma;
-  if (opts.scheme == WeightScheme::kHeatKernel && sigma < 0.0) {
+  // Heat bandwidth: mean squared distance over all directed edges.
+  double sigma = 1.0;
+  if (opts.scheme == WeightScheme::kHeatKernel) {
     double acc = 0.0;
     std::size_t cnt = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -129,8 +122,6 @@ Result<la::SparseMatrix> BuildKnnGraph(const la::Matrix& points,
           row_edges[i].reserve(2 * p);
           for (const KnnNeighbor& e : nbrs[i]) {
             const std::size_t j = e.index;
-            bool keep = opts.mutual ? is_neighbour(j, i) : true;
-            if (!keep) continue;
             double w = weight(i, j, e.distance);
             if (w <= 0.0) continue;
             // Insert both directions; FromTriplets sums duplicates, so

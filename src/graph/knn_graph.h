@@ -24,7 +24,7 @@ namespace graph {
 /// Edge weighting for the pNN graph (paper §II.A lists all three).
 enum class WeightScheme {
   kBinary,      ///< w_ij = 1 when a neighbour edge exists.
-  kHeatKernel,  ///< w_ij = exp(-||x_i - x_j||² / sigma).
+  kHeatKernel,  ///< w_ij = exp(-||x_i - x_j||² / sigma), sigma automatic.
   kCosine,      ///< w_ij = <x_i, x_j> / (||x_i|| ||x_j||), floored at 0.
 };
 
@@ -34,35 +34,33 @@ const char* WeightSchemeName(WeightScheme scheme);
 enum class KnnBackend {
   kExact,      ///< Blocked exact scan: O(n²·d) time, O(n·p) memory.
   kNNDescent,  ///< NN-descent approximation: ~O(n^1.14) distance evals.
-  kAuto,       ///< kExact below auto_backend_threshold points, else descent.
+  kAuto,       ///< kExact up to kKnnAutoBackendThreshold points, else descent.
 };
 
 const char* KnnBackendName(KnnBackend backend);
 
+/// Point count above which KnnBackend::kAuto switches from the exact scan
+/// to NN-descent: every paper-scale dataset and test corpus stays on the
+/// exact reference.
+constexpr std::size_t kKnnAutoBackendThreshold = 2048;
+
+/// Edges are kept when either endpoint lists the other (Eq. 3's union
+/// symmetrisation). The heat kernel's bandwidth sigma is the mean squared
+/// neighbour distance over all directed edges.
 struct KnnGraphOptions {
   /// Neighbour count p. The paper uses p = 5 for SNMTF/RHCHME and
   /// p ∈ {5, 10} for the RMC candidates.
   std::size_t p = 5;
   WeightScheme scheme = WeightScheme::kCosine;
-  /// Heat-kernel bandwidth sigma; < 0 selects the mean squared neighbour
-  /// distance automatically. Exactly zero and NaN are rejected by
-  /// Validate() — they would divide by zero or poison every weight.
-  double heat_sigma = -1.0;
-  /// Eq. 3 keeps an edge when either endpoint lists the other (union
-  /// symmetrisation). Set to true for the stricter mutual-kNN variant.
-  bool mutual = false;
   /// Neighbour-list engine. kAuto keeps the exact reference for small
-  /// inputs (all paper-scale datasets and the test corpora) and switches
-  /// to NN-descent where the O(n²·d) scan starts to dominate.
+  /// inputs and switches to NN-descent where the O(n²·d) scan starts to
+  /// dominate.
   KnnBackend backend = KnnBackend::kAuto;
-  /// kAuto uses NN-descent when points.rows() exceeds this.
-  std::size_t auto_backend_threshold = 2048;
-  /// NN-descent tuning; ignored by the exact backend. Ensemble members
+  /// NN-descent seed; ignored by the exact backend. Ensemble members
   /// derive per-member seeds from descent.seed (see core::BuildEnsemble).
   KnnDescentOptions descent;
 
-  /// InvalidArgument when p == 0, when heat_sigma is zero or NaN with
-  /// kHeatKernel, or when the descent options are malformed.
+  /// InvalidArgument when p == 0.
   Status Validate() const;
 };
 

@@ -14,10 +14,6 @@ const char* LaplacianKindName(LaplacianKind kind) {
   return "?";
 }
 
-std::vector<double> DegreeVector(const la::SparseMatrix& affinity) {
-  return affinity.RowSums();
-}
-
 Result<la::Matrix> BuildLaplacian(const la::SparseMatrix& affinity,
                                   LaplacianKind kind) {
   Result<la::SparseMatrix> l = BuildSparseLaplacian(affinity, kind);

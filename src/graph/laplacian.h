@@ -24,9 +24,6 @@ enum class LaplacianKind {
 
 const char* LaplacianKindName(LaplacianKind kind);
 
-/// Degree vector d_i = sum_j W_ij of an affinity matrix.
-std::vector<double> DegreeVector(const la::SparseMatrix& affinity);
-
 /// Sparse-in, sparse-out Laplacian, the library's one Laplacian rule: the
 /// result's pattern is W's pattern plus the diagonal, so a pNN affinity
 /// (p entries per row) yields an O(n·p) Laplacian and a learned subspace

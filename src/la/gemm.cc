@@ -38,15 +38,6 @@ bool PanelMostlyZero(const Matrix& a, std::size_t p0, std::size_t p1,
   return MostlyZero(zeros, (p1 - p0) * (kend - kb));
 }
 
-/// Same probe over one kBlockK-column segment of a single row — the
-/// la::Sandwich analogue of the A-tile probe. Sparse ensemble Laplacian
-/// rows (pNN graphs) sit far above the threshold; dense rows far below.
-bool SegmentMostlyZero(const double* row, std::size_t t0, std::size_t t1) {
-  std::size_t zeros = 0;
-  for (std::size_t t = t0; t < t1; ++t) zeros += (row[t] == 0.0);
-  return MostlyZero(zeros, t1 - t0);
-}
-
 /// Zero-skipping panel kernel: right for mostly-zero A tiles (membership
 /// blocks), where skipped rows save the whole B-row stream. The branch
 /// defeats vectorization of the l loop, which is why dense tiles bypass
@@ -187,21 +178,16 @@ Matrix Multiply(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void MultiplyTNInto(const Matrix& a, const Matrix& b, Matrix* c) {
+Matrix MultiplyTN(const Matrix& a, const Matrix& b) {
   RHCHME_CHECK(a.rows() == b.rows(), "MultiplyTN: inner dims mismatch");
   // Materialising Aᵀ costs O(mk) against the O(mkn) product and turns the
   // column-strided reads into the contiguous row-panel kernel.
   const Matrix at = a.Transposed();
-  const std::size_t m = at.rows();
-  c->Resize(m, b.cols());
-  util::ParallelFor(0, m, kRowPanel, [&](std::size_t r0, std::size_t r1) {
-    GemmPanelNN(at, b, c, r0, r1);
-  });
-}
-
-Matrix MultiplyTN(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  MultiplyTNInto(a, b, &c);
+  Matrix c(at.rows(), b.cols());
+  util::ParallelFor(0, at.rows(), kRowPanel,
+                    [&](std::size_t r0, std::size_t r1) {
+                      GemmPanelNN(at, b, &c, r0, r1);
+                    });
   return c;
 }
 
@@ -284,62 +270,6 @@ Matrix Gram(const Matrix& a) {
   return g;
 }
 
-std::vector<double> MultiplyVec(const Matrix& a, const std::vector<double>& x) {
-  RHCHME_CHECK(a.cols() == x.size(), "MultiplyVec: dims mismatch");
-  const simd::KernelTable& kt = simd::Table();
-  std::vector<double> y(a.rows(), 0.0);
-  util::ParallelFor(0, a.rows(), util::GrainForWork(2 * a.cols() + 1),
-                    [&](std::size_t r0, std::size_t r1) {
-                      for (std::size_t i = r0; i < r1; ++i) {
-                        y[i] = kt.dot(a.row_ptr(i), x.data(), a.cols());
-                      }
-                    });
-  return y;
-}
-
-std::vector<double> MultiplyTVec(const Matrix& a,
-                                 const std::vector<double>& x) {
-  RHCHME_CHECK(a.rows() == x.size(), "MultiplyTVec: dims mismatch");
-  const simd::KernelTable& kt = simd::Table();
-  const std::size_t kk = a.rows(), m = a.cols();
-  std::vector<double> y(m, 0.0);
-  if (kk == 0 || m == 0) return y;
-  // Bounded per-chunk accumulators: source-row chunks accumulate into
-  // their own m-vector, merged in chunk order. Chunk layout depends only
-  // on the shape (capped at kMaxChunks), and every y[j] sums rows in
-  // ascending order on both paths, so results are bit-identical for any
-  // pool size.
-  constexpr std::size_t kMaxChunks = 16;
-  const std::size_t cap_grain = (kk + kMaxChunks - 1) / kMaxChunks;
-  const std::size_t grain = std::max(util::GrainForWork(2 * m + 1), cap_grain);
-  const std::size_t nchunks = (kk + grain - 1) / grain;
-  if (nchunks <= 1) {
-    for (std::size_t i = 0; i < kk; ++i) {
-      const double xi = x[i];
-      if (xi == 0.0) continue;
-      kt.axpy(xi, a.row_ptr(i), y.data(), m);
-    }
-    return y;
-  }
-  std::vector<std::vector<double>> partial(nchunks);
-  util::ParallelFor(0, kk, grain, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t cb = b0; cb < e0; cb += grain) {
-      std::vector<double>& slot = partial[cb / grain];
-      slot.assign(m, 0.0);
-      const std::size_t ce = std::min(e0, cb + grain);
-      for (std::size_t i = cb; i < ce; ++i) {
-        const double xi = x[i];
-        if (xi == 0.0) continue;
-        kt.axpy(xi, a.row_ptr(i), slot.data(), m);
-      }
-    }
-  });
-  for (const std::vector<double>& slot : partial) {
-    kt.add(y.data(), slot.data(), m);
-  }
-  return y;
-}
-
 double FrobeniusInner(const Matrix& a, const Matrix& b) {
   RHCHME_CHECK(a.SameShape(b), "FrobeniusInner: shape mismatch");
   const simd::KernelTable& kt = simd::Table();
@@ -357,51 +287,6 @@ double FrobeniusInner(const Matrix& a, const Matrix& b) {
                              }
                              return acc;
                            });
-}
-
-double Sandwich(const Matrix& g, const Matrix& l) {
-  RHCHME_CHECK(l.rows() == l.cols() && l.rows() == g.rows(),
-               "Sandwich: shape mismatch");
-  const simd::KernelTable& kt = simd::Table();
-  const std::size_t n = g.rows(), c = g.cols();
-  if (n == 0 || c == 0) return 0.0;
-  // tr(Gᵀ L G) = Σ_i (L G)(i,:) · G(i,:). Each chunk streams its rows of L
-  // against G into a c-sized scratch row, so the n x c intermediate is
-  // never materialised; ParallelSum adds the per-chunk traces in fixed
-  // chunk order. Each L row is probed per kBlockK-column segment, the
-  // same way GemmPanelNN probes A tiles: mostly-zero segments (ensemble
-  // Laplacians are pNN-sparse) take the zero-skip branch, dense segments
-  // (fused or corrupted Laplacians) drop the per-element test so every
-  // axpy issues back to back. Skipping a zero coefficient and issuing its
-  // axpy produce the same u (a 0·x term adds exactly zero), so the probe
-  // only picks between equivalent schedules — and it reads L's content
-  // alone, never the thread count.
-  const std::size_t grain =
-      std::max(std::size_t{1}, util::GrainForWork(2 * n * c));
-  return util::ParallelSum(0, n, grain, [&](std::size_t r0, std::size_t r1) {
-    std::vector<double> u(c);
-    double acc = 0.0;
-    for (std::size_t i = r0; i < r1; ++i) {
-      std::fill(u.begin(), u.end(), 0.0);
-      const double* li = l.row_ptr(i);
-      for (std::size_t tb = 0; tb < n; tb += kBlockK) {
-        const std::size_t tend = std::min(n, tb + kBlockK);
-        if (SegmentMostlyZero(li, tb, tend)) {
-          for (std::size_t t = tb; t < tend; ++t) {
-            const double lit = li[t];
-            if (lit == 0.0) continue;
-            kt.axpy(lit, g.row_ptr(t), u.data(), c);
-          }
-        } else {
-          for (std::size_t t = tb; t < tend; ++t) {
-            kt.axpy(li[t], g.row_ptr(t), u.data(), c);
-          }
-        }
-      }
-      acc += kt.dot(u.data(), g.row_ptr(i), c);
-    }
-    return acc;
-  });
 }
 
 }  // namespace la

@@ -11,9 +11,8 @@
 // kernel table (la/simd.h, la/kernels.h): dense A tiles are packed —
 // both operands, BLIS-style — and go through the table's register-blocked
 // microkernel; mostly-zero tiles (membership blocks) keep a zero-skipping
-// axpy path, selected per tile by a cheap density probe (Sandwich applies
-// the same probe per reduction segment of each L row). One binary carries
-// every compiled table (scalar, avx2, avx512) and picks one at
+// axpy path, selected per tile by a cheap density probe. One binary
+// carries every compiled table (scalar, avx2, avx512) and picks one at
 // startup by CPUID; RHCHME_FORCE_ISA / --force_isa pins the choice.
 //
 // Determinism: each output row is produced by exactly one chunk and its
@@ -53,7 +52,8 @@ bool MostlyZero(std::size_t zeros, std::size_t total);
 /// C = A * B. Requires a.cols() == b.rows().
 Matrix Multiply(const Matrix& a, const Matrix& b);
 
-/// C = Aᵀ * B. Requires a.rows() == b.rows().
+/// C = Aᵀ * B. Requires a.rows() == b.rows(). Materialises Aᵀ first —
+/// fastest for the general case, but costs an A-sized temporary.
 Matrix MultiplyTN(const Matrix& a, const Matrix& b);
 
 /// C = A * Bᵀ. Requires a.cols() == b.cols().
@@ -73,10 +73,6 @@ void MultiplyInto(const Matrix& a, const Matrix& b, Matrix* c);
 void MultiplyRowsInto(const Matrix& a, const Matrix& b, Matrix* c,
                       std::size_t r0, std::size_t r1);
 
-/// Writes Aᵀ * B into `c` (resized as needed). Materialises Aᵀ first —
-/// fastest for the general case, but costs an A-sized temporary.
-void MultiplyTNInto(const Matrix& a, const Matrix& b, Matrix* c);
-
 /// Writes A * Bᵀ into `c` (resized as needed). Every C(i,j) is the
 /// dispatched table's dot of row i of A and row j of B. When B is mostly
 /// zero (MostlyZero over all its entries) and both operands are finite,
@@ -89,24 +85,9 @@ void MultiplyNTInto(const Matrix& a, const Matrix& b, Matrix* c);
 /// row panels and mirrors).
 Matrix Gram(const Matrix& a);
 
-/// y = A * x. Requires a.cols() == x.size().
-std::vector<double> MultiplyVec(const Matrix& a, const std::vector<double>& x);
-
-/// y = Aᵀ * x. Requires a.rows() == x.size(). Source-row chunks scatter
-/// into bounded per-chunk accumulators (<= 16 output copies) merged in
-/// chunk order, so results are bit-identical for any pool size.
-std::vector<double> MultiplyTVec(const Matrix& a,
-                                 const std::vector<double>& x);
-
 /// tr(Aᵀ B) = sum of the entrywise product — the Frobenius inner product.
 /// Cheaper than forming the product when only the trace is needed.
 double FrobeniusInner(const Matrix& a, const Matrix& b);
-
-/// tr(Gᵀ L G) without materialising L G: each chunk streams rows of L
-/// against G into a c-sized scratch row, and per-row traces are reduced in
-/// fixed order. Requires L square with l.rows() == g.rows(). This is the
-/// ensemble-regulariser term of the RHCHME objective (paper Eq. 16).
-double Sandwich(const Matrix& g, const Matrix& l);
 
 }  // namespace la
 }  // namespace rhchme

@@ -16,7 +16,7 @@
 //
 // Numerics contract carried by every table (docs/ARCHITECTURE.md "Kernel
 // layer"):
-//   - Element-parallel kernels (Axpy, Add, Sub, Scale, Hadamard) perform
+//   - Element-parallel kernels (Axpy, Add, Sub, Scale) perform
 //     exactly one (unfused) multiply and/or add per element in the scalar
 //     reference's per-element order — bit-identical to simd::scalar::*
 //     for every table, including the AVX-512 masked tails.
@@ -97,7 +97,6 @@ struct KernelTable {
   void (*add)(double* y, const double* x, std::size_t n);
   void (*sub)(double* y, const double* x, std::size_t n);
   void (*scale)(double* y, double s, std::size_t n);
-  void (*hadamard)(double* y, const double* x, std::size_t n);
 
   /// Packs B rows [0, klen) x cols [0, jlen) (row stride ldb) into `pack`,
   /// laid out as ceil(jlen/nr) column panels of (klen x nr); short trailing
@@ -126,7 +125,7 @@ struct KernelTable {
   /// C[i, 0..n) (row stride ldc) with Σ vals[k] · B[idx[k], 0..n) (row
   /// stride ldb) over k in [offsets[i], offsets[i+1]), in ascending k,
   /// starting from +0.0 (an empty row stores zeros). offsets/idx/vals are
-  /// CSR (or CSC) arrays indexed by absolute row. Columns n.. of C are
+  /// CSR arrays indexed by absolute row. Columns n.. of C are
   /// never written; B and C must not overlap. Does not allocate.
   void (*spmm_rows)(const std::size_t* offsets, const std::size_t* idx,
                     const double* vals, std::size_t r0, std::size_t r1,

@@ -177,15 +177,6 @@ void Scale(double* y, double s, std::size_t n) {
   for (; i < n; ++i) y[i] *= s;
 }
 
-void Hadamard(double* y, const double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    _mm256_storeu_pd(y + i, _mm256_mul_pd(_mm256_loadu_pd(y + i),
-                                          _mm256_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] *= x[i];
-}
-
 void PackB(const double* b, std::size_t ldb, std::size_t klen,
            std::size_t jlen, double* pack) {
   for (std::size_t p = 0; p * kNr < jlen; ++p) {
@@ -529,9 +520,8 @@ std::size_t SpgDirectionRow(const double* w, const double* wq,
 constexpr KernelTable kAvx2Table = {
     "avx2",       Isa::kAvx2,  kLanes,   kMr,        kNr,
     Axpy,         Dot,         DotRows,  DotSparse,  SquaredDistance,
-    Add,          Sub,         Scale,    Hadamard,   PackB,
-    PackA,        GemmPacked,  SpmmRows, SpmmSignRows,
-    SpgDirectionRow,
+    Add,          Sub,         Scale,    PackB,      PackA,
+    GemmPacked,   SpmmRows,    SpmmSignRows,         SpgDirectionRow,
 };
 
 }  // namespace

@@ -238,20 +238,6 @@ void Scale(double* y, double s, std::size_t n) {
   }
 }
 
-void Hadamard(double* y, const double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    _mm512_storeu_pd(y + i, _mm512_mul_pd(_mm512_loadu_pd(y + i),
-                                          _mm512_loadu_pd(x + i)));
-  }
-  if (i < n) {
-    const __mmask8 m = TailMask(n - i);
-    _mm512_mask_storeu_pd(y + i, m,
-                          _mm512_mul_pd(_mm512_maskz_loadu_pd(m, y + i),
-                                        _mm512_maskz_loadu_pd(m, x + i)));
-  }
-}
-
 void PackB(const double* b, std::size_t ldb, std::size_t klen,
            std::size_t jlen, double* pack) {
   for (std::size_t p = 0; p * kNr < jlen; ++p) {
@@ -545,9 +531,8 @@ std::size_t SpgDirectionRow(const double* w, const double* wq,
 constexpr KernelTable kAvx512Table = {
     "avx512",     Isa::kAvx512, kLanes,   kMr,        kNr,
     Axpy,         Dot,          DotRows,  DotSparse,  SquaredDistance,
-    Add,          Sub,          Scale,    Hadamard,   PackB,
-    PackA,        GemmPacked,   SpmmRows, SpmmSignRows,
-    SpgDirectionRow,
+    Add,          Sub,          Scale,    PackB,      PackA,
+    GemmPacked,   SpmmRows,     SpmmSignRows,         SpgDirectionRow,
 };
 
 }  // namespace

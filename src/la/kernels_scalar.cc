@@ -68,10 +68,6 @@ void Scale(double* y, double s, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] *= s;
 }
 
-void Hadamard(double* y, const double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] *= x[i];
-}
-
 void PackB(const double* b, std::size_t ldb, std::size_t klen,
            std::size_t jlen, double* pack) {
   for (std::size_t p = 0; p * kNr < jlen; ++p) {
@@ -199,9 +195,8 @@ std::size_t SpgDirectionRow(const double* w, const double* wq,
 constexpr KernelTable kScalarTable = {
     "scalar",     Isa::kScalar, /*lanes=*/1, kMr,        kNr,
     Axpy,         Dot,          DotRows,     DotSparse,  SquaredDistance,
-    Add,          Sub,          Scale,       Hadamard,   PackB,
-    PackA,        GemmPacked,   SpmmRows,    SpmmSignRows,
-    SpgDirectionRow,
+    Add,          Sub,          Scale,       PackB,      PackA,
+    GemmPacked,   SpmmRows,     SpmmSignRows,            SpgDirectionRow,
 };
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 
 #include "la/simd.h"
 #include "util/parallel.h"
@@ -42,7 +41,7 @@ void NoteAlloc(std::size_t elements) {
 
 // Storage invariant: rows are stride_-spaced and the padding columns
 // [cols_, stride_) of every row stay zero. Whole-buffer passes are legal
-// only for operations that map zeros to zeros (+, -, *s, ∘, clamp); every
+// only for operations that map zeros to zeros (+, -, *s, clamp); every
 // other loop walks rows and touches logical columns only.
 
 Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
@@ -195,16 +194,6 @@ void Matrix::Sub(const Matrix& other) {
 
 void Matrix::Scale(double s) { simd::Scale(data_.data(), s, data_.size()); }
 
-void Matrix::AddScaled(const Matrix& other, double s) {
-  RHCHME_CHECK(SameShape(other), "AddScaled: shape mismatch");
-  simd::Axpy(s, other.data_.data(), data_.data(), data_.size());
-}
-
-void Matrix::Hadamard(const Matrix& other) {
-  RHCHME_CHECK(SameShape(other), "Hadamard: shape mismatch");
-  simd::Hadamard(data_.data(), other.data_.data(), data_.size());
-}
-
 void Matrix::Apply(const std::function<double(double)>& f) {
   // f(0) may be nonzero, so only logical columns may be touched.
   for (std::size_t i = 0; i < rows_; ++i) {
@@ -230,56 +219,11 @@ double Matrix::FrobeniusNorm() const {
   return std::sqrt(FrobeniusNormSquared());
 }
 
-double Matrix::L1Norm() const {
-  double s = 0.0;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* r = row_ptr(i);
-    for (std::size_t j = 0; j < cols_; ++j) s += std::fabs(r[j]);
-  }
-  return s;
-}
-
-double Matrix::L21Norm() const {
-  double total = 0.0;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* r = row_ptr(i);
-    total += std::sqrt(simd::Dot(r, r, cols_));
-  }
-  return total;
-}
-
-double Matrix::Sum() const {
-  double s = 0.0;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* r = row_ptr(i);
-    for (std::size_t j = 0; j < cols_; ++j) s += r[j];
-  }
-  return s;
-}
-
 double Matrix::MaxAbs() const {
   double m = 0.0;
   for (std::size_t i = 0; i < rows_; ++i) {
     const double* r = row_ptr(i);
     for (std::size_t j = 0; j < cols_; ++j) m = std::max(m, std::fabs(r[j]));
-  }
-  return m;
-}
-
-double Matrix::Min() const {
-  double m = empty() ? 0.0 : data_[0];
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* r = row_ptr(i);
-    for (std::size_t j = 0; j < cols_; ++j) m = std::min(m, r[j]);
-  }
-  return m;
-}
-
-double Matrix::Max() const {
-  double m = empty() ? 0.0 : data_[0];
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* r = row_ptr(i);
-    for (std::size_t j = 0; j < cols_; ++j) m = std::max(m, r[j]);
   }
   return m;
 }
@@ -344,44 +288,6 @@ std::size_t Matrix::ReplaceNonFinite(double value) {
   return replaced;
 }
 
-bool Matrix::IsNonNegative(double tol) const {
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* r = row_ptr(i);
-    for (std::size_t j = 0; j < cols_; ++j) {
-      if (r[j] < -tol) return false;
-    }
-  }
-  return true;
-}
-
-double Matrix::MaxAbsDiff(const Matrix& other) const {
-  RHCHME_CHECK(SameShape(other), "MaxAbsDiff: shape mismatch");
-  double m = 0.0;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* a = row_ptr(i);
-    const double* b = other.row_ptr(i);
-    for (std::size_t j = 0; j < cols_; ++j) {
-      m = std::max(m, std::fabs(a[j] - b[j]));
-    }
-  }
-  return m;
-}
-
-void Matrix::ScaleRows(const std::vector<double>& d) {
-  RHCHME_CHECK(d.size() == rows_, "ScaleRows: size mismatch");
-  for (std::size_t i = 0; i < rows_; ++i) {
-    if (std::fabs(d[i]) < kScaleRowsEps) continue;
-    simd::Scale(row_ptr(i), 1.0 / d[i], cols_);
-  }
-}
-
-void Matrix::ScaleCols(const std::vector<double>& d) {
-  RHCHME_CHECK(d.size() == cols_, "ScaleCols: size mismatch");
-  for (std::size_t i = 0; i < rows_; ++i) {
-    simd::Hadamard(row_ptr(i), d.data(), cols_);
-  }
-}
-
 void Matrix::NormalizeRowsL1(std::size_t c0, std::size_t c1) {
   for (std::size_t i = 0; i < rows_; ++i) {
     double* r = row_ptr(i);
@@ -394,48 +300,6 @@ void Matrix::NormalizeRowsL1(std::size_t c0, std::size_t c1) {
       for (std::size_t j = c0; j < c1; ++j) r[j] = u;
     }
   }
-}
-
-std::string Matrix::DebugString(std::size_t max_rows,
-                                std::size_t max_cols) const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "Matrix %zux%zu\n", rows_, cols_);
-  std::string out = buf;
-  for (std::size_t i = 0; i < std::min(rows_, max_rows); ++i) {
-    out += "  [";
-    for (std::size_t j = 0; j < std::min(cols_, max_cols); ++j) {
-      std::snprintf(buf, sizeof(buf), "%s%9.4g", j ? ", " : "", (*this)(i, j));
-      out += buf;
-    }
-    if (cols_ > max_cols) out += ", ...";
-    out += "]\n";
-  }
-  if (rows_ > max_rows) out += "  ...\n";
-  return out;
-}
-
-Matrix Add(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.Add(b);
-  return c;
-}
-
-Matrix Sub(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.Sub(b);
-  return c;
-}
-
-Matrix Scaled(const Matrix& a, double s) {
-  Matrix c = a;
-  c.Scale(s);
-  return c;
-}
-
-Matrix Hadamard(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.Hadamard(b);
-  return c;
 }
 
 Matrix PositivePart(const Matrix& m) {
@@ -462,23 +326,11 @@ Matrix NegativePart(const Matrix& m) {
   return p;
 }
 
-double MaxAbsDiff(const Matrix& a, const Matrix& b) {
-  return a.MaxAbsDiff(b);
-}
-
 Matrix HConcat(const Matrix& a, const Matrix& b) {
   RHCHME_CHECK(a.rows() == b.rows(), "HConcat: row mismatch");
   Matrix c(a.rows(), a.cols() + b.cols());
   c.SetBlock(0, 0, a);
   c.SetBlock(0, a.cols(), b);
-  return c;
-}
-
-Matrix VConcat(const Matrix& a, const Matrix& b) {
-  RHCHME_CHECK(a.cols() == b.cols(), "VConcat: column mismatch");
-  Matrix c(a.rows() + b.rows(), a.cols());
-  c.SetBlock(0, 0, a);
-  c.SetBlock(a.rows(), 0, b);
   return c;
 }
 

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "la/aligned.h"
@@ -43,15 +42,6 @@ namespace internal {
 void NoteAlloc(std::size_t elements);
 }  // namespace internal
 }  // namespace memstats
-
-/// Divisor floor for Matrix::ScaleRows: rows whose scale entry has
-/// magnitude below this are left untouched instead of dividing by a
-/// (near-)zero and flushing the row to ±Inf. Degree vectors and row
-/// norms in this library are either exactly zero or of sane magnitude,
-/// so the floor only needs to sit far below any legitimate divisor;
-/// 1e-300 filters exact zeros and underflow debris while remaining ~8
-/// decades above the smallest normal double (~2.2e-308).
-constexpr double kScaleRowsEps = 1e-300;
 
 /// Row-mass threshold for Matrix::NormalizeRowsL1: a row whose L1 mass is
 /// at or below this is treated as all-zero and (when a column range is
@@ -169,8 +159,6 @@ class Matrix {
   void Add(const Matrix& other);            ///< this += other
   void Sub(const Matrix& other);            ///< this -= other
   void Scale(double s);                     ///< this *= s
-  void AddScaled(const Matrix& other, double s);  ///< this += s * other
-  void Hadamard(const Matrix& other);       ///< this ∘= other
   void Apply(const std::function<double(double)>& f);  ///< entrywise map
 
   /// Clamps negatives to zero (projection onto the nonnegative orthant).
@@ -180,13 +168,7 @@ class Matrix {
 
   double FrobeniusNorm() const;             ///< sqrt(sum of squares)
   double FrobeniusNormSquared() const;
-  double L1Norm() const;                    ///< sum of |entries|
-  /// L2,1 norm: sum over rows of the row's Euclidean norm (paper Eq. 14).
-  double L21Norm() const;
-  double Sum() const;
   double MaxAbs() const;
-  double Min() const;
-  double Max() const;
   std::vector<double> RowSums() const;
   std::vector<double> ColSums() const;
   /// Trace; requires a square matrix.
@@ -201,25 +183,11 @@ class Matrix {
   /// poisoned entry becomes missing data instead of propagating through
   /// every downstream kernel.
   std::size_t ReplaceNonFinite(double value);
-  /// True if all entries are >= -tol.
-  bool IsNonNegative(double tol = 0.0) const;
-  /// Max |this - other| entry; requires same shape.
-  double MaxAbsDiff(const Matrix& other) const;
 
-  // ---- Row/column scaling -----------------------------------------------
-
-  /// Divides each row by `d[i]` (no-op for rows with |d[i]| < kScaleRowsEps).
-  void ScaleRows(const std::vector<double>& d);
-  /// Multiplies each column by `d[j]`.
-  void ScaleCols(const std::vector<double>& d);
   /// Normalises each row to unit L1 mass; rows with mass <=
   /// kNormalizeRowsZeroTol become uniform over [c0, c1) if a nonempty
   /// range is given, else stay zero.
   void NormalizeRowsL1(std::size_t c0 = 0, std::size_t c1 = 0);
-
-  /// Short human-readable dump (for debugging / error messages).
-  std::string DebugString(std::size_t max_rows = 8,
-                          std::size_t max_cols = 8) const;
 
  private:
   std::size_t rows_;
@@ -230,25 +198,13 @@ class Matrix {
 
 // ---- Free-function helpers (value-returning) -----------------------------
 
-/// C = A + B. Shapes must match.
-Matrix Add(const Matrix& a, const Matrix& b);
-/// C = A - B. Shapes must match.
-Matrix Sub(const Matrix& a, const Matrix& b);
-/// C = s * A.
-Matrix Scaled(const Matrix& a, double s);
-/// C = A ∘ B (entrywise). Shapes must match.
-Matrix Hadamard(const Matrix& a, const Matrix& b);
 /// Splits M into the positive part (|M|+M)/2 — used by multiplicative
 /// updates (paper Eq. 21).
 Matrix PositivePart(const Matrix& m);
 /// Splits M into the negative part (|M|-M)/2 (entrywise nonnegative).
 Matrix NegativePart(const Matrix& m);
-/// Max |a(i,j) - b(i,j)|.
-double MaxAbsDiff(const Matrix& a, const Matrix& b);
 /// [A | B] side by side. Row counts must match.
 Matrix HConcat(const Matrix& a, const Matrix& b);
-/// [A; B] stacked. Column counts must match.
-Matrix VConcat(const Matrix& a, const Matrix& b);
 
 }  // namespace la
 }  // namespace rhchme

@@ -80,10 +80,6 @@ inline void Scale(double* y, double s, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] *= s;
 }
 
-inline void Hadamard(double* y, const double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] *= x[i];
-}
-
 }  // namespace scalar
 
 // ---- Dispatch -------------------------------------------------------------
@@ -164,9 +160,6 @@ inline void Sub(double* y, const double* x, std::size_t n) {
 }
 inline void Scale(double* y, double s, std::size_t n) {
   Table().scale(y, s, n);
-}
-inline void Hadamard(double* y, const double* x, std::size_t n) {
-  Table().hadamard(y, x, n);
 }
 
 }  // namespace simd

@@ -6,11 +6,11 @@
 
 namespace rhchme {
 namespace la {
+namespace {
 
+/// Lower-triangular factor L of A = L·Lᵀ for square A, or NumericalError
+/// if A is not (numerically) positive definite.
 Result<Matrix> Cholesky(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("Cholesky: matrix must be square");
-  }
   const std::size_t n = a.rows();
   Matrix l(n, n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -30,10 +30,8 @@ Result<Matrix> Cholesky(const Matrix& a) {
   return l;
 }
 
+/// Solves A·X = B for SPD A via Cholesky.
 Result<Matrix> SolveSPD(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) {
-    return Status::InvalidArgument("SolveSPD: rhs rows mismatch");
-  }
   Result<Matrix> chol = Cholesky(a);
   if (!chol.ok()) return chol.status();
   const Matrix& l = chol.value();
@@ -60,15 +58,12 @@ Result<Matrix> SolveSPD(const Matrix& a, const Matrix& b) {
   return x;
 }
 
-namespace {
-
-/// LU with partial pivoting, in place. Returns the pivot permutation and
-/// its sign, or an error on (numerical) singularity.
-Status LuFactor(Matrix* a, std::vector<std::size_t>* perm, int* sign) {
+/// LU with partial pivoting, in place. Returns the pivot permutation, or
+/// an error on (numerical) singularity.
+Status LuFactor(Matrix* a, std::vector<std::size_t>* perm) {
   const std::size_t n = a->rows();
   perm->resize(n);
   std::iota(perm->begin(), perm->end(), std::size_t{0});
-  *sign = 1;
   for (std::size_t k = 0; k < n; ++k) {
     std::size_t p = k;
     double best = std::fabs((*a)(k, k));
@@ -85,7 +80,6 @@ Status LuFactor(Matrix* a, std::vector<std::size_t>* perm, int* sign) {
     if (p != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap((*a)(k, j), (*a)(p, j));
       std::swap((*perm)[k], (*perm)[p]);
-      *sign = -*sign;
     }
     const double inv = 1.0 / (*a)(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
@@ -98,19 +92,11 @@ Status LuFactor(Matrix* a, std::vector<std::size_t>* perm, int* sign) {
   return Status::OK();
 }
 
-}  // namespace
-
+/// Solves A·X = B for square A via LU with partial pivoting.
 Result<Matrix> SolveLU(const Matrix& a, const Matrix& b) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("SolveLU: matrix must be square");
-  }
-  if (a.rows() != b.rows()) {
-    return Status::InvalidArgument("SolveLU: rhs rows mismatch");
-  }
   Matrix lu = a;
   std::vector<std::size_t> perm;
-  int sign = 0;
-  RHCHME_RETURN_IF_ERROR(LuFactor(&lu, &perm, &sign));
+  RHCHME_RETURN_IF_ERROR(LuFactor(&lu, &perm));
   const std::size_t n = a.rows(), m = b.cols();
 
   // Apply permutation to B, then forward/backward substitute.
@@ -136,33 +122,20 @@ Result<Matrix> SolveLU(const Matrix& a, const Matrix& b) {
   return x;
 }
 
-Result<Matrix> Inverse(const Matrix& a) {
-  return SolveLU(a, Matrix::Identity(a.rows()));
-}
+}  // namespace
 
 Result<Matrix> SolveRidged(const Matrix& a, const Matrix& b, double ridge) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("SolveRidged: matrix must be square");
+  }
+  if (a.rows() != b.rows()) {
+    return Status::InvalidArgument("SolveRidged: rhs rows mismatch");
   }
   Matrix reg = a;
   for (std::size_t i = 0; i < reg.rows(); ++i) reg(i, i) += ridge;
   Result<Matrix> spd = SolveSPD(reg, b);
   if (spd.ok()) return spd;
   return SolveLU(reg, b);  // Fall back for indefinite inputs.
-}
-
-Result<double> Determinant(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("Determinant: matrix must be square");
-  }
-  Matrix lu = a;
-  std::vector<std::size_t> perm;
-  int sign = 0;
-  Status s = LuFactor(&lu, &perm, &sign);
-  if (!s.ok()) return 0.0;  // Singular: determinant is (numerically) zero.
-  double det = sign;
-  for (std::size_t i = 0; i < lu.rows(); ++i) det *= lu(i, i);
-  return det;
 }
 
 }  // namespace la

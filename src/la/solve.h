@@ -1,9 +1,9 @@
-// Direct solvers for small dense systems.
+// Direct solver for small dense systems.
 //
 // The solvers in this library only ever invert c x c matrices (c = total
 // cluster count, tens at most) — e.g. (GᵀG)⁻¹ in the S-update (paper
-// Eq. 18) — and diagonal-plus-identity systems. Cholesky covers the SPD
-// case; LU with partial pivoting covers the general case.
+// Eq. 18). Cholesky covers the SPD case; LU with partial pivoting is the
+// fallback for indefinite inputs.
 
 #ifndef RHCHME_LA_SOLVE_H_
 #define RHCHME_LA_SOLVE_H_
@@ -13,27 +13,12 @@
 namespace rhchme {
 namespace la {
 
-/// Cholesky factorisation A = L·Lᵀ of a symmetric positive-definite matrix.
-/// Returns the lower-triangular factor, or NumericalError if A is not
-/// (numerically) positive definite.
-Result<Matrix> Cholesky(const Matrix& a);
-
-/// Solves A·X = B for SPD A via Cholesky. B may have multiple columns.
-Result<Matrix> SolveSPD(const Matrix& a, const Matrix& b);
-
-/// Solves A·X = B for general square A via LU with partial pivoting.
-Result<Matrix> SolveLU(const Matrix& a, const Matrix& b);
-
-/// A⁻¹ for general square A (LU-based). Prefer the Solve* functions when a
-/// product with the inverse is all that is needed.
-Result<Matrix> Inverse(const Matrix& a);
-
 /// (A + ridge·I)⁻¹·B for symmetric A — the regularised solve used by the
-/// S-update where GᵀG may be singular when a cluster empties out.
+/// S-update where GᵀG may be singular when a cluster empties out. Solves
+/// by Cholesky, and by LU with partial pivoting when A + ridge·I is not
+/// (numerically) positive definite. InvalidArgument on a non-square A or
+/// a row mismatch with B; NumericalError when both factorisations fail.
 Result<Matrix> SolveRidged(const Matrix& a, const Matrix& b, double ridge);
-
-/// Determinant via LU (for tests and diagnostics; O(n³)).
-Result<double> Determinant(const Matrix& a);
 
 }  // namespace la
 }  // namespace rhchme

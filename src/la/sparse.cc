@@ -140,25 +140,6 @@ Matrix SparseMatrix::ToDense() const {
   return d;
 }
 
-std::vector<double> SparseMatrix::MultiplyVec(
-    const std::vector<double>& x) const {
-  RHCHME_CHECK(x.size() == cols_, "MultiplyVec: dims mismatch");
-  std::vector<double> y(rows_, 0.0);
-  const std::size_t nnz_per_row = rows_ > 0 ? nnz() / rows_ + 1 : 1;
-  util::ParallelFor(0, rows_, util::GrainForWork(2 * nnz_per_row),
-                    [&](std::size_t r0, std::size_t r1) {
-                      for (std::size_t i = r0; i < r1; ++i) {
-                        double acc = 0.0;
-                        for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1];
-                             ++k) {
-                          acc += values_[k] * x[cols_idx_[k]];
-                        }
-                        y[i] = acc;
-                      }
-                    });
-  return y;
-}
-
 void SparseMatrix::MultiplyDenseInto(const Matrix& b, Matrix* c) const {
   RHCHME_CHECK(b.rows() == cols_, "MultiplyDense: dims mismatch");
   c->Resize(rows_, b.cols());
@@ -221,28 +202,6 @@ std::vector<double> SparseMatrix::RowNormsSquared() const {
                       }
                     });
   return s;
-}
-
-double SparseMatrix::FrobeniusNorm() const {
-  double s = 0.0;
-  for (double v : values_) s += v * v;
-  return std::sqrt(s);
-}
-
-double SparseMatrix::Sum() const {
-  double s = 0.0;
-  for (double v : values_) s += v;
-  return s;
-}
-
-bool SparseMatrix::IsSymmetric(double tol) const {
-  if (rows_ != cols_) return false;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      if (std::fabs(values_[k] - At(cols_idx_[k], i)) > tol) return false;
-    }
-  }
-  return true;
 }
 
 namespace {

@@ -102,9 +102,6 @@ class SparseMatrix {
   /// Dense copy.
   Matrix ToDense() const;
 
-  /// y = A·x.
-  std::vector<double> MultiplyVec(const std::vector<double>& x) const;
-
   /// C = A·B for dense B (resizes `c`).
   void MultiplyDenseInto(const Matrix& b, Matrix* c) const;
   Matrix MultiplyDense(const Matrix& b) const;
@@ -122,12 +119,6 @@ class SparseMatrix {
   /// caches these once per fit — the analytic residual row
   /// norms ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ start from them.
   std::vector<double> RowNormsSquared() const;
-
-  double FrobeniusNorm() const;
-  double Sum() const;
-
-  /// True when A equals its transpose up to `tol`.
-  bool IsSymmetric(double tol = 1e-12) const;
 
  private:
   std::size_t rows_;

@@ -69,11 +69,6 @@ double Rng::Normal() {
   return radius * std::cos(angle);
 }
 
-double Rng::Exponential(double lambda) {
-  RHCHME_CHECK(lambda > 0.0, "Exponential rate must be positive");
-  return -std::log(1.0 - Uniform()) / lambda;
-}
-
 std::size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {

@@ -42,9 +42,6 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev) { return mean + stddev * Normal(); }
 
-  /// Exponential with rate `lambda` (mean 1/lambda).
-  double Exponential(double lambda);
-
   /// Samples an index from an unnormalised nonnegative weight vector.
   /// Requires at least one strictly positive weight.
   std::size_t Categorical(const std::vector<double>& weights);

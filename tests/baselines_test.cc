@@ -14,12 +14,16 @@
 #include "dense_reference_solver.h"
 #include "eval/metrics.h"
 #include "la/gemm.h"
+#include "matrix_oracles.h"
 #include "scoped_num_threads.h"
 #include "util/fault.h"
 
 namespace rhchme {
 namespace baselines {
 namespace {
+
+using testing_reference::AddScaled;
+using testing_reference::IsNonNegative;
 
 data::MultiTypeRelationalData SmallData(uint64_t seed = 17) {
   data::BlockWorldOptions o;
@@ -239,8 +243,8 @@ TEST(Drcc, FactorsHaveRightShapes) {
   EXPECT_EQ(r.value().s.cols(), 4u);
   EXPECT_EQ(r.value().row_labels.size(), 30u);
   EXPECT_EQ(r.value().col_labels.size(), 20u);
-  EXPECT_TRUE(r.value().g.IsNonNegative());
-  EXPECT_TRUE(r.value().f.IsNonNegative());
+  EXPECT_TRUE(IsNonNegative(r.value().g));
+  EXPECT_TRUE(IsNonNegative(r.value().f));
 }
 
 TEST(Drcc, ObjectiveDecreases) {
@@ -448,7 +452,7 @@ TEST(CoreBaselines, RecoverFromEveryPoisonSite) {
       ASSERT_TRUE(fit.ok()) << site << " " << method << ": "
                             << fit.status().ToString();
       EXPECT_TRUE(fit.value().g.AllFinite()) << site << " " << method;
-      EXPECT_TRUE(fit.value().g.IsNonNegative()) << site << " " << method;
+      EXPECT_TRUE(IsNonNegative(fit.value().g)) << site << " " << method;
     }
   }
 }
@@ -587,7 +591,7 @@ TEST(CoreBaselines, RmcMatchesDenseOracleUnderTheSameHook) {
     beta = ProjectOntoSimplex(traces);
     *l = la::Matrix(l->rows(), l->cols());
     for (std::size_t i = 0; i < lap.size(); ++i) {
-      if (beta[i] > 0.0) l->AddScaled(lap[i], beta[i]);
+      if (beta[i] > 0.0) AddScaled(l, lap[i], beta[i]);
     }
   };
   const testing_reference::DenseReferenceFit want =

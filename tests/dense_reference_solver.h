@@ -26,6 +26,7 @@
 #include "factorization/hocc_common.h"
 #include "la/gemm.h"
 #include "la/matrix.h"
+#include "matrix_oracles.h"
 #include "multiply_tn_stream.h"
 #include "util/rng.h"
 
@@ -132,7 +133,7 @@ inline double DenseObjective(const la::Matrix& r, const la::Matrix& g,
   double l21 = 0.0;
   if (!error.empty()) {
     resid.Sub(error);
-    l21 = error.L21Norm();
+    l21 = L21Norm(error);
   }
   const double smooth = la::FrobeniusInner(la::Multiply(laplacian, g), g);
   return resid.FrobeniusNormSquared() + beta * l21 + lambda * smooth;

@@ -11,6 +11,7 @@
 #include "data/synthetic.h"
 #include "eigen_sym.h"
 #include "la/gemm.h"
+#include "matrix_oracles.h"
 #include "reference_laplacian.h"
 #include "scoped_num_threads.h"
 #include "util/rng.h"
@@ -18,6 +19,8 @@
 namespace rhchme {
 namespace core {
 namespace {
+
+using testing_reference::MaxAbsDiff;
 
 data::MultiTypeRelationalData SmallData() {
   data::BlockWorldOptions o;
@@ -95,9 +98,10 @@ TEST(Ensemble, EqualsAlphaLsPlusLe) {
   ASSERT_TRUE(e_s.ok());
   ASSERT_TRUE(e_e.ok());
 
-  la::Matrix expected = la::Scaled(e_s.value().laplacian.ToDense(), 2.5);
+  la::Matrix expected = e_s.value().laplacian.ToDense();
+  expected.Scale(2.5);
   expected.Add(e_e.value().laplacian.ToDense());
-  EXPECT_LT(la::MaxAbsDiff(e_both.value().laplacian.ToDense(), expected),
+  EXPECT_LT(MaxAbsDiff(e_both.value().laplacian.ToDense(), expected),
             1e-9);
 }
 
@@ -165,7 +169,7 @@ TEST(Ensemble, AlphaZeroDropsSubspaceInfluence) {
   Result<HeterogeneousEnsemble> k = BuildEnsemble(d, b, knn_only);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(k.ok());
-  EXPECT_LT(la::MaxAbsDiff(a.value().laplacian.ToDense(),
+  EXPECT_LT(MaxAbsDiff(a.value().laplacian.ToDense(),
                            k.value().laplacian.ToDense()),
             1e-12);
 }
@@ -184,10 +188,22 @@ TEST(Ensemble, ReweightMatchesFreshBuild) {
   Result<HeterogeneousEnsemble> reweighted =
       ReweightEnsemble(base.value(), b, 3.5);
   ASSERT_TRUE(reweighted.ok());
-  EXPECT_LT(la::MaxAbsDiff(fresh.value().laplacian.ToDense(),
-                           reweighted.value().laplacian.ToDense()),
-            1e-9);
-  EXPECT_DOUBLE_EQ(reweighted.value().alpha, 3.5);
+  // Both run the same Laplacian-and-assembly tail on the same members,
+  // and every field of the reweighted ensemble matches the fresh build.
+  const HeterogeneousEnsemble& got = reweighted.value();
+  const HeterogeneousEnsemble& want = fresh.value();
+  ExpectSameCsr(got.laplacian, want.laplacian);
+  ASSERT_EQ(got.subspace_affinity.size(), want.subspace_affinity.size());
+  for (std::size_t k = 0; k < want.subspace_affinity.size(); ++k) {
+    ExpectSameCsr(got.subspace_affinity[k], want.subspace_affinity[k]);
+  }
+  ASSERT_EQ(got.knn_affinity.size(), want.knn_affinity.size());
+  for (std::size_t k = 0; k < want.knn_affinity.size(); ++k) {
+    ExpectSameCsr(got.knn_affinity[k], want.knn_affinity[k]);
+  }
+  EXPECT_EQ(got.subspace_iterations, want.subspace_iterations);
+  EXPECT_EQ(got.subspace_stop, want.subspace_stop);
+  EXPECT_DOUBLE_EQ(got.alpha, 3.5);
 }
 
 TEST(Ensemble, ReweightRejectsBadInputs) {
@@ -503,7 +519,7 @@ TEST(EnsembleAssembly, MatchesTheTripletAssemblyByteForByte) {
                     {1.0, 0.5, -0.25, 0.5, 1.0, 0.0, -0.0, 0.125, -0.25,
                      0.125, 1.0})
                     .value();
-  ASSERT_EQ(la::MaxAbsDiff(ls_zeros[0].ToDense(), ls[0]), 0.0);
+  ASSERT_EQ(MaxAbsDiff(ls_zeros[0].ToDense(), ls[0]), 0.0);
   for (double alpha : {2.0, 1.0, 0.3, 0.0}) {
     for (int pool : {1, 4}) {
       ScopedNumThreads threads(pool);

@@ -19,9 +19,12 @@
 #include "data/synthetic.h"
 #include "factorization/hocc_common.h"
 #include "io/dataset_io.h"
+#include "matrix_oracles.h"
 
 namespace rhchme {
 namespace {
+
+using testing_reference::IsNonNegative;
 
 namespace fs = std::filesystem;
 
@@ -52,7 +55,7 @@ void ExpectRecoveredOrCleanFailure(const Result<core::RhchmeResult>& fit,
   }
   const core::RhchmeResult& r = fit.value();
   EXPECT_TRUE(r.hocc.g.AllFinite()) << site;
-  EXPECT_TRUE(r.hocc.g.IsNonNegative()) << site;
+  EXPECT_TRUE(IsNonNegative(r.hocc.g)) << site;
   EXPECT_GT(r.hocc.iterations, 0) << site;
   if (fired) {
     EXPECT_GT(r.diagnostics.RecoveryEvents(), 0u)

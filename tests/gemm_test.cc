@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "la/simd.h"
+#include "matrix_oracles.h"
 #include "multiply_tn_stream.h"
 #include "scoped_num_threads.h"
 #include "util/rng.h"
@@ -18,6 +19,9 @@
 namespace rhchme {
 namespace la {
 namespace {
+
+using testing_reference::MaxAbsDiff;
+using testing_reference::Sum;
 
 /// Reference triple-loop product for validating the optimised kernels.
 Matrix NaiveMultiply(const Matrix& a, const Matrix& b) {
@@ -188,14 +192,6 @@ TEST(Gemm, MultiplyRowsIntoMatchesMultiplyIntoForAnyRange) {
   }
 }
 
-TEST(Gemm, VectorProducts) {
-  Matrix a = Matrix::FromRows({{1, 2, 3}, {4, 5, 6}});
-  std::vector<double> x = {1, 1, 1};
-  EXPECT_EQ(MultiplyVec(a, x), (std::vector<double>{6, 15}));
-  std::vector<double> y = {1, 2};
-  EXPECT_EQ(MultiplyTVec(a, y), (std::vector<double>{9, 12, 15}));
-}
-
 TEST(Gemm, FrobeniusInnerMatchesTrace) {
   Rng rng(6);
   Matrix a = Matrix::RandomNormal(5, 7, &rng);
@@ -315,31 +311,6 @@ TEST(Gemm, StreamingTNIsBitStableAcrossThreadCounts) {
   EXPECT_EQ(MaxAbsDiff(run(1), run(4)), 0.0);
 }
 
-TEST(Gemm, SandwichMatchesExplicitTrace) {
-  Rng rng(17);
-  Matrix g = Matrix::RandomNormal(23, 4, &rng);
-  Matrix l = Matrix::RandomNormal(23, 23, &rng);
-  // tr(Gᵀ L G) via the explicit product chain.
-  const double expected = MultiplyTN(g, Multiply(l, g)).Trace();
-  EXPECT_NEAR(Sandwich(g, l), expected, 1e-9);
-}
-
-TEST(Gemm, SandwichOfLaplacianLikeMatrixIsNonNegative) {
-  // For L = D - W (diagonally dominant PSD), tr(GᵀLG) >= 0.
-  Matrix w = Matrix::FromRows({{0, 1, 2}, {1, 0, 1}, {2, 1, 0}});
-  std::vector<double> deg = w.RowSums();
-  Matrix l = Matrix::Diagonal(deg);
-  l.Sub(w);
-  Rng rng(23);
-  Matrix g = Matrix::RandomNormal(3, 2, &rng);
-  EXPECT_GE(Sandwich(g, l), -1e-12);
-}
-
-TEST(Gemm, SandwichEmptyIsZero) {
-  EXPECT_EQ(Sandwich(Matrix(), Matrix()), 0.0);
-  EXPECT_EQ(Sandwich(Matrix(4, 0), Matrix(4, 4)), 0.0);
-}
-
 TEST(Gemm, SparseInputsShortCircuit) {
   // Zero blocks must not pollute the result (the kernels skip zeros).
   Matrix a(30, 30);
@@ -348,7 +319,7 @@ TEST(Gemm, SparseInputsShortCircuit) {
   b(4, 9) = 5.0;
   Matrix c = Multiply(a, b);
   EXPECT_DOUBLE_EQ(c(3, 9), 10.0);
-  EXPECT_DOUBLE_EQ(c.Sum(), 10.0);
+  EXPECT_DOUBLE_EQ(Sum(c), 10.0);
 }
 
 TEST(Gemm, MixedDensityTilesAgreeWithNaive) {
@@ -395,40 +366,6 @@ TEST(Gemm, FrobeniusInnerIgnoresRowPadding) {
     for (std::size_t j = 0; j < a.cols(); ++j) expected += a(i, j) * b(i, j);
   }
   EXPECT_NEAR(FrobeniusInner(a, b), expected, 1e-12);
-}
-
-TEST(Gemm, MultiplyTVecMatchesNaiveOnLargeInput) {
-  Rng rng(43);
-  const std::size_t rows = 700, cols = 41;
-  Matrix a = Matrix::RandomNormal(rows, cols, &rng);
-  std::vector<double> x(rows);
-  for (double& v : x) v = rng.Uniform(-1.0, 1.0);
-  std::vector<double> naive(cols, 0.0);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) naive[j] += x[i] * a(i, j);
-  }
-  std::vector<double> got = MultiplyTVec(a, x);
-  ASSERT_EQ(got.size(), cols);
-  for (std::size_t j = 0; j < cols; ++j) {
-    EXPECT_NEAR(got[j], naive[j], 1e-9) << "j=" << j;
-  }
-}
-
-TEST(Gemm, MultiplyTVecIsBitStableAcrossThreadCounts) {
-  Rng rng(44);
-  Matrix a = Matrix::RandomNormal(900, 60, &rng);
-  std::vector<double> x(900);
-  for (double& v : x) v = rng.Normal(0.0, 1.0);
-  auto run = [&](int threads) {
-    ScopedNumThreads scoped(threads);
-    return MultiplyTVec(a, x);
-  };
-  const std::vector<double> serial = run(1);
-  const std::vector<double> pooled = run(4);
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (std::size_t j = 0; j < serial.size(); ++j) {
-    EXPECT_EQ(serial[j], pooled[j]) << "j=" << j;
-  }
 }
 
 }  // namespace

@@ -9,11 +9,14 @@
 #include "data/synthetic.h"
 #include "io/dataset_io.h"
 #include "io/matrix_io.h"
+#include "matrix_oracles.h"
 #include "util/rng.h"
 
 namespace rhchme {
 namespace io {
 namespace {
+
+using testing_reference::MaxAbsDiff;
 
 namespace fs = std::filesystem;
 
@@ -39,7 +42,7 @@ TEST_F(IoTest, MatrixCsvRoundTrip) {
   ASSERT_TRUE(WriteMatrixCsv(m, Path("m.csv")).ok());
   Result<la::Matrix> back = ReadMatrixCsv(Path("m.csv"));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_LT(la::MaxAbsDiff(back.value(), m), 1e-12);
+  EXPECT_LT(MaxAbsDiff(back.value(), m), 1e-12);
 }
 
 TEST_F(IoTest, MatrixCsvRejectsRaggedAndGarbage) {
@@ -79,7 +82,7 @@ TEST_F(IoTest, MatrixBinaryRoundTripIsExact) {
   ASSERT_TRUE(WriteMatrixBinary(m, Path("m.bin")).ok());
   Result<la::Matrix> back = ReadMatrixBinary(Path("m.bin"));
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(la::MaxAbsDiff(back.value(), m), 0.0);
+  EXPECT_EQ(MaxAbsDiff(back.value(), m), 0.0);
 }
 
 TEST_F(IoTest, MatrixBinaryRejectsCorruption) {
@@ -207,7 +210,7 @@ TEST_F(IoTest, DatasetRoundTrip) {
     EXPECT_EQ(back.value().Type(k).count, original.Type(k).count);
     EXPECT_EQ(back.value().Type(k).clusters, original.Type(k).clusters);
     EXPECT_EQ(back.value().Type(k).labels, original.Type(k).labels);
-    EXPECT_EQ(la::MaxAbsDiff(back.value().Type(k).features,
+    EXPECT_EQ(MaxAbsDiff(back.value().Type(k).features,
                              original.Type(k).features),
               0.0);
   }
@@ -215,7 +218,7 @@ TEST_F(IoTest, DatasetRoundTrip) {
     for (std::size_t l = k + 1; l < 3; ++l) {
       ASSERT_EQ(back.value().HasRelation(k, l), original.HasRelation(k, l));
       if (original.HasRelation(k, l)) {
-        EXPECT_EQ(la::MaxAbsDiff(back.value().Relation(k, l),
+        EXPECT_EQ(MaxAbsDiff(back.value().Relation(k, l),
                                  original.Relation(k, l)),
                   0.0);
       }

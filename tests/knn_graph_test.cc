@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "matrix_oracles.h"
 #include "pairwise_reference.h"
 #include "util/rng.h"
 
@@ -13,6 +14,8 @@ namespace rhchme {
 namespace graph {
 namespace {
 
+using testing_reference::IsNonNegative;
+using testing_reference::IsSymmetric;
 using testing_reference::PairwiseCosine;
 using testing_reference::PairwiseSquaredDistances;
 
@@ -74,11 +77,11 @@ TEST(KnnGraph, ResultIsSymmetricZeroDiagonal) {
     opts.scheme = scheme;
     Result<la::SparseMatrix> g = BuildKnnGraph(pts, opts);
     ASSERT_TRUE(g.ok());
-    EXPECT_TRUE(g.value().IsSymmetric(1e-12))
+    EXPECT_TRUE(IsSymmetric(g.value(), 1e-12))
         << WeightSchemeName(scheme);
     la::Matrix w = g.value().ToDense();
     for (std::size_t i = 0; i < 30; ++i) EXPECT_EQ(w(i, i), 0.0);
-    EXPECT_TRUE(w.IsNonNegative());
+    EXPECT_TRUE(IsNonNegative(w));
   }
 }
 
@@ -102,7 +105,6 @@ TEST(KnnGraph, HeatWeightsDecayWithDistance) {
   KnnGraphOptions opts;
   opts.p = 2;
   opts.scheme = WeightScheme::kHeatKernel;
-  opts.heat_sigma = 4.0;
   la::Matrix w = BuildKnnGraph(LinePoints(), opts).value().ToDense();
   // Closer pairs get larger weights.
   EXPECT_GT(w(0, 1), w(0, 2));
@@ -122,32 +124,11 @@ TEST(KnnGraph, AutoSigmaIsFiniteAndPositive) {
   KnnGraphOptions opts;
   opts.p = 3;
   opts.scheme = WeightScheme::kHeatKernel;
-  opts.heat_sigma = -1.0;  // Auto.
   Result<la::SparseMatrix> g = BuildKnnGraph(pts, opts);
   ASSERT_TRUE(g.ok());
   EXPECT_GT(g.value().nnz(), 0u);
   la::Matrix w = g.value().ToDense();
   EXPECT_TRUE(w.AllFinite());
-}
-
-TEST(KnnGraph, MutualIsSubsetOfUnion) {
-  Rng rng(4);
-  la::Matrix pts = la::Matrix::RandomNormal(40, 3, &rng);
-  KnnGraphOptions u;
-  u.p = 4;
-  u.scheme = WeightScheme::kBinary;
-  KnnGraphOptions m = u;
-  m.mutual = true;
-  la::Matrix wu = BuildKnnGraph(pts, u).value().ToDense();
-  la::Matrix wm = BuildKnnGraph(pts, m).value().ToDense();
-  for (std::size_t i = 0; i < 40; ++i) {
-    for (std::size_t j = 0; j < 40; ++j) {
-      if (wm(i, j) > 0.0) {
-        EXPECT_GT(wu(i, j), 0.0);
-      }
-    }
-  }
-  EXPECT_LE(wm.Sum(), wu.Sum());
 }
 
 TEST(KnnGraph, PClampedToPopulation) {
@@ -176,33 +157,6 @@ TEST(KnnGraph, DuplicatePointsDoNotBreakCosine) {
   Result<la::SparseMatrix> g = BuildKnnGraph(pts, opts);
   ASSERT_TRUE(g.ok());
   EXPECT_TRUE(g.value().ToDense().AllFinite());
-}
-
-/// Regression: heat_sigma == 0 used to slip through Validate() and divide
-/// by zero in the weight pass. Exactly zero is now rejected; negative
-/// still selects the automatic bandwidth.
-TEST(KnnGraph, RejectsZeroHeatSigma) {
-  KnnGraphOptions opts;
-  opts.scheme = WeightScheme::kHeatKernel;
-  opts.heat_sigma = 0.0;
-  EXPECT_FALSE(opts.Validate().ok());
-  EXPECT_FALSE(BuildKnnGraph(LinePoints(), opts).ok());
-  opts.heat_sigma = -1.0;
-  EXPECT_TRUE(opts.Validate().ok());
-  // Zero sigma is fine for schemes that never use it.
-  opts.scheme = WeightScheme::kBinary;
-  opts.heat_sigma = 0.0;
-  EXPECT_TRUE(opts.Validate().ok());
-}
-
-/// Regression: a NaN heat_sigma passed Validate(), skipped the automatic
-/// bandwidth (NaN < 0 is false) and made every edge weight NaN.
-TEST(KnnGraph, RejectsNaNHeatSigma) {
-  KnnGraphOptions opts;
-  opts.scheme = WeightScheme::kHeatKernel;
-  opts.heat_sigma = std::nan("");
-  EXPECT_FALSE(opts.Validate().ok());
-  EXPECT_FALSE(BuildKnnGraph(LinePoints(), opts).ok());
 }
 
 /// Acceptance gate of the blocked exact path: no construction step —

@@ -1,4 +1,5 @@
-// Unit tests for the manifold/subspace samplers (paper Fig. 1 scene).
+// Unit tests for the manifold samplers (paper Fig. 1 scene) and the
+// test-only union-of-subspaces sampler.
 
 #include "data/manifolds.h"
 
@@ -8,10 +9,17 @@
 
 #include "eigen_sym.h"
 #include "la/gemm.h"
+#include "matrix_oracles.h"
+#include "union_of_subspaces.h"
 
 namespace rhchme {
 namespace data {
 namespace {
+
+using testing_reference::IsNonNegative;
+using testing_reference::MaxAbsDiff;
+using testing_reference::SampleUnionOfSubspaces;
+using testing_reference::UnionOfSubspacesOptions;
 
 TEST(TwoCircles, SizesAndLabels) {
   TwoCirclesOptions opts;
@@ -65,7 +73,7 @@ TEST(TwoCircles, DeterministicGivenSeed) {
   TwoCirclesOptions opts;
   ManifoldSample a = SampleTwoCircles(opts);
   ManifoldSample b = SampleTwoCircles(opts);
-  EXPECT_EQ(la::MaxAbsDiff(a.points, b.points), 0.0);
+  EXPECT_EQ(MaxAbsDiff(a.points, b.points), 0.0);
 }
 
 TEST(UnionOfSubspaces, SizesAndLabels) {
@@ -106,7 +114,7 @@ TEST(UnionOfSubspaces, NonnegativeModeProducesNonnegativePoints) {
   opts.noise_sigma = 0.0;
   Result<ManifoldSample> s = SampleUnionOfSubspaces(opts);
   ASSERT_TRUE(s.ok());
-  EXPECT_TRUE(s.value().points.IsNonNegative());
+  EXPECT_TRUE(IsNonNegative(s.value().points));
 }
 
 TEST(UnionOfSubspaces, ValidationErrors) {

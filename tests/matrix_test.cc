@@ -8,11 +8,17 @@
 #include <cstdint>
 #include <utility>
 
+#include "matrix_oracles.h"
 #include "util/rng.h"
 
 namespace rhchme {
 namespace la {
 namespace {
+
+using testing_reference::IsNonNegative;
+using testing_reference::Max;
+using testing_reference::MaxAbsDiff;
+using testing_reference::Min;
 
 TEST(Matrix, DefaultIsEmpty) {
   Matrix m;
@@ -57,8 +63,8 @@ TEST(Matrix, IdentityAndDiagonal) {
 TEST(Matrix, RandomMatricesHonourRange) {
   Rng rng(1);
   Matrix u = Matrix::RandomUniform(10, 10, &rng, 2.0, 3.0);
-  EXPECT_GE(u.Min(), 2.0);
-  EXPECT_LT(u.Max(), 3.0);
+  EXPECT_GE(Min(u), 2.0);
+  EXPECT_LT(Max(u), 3.0);
   Matrix n = Matrix::RandomNormal(10, 10, &rng, 0.0, 1.0);
   EXPECT_TRUE(n.AllFinite());
 }
@@ -93,17 +99,13 @@ TEST(Matrix, RowAndColExtraction) {
 
 TEST(Matrix, ElementwiseOps) {
   Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
-  Matrix b = Matrix::FromRows({{10, 20}, {30, 40}});
-  Matrix sum = Add(a, b);
-  EXPECT_EQ(sum(1, 1), 44.0);
-  Matrix diff = Sub(b, a);
-  EXPECT_EQ(diff(0, 0), 9.0);
-  Matrix h = Hadamard(a, b);
-  EXPECT_EQ(h(1, 0), 90.0);
-  Matrix s = Scaled(a, 2.0);
-  EXPECT_EQ(s(0, 1), 4.0);
-  a.AddScaled(b, 0.1);
-  EXPECT_DOUBLE_EQ(a(0, 0), 2.0);
+  const Matrix b = Matrix::FromRows({{10, 20}, {30, 40}});
+  a.Add(b);
+  EXPECT_EQ(a(1, 1), 44.0);
+  a.Sub(b);
+  EXPECT_EQ(a(1, 1), 4.0);
+  a.Scale(2.0);
+  EXPECT_EQ(a(0, 1), 4.0);
 }
 
 TEST(Matrix, ApplyAndClamp) {
@@ -125,27 +127,18 @@ TEST(Matrix, PositiveNegativeSplit) {
   EXPECT_EQ(neg(0, 0), 1.0);
   EXPECT_EQ(neg(1, 1), 3.0);
   // Invariant: M = pos - neg, both parts nonnegative.
-  Matrix recon = Sub(pos, neg);
+  Matrix recon = pos;
+  recon.Sub(neg);
   EXPECT_EQ(MaxAbsDiff(recon, m), 0.0);
-  EXPECT_TRUE(pos.IsNonNegative());
-  EXPECT_TRUE(neg.IsNonNegative());
+  EXPECT_TRUE(IsNonNegative(pos));
+  EXPECT_TRUE(IsNonNegative(neg));
 }
 
 TEST(Matrix, Norms) {
   Matrix m = Matrix::FromRows({{3, 4}, {0, 0}});
   EXPECT_DOUBLE_EQ(m.FrobeniusNorm(), 5.0);
   EXPECT_DOUBLE_EQ(m.FrobeniusNormSquared(), 25.0);
-  EXPECT_DOUBLE_EQ(m.L1Norm(), 7.0);
-  // L2,1: row norms summed -> 5 + 0.
-  EXPECT_DOUBLE_EQ(m.L21Norm(), 5.0);
-  EXPECT_DOUBLE_EQ(m.Sum(), 7.0);
   EXPECT_DOUBLE_EQ(m.MaxAbs(), 4.0);
-}
-
-TEST(Matrix, L21NormMatchesDefinition) {
-  // Paper Eq. 14: sum_i ||row_i||_2.
-  Matrix m = Matrix::FromRows({{1, 2, 2}, {-3, 0, 4}});
-  EXPECT_DOUBLE_EQ(m.L21Norm(), 3.0 + 5.0);
 }
 
 TEST(Matrix, RowColSumsAndTrace) {
@@ -155,31 +148,11 @@ TEST(Matrix, RowColSumsAndTrace) {
   EXPECT_EQ(m.Trace(), 5.0);
 }
 
-TEST(Matrix, FiniteAndNonNegativeChecks) {
+TEST(Matrix, AllFiniteSeesNaN) {
   Matrix m(2, 2, 1.0);
   EXPECT_TRUE(m.AllFinite());
-  EXPECT_TRUE(m.IsNonNegative());
-  m(0, 0) = -1e-9;
-  EXPECT_FALSE(m.IsNonNegative());
-  EXPECT_TRUE(m.IsNonNegative(1e-8));
   m(1, 1) = std::nan("");
   EXPECT_FALSE(m.AllFinite());
-}
-
-TEST(Matrix, ScaleRowsAndCols) {
-  Matrix m = Matrix::FromRows({{2, 4}, {6, 8}});
-  m.ScaleRows({2.0, 4.0});  // Divides by d[i].
-  EXPECT_DOUBLE_EQ(m(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m(1, 1), 2.0);
-  m.ScaleCols({10.0, 1.0});
-  EXPECT_DOUBLE_EQ(m(0, 0), 10.0);
-  EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
-}
-
-TEST(Matrix, ScaleRowsSkipsZeroDivisors) {
-  Matrix m = Matrix::FromRows({{2, 4}});
-  m.ScaleRows({0.0});
-  EXPECT_DOUBLE_EQ(m(0, 0), 2.0);  // Untouched.
 }
 
 TEST(Matrix, NormalizeRowsL1) {
@@ -197,17 +170,6 @@ TEST(Matrix, NormalizeRowsL1ZeroRowStaysZeroWithoutRange) {
   m.NormalizeRowsL1();
   EXPECT_EQ(m(0, 0), 0.0);
   EXPECT_EQ(m(0, 1), 0.0);
-}
-
-TEST(Matrix, ScaleRowsEpsFloorBoundary) {
-  // Divisors at or above the documented floor divide; below it the row is
-  // left untouched instead of blowing up to ±Inf.
-  Matrix m = Matrix::FromRows({{2, 4}, {2, 4}, {2, 4}});
-  m.ScaleRows({kScaleRowsEps, kScaleRowsEps / 2.0, -kScaleRowsEps / 2.0});
-  EXPECT_TRUE(m.AllFinite());
-  EXPECT_DOUBLE_EQ(m(0, 0), 2.0 / kScaleRowsEps);  // At the floor: divides.
-  EXPECT_DOUBLE_EQ(m(1, 0), 2.0);                  // Below: untouched.
-  EXPECT_DOUBLE_EQ(m(2, 0), 2.0);                  // |d| is what matters.
 }
 
 TEST(Matrix, NormalizeRowsL1UniformFallbackOverSubrange) {
@@ -236,18 +198,6 @@ TEST(Matrix, Concat) {
   Matrix h = HConcat(a, b);
   EXPECT_EQ(h.cols(), 3u);
   EXPECT_EQ(h(1, 2), 6.0);
-  Matrix c = Matrix::FromRows({{7, 8}});
-  Matrix v = VConcat(a, c);
-  EXPECT_EQ(v.rows(), 3u);
-  EXPECT_EQ(v(2, 1), 8.0);
-}
-
-TEST(Matrix, MaxAbsDiffDetectsChange) {
-  Matrix a(3, 3, 1.0);
-  Matrix b = a;
-  EXPECT_EQ(a.MaxAbsDiff(b), 0.0);
-  b(2, 2) = 1.5;
-  EXPECT_DOUBLE_EQ(a.MaxAbsDiff(b), 0.5);
 }
 
 TEST(Matrix, ResizeDiscardsContents) {
@@ -256,12 +206,6 @@ TEST(Matrix, ResizeDiscardsContents) {
   EXPECT_EQ(m.rows(), 3u);
   EXPECT_EQ(m.cols(), 1u);
   EXPECT_EQ(m(2, 0), 0.0);
-}
-
-TEST(Matrix, DebugStringMentionsShape) {
-  Matrix m(3, 2, 1.0);
-  std::string s = m.DebugString();
-  EXPECT_NE(s.find("3x2"), std::string::npos);
 }
 
 // ---- Aligned, padded storage invariants ----------------------------------
@@ -322,8 +266,6 @@ TEST(MatrixAlignment, PaddingStaysZeroThroughMutations) {
   Matrix other = Matrix::RandomUniform(5, 3, &rng);
   m.Add(other);
   m.Sub(other);
-  m.Hadamard(other);
-  m.AddScaled(other, -0.3);
   EXPECT_TRUE(PaddingIsZero(m));
 
   // Apply maps 0 -> 1 on logical entries only; pad must not see f.
@@ -331,20 +273,16 @@ TEST(MatrixAlignment, PaddingStaysZeroThroughMutations) {
   EXPECT_TRUE(PaddingIsZero(m));
 
   m.NormalizeRowsL1(0, 3);
-  m.ScaleRows({1.0, 2.0, 3.0, 4.0, 5.0});
-  m.ScaleCols({1.0, 2.0, 3.0});
   m.ClampNonNegative();
   EXPECT_TRUE(PaddingIsZero(m));
 }
 
 TEST(MatrixAlignment, ReductionsIgnorePadding) {
-  // All-positive entries: any pad leakage would drag Min to 0 or inflate
-  // counts/sums.
+  // All-positive entries: any pad leakage would inflate counts or sums.
   Matrix m(3, 5, 2.0);
-  EXPECT_EQ(m.Min(), 2.0);
-  EXPECT_EQ(m.Max(), 2.0);
-  EXPECT_DOUBLE_EQ(m.Sum(), 30.0);
-  EXPECT_DOUBLE_EQ(m.L1Norm(), 30.0);
+  EXPECT_EQ(m.MaxAbs(), 2.0);
+  EXPECT_DOUBLE_EQ(m.RowSums()[1], 10.0);
+  EXPECT_EQ(m.NonZeros(), 15u);
   EXPECT_DOUBLE_EQ(m.FrobeniusNormSquared(), 60.0);
 
   // A NaN written into the pad through raw storage must stay invisible to

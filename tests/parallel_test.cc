@@ -17,12 +17,15 @@
 #include "core/rhchme_solver.h"
 #include "data/synthetic.h"
 #include "la/gemm.h"
+#include "matrix_oracles.h"
 #include "scoped_num_threads.h"
 #include "util/rng.h"
 
 namespace rhchme {
 namespace util {
 namespace {
+
+using testing_reference::MaxAbsDiff;
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   ScopedNumThreads threads(4);
@@ -152,7 +155,7 @@ TEST(GemmDeterminism, IdenticalProductsAcrossThreadCounts) {
     ScopedNumThreads threads(8);
     la::MultiplyInto(a, b, &c8);
   }
-  EXPECT_EQ(la::MaxAbsDiff(c1, c8), 0.0);
+  EXPECT_EQ(MaxAbsDiff(c1, c8), 0.0);
 }
 
 // The tentpole guarantee: a full Rhchme::Fit — GEMM, pNN graphs, k-means
@@ -195,7 +198,7 @@ TEST(RhchmeDeterminism, FitIsBitStableAcrossThreadCounts) {
               threaded.hocc.objective_trace[t])
         << "iteration " << t;
   }
-  EXPECT_EQ(la::MaxAbsDiff(serial.hocc.g, threaded.hocc.g), 0.0);
+  EXPECT_EQ(MaxAbsDiff(serial.hocc.g, threaded.hocc.g), 0.0);
 }
 
 }  // namespace

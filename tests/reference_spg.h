@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -240,7 +239,7 @@ class ReferenceSpgState {
     return a > 0.0 ? std::clamp(-b / (2.0 * a), 1e-6, 1.0) : 1.0;
   }
 
-  double Advance(double t, const core::SpgOptions& spg) {
+  double Advance(double t) {
     for (std::size_t j = 0; j < n_; ++j) cs_w_[j] += t * cs_d_[j];
     for (std::size_t i = 0; i < n_; ++i) rs_w_[i] += t * rs_d_[i];
     ReferenceForEachRowChunk(
@@ -274,8 +273,9 @@ class ReferenceSpgState {
     }
     objective_ = gamma_ * (tr_q_ - 2.0 * ChunkSum(2) + ChunkSum(3)) +
                  sparsity + eta_ * affine;
-    return sy > 0.0 ? std::clamp(ss / sy, spg.step_min, spg.step_max)
-                    : spg.step_max;
+    return sy > 0.0
+               ? std::clamp(ss / sy, core::kSpgStepMin, core::kSpgStepMax)
+               : core::kSpgStepMax;
   }
 
   double Objective() const { return objective_; }
@@ -395,7 +395,7 @@ inline ReferenceSubspaceResult ReferenceLearnSubspaceAffinity(
       break;
     }
     const double t = spg.LineSearch();
-    step = spg.Advance(t, opts.spg);
+    step = spg.Advance(t);
     ++it;
     const double objective = spg.Objective();
     if (!out.objective_trace.empty()) {
@@ -415,24 +415,6 @@ inline ReferenceSubspaceResult ReferenceLearnSubspaceAffinity(
   if (opts.prune_rel_tol > 0.0) {
     const double cut = opts.prune_rel_tol * w.MaxAbs();
     w.Apply([cut](double v) { return v < cut ? 0.0 : v; });
-  }
-  if (opts.keep_top_k > 0 && opts.keep_top_k < n - 1) {
-    std::vector<std::pair<double, std::size_t>> row;
-    for (std::size_t i = 0; i < n; ++i) {
-      row.clear();
-      for (std::size_t j = 0; j < n; ++j) {
-        if (w(i, j) > 0.0) row.push_back({w(i, j), j});
-      }
-      if (row.size() <= opts.keep_top_k) continue;
-      std::nth_element(row.begin(),
-                       row.begin() + static_cast<std::ptrdiff_t>(
-                                         opts.keep_top_k - 1),
-                       row.end(), std::greater<>());
-      const double cut = row[opts.keep_top_k - 1].first;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (w(i, j) < cut) w(i, j) = 0.0;
-      }
-    }
   }
   if (opts.symmetrize) {
     la::Matrix wt = w.Transposed();

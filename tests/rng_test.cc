@@ -90,14 +90,6 @@ TEST(Rng, NormalWithParamsShiftsAndScales) {
   EXPECT_NEAR(sum / n, 10.0, 0.05);
 }
 
-TEST(Rng, ExponentialMeanIsInverseRate) {
-  Rng rng(29);
-  const int n = 50000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.Exponential(4.0);
-  EXPECT_NEAR(sum / n, 0.25, 0.01);
-}
-
 TEST(Rng, CategoricalFollowsWeights) {
   Rng rng(31);
   std::vector<double> w = {1.0, 3.0, 0.0, 6.0};

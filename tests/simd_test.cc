@@ -3,7 +3,7 @@
 // carries and this CPU can run, not just the dispatched one.
 //
 // Contract under test (docs/ARCHITECTURE.md "Kernel layer"):
-//   - element-parallel kernels (Axpy, Add, Sub, Scale, Hadamard) are
+//   - element-parallel kernels (Axpy, Add, Sub, Scale) are
 //     bit-identical to scalar in every table, including AVX-512 masked
 //     tails;
 //   - reassociated reductions (Dot, SquaredDistance) match scalar within
@@ -114,11 +114,6 @@ TEST(SimdKernels, ElementwiseKernelsMatchScalarExactly) {
       t->scale(a.data(), -1.25, n);
       simd::scalar::Scale(b.data(), -1.25, n);
       EXPECT_EQ(a, b) << t->name << " Scale n=" << n;
-
-      a = base, b = base;
-      t->hadamard(a.data(), x.data(), n);
-      simd::scalar::Hadamard(b.data(), x.data(), n);
-      EXPECT_EQ(a, b) << t->name << " Hadamard n=" << n;
     }
   }
 }
@@ -136,7 +131,6 @@ TEST(SimdKernels, MaskedTailsWriteOnlyTheLiveRange) {
       t->add(y.data(), x.data(), n);
       t->sub(y.data(), x.data(), n);
       t->scale(y.data(), 0.5, n);
-      t->hadamard(y.data(), x.data(), n);
       EXPECT_EQ(x[n], sentinel_x) << t->name << " n=" << n;
       EXPECT_EQ(y[n], sentinel_y) << t->name << " n=" << n;
     }

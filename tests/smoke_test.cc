@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "matrix_oracles.h"
 #include "rhchme/rhchme.h"
 
 namespace rhchme {
 namespace {
+
+using testing_reference::IsNonNegative;
 
 TEST(Smoke, RhchmeEndToEnd) {
   data::SyntheticCorpusOptions opts;
@@ -30,7 +33,7 @@ TEST(Smoke, RhchmeEndToEnd) {
 
   const fact::HoccResult& res = fit.value().hocc;
   EXPECT_TRUE(res.g.AllFinite());
-  EXPECT_TRUE(res.g.IsNonNegative());
+  EXPECT_TRUE(IsNonNegative(res.g));
   ASSERT_EQ(res.labels.size(), 3u);
   EXPECT_EQ(res.labels[0].size(), 60u);
 

@@ -170,7 +170,7 @@ TEST_F(SpgIdentityCases, TfidfZeroRowOffTheGrid) {
 TEST_F(SpgIdentityCases, TfidfPlateauStop) {
   // The corpus of TfidfFeatures at another seed and the default 80 steps:
   // at eta 0 every type's objective plateaus after 18–26 steps, at eta 10
-  // none does. Top-k pruning is on, so its row-parallel pass is covered.
+  // none does.
   data::SyntheticCorpusOptions o;
   o.docs_per_class.assign(8, 50);
   o.n_terms = 330;
@@ -180,8 +180,7 @@ TEST_F(SpgIdentityCases, TfidfPlateauStop) {
   o.seed = 4;
   const data::MultiTypeRelationalData d =
       data::GenerateSyntheticCorpus(o).value();
-  SubspaceOptions opts;
-  opts.keep_top_k = 10;
+  const SubspaceOptions opts;
   for (std::size_t k = 0; k < d.NumTypes(); ++k) {
     CheckCase(d.Type(k).features, opts, "tf-idf type " + d.Type(k).name,
               d.Type(k).name != "concepts");

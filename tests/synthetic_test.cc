@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
 #include <numeric>
+
+#include "matrix_oracles.h"
 
 namespace rhchme {
 namespace data {
 namespace {
+
+using testing_reference::IsNonNegative;
+using testing_reference::MaxAbsDiff;
+using testing_reference::Sum;
 
 SyntheticCorpusOptions SmallCorpus() {
   SyntheticCorpusOptions o;
@@ -54,9 +59,9 @@ TEST(SyntheticCorpus, AllThreeRelationsPresentAndNonNegative) {
                       {0, 2},
                       {1, 2}}) {
     la::Matrix r = d.value().Relation(k, l);
-    EXPECT_TRUE(r.IsNonNegative());
+    EXPECT_TRUE(IsNonNegative(r));
     EXPECT_TRUE(r.AllFinite());
-    EXPECT_GT(r.Sum(), 0.0);
+    EXPECT_GT(Sum(r), 0.0);
   }
   EXPECT_TRUE(d.value().Validate().ok());
 }
@@ -66,7 +71,7 @@ TEST(SyntheticCorpus, DeterministicGivenSeed) {
   Result<MultiTypeRelationalData> b = GenerateSyntheticCorpus(SmallCorpus());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(la::MaxAbsDiff(a.value().Relation(0, 1), b.value().Relation(0, 1)),
+  EXPECT_EQ(MaxAbsDiff(a.value().Relation(0, 1), b.value().Relation(0, 1)),
             0.0);
   EXPECT_EQ(a.value().Type(1).labels, b.value().Type(1).labels);
 }
@@ -78,7 +83,7 @@ TEST(SyntheticCorpus, SeedChangesData) {
   Result<MultiTypeRelationalData> b = GenerateSyntheticCorpus(o);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_GT(la::MaxAbsDiff(a.value().Relation(0, 1), b.value().Relation(0, 1)),
+  EXPECT_GT(MaxAbsDiff(a.value().Relation(0, 1), b.value().Relation(0, 1)),
             0.0);
 }
 
@@ -86,12 +91,12 @@ TEST(SyntheticCorpus, FeaturesMatchRelations) {
   Result<MultiTypeRelationalData> d = GenerateSyntheticCorpus(SmallCorpus());
   ASSERT_TRUE(d.ok());
   // Document features are the doc-term tf-idf block (paper §IV.A).
-  EXPECT_EQ(la::MaxAbsDiff(d.value().Type(0).features,
+  EXPECT_EQ(MaxAbsDiff(d.value().Type(0).features,
                            d.value().Relation(0, 1)),
             0.0);
   // Term features are its transpose.
-  EXPECT_EQ(la::MaxAbsDiff(d.value().Type(1).features,
-                           d.value().RelationTransposed(1, 0)),
+  EXPECT_EQ(MaxAbsDiff(d.value().Type(1).features,
+                           d.value().Relation(0, 1).Transposed()),
             0.0);
 }
 
@@ -103,7 +108,8 @@ TEST(SyntheticCorpus, CorruptionIncreasesMass) {
   Result<MultiTypeRelationalData> b = GenerateSyntheticCorpus(dirty);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_GT(b.value().Relation(0, 1).Sum(), a.value().Relation(0, 1).Sum());
+  EXPECT_GT(Sum(b.value().Relation(0, 1)),
+            Sum(a.value().Relation(0, 1)));
 }
 
 TEST(SyntheticCorpus, ClusterCountOverrides) {
@@ -238,7 +244,7 @@ TEST(SyntheticCorpus, CorruptionDrawsFromItsOwnSeedStream) {
   EXPECT_EQ(rows1, rows2);
   // Stronger: the whole corrupted doc-term block is bit-identical — the
   // concept-channel change cannot leak into it.
-  EXPECT_EQ(la::MaxAbsDiff(d1.Relation(0, 1), d2.Relation(0, 1)), 0.0);
+  EXPECT_EQ(MaxAbsDiff(d1.Relation(0, 1), d2.Relation(0, 1)), 0.0);
 }
 
 TEST(SyntheticCorpus, RelationDropoutSparsifiesDeterministically) {
@@ -246,8 +252,8 @@ TEST(SyntheticCorpus, RelationDropoutSparsifiesDeterministically) {
   o.relation_dropout = 0.5;
   MultiTypeRelationalData a = GenerateSyntheticCorpus(o).value();
   MultiTypeRelationalData b = GenerateSyntheticCorpus(o).value();
-  EXPECT_EQ(la::MaxAbsDiff(a.Relation(0, 1), b.Relation(0, 1)), 0.0);
-  EXPECT_EQ(la::MaxAbsDiff(a.Relation(1, 2), b.Relation(1, 2)), 0.0);
+  EXPECT_EQ(MaxAbsDiff(a.Relation(0, 1), b.Relation(0, 1)), 0.0);
+  EXPECT_EQ(MaxAbsDiff(a.Relation(1, 2), b.Relation(1, 2)), 0.0);
 
   auto zeros = [](const la::Matrix& m) {
     std::size_t z = 0;
@@ -341,18 +347,18 @@ TEST(BlockWorld, CorruptionSpikesType0RowsAndKeepsFeaturesConsistent) {
   MultiTypeRelationalData d = GenerateBlockWorld(dirty).value();
 
   // Some type-0 rows changed, none of the type-1/2-only block did.
-  EXPECT_GT(la::MaxAbsDiff(c.Relation(0, 1), d.Relation(0, 1)), 0.0);
-  EXPECT_EQ(la::MaxAbsDiff(c.Relation(1, 2), d.Relation(1, 2)), 0.0);
+  EXPECT_GT(MaxAbsDiff(c.Relation(0, 1), d.Relation(0, 1)), 0.0);
+  EXPECT_EQ(MaxAbsDiff(c.Relation(1, 2), d.Relation(1, 2)), 0.0);
 
   // Features are assembled after corruption: type 0's leading feature
   // block is exactly its corrupted (0,1) relation rows.
   const la::Matrix feat01 =
       d.Type(0).features.Block(0, 0, 20, 16);
-  EXPECT_EQ(la::MaxAbsDiff(feat01, d.Relation(0, 1)), 0.0);
+  EXPECT_EQ(MaxAbsDiff(feat01, d.Relation(0, 1)), 0.0);
 
   // Same seed → same corrupted data.
   MultiTypeRelationalData d2 = GenerateBlockWorld(dirty).value();
-  EXPECT_EQ(la::MaxAbsDiff(d.Relation(0, 1), d2.Relation(0, 1)), 0.0);
+  EXPECT_EQ(MaxAbsDiff(d.Relation(0, 1), d2.Relation(0, 1)), 0.0);
 }
 
 TEST(BlockWorld, ValidationErrors) {

@@ -6,9 +6,13 @@
 
 #include <cmath>
 
+#include "matrix_oracles.h"
+
 namespace rhchme {
 namespace data {
 namespace {
+
+using testing_reference::IsNonNegative;
 
 TEST(TfIdf, HandComputedNoSmoothingNoSublinear) {
   // 2 docs, 2 terms; term 0 in both docs (idf = log(2/2) = 0), term 1 in
@@ -78,7 +82,7 @@ TEST(TfIdf, NegativeCountsClampedFirst) {
 TEST(TfIdf, OutputIsNonNegative) {
   la::Matrix counts = la::Matrix::FromRows({{1, 0, 3}, {0, 2, 0}, {1, 1, 1}});
   la::Matrix w = TfIdf(counts);
-  EXPECT_TRUE(w.IsNonNegative());
+  EXPECT_TRUE(IsNonNegative(w));
 }
 
 TEST(TfIdf, RareTermsWeighMoreThanCommonOnes) {
