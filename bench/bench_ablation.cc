@@ -1,4 +1,4 @@
-// Ablation bench for RHCHME's design choices (DESIGN.md §4).
+// Ablation bench for RHCHME's design choices.
 //
 // Not a paper table — it isolates the contribution of each component the
 // paper argues for in §III:

@@ -424,7 +424,7 @@ void BM_GramTfidf(benchmark::State& state) {
   // row-normalised features.
   const la::Matrix x = TfidfDocuments(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const la::Matrix q = core::FactoredGramProduct(x, true, nullptr);
+    const la::Matrix q = core::FactoredGramProduct(x, nullptr);
     // lint:stride-ok(DoNotOptimize sink: pointer identity only, no element access)
     benchmark::DoNotOptimize(q.data());
   }

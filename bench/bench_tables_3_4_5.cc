@@ -6,8 +6,9 @@
 //
 // Methods: DR-T, DR-C, DR-TC (two-way DRCC variants), SRC, SNMTF, RMC and
 // RHCHME, all at the tuned defaults of §IV.B. Deterministic (fixed seeds).
-// Absolute values depend on the synthetic substitution (DESIGN.md §3);
-// EXPERIMENTS.md records the shape comparison against the paper.
+// Absolute values depend on the synthetic substitution of the paper's
+// corpora (src/data/synthetic.h); compare the shape of the tables, not
+// their values.
 
 #include <cstdio>
 #include <map>
@@ -39,7 +40,7 @@ int main() {
 
   // ---- Table II: characteristics ------------------------------------------
   TablePrinter table2("TABLE II — data sets used for evaluation (scaled "
-                      "synthetic analogues; see DESIGN.md §3)",
+                      "synthetic analogues; see src/data/synthetic.h)",
                       {"Data Set", "Description", "#Classes", "#Documents",
                        "#Terms", "#Concepts"});
   for (const auto& d : datasets) {

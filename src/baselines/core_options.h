@@ -28,9 +28,6 @@ core::RhchmeOptions CoreOptions(const BaselineOptions& o, double lambda) {
   core.lambda = lambda;
   core.max_iterations = o.max_iterations;
   core.tolerance = o.tolerance;
-  core.ridge = o.ridge;
-  core.mu_eps = o.mu_eps;
-  core.init = o.init;
   core.seed = o.seed;
   core.use_error_matrix = false;
   core.normalize_rows = false;

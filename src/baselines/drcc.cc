@@ -6,6 +6,7 @@
 #include "cluster/assignments.h"
 #include "cluster/kmeans.h"
 #include "factorization/hocc_common.h"
+#include "graph/laplacian.h"
 #include "la/gemm.h"
 #include "la/solve.h"
 #include "la/sparse.h"
@@ -18,8 +19,12 @@ Status DrccOptions::Validate() const {
   if (row_clusters == 0 || col_clusters == 0) {
     return Status::InvalidArgument("cluster counts must be >= 1");
   }
-  if (lambda < 0.0 || mu < 0.0) {
-    return Status::InvalidArgument("lambda/mu must be >= 0");
+  // Negated comparisons: NaN fails every one of them.
+  if (!(lambda >= 0.0) || !(mu >= 0.0)) {
+    return Status::InvalidArgument("lambda/mu must be >= 0 and not NaN");
+  }
+  if (!(tolerance >= 0.0)) {
+    return Status::InvalidArgument("tolerance must be >= 0 and not NaN");
   }
   if (max_iterations <= 0) {
     return Status::InvalidArgument("max_iterations must be >= 1");
@@ -68,10 +73,10 @@ Result<DrccResult> RunDrcc(const la::Matrix& x, const DrccOptions& opts) {
   Result<la::SparseMatrix> wf = graph::BuildKnnGraph(xt, opts.knn);
   if (!wf.ok()) return wf.status();
   Result<la::SparseMatrix> lg =
-      graph::BuildSparseLaplacian(wg.value(), opts.laplacian);
+      graph::BuildSparseLaplacian(wg.value(), graph::LaplacianKind::kSymmetric);
   if (!lg.ok()) return lg.status();
   Result<la::SparseMatrix> lf =
-      graph::BuildSparseLaplacian(wf.value(), opts.laplacian);
+      graph::BuildSparseLaplacian(wf.value(), graph::LaplacianKind::kSymmetric);
   if (!lf.ok()) return lf.status();
   const la::SparseMatrix lg_pos = la::PositivePart(lg.value());
   const la::SparseMatrix lg_neg = la::NegativePart(lg.value());
@@ -90,7 +95,7 @@ Result<DrccResult> RunDrcc(const la::Matrix& x, const DrccOptions& opts) {
   la::Matrix s;
   double prev = std::numeric_limits<double>::infinity();
   for (int t = 1; t <= opts.max_iterations; ++t) {
-    Result<la::Matrix> s_new = SolveBilinearS(g, x, f, opts.ridge);
+    Result<la::Matrix> s_new = SolveBilinearS(g, x, f, fact::kRidge);
     if (!s_new.ok()) return s_new.status();
     s = std::move(s_new).value();
 
@@ -111,7 +116,7 @@ Result<DrccResult> RunDrcc(const la::Matrix& x, const DrccOptions& opts) {
         tmp.Scale(opts.mu);
         den.Add(tmp);
       }
-      fact::RatioUpdate(num, den, opts.mu_eps, &g);
+      fact::RatioUpdate(num, den, fact::kMuEps, &g);
     }
 
     // ---- F update: grad = -2·Xᵀ·G·S + 2·F·(Sᵀ·GᵀG·S) + 2·lambda·L_F·F.
@@ -131,7 +136,7 @@ Result<DrccResult> RunDrcc(const la::Matrix& x, const DrccOptions& opts) {
         tmp.Scale(opts.lambda);
         den.Add(tmp);
       }
-      fact::RatioUpdate(num, den, opts.mu_eps, &f);
+      fact::RatioUpdate(num, den, fact::kMuEps, &f);
     }
 
     // ---- Objective.

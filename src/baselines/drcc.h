@@ -6,7 +6,9 @@
 //   min_{G >= 0, F >= 0}  ||X − G·S·Fᵀ||²_F + lambda·tr(Fᵀ·L_F·F)
 //                                            + mu·tr(Gᵀ·L_G·G)
 //
-// with pNN-graph Laplacians on BOTH the sample and the feature side. The
+// with symmetric-normalised pNN-graph Laplacians on BOTH the sample and
+// the feature side, the ridge and update floor of the RHCHME core
+// (fact::kRidge, fact::kMuEps) and k-means initialisation. The
 // paper evaluates three variants that differ only in X:
 //   DR-T  — document–term block,
 //   DR-C  — document–concept block,
@@ -19,7 +21,6 @@
 #include <vector>
 
 #include "graph/knn_graph.h"
-#include "graph/laplacian.h"
 #include "la/matrix.h"
 #include "util/status.h"
 
@@ -32,11 +33,8 @@ struct DrccOptions {
   double lambda = 1.0;            ///< Feature-graph strength.
   double mu = 1.0;                ///< Sample-graph strength.
   graph::KnnGraphOptions knn;     ///< Used for both graphs (p=5 default).
-  graph::LaplacianKind laplacian = graph::LaplacianKind::kSymmetric;
   int max_iterations = 100;
   double tolerance = 1e-5;
-  double ridge = 1e-9;
-  double mu_eps = 1e-12;
   uint64_t seed = 0;
 
   Status Validate() const;

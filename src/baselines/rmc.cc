@@ -153,7 +153,6 @@ Result<RmcResult> RunRmc(const data::MultiTypeRelationalData& data,
     core::EnsembleOptions member;
     member.include_subspace = false;
     member.knn = candidates[i];
-    member.laplacian = opts.laplacian;
     Result<core::HeterogeneousEnsemble> e =
         core::BuildEnsemble(data, blocks, member);
     if (!e.ok()) return e.status();

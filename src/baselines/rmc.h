@@ -31,7 +31,6 @@
 #include "data/multitype_data.h"
 #include "factorization/hocc_common.h"
 #include "graph/knn_graph.h"
-#include "graph/laplacian.h"
 #include "util/status.h"
 
 namespace rhchme {
@@ -41,15 +40,11 @@ struct RmcOptions {
   double lambda = 250.0;
   /// Candidate pNN configurations; empty selects the paper's six.
   std::vector<graph::KnnGraphOptions> candidates;
-  graph::LaplacianKind laplacian = graph::LaplacianKind::kSymmetric;
   /// Weight-spread regulariser mu; <= 0 selects mu automatically from the
   /// scale of the tr(Gᵀ·L̂_i·G) values. NaN is rejected.
   double mu = -1.0;
   int max_iterations = 100;
   double tolerance = 1e-5;
-  double ridge = 1e-9;
-  double mu_eps = 1e-12;
-  fact::MembershipInit init = fact::MembershipInit::kKMeans;
   uint64_t seed = 0;
 
   Status Validate() const;

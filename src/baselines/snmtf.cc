@@ -10,7 +10,6 @@ core::RhchmeOptions SnmtfCoreOptions(const SnmtfOptions& opts) {
   core::RhchmeOptions core = internal::CoreOptions(opts, opts.lambda);
   core.ensemble.include_subspace = false;
   core.ensemble.knn = opts.knn;
-  core.ensemble.laplacian = opts.laplacian;
   return core;
 }
 

@@ -26,7 +26,6 @@
 #include "data/multitype_data.h"
 #include "factorization/hocc_common.h"
 #include "graph/knn_graph.h"
-#include "graph/laplacian.h"
 #include "util/status.h"
 
 namespace rhchme {
@@ -35,12 +34,8 @@ namespace baselines {
 struct SnmtfOptions {
   double lambda = 250.0;  ///< Graph regularisation strength.
   graph::KnnGraphOptions knn;  ///< Single pNN member (paper: p=5 cosine).
-  graph::LaplacianKind laplacian = graph::LaplacianKind::kSymmetric;
   int max_iterations = 100;
   double tolerance = 1e-5;
-  double ridge = 1e-9;
-  double mu_eps = 1e-12;
-  fact::MembershipInit init = fact::MembershipInit::kKMeans;
   uint64_t seed = 0;
 
   Status Validate() const;

@@ -29,9 +29,6 @@ namespace baselines {
 struct SrcOptions {
   int max_iterations = 100;
   double tolerance = 1e-5;    ///< Relative objective-change stop rule.
-  double ridge = 1e-9;        ///< Empty-cluster guard in the S solve.
-  double mu_eps = 1e-12;      ///< Multiplicative denominator floor.
-  fact::MembershipInit init = fact::MembershipInit::kKMeans;
   uint64_t seed = 0;
 
   Status Validate() const;

@@ -59,7 +59,9 @@ struct SolverSnapshot {
 
 /// FNV-1a over the options that determine the fit trajectory (lambda,
 /// beta, tolerance, ridge, mu_eps, l21_zeta, init, seed, normalize_rows,
-/// use_error_matrix) plus the problem shape (n, c). Deliberately
+/// use_error_matrix) plus the problem shape (n, c). ridge, mu_eps,
+/// l21_zeta and init are constants now; they stay in the hash so that
+/// snapshots written while they were options still resume. Deliberately
 /// EXCLUDES max_iterations and the
 /// checkpoint options themselves: resuming a killed 7-iteration run with
 /// a larger budget is the intended use, and where a snapshot lands must

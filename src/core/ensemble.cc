@@ -75,7 +75,7 @@ double CallerThreads(const MemberShape& m, std::size_t pool) {
 /// member and stays out), one task per type, then assembles the joint
 /// Laplacian at out->alpha.
 Status AssembleEnsemble(const fact::BlockStructure& blocks,
-                        graph::LaplacianKind kind, HeterogeneousEnsemble* out) {
+                        HeterogeneousEnsemble* out) {
   const std::size_t num_types = blocks.num_types();
   std::vector<la::SparseMatrix> subspace_lap(num_types);
   std::vector<la::SparseMatrix> knn_lap(num_types);
@@ -83,7 +83,8 @@ Status AssembleEnsemble(const fact::BlockStructure& blocks,
   RunTasks(num_types, [&](std::size_t k) {
     auto build = [&](const la::SparseMatrix& w, la::SparseMatrix* lap) {
       if (w.rows() == 0 || !task_status[k].ok()) return;
-      Result<la::SparseMatrix> l = graph::BuildSparseLaplacian(w, kind);
+      Result<la::SparseMatrix> l =
+          graph::BuildSparseLaplacian(w, EnsembleOptions::laplacian);
       if (!l.ok()) {
         task_status[k] = l.status();
         return;
@@ -318,13 +319,13 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
     if (!status.ok()) return status;
   }
 
-  RHCHME_RETURN_IF_ERROR(AssembleEnsemble(blocks, opts.laplacian, &out));
+  RHCHME_RETURN_IF_ERROR(AssembleEnsemble(blocks, &out));
   return out;
 }
 
 Result<HeterogeneousEnsemble> ReweightEnsemble(
     const HeterogeneousEnsemble& base, const fact::BlockStructure& blocks,
-    double alpha, graph::LaplacianKind kind) {
+    double alpha) {
   if (!(alpha >= 0.0)) {  // Negated so that NaN fails too.
     return Status::InvalidArgument("ensemble alpha must be nonnegative");
   }
@@ -340,7 +341,7 @@ Result<HeterogeneousEnsemble> ReweightEnsemble(
   out.subspace_iterations = base.subspace_iterations;
   out.subspace_stop = base.subspace_stop;
   out.alpha = alpha;
-  RHCHME_RETURN_IF_ERROR(AssembleEnsemble(blocks, kind, &out));
+  RHCHME_RETURN_IF_ERROR(AssembleEnsemble(blocks, &out));
   return out;
 }
 

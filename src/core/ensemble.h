@@ -49,7 +49,10 @@ struct EnsembleOptions {
   graph::KnnGraphOptions knn;
   /// Subspace member W^S (Algorithm 1 settings).
   SubspaceOptions subspace;
-  graph::LaplacianKind laplacian = graph::LaplacianKind::kSymmetric;
+  /// Both members' Laplacians are symmetric-normalised. A constant that
+  /// e2ebench still passes to graph::BuildSparseLaplacian.
+  static constexpr graph::LaplacianKind laplacian =
+      graph::LaplacianKind::kSymmetric;
   /// Ablation switches: drop a member entirely (at least one must stay).
   bool include_subspace = true;
   bool include_knn = true;
@@ -67,8 +70,8 @@ struct HeterogeneousEnsemble {
   /// Stored sparse: each block's pattern is the union of its members'
   /// patterns plus the diagonal, so the footprint is at most Σ_k
   /// (nnz(W^S_k) + nnz(W^E_k) + n_k) — never the dense n². The solver
-  /// consumes it sparse end-to-end (±-split, SpMM, Sandwich); call
-  /// ToDense() only for inspection.
+  /// consumes it sparse end-to-end (sign-split SpMM rows, Sandwich),
+  /// without building its ± parts; call ToDense() only for inspection.
   la::SparseMatrix laplacian;
   /// Per-type subspace affinities W^S as CSR (0 x 0 when disabled).
   std::vector<la::SparseMatrix> subspace_affinity;
@@ -133,13 +136,12 @@ Result<HeterogeneousEnsemble> BuildEnsemble(
 
 /// Re-assembles the joint Laplacian from an ensemble's stored members at a
 /// different alpha — the expensive subspace learning is NOT repeated.
-/// Used by alpha sweeps (Fig. 2) and the auto-tuner. Per-type Laplacian
-/// rebuilds run as parallel tasks (the diagonal blocks occupy disjoint
-/// rows of the joint Laplacian).
+/// Used by alpha sweeps (Fig. 2) and the blockworld-sweep workload of
+/// e2ebench. Per-type Laplacian rebuilds run as parallel tasks (the
+/// diagonal blocks occupy disjoint rows of the joint Laplacian).
 Result<HeterogeneousEnsemble> ReweightEnsemble(
     const HeterogeneousEnsemble& base, const fact::BlockStructure& blocks,
-    double alpha,
-    graph::LaplacianKind kind = graph::LaplacianKind::kSymmetric);
+    double alpha);
 
 }  // namespace core
 }  // namespace rhchme

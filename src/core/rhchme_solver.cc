@@ -22,8 +22,7 @@ Status RhchmeOptions::Validate() const {
   // Negated comparisons: NaN fails every one of them. A NaN tolerance, for
   // one, would otherwise run every fit silently to the iteration cap.
   const std::pair<const char*, double> nonnegative[] = {
-      {"lambda", lambda}, {"beta", beta},     {"tolerance", tolerance},
-      {"ridge", ridge},   {"mu_eps", mu_eps}, {"l21_zeta", l21_zeta}};
+      {"lambda", lambda}, {"beta", beta}, {"tolerance", tolerance}};
   for (const auto& [name, value] : nonnegative) {
     if (!(value >= 0.0)) {
       return Status::InvalidArgument(std::string(name) +

@@ -77,13 +77,14 @@ struct RhchmeOptions {
   /// Stop when the relative objective change falls below this.
   double tolerance = 1e-5;
   /// Ridge added to GᵀG before inversion (empty-cluster guard, Eq. 18).
-  double ridge = 1e-9;
+  static constexpr double ridge = fact::kRidge;
   /// Denominator floor of the multiplicative update (Eq. 21).
-  double mu_eps = 1e-12;
+  static constexpr double mu_eps = fact::kMuEps;
   /// The paper's zeta: perturbation regularising D_ii = 1/(2||q_i|| + zeta)
   /// when a row of Q vanishes (§III.D.3).
-  double l21_zeta = 1e-8;
-  fact::MembershipInit init = fact::MembershipInit::kKMeans;
+  static constexpr double l21_zeta = 1e-8;
+  /// k-means initialisation of G (Algorithm 2).
+  static constexpr fact::MembershipInit init = fact::MembershipInit::kKMeans;
   uint64_t seed = 0;
   /// Row ℓ1 normalisation of Eq. 22 (trivial-solution guard). On by
   /// default; exposed for the ablation bench.

@@ -31,12 +31,6 @@ Status SubspaceOptions::Validate() const {
   if (!(gamma > 0.0)) {
     return Status::InvalidArgument("subspace gamma must be positive");
   }
-  if (!(affine_penalty >= 0.0)) {
-    return Status::InvalidArgument("affine_penalty must be nonnegative");
-  }
-  if (!(prune_rel_tol >= 0.0)) {
-    return Status::InvalidArgument("prune_rel_tol must be nonnegative");
-  }
   return spg.Validate();
 }
 
@@ -126,7 +120,7 @@ void ForEachPanel(std::size_t n, const Fn& fn) {
 }
 
 /// Q = X̂·X̂ᵀ held as the CSR factors X̂ (n × D, the object rows,
-/// L2-normalised when asked) and X̂ᵀ, for products A·Q = (A·X̂)·X̂ᵀ. A
+/// L2-normalised) and X̂ᵀ, for products A·Q = (A·X̂)·X̂ᵀ. A
 /// panel of A's rows is written transposed into an n × kGemmRowPanel
 /// buffer Aᵀ (PanelInput); PanelProduct then forms Vᵀ = X̂ᵀ·Aᵀ and X̂·Vᵀ
 /// with two SparseMatrix::MultiplyDenseRows and transposes the result into
@@ -136,7 +130,7 @@ void ForEachPanel(std::size_t n, const Fn& fn) {
 /// worker. A row costs 2·nnz(X̂) multiply-adds.
 class FactoredGram {
  public:
-  FactoredGram(const la::Matrix& objects, bool normalize_rows)
+  explicit FactoredGram(const la::Matrix& objects)
       : n_(objects.rows()), scratch_(PanelSlots(n_)) {
     const std::size_t d = objects.cols();
     // X̂ row by row, then X̂ᵀ by a counting sort on the column, which
@@ -147,9 +141,7 @@ class FactoredGram {
       const double* row = objects.row_ptr(i);
       double norm_sq = 0.0;
       for (std::size_t k = 0; k < d; ++k) norm_sq += row[k] * row[k];
-      const double scale = !normalize_rows ? 1.0
-                           : norm_sq > 0.0  ? 1.0 / std::sqrt(norm_sq)
-                                            : 0.0;
+      const double scale = norm_sq > 0.0 ? 1.0 / std::sqrt(norm_sq) : 0.0;
       // A zero row stays zero: it keeps no entries.
       for (std::size_t k = 0; k < d && scale > 0.0; ++k) {
         if (row[k] == 0.0) continue;
@@ -244,18 +236,17 @@ class FactoredGram {
   std::vector<Scratch> scratch_;  ///< One per ForEachPanel worker.
 };
 
-/// Entry (i, j) of the gradient 2γ(W·Q − Q) + 2·1·(1ᵀW) + 2η(W·1 − 1)·1ᵀ
-/// from W·Q(i,j), Q(i,j), the column sum j of W and the row's affine term
-/// 2η(rs_i − 1). One expression everywhere (la::simd's spg_direction_row
-/// included), so a recomputed entry has the bits of the stored one.
-double GradientEntry(double two_gamma, double wq, double q, double cs,
-                     double affine) {
-  return two_gamma * (wq - q) + (2.0 * cs + affine);
+/// Entry (i, j) of the gradient 2γ(W·Q − Q) + 2·1·(1ᵀW) from W·Q(i,j),
+/// Q(i,j) and the column sum j of W. One expression everywhere (la::simd's
+/// spg_direction_row included), so a recomputed entry has the bits of the
+/// stored one.
+double GradientEntry(double two_gamma, double wq, double q, double cs) {
+  return two_gamma * (wq - q) + 2.0 * cs;
 }
 
 /// The SPG iterate of Algorithm 1 and its fixed workspace: W, W·Q, the
 /// projected direction d as per-row compacted nonzeros, and d·Q next to
-/// the caller's Q, plus the row and column sums of W and d. Nothing n×n
+/// the caller's Q, plus the column sums of W and d. Nothing n×n
 /// is allocated after construction. The first direction is pass A alone
 /// (Direction); a step is then the d·Q product with pass B (LineSearch),
 /// the s·s and s·y pre-pass over d's support (StepLength), and one row
@@ -264,7 +255,7 @@ double GradientEntry(double two_gamma, double wq, double q, double cs,
 /// forward as W·Q += t·d·Q, since W_new = W + t·d. The gradient is never
 /// stored: each pass recomputes the entries it needs with GradientEntry.
 ///
-/// J₂ is γ(tr Q − 2 tr(W·Q) + <W·Q, W>) + ||1ᵀW||² + η||W·1 − 1||².
+/// J₂ is γ(tr Q − 2 tr(W·Q) + <W·Q, W>) + ||1ᵀW||².
 ///
 /// A step streams seven n×n arrays: d·Q written and W read in pass B;
 /// d·Q, W·Q (read and written), W and Q in the row pass. d is ≥ 97% exact
@@ -276,13 +267,12 @@ class SpgState {
  public:
   /// `factored` (null off the factored path) must outlive the state.
   SpgState(const la::Matrix& gram, FactoredGram* factored, la::Matrix w,
-           double gamma, double eta)
+           double gamma)
       : n_(gram.rows()),
         q_(gram),
         factored_(factored),
         two_gamma_(2.0 * gamma),
         gamma_(gamma),
-        eta_(eta),
         tr_q_(gram.Trace()),
         kt_(la::simd::Table()),
         w_(std::move(w)),
@@ -293,11 +283,8 @@ class SpgState {
         idx_(n_ * n_),
         nnz_(n_, 0),
         cs_w_(w_.ColSums()),
-        rs_w_(w_.RowSums()),
         cs_prev_(n_, 0.0),
-        rs_prev_(n_, 0.0),
         cs_d_(n_, 0.0),
-        rs_d_(n_, 0.0),
         row_terms_(n_, kRowTerms),
         y_(SpgRowChunks(n_), n_),
         s_(SpgRowChunks(n_), n_),
@@ -377,32 +364,19 @@ class SpgState {
       dot_cs += cs_w_[j] * cs_d_[j];
       cs_d_sq += cs_d_[j] * cs_d_[j];
     }
-    double b = -2.0 * gamma_ * (tr_dq - fi_dq_w) + 2.0 * dot_cs;
-    double a = gamma_ * fi_dq_d + cs_d_sq;
-    if (eta_ > 0.0) {
-      // Affine term: eta·||(W + t·d)·1 − 1||² adds eta·(2t·<u, v> + t²·|v|²)
-      // with u = W·1 − 1, v = d·1.
-      double uv = 0.0, vv = 0.0;
-      for (std::size_t i = 0; i < n_; ++i) {
-        uv += (rs_w_[i] - 1.0) * rs_d_[i];
-        vv += rs_d_[i] * rs_d_[i];
-      }
-      b += 2.0 * eta_ * uv;
-      a += eta_ * vv;
-    }
+    const double b = -2.0 * gamma_ * (tr_dq - fi_dq_w) + 2.0 * dot_cs;
+    const double a = gamma_ * fi_dq_d + cs_d_sq;
     return a > 0.0 ? std::clamp(-b / (2.0 * a), 1e-6, 1.0) : 1.0;
   }
 
-  /// Carries the row and column sums over the step W += t·d (so s = t·d)
+  /// Carries the column sums over the step W += t·d (so s = t·d)
   /// and returns the Barzilai–Borwein steplength s·s / s·y of the next
   /// step, with y = grad_new − grad, before any dense work: s·s and s·y
   /// touch only d's support, and there the new gradient needs only the
   /// new W·Q entry W·Q + t·d·Q, the expression of the row pass's axpy.
   double StepLength(double t) {
     cs_prev_ = cs_w_;
-    rs_prev_ = rs_w_;
     for (std::size_t j = 0; j < n_; ++j) cs_w_[j] += t * cs_d_[j];
-    for (std::size_t i = 0; i < n_; ++i) rs_w_[i] += t * rs_d_[i];
     ForEachRowChunk(n_, [&](std::size_t c, std::size_t r0, std::size_t r1) {
       // y and d by column, read only on d's support.
       double* y = y_.row_ptr(c);
@@ -415,14 +389,11 @@ class SpgState {
         const double* q = q_.row_ptr(i);
         const double* dq = dq_.row_ptr(i);
         const double* wq = wq_.row_ptr(i);
-        const double affine_old = Affine(rs_prev_[i]);
-        const double affine = Affine(rs_w_[i]);
         for (std::size_t k = 0; k < count; ++k) {
           const std::size_t j = idx[k];
-          const double old = GradientEntry(two_gamma_, wq[j], q[j],
-                                           cs_prev_[j], affine_old);
-          y[j] = GradientEntry(two_gamma_, wq[j] + t * dq[j], q[j], cs_w_[j],
-                               affine) -
+          const double old =
+              GradientEntry(two_gamma_, wq[j], q[j], cs_prev_[j]);
+          y[j] = GradientEntry(two_gamma_, wq[j] + t * dq[j], q[j], cs_w_[j]) -
                  old;
           s[j] = d[k];
         }
@@ -467,12 +438,8 @@ class SpgState {
     });
     double sparsity = 0.0;
     for (double cs : cs_w_) sparsity += cs * cs;
-    double affine = 0.0;
-    if (eta_ > 0.0) {
-      for (double rs : rs_w_) affine += (rs - 1.0) * (rs - 1.0);
-    }
     objective_ = gamma_ * (tr_q_ - 2.0 * ChunkSum(kTrace) + ChunkSum(kWqW)) +
-                 sparsity + eta_ * affine;
+                 sparsity;
     return direction ? MergeDirection() : 0.0;
   }
 
@@ -486,7 +453,7 @@ class SpgState {
   static constexpr std::size_t kRowTerms = 3;  ///< dq(i,i), ⟨dq, W⟩, ⟨dq, d⟩.
 
   /// Pass A for row i: writes the nonzeros of the projected direction
-  /// d = P(W − step·grad) − W and its row sum, adds the row to the
+  /// d = P(W − step·grad) − W, adds the row to the
   /// chunk's column sums `cs` and raises *probe to the row's part of
   /// ||P(W − grad) − W||_∞. The table's spg_direction_row computes the
   /// entries with GradientEntry's expression (P's zero diagonal included)
@@ -496,14 +463,9 @@ class SpgState {
     std::size_t* idx = RowIdx(i);
     const std::size_t count = kt_.spg_direction_row(
         w_.row_ptr(i), wq_.row_ptr(i), q_.row_ptr(i), cs_w_.data(), two_gamma_,
-        Affine(rs_w_[i]), step, i, n_, vals, idx, probe);
+        step, i, n_, vals, idx, probe);
     nnz_[i] = count;
-    double rs = 0.0;
-    for (std::size_t k = 0; k < count; ++k) {
-      rs += vals[k];
-      cs[idx[k]] += vals[k];
-    }
-    rs_d_[i] = rs;
+    for (std::size_t k = 0; k < count; ++k) cs[idx[k]] += vals[k];
   }
   /// Merges the chunks' column sums of d in chunk order and returns the
   /// largest chunk probe.
@@ -518,10 +480,6 @@ class SpgState {
     return probe;
   }
 
-  /// The gradient's affine term 2η(rs − 1) of a row with W-row sum rs.
-  double Affine(double rs) const {
-    return eta_ > 0.0 ? 2.0 * eta_ * (rs - 1.0) : 0.0;
-  }
   /// Column indices of row i's compacted nonzeros.
   std::size_t* RowIdx(std::size_t i) { return idx_.data() + i * n_; }
 
@@ -603,14 +561,13 @@ class SpgState {
   FactoredGram* const factored_;
   const double two_gamma_;
   const double gamma_;
-  const double eta_;
   const double tr_q_;
   const la::simd::KernelTable& kt_;
   /// d_ row i holds d's nonzeros of row i in its first nnz_[i] entries,
   /// with their columns at idx_[i·n, i·n + nnz_[i]).
   la::Matrix w_, wq_, d_, dq_;
   std::vector<std::size_t> idx_, nnz_;
-  std::vector<double> cs_w_, rs_w_, cs_prev_, rs_prev_, cs_d_, rs_d_;
+  std::vector<double> cs_w_, cs_prev_, cs_d_;
   la::Matrix row_terms_;    ///< Per-row terms of pass B (n × kRowTerms).
   la::Matrix y_, s_;        ///< StepLength's y and d, chunks × n.
   la::Matrix col_partial_;  ///< Column sums of d per chunk (chunks × n).
@@ -618,87 +575,82 @@ class SpgState {
   double objective_ = 0.0;
 };
 
-/// Gram of the object rows; all reconstruction algebra runs through it,
-/// so the ambient dimension D only costs this one product. Normalising
-/// the rows scales it by the row norms.
-la::Matrix ObjectGram(const la::Matrix& objects, bool normalize_rows) {
+/// Gram X̂·X̂ᵀ of the L2-normalised object rows; all reconstruction
+/// algebra runs through it, so the ambient dimension D only costs this one
+/// product. Formed as X·Xᵀ scaled by the inverse row norms.
+la::Matrix ObjectGram(const la::Matrix& objects) {
   const std::size_t n = objects.rows();
   la::Matrix gram = la::MultiplyNT(objects, objects);
-  if (normalize_rows) {
-    std::vector<double> inv_norm(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = std::sqrt(gram(i, i));
-      inv_norm[i] = d > 0.0 ? 1.0 / d : 0.0;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        gram(i, j) *= inv_norm[i] * inv_norm[j];
-      }
+  std::vector<double> inv_norm(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = std::sqrt(gram(i, i));
+    inv_norm[i] = d > 0.0 ? 1.0 / d : 0.0;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      gram(i, j) *= inv_norm[i] * inv_norm[j];
     }
   }
   return gram;
 }
 
-/// Post-processing: prune dust, symmetrise for Laplacian use.
+/// Post-processing: prune dust below kSpgPruneRelTol of the largest
+/// entry, symmetrise for Laplacian use.
 /// Row-parallel; every entry is one expression of its own inputs (the max
 /// is exact and order-free), so the result is the same for any pool size
 /// and equal to the serial passes in tests/reference_spg.h.
-void PostProcessAffinity(const SubspaceOptions& opts, la::Matrix* w) {
+void PostProcessAffinity(la::Matrix* w) {
   const std::size_t n = w->rows();
   const std::size_t grain = util::GrainForWork(n);
-  if (opts.prune_rel_tol > 0.0) {
-    // la::Matrix::MaxAbs per row, then over the rows.
-    std::vector<double> row_max(n, 0.0);
-    util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
-      for (std::size_t i = r0; i < r1; ++i) {
-        const double* row = w->row_ptr(i);
-        double m = 0.0;
-        for (std::size_t j = 0; j < n; ++j) m = std::max(m, std::fabs(row[j]));
-        row_max[i] = m;
-      }
-    });
-    double max_abs = 0.0;
-    for (double m : row_max) max_abs = std::max(max_abs, m);
-    const double cut = opts.prune_rel_tol * max_abs;
-    util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
-      for (std::size_t i = r0; i < r1; ++i) {
-        double* row = w->row_ptr(i);
-        for (std::size_t j = 0; j < n; ++j) row[j] = row[j] < cut ? 0.0 : row[j];
-      }
-    });
-  }
-  if (opts.symmetrize) {
-    // (W + Wᵀ)/2 in place: the task of tile row b owns every pair (i, j)
-    // with i in b and j >= i, and writes both of its entries.
-    constexpr std::size_t kTile = 32;
-    const std::size_t tiles = (n + kTile - 1) / kTile;
-    util::ParallelFor(0, tiles, 1, [&](std::size_t b0, std::size_t b1) {
-      for (std::size_t b = b0; b < b1; ++b) {
-        const std::size_t i0 = b * kTile, i1 = std::min(n, i0 + kTile);
-        for (std::size_t j0 = i0; j0 < n; j0 += kTile) {
-          const std::size_t j1 = std::min(n, j0 + kTile);
-          for (std::size_t i = i0; i < i1; ++i) {
-            double* row = w->row_ptr(i);
-            for (std::size_t j = std::max(i, j0); j < j1; ++j) {
-              const double v = (row[j] + (*w)(j, i)) * 0.5;
-              row[j] = v;
-              (*w)(j, i) = v;
-            }
+  // la::Matrix::MaxAbs per row, then over the rows.
+  std::vector<double> row_max(n, 0.0);
+  util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i) {
+      const double* row = w->row_ptr(i);
+      double m = 0.0;
+      for (std::size_t j = 0; j < n; ++j) m = std::max(m, std::fabs(row[j]));
+      row_max[i] = m;
+    }
+  });
+  double max_abs = 0.0;
+  for (double m : row_max) max_abs = std::max(max_abs, m);
+  const double cut = kSpgPruneRelTol * max_abs;
+  util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i) {
+      double* row = w->row_ptr(i);
+      for (std::size_t j = 0; j < n; ++j) row[j] = row[j] < cut ? 0.0 : row[j];
+    }
+  });
+  // (W + Wᵀ)/2 in place: the task of tile row b owns every pair (i, j)
+  // with i in b and j >= i, and writes both of its entries.
+  constexpr std::size_t kTile = 32;
+  const std::size_t tiles = (n + kTile - 1) / kTile;
+  util::ParallelFor(0, tiles, 1, [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      const std::size_t i0 = b * kTile, i1 = std::min(n, i0 + kTile);
+      for (std::size_t j0 = i0; j0 < n; j0 += kTile) {
+        const std::size_t j1 = std::min(n, j0 + kTile);
+        for (std::size_t i = i0; i < i1; ++i) {
+          double* row = w->row_ptr(i);
+          for (std::size_t j = std::max(i, j0); j < j1; ++j) {
+            const double v = (row[j] + (*w)(j, i)) * 0.5;
+            row[j] = v;
+            (*w)(j, i) = v;
           }
         }
       }
-    });
-  }
+    }
+  });
 }
 
 }  // namespace
 
-la::Matrix FactoredGramProduct(const la::Matrix& objects, bool normalize_rows,
+la::Matrix FactoredGramProduct(const la::Matrix& objects,
                                const la::Matrix* a) {
   RHCHME_CHECK(a == nullptr ||
                    (a->rows() == objects.rows() && a->cols() == objects.rows()),
                "FactoredGramProduct: A must be n x n");
-  FactoredGram factored(objects, normalize_rows);
+  FactoredGram factored(objects);
   return factored.Multiply(a);
 }
 
@@ -718,17 +670,15 @@ Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
     // Q and the SPG workspace are freed before post-processing allocates.
     std::unique_ptr<FactoredGram> factored;
     if (SpgFactoredProducts(n, objects.NonZeros()) && objects.AllFinite()) {
-      factored = std::make_unique<FactoredGram>(objects, opts.normalize_rows);
+      factored = std::make_unique<FactoredGram>(objects);
     }
-    const la::Matrix gram = factored != nullptr
-                                ? factored->Multiply(nullptr)
-                                : ObjectGram(objects, opts.normalize_rows);
+    const la::Matrix gram = factored != nullptr ? factored->Multiply(nullptr)
+                                                : ObjectGram(objects);
     Rng rng(opts.seed);
     la::Matrix w0 = la::Matrix::RandomUniform(n, n, &rng, 0.0,
                                               1.0 / static_cast<double>(n));
     ProjectFeasible(&w0);
-    SpgState spg(gram, factored.get(), std::move(w0), opts.gamma,
-                 opts.affine_penalty);
+    SpgState spg(gram, factored.get(), std::move(w0), opts.gamma);
     // Stationarity check ||P(W - grad) - W||_inf, in the same pass as the
     // projected direction d = P(W - step·grad) - W; 1 is the initial BB
     // steplength guess.
@@ -750,7 +700,7 @@ Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
     }
     w = spg.TakeAffinity();
   }
-  PostProcessAffinity(opts, &w);
+  PostProcessAffinity(&w);
 
   out.affinity = la::SparseMatrix::FromDense(w);
   out.iterations = it;

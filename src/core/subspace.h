@@ -8,8 +8,12 @@
 // Martínez & Raydan [25]. Objects are ROWS of X here (the paper uses
 // columns), so self-expression reads X ≈ W·X. For nonnegative W the
 // SSQP-style regulariser satisfies ||W·Wᵀ||₁ = ||1ᵀW||²₂, giving the
-// gradient 2γ(W·Q − Q) + 2·1·(1ᵀW) with Q = X·Xᵀ (DESIGN.md §5.1/5.2
-// documents the deviations from the paper's typo'd formulas).
+// gradient 2γ(W·Q − Q) + 2·1·(1ᵀW) with Q = X̂·X̂ᵀ (docs/ARCHITECTURE.md
+// "Ensemble construction: the SPG workspace"). X̂ is X with each object
+// row L2-normalised, as in the SSC/LRR/SSQP family: subspace membership
+// is direction, not magnitude, so corrupted high-magnitude rows do not
+// dominate the self-expression. Eq. 9 is solved as printed: the affine
+// constraint of Eq. 4/6 (each row of W sums to one) is not imposed.
 //
 // Each SPG step costs one product d·Q (W·Q is carried forward) and two
 // row-parallel passes over a fixed workspace, so the learned W is
@@ -90,37 +94,23 @@ struct SubspaceOptions {
   /// magnitude and our synthetic corpora sit best around 5 (the Fig. 2
   /// bench re-derives this sweep).
   double gamma = 5.0;
-  /// Weight of the affine-combination penalty eta·||W·1 − 1||²₂.
-  /// Eq. 4/6 of the paper constrain each object's coefficients to sum
-  /// to one (affine self-expression) but Eq. 9 drops the constraint; a
-  /// positive eta restores it softly. Needed when the manifolds are
-  /// affine rather than linear subspaces (e.g. the Fig. 1 circles in
-  /// monomial coordinates). 0 reproduces Eq. 9 exactly.
-  double affine_penalty = 0.0;
   SpgOptions spg;
-  /// Symmetrise the learned affinity to (W + Wᵀ)/2 — a graph Laplacian
-  /// needs a symmetric affinity.
-  bool symmetrize = true;
-  /// L2-normalise each object row before learning (standard practice in
-  /// the SSC/LRR/SSQP family): subspace membership is direction, not
-  /// magnitude, so corrupted high-magnitude rows stop dominating the
-  /// self-expression.
-  bool normalize_rows = true;
-  /// Zero out affinities below this fraction of the matrix max
-  /// (suppresses numerical dust; 0 disables; negative or NaN is
-  /// rejected).
-  double prune_rel_tol = 1e-6;
   uint64_t seed = 12345;  ///< Random initialisation of W (paper Algorithm 1).
 
   Status Validate() const;
 };
 
+/// Post-processing of the learned W: affinities below this fraction of
+/// its largest entry are zeroed (numerical dust), then W becomes
+/// (W + Wᵀ)/2, the symmetric affinity a graph Laplacian needs.
+constexpr double kSpgPruneRelTol = 1e-6;
+
 struct SubspaceResult {
-  /// Learned affinity W: nonnegative, zero diagonal, symmetric when
-  /// requested. This is the paper's W^S for one object type. Stored as
-  /// CSR (the learned W is a few percent full): the prune and
-  /// symmetrise passes run on the dense W of the SPG loop, and converting
-  /// it (la::SparseMatrix::FromDense, zeros dropped) is the last step.
+  /// Learned affinity W: nonnegative, zero diagonal, symmetric. This is
+  /// the paper's W^S for one object type. Stored as CSR (the learned W is
+  /// a few percent full): the prune and symmetrise passes run on the
+  /// dense W of the SPG loop, and converting it (la::SparseMatrix::
+  /// FromDense, zeros dropped) is the last step.
   la::SparseMatrix affinity;
   std::vector<double> objective_trace;  ///< J₂ after each SPG iteration.
   int iterations = 0;
@@ -168,13 +158,13 @@ constexpr std::size_t kSpgGemmAdvantage = 6;
 bool SpgFactoredProducts(std::size_t n, std::size_t feature_nnz);
 
 /// A·Q for Q = X̂·X̂ᵀ, where X̂ is `objects` with each row L2-normalised
-/// when `normalize_rows` is set (a zero row stays zero), or Q itself when
-/// `a` is null. A is n×n. Runs the factored product of the SPG learner
-/// whatever SpgFactoredProducts says: per output row r and column i,
+/// (a zero row stays zero), or Q itself when `a` is null. A is n×n. Runs
+/// the factored product of the SPG learner whatever SpgFactoredProducts
+/// says: per output row r and column i,
 /// v_k = Σ_j X̂(j,k)·A(r,j) in ascending j, then Σ_k X̂(i,k)·v_k in
 /// ascending k, each from +0.0 with one unfused multiply-add per nonzero
 /// of X̂. Requires finite `objects`.
-la::Matrix FactoredGramProduct(const la::Matrix& objects, bool normalize_rows,
+la::Matrix FactoredGramProduct(const la::Matrix& objects,
                                const la::Matrix* a);
 
 /// Number of row chunks the SPG passes of an n-object type split into

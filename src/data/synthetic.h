@@ -3,7 +3,7 @@
 // The paper evaluates on 20Newsgroups and Reuters-21578 subsets enriched
 // with Wikipedia concepts (documents, terms, concepts). Those corpora are
 // not available offline, so this module generates statistically analogous
-// data (DESIGN.md §3):
+// data:
 //
 //  * documents of a class are drawn from a low-rank mixture of topic
 //    term-distributions — classes are low-dimensional subspaces, which is

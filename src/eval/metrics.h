@@ -2,9 +2,10 @@
 //
 // FScore follows Eq. 38 exactly (class-weighted best F-measure over
 // clusters); NMI uses the standard sqrt-entropy normalisation
-// I(C;L)/sqrt(H(C)·H(L)) — the paper's printed Eq. 39 omits the square
-// root (DESIGN.md §5.4). Purity and Adjusted Rand Index are included as
-// additional diagnostics.
+// I(C;L)/sqrt(H(C)·H(L)) of Strehl & Ghosh. The paper's printed Eq. 39
+// omits the square root; without it the ratio depends on the logarithm
+// base and is not bounded by 1, with it NMI lies in [0, 1]. Purity and
+// Adjusted Rand Index are included as additional diagnostics.
 
 #ifndef RHCHME_EVAL_METRICS_H_
 #define RHCHME_EVAL_METRICS_H_

@@ -30,12 +30,12 @@ BlockStructure BuildBlockStructure(const data::MultiTypeRelationalData& data) {
 
 Result<la::Matrix> InitMembership(const data::MultiTypeRelationalData& data,
                                   const BlockStructure& blocks,
-                                  MembershipInit init, Rng* rng) {
+                                  MembershipInit /*init*/, Rng* rng) {
   la::Matrix g(blocks.total_objects(), blocks.total_clusters());
   for (std::size_t k = 0; k < data.NumTypes(); ++k) {
     const data::ObjectType& type = data.Type(k);
     la::Matrix block;
-    if (init == MembershipInit::kKMeans && !type.features.empty()) {
+    if (!type.features.empty()) {
       // Spherical initialisation: L2-normalise object rows so the seeding
       // reflects direction (content) rather than magnitude — otherwise
       // corrupted high-norm rows capture the k-means++ centroids.

@@ -40,13 +40,20 @@ struct BlockStructure {
 /// Derives the block layout from the data's type/cluster counts.
 BlockStructure BuildBlockStructure(const data::MultiTypeRelationalData& data);
 
-/// How to initialise the membership matrix G (paper §III.D: either works;
-/// k-means is Algorithm 2's default).
-enum class MembershipInit { kKMeans, kRandom };
+/// How the membership matrix G is initialised: k-means, Algorithm 2's
+/// choice. The one value stays for callers that pass it.
+enum class MembershipInit { kKMeans };
+
+/// Ridge added to GᵀG (and to FᵀF in DRCC) before inversion: the
+/// empty-cluster guard of the central solve (Eq. 18).
+constexpr double kRidge = 1e-9;
+/// Denominator floor of the multiplicative updates (Eq. 21).
+constexpr double kMuEps = 1e-12;
 
 /// Block-diagonal initial G: type k's block is filled by k-means on the
-/// type's features (or randomly), rows L1-normalised, never exactly zero
-/// inside the block (multiplicative updates cannot leave zeros).
+/// type's features (a type without features gets a random membership),
+/// rows L1-normalised, never exactly zero inside the block
+/// (multiplicative updates cannot leave zeros).
 Result<la::Matrix> InitMembership(const data::MultiTypeRelationalData& data,
                                   const BlockStructure& blocks,
                                   MembershipInit init, Rng* rng);
@@ -71,7 +78,7 @@ struct SolveStats {
 /// unguarded computation, so healthy fits keep their exact trajectory.
 Result<la::Matrix> SolveCentralSFromProducts(const la::Matrix& gtg,
                                              const la::Matrix& gtmg,
-                                             double ridge = 1e-9,
+                                             double ridge = kRidge,
                                              SolveStats* stats = nullptr);
 
 /// One multiplicative update of G (paper Eq. 21) for the objective
@@ -79,7 +86,7 @@ Result<la::Matrix> SolveCentralSFromProducts(const la::Matrix& gtg,
 ///   G ← G ∘ sqrt( (lambda·L⁻·G + A⁺ + G·B⁻) / (lambda·L⁺·G + A⁻ + G·B⁺) )
 /// with the symmetrised gradient halves A = ½(M·G·Sᵀ + Mᵀ·G·S) and
 /// B = ½(Sᵀ·GᵀG·S + S·GᵀG·Sᵀ), which reduce to the paper's A = M·G·Sᵀ,
-/// B = Sᵀ·GᵀG·S when M and S are symmetric (DESIGN.md §5). `eps` floors
+/// B = Sᵀ·GᵀG·S when M and S are symmetric. `eps` floors
 /// the denominator. Zero entries of G stay zero, so the block-diagonal
 /// structure is preserved.
 ///

@@ -5,15 +5,6 @@
 namespace rhchme {
 namespace graph {
 
-const char* LaplacianKindName(LaplacianKind kind) {
-  switch (kind) {
-    case LaplacianKind::kUnnormalized: return "unnormalized";
-    case LaplacianKind::kSymmetric: return "symmetric";
-    case LaplacianKind::kRandomWalk: return "random-walk";
-  }
-  return "?";
-}
-
 Result<la::Matrix> BuildLaplacian(const la::SparseMatrix& affinity,
                                   LaplacianKind kind) {
   Result<la::SparseMatrix> l = BuildSparseLaplacian(affinity, kind);
@@ -22,7 +13,7 @@ Result<la::Matrix> BuildLaplacian(const la::SparseMatrix& affinity,
 }
 
 Result<la::SparseMatrix> BuildSparseLaplacian(const la::SparseMatrix& w,
-                                              LaplacianKind kind) {
+                                              LaplacianKind /*kind*/) {
   if (w.rows() != w.cols()) {
     return Status::InvalidArgument("Laplacian: affinity must be square");
   }
@@ -32,36 +23,20 @@ Result<la::SparseMatrix> BuildSparseLaplacian(const la::SparseMatrix& w,
   const auto& cols = w.col_indices();
   const auto& vals = w.values();
 
-  std::vector<double> inv_sqrt;
-  if (kind == LaplacianKind::kSymmetric) {
-    inv_sqrt.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      inv_sqrt[i] = deg[i] > 0.0 ? 1.0 / std::sqrt(deg[i]) : 0.0;
-    }
+  std::vector<double> inv_sqrt(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    inv_sqrt[i] = deg[i] > 0.0 ? 1.0 / std::sqrt(deg[i]) : 0.0;
   }
 
-  // Row i of L is row i of W, each entry mapped, with the diagonal term
+  // Row i of L is row i of W, each entry scaled, with the diagonal term
   // merged in at column i: summed with a self-loop's entry (two addends
   // commute), and any entry that comes to zero is dropped.
   const std::size_t nnz_per_row = n > 0 ? w.nnz() / n + 1 : 1;
   return la::SparseMatrix::FromRows(
       n, n, 2 * nnz_per_row + 2,
       [&](std::size_t i, const auto& put) {
-        double diag = 0.0, scale = 0.0;
-        switch (kind) {
-          case LaplacianKind::kUnnormalized:
-            diag = deg[i];
-            scale = 1.0;
-            break;
-          case LaplacianKind::kSymmetric:
-            diag = deg[i] > 0.0 ? 1.0 : 0.0;
-            scale = inv_sqrt[i];
-            break;
-          case LaplacianKind::kRandomWalk:
-            diag = deg[i] > 0.0 ? 1.0 : 0.0;
-            scale = deg[i] > 0.0 ? 1.0 / deg[i] : 0.0;
-            break;
-        }
+        const double diag = deg[i] > 0.0 ? 1.0 : 0.0;
+        const double scale = inv_sqrt[i];
         auto emit = [&](std::size_t j, double v) {
           if (v != 0.0) put(j, v);
         };
@@ -72,11 +47,7 @@ Result<la::SparseMatrix> BuildSparseLaplacian(const la::SparseMatrix& w,
             diag_done = true;
             if (j > i) emit(i, diag);
           }
-          const double v =
-              kind == LaplacianKind::kUnnormalized ? -vals[k]
-              : kind == LaplacianKind::kSymmetric
-                  ? -scale * vals[k] * inv_sqrt[j]
-                  : -scale * vals[k];
+          const double v = -scale * vals[k] * inv_sqrt[j];
           emit(j, j == i ? v + diag : v);
         }
         if (!diag_done) emit(i, diag);

@@ -146,7 +146,7 @@ struct KernelTable {
 
   /// One row of the SPG projected direction (core/subspace.cc, pass A).
   /// For every j in [0, n) except `diag`:
-  ///   g = two_gamma·(wq[j] − q[j]) + (2·cs[j] + affine),
+  ///   g = two_gamma·(wq[j] − q[j]) + 2·cs[j],
   ///   p = w[j] − g,        r = |(p < 0 ? 0 : p) − w[j]|,
   ///   v = w[j] + (−step)·g, d = (v < 0 ? 0 : v) − w[j];
   /// at j = diag (none when diag >= n), r = |0 − w[j]| and d = 0 − w[j].
@@ -157,10 +157,10 @@ struct KernelTable {
   /// overwritten. Does not allocate.
   std::size_t (*spg_direction_row)(const double* w, const double* wq,
                                    const double* q, const double* cs,
-                                   double two_gamma, double affine,
-                                   double step, std::size_t diag,
-                                   std::size_t n, double* vals,
-                                   std::size_t* idx, double* probe);
+                                   double two_gamma, double step,
+                                   std::size_t diag, std::size_t n,
+                                   double* vals, std::size_t* idx,
+                                   double* probe);
 };
 
 /// Per-ISA table accessors, defined one per kernels_*.cc TU. Each returns

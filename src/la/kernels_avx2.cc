@@ -450,13 +450,12 @@ constexpr CompressLut kCompress = MakeCompressLut();
 /// stays inside [0, n); the tail's store is masked to its count.
 std::size_t SpgDirectionRow(const double* w, const double* wq,
                             const double* q, const double* cs,
-                            double two_gamma, double affine, double step,
+                            double two_gamma, double step,
                             std::size_t diag, std::size_t n, double* vals,
                             std::size_t* idx, double* probe) {
   const Vec zero = _mm256_setzero_pd();
   const Vec two = _mm256_set1_pd(2.0);
   const Vec tg = _mm256_set1_pd(two_gamma);
-  const Vec aff = _mm256_set1_pd(affine);
   const Vec nstep = _mm256_set1_pd(-step);
   const Vec sign = _mm256_set1_pd(-0.0);
   const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
@@ -476,8 +475,7 @@ std::size_t SpgDirectionRow(const double* w, const double* wq,
     const Vec g = _mm256_add_pd(
         _mm256_mul_pd(tg, _mm256_sub_pd(_mm256_maskload_pd(wq + j, live),
                                         _mm256_maskload_pd(q + j, live))),
-        _mm256_add_pd(_mm256_mul_pd(two, _mm256_maskload_pd(cs + j, live)),
-                      aff));
+        _mm256_mul_pd(two, _mm256_maskload_pd(cs + j, live)));
     Vec r = _mm256_andnot_pd(
         sign, _mm256_sub_pd(_mm256_max_pd(zero, _mm256_sub_pd(wv, g)), wv));
     Vec d = _mm256_sub_pd(

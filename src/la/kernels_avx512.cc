@@ -469,7 +469,7 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
 /// tail's store is masked to its count.
 std::size_t SpgDirectionRow(const double* w, const double* wq,
                             const double* q, const double* cs,
-                            double two_gamma, double affine, double step,
+                            double two_gamma, double step,
                             std::size_t diag, std::size_t n, double* vals,
                             std::size_t* idx, double* probe) {
   // The maskz form with a full mask is the plain vmaxpd (see DotRows).
@@ -477,7 +477,6 @@ std::size_t SpgDirectionRow(const double* w, const double* wq,
   const Vec zero = _mm512_setzero_pd();
   const Vec two = _mm512_set1_pd(2.0);
   const Vec tg = _mm512_set1_pd(two_gamma);
-  const Vec aff = _mm512_set1_pd(affine);
   const Vec nstep = _mm512_set1_pd(-step);
   const __m512i eight = _mm512_set1_epi64(kLanes);
   __m512i jv = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
@@ -489,8 +488,7 @@ std::size_t SpgDirectionRow(const double* w, const double* wq,
     const Vec g = _mm512_add_pd(
         _mm512_mul_pd(tg, _mm512_sub_pd(_mm512_maskz_loadu_pd(live, wq + j),
                                         _mm512_maskz_loadu_pd(live, q + j))),
-        _mm512_add_pd(_mm512_mul_pd(two, _mm512_maskz_loadu_pd(live, cs + j)),
-                      aff));
+        _mm512_mul_pd(two, _mm512_maskz_loadu_pd(live, cs + j)));
     Vec r = _mm512_abs_pd(
         _mm512_sub_pd(_mm512_maskz_max_pd(kAll, zero, _mm512_sub_pd(wv, g)),
                       wv));

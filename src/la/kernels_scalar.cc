@@ -158,7 +158,7 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
 
 std::size_t SpgDirectionRow(const double* w, const double* wq,
                             const double* q, const double* cs,
-                            double two_gamma, double affine, double step,
+                            double two_gamma, double step,
                             std::size_t diag, std::size_t n, double* vals,
                             std::size_t* idx, double* probe) {
   double pr = *probe;
@@ -171,7 +171,7 @@ std::size_t SpgDirectionRow(const double* w, const double* wq,
   };
   auto span = [&](std::size_t j0, std::size_t j1) {
     for (std::size_t j = j0; j < j1; ++j) {
-      const double g = two_gamma * (wq[j] - q[j]) + (2.0 * cs[j] + affine);
+      const double g = two_gamma * (wq[j] - q[j]) + 2.0 * cs[j];
       const double p = w[j] - g;
       const double r = std::fabs((p < 0.0 ? 0.0 : p) - w[j]);
       pr = r > pr ? r : pr;

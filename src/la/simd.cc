@@ -56,12 +56,8 @@ bool CpuSupports(const KernelTable& table, const CpuFeatures& f) {
   return false;
 }
 
-/// Publishes `table` as the dispatched table and logs the decision once.
-/// Caller holds ResolveMutex().
-const KernelTable* Publish(const KernelTable* table, const char* how) {
-  RHCHME_LOG(kInfo) << "simd: dispatching kernel table '" << table->name
-                    << "' (" << how << "; detected '" << DetectedIsaName()
-                    << "')";
+/// Publishes `table` as the dispatched table. Caller holds ResolveMutex().
+const KernelTable* Publish(const KernelTable* table) {
   g_table.store(table, std::memory_order_release);
   return table;
 }
@@ -89,9 +85,9 @@ const KernelTable* ResolveLocked() {
                          << DetectedIsaName() << "')";
       std::exit(1);
     }
-    return Publish(t, "RHCHME_FORCE_ISA");
+    return Publish(t);
   }
-  return Publish(ResolveTable(DetectCpuFeatures()), "auto-detected");
+  return Publish(ResolveTable(DetectCpuFeatures()));
 }
 
 }  // namespace
@@ -151,7 +147,7 @@ Status ForceIsa(const char* name) {
         std::string("kernel table already resolved to '") + current->name +
         "'; --force_isa must be applied before first kernel use");
   }
-  Publish(t, "--force_isa");
+  Publish(t);
   return Status::OK();
 }
 

@@ -4,26 +4,20 @@
 
 namespace rhchme {
 namespace {
-LogLevel g_level = LogLevel::kWarning;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
     case LogLevel::kWarning: return "WARN";
     case LogLevel::kError: return "ERROR";
   }
   return "?";
 }
-}  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
+}  // namespace
 
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
   const char* base = file;
   for (const char* p = file; *p; ++p) {
     if (*p == '/') base = p + 1;

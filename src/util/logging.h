@@ -1,7 +1,7 @@
 // Minimal leveled logging to stderr.
 //
-// The library itself is quiet by default (level kWarning); solvers expose a
-// `verbose` option that routes per-iteration traces through kDebug.
+// The library is quiet when nothing goes wrong: it logs warnings and
+// errors only, and every RHCHME_LOG line is printed.
 
 #ifndef RHCHME_UTIL_LOGGING_H_
 #define RHCHME_UTIL_LOGGING_H_
@@ -11,13 +11,7 @@
 
 namespace rhchme {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Sets the global threshold; messages below it are dropped.
-void SetLogLevel(LogLevel level);
-
-/// Current global threshold.
-LogLevel GetLogLevel();
+enum class LogLevel { kWarning, kError };
 
 namespace internal {
 
@@ -34,17 +28,13 @@ class LogMessage {
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
 }  // namespace internal
 }  // namespace rhchme
 
-#define RHCHME_LOG(level)                                              \
-  if (static_cast<int>(::rhchme::LogLevel::level) >=                   \
-      static_cast<int>(::rhchme::GetLogLevel()))                       \
-  ::rhchme::internal::LogMessage(::rhchme::LogLevel::level, __FILE__,  \
-                                 __LINE__)
+#define RHCHME_LOG(level) \
+  ::rhchme::internal::LogMessage(::rhchme::LogLevel::level, __FILE__, __LINE__)
 
 #endif  // RHCHME_UTIL_LOGGING_H_

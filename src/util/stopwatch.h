@@ -12,16 +12,10 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  /// Restarts the timer.
-  void Reset() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction or the last Reset().
+  /// Seconds elapsed since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Milliseconds elapsed since construction or the last Reset().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -280,6 +280,16 @@ TEST(Drcc, ValidationErrors) {
   opts.col_clusters = 2;
   opts.lambda = -1.0;
   EXPECT_FALSE(RunDrcc(x, opts).ok());
+  // NaN fails every real-valued knob: a NaN mu used to turn G into NaN
+  // behind an OK status, and a NaN tolerance to run silently to the cap.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double DrccOptions::*field :
+       {&DrccOptions::lambda, &DrccOptions::mu, &DrccOptions::tolerance}) {
+    opts = DrccOptions{};
+    opts.*field = nan;
+    EXPECT_FALSE(opts.Validate().ok());
+    EXPECT_FALSE(RunDrcc(x, opts).ok());
+  }
 }
 
 // ---- Thread-count determinism ---------------------------------------------

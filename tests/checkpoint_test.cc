@@ -106,6 +106,14 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   fs::remove(path);
 }
 
+TEST(Checkpoint, DefaultOptionsFingerprintIsPinned) {
+  // The value for default options at n = 120, c = 9, from when ridge,
+  // mu_eps, l21_zeta and init were settable. They are constants now but
+  // stay hashed, so a snapshot written then still resumes.
+  EXPECT_EQ(OptionsFingerprint(RhchmeOptions{}, 120, 9),
+            0x6e1c8e91e914fa82ull);
+}
+
 TEST(Checkpoint, MissingFileIsNotFound) {
   Result<SolverSnapshot> r =
       LoadSolverSnapshot(TempPath("rhchme_ckpt_never_written.bin"));

@@ -555,8 +555,7 @@ TEST(EnsembleAssembly, BuiltEnsembleMatchesTheTripletAssembly) {
   std::vector<la::SparseMatrix> ls_csr, le;
   for (std::size_t k = 0; k < d.NumTypes(); ++k) {
     const la::SparseMatrix& ws = e.value().subspace_affinity[k];
-    ls.push_back(testing_reference::ReferenceDenseLaplacian(ws.ToDense(),
-                                                            opts.laplacian));
+    ls.push_back(testing_reference::ReferenceDenseLaplacian(ws.ToDense()));
     ls_csr.push_back(graph::BuildSparseLaplacian(ws, opts.laplacian).value());
     le.push_back(graph::BuildSparseLaplacian(e.value().knn_affinity[k],
                                              opts.laplacian)

@@ -69,9 +69,12 @@ TEST(InitMembership, BlockDiagonalRowStochastic) {
   data::MultiTypeRelationalData d = SmallData();
   BlockStructure b = BuildBlockStructure(d);
   Rng rng(1);
-  for (MembershipInit init :
-       {MembershipInit::kKMeans, MembershipInit::kRandom}) {
-    Result<la::Matrix> g = InitMembership(d, b, init, &rng);
+  // k-means blocks, then type 1 without features: its block is the random
+  // fallback.
+  for (bool featureless : {false, true}) {
+    if (featureless) d.MutableType(1).features = la::Matrix();
+    Result<la::Matrix> g =
+        InitMembership(d, b, MembershipInit::kKMeans, &rng);
     ASSERT_TRUE(g.ok());
     ASSERT_EQ(g.value().rows(), 27u);
     ASSERT_EQ(g.value().cols(), 9u);
@@ -209,7 +212,7 @@ TEST(NormalizeMembershipRows, PerBlockRowSums) {
   data::MultiTypeRelationalData d = SmallData();
   BlockStructure b = BuildBlockStructure(d);
   Rng rng(7);
-  la::Matrix g = InitMembership(d, b, MembershipInit::kRandom, &rng).value();
+  la::Matrix g = InitMembership(d, b, MembershipInit::kKMeans, &rng).value();
   g.Scale(7.3);  // Destroy normalisation.
   NormalizeMembershipRows(b, &g);
   for (std::size_t k = 0; k < b.num_types(); ++k) {

@@ -23,9 +23,7 @@ using testing_reference::MaxAbsDiff;
 using testing_reference::ReferenceDenseLaplacian;
 using testing_reference::ReferenceTripletLaplacian;
 
-constexpr LaplacianKind kAllKinds[] = {LaplacianKind::kUnnormalized,
-                                       LaplacianKind::kSymmetric,
-                                       LaplacianKind::kRandomWalk};
+constexpr LaplacianKind kSym = LaplacianKind::kSymmetric;
 
 la::SparseMatrix Csr(const la::Matrix& w) {
   return la::SparseMatrix::FromDense(w);
@@ -51,129 +49,90 @@ void ExpectSameCsr(const la::SparseMatrix& got, const la::SparseMatrix& want) {
   EXPECT_TRUE(SameBytes(got.values(), want.values()));
 }
 
-TEST(Laplacian, UnnormalizedHandComputed) {
-  Result<la::Matrix> l =
-      BuildLaplacian(PathAffinity(), LaplacianKind::kUnnormalized);
-  ASSERT_TRUE(l.ok());
-  EXPECT_DOUBLE_EQ(l.value()(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(l.value()(1, 1), 2.0);
-  EXPECT_DOUBLE_EQ(l.value()(0, 1), -1.0);
-  EXPECT_DOUBLE_EQ(l.value()(0, 2), 0.0);
-}
-
-TEST(Laplacian, UnnormalizedRowSumsAreZero) {
-  Rng rng(1);
-  la::Matrix b = la::Matrix::RandomUniform(12, 12, &rng);
-  la::Matrix w = b;
-  w.Add(b.Transposed());  // Symmetric affinity.
-  for (std::size_t i = 0; i < 12; ++i) w(i, i) = 0.0;
-  Result<la::Matrix> l = BuildLaplacian(Csr(w), LaplacianKind::kUnnormalized);
-  ASSERT_TRUE(l.ok());
-  for (double s : l.value().RowSums()) EXPECT_NEAR(s, 0.0, 1e-10);
-}
-
 TEST(Laplacian, SymmetricNormalizedDiagonalIsOne) {
-  Result<la::Matrix> l =
-      BuildLaplacian(PathAffinity(), LaplacianKind::kSymmetric);
+  Result<la::Matrix> l = BuildLaplacian(PathAffinity(), kSym);
   ASSERT_TRUE(l.ok());
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(l.value()(i, i), 1.0);
   }
   // Off-diagonal: -1/sqrt(d_i d_j) = -1/sqrt(2).
   EXPECT_NEAR(l.value()(0, 1), -1.0 / std::sqrt(2.0), 1e-12);
+  EXPECT_DOUBLE_EQ(l.value()(0, 2), 0.0);
 }
 
-TEST(Laplacian, RandomWalkRowSumsAreZero) {
-  Result<la::Matrix> l =
-      BuildLaplacian(PathAffinity(), LaplacianKind::kRandomWalk);
-  ASSERT_TRUE(l.ok());
-  for (double s : l.value().RowSums()) EXPECT_NEAR(s, 0.0, 1e-12);
-}
-
-TEST(Laplacian, UnnormalizedAndSymmetricArePSD) {
-  Rng rng(2);
-  la::Matrix b = la::Matrix::RandomUniform(10, 10, &rng);
+/// A symmetric affinity with zero diagonal and positive degrees.
+la::Matrix RandomAffinity(std::size_t n, uint64_t seed) {
+  Rng rng(seed);
+  la::Matrix b = la::Matrix::RandomUniform(n, n, &rng);
   la::Matrix w = b;
   w.Add(b.Transposed());
-  for (std::size_t i = 0; i < 10; ++i) w(i, i) = 0.0;
-  for (LaplacianKind kind :
-       {LaplacianKind::kUnnormalized, LaplacianKind::kSymmetric}) {
-    Result<la::Matrix> l = BuildLaplacian(Csr(w), kind);
-    ASSERT_TRUE(l.ok());
-    Result<la::EigenSymResult> eig = la::EigenSym(l.value());
-    ASSERT_TRUE(eig.ok());
-    EXPECT_GE(eig.value().eigenvalues.front(), -1e-9)
-        << LaplacianKindName(kind);
+  for (std::size_t i = 0; i < n; ++i) w(i, i) = 0.0;
+  return w;
+}
+
+TEST(Laplacian, IsPSD) {
+  Result<la::Matrix> l = BuildLaplacian(Csr(RandomAffinity(10, 2)), kSym);
+  ASSERT_TRUE(l.ok());
+  Result<la::EigenSymResult> eig = la::EigenSym(l.value());
+  ASSERT_TRUE(eig.ok());
+  EXPECT_GE(eig.value().eigenvalues.front(), -1e-9);
+}
+
+TEST(Laplacian, RootDegreeVectorInNullspace) {
+  // L·D^{1/2}·1 = D^{1/2}·1 − D^{-1/2}·W·1 = 0.
+  const la::Matrix w = RandomAffinity(8, 3);
+  Result<la::Matrix> l = BuildLaplacian(Csr(w), kSym);
+  ASSERT_TRUE(l.ok());
+  const std::vector<double> deg = w.RowSums();
+  for (std::size_t i = 0; i < 8; ++i) {
+    double v = 0.0;
+    for (std::size_t j = 0; j < 8; ++j) {
+      v += l.value()(i, j) * std::sqrt(deg[j]);
+    }
+    EXPECT_NEAR(v, 0.0, 1e-10);
   }
-}
-
-TEST(Laplacian, ConstantVectorInNullspaceOfUnnormalized) {
-  Rng rng(3);
-  la::Matrix b = la::Matrix::RandomUniform(8, 8, &rng);
-  la::Matrix w = b;
-  w.Add(b.Transposed());
-  for (std::size_t i = 0; i < 8; ++i) w(i, i) = 0.0;
-  Result<la::Matrix> l = BuildLaplacian(Csr(w), LaplacianKind::kUnnormalized);
-  ASSERT_TRUE(l.ok());
-  // L·1 is the vector of row sums.
-  for (double v : l.value().RowSums()) EXPECT_NEAR(v, 0.0, 1e-10);
 }
 
 TEST(Laplacian, IsolatedVertexHandledGracefully) {
-  // Vertex 2 has no edges; normalised variants must not divide by zero.
+  // Vertex 2 has no edges; the normalisation must not divide by zero.
   la::Matrix w = la::Matrix::FromRows({{0, 1, 0}, {1, 0, 0}, {0, 0, 0}});
-  for (LaplacianKind kind : kAllKinds) {
-    Result<la::Matrix> l = BuildLaplacian(Csr(w), kind);
-    ASSERT_TRUE(l.ok()) << LaplacianKindName(kind);
-    EXPECT_TRUE(l.value().AllFinite());
-    EXPECT_DOUBLE_EQ(l.value()(2, 2), 0.0);
-  }
+  Result<la::Matrix> l = BuildLaplacian(Csr(w), kSym);
+  ASSERT_TRUE(l.ok());
+  EXPECT_TRUE(l.value().AllFinite());
+  EXPECT_DOUBLE_EQ(l.value()(2, 2), 0.0);
 }
 
 TEST(Laplacian, MatchesTheDenseReference) {
   // The dense rule on W and the CSR rule on FromDense(W) give the same
   // values: FromDense of the dense L is the sparse L byte for byte.
-  Rng rng(4);
-  la::Matrix b = la::Matrix::RandomUniform(9, 9, &rng);
-  la::Matrix w = b;
-  w.Add(b.Transposed());
-  for (std::size_t i = 0; i < 9; ++i) w(i, i) = 0.0;
+  la::Matrix w = RandomAffinity(9, 4);
   w.Apply([](double v) { return v < 0.8 ? 0.0 : v; });
-  for (LaplacianKind kind : kAllKinds) {
-    const la::Matrix want = ReferenceDenseLaplacian(w, kind);
-    Result<la::Matrix> dense = BuildLaplacian(Csr(w), kind);
-    Result<la::SparseMatrix> lean = BuildSparseLaplacian(Csr(w), kind);
-    ASSERT_TRUE(dense.ok());
-    ASSERT_TRUE(lean.ok());
-    EXPECT_EQ(MaxAbsDiff(dense.value(), want), 0.0)
-        << LaplacianKindName(kind);
-    ExpectSameCsr(lean.value(), Csr(want));
-  }
+  const la::Matrix want = ReferenceDenseLaplacian(w);
+  Result<la::Matrix> dense = BuildLaplacian(Csr(w), kSym);
+  Result<la::SparseMatrix> lean = BuildSparseLaplacian(Csr(w), kSym);
+  ASSERT_TRUE(dense.ok());
+  ASSERT_TRUE(lean.ok());
+  EXPECT_EQ(MaxAbsDiff(dense.value(), want), 0.0);
+  ExpectSameCsr(lean.value(), Csr(want));
 }
 
-TEST(Laplacian, SparseOutputMatchesTheTripletBuildForAllKinds) {
-  Rng rng(11);
-  la::Matrix b = la::Matrix::RandomUniform(12, 12, &rng);
-  la::Matrix w = b;
-  w.Add(b.Transposed());
-  for (std::size_t i = 0; i < 12; ++i) w(i, i) = 0.0;
+TEST(Laplacian, SparseOutputMatchesTheTripletBuild) {
+  la::Matrix w = RandomAffinity(12, 11);
   w.Apply([](double v) { return v < 1.2 ? 0.0 : v; });
   la::SparseMatrix sparse = Csr(w);
-  for (LaplacianKind kind : kAllKinds) {
-    Result<la::SparseMatrix> lean = BuildSparseLaplacian(sparse, kind);
-    ASSERT_TRUE(lean.ok()) << LaplacianKindName(kind);
-    ExpectSameCsr(lean.value(), ReferenceTripletLaplacian(sparse, kind));
-    // The sparse result never widens beyond W's pattern plus the diagonal.
-    EXPECT_LE(lean.value().nnz(), sparse.nnz() + 12u);
-  }
+  Result<la::SparseMatrix> lean = BuildSparseLaplacian(sparse, kSym);
+  ASSERT_TRUE(lean.ok());
+  ExpectSameCsr(lean.value(), ReferenceTripletLaplacian(sparse));
+  // The sparse result never widens beyond W's pattern plus the diagonal.
+  EXPECT_LE(lean.value().nnz(), sparse.nnz() + 12u);
 }
 
 TEST(Laplacian, DirectCsrMatchesTheTripletBuildByteForByte) {
   // Row 0: a self-loop next to ordinary edges. Row 1: an explicit zero
   // and a −0.0 among its edges. Row 2: no entries (zero degree). Row 3:
-  // entries that sum to a zero degree. Row 4: only a self-loop, which
-  // cancels the unnormalised diagonal exactly. Row 5: edges before the
-  // diagonal only.
+  // entries that sum to a zero degree. Row 4: only a self-loop, whose
+  // term is summed with the diagonal. Row 5: edges before the diagonal
+  // only.
   const la::SparseMatrix w =
       la::SparseMatrix::FromCsr(
           6, 6, {0, 3, 7, 7, 9, 10, 12},
@@ -188,45 +147,34 @@ TEST(Laplacian, DirectCsrMatchesTheTripletBuildByteForByte) {
   const la::SparseMatrix big = Csr(b);
   for (int pool : {1, 4}) {
     ScopedNumThreads threads(pool);
-    for (LaplacianKind kind : kAllKinds) {
-      SCOPED_TRACE(std::string(LaplacianKindName(kind)) + ", pool " +
-                   std::to_string(pool));
-      ExpectSameCsr(BuildSparseLaplacian(w, kind).value(),
-                    ReferenceTripletLaplacian(w, kind));
-      ExpectSameCsr(BuildSparseLaplacian(big, kind).value(),
-                    ReferenceTripletLaplacian(big, kind));
-    }
+    SCOPED_TRACE("pool " + std::to_string(pool));
+    ExpectSameCsr(BuildSparseLaplacian(w, kSym).value(),
+                  ReferenceTripletLaplacian(w));
+    ExpectSameCsr(BuildSparseLaplacian(big, kSym).value(),
+                  ReferenceTripletLaplacian(big));
   }
-  // The unnormalised row 4 is −3 + 3 = 0 throughout: no entry is stored.
-  const la::SparseMatrix l =
-      BuildSparseLaplacian(w, LaplacianKind::kUnnormalized).value();
-  EXPECT_EQ(l.row_offsets()[5] - l.row_offsets()[4], 0u);
 }
 
 TEST(Laplacian, SparseOutputHandlesIsolatedVertices) {
-  // Vertex 2 has no edges: normalised variants must leave its row (and
-  // diagonal) empty, the unnormalised variant stores no explicit zero.
+  // Vertex 2 has no edges: its row (and diagonal) stays empty.
   std::vector<la::Triplet> trips = {{0, 1, 2.0}, {1, 0, 2.0}};
   la::SparseMatrix w = la::SparseMatrix::FromTriplets(3, 3, trips);
-  for (LaplacianKind kind : kAllKinds) {
-    Result<la::SparseMatrix> l = BuildSparseLaplacian(w, kind);
-    ASSERT_TRUE(l.ok());
-    EXPECT_EQ(l.value().At(2, 2), 0.0) << LaplacianKindName(kind);
-    EXPECT_EQ(l.value().At(2, 0), 0.0) << LaplacianKindName(kind);
-  }
+  Result<la::SparseMatrix> l = BuildSparseLaplacian(w, kSym);
+  ASSERT_TRUE(l.ok());
+  EXPECT_EQ(l.value().row_offsets()[3] - l.value().row_offsets()[2], 0u);
 }
 
 TEST(Laplacian, SparseOutputRejectsNonSquare) {
   la::SparseMatrix w = la::SparseMatrix::FromTriplets(2, 3, {{0, 1, 1.0}});
-  EXPECT_FALSE(BuildSparseLaplacian(w, LaplacianKind::kSymmetric).ok());
+  EXPECT_FALSE(BuildSparseLaplacian(w, kSym).ok());
 }
 
 TEST(Laplacian, ConnectedComponentsShowInSpectrum) {
-  // Two disjoint edges -> two zero eigenvalues of the unnormalised L.
+  // Two disjoint edges -> two zero eigenvalues.
   la::Matrix w(4, 4);
   w(0, 1) = w(1, 0) = 1.0;
   w(2, 3) = w(3, 2) = 1.0;
-  Result<la::Matrix> l = BuildLaplacian(Csr(w), LaplacianKind::kUnnormalized);
+  Result<la::Matrix> l = BuildLaplacian(Csr(w), kSym);
   ASSERT_TRUE(l.ok());
   Result<la::EigenSymResult> eig = la::EigenSym(l.value());
   ASSERT_TRUE(eig.ok());
@@ -236,8 +184,8 @@ TEST(Laplacian, ConnectedComponentsShowInSpectrum) {
 }
 
 TEST(Laplacian, RejectsNonSquare) {
-  EXPECT_FALSE(BuildLaplacian(la::SparseMatrix::FromTriplets(2, 3, {}),
-                              LaplacianKind::kUnnormalized).ok());
+  EXPECT_FALSE(
+      BuildLaplacian(la::SparseMatrix::FromTriplets(2, 3, {}), kSym).ok());
 }
 
 }  // namespace

@@ -44,24 +44,21 @@ void ReferenceForEachRowChunk(std::size_t n, const Fn& fn) {
   });
 }
 
-/// X̂, the object rows L2-normalised when asked (a zero row stays zero),
-/// as per-row and per-column lists of its nonzeros, each in ascending
-/// order.
+/// X̂, the object rows L2-normalised (a zero row stays zero), as per-row
+/// and per-column lists of its nonzeros, each in ascending order.
 struct ReferenceFactors {
   std::vector<std::vector<std::pair<std::size_t, double>>> rows, cols;
   std::size_t nnz = 0;
 };
 
-inline ReferenceFactors BuildReferenceFactors(const la::Matrix& x,
-                                              bool normalize_rows) {
+inline ReferenceFactors BuildReferenceFactors(const la::Matrix& x) {
   ReferenceFactors f;
   f.rows.resize(x.rows());
   f.cols.resize(x.cols());
   for (std::size_t i = 0; i < x.rows(); ++i) {
     double norm_sq = 0.0;
     for (std::size_t k = 0; k < x.cols(); ++k) norm_sq += x(i, k) * x(i, k);
-    double scale = 1.0;
-    if (normalize_rows) scale = norm_sq > 0.0 ? 1.0 / std::sqrt(norm_sq) : 0.0;
+    const double scale = norm_sq > 0.0 ? 1.0 / std::sqrt(norm_sq) : 0.0;
     if (scale == 0.0) continue;
     for (std::size_t k = 0; k < x.cols(); ++k) {
       if (x(i, k) == 0.0) continue;
@@ -122,12 +119,11 @@ class ReferenceSpgState {
  public:
   /// `factors` is null off the factored path.
   ReferenceSpgState(const la::Matrix& gram, const ReferenceFactors* factors,
-                    la::Matrix w, double gamma, double eta)
+                    la::Matrix w, double gamma)
       : n_(gram.rows()),
         q_(gram),
         factors_(factors),
         gamma_(gamma),
-        eta_(eta),
         tr_q_(gram.Trace()),
         kt_(la::simd::Table()),
         w_(std::move(w)),
@@ -137,9 +133,7 @@ class ReferenceSpgState {
         d_(n_, n_),
         dq_(n_, n_),
         cs_w_(w_.ColSums()),
-        rs_w_(w_.RowSums()),
         cs_d_(n_, 0.0),
-        rs_d_(n_, 0.0),
         col_partial_(core::SpgRowChunks(n_), n_),
         partial_(core::SpgRowChunks(n_), kSlots) {
     ReferenceForEachRowChunk(
@@ -170,12 +164,9 @@ class ReferenceSpgState {
             probe[i] = std::fabs(0.0 - w[i]);
             d[i] = 0.0 - w[i];
             kt_.add(cs, d, n_);
-            double rs = 0.0;
             for (std::size_t j = 0; j < n_; ++j) {
-              rs += d[j];
               chunk_probe = probe[j] > chunk_probe ? probe[j] : chunk_probe;
             }
-            rs_d_[i] = rs;
           }
           partial_(c, 0) = chunk_probe;
         });
@@ -225,23 +216,13 @@ class ReferenceSpgState {
       dot_cs += cs_w_[j] * cs_d_[j];
       cs_d_sq += cs_d_[j] * cs_d_[j];
     }
-    double b = -2.0 * gamma_ * (tr_dq - fi_dq_w) + 2.0 * dot_cs;
-    double a = gamma_ * fi_dq_d + cs_d_sq;
-    if (eta_ > 0.0) {
-      double uv = 0.0, vv = 0.0;
-      for (std::size_t i = 0; i < n_; ++i) {
-        uv += (rs_w_[i] - 1.0) * rs_d_[i];
-        vv += rs_d_[i] * rs_d_[i];
-      }
-      b += 2.0 * eta_ * uv;
-      a += eta_ * vv;
-    }
+    const double b = -2.0 * gamma_ * (tr_dq - fi_dq_w) + 2.0 * dot_cs;
+    const double a = gamma_ * fi_dq_d + cs_d_sq;
     return a > 0.0 ? std::clamp(-b / (2.0 * a), 1e-6, 1.0) : 1.0;
   }
 
   double Advance(double t) {
     for (std::size_t j = 0; j < n_; ++j) cs_w_[j] += t * cs_d_[j];
-    for (std::size_t i = 0; i < n_; ++i) rs_w_[i] += t * rs_d_[i];
     ReferenceForEachRowChunk(
         n_, [&](std::size_t c, std::size_t r0, std::size_t r1) {
           double sy = 0.0, ss = 0.0, tr = 0.0, wq_w = 0.0;
@@ -267,12 +248,8 @@ class ReferenceSpgState {
     const double ss = ChunkSum(1);
     double sparsity = 0.0;
     for (double cs : cs_w_) sparsity += cs * cs;
-    double affine = 0.0;
-    if (eta_ > 0.0) {
-      for (double rs : rs_w_) affine += (rs - 1.0) * (rs - 1.0);
-    }
-    objective_ = gamma_ * (tr_q_ - 2.0 * ChunkSum(2) + ChunkSum(3)) +
-                 sparsity + eta_ * affine;
+    objective_ =
+        gamma_ * (tr_q_ - 2.0 * ChunkSum(2) + ChunkSum(3)) + sparsity;
     return sy > 0.0
                ? std::clamp(ss / sy, core::kSpgStepMin, core::kSpgStepMax)
                : core::kSpgStepMax;
@@ -290,9 +267,8 @@ class ReferenceSpgState {
     const double* cs = cs_w_.data();
     double* g = grad_.row_ptr(i);
     const double two_gamma = 2.0 * gamma_;
-    const double affine = eta_ > 0.0 ? 2.0 * eta_ * (rs_w_[i] - 1.0) : 0.0;
     for (std::size_t j = 0; j < n_; ++j) {
-      const double g_new = two_gamma * (wq[j] - q[j]) + (2.0 * cs[j] + affine);
+      const double g_new = two_gamma * (wq[j] - q[j]) + 2.0 * cs[j];
       y[j] = g_new - g[j];
       g[j] = g_new;
     }
@@ -322,11 +298,10 @@ class ReferenceSpgState {
   const la::Matrix& q_;
   const ReferenceFactors* const factors_;
   const double gamma_;
-  const double eta_;
   const double tr_q_;
   const la::simd::KernelTable& kt_;
   la::Matrix w_, wq_, grad_, d_, dq_;
-  std::vector<double> cs_w_, rs_w_, cs_d_, rs_d_;
+  std::vector<double> cs_w_, cs_d_;
   la::Matrix col_partial_;
   la::Matrix partial_;
   double objective_ = 0.0;
@@ -361,10 +336,10 @@ inline ReferenceSubspaceResult ReferenceLearnSubspaceAffinity(
   const std::size_t n = objects.rows();
   ReferenceFactors factors;
   const bool factored = ReferenceFactoredPath(objects);
-  if (factored) factors = BuildReferenceFactors(objects, opts.normalize_rows);
+  if (factored) factors = BuildReferenceFactors(objects);
   la::Matrix gram = factored ? ReferenceFactoredProduct(factors, nullptr)
                              : ReferenceGram(objects);
-  if (opts.normalize_rows && !factored) {
+  if (!factored) {
     std::vector<double> inv_norm(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       const double d = std::sqrt(gram(i, i));
@@ -384,7 +359,7 @@ inline ReferenceSubspaceResult ReferenceLearnSubspaceAffinity(
 
   ReferenceSubspaceResult out;
   ReferenceSpgState spg(gram, factored ? &factors : nullptr, std::move(w0),
-                        opts.gamma, opts.affine_penalty);
+                        opts.gamma);
   double step = 1.0;
   out.stop = core::StopReason::kMaxIterations;
   int it = 0;
@@ -412,15 +387,11 @@ inline ReferenceSubspaceResult ReferenceLearnSubspaceAffinity(
   }
   la::Matrix w = spg.TakeAffinity();
 
-  if (opts.prune_rel_tol > 0.0) {
-    const double cut = opts.prune_rel_tol * w.MaxAbs();
-    w.Apply([cut](double v) { return v < cut ? 0.0 : v; });
-  }
-  if (opts.symmetrize) {
-    la::Matrix wt = w.Transposed();
-    w.Add(wt);
-    w.Scale(0.5);
-  }
+  const double cut = core::kSpgPruneRelTol * w.MaxAbs();
+  w.Apply([cut](double v) { return v < cut ? 0.0 : v; });
+  la::Matrix wt = w.Transposed();
+  w.Add(wt);
+  w.Scale(0.5);
 
   out.affinity = std::move(w);
   out.iterations = it;

@@ -463,14 +463,13 @@ DirectionRow ReferenceDirectionRow(const std::vector<double>& w,
                                    const std::vector<double>& wq,
                                    const std::vector<double>& q,
                                    const std::vector<double>& cs,
-                                   double two_gamma, double affine,
-                                   double step, std::size_t diag,
-                                   double probe) {
+                                   double two_gamma, double step,
+                                   std::size_t diag, double probe) {
   const std::size_t n = w.size();
   std::vector<double> d(n);
   auto half = [&](std::size_t j0, std::size_t j1) {
     for (std::size_t j = j0; j < j1; ++j) {
-      const double g = two_gamma * (wq[j] - q[j]) + (2.0 * cs[j] + affine);
+      const double g = two_gamma * (wq[j] - q[j]) + 2.0 * cs[j];
       const double p = w[j] - g;
       const double r = std::fabs((p < 0.0 ? 0.0 : p) - w[j]);
       probe = r > probe ? r : probe;
@@ -515,7 +514,6 @@ TEST(SimdSpgDirectionRow, BitIdenticalToTheScalarPassOnEveryTable) {
         std::vector<double> q = RandomVec(n, seed + 1, -1.0, 1.0);
         std::vector<double> wq = RandomVec(n, seed + 2, -1.0, 1.0);
         std::vector<double> cs = RandomVec(n, seed + 3, 0.0, 0.5);
-        double affine = 0.1 * static_cast<double>(n % 3) - 0.1;
         for (std::size_t j = 0; j < n; ++j) {
           if (w[j] < 0.0) w[j] = j % 2 == 0 ? 0.0 : -0.0;
           switch (shape) {
@@ -535,7 +533,6 @@ TEST(SimdSpgDirectionRow, BitIdenticalToTheScalarPassOnEveryTable) {
               break;
           }
         }
-        if (shape == kZeroGradient || shape == kFull) affine = 0.0;
         if (shape == kNan) {
           for (std::size_t j = 1; j < n; j += 7) wq[j] = nan;
         }
@@ -543,13 +540,13 @@ TEST(SimdSpgDirectionRow, BitIdenticalToTheScalarPassOnEveryTable) {
         for (std::size_t diag : diags) {
           for (double probe0 : {0.0, 0.25}) {
             const DirectionRow want = ReferenceDirectionRow(
-                w, wq, q, cs, 3.0, affine, 0.7, diag, probe0);
+                w, wq, q, cs, 3.0, 0.7, diag, probe0);
             std::vector<double> vals(n + 8, kSentinel);
             std::vector<std::size_t> idx(n + 8, 99999);
             double probe = probe0;
             const std::size_t count = t->spg_direction_row(
-                w.data(), wq.data(), q.data(), cs.data(), 3.0, affine, 0.7,
-                diag, n, vals.data(), idx.data(), &probe);
+                w.data(), wq.data(), q.data(), cs.data(), 3.0, 0.7, diag, n,
+                vals.data(), idx.data(), &probe);
             const std::string where = std::string(t->name) +
                                       " n=" + std::to_string(n) +
                                       " shape=" + std::to_string(shape) +
@@ -596,7 +593,7 @@ TEST(SimdSpgDirectionRow, TablesAgreeOnARealisticRow) {
   std::vector<std::size_t> want_idx(n);
   double want_probe = 0.0;
   const std::size_t want = scalar->spg_direction_row(
-      w.data(), wq.data(), q.data(), cs.data(), 10.0, -0.02, 0.3, 400, n,
+      w.data(), wq.data(), q.data(), cs.data(), 10.0, 0.3, 400, n,
       want_vals.data(), want_idx.data(), &want_probe);
   ASSERT_GT(want, 0u);
   ASSERT_LT(want, n / 2);
@@ -605,7 +602,7 @@ TEST(SimdSpgDirectionRow, TablesAgreeOnARealisticRow) {
     std::vector<std::size_t> idx(n);
     double probe = 0.0;
     const std::size_t count = t->spg_direction_row(
-        w.data(), wq.data(), q.data(), cs.data(), 10.0, -0.02, 0.3, 400, n,
+        w.data(), wq.data(), q.data(), cs.data(), 10.0, 0.3, 400, n,
         vals.data(), idx.data(), &probe);
     ASSERT_EQ(count, want) << t->name;
     EXPECT_TRUE(SameBits(probe, want_probe)) << t->name;

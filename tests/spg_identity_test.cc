@@ -3,12 +3,11 @@
 // trace, the step count and the stop flag must match byte for byte on
 // every runnable kernel table and pool size. The feature sets cover
 // mostly-zero direction panels (tf-idf), mixed sparse and dense panels
-// (block world) and dense steps throughout (dense random features), the
-// affine penalty off and on, and every stop rule: the cap, the
-// stationarity tolerance and the objective plateau. The tf-idf documents
-// and terms and the low-dimensional dense features take the factored path
-// (core::SpgFactoredProducts), the rest the GEMM and zero-skipping
-// products.
+// (block world) and dense steps throughout (dense random features), and
+// every stop rule: the cap, the stationarity tolerance and the objective
+// plateau. The tf-idf documents and terms and the low-dimensional dense
+// features take the factored path (core::SpgFactoredProducts), the rest
+// the GEMM and zero-skipping products.
 //
 // The dispatched table is fixed per process, so the launcher test re-runs
 // this binary once per runnable table with RHCHME_FORCE_ISA set; the
@@ -76,43 +75,27 @@ bool SameBytes(const la::SparseMatrix& a, const la::Matrix& dense) {
          SameBytes(a.values(), b.values());
 }
 
-/// Learns `x` with the library and the reference at pools 1 and 4, for
-/// the affine penalty off and on, and compares the results byte for byte.
-/// Also compares the raw W (no pruning, no symmetrisation) once. First
-/// asserts that `x` takes the factored path exactly when `factored`.
-void CheckCase(const la::Matrix& x, SubspaceOptions opts,
+/// Learns `x` with the library and the reference at pools 1 and 4 and
+/// compares the results byte for byte. First asserts that `x` takes the
+/// factored path exactly when `factored`.
+void CheckCase(const la::Matrix& x, const SubspaceOptions& opts,
                const std::string& what, bool factored) {
   EXPECT_EQ(SpgFactoredProducts(x.rows(), x.NonZeros()), factored) << what;
   EXPECT_EQ(testing_reference::ReferenceFactoredPath(x), factored) << what;
-  for (double eta : {0.0, 10.0}) {
-    opts.affine_penalty = eta;
-    for (int pool : {1, 4}) {
-      ScopedNumThreads threads(pool);
-      const std::string label = what + ", eta " + std::to_string(eta) +
-                                ", pool " + std::to_string(pool) +
-                                ", table " + la::simd::IsaName();
-      SCOPED_TRACE(label);
-      Result<SubspaceResult> got = LearnSubspaceAffinity(x, opts);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      const testing_reference::ReferenceSubspaceResult ref =
-          testing_reference::ReferenceLearnSubspaceAffinity(x, opts);
-      EXPECT_TRUE(SameBytes(got.value().affinity, ref.affinity)) << "W";
-      EXPECT_TRUE(SameBytes(got.value().objective_trace, ref.objective_trace))
-          << "objective trace";
-      EXPECT_EQ(got.value().iterations, ref.iterations);
-      EXPECT_EQ(got.value().stop, ref.stop);
-    }
+  for (int pool : {1, 4}) {
+    ScopedNumThreads threads(pool);
+    SCOPED_TRACE(what + ", pool " + std::to_string(pool) + ", table " +
+                 la::simd::IsaName());
+    Result<SubspaceResult> got = LearnSubspaceAffinity(x, opts);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const testing_reference::ReferenceSubspaceResult ref =
+        testing_reference::ReferenceLearnSubspaceAffinity(x, opts);
+    EXPECT_TRUE(SameBytes(got.value().affinity, ref.affinity)) << "W";
+    EXPECT_TRUE(SameBytes(got.value().objective_trace, ref.objective_trace))
+        << "objective trace";
+    EXPECT_EQ(got.value().iterations, ref.iterations);
+    EXPECT_EQ(got.value().stop, ref.stop);
   }
-  SubspaceOptions raw = opts;
-  raw.affine_penalty = 0.0;
-  raw.prune_rel_tol = 0.0;
-  raw.symmetrize = false;
-  Result<SubspaceResult> got = LearnSubspaceAffinity(x, raw);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_TRUE(SameBytes(
-      got.value().affinity,
-      testing_reference::ReferenceLearnSubspaceAffinity(x, raw).affinity))
-      << what << ": raw W";
 }
 
 class SpgIdentityCases : public ::testing::Test {
@@ -163,14 +146,11 @@ TEST_F(SpgIdentityCases, TfidfZeroRowOffTheGrid) {
   SubspaceOptions opts;
   opts.spg.max_iterations = 20;
   CheckCase(x, opts, "tf-idf documents, zero row, 390 objects", true);
-  opts.normalize_rows = false;
-  CheckCase(x, opts, "tf-idf documents, rows not normalised", true);
 }
 
 TEST_F(SpgIdentityCases, TfidfPlateauStop) {
   // The corpus of TfidfFeatures at another seed and the default 80 steps:
-  // at eta 0 every type's objective plateaus after 18–26 steps, at eta 10
-  // none does.
+  // every type's objective plateaus after 18–26 steps.
   data::SyntheticCorpusOptions o;
   o.docs_per_class.assign(8, 50);
   o.n_terms = 330;
@@ -192,7 +172,7 @@ TEST_F(SpgIdentityCases, TfidfPlateauStop) {
 
 TEST_F(SpgIdentityCases, BlockWorldFeatures) {
   // Dense relation rows: the direction's panels are sparse and dense side
-  // by side, and some flip between steps.
+  // by side, and some flip between steps. Every type stops at the cap.
   data::BlockWorldOptions o;
   o.objects_per_type = {150, 70};
   o.n_classes = 3;
@@ -204,6 +184,9 @@ TEST_F(SpgIdentityCases, BlockWorldFeatures) {
   for (std::size_t k = 0; k < d.NumTypes(); ++k) {
     CheckCase(d.Type(k).features, opts, "block-world type " + d.Type(k).name,
               false);
+    EXPECT_EQ(LearnSubspaceAffinity(d.Type(k).features, opts).value().stop,
+              StopReason::kMaxIterations)
+        << d.Type(k).name;
   }
 }
 
@@ -224,7 +207,7 @@ TEST_F(SpgIdentityCases, ToleranceStop) {
   Rng rng(32);
   SubspaceOptions opts;
   opts.spg.max_iterations = 400;
-  opts.spg.tolerance = 0.1;  // Met after about 200 steps at eta = 0.
+  opts.spg.tolerance = 0.1;  // Met after about 200 steps.
   const la::Matrix x = la::Matrix::RandomUniform(40, 3, &rng);
   CheckCase(x, opts, "tolerance stop", true);
   EXPECT_EQ(LearnSubspaceAffinity(x, opts).value().stop,

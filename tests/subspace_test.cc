@@ -28,34 +28,26 @@ using testing_reference::UnionOfSubspacesOptions;
 
 // ---- Straight-line reference ----------------------------------------------
 
-/// J₂ (with the optional affine penalty) from a precomputed W·Q.
+/// J₂ from a precomputed W·Q.
 double ReferenceObjective(const la::Matrix& w, const la::Matrix& gram,
-                          const la::Matrix& wq, double gamma, double eta) {
+                          const la::Matrix& wq, double gamma) {
   double tr_wq = 0.0;
   for (std::size_t i = 0; i < w.rows(); ++i) tr_wq += wq(i, i);
   double sparsity = 0.0;
   for (double cs : w.ColSums()) sparsity += cs * cs;
-  double affine = 0.0;
-  if (eta > 0.0) {
-    for (double rs : w.RowSums()) affine += (rs - 1.0) * (rs - 1.0);
-  }
   return gamma * (gram.Trace() - 2.0 * tr_wq + la::FrobeniusInner(wq, w)) +
-         sparsity + eta * affine;
+         sparsity;
 }
 
-/// grad = 2·gamma·(W·Q − Q) + 2·1·(1ᵀW) + 2·eta·(W·1 − 1)·1ᵀ.
+/// grad = 2·gamma·(W·Q − Q) + 2·1·(1ᵀW).
 la::Matrix ReferenceGradient(const la::Matrix& w, const la::Matrix& gram,
-                             const la::Matrix& wq, double gamma, double eta) {
+                             const la::Matrix& wq, double gamma) {
   la::Matrix g = wq;
   g.Sub(gram);
   g.Scale(2.0 * gamma);
   const std::vector<double> cs = w.ColSums();
-  const std::vector<double> rs = w.RowSums();
   for (std::size_t i = 0; i < g.rows(); ++i) {
-    const double affine = eta > 0.0 ? 2.0 * eta * (rs[i] - 1.0) : 0.0;
-    for (std::size_t j = 0; j < g.cols(); ++j) {
-      g(i, j) += 2.0 * cs[j] + affine;
-    }
+    for (std::size_t j = 0; j < g.cols(); ++j) g(i, j) += 2.0 * cs[j];
   }
   return g;
 }
@@ -63,21 +55,19 @@ la::Matrix ReferenceGradient(const la::Matrix& w, const la::Matrix& gram,
 /// Algorithm 1 as whole-matrix operations: each step recomputes W·Q from
 /// scratch (two n×n·n×n products) and rebuilds the gradient and every
 /// sum from W. The library's fused solver must follow the same path.
-/// Covers the default post-processing (prune, symmetrise; no top-k).
+/// Ends with the library's post-processing (prune, symmetrise).
 SubspaceResult ReferenceLearn(const la::Matrix& x,
                               const SubspaceOptions& opts) {
   const std::size_t n = x.rows();
   la::Matrix gram = la::MultiplyNT(x, x);
-  if (opts.normalize_rows) {
-    std::vector<double> inv_norm(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = std::sqrt(gram(i, i));
-      inv_norm[i] = d > 0.0 ? 1.0 / d : 0.0;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        gram(i, j) *= inv_norm[i] * inv_norm[j];
-      }
+  std::vector<double> inv_norm(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = std::sqrt(gram(i, i));
+    inv_norm[i] = d > 0.0 ? 1.0 / d : 0.0;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      gram(i, j) *= inv_norm[i] * inv_norm[j];
     }
   }
   Rng rng(opts.seed);
@@ -86,10 +76,9 @@ SubspaceResult ReferenceLearn(const la::Matrix& x,
   ProjectFeasible(&w);
 
   const double gamma = opts.gamma;
-  const double eta = opts.affine_penalty;
   SubspaceResult out;
   la::Matrix wq = la::Multiply(w, gram);
-  la::Matrix grad = ReferenceGradient(w, gram, wq, gamma, eta);
+  la::Matrix grad = ReferenceGradient(w, gram, wq, gamma);
   double step = 1.0;
   int it = 0;
   for (; it < opts.spg.max_iterations; ++it) {
@@ -117,27 +106,16 @@ SubspaceResult ReferenceLearn(const la::Matrix& x,
       dot_cs += cs_w[j] * cs_d[j];
       cs_d_sq += cs_d[j] * cs_d[j];
     }
-    double b = -2.0 * gamma * (tr_dq - la::FrobeniusInner(dq, w)) +
-               2.0 * dot_cs;
-    double a = gamma * la::FrobeniusInner(dq, d) + cs_d_sq;
-    if (eta > 0.0) {
-      const std::vector<double> rs_w = w.RowSums();
-      const std::vector<double> rs_d = d.RowSums();
-      double uv = 0.0, vv = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        uv += (rs_w[i] - 1.0) * rs_d[i];
-        vv += rs_d[i] * rs_d[i];
-      }
-      b += 2.0 * eta * uv;
-      a += eta * vv;
-    }
+    const double b = -2.0 * gamma * (tr_dq - la::FrobeniusInner(dq, w)) +
+                     2.0 * dot_cs;
+    const double a = gamma * la::FrobeniusInner(dq, d) + cs_d_sq;
     const double t = a > 0.0 ? std::clamp(-b / (2.0 * a), 1e-6, 1.0) : 1.0;
 
     la::Matrix s = d;
     s.Scale(t);
     w.Add(s);
     wq = la::Multiply(w, gram);
-    const la::Matrix grad_new = ReferenceGradient(w, gram, wq, gamma, eta);
+    const la::Matrix grad_new = ReferenceGradient(w, gram, wq, gamma);
     la::Matrix y = grad_new;
     y.Sub(grad);
     const double sy = la::FrobeniusInner(s, y);
@@ -145,7 +123,7 @@ SubspaceResult ReferenceLearn(const la::Matrix& x,
     step = sy > 0.0 ? std::clamp(ss / sy, kSpgStepMin, kSpgStepMax)
                     : kSpgStepMax;
     grad = grad_new;
-    out.objective_trace.push_back(ReferenceObjective(w, gram, wq, gamma, eta));
+    out.objective_trace.push_back(ReferenceObjective(w, gram, wq, gamma));
     if (ObjectivePlateaued(out.objective_trace)) {
       ++it;
       out.stop = StopReason::kPlateau;
@@ -153,15 +131,11 @@ SubspaceResult ReferenceLearn(const la::Matrix& x,
     }
   }
 
-  if (opts.prune_rel_tol > 0.0) {
-    const double cut = opts.prune_rel_tol * w.MaxAbs();
-    w.Apply([cut](double v) { return v < cut ? 0.0 : v; });
-  }
-  if (opts.symmetrize) {
-    la::Matrix wt = w.Transposed();
-    w.Add(wt);
-    w.Scale(0.5);
-  }
+  const double cut = kSpgPruneRelTol * w.MaxAbs();
+  w.Apply([cut](double v) { return v < cut ? 0.0 : v; });
+  la::Matrix wt = w.Transposed();
+  w.Add(wt);
+  w.Scale(0.5);
   out.affinity = la::SparseMatrix::FromDense(w);
   out.iterations = it;
   return out;
@@ -202,7 +176,7 @@ TEST(LearnSubspace, OutputSatisfiesConstraints) {
   EXPECT_TRUE(IsNonNegative(w));
   EXPECT_TRUE(w.AllFinite());
   for (std::size_t i = 0; i < 30; ++i) EXPECT_EQ(w(i, i), 0.0);
-  // Symmetrised by default.
+  // Symmetrised.
   EXPECT_LT(MaxAbsDiff(w, w.Transposed()), 1e-12);
 }
 
@@ -301,7 +275,6 @@ TEST(LearnSubspace, GammaControlsReconstructionPressure) {
   auto residual_for = [&](double gamma) {
     SubspaceOptions opts;
     opts.gamma = gamma;
-    opts.symmetrize = false;
     la::Matrix w = LearnSubspaceAffinity(x, opts).value().affinity.ToDense();
     la::Matrix resid = la::Multiply(w, x);
     resid.Sub(x);
@@ -323,66 +296,13 @@ TEST(LearnSubspace, ValidationErrors) {
   EXPECT_FALSE(LearnSubspaceAffinity(la::Matrix(1, 3), opts).ok());
 }
 
-TEST(LearnSubspace, AffinePenaltyPullsRowSumsToOne) {
-  Rng rng(9);
-  la::Matrix x = la::Matrix::RandomUniform(24, 6, &rng);
-  auto mean_row_sum_error = [&](double eta) {
-    SubspaceOptions opts;
-    opts.affine_penalty = eta;
-    opts.symmetrize = false;
-    opts.spg.max_iterations = 60;
-    la::Matrix w = LearnSubspaceAffinity(x, opts).value().affinity.ToDense();
-    double err = 0.0;
-    for (double rs : w.RowSums()) err += std::fabs(rs - 1.0);
-    return err / static_cast<double>(w.rows());
-  };
-  // Eq. 6's sum-to-one constraint is approached as the penalty grows.
-  EXPECT_LT(mean_row_sum_error(100.0), mean_row_sum_error(0.0));
-  EXPECT_LT(mean_row_sum_error(100.0), 0.2);
-}
-
-TEST(LearnSubspace, AffinePenaltyKeepsDescentProperty) {
-  Rng rng(10);
-  la::Matrix x = la::Matrix::RandomUniform(20, 5, &rng);
-  SubspaceOptions opts;
-  opts.affine_penalty = 25.0;
-  opts.spg.max_iterations = 30;
-  Result<SubspaceResult> r = LearnSubspaceAffinity(x, opts);
-  ASSERT_TRUE(r.ok());
-  const auto& trace = r.value().objective_trace;
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    EXPECT_LE(trace[i], trace[i - 1] + 1e-8);
-  }
-}
-
-// Regression: a negative or NaN prune_rel_tol passed Validate() and
-// silently disabled pruning.
-TEST(LearnSubspace, NegativeOrNaNPruneToleranceRejected) {
-  for (double tol : {-1e-6, std::nan("")}) {
-    SubspaceOptions opts;
-    opts.prune_rel_tol = tol;
-    EXPECT_FALSE(opts.Validate().ok()) << tol;
-    EXPECT_FALSE(LearnSubspaceAffinity(la::Matrix(5, 3, 1.0), opts).ok())
-        << tol;
-  }
-}
-
-TEST(LearnSubspace, NegativeAffinePenaltyRejected) {
-  SubspaceOptions opts;
-  opts.affine_penalty = -1.0;
-  EXPECT_FALSE(LearnSubspaceAffinity(la::Matrix(5, 3, 1.0), opts).ok());
-}
-
-class SubspaceOracle : public ::testing::TestWithParam<double> {};
-
-// The fused solver carries W·Q and the row/column sums forward instead of
+// The fused solver carries W·Q and the column sums forward instead of
 // recomputing them, so it rounds differently from the reference but must
 // follow the same iterates.
-TEST_P(SubspaceOracle, FusedSolverMatchesTwoGemmReference) {
+TEST(SubspaceOracle, FusedSolverMatchesTwoGemmReference) {
   Rng rng(21);
   const la::Matrix x = la::Matrix::RandomUniform(150, 20, &rng);
-  SubspaceOptions opts;
-  opts.affine_penalty = GetParam();
+  const SubspaceOptions opts;
   Result<SubspaceResult> fused = LearnSubspaceAffinity(x, opts);
   ASSERT_TRUE(fused.ok());
   const SubspaceResult ref = ReferenceLearn(x, opts);
@@ -402,9 +322,6 @@ TEST_P(SubspaceOracle, FusedSolverMatchesTwoGemmReference) {
             1e-9 * want.MaxAbs());
 }
 
-INSTANTIATE_TEST_SUITE_P(AffinePenalty, SubspaceOracle,
-                         ::testing::Values(0.0, 10.0));
-
 // At n = 640 the fused passes split into several row chunks (one chunk
 // per GrainForWork(n) rows), so pools of 1 and 4 really run different
 // schedules; chunk-ordered merges must keep the result bit-identical.
@@ -414,7 +331,6 @@ TEST(LearnSubspace, BitIdenticalAcrossPoolSizesWithManyChunks) {
   Rng rng(22);
   const la::Matrix x = la::Matrix::RandomUniform(kN, 32, &rng);
   SubspaceOptions opts;
-  opts.affine_penalty = 1.0;
   opts.spg.max_iterations = 6;
   auto learn = [&](int threads) {
     ScopedNumThreads scoped(threads);
@@ -440,33 +356,28 @@ TEST(FactoredGramProduct, MatchesTheGramAndGemm) {
     }
   }
   const la::Matrix w = la::Matrix::RandomUniform(kN, kN, &rng);
-  for (bool normalize : {true, false}) {
-    SCOPED_TRACE(normalize ? "normalised rows" : "raw rows");
-    la::Matrix xhat = x;
-    if (normalize) {
-      for (std::size_t i = 0; i < kN; ++i) {
-        double norm_sq = 0.0;
-        for (std::size_t j = 0; j < x.cols(); ++j) norm_sq += x(i, j) * x(i, j);
-        for (std::size_t j = 0; j < x.cols() && norm_sq > 0.0; ++j) {
-          xhat(i, j) /= std::sqrt(norm_sq);
-        }
-      }
+  la::Matrix xhat = x;
+  for (std::size_t i = 0; i < kN; ++i) {
+    double norm_sq = 0.0;
+    for (std::size_t j = 0; j < x.cols(); ++j) norm_sq += x(i, j) * x(i, j);
+    for (std::size_t j = 0; j < x.cols() && norm_sq > 0.0; ++j) {
+      xhat(i, j) /= std::sqrt(norm_sq);
     }
-    const la::Matrix gram = la::MultiplyNT(xhat, xhat);
-    const la::Matrix q = FactoredGramProduct(x, normalize, nullptr);
-    EXPECT_LE(MaxAbsDiff(q, gram), 1e-12 * gram.MaxAbs());
-    for (std::size_t j = 0; j < kN; ++j) {
-      EXPECT_EQ(q(5, j), 0.0);
-      EXPECT_EQ(q(j, 5), 0.0);
-      for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(q(i, j), q(j, i));
-    }
-    const la::Matrix wq = la::Multiply(w, gram);
-    const la::Matrix got = FactoredGramProduct(x, normalize, &w);
-    EXPECT_LE(MaxAbsDiff(got, wq), 1e-12 * wq.MaxAbs());
-    // Rows are the same bits at every pool size.
-    ScopedNumThreads threads(1);
-    EXPECT_EQ(MaxAbsDiff(FactoredGramProduct(x, normalize, &w), got), 0.0);
   }
+  const la::Matrix gram = la::MultiplyNT(xhat, xhat);
+  const la::Matrix q = FactoredGramProduct(x, nullptr);
+  EXPECT_LE(MaxAbsDiff(q, gram), 1e-12 * gram.MaxAbs());
+  for (std::size_t j = 0; j < kN; ++j) {
+    EXPECT_EQ(q(5, j), 0.0);
+    EXPECT_EQ(q(j, 5), 0.0);
+    for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(q(i, j), q(j, i));
+  }
+  const la::Matrix wq = la::Multiply(w, gram);
+  const la::Matrix got = FactoredGramProduct(x, &w);
+  EXPECT_LE(MaxAbsDiff(got, wq), 1e-12 * wq.MaxAbs());
+  // Rows are the same bits at every pool size.
+  ScopedNumThreads threads(1);
+  EXPECT_EQ(MaxAbsDiff(FactoredGramProduct(x, &w), got), 0.0);
 }
 
 // The SPG workspace is allocated once: the count of n×n allocations does
