@@ -227,6 +227,89 @@ void BM_SparseDenseNarrow(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseDenseNarrow)->UseRealTime()->Arg(9)->Arg(24)->Arg(30);
 
+/// A Laplacian-shaped CSR operand: per row, `draws` weights −w at random
+/// columns (duplicates merged, the diagonal skipped) and their degree on
+/// the diagonal.
+la::SparseMatrix RandomLaplacian(std::size_t n, std::size_t draws,
+                                 uint64_t seed) {
+  Rng rng(seed);
+  std::vector<la::Triplet> trips;
+  trips.reserve(n * (draws + 1));
+  for (std::size_t i = 0; i < n; ++i) {
+    double degree = 0.0;
+    for (std::size_t k = 0; k < draws; ++k) {
+      const std::size_t j = rng.UniformInt(n);
+      if (j == i) continue;
+      const double w = rng.Uniform(0.1, 1.0);
+      trips.push_back({i, j, -w});
+      degree += w;
+    }
+    trips.push_back({i, i, degree});
+  }
+  return la::SparseMatrix::FromTriplets(n, n, std::move(trips));
+}
+
+void BM_LaplacianWalk(benchmark::State& state) {
+  // The solver's Laplacian walk, serially over every row: lambda·L⁻·G,
+  // lambda·L⁺·G and the tr(GᵀLG) partial in one pass (la/kernels.h
+  // sandwich_sign_rows). c=9 runs at block-world fill (n=1800, about 94
+  // nonzeros per row), c=30 at D4 fill (n=1600, about 27).
+  const auto c = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = c == 9 ? 1800 : 1600;
+  const std::size_t draws = c == 9 ? 95 : 27;
+  const la::SparseMatrix l = RandomLaplacian(n, draws, 20);
+  const la::Matrix g = RandomMatrix(n, c, 21);
+  la::Matrix neg(n, c), pos(n, c);
+  const la::simd::KernelTable& kt = la::simd::Table();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kt.sandwich_sign_rows(
+        l.row_offsets().data(), l.col_indices().data(), l.values().data(), 0,
+        n, g.row_ptr(0), g.stride(), c, 100.0, neg.row_ptr(0), pos.row_ptr(0),
+        neg.stride()));
+  }
+  // Per nonzero: the sign product's multiply-add and the dot's.
+  SetKernelCounters(state, 4.0 * static_cast<double>(l.nnz()) * c);
+  state.counters["nnz"] = benchmark::Counter(static_cast<double>(l.nnz()));
+}
+BENCHMARK(BM_LaplacianWalk)->UseRealTime()->Arg(9)->Arg(30);
+
+/// The blockworld-sweep input of e2ebench: 3 x 600 objects, 3 classes,
+/// about 43% joint-R fill.
+data::MultiTypeRelationalData SweepBlockWorld() {
+  data::BlockWorldOptions o;
+  o.objects_per_type = {600, 600, 600};
+  o.n_classes = 3;
+  o.between_strength = 0.6;
+  o.noise = 0.8;
+  o.corrupted_fraction = 0.2;
+  o.seed = 1;
+  return data::GenerateBlockWorld(o).value();
+}
+
+void BM_JointRBuild(benchmark::State& state) {
+  // A fit's first step: the joint R as CSR from the stored type blocks.
+  const data::MultiTypeRelationalData d = SweepBlockWorld();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(d.BuildJointRSparse().nnz());
+  }
+  SetKernelCounters(state, 0.0);
+}
+BENCHMARK(BM_JointRBuild)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_InitMembership(benchmark::State& state) {
+  // A fit's k-means initialisation of G on the block world's features.
+  const data::MultiTypeRelationalData d = SweepBlockWorld();
+  const fact::BlockStructure blocks = fact::BuildBlockStructure(d);
+  for (auto _ : state) {
+    Rng rng(1);
+    auto g = fact::InitMembership(d, blocks, fact::MembershipInit::kKMeans,
+                                  &rng);
+    benchmark::DoNotOptimize(g.value().rows());
+  }
+  SetKernelCounters(state, 0.0);
+}
+BENCHMARK(BM_InitMembership)->UseRealTime()->Unit(benchmark::kMillisecond);
+
 void BM_EnsembleBuild(benchmark::State& state) {
   // Full heterogeneous-ensemble construction (paper Eq. 12): per (type,
   // member) tasks — subspace learning + pNN graph + Laplacians — on the

@@ -53,23 +53,45 @@ la::Matrix SeedPlusPlus(const la::Matrix& points, std::size_t k, Rng* rng) {
 /// Column indices of each row's nonzeros (row i at [offsets[i],
 /// offsets[i + 1]) of idx), for the centroid update over nonzeros. Built
 /// once per KMeans call, and only when the points are mostly zero
-/// (la::MostlyZero): on denser points the dense row add is faster.
+/// (la::MostlyZero): on denser points the dense row add is faster. The
+/// count and the build are row-parallel.
 struct RowNonZeros {
   std::vector<std::size_t> offsets, idx;
 };
 
 RowNonZeros MakeRowNonZeros(const la::Matrix& points) {
-  RowNonZeros nz;
-  const std::size_t total = points.rows() * points.cols();
-  if (!la::MostlyZero(total - points.NonZeros(), total)) return nz;
-  nz.offsets.assign(points.rows() + 1, 0);
-  for (std::size_t i = 0; i < points.rows(); ++i) {
+  const std::size_t n = points.rows(), d = points.cols();
+  const std::size_t grain = util::GrainForWork(d + 1);
+  auto row_nonzeros = [&](std::size_t i) {
     const double* pr = points.row_ptr(i);
-    for (std::size_t j = 0; j < points.cols(); ++j) {
-      if (pr[j] != 0.0) nz.idx.push_back(j);
+    std::size_t nz = 0;
+    for (std::size_t j = 0; j < d; ++j) nz += (pr[j] != 0.0);
+    return nz;
+  };
+  // Exact: a count below 2^53 is a whole double, whatever the chunking.
+  const auto nonzeros = static_cast<std::size_t>(util::ParallelSum(
+      0, n, grain, [&](std::size_t r0, std::size_t r1) {
+        std::size_t nz = 0;
+        for (std::size_t i = r0; i < r1; ++i) nz += row_nonzeros(i);
+        return static_cast<double>(nz);
+      }));
+  RowNonZeros nz;
+  if (!la::MostlyZero(n * d - nonzeros, n * d)) return nz;
+  nz.offsets.assign(n + 1, 0);
+  util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i) nz.offsets[i + 1] = row_nonzeros(i);
+  });
+  for (std::size_t i = 0; i < n; ++i) nz.offsets[i + 1] += nz.offsets[i];
+  nz.idx.resize(nz.offsets[n]);
+  util::ParallelFor(0, n, grain, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i) {
+      const double* pr = points.row_ptr(i);
+      std::size_t at = nz.offsets[i];
+      for (std::size_t j = 0; j < d; ++j) {
+        if (pr[j] != 0.0) nz.idx[at++] = j;
+      }
     }
-    nz.offsets[i + 1] = nz.idx.size();
-  }
+  });
   return nz;
 }
 
@@ -133,18 +155,29 @@ LloydOutcome RunLloyd(const la::Matrix& points, const RowNonZeros& nonzeros,
     // of nonzero doubles is never −0.0, so adding ±0.0 changes no bit.
     centroids.Fill(0.0);
     std::vector<std::size_t> count(k, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      double* cr = centroids.row_ptr(assign[i]);
-      const double* pr = points.row_ptr(i);
-      if (nonzeros.offsets.empty()) {
-        for (std::size_t j = 0; j < d; ++j) cr[j] += pr[j];
-      } else {
+    for (std::size_t i = 0; i < n; ++i) ++count[assign[i]];
+    if (nonzeros.offsets.empty()) {
+      // Every column adds its rows in ascending order whatever the column
+      // range, so ranges of columns run on the pool.
+      util::ParallelFor(0, d, util::GrainForWork(n + 1),
+                        [&](std::size_t j0, std::size_t j1) {
+                          for (std::size_t i = 0; i < n; ++i) {
+                            double* cr = centroids.row_ptr(assign[i]);
+                            const double* pr = points.row_ptr(i);
+                            for (std::size_t j = j0; j < j1; ++j) {
+                              cr[j] += pr[j];
+                            }
+                          }
+                        });
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        double* cr = centroids.row_ptr(assign[i]);
+        const double* pr = points.row_ptr(i);
         for (std::size_t e = nonzeros.offsets[i]; e < nonzeros.offsets[i + 1];
              ++e) {
           cr[nonzeros.idx[e]] += pr[nonzeros.idx[e]];
         }
       }
-      ++count[assign[i]];
     }
     for (std::size_t c = 0; c < k; ++c) {
       if (count[c] == 0) {
@@ -168,6 +201,11 @@ Status KMeansOptions::Validate() const {
   }
   if (restarts <= 0) {
     return Status::InvalidArgument("k-means needs restarts >= 1");
+  }
+  // Negated: NaN fails it. A NaN or negative tolerance never satisfies
+  // the convergence test, so every restart would run to max_iterations.
+  if (!(tolerance >= 0.0)) {
+    return Status::InvalidArgument("k-means needs tolerance >= 0, not NaN");
   }
   return Status::OK();
 }

@@ -19,7 +19,7 @@ namespace cluster {
 struct KMeansOptions {
   std::size_t k = 2;         ///< Number of clusters (>= 1).
   int max_iterations = 100;  ///< Lloyd iteration cap.
-  double tolerance = 1e-6;   ///< Stop when inertia improves less than this.
+  double tolerance = 1e-6;   ///< Stop when inertia improves less (>= 0).
   int restarts = 3;          ///< Independent k-means++ restarts; best kept.
 
   Status Validate() const;

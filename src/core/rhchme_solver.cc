@@ -436,25 +436,13 @@ class FusedIteration {
   }
 
   /// LaplacianProducts plus the Sandwich chunk partial Σ l_ik·(g_i·g_k)
-  /// of rows [r0, r1), its dots batched through dot_rows.
+  /// of rows [r0, r1), in one walk over the rows (sandwich_sign_rows).
   double LaplacianRows(const la::Matrix& g, std::size_t r0, std::size_t r1) {
-    const la::simd::KernelTable& kt = la::simd::Table();
-    const std::vector<std::size_t>& offsets = lap_.row_offsets();
-    const std::vector<std::size_t>& cols = lap_.col_indices();
-    const std::vector<double>& vals = lap_values_;
-    constexpr std::size_t kBatch = 64;
-    double dots[kBatch];
-    double acc = 0.0;
-    for (std::size_t i = r0; i < r1; ++i) {
-      for (std::size_t k0 = offsets[i]; k0 < offsets[i + 1]; k0 += kBatch) {
-        const std::size_t len = std::min(kBatch, offsets[i + 1] - k0);
-        kt.dot_rows(g.row_ptr(i), g.row_ptr(0), g.stride(), cols.data() + k0,
-                    len, c_, dots);
-        for (std::size_t t = 0; t < len; ++t) acc += vals[k0 + t] * dots[t];
-      }
-    }
-    LaplacianProducts(g, r0, r1);
-    return acc;
+    return la::simd::Table().sandwich_sign_rows(
+        lap_.row_offsets().data(), lap_.col_indices().data(),
+        lap_values_.data(), r0, r1, g.row_ptr(0), g.stride(), c_,
+        opts_.lambda, lg_neg_.row_ptr(0), lg_pos_.row_ptr(0),
+        lg_neg_.stride());
   }
 
   /// The row pass behind Rebuild and StateAfterUpdate, on G = `g` with

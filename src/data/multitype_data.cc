@@ -103,13 +103,13 @@ la::SparseMatrix MultiTypeRelationalData::BuildJointRSparse() const {
   const std::size_t n = offset[num_types];
 
   // A row of type a takes its entries from the blocks (a, b), b != a.
-  // Visiting b in offset order makes the columns arrive ascending: the
-  // stored block is read along row i when a < b, and down column i of the
-  // stored (b, a) block when a > b (the mirrored half). No triplets, no
-  // sort.
+  // Visiting b in offset order makes the columns arrive ascending. The
+  // stored block is read along row i when a < b. When a > b, row i is
+  // column i of the stored (b, a) block (the mirrored half), read along
+  // that block's rows one column range at a time. No triplets, no sort.
   struct Source {
     const la::Matrix* block;
-    bool by_column;
+    bool mirrored;
     std::size_t col0;
   };
   std::vector<std::vector<Source>> sources(num_types);
@@ -122,61 +122,72 @@ la::SparseMatrix MultiTypeRelationalData::BuildJointRSparse() const {
       }
     }
   }
-  // Calls fn(col, value) for every stored entry of local row i of type a,
-  // in ascending column order. Exact zeros are dropped; NaN/Inf are kept
-  // (the solver counts and zeroes them).
-  auto for_each_entry = [&](std::size_t a, std::size_t i, auto&& fn) {
-    for (const Source& src : sources[a]) {
-      const la::Matrix& m = *src.block;
-      if (src.by_column) {
-        for (std::size_t j = 0; j < m.rows(); ++j) {
-          const double v = m(j, i);
-          if (v != 0.0) fn(src.col0 + j, v);
-        }
-      } else {
-        const double* row = m.row_ptr(i);
-        for (std::size_t j = 0; j < m.cols(); ++j) {
-          if (row[j] != 0.0) fn(src.col0 + j, row[j]);
-        }
-      }
+  // Calls fn(lo, hi, src, block_row0) for each source of the rows [r0, r1)
+  // that lie in one type, in offset order; the rows' local indices in
+  // their type start at block_row0.
+  auto for_each_source = [&](std::size_t r0, std::size_t r1, auto&& fn) {
+    for (std::size_t a = 0; a < num_types; ++a) {
+      const std::size_t lo = std::max(r0, offset[a]);
+      const std::size_t hi = std::min(r1, offset[a + 1]);
+      if (lo >= hi) continue;
+      for (const Source& src : sources[a]) fn(lo, hi, src, lo - offset[a]);
     }
   };
-
-  // Count pass, then fill pass, both row-parallel; each row writes only
-  // its own slots, so the arrays are identical for any pool size.
-  std::vector<std::size_t> row_offsets(n + 1, 0);
-  const std::size_t grain = util::GrainForWork(n + 1);
-  for (std::size_t a = 0; a < num_types; ++a) {
-    util::ParallelFor(0, types_[a].count, grain,
-                      [&](std::size_t r0, std::size_t r1) {
-                        for (std::size_t i = r0; i < r1; ++i) {
-                          std::size_t count = 0;
-                          for_each_entry(a, i, [&](std::size_t, double) {
-                            ++count;
-                          });
-                          row_offsets[offset[a] + i + 1] = count;
-                        }
-                      });
-  }
-  for (std::size_t i = 0; i < n; ++i) row_offsets[i + 1] += row_offsets[i];
-  std::vector<std::size_t> cols(row_offsets[n]);
-  std::vector<double> vals(row_offsets[n]);
-  for (std::size_t a = 0; a < num_types; ++a) {
-    util::ParallelFor(0, types_[a].count, grain,
-                      [&](std::size_t r0, std::size_t r1) {
-                        for (std::size_t i = r0; i < r1; ++i) {
-                          std::size_t pos = row_offsets[offset[a] + i];
-                          for_each_entry(a, i, [&](std::size_t col, double v) {
-                            cols[pos] = col;
-                            vals[pos] = v;
-                            ++pos;
-                          });
-                        }
-                      });
-  }
-  return la::SparseMatrix::FromCsr(n, n, std::move(row_offsets),
-                                   std::move(cols), std::move(vals))
-      .value();
+  // Exact zeros are dropped; NaN/Inf are kept (the solver counts and
+  // zeroes them).
+  return la::SparseMatrix::FromRowRanges(
+      n, n, std::max<std::size_t>(64, util::GrainForWork(n + 1)),
+      [&](std::size_t r0, std::size_t r1, std::size_t* count) {
+        for_each_source(r0, r1, [&](std::size_t lo, std::size_t hi,
+                                    const Source& src, std::size_t l0) {
+          const la::Matrix& m = *src.block;
+          if (src.mirrored) {
+            for (std::size_t j = 0; j < m.rows(); ++j) {
+              const double* mj = m.row_ptr(j) + l0;
+              for (std::size_t i = lo; i < hi; ++i) {
+                count[i] += (mj[i - lo] != 0.0);
+              }
+            }
+            return;
+          }
+          for (std::size_t i = lo; i < hi; ++i) {
+            const double* mi = m.row_ptr(l0 + i - lo);
+            std::size_t nz = 0;
+            for (std::size_t j = 0; j < m.cols(); ++j) nz += (mi[j] != 0.0);
+            count[i] += nz;
+          }
+        });
+      },
+      [&](std::size_t r0, std::size_t r1, std::size_t* at, std::size_t* col,
+          double* val) {
+        auto append = [&](std::size_t i, std::size_t c, double v) {
+          if (v == 0.0) return;
+          col[at[i]] = c;
+          val[at[i]] = v;
+          ++at[i];
+        };
+        for_each_source(r0, r1, [&](std::size_t lo, std::size_t hi,
+                                    const Source& src, std::size_t l0) {
+          const la::Matrix& m = *src.block;
+          if (src.mirrored) {
+            // Each task row i takes its column of the stored rows, in
+            // ascending stored row.
+            for (std::size_t j = 0; j < m.rows(); ++j) {
+              const double* mj = m.row_ptr(j) + l0;
+              for (std::size_t i = lo; i < hi; ++i) {
+                append(i, src.col0 + j, mj[i - lo]);
+              }
+            }
+            return;
+          }
+          for (std::size_t i = lo; i < hi; ++i) {
+            const double* mi = m.row_ptr(l0 + i - lo);
+            for (std::size_t j = 0; j < m.cols(); ++j) {
+              append(i, src.col0 + j, mi[j]);
+            }
+          }
+        });
+      });
 }
 
 double MultiTypeRelationalData::JointRDensity() const {

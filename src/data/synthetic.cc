@@ -12,6 +12,14 @@
 namespace rhchme {
 namespace data {
 
+namespace {
+
+/// Largest mean a generator passes to Rng::Poisson: its draws stay far
+/// inside the int they are returned as.
+constexpr double kMaxPoissonMean = 1e6;
+
+}  // namespace
+
 Status SyntheticCorpusOptions::Validate() const {
   if (docs_per_class.empty()) {
     return Status::InvalidArgument("need at least one class");
@@ -28,19 +36,38 @@ Status SyntheticCorpusOptions::Validate() const {
   if (topics_per_class == 0 || core_terms_per_topic == 0) {
     return Status::InvalidArgument("topics misconfigured");
   }
-  if (doc_length_mean <= 0.0) {
-    return Status::InvalidArgument("doc_length_mean must be positive");
+  // Negated comparisons: NaN fails every one of them. The Poisson means
+  // are also capped, so a draw always fits the int it is cast to.
+  if (!(doc_length_mean > 0.0 && doc_length_mean <= kMaxPoissonMean)) {
+    return Status::InvalidArgument("doc_length_mean must be in (0, 1e6]");
   }
-  if (background_noise < 0.0 || background_noise >= 1.0) {
+  if (!(concept_direct_hits >= 0.0 && concept_direct_hits <= kMaxPoissonMean)) {
+    return Status::InvalidArgument("concept_direct_hits must be in [0, 1e6]");
+  }
+  if (!(concept_noise_hits >= 0.0 && concept_noise_hits <= kMaxPoissonMean)) {
+    return Status::InvalidArgument("concept_noise_hits must be in [0, 1e6]");
+  }
+  if (!(background_noise >= 0.0 && background_noise < 1.0)) {
     return Status::InvalidArgument("background_noise must be in [0,1)");
   }
-  if (corrupted_doc_fraction < 0.0 || corrupted_doc_fraction > 1.0) {
+  if (!(class_overlap >= 0.0 && std::isfinite(class_overlap))) {
+    return Status::InvalidArgument("class_overlap must be finite and >= 0");
+  }
+  if (!(concept_map_alignment >= 0.0 && concept_map_alignment <= 1.0)) {
+    return Status::InvalidArgument("concept_map_alignment must be in [0,1]");
+  }
+  if (!(concept_map_weight >= 0.0 && std::isfinite(concept_map_weight))) {
+    return Status::InvalidArgument(
+        "concept_map_weight must be finite and >= 0");
+  }
+  if (!(corrupted_doc_fraction >= 0.0 && corrupted_doc_fraction <= 1.0)) {
     return Status::InvalidArgument("corrupted_doc_fraction must be in [0,1]");
   }
-  if (corruption_magnitude < 0.0) {
-    return Status::InvalidArgument("corruption_magnitude must be >= 0");
+  if (!(corruption_magnitude >= 0.0 && std::isfinite(corruption_magnitude))) {
+    return Status::InvalidArgument(
+        "corruption_magnitude must be finite and >= 0");
   }
-  if (relation_dropout < 0.0 || relation_dropout >= 1.0) {
+  if (!(relation_dropout >= 0.0 && relation_dropout < 1.0)) {
     return Status::InvalidArgument("relation_dropout must be in [0,1)");
   }
   return Status::OK();
@@ -410,18 +437,24 @@ Status BlockWorldOptions::Validate() const {
       return Status::InvalidArgument("each type needs >= n_classes objects");
     }
   }
-  if (within_strength <= between_strength) {
+  // Negated comparisons: NaN fails every one of them.
+  if (!(std::isfinite(within_strength) && std::isfinite(between_strength) &&
+        within_strength > between_strength)) {
     return Status::InvalidArgument(
-        "within_strength must exceed between_strength");
+        "within_strength must exceed between_strength, both finite");
   }
-  if (dropout < 0.0 || dropout >= 1.0) {
+  if (!(noise >= 0.0 && std::isfinite(noise))) {
+    return Status::InvalidArgument("noise must be finite and >= 0");
+  }
+  if (!(dropout >= 0.0 && dropout < 1.0)) {
     return Status::InvalidArgument("dropout must be in [0,1)");
   }
-  if (corrupted_fraction < 0.0 || corrupted_fraction > 1.0) {
+  if (!(corrupted_fraction >= 0.0 && corrupted_fraction <= 1.0)) {
     return Status::InvalidArgument("corrupted_fraction must be in [0,1]");
   }
-  if (corruption_magnitude < 0.0) {
-    return Status::InvalidArgument("corruption_magnitude must be >= 0");
+  if (!(corruption_magnitude >= 0.0 && std::isfinite(corruption_magnitude))) {
+    return Status::InvalidArgument(
+        "corruption_magnitude must be finite and >= 0");
   }
   return Status::OK();
 }

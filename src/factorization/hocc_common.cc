@@ -39,18 +39,20 @@ Result<la::Matrix> InitMembership(const data::MultiTypeRelationalData& data,
       // Spherical initialisation: L2-normalise object rows so the seeding
       // reflects direction (content) rather than magnitude — otherwise
       // corrupted high-norm rows capture the k-means++ centroids.
-      la::Matrix unit = type.features;
+      const la::Matrix& features = type.features;
+      la::Matrix unit(features.rows(), features.cols());
       util::ParallelFor(
           0, unit.rows(), util::GrainForWork(4 * unit.cols() + 1),
           [&](std::size_t r0, std::size_t r1) {
             for (std::size_t i = r0; i < r1; ++i) {
+              const double* f = features.row_ptr(i);
               double* r = unit.row_ptr(i);
               double norm = 0.0;
               for (std::size_t j = 0; j < unit.cols(); ++j) {
                 // NaN/Inf features (kNonFinite corruption) read as missing:
                 // the row degrades toward zero instead of poisoning every
                 // centroid distance.
-                if (!std::isfinite(r[j])) r[j] = 0.0;
+                r[j] = std::isfinite(f[j]) ? f[j] : 0.0;
                 norm += r[j] * r[j];
               }
               if (norm > 0.0 && std::isfinite(norm)) {

@@ -25,7 +25,10 @@
 //     add, per nonzero in ascending nonzero order — bit-identical to a
 //     zeroed row followed by one Axpy per nonzero, in every table. Only
 //     the register blocking differs (32-column strips held across the
-//     whole row, stored once).
+//     whole row, stored once; rows whose strip fits in two registers go
+//     in groups of four that step side by side, each row with its own
+//     accumulators and chain, then finish alone). spmm_sign_rows is
+//     spmm_rows on each sign part, one row at a time.
 //   - Reductions (Dot, SquaredDistance) reassociate into a fixed number
 //     of lane accumulators combined in a fixed order that depends only on
 //     the table and the call's length — bit-stable across thread counts
@@ -33,6 +36,14 @@
 //     The batched dot (dot_rows) keeps each dot's chain exactly: it only
 //     transposes several dots' lane accumulators so their in-order lane
 //     sums run side by side in one register.
+//   - The Laplacian walk (sandwich_sign_rows) loads each neighbour row
+//     once for both of its results. Its sign strips are spmm_sign_rows'
+//     elements, each then multiplied once by the scale as scale() does.
+//     Each of its dots is the table's dot: the neighbour's registers
+//     enter dot's lane accumulators by dot's chunk rule, and several
+//     dots' lanes are summed side by side as in dot_rows. The dots enter
+//     the returned partial in ascending nonzero order, one unfused
+//     multiply and add each, from +0.0.
 //   - The sparse dot (dot_sparse) sends each nonzero a[idx[k]] into the
 //     lane accumulator the table's dense dot gives index idx[k] at length
 //     n (avx512: the two accumulators with their full-block and
@@ -143,6 +154,21 @@ struct KernelTable {
                          const double* vals, std::size_t r0, std::size_t r1,
                          const double* b, std::size_t ldb, std::size_t n,
                          double* neg, double* pos, std::size_t ldc);
+
+  /// One walk over Laplacian CSR rows [r0, r1) against B, whose row i is
+  /// also the walked row's own vector: writes neg[i, 0..n) and
+  /// pos[i, 0..n) (row stride ldc) as spmm_sign_rows does, each element
+  /// then multiplied by `scale` as scale() would, and returns
+  /// Σ vals[k]·dot(B[i], B[idx[k]], n) over the rows' nonzeros, added in
+  /// ascending k to a chain that starts at +0.0 (one unfused multiply and
+  /// add per nonzero), each dot bit-identical to this table's dot. Each
+  /// neighbour row feeds both results from one load. Does not allocate.
+  double (*sandwich_sign_rows)(const std::size_t* offsets,
+                               const std::size_t* idx, const double* vals,
+                               std::size_t r0, std::size_t r1,
+                               const double* b, std::size_t ldb,
+                               std::size_t n, double scale, double* neg,
+                               double* pos, std::size_t ldc);
 
   /// One row of the SPG projected direction (core/subspace.cc, pass A).
   /// For every j in [0, n) except `diag`:

@@ -15,7 +15,10 @@
 // The CSR row kernel holds a strip of up to 32 output columns (eight ymm
 // accumulators) across a row's whole nonzero list and stores it once.
 // The strip's last register loads and stores through a vmaskmovpd lane
-// mask: dead lanes read as zero and are never written.
+// mask: dead lanes read as zero and are never written. Rows of at most 8
+// columns go four at a time, each with its own accumulators. The Laplacian walk feeds each neighbour row's
+// registers to both the sign strips and dot's block accumulators, and
+// sums four dots' lanes at once.
 //
 // The SPG direction row compacts the nonzeros of each 4-entry block with
 // a vpermd permutation from a 16-entry LUT.
@@ -97,9 +100,21 @@ double DotSparse(const std::size_t* idx, const double* vals,
   return s;
 }
 
-/// Four dots at a time: their block accumulators are transposed so that
-/// vector lane q carries dot q's lane sum ((l0 + l1) + l2) + l3, then the
-/// scalar tail's unfused multiply-adds run lane-wise — Dot's exact chain.
+/// In-order lane sums of four lane vectors at once: lane q of the result
+/// is SumLanes(vq), ((l0 + l1) + l2) + l3, for all four side by side.
+Vec SumLanes4(Vec v0, Vec v1, Vec v2, Vec v3) {
+  const Vec u0 = _mm256_unpacklo_pd(v0, v1);  // v0[0] v1[0] v0[2] v1[2]
+  const Vec u1 = _mm256_unpackhi_pd(v0, v1);  // v0[1] v1[1] v0[3] v1[3]
+  const Vec u2 = _mm256_unpacklo_pd(v2, v3);
+  const Vec u3 = _mm256_unpackhi_pd(v2, v3);
+  Vec s = _mm256_add_pd(_mm256_permute2f128_pd(u0, u2, 0x20),   // lane 0
+                        _mm256_permute2f128_pd(u1, u3, 0x20));  // lane 1
+  s = _mm256_add_pd(s, _mm256_permute2f128_pd(u0, u2, 0x31));   // lane 2
+  return _mm256_add_pd(s, _mm256_permute2f128_pd(u1, u3, 0x31));  // lane 3
+}
+
+/// Four dots at a time: SumLanes4 of their block accumulators, then the
+/// scalar tail's unfused multiply-adds lane-wise — Dot's exact chain.
 void DotRows(const double* a, const double* b, std::size_t ldb,
              const std::size_t* idx, std::size_t count, std::size_t n,
              double* out) {
@@ -110,16 +125,8 @@ void DotRows(const double* a, const double* b, std::size_t ldb,
     for (std::size_t q = 0; q < kLanes; ++q) {
       r[q] = b + (idx != nullptr ? idx[t + q] : t + q) * ldb;
     }
-    const Vec v0 = DotBlocks(a, r[0], n), v1 = DotBlocks(a, r[1], n);
-    const Vec v2 = DotBlocks(a, r[2], n), v3 = DotBlocks(a, r[3], n);
-    const Vec u0 = _mm256_unpacklo_pd(v0, v1);  // v0[0] v1[0] v0[2] v1[2]
-    const Vec u1 = _mm256_unpackhi_pd(v0, v1);  // v0[1] v1[1] v0[3] v1[3]
-    const Vec u2 = _mm256_unpacklo_pd(v2, v3);
-    const Vec u3 = _mm256_unpackhi_pd(v2, v3);
-    Vec s = _mm256_add_pd(_mm256_permute2f128_pd(u0, u2, 0x20),   // lane 0
-                          _mm256_permute2f128_pd(u1, u3, 0x20));  // lane 1
-    s = _mm256_add_pd(s, _mm256_permute2f128_pd(u0, u2, 0x31));   // lane 2
-    s = _mm256_add_pd(s, _mm256_permute2f128_pd(u1, u3, 0x31));   // lane 3
+    Vec s = SumLanes4(DotBlocks(a, r[0], n), DotBlocks(a, r[1], n),
+                      DotBlocks(a, r[2], n), DotBlocks(a, r[3], n));
     for (std::size_t i = tail; i < n; ++i) {
       const Vec x = _mm256_set_pd(r[3][i], r[2][i], r[1][i], r[0][i]);
       s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_set1_pd(a[i]), x));
@@ -274,6 +281,42 @@ void GemmPacked(const double* packa, const double* packb, std::size_t mrows,
 constexpr std::size_t kStripVecs = 8;
 constexpr std::size_t kStrip = kStripVecs * kLanes;
 
+/// Rows of a narrow group: a strip of at most kGroupVecs registers is
+/// short enough that one row's add chains, not the FP ports, bound it, so
+/// kGroupRows rows advance side by side within the sixteen ymm registers.
+constexpr std::size_t kGroupRows = 4;
+constexpr std::size_t kGroupVecs = 2;
+
+/// acc + (v·x): the unfused multiply and add Axpy performs.
+Vec MulAdd(Vec acc, Vec v, Vec x) {
+  return _mm256_add_pd(acc, _mm256_mul_pd(v, x));
+}
+
+/// Loads the kVecs registers of a strip, the last through `tail`.
+template <std::size_t kVecs>
+void LoadStrip(const double* p, __m256i tail, Vec* x) {
+  for (std::size_t q = 0; q + 1 < kVecs; ++q) {
+    x[q] = _mm256_loadu_pd(p + q * kLanes);
+  }
+  x[kVecs - 1] = _mm256_maskload_pd(p + (kVecs - 1) * kLanes, tail);
+}
+
+/// Stores the kVecs registers of a strip, the last through `tail`.
+template <std::size_t kVecs>
+void StoreStrip(double* p, __m256i tail, const Vec* x) {
+  for (std::size_t q = 0; q + 1 < kVecs; ++q) {
+    _mm256_storeu_pd(p + q * kLanes, x[q]);
+  }
+  _mm256_maskstore_pd(p + (kVecs - 1) * kLanes, tail, x[kVecs - 1]);
+}
+
+/// Lane mask of the last register of a `w`-column strip of `vecs`.
+__m256i StripTail(std::size_t w, std::size_t vecs) {
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  const auto live = static_cast<long long>(w - (vecs - 1) * kLanes);
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), lane);
+}
+
 /// One row strip of kVecs registers, the last covering the lanes set in
 /// `tail`: acc = +0.0, then acc + (v·B[idx[k]]) per nonzero — the unfused
 /// multiply and add Axpy performs, in the same order.
@@ -285,37 +328,128 @@ void SpmmStrip(const std::size_t* idx, const double* vals, std::size_t kb,
   for (std::size_t q = 0; q < kVecs; ++q) acc[q] = _mm256_setzero_pd();
   for (std::size_t k = kb; k < ke; ++k) {
     const Vec v = _mm256_set1_pd(vals[k]);
-    const double* bk = b + idx[k] * ldb;
-    for (std::size_t q = 0; q + 1 < kVecs; ++q) {
-      acc[q] = _mm256_add_pd(
-          acc[q], _mm256_mul_pd(v, _mm256_loadu_pd(bk + q * kLanes)));
-    }
-    constexpr std::size_t kLast = kVecs - 1;
-    acc[kLast] = _mm256_add_pd(
-        acc[kLast],
-        _mm256_mul_pd(v, _mm256_maskload_pd(bk + kLast * kLanes, tail)));
+    Vec x[kVecs];
+    LoadStrip<kVecs>(b + idx[k] * ldb, tail, x);
+    for (std::size_t q = 0; q < kVecs; ++q) acc[q] = MulAdd(acc[q], v, x[q]);
   }
-  for (std::size_t q = 0; q + 1 < kVecs; ++q) {
-    _mm256_storeu_pd(c + q * kLanes, acc[q]);
+  StoreStrip<kVecs>(c, tail, acc);
+}
+
+/// The accumulators of one narrow row strip (kVecs <= 2 registers; hi
+/// is unused when kVecs == 1). Four of them live in named variables so
+/// that they stay in registers.
+struct NarrowAcc {
+  Vec lo = _mm256_setzero_pd();
+  Vec hi = _mm256_setzero_pd();
+};
+
+/// The rows [offsets[i], offsets[i + 4]) of a narrow group, as spans.
+struct GroupRows {
+  std::size_t kb[kGroupRows + 1];
+  std::size_t common;  ///< The shortest row's length.
+};
+
+GroupRows MakeGroupRows(const std::size_t* offsets, std::size_t i) {
+  GroupRows g;
+  g.common = offsets[i + 1] - offsets[i];
+  for (std::size_t r = 0; r <= kGroupRows; ++r) g.kb[r] = offsets[i + r];
+  for (std::size_t r = 1; r < kGroupRows; ++r) {
+    const std::size_t len = g.kb[r + 1] - g.kb[r];
+    g.common = len < g.common ? len : g.common;
   }
-  _mm256_maskstore_pd(c + (kVecs - 1) * kLanes, tail, acc[kVecs - 1]);
+  return g;
+}
+
+/// Loads a narrow strip's registers, the last through `tail`.
+template <std::size_t kVecs>
+NarrowAcc LoadNarrow(const double* p, __m256i tail) {
+  NarrowAcc x;
+  if constexpr (kVecs == 1) {
+    x.lo = _mm256_maskload_pd(p, tail);
+  } else {
+    x.lo = _mm256_loadu_pd(p);
+    x.hi = _mm256_maskload_pd(p + kLanes, tail);
+  }
+  return x;
+}
+
+template <std::size_t kVecs>
+void StoreNarrow(double* p, __m256i tail, const NarrowAcc& x) {
+  if constexpr (kVecs == 1) {
+    _mm256_maskstore_pd(p, tail, x.lo);
+  } else {
+    _mm256_storeu_pd(p, x.lo);
+    _mm256_maskstore_pd(p + kLanes, tail, x.hi);
+  }
+}
+
+/// acc + (v·x) on each register of a narrow strip.
+template <std::size_t kVecs>
+void NarrowMulAdd(NarrowAcc& acc, Vec v, const NarrowAcc& x) {
+  acc.lo = MulAdd(acc.lo, v, x.lo);
+  if constexpr (kVecs == 2) acc.hi = MulAdd(acc.hi, v, x.hi);
+}
+
+/// One nonzero of a narrow strip.
+template <std::size_t kVecs>
+void NarrowStep(NarrowAcc& acc, double v, const double* bk, __m256i tail) {
+  NarrowMulAdd<kVecs>(acc, _mm256_set1_pd(v), LoadNarrow<kVecs>(bk, tail));
+}
+
+/// SpmmStrip on rows i .. i+3 at once (kVecs <= kGroupVecs): each row
+/// keeps its own accumulators and its own chain, so each row is exactly
+/// SpmmStrip's. The rows step together over their common length, then
+/// each finishes alone.
+template <std::size_t kVecs>
+void SpmmStrip4(const std::size_t* offsets, const std::size_t* idx,
+                const double* vals, std::size_t i, const double* b,
+                std::size_t ldb, double* c, std::size_t ldc, __m256i tail) {
+  const GroupRows g = MakeGroupRows(offsets, i);
+  NarrowAcc a0, a1, a2, a3;
+  auto step = [&](NarrowAcc& acc, std::size_t k) {
+    NarrowStep<kVecs>(acc, vals[k], b + idx[k] * ldb, tail);
+  };
+  for (std::size_t t = 0; t < g.common; ++t) {
+    step(a0, g.kb[0] + t);
+    step(a1, g.kb[1] + t);
+    step(a2, g.kb[2] + t);
+    step(a3, g.kb[3] + t);
+  }
+  for (std::size_t k = g.kb[0] + g.common; k < g.kb[1]; ++k) step(a0, k);
+  for (std::size_t k = g.kb[1] + g.common; k < g.kb[2]; ++k) step(a1, k);
+  for (std::size_t k = g.kb[2] + g.common; k < g.kb[3]; ++k) step(a2, k);
+  for (std::size_t k = g.kb[3] + g.common; k < g.kb[4]; ++k) step(a3, k);
+  StoreNarrow<kVecs>(c + i * ldc, tail, a0);
+  StoreNarrow<kVecs>(c + (i + 1) * ldc, tail, a1);
+  StoreNarrow<kVecs>(c + (i + 2) * ldc, tail, a2);
+  StoreNarrow<kVecs>(c + (i + 3) * ldc, tail, a3);
 }
 
 void SpmmRows(const std::size_t* offsets, const std::size_t* idx,
               const double* vals, std::size_t r0, std::size_t r1,
               const double* b, std::size_t ldb, std::size_t n, double* c,
               std::size_t ldc) {
-  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
-  for (std::size_t i = r0; i < r1; ++i) {
+  std::size_t i = r0;
+  if (n > 0 && n <= kGroupVecs * kLanes) {
+    // One narrow strip: rows in groups of four.
+    const std::size_t vecs = (n + kLanes - 1) / kLanes;
+    const __m256i tail = StripTail(n, vecs);
+    for (; i + kGroupRows <= r1; i += kGroupRows) {
+      if (vecs == 1) {
+        SpmmStrip4<1>(offsets, idx, vals, i, b, ldb, c, ldc, tail);
+      } else {
+        SpmmStrip4<kGroupVecs>(offsets, idx, vals, i, b, ldb, c, ldc, tail);
+      }
+    }
+  }
+  for (; i < r1; ++i) {
     const std::size_t kb = offsets[i], ke = offsets[i + 1];
-    double* ci = c + i * ldc;
     for (std::size_t j0 = 0; j0 < n; j0 += kStrip) {
       const std::size_t w = n - j0 < kStrip ? n - j0 : kStrip;
       const std::size_t vecs = (w + kLanes - 1) / kLanes;
-      const auto live = static_cast<long long>(w - (vecs - 1) * kLanes);
-      const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), lane);
+      const __m256i tail = StripTail(w, vecs);
       const double* bs = b + j0;
-      double* cs = ci + j0;
+      double* cs = c + i * ldc + j0;
       switch (vecs) {
         case 1: SpmmStrip<1>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
         case 2: SpmmStrip<2>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
@@ -336,61 +470,48 @@ void SpmmRows(const std::size_t* offsets, const std::size_t* idx,
 constexpr std::size_t kSignStripVecs = 4;
 constexpr std::size_t kSignStrip = kSignStripVecs * kLanes;
 
-/// SpmmStrip with one accumulator set per sign: a negative entry adds
-/// (−v)·B[idx[k]] to `an`, a positive one v·B[idx[k]] to `ap`.
+/// The sign-split step of one nonzero: a negative entry adds (−v)·x to
+/// `an`, a positive one v·x to `ap`; zero and NaN entries add nothing.
+template <std::size_t kVecs>
+void SignStep(double v, const Vec* x, Vec* an, Vec* ap) {
+  if (v < 0.0) {
+    const Vec w = _mm256_set1_pd(-v);
+    for (std::size_t q = 0; q < kVecs; ++q) an[q] = MulAdd(an[q], w, x[q]);
+  } else if (v > 0.0) {
+    const Vec w = _mm256_set1_pd(v);
+    for (std::size_t q = 0; q < kVecs; ++q) ap[q] = MulAdd(ap[q], w, x[q]);
+  }
+}
+
+/// SpmmStrip with one accumulator set per sign.
 template <std::size_t kVecs>
 void SpmmSignStrip(const std::size_t* idx, const double* vals, std::size_t kb,
                    std::size_t ke, const double* b, std::size_t ldb,
                    double* neg, double* pos, __m256i tail) {
-  constexpr std::size_t kLast = kVecs - 1;
   Vec an[kVecs], ap[kVecs];
   for (std::size_t q = 0; q < kVecs; ++q) {
     an[q] = _mm256_setzero_pd();
     ap[q] = _mm256_setzero_pd();
   }
   for (std::size_t k = kb; k < ke; ++k) {
-    const double v = vals[k];
-    const double* bk = b + idx[k] * ldb;
-    if (v < 0.0) {
-      const Vec w = _mm256_set1_pd(-v);
-      for (std::size_t q = 0; q < kLast; ++q) {
-        an[q] = _mm256_add_pd(
-            an[q], _mm256_mul_pd(w, _mm256_loadu_pd(bk + q * kLanes)));
-      }
-      an[kLast] = _mm256_add_pd(
-          an[kLast],
-          _mm256_mul_pd(w, _mm256_maskload_pd(bk + kLast * kLanes, tail)));
-    } else if (v > 0.0) {
-      const Vec w = _mm256_set1_pd(v);
-      for (std::size_t q = 0; q < kLast; ++q) {
-        ap[q] = _mm256_add_pd(
-            ap[q], _mm256_mul_pd(w, _mm256_loadu_pd(bk + q * kLanes)));
-      }
-      ap[kLast] = _mm256_add_pd(
-          ap[kLast],
-          _mm256_mul_pd(w, _mm256_maskload_pd(bk + kLast * kLanes, tail)));
-    }
+    Vec x[kVecs];
+    LoadStrip<kVecs>(b + idx[k] * ldb, tail, x);
+    SignStep<kVecs>(vals[k], x, an, ap);
   }
-  for (std::size_t q = 0; q < kLast; ++q) {
-    _mm256_storeu_pd(neg + q * kLanes, an[q]);
-    _mm256_storeu_pd(pos + q * kLanes, ap[q]);
-  }
-  _mm256_maskstore_pd(neg + kLast * kLanes, tail, an[kLast]);
-  _mm256_maskstore_pd(pos + kLast * kLanes, tail, ap[kLast]);
+  StoreStrip<kVecs>(neg, tail, an);
+  StoreStrip<kVecs>(pos, tail, ap);
 }
 
 void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
                   const double* vals, std::size_t r0, std::size_t r1,
                   const double* b, std::size_t ldb, std::size_t n,
                   double* neg, double* pos, std::size_t ldc) {
-  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
   for (std::size_t i = r0; i < r1; ++i) {
     const std::size_t kb = offsets[i], ke = offsets[i + 1];
     for (std::size_t j0 = 0; j0 < n; j0 += kSignStrip) {
       const std::size_t w = n - j0 < kSignStrip ? n - j0 : kSignStrip;
       const std::size_t vecs = (w + kLanes - 1) / kLanes;
-      const auto live = static_cast<long long>(w - (vecs - 1) * kLanes);
-      const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), lane);
+      const __m256i tail = StripTail(w, vecs);
       const double* bs = b + j0;
       double* ns = neg + i * ldc + j0;
       double* ps = pos + i * ldc + j0;
@@ -410,6 +531,128 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
           break;
       }
     }
+  }
+}
+
+/// One Laplacian row of width n <= kSignStrip (kVecs registers) in one
+/// pass over its nonzeros. Each neighbour row x = B[idx[k]] is loaded
+/// once and feeds both SignStep and Dot's block accumulators against the
+/// row's own B[i] (DotBlocks' rule: register q of a whole 8-element block
+/// into acc[q % 2]; the kBlockVecs = 2·(n / 8) such registers come
+/// first). Four lane vectors at a time are summed by SumLanes4, the rest
+/// by SumLanes, and then the scalar tail [n / 8 · 8, n) takes Dot's
+/// unfused multiply-adds. Each dot enters `acc` as acc + vals[k]·dot, in
+/// ascending k; the sign sums are stored times `scale`, as Scale would.
+template <std::size_t kVecs>
+double SandwichSignStrip(const std::size_t* idx, const double* vals,
+                         std::size_t kb, std::size_t ke, const double* b,
+                         std::size_t ldb, const double* bi, std::size_t n,
+                         double scale, double* neg, double* pos,
+                         __m256i tail, double acc) {
+  const std::size_t block_vecs = n / (2 * kLanes) * 2;
+  const std::size_t tail0 = block_vecs * kLanes;
+  Vec gi[kVecs], an[kVecs], ap[kVecs];
+  LoadStrip<kVecs>(bi, tail, gi);
+  for (std::size_t q = 0; q < kVecs; ++q) {
+    an[q] = _mm256_setzero_pd();
+    ap[q] = _mm256_setzero_pd();
+  }
+  Vec lanes[kLanes];
+  const double* rows[kLanes];
+  std::size_t pending = 0;
+  for (std::size_t k = kb; k < ke; ++k) {
+    const double* bk = b + idx[k] * ldb;
+    Vec x[kVecs];
+    LoadStrip<kVecs>(bk, tail, x);
+    Vec d[2] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
+    for (std::size_t q = 0; q < kVecs; ++q) {
+      if (q < block_vecs) d[q % 2] = _mm256_fmadd_pd(gi[q], x[q], d[q % 2]);
+    }
+    lanes[pending] = _mm256_add_pd(d[0], d[1]);
+    rows[pending] = bk;
+    if (++pending == kLanes) {
+      Vec s = SumLanes4(lanes[0], lanes[1], lanes[2], lanes[3]);
+      for (std::size_t j = tail0; j < n; ++j) {
+        const Vec xj =
+            _mm256_set_pd(rows[3][j], rows[2][j], rows[1][j], rows[0][j]);
+        s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_set1_pd(bi[j]), xj));
+      }
+      alignas(32) double dots[kLanes];
+      _mm256_store_pd(dots, s);
+      for (std::size_t t = 0; t < kLanes; ++t) {
+        acc += vals[k + 1 - kLanes + t] * dots[t];
+      }
+      pending = 0;
+    }
+    SignStep<kVecs>(vals[k], x, an, ap);
+  }
+  for (std::size_t t = 0; t < pending; ++t) {
+    double dot = SumLanes(lanes[t]);
+    for (std::size_t j = tail0; j < n; ++j) dot += bi[j] * rows[t][j];
+    acc += vals[ke - pending + t] * dot;
+  }
+  const Vec sv = _mm256_set1_pd(scale);
+  for (std::size_t q = 0; q < kVecs; ++q) {
+    an[q] = _mm256_mul_pd(an[q], sv);
+    ap[q] = _mm256_mul_pd(ap[q], sv);
+  }
+  StoreStrip<kVecs>(neg, tail, an);
+  StoreStrip<kVecs>(pos, tail, ap);
+  return acc;
+}
+
+/// Rows [r0, r1) through SandwichSignStrip, one acc chain across them.
+template <std::size_t kVecs>
+double SandwichSignStripRows(const std::size_t* offsets,
+                             const std::size_t* idx, const double* vals,
+                             std::size_t r0, std::size_t r1, const double* b,
+                             std::size_t ldb, std::size_t n, double scale,
+                             double* neg, double* pos, std::size_t ldc,
+                             __m256i tail) {
+  double acc = 0.0;
+  for (std::size_t i = r0; i < r1; ++i) {
+    acc = SandwichSignStrip<kVecs>(idx, vals, offsets[i], offsets[i + 1], b,
+                                   ldb, b + i * ldb, n, scale, neg + i * ldc,
+                                   pos + i * ldc, tail, acc);
+  }
+  return acc;
+}
+
+double SandwichSignRows(const std::size_t* offsets, const std::size_t* idx,
+                        const double* vals, std::size_t r0, std::size_t r1,
+                        const double* b, std::size_t ldb, std::size_t n,
+                        double scale, double* neg, double* pos,
+                        std::size_t ldc) {
+  if (n == 0 || n > kSignStrip) {
+    // Rows wider than one strip: the dots, then the strips, in two passes.
+    double acc = 0.0;
+    double dots[kLanes];
+    for (std::size_t i = r0; i < r1; ++i) {
+      for (std::size_t k = offsets[i]; k < offsets[i + 1]; k += kLanes) {
+        const std::size_t len =
+            offsets[i + 1] - k < kLanes ? offsets[i + 1] - k : kLanes;
+        DotRows(b + i * ldb, b, ldb, idx + k, len, n, dots);
+        for (std::size_t t = 0; t < len; ++t) acc += vals[k + t] * dots[t];
+      }
+    }
+    SpmmSignRows(offsets, idx, vals, r0, r1, b, ldb, n, neg, pos, ldc);
+    for (std::size_t i = r0; i < r1; ++i) {
+      Scale(neg + i * ldc, scale, n);
+      Scale(pos + i * ldc, scale, n);
+    }
+    return acc;
+  }
+  const std::size_t vecs = (n + kLanes - 1) / kLanes;
+  const __m256i tail = StripTail(n, vecs);
+  auto rows = [&](auto strip_rows) {
+    return strip_rows(offsets, idx, vals, r0, r1, b, ldb, n, scale, neg, pos,
+                      ldc, tail);
+  };
+  switch (vecs) {
+    case 1: return rows(SandwichSignStripRows<1>);
+    case 2: return rows(SandwichSignStripRows<2>);
+    case 3: return rows(SandwichSignStripRows<3>);
+    default: return rows(SandwichSignStripRows<kSignStripVecs>);
   }
 }
 
@@ -519,7 +762,8 @@ constexpr KernelTable kAvx2Table = {
     "avx2",       Isa::kAvx2,  kLanes,   kMr,        kNr,
     Axpy,         Dot,         DotRows,  DotSparse,  SquaredDistance,
     Add,          Sub,         Scale,    PackB,      PackA,
-    GemmPacked,   SpmmRows,    SpmmSignRows,         SpgDirectionRow,
+    GemmPacked,   SpmmRows,    SpmmSignRows,         SandwichSignRows,
+    SpgDirectionRow,
 };
 
 }  // namespace

@@ -19,6 +19,10 @@
 // The CSR row kernel holds a strip of up to 32 output columns (four zmm
 // accumulators, the last one masked) across a row's whole nonzero list
 // and stores it once; masked-off lanes are computed but never stored.
+// Rows of at most 16 columns go four at a time, each with its own
+// accumulators. The Laplacian walk feeds each neighbour row's registers
+// to both the sign strips and dot's two lane accumulators, and sums
+// eight dots' lanes at once.
 //
 // The SPG direction row compacts the nonzeros of each 8-entry block with
 // vcompresspd / vpcompressq into a register stored whole (masked in the tail).
@@ -120,9 +124,46 @@ double DotSparse(const std::size_t* idx, const double* vals,
       _mm512_add_pd(_mm512_load_pd(acc), _mm512_load_pd(acc + kLanes)));
 }
 
-/// Eight dots at a time: their lane vectors are transposed so that vector
-/// lane q carries dot q's lanes, and the in-order sum l0 + l1 + … + l7 of
-/// SumLanes runs for all eight at once — Dot's exact chain.
+/// In-order lane sums of eight lane vectors at once: lane q of the result
+/// is SumLanes(v[q]). The vectors are transposed so that register l
+/// carries every vector's lane l, and the chain l0 + l1 + … + l7 runs for
+/// all eight side by side.
+Vec SumLanes8(const Vec* v) {
+  // 8 x 8 transpose: unpack pairs, then regroup 128-bit blocks twice.
+  // (The maskz forms with a full mask are the plain instructions; GCC's
+  // unmasked intrinsics trip -Wmaybe-uninitialized on their internal
+  // undefined source.)
+  constexpr __mmask8 kAll = 0xFF;
+  Vec u[kLanes], w[kLanes];
+  for (std::size_t q = 0; q < kLanes; q += 2) {
+    u[q] = _mm512_maskz_unpacklo_pd(kAll, v[q], v[q + 1]);      // 0,2,4,6
+    u[q + 1] = _mm512_maskz_unpackhi_pd(kAll, v[q], v[q + 1]);  // 1,3,5,7
+  }
+  for (std::size_t h = 0; h < kLanes; h += 4) {
+    w[h + 0] = _mm512_maskz_shuffle_f64x2(kAll, u[h], u[h + 2], 0x88);
+    w[h + 1] = _mm512_maskz_shuffle_f64x2(kAll, u[h], u[h + 2], 0xDD);
+    w[h + 2] = _mm512_maskz_shuffle_f64x2(kAll, u[h + 1], u[h + 3], 0x88);
+    w[h + 3] = _mm512_maskz_shuffle_f64x2(kAll, u[h + 1], u[h + 3], 0xDD);
+  }
+  // col<l>: lane q = v[q][l].
+  const Vec col0 = _mm512_maskz_shuffle_f64x2(kAll, w[0], w[4], 0x88);
+  const Vec col4 = _mm512_maskz_shuffle_f64x2(kAll, w[0], w[4], 0xDD);
+  const Vec col2 = _mm512_maskz_shuffle_f64x2(kAll, w[1], w[5], 0x88);
+  const Vec col6 = _mm512_maskz_shuffle_f64x2(kAll, w[1], w[5], 0xDD);
+  const Vec col1 = _mm512_maskz_shuffle_f64x2(kAll, w[2], w[6], 0x88);
+  const Vec col5 = _mm512_maskz_shuffle_f64x2(kAll, w[2], w[6], 0xDD);
+  const Vec col3 = _mm512_maskz_shuffle_f64x2(kAll, w[3], w[7], 0x88);
+  const Vec col7 = _mm512_maskz_shuffle_f64x2(kAll, w[3], w[7], 0xDD);
+  Vec s = _mm512_add_pd(col0, col1);
+  s = _mm512_add_pd(s, col2);
+  s = _mm512_add_pd(s, col3);
+  s = _mm512_add_pd(s, col4);
+  s = _mm512_add_pd(s, col5);
+  s = _mm512_add_pd(s, col6);
+  return _mm512_add_pd(s, col7);
+}
+
+/// Eight dots at a time through SumLanes8 — Dot's exact chain.
 void DotRows(const double* a, const double* b, std::size_t ldb,
              const std::size_t* idx, std::size_t count, std::size_t n,
              double* out) {
@@ -132,39 +173,7 @@ void DotRows(const double* a, const double* b, std::size_t ldb,
     for (std::size_t q = 0; q < kLanes; ++q) {
       v[q] = DotLanes(a, b + (idx != nullptr ? idx[t + q] : t + q) * ldb, n);
     }
-    // 8 x 8 transpose: unpack pairs, then regroup 128-bit blocks twice.
-    // (The maskz forms with a full mask are the plain instructions; GCC's
-    // unmasked intrinsics trip -Wmaybe-uninitialized on their internal
-    // undefined source.)
-    constexpr __mmask8 kAll = 0xFF;
-    Vec u[kLanes], w[kLanes];
-    for (std::size_t q = 0; q < kLanes; q += 2) {
-      u[q] = _mm512_maskz_unpacklo_pd(kAll, v[q], v[q + 1]);  // lanes 0,2,4,6
-      u[q + 1] = _mm512_maskz_unpackhi_pd(kAll, v[q], v[q + 1]);  // 1,3,5,7
-    }
-    for (std::size_t h = 0; h < kLanes; h += 4) {
-      w[h + 0] = _mm512_maskz_shuffle_f64x2(kAll, u[h], u[h + 2], 0x88);
-      w[h + 1] = _mm512_maskz_shuffle_f64x2(kAll, u[h], u[h + 2], 0xDD);
-      w[h + 2] = _mm512_maskz_shuffle_f64x2(kAll, u[h + 1], u[h + 3], 0x88);
-      w[h + 3] = _mm512_maskz_shuffle_f64x2(kAll, u[h + 1], u[h + 3], 0xDD);
-    }
-    // col<l>: lane q = v[q][l].
-    const Vec col0 = _mm512_maskz_shuffle_f64x2(kAll, w[0], w[4], 0x88);
-    const Vec col4 = _mm512_maskz_shuffle_f64x2(kAll, w[0], w[4], 0xDD);
-    const Vec col2 = _mm512_maskz_shuffle_f64x2(kAll, w[1], w[5], 0x88);
-    const Vec col6 = _mm512_maskz_shuffle_f64x2(kAll, w[1], w[5], 0xDD);
-    const Vec col1 = _mm512_maskz_shuffle_f64x2(kAll, w[2], w[6], 0x88);
-    const Vec col5 = _mm512_maskz_shuffle_f64x2(kAll, w[2], w[6], 0xDD);
-    const Vec col3 = _mm512_maskz_shuffle_f64x2(kAll, w[3], w[7], 0x88);
-    const Vec col7 = _mm512_maskz_shuffle_f64x2(kAll, w[3], w[7], 0xDD);
-    Vec s = _mm512_add_pd(col0, col1);
-    s = _mm512_add_pd(s, col2);
-    s = _mm512_add_pd(s, col3);
-    s = _mm512_add_pd(s, col4);
-    s = _mm512_add_pd(s, col5);
-    s = _mm512_add_pd(s, col6);
-    s = _mm512_add_pd(s, col7);
-    _mm512_storeu_pd(out + t, s);
+    _mm512_storeu_pd(out + t, SumLanes8(v));
   }
   for (; t < count; ++t) {
     out[t] = Dot(a, b + (idx != nullptr ? idx[t] : t) * ldb, n);
@@ -332,6 +341,35 @@ void GemmPacked(const double* packa, const double* packb, std::size_t mrows,
 constexpr std::size_t kStripVecs = 4;
 constexpr std::size_t kStrip = kStripVecs * kLanes;
 
+/// Rows of a narrow group. A strip of at most kGroupVecs registers per
+/// row (and sign) is short enough that one row's add chains, not the
+/// FP ports, bound it, so kGroupRows rows advance side by side.
+constexpr std::size_t kGroupRows = 4;
+constexpr std::size_t kGroupVecs = 2;
+
+/// acc + (v·x): the unfused multiply and add Axpy performs.
+Vec MulAdd(Vec acc, Vec v, Vec x) {
+  return _mm512_add_pd(acc, _mm512_mul_pd(v, x));
+}
+
+/// Loads the kVecs registers of a strip, the last through `tail`.
+template <std::size_t kVecs>
+void LoadStrip(const double* p, __mmask8 tail, Vec* x) {
+  for (std::size_t q = 0; q + 1 < kVecs; ++q) {
+    x[q] = _mm512_loadu_pd(p + q * kLanes);
+  }
+  x[kVecs - 1] = _mm512_maskz_loadu_pd(tail, p + (kVecs - 1) * kLanes);
+}
+
+/// Stores the kVecs registers of a strip, the last through `tail`.
+template <std::size_t kVecs>
+void StoreStrip(double* p, __mmask8 tail, const Vec* x) {
+  for (std::size_t q = 0; q + 1 < kVecs; ++q) {
+    _mm512_storeu_pd(p + q * kLanes, x[q]);
+  }
+  _mm512_mask_storeu_pd(p + (kVecs - 1) * kLanes, tail, x[kVecs - 1]);
+}
+
 /// One row strip of kVecs registers, the last covering the lanes in
 /// `tail`: acc = +0.0, then acc + (v·B[idx[k]]) per nonzero — the unfused
 /// multiply and add Axpy performs, in the same order.
@@ -343,35 +381,128 @@ void SpmmStrip(const std::size_t* idx, const double* vals, std::size_t kb,
   for (std::size_t q = 0; q < kVecs; ++q) acc[q] = _mm512_setzero_pd();
   for (std::size_t k = kb; k < ke; ++k) {
     const Vec v = _mm512_set1_pd(vals[k]);
-    const double* bk = b + idx[k] * ldb;
-    for (std::size_t q = 0; q + 1 < kVecs; ++q) {
-      acc[q] = _mm512_add_pd(
-          acc[q], _mm512_mul_pd(v, _mm512_loadu_pd(bk + q * kLanes)));
-    }
-    constexpr std::size_t kLast = kVecs - 1;
-    acc[kLast] = _mm512_add_pd(
-        acc[kLast],
-        _mm512_mul_pd(v, _mm512_maskz_loadu_pd(tail, bk + kLast * kLanes)));
+    Vec x[kVecs];
+    LoadStrip<kVecs>(b + idx[k] * ldb, tail, x);
+    for (std::size_t q = 0; q < kVecs; ++q) acc[q] = MulAdd(acc[q], v, x[q]);
   }
-  for (std::size_t q = 0; q + 1 < kVecs; ++q) {
-    _mm512_storeu_pd(c + q * kLanes, acc[q]);
+  StoreStrip<kVecs>(c, tail, acc);
+}
+
+/// The accumulators of one narrow row strip (kVecs <= 2 registers; hi
+/// is unused when kVecs == 1). Four of them live in named variables so
+/// that they stay in registers.
+struct NarrowAcc {
+  Vec lo = _mm512_setzero_pd();
+  Vec hi = _mm512_setzero_pd();
+};
+
+/// The rows [offsets[i], offsets[i + 4]) of a narrow group, as spans.
+struct GroupRows {
+  std::size_t kb[kGroupRows + 1];
+  std::size_t common;  ///< The shortest row's length.
+};
+
+GroupRows MakeGroupRows(const std::size_t* offsets, std::size_t i) {
+  GroupRows g;
+  g.common = offsets[i + 1] - offsets[i];
+  for (std::size_t r = 0; r <= kGroupRows; ++r) g.kb[r] = offsets[i + r];
+  for (std::size_t r = 1; r < kGroupRows; ++r) {
+    const std::size_t len = g.kb[r + 1] - g.kb[r];
+    g.common = len < g.common ? len : g.common;
   }
-  _mm512_mask_storeu_pd(c + (kVecs - 1) * kLanes, tail, acc[kVecs - 1]);
+  return g;
+}
+
+/// Loads a narrow strip's registers, the last through `tail`.
+template <std::size_t kVecs>
+NarrowAcc LoadNarrow(const double* p, __mmask8 tail) {
+  NarrowAcc x;
+  if constexpr (kVecs == 1) {
+    x.lo = _mm512_maskz_loadu_pd(tail, p);
+  } else {
+    x.lo = _mm512_loadu_pd(p);
+    x.hi = _mm512_maskz_loadu_pd(tail, p + kLanes);
+  }
+  return x;
+}
+
+template <std::size_t kVecs>
+void StoreNarrow(double* p, __mmask8 tail, const NarrowAcc& x) {
+  if constexpr (kVecs == 1) {
+    _mm512_mask_storeu_pd(p, tail, x.lo);
+  } else {
+    _mm512_storeu_pd(p, x.lo);
+    _mm512_mask_storeu_pd(p + kLanes, tail, x.hi);
+  }
+}
+
+/// acc + (v·x) on each register of a narrow strip.
+template <std::size_t kVecs>
+void NarrowMulAdd(NarrowAcc& acc, Vec v, const NarrowAcc& x) {
+  acc.lo = MulAdd(acc.lo, v, x.lo);
+  if constexpr (kVecs == 2) acc.hi = MulAdd(acc.hi, v, x.hi);
+}
+
+/// One nonzero of a narrow strip.
+template <std::size_t kVecs>
+void NarrowStep(NarrowAcc& acc, double v, const double* bk, __mmask8 tail) {
+  NarrowMulAdd<kVecs>(acc, _mm512_set1_pd(v), LoadNarrow<kVecs>(bk, tail));
+}
+
+/// SpmmStrip on rows i .. i+3 at once (kVecs <= kGroupVecs): each row
+/// keeps its own accumulators and its own chain, so each row is exactly
+/// SpmmStrip's. The rows step together over their common length, then
+/// each finishes alone.
+template <std::size_t kVecs>
+void SpmmStrip4(const std::size_t* offsets, const std::size_t* idx,
+                const double* vals, std::size_t i, const double* b,
+                std::size_t ldb, double* c, std::size_t ldc, __mmask8 tail) {
+  const GroupRows g = MakeGroupRows(offsets, i);
+  NarrowAcc a0, a1, a2, a3;
+  auto step = [&](NarrowAcc& acc, std::size_t k) {
+    NarrowStep<kVecs>(acc, vals[k], b + idx[k] * ldb, tail);
+  };
+  for (std::size_t t = 0; t < g.common; ++t) {
+    step(a0, g.kb[0] + t);
+    step(a1, g.kb[1] + t);
+    step(a2, g.kb[2] + t);
+    step(a3, g.kb[3] + t);
+  }
+  for (std::size_t k = g.kb[0] + g.common; k < g.kb[1]; ++k) step(a0, k);
+  for (std::size_t k = g.kb[1] + g.common; k < g.kb[2]; ++k) step(a1, k);
+  for (std::size_t k = g.kb[2] + g.common; k < g.kb[3]; ++k) step(a2, k);
+  for (std::size_t k = g.kb[3] + g.common; k < g.kb[4]; ++k) step(a3, k);
+  StoreNarrow<kVecs>(c + i * ldc, tail, a0);
+  StoreNarrow<kVecs>(c + (i + 1) * ldc, tail, a1);
+  StoreNarrow<kVecs>(c + (i + 2) * ldc, tail, a2);
+  StoreNarrow<kVecs>(c + (i + 3) * ldc, tail, a3);
 }
 
 void SpmmRows(const std::size_t* offsets, const std::size_t* idx,
               const double* vals, std::size_t r0, std::size_t r1,
               const double* b, std::size_t ldb, std::size_t n, double* c,
               std::size_t ldc) {
-  for (std::size_t i = r0; i < r1; ++i) {
+  std::size_t i = r0;
+  if (n > 0 && n <= kGroupVecs * kLanes) {
+    // One narrow strip: rows in groups of four.
+    const std::size_t vecs = (n + kLanes - 1) / kLanes;
+    const __mmask8 tail = TailMask(n - (vecs - 1) * kLanes);
+    for (; i + kGroupRows <= r1; i += kGroupRows) {
+      if (vecs == 1) {
+        SpmmStrip4<1>(offsets, idx, vals, i, b, ldb, c, ldc, tail);
+      } else {
+        SpmmStrip4<kGroupVecs>(offsets, idx, vals, i, b, ldb, c, ldc, tail);
+      }
+    }
+  }
+  for (; i < r1; ++i) {
     const std::size_t kb = offsets[i], ke = offsets[i + 1];
-    double* ci = c + i * ldc;
     for (std::size_t j0 = 0; j0 < n; j0 += kStrip) {
       const std::size_t w = n - j0 < kStrip ? n - j0 : kStrip;
       const std::size_t vecs = (w + kLanes - 1) / kLanes;
       const __mmask8 tail = TailMask(w - (vecs - 1) * kLanes);
       const double* bs = b + j0;
-      double* cs = ci + j0;
+      double* cs = c + i * ldc + j0;
       switch (vecs) {
         case 1: SpmmStrip<1>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
         case 2: SpmmStrip<2>(idx, vals, kb, ke, bs, ldb, cs, tail); break;
@@ -384,47 +515,36 @@ void SpmmRows(const std::size_t* offsets, const std::size_t* idx,
   }
 }
 
-/// SpmmStrip with one accumulator set per sign: a negative entry adds
-/// (−v)·B[idx[k]] to `an`, a positive one v·B[idx[k]] to `ap`.
+/// The sign-split step of one nonzero: a negative entry adds (−v)·x to
+/// `an`, a positive one v·x to `ap`; zero and NaN entries add nothing.
+template <std::size_t kVecs>
+void SignStep(double v, const Vec* x, Vec* an, Vec* ap) {
+  if (v < 0.0) {
+    const Vec w = _mm512_set1_pd(-v);
+    for (std::size_t q = 0; q < kVecs; ++q) an[q] = MulAdd(an[q], w, x[q]);
+  } else if (v > 0.0) {
+    const Vec w = _mm512_set1_pd(v);
+    for (std::size_t q = 0; q < kVecs; ++q) ap[q] = MulAdd(ap[q], w, x[q]);
+  }
+}
+
+/// SpmmStrip with one accumulator set per sign.
 template <std::size_t kVecs>
 void SpmmSignStrip(const std::size_t* idx, const double* vals, std::size_t kb,
                    std::size_t ke, const double* b, std::size_t ldb,
                    double* neg, double* pos, __mmask8 tail) {
-  constexpr std::size_t kLast = kVecs - 1;
   Vec an[kVecs], ap[kVecs];
   for (std::size_t q = 0; q < kVecs; ++q) {
     an[q] = _mm512_setzero_pd();
     ap[q] = _mm512_setzero_pd();
   }
   for (std::size_t k = kb; k < ke; ++k) {
-    const double v = vals[k];
-    const double* bk = b + idx[k] * ldb;
-    if (v < 0.0) {
-      const Vec w = _mm512_set1_pd(-v);
-      for (std::size_t q = 0; q < kLast; ++q) {
-        an[q] = _mm512_add_pd(
-            an[q], _mm512_mul_pd(w, _mm512_loadu_pd(bk + q * kLanes)));
-      }
-      an[kLast] = _mm512_add_pd(
-          an[kLast],
-          _mm512_mul_pd(w, _mm512_maskz_loadu_pd(tail, bk + kLast * kLanes)));
-    } else if (v > 0.0) {
-      const Vec w = _mm512_set1_pd(v);
-      for (std::size_t q = 0; q < kLast; ++q) {
-        ap[q] = _mm512_add_pd(
-            ap[q], _mm512_mul_pd(w, _mm512_loadu_pd(bk + q * kLanes)));
-      }
-      ap[kLast] = _mm512_add_pd(
-          ap[kLast],
-          _mm512_mul_pd(w, _mm512_maskz_loadu_pd(tail, bk + kLast * kLanes)));
-    }
+    Vec x[kVecs];
+    LoadStrip<kVecs>(b + idx[k] * ldb, tail, x);
+    SignStep<kVecs>(vals[k], x, an, ap);
   }
-  for (std::size_t q = 0; q < kLast; ++q) {
-    _mm512_storeu_pd(neg + q * kLanes, an[q]);
-    _mm512_storeu_pd(pos + q * kLanes, ap[q]);
-  }
-  _mm512_mask_storeu_pd(neg + kLast * kLanes, tail, an[kLast]);
-  _mm512_mask_storeu_pd(pos + kLast * kLanes, tail, ap[kLast]);
+  StoreStrip<kVecs>(neg, tail, an);
+  StoreStrip<kVecs>(pos, tail, ap);
 }
 
 void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
@@ -455,6 +575,124 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
           break;
       }
     }
+  }
+}
+
+/// One Laplacian row of width n <= kStrip (kVecs registers) in one pass
+/// over its nonzeros. Each neighbour row x = B[idx[k]] is loaded once and
+/// feeds both SignStep and Dot's lane accumulators against the row's own
+/// B[i] (DotLanes' rule: a full register q into acc[q % 2], a masked
+/// tail — kPartial — into acc1, each chain ascending). Eight lane
+/// vectors at a time are summed by SumLanes8, the rest by SumLanes; each
+/// dot then enters `acc` as acc + vals[k]·dot, in ascending k. The sign
+/// sums are stored times `scale`, as Scale would.
+template <std::size_t kVecs, bool kPartial>
+double SandwichSignStrip(const std::size_t* idx, const double* vals,
+                         std::size_t kb, std::size_t ke, const double* b,
+                         std::size_t ldb, const double* bi, double scale,
+                         double* neg, double* pos, __mmask8 tail,
+                         double acc) {
+  Vec gi[kVecs], an[kVecs], ap[kVecs];
+  LoadStrip<kVecs>(bi, tail, gi);
+  for (std::size_t q = 0; q < kVecs; ++q) {
+    an[q] = _mm512_setzero_pd();
+    ap[q] = _mm512_setzero_pd();
+  }
+  Vec lanes[kLanes];
+  std::size_t pending = 0;
+  for (std::size_t k = kb; k < ke; ++k) {
+    Vec x[kVecs];
+    LoadStrip<kVecs>(b + idx[k] * ldb, tail, x);
+    Vec d0 = _mm512_setzero_pd(), d1 = _mm512_setzero_pd();
+    for (std::size_t q = 0; q < kVecs; ++q) {
+      if (q % 2 == 1 || (kPartial && q + 1 == kVecs)) {
+        d1 = _mm512_fmadd_pd(gi[q], x[q], d1);
+      } else {
+        d0 = _mm512_fmadd_pd(gi[q], x[q], d0);
+      }
+    }
+    lanes[pending] = _mm512_add_pd(d0, d1);
+    if (++pending == kLanes) {
+      alignas(64) double dots[kLanes];
+      _mm512_store_pd(dots, SumLanes8(lanes));
+      for (std::size_t t = 0; t < kLanes; ++t) {
+        acc += vals[k + 1 - kLanes + t] * dots[t];
+      }
+      pending = 0;
+    }
+    SignStep<kVecs>(vals[k], x, an, ap);
+  }
+  for (std::size_t t = 0; t < pending; ++t) {
+    acc += vals[ke - pending + t] * SumLanes(lanes[t]);
+  }
+  const Vec sv = _mm512_set1_pd(scale);
+  for (std::size_t q = 0; q < kVecs; ++q) {
+    an[q] = _mm512_mul_pd(an[q], sv);
+    ap[q] = _mm512_mul_pd(ap[q], sv);
+  }
+  StoreStrip<kVecs>(neg, tail, an);
+  StoreStrip<kVecs>(pos, tail, ap);
+  return acc;
+}
+
+/// Rows [r0, r1) through SandwichSignStrip, one acc chain across them.
+template <std::size_t kVecs>
+double SandwichSignStripRows(bool partial, const std::size_t* offsets,
+                             const std::size_t* idx, const double* vals,
+                             std::size_t r0, std::size_t r1, const double* b,
+                             std::size_t ldb, double scale, double* neg,
+                             double* pos, std::size_t ldc, __mmask8 tail) {
+  auto strip = partial ? SandwichSignStrip<kVecs, true>
+                       : SandwichSignStrip<kVecs, false>;
+  double acc = 0.0;
+  for (std::size_t i = r0; i < r1; ++i) {
+    acc = strip(idx, vals, offsets[i], offsets[i + 1], b, ldb, b + i * ldb,
+                scale, neg + i * ldc, pos + i * ldc, tail, acc);
+  }
+  return acc;
+}
+
+double SandwichSignRows(const std::size_t* offsets, const std::size_t* idx,
+                        const double* vals, std::size_t r0, std::size_t r1,
+                        const double* b, std::size_t ldb, std::size_t n,
+                        double scale, double* neg, double* pos,
+                        std::size_t ldc) {
+  if (n == 0 || n > kStrip) {
+    // Rows wider than one strip: the dots, then the strips, in two passes.
+    double acc = 0.0;
+    double dots[kLanes];
+    for (std::size_t i = r0; i < r1; ++i) {
+      for (std::size_t k = offsets[i]; k < offsets[i + 1]; k += kLanes) {
+        const std::size_t len =
+            offsets[i + 1] - k < kLanes ? offsets[i + 1] - k : kLanes;
+        DotRows(b + i * ldb, b, ldb, idx + k, len, n, dots);
+        for (std::size_t t = 0; t < len; ++t) acc += vals[k + t] * dots[t];
+      }
+    }
+    SpmmSignRows(offsets, idx, vals, r0, r1, b, ldb, n, neg, pos, ldc);
+    for (std::size_t i = r0; i < r1; ++i) {
+      Scale(neg + i * ldc, scale, n);
+      Scale(pos + i * ldc, scale, n);
+    }
+    return acc;
+  }
+  const std::size_t vecs = (n + kLanes - 1) / kLanes;
+  const __mmask8 tail = TailMask(n - (vecs - 1) * kLanes);
+  const bool partial = n % kLanes != 0;
+  switch (vecs) {
+    case 1:
+      return SandwichSignStripRows<1>(partial, offsets, idx, vals, r0, r1, b,
+                                      ldb, scale, neg, pos, ldc, tail);
+    case 2:
+      return SandwichSignStripRows<2>(partial, offsets, idx, vals, r0, r1, b,
+                                      ldb, scale, neg, pos, ldc, tail);
+    case 3:
+      return SandwichSignStripRows<3>(partial, offsets, idx, vals, r0, r1, b,
+                                      ldb, scale, neg, pos, ldc, tail);
+    default:
+      return SandwichSignStripRows<kStripVecs>(partial, offsets, idx, vals,
+                                               r0, r1, b, ldb, scale, neg,
+                                               pos, ldc, tail);
   }
 }
 
@@ -530,7 +768,8 @@ constexpr KernelTable kAvx512Table = {
     "avx512",     Isa::kAvx512, kLanes,   kMr,        kNr,
     Axpy,         Dot,          DotRows,  DotSparse,  SquaredDistance,
     Add,          Sub,          Scale,    PackB,      PackA,
-    GemmPacked,   SpmmRows,     SpmmSignRows,         SpgDirectionRow,
+    GemmPacked,   SpmmRows,     SpmmSignRows,         SandwichSignRows,
+    SpgDirectionRow,
 };
 
 }  // namespace

@@ -156,6 +156,25 @@ void SpmmSignRows(const std::size_t* offsets, const std::size_t* idx,
   }
 }
 
+double SandwichSignRows(const std::size_t* offsets, const std::size_t* idx,
+                        const double* vals, std::size_t r0, std::size_t r1,
+                        const double* b, std::size_t ldb, std::size_t n,
+                        double scale, double* neg, double* pos,
+                        std::size_t ldc) {
+  double acc = 0.0;
+  for (std::size_t i = r0; i < r1; ++i) {
+    for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      acc += vals[k] * Dot(b + i * ldb, b + idx[k] * ldb, n);
+    }
+  }
+  SpmmSignRows(offsets, idx, vals, r0, r1, b, ldb, n, neg, pos, ldc);
+  for (std::size_t i = r0; i < r1; ++i) {
+    Scale(neg + i * ldc, scale, n);
+    Scale(pos + i * ldc, scale, n);
+  }
+  return acc;
+}
+
 std::size_t SpgDirectionRow(const double* w, const double* wq,
                             const double* q, const double* cs,
                             double two_gamma, double step,
@@ -196,7 +215,8 @@ constexpr KernelTable kScalarTable = {
     "scalar",     Isa::kScalar, /*lanes=*/1, kMr,        kNr,
     Axpy,         Dot,          DotRows,     DotSparse,  SquaredDistance,
     Add,          Sub,          Scale,       PackB,      PackA,
-    GemmPacked,   SpmmRows,     SpmmSignRows,            SpgDirectionRow,
+    GemmPacked,   SpmmRows,     SpmmSignRows,            SandwichSignRows,
+    SpgDirectionRow,
 };
 
 }  // namespace

@@ -28,7 +28,8 @@ struct Triplet {
 
 /// CSR matrix. FromTriplets sums duplicates and drops explicit zeros;
 /// FromCsr adopts validated arrays as given; FromRows writes the rows a
-/// caller's row rule emits. The structure is fixed after construction;
+/// caller's row rule emits, FromRowRanges those of a row-range rule. The
+/// structure is fixed after construction;
 /// the only mutators are value-level (Scale, ReplaceNonFinite). Copies
 /// and moves are plain member-wise ones.
 ///
@@ -72,6 +73,20 @@ class SparseMatrix {
   static SparseMatrix FromRows(std::size_t rows, std::size_t cols,
                                std::size_t work_per_row,
                                const EmitRow& emit_row);
+
+  /// FromRows for sources read fastest a range of rows at a time.
+  /// `count(r0, r1, n)` stores the entry count of each row i in [r0, r1)
+  /// at n[i]. Once the offsets are laid out, `fill(r0, r1, at, col, val)`
+  /// writes each row i's entries to col[at[i]] and val[at[i]] onwards,
+  /// columns strictly ascending and < cols, advancing at[i] past each
+  /// one; every row must end exactly where its count said. Both rules run
+  /// on disjoint chunks of `grain` rows, concurrently. Each row's slots
+  /// belong to the chunk that holds the row, so the result is the same for
+  /// any pool size. Rows are not validated.
+  template <typename CountRows, typename FillRows>
+  static SparseMatrix FromRowRanges(std::size_t rows, std::size_t cols,
+                                    std::size_t grain, const CountRows& count,
+                                    const FillRows& fill);
 
   /// Converts a dense matrix, dropping zeros and entries with
   /// |v| <= prune_tol; row-parallel.
@@ -128,36 +143,51 @@ class SparseMatrix {
   std::vector<double> values_;         // size nnz
 };
 
-template <typename EmitRow>
-SparseMatrix SparseMatrix::FromRows(std::size_t rows, std::size_t cols,
-                                    std::size_t work_per_row,
-                                    const EmitRow& emit_row) {
-  const std::size_t grain = util::GrainForWork(work_per_row);
+template <typename CountRows, typename FillRows>
+SparseMatrix SparseMatrix::FromRowRanges(std::size_t rows, std::size_t cols,
+                                         std::size_t grain,
+                                         const CountRows& count,
+                                         const FillRows& fill) {
   SparseMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;
   m.row_ptr_.assign(rows + 1, 0);
   util::ParallelFor(0, rows, grain, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      std::size_t count = 0;
-      emit_row(i, [&count](std::size_t, double) { ++count; });
-      m.row_ptr_[i + 1] = count;
-    }
+    count(r0, r1, m.row_ptr_.data() + 1);
   });
   for (std::size_t i = 0; i < rows; ++i) m.row_ptr_[i + 1] += m.row_ptr_[i];
   m.cols_idx_.resize(m.row_ptr_[rows]);
   m.values_.resize(m.row_ptr_[rows]);
+  std::vector<std::size_t> at(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
   util::ParallelFor(0, rows, grain, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      std::size_t at = m.row_ptr_[i];
-      emit_row(i, [&](std::size_t j, double v) {
-        m.cols_idx_[at] = j;
-        m.values_[at] = v;
-        ++at;
-      });
-    }
+    fill(r0, r1, at.data(), m.cols_idx_.data(), m.values_.data());
   });
   return m;
+}
+
+template <typename EmitRow>
+SparseMatrix SparseMatrix::FromRows(std::size_t rows, std::size_t cols,
+                                    std::size_t work_per_row,
+                                    const EmitRow& emit_row) {
+  return FromRowRanges(
+      rows, cols, util::GrainForWork(work_per_row),
+      [&](std::size_t r0, std::size_t r1, std::size_t* n) {
+        for (std::size_t i = r0; i < r1; ++i) {
+          std::size_t count = 0;
+          emit_row(i, [&count](std::size_t, double) { ++count; });
+          n[i] = count;
+        }
+      },
+      [&](std::size_t r0, std::size_t r1, std::size_t* at, std::size_t* col,
+          double* val) {
+        for (std::size_t i = r0; i < r1; ++i) {
+          emit_row(i, [&](std::size_t j, double v) {
+            col[at[i]] = j;
+            val[at[i]] = v;
+            ++at[i];
+          });
+        }
+      });
 }
 
 /// Entrywise positive part (|M| + M)/2 of a sparse matrix: keeps the

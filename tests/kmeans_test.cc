@@ -14,6 +14,7 @@
 
 #include "cluster/assignments.h"
 #include "la/simd.h"
+#include "scoped_num_threads.h"
 #include "util/rng.h"
 
 namespace rhchme {
@@ -262,6 +263,56 @@ TEST(KMeans, ValidationErrors) {
   opts.max_iterations = 10;
   opts.restarts = 0;
   EXPECT_FALSE(KMeans(pts, opts, &rng).ok());
+  opts.restarts = 1;
+  opts.tolerance = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(KMeans(pts, opts, &rng).ok());
+  opts.tolerance = -1e-6;
+  EXPECT_FALSE(KMeans(pts, opts, &rng).ok());
+  opts.tolerance = 0.0;
+  EXPECT_TRUE(KMeans(pts, opts, &rng).ok());
+}
+
+TEST(KMeans, DenseCentroidUpdateIsTheSerialRowLoopAtAnyPoolSize) {
+  // Dense points wide enough that the column-range update spans several
+  // chunks. A tolerance below any nonzero inertia change stops only on an
+  // unchanged inertia, so the returned centroids are the update of the
+  // returned assignments; they must be that update as the serial loop
+  // computes it (each column adds its rows in ascending order), bit for
+  // bit, and the same at pool sizes 1 and 4.
+  Rng data_rng(41);
+  const la::Matrix pts = la::Matrix::RandomNormal(300, 700, &data_rng);
+  KMeansOptions opts;
+  opts.k = 4;
+  opts.restarts = 1;
+  opts.tolerance = 1e-300;
+  std::vector<KMeansResult> results;
+  for (int threads : {1, 4}) {
+    ScopedNumThreads pool(threads);
+    Rng rng(42);
+    Result<KMeansResult> r = KMeans(pts, opts, &rng);
+    ASSERT_TRUE(r.ok());
+    results.push_back(std::move(r).value());
+  }
+  const KMeansResult& r = results[0];
+  ASSERT_LT(r.iterations, opts.max_iterations);
+  la::Matrix want(opts.k, pts.cols());
+  std::vector<std::size_t> count(opts.k, 0);
+  for (std::size_t i = 0; i < pts.rows(); ++i) {
+    double* cr = want.row_ptr(r.assignments[i]);
+    const double* pr = pts.row_ptr(i);
+    for (std::size_t j = 0; j < pts.cols(); ++j) cr[j] += pr[j];
+    ++count[r.assignments[i]];
+  }
+  for (std::size_t c = 0; c < opts.k; ++c) {
+    ASSERT_GT(count[c], 0u);
+    const double inv = 1.0 / static_cast<double>(count[c]);
+    for (std::size_t j = 0; j < pts.cols(); ++j) {
+      ASSERT_EQ(r.centroids(c, j), want(c, j) * inv) << c << "," << j;
+      ASSERT_EQ(results[1].centroids(c, j), r.centroids(c, j));
+    }
+  }
+  EXPECT_EQ(results[1].assignments, r.assignments);
+  EXPECT_EQ(results[1].inertia, r.inertia);
 }
 
 TEST(KMeans, ReseedOscillationTerminatesAndStaysConsistent) {

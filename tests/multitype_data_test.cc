@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "data/corruption.h"
 #include "data/synthetic.h"
@@ -262,6 +263,38 @@ TEST(JointRAssembly, NonFiniteEntriesAreKeptBitForBit) {
   o.seed = 33;
   const MultiTypeRelationalData poisoned = GenerateBlockWorld(o).value();
   ExpectSameCsr(poisoned.BuildJointRSparse(), TripletJointR(poisoned));
+}
+
+TEST(JointRAssembly, MissingRelationsAndAOneObjectTypeAtEveryPoolSize) {
+  // Four types, one of them a single object, two relations missing, and
+  // enough rows that the row chunks straddle type boundaries; explicit
+  // zeros, −0.0 and NaN/Inf sit in both the direct and the mirrored half.
+  const std::size_t counts[] = {1, 300, 170, 213};
+  MultiTypeRelationalData d;
+  for (std::size_t k = 0; k < 4; ++k) {
+    d.AddType({"t" + std::to_string(k), counts[k], 1, la::Matrix(), {}});
+  }
+  Rng rng(77);
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {0, 1}, {0, 3}, {1, 3}, {2, 3}};  // (0, 2) and (1, 2) are missing.
+  for (const auto& [k, l] : pairs) {
+    la::Matrix block(counts[k], counts[l]);
+    for (std::size_t i = 0; i < block.rows(); ++i) {
+      for (std::size_t j = 0; j < block.cols(); ++j) {
+        const double u = rng.Uniform();
+        block(i, j) = u < 0.5 ? 0.0 : u < 0.52 ? -0.0 : u;
+      }
+    }
+    block(0, block.cols() - 1) = std::numeric_limits<double>::quiet_NaN();
+    block(block.rows() - 1, 0) = -std::numeric_limits<double>::infinity();
+    ASSERT_TRUE(d.SetRelation(k, l, std::move(block)).ok());
+  }
+  const la::SparseMatrix want = TripletJointR(d);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ScopedNumThreads pool(threads);
+    ExpectSameCsr(d.BuildJointRSparse(), want);
+  }
 }
 
 TEST(JointRAssembly, BitIdenticalAcrossPoolSizes) {

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -284,22 +285,26 @@ struct SpmmCase {
   std::vector<double> vals, b;
 };
 
-SpmmCase MakeSpmmCase(std::size_t n, bool specials, uint64_t seed) {
+/// `rows` CSR rows over `brows` rows of B, each of 1..max_len nonzeros
+/// except the empty rows 2, 6 and every seventh row from 13.
+SpmmCase MakeSpmmCase(std::size_t n, bool specials, uint64_t seed,
+                      std::size_t rows = 9, std::size_t brows = 13,
+                      std::size_t max_len = 12) {
   const double kSpecial[] = {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(),
                              -std::numeric_limits<double>::infinity(), -0.0,
                              0.0};
   Rng rng(seed);
   SpmmCase sc;
-  sc.rows = 9;
-  sc.brows = 13;
+  sc.rows = rows;
+  sc.brows = brows;
   sc.n = n;
   sc.ldb = n + 3;  // Padded, and odd offsets misalign most rows.
   sc.ldc = n + 5;
   sc.offsets.push_back(0);
   for (std::size_t i = 0; i < sc.rows; ++i) {
-    // Rows 2 and 6 stay empty; the others hold 1..12 nonzeros.
-    const std::size_t len = (i == 2 || i == 6) ? 0 : 1 + rng.UniformInt(12);
+    const bool empty = i == 2 || i == 6 || (i >= 13 && i % 7 == 6);
+    const std::size_t len = empty ? 0 : 1 + rng.UniformInt(max_len);
     for (std::size_t k = 0; k < len; ++k) {
       sc.idx.push_back(rng.UniformInt(sc.brows));  // Repeats allowed.
       double v = rng.Uniform(-2.0, 2.0);
@@ -444,6 +449,130 @@ TEST(SimdSpmmRows, StartsFromPositiveZero) {
     for (double x : c) {
       EXPECT_EQ(x, 0.0) << t->name;
       EXPECT_FALSE(std::signbit(x)) << t->name;
+    }
+  }
+}
+
+// ---- Narrow row groups and the Laplacian walk -------------------------------
+
+/// spmm_sign_rows' contract on one row: a zeroed row per sign, then one
+/// scalar Axpy per strictly negative (negated) or positive nonzero.
+std::pair<std::vector<double>, std::vector<double>> ReferenceSignRow(
+    const SpmmCase& sc, std::size_t i) {
+  std::vector<double> neg(sc.n, 0.0), pos(sc.n, 0.0);
+  for (std::size_t k = sc.offsets[i]; k < sc.offsets[i + 1]; ++k) {
+    const double* bk = sc.b.data() + sc.idx[k] * sc.ldb;
+    if (sc.vals[k] < 0.0) {
+      simd::scalar::Axpy(-sc.vals[k], bk, neg.data(), sc.n);
+    } else if (sc.vals[k] > 0.0) {
+      simd::scalar::Axpy(sc.vals[k], bk, pos.data(), sc.n);
+    }
+  }
+  return {neg, pos};
+}
+
+/// Row ranges with r0 > 0 and lengths that are and are not multiples of
+/// the four-row group, over a 23-row case.
+const std::pair<std::size_t, std::size_t> kGroupRanges[] = {
+    {0, 23}, {1, 22}, {3, 10}, {5, 9}, {7, 8}, {4, 4}};
+
+TEST(SimdSpmmRows, NarrowRowGroupsAreTheAxpyChain) {
+  // Strips of 1..16 columns take spmm_rows' four-row groups where the
+  // table has them: rows of unequal length (0..40 nonzeros, empty rows
+  // inside groups) must each keep the zeroed-row Axpy chain, write only
+  // their own rows and columns, and keep NaN/±Inf/±0.0 as that chain
+  // does. spmm_sign_rows is checked on the same cases.
+  constexpr double kSentinel = -777.25;
+  for (const simd::KernelTable* t : RunnableTables()) {
+    for (bool specials : {false, true}) {
+      for (std::size_t n = 1; n <= 16; ++n) {
+        const SpmmCase sc = MakeSpmmCase(n, specials, 3000 + n, 23, 23, 40);
+        for (const auto& [r0, r1] : kGroupRanges) {
+          // lint:memstats-ok(small test outputs; ldc padding is the point)
+          std::vector<double> c(sc.rows * sc.ldc, kSentinel);
+          std::vector<double> neg = c, pos = c;
+          t->spmm_rows(sc.offsets.data(), sc.idx.data(), sc.vals.data(), r0,
+                       r1, sc.b.data(), sc.ldb, n, c.data(), sc.ldc);
+          t->spmm_sign_rows(sc.offsets.data(), sc.idx.data(), sc.vals.data(),
+                            r0, r1, sc.b.data(), sc.ldb, n, neg.data(),
+                            pos.data(), sc.ldc);
+          for (std::size_t i = 0; i < sc.rows; ++i) {
+            const bool live = i >= r0 && i < r1;
+            const std::vector<double> want =
+                live ? ReferenceRow(sc, i) : std::vector<double>();
+            const auto [wn, wp] =
+                live ? ReferenceSignRow(sc, i)
+                     : std::pair<std::vector<double>, std::vector<double>>();
+            for (std::size_t j = 0; j < sc.ldc; ++j) {
+              const std::size_t e = i * sc.ldc + j;
+              const bool cell = live && j < n;
+              ASSERT_TRUE(cell ? SameBits(c[e], want[j]) &&
+                                     SameBits(neg[e], wn[j]) &&
+                                     SameBits(pos[e], wp[j])
+                               : c[e] == kSentinel && neg[e] == kSentinel &&
+                                     pos[e] == kSentinel)
+                  << t->name << " specials=" << specials << " n=" << n
+                  << " rows [" << r0 << "," << r1 << ") at (" << i << ","
+                  << j << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdSandwichSignRows, OneWalkIsTheDotsPlusTheSignStripsPlusScale) {
+  // The fused walk against the three passes it replaced, on the same
+  // table: dot_rows batches added to a chain in CSR order, spmm_sign_rows
+  // and scale on each output row. Every width 1..40 covers c = 9, 24 and
+  // 30 and every strip, register and tail boundary; the walked row's own
+  // vector is B's row i.
+  constexpr double kSentinel = -777.25;
+  constexpr double kScale = 2.5;
+  for (const simd::KernelTable* t : RunnableTables()) {
+    for (bool specials : {false, true}) {
+      for (std::size_t n = 1; n <= 40; ++n) {
+        const SpmmCase sc = MakeSpmmCase(n, specials, 4000 + n, 23, 23, 40);
+        for (const auto& [r0, r1] : kGroupRanges) {
+          // lint:memstats-ok(small test outputs; ldc padding is the point)
+          std::vector<double> gn(sc.rows * sc.ldc, kSentinel), gp = gn;
+          std::vector<double> wn = gn, wp = gn;
+          const double got = t->sandwich_sign_rows(
+              sc.offsets.data(), sc.idx.data(), sc.vals.data(), r0, r1,
+              sc.b.data(), sc.ldb, n, kScale, gn.data(), gp.data(), sc.ldc);
+          double want = 0.0;
+          double dots[64];
+          for (std::size_t i = r0; i < r1; ++i) {
+            for (std::size_t k0 = sc.offsets[i]; k0 < sc.offsets[i + 1];
+                 k0 += 64) {
+              const std::size_t len =
+                  std::min<std::size_t>(64, sc.offsets[i + 1] - k0);
+              t->dot_rows(sc.b.data() + i * sc.ldb, sc.b.data(), sc.ldb,
+                          sc.idx.data() + k0, len, n, dots);
+              for (std::size_t q = 0; q < len; ++q) {
+                want += sc.vals[k0 + q] * dots[q];
+              }
+            }
+          }
+          t->spmm_sign_rows(sc.offsets.data(), sc.idx.data(), sc.vals.data(),
+                            r0, r1, sc.b.data(), sc.ldb, n, wn.data(),
+                            wp.data(), sc.ldc);
+          for (std::size_t i = r0; i < r1; ++i) {
+            t->scale(wn.data() + i * sc.ldc, kScale, n);
+            t->scale(wp.data() + i * sc.ldc, kScale, n);
+          }
+          ASSERT_TRUE(SameBits(got, want))
+              << t->name << " specials=" << specials << " n=" << n
+              << " rows [" << r0 << "," << r1 << "): " << got << " vs "
+              << want;
+          for (std::size_t e = 0; e < gn.size(); ++e) {
+            ASSERT_TRUE(SameBits(gn[e], wn[e]) && SameBits(gp[e], wp[e]))
+                << t->name << " specials=" << specials << " n=" << n
+                << " rows [" << r0 << "," << r1 << ") at flat " << e;
+          }
+        }
+      }
     }
   }
 }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <numeric>
 
 #include "matrix_oracles.h"
@@ -138,6 +140,43 @@ TEST(SyntheticCorpus, ValidationErrors) {
   o = SmallCorpus();
   o.doc_length_mean = 0.0;
   EXPECT_FALSE(GenerateSyntheticCorpus(o).ok());
+}
+
+TEST(SyntheticCorpus, NonFiniteOptionsAreRejectedNotAborted) {
+  // Each option once at NaN (and the Poisson means once at +inf and once
+  // negative): Validate must refuse it, so the generator returns an error
+  // instead of aborting in Rng::Poisson or casting inf to int.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  double SyntheticCorpusOptions::*const fields[] = {
+      &SyntheticCorpusOptions::doc_length_mean,
+      &SyntheticCorpusOptions::background_noise,
+      &SyntheticCorpusOptions::class_overlap,
+      &SyntheticCorpusOptions::concept_map_alignment,
+      &SyntheticCorpusOptions::concept_map_weight,
+      &SyntheticCorpusOptions::concept_direct_hits,
+      &SyntheticCorpusOptions::concept_noise_hits,
+      &SyntheticCorpusOptions::corrupted_doc_fraction,
+      &SyntheticCorpusOptions::corruption_magnitude,
+      &SyntheticCorpusOptions::relation_dropout};
+  for (std::size_t f = 0; f < std::size(fields); ++f) {
+    SyntheticCorpusOptions o = SmallCorpus();
+    o.*fields[f] = kNaN;
+    EXPECT_FALSE(o.Validate().ok()) << "field " << f;
+    EXPECT_FALSE(GenerateSyntheticCorpus(o).ok()) << "field " << f;
+  }
+  double SyntheticCorpusOptions::*const means[] = {
+      &SyntheticCorpusOptions::doc_length_mean,
+      &SyntheticCorpusOptions::concept_direct_hits,
+      &SyntheticCorpusOptions::concept_noise_hits};
+  for (double bad : {kInf, -1.0, 1e300}) {
+    for (std::size_t f = 0; f < std::size(means); ++f) {
+      SyntheticCorpusOptions o = SmallCorpus();
+      o.*means[f] = bad;
+      EXPECT_FALSE(GenerateSyntheticCorpus(o).ok())
+          << "mean " << f << " = " << bad;
+    }
+  }
 }
 
 TEST(SyntheticCorpus, PresetsAreValidAndMatchTableII) {
@@ -374,6 +413,30 @@ TEST(BlockWorld, ValidationErrors) {
   o.within_strength = 0.1;
   o.between_strength = 0.5;  // Inverted.
   EXPECT_FALSE(GenerateBlockWorld(o).ok());
+}
+
+TEST(BlockWorld, NonFiniteOptionsAreRejected) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  double BlockWorldOptions::*const fields[] = {
+      &BlockWorldOptions::within_strength,
+      &BlockWorldOptions::between_strength, &BlockWorldOptions::noise,
+      &BlockWorldOptions::dropout, &BlockWorldOptions::corrupted_fraction,
+      &BlockWorldOptions::corruption_magnitude};
+  for (std::size_t f = 0; f < std::size(fields); ++f) {
+    BlockWorldOptions o;
+    o.objects_per_type = {10, 10};
+    ASSERT_TRUE(o.Validate().ok());
+    o.*fields[f] = kNaN;
+    EXPECT_FALSE(o.Validate().ok()) << "field " << f;
+    EXPECT_FALSE(GenerateBlockWorld(o).ok()) << "field " << f;
+  }
+  BlockWorldOptions o;
+  o.objects_per_type = {10, 10};
+  o.within_strength = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(o.Validate().ok());
+  o.within_strength = 1.0;
+  o.noise = -0.1;
+  EXPECT_FALSE(o.Validate().ok());
 }
 
 }  // namespace

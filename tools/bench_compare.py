@@ -6,7 +6,12 @@ Guards the perf trajectory in CI:
   * refuses to accept a current JSON produced by a **debug** build —
     debug numbers are meaningless and silently poison the comparison;
   * fails (exit 1) when any kernel present in both files regressed by
-    more than --threshold (default 25%) in real_time;
+    more than --threshold (default 25%) in real_time. When the current
+    run has repetitions (--benchmark_repetitions with
+    --benchmark_report_aggregates_only, as CI runs it), each row's
+    `_median` aggregate is what is compared, so one slow sample can
+    neither fail a row nor pass it; a run without repetitions compares
+    its single sample;
   * fails when a kernel that reports a `recall` counter (the approximate
     kNN builds) lost more than --recall-threshold (default 0.02) of
     recall against the baseline — a speedup bought with accuracy is a
@@ -52,17 +57,24 @@ SECONDS_PER_UNIT = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 def load_benchmarks(path):
     """Returns (context, {name: real_time}, {name: recall},
     {name: real_time in seconds}) for a google-benchmark JSON; recall only
-    holds kernels that report the counter."""
+    holds kernels that report the counter. A row's `_median` aggregate,
+    when the run has one, stands for the row under the row's own name;
+    the other aggregates (mean, stddev, cv) are skipped."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     times = {}
     recalls = {}
     seconds = {}
+    medians = set()
     for bench in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repetitions).
-        if bench.get("run_type") == "aggregate":
-            continue
         name = bench.get("name")
+        if bench.get("run_type") == "aggregate":
+            if bench.get("aggregate_name") != "median":
+                continue
+            name = bench.get("run_name")
+            medians.add(name)
+        elif name in medians:
+            continue
         if name is None or "real_time" not in bench:
             continue
         times[name] = float(bench["real_time"])
