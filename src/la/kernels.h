@@ -79,11 +79,10 @@ enum class Isa { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// table returned by the registry; geometry fields size the caller-owned
 /// GEMM packing buffers.
 struct KernelTable {
-  const char* name;   ///< Resolved table name: "scalar", "avx2", "avx512".
-  Isa isa;            ///< Which ISA this table implements.
-  std::size_t lanes;  ///< Doubles per vector register (1 for scalar).
-  std::size_t mr;     ///< GEMM microkernel rows (A micro-panel height).
-  std::size_t nr;     ///< GEMM microkernel cols (B panel width, doubles).
+  const char* name;  ///< Resolved table name: "scalar", "avx2", "avx512".
+  Isa isa;           ///< Which ISA this table implements.
+  std::size_t mr;    ///< GEMM microkernel rows (A micro-panel height).
+  std::size_t nr;    ///< GEMM microkernel cols (B panel width, doubles).
 
   /// y[0..n) += a * x[0..n). Unfused multiply+add per element.
   void (*axpy)(double a, const double* x, double* y, std::size_t n);

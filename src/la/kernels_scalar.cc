@@ -19,6 +19,8 @@ namespace la {
 namespace simd {
 namespace {
 
+#include "la/kernels_body.h"
+
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 8;
 
@@ -66,35 +68,6 @@ void Sub(double* y, const double* x, std::size_t n) {
 
 void Scale(double* y, double s, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] *= s;
-}
-
-void PackB(const double* b, std::size_t ldb, std::size_t klen,
-           std::size_t jlen, double* pack) {
-  for (std::size_t p = 0; p * kNr < jlen; ++p) {
-    const std::size_t j0 = p * kNr;
-    const std::size_t w = jlen - j0 < kNr ? jlen - j0 : kNr;
-    double* dst = pack + p * klen * kNr;
-    for (std::size_t l = 0; l < klen; ++l) {
-      const double* bl = b + l * ldb + j0;
-      for (std::size_t j = 0; j < w; ++j) dst[j] = bl[j];
-      for (std::size_t j = w; j < kNr; ++j) dst[j] = 0.0;
-      dst += kNr;
-    }
-  }
-}
-
-void PackA(const double* a, std::size_t lda, std::size_t mrows,
-           std::size_t klen, double* pack) {
-  for (std::size_t p = 0; p * kMr < mrows; ++p) {
-    const std::size_t i0 = p * kMr;
-    const std::size_t h = mrows - i0 < kMr ? mrows - i0 : kMr;
-    double* dst = pack + p * klen * kMr;
-    for (std::size_t l = 0; l < klen; ++l) {
-      for (std::size_t r = 0; r < h; ++r) dst[r] = a[(i0 + r) * lda + l];
-      for (std::size_t r = h; r < kMr; ++r) dst[r] = 0.0;
-      dst += kMr;
-    }
-  }
 }
 
 void GemmPacked(const double* packa, const double* packb, std::size_t mrows,
@@ -212,11 +185,11 @@ std::size_t SpgDirectionRow(const double* w, const double* wq,
 }
 
 constexpr KernelTable kScalarTable = {
-    "scalar",     Isa::kScalar, /*lanes=*/1, kMr,        kNr,
-    Axpy,         Dot,          DotRows,     DotSparse,  SquaredDistance,
-    Add,          Sub,          Scale,       PackB,      PackA,
-    GemmPacked,   SpmmRows,     SpmmSignRows,            SandwichSignRows,
-    SpgDirectionRow,
+    "scalar",        Isa::kScalar,  kMr,          kNr,
+    Axpy,            Dot,           DotRows,      DotSparse,
+    SquaredDistance, Add,           Sub,          Scale,
+    PackB<kNr>,      PackA<kMr>,    GemmPacked,   SpmmRows,
+    SpmmSignRows,    SandwichSignRows,            SpgDirectionRow,
 };
 
 }  // namespace

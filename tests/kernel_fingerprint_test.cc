@@ -337,6 +337,7 @@ void HashSparse(const simd::KernelTable& t, std::uint64_t* out) {
       const std::vector<double> b = s.Vec(kBRows * ldb, draw);
       for (const auto& span : kSpans) {
         const Csr m = MakeCsr(s, span[0], span[1], kBRows, draw);
+        // lint:memstats-ok(small test outputs; ldc padding is the point)
         std::vector<double> c(m.r1 * ldc, kSentinel), neg = c, pos = c;
         t.spmm_rows(m.offsets.data(), m.idx.data(), m.vals.data(), m.r0,
                     m.r1, b.data(), ldb, n, c.data(), ldc);
