@@ -2,10 +2,23 @@
 // instruction set, resolved once at startup by CPUID feature detection
 // (la/simd.h owns the dispatch; this header owns the seam).
 //
-// Every ISA's implementations live in their own translation unit —
+// Every ISA's table lives in its own translation unit —
 // la/kernels_scalar.cc, la/kernels_avx2.cc, la/kernels_avx512.cc — and
 // those files are the ONLY ones compiled with their `-m` ISA flags (see
-// CMakeLists.txt). That is what lets one binary carry scalar through
+// CMakeLists.txt). The two vector tables share one body,
+// la/kernels_body.h: templates over a traits struct each ISA file
+// defines, included inside that file's unnamed namespace. Kept per ISA,
+// because the arithmetic or the instruction differs:
+//   - the dot family's lane rules, whose chains differ between the
+//     tables: Dot's lane accumulators and epilogue (DotLanes, DotTail,
+//     DotTails; avx2: whole 8-blocks, then an unfused scalar tail;
+//     avx512: an extra 8-block into acc0 and a masked tail into acc1),
+//     DotSparse and SquaredDistance, which follow the same rules, and the
+//     Laplacian walk's dot chunk rule (DotChunk, Ragged);
+//   - the SPG direction row's compaction: a 16-entry LUT with vpermd on
+//     avx2 against vcompresspd on avx512.
+// The scalar table is the plain-loop reference and shares only the
+// packers. That is what lets one binary carry scalar through
 // AVX-512 side by side without the classic illegal-instruction hazard:
 // this header must therefore stay free of inline functions and of
 // includes that carry them. An inline function

@@ -292,12 +292,6 @@ struct NarrowAcc {
   typename T::Vec hi = T::Zero();
 };
 
-/// The rows [offsets[i], offsets[i + 4]) of a narrow group, as spans.
-struct GroupRows {
-  std::size_t kb[kGroupRows + 1];
-  std::size_t common;  ///< The shortest row's length.
-};
-
 /// One nonzero of a narrow strip: acc + (v·x) on each register.
 template <class T, std::size_t kVecs>
 void NarrowStep(NarrowAcc<T>& acc, double v, const double* bk,
@@ -330,27 +324,27 @@ void SpmmStrip4(const std::size_t* offsets, const std::size_t* idx,
                 const double* vals, std::size_t i, const double* b,
                 std::size_t ldb, double* c, std::size_t ldc,
                 typename T::Mask tail) {
-  GroupRows g;
-  g.common = offsets[i + 1] - offsets[i];
-  for (std::size_t r = 0; r <= kGroupRows; ++r) g.kb[r] = offsets[i + r];
+  std::size_t kb[kGroupRows + 1];  // Row r spans [kb[r], kb[r + 1]).
+  for (std::size_t r = 0; r <= kGroupRows; ++r) kb[r] = offsets[i + r];
+  std::size_t common = kb[1] - kb[0];  // The shortest row's length.
   for (std::size_t r = 1; r < kGroupRows; ++r) {
-    const std::size_t len = g.kb[r + 1] - g.kb[r];
-    g.common = len < g.common ? len : g.common;
+    const std::size_t len = kb[r + 1] - kb[r];
+    common = len < common ? len : common;
   }
   NarrowAcc<T> a0, a1, a2, a3;
   auto step = [&](NarrowAcc<T>& acc, std::size_t k) {
     NarrowStep<T, kVecs>(acc, vals[k], b + idx[k] * ldb, tail);
   };
-  for (std::size_t t = 0; t < g.common; ++t) {
-    step(a0, g.kb[0] + t);
-    step(a1, g.kb[1] + t);
-    step(a2, g.kb[2] + t);
-    step(a3, g.kb[3] + t);
+  for (std::size_t t = 0; t < common; ++t) {
+    step(a0, kb[0] + t);
+    step(a1, kb[1] + t);
+    step(a2, kb[2] + t);
+    step(a3, kb[3] + t);
   }
-  for (std::size_t k = g.kb[0] + g.common; k < g.kb[1]; ++k) step(a0, k);
-  for (std::size_t k = g.kb[1] + g.common; k < g.kb[2]; ++k) step(a1, k);
-  for (std::size_t k = g.kb[2] + g.common; k < g.kb[3]; ++k) step(a2, k);
-  for (std::size_t k = g.kb[3] + g.common; k < g.kb[4]; ++k) step(a3, k);
+  for (std::size_t k = kb[0] + common; k < kb[1]; ++k) step(a0, k);
+  for (std::size_t k = kb[1] + common; k < kb[2]; ++k) step(a1, k);
+  for (std::size_t k = kb[2] + common; k < kb[3]; ++k) step(a2, k);
+  for (std::size_t k = kb[3] + common; k < kb[4]; ++k) step(a3, k);
   StoreNarrow<T, kVecs>(c + i * ldc, tail, a0);
   StoreNarrow<T, kVecs>(c + (i + 1) * ldc, tail, a1);
   StoreNarrow<T, kVecs>(c + (i + 2) * ldc, tail, a2);

@@ -7,8 +7,9 @@
 // reference loops, and the CSR row kernel is literally the zeroed row
 // plus one Axpy per nonzero that the vector tables' register strips must
 // reproduce bit for bit; the GEMM entry points implement the same packed
-// (mr x nr) register-tile protocol as the vector tables so la/gemm.cc
-// drives every ISA through one code path.
+// (mr x nr) register-tile protocol as the vector tables, with the same
+// packers (la/kernels_body.h), so la/gemm.cc drives every ISA through one
+// code path.
 
 #include "la/kernels.h"
 
